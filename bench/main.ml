@@ -3,14 +3,11 @@
 
    Usage: main.exe [all|tab1|tab2|tab3|tab4|fig1|fig2|fig5|fig6|fig7|
                     fig8|fig9|fig10|dma|batching|ablation|micro]
-                   [--jobs N] [--inner-jobs N] [--json FILE] [--trace FILE]
+                   [--jobs N] [--json FILE] [--trace FILE]
                    [--trace-cap N] [--compare FILE] [--profile]
 
    --jobs N       run the experiment grids on N domains (default:
                   XEN_NUMA_JOBS or the host's recommended domain count)
-   --inner-jobs N shard each run's per-epoch vCPU kernel over N worker
-                  domains (default: XEN_NUMA_INNER_JOBS or 1); output
-                  is bit-identical at any value
    --json FILE    also write per-section wall-clock times, the bechamel
                   per-op medians and the metrics registry as JSON
                   (metrics collection is enabled for the run)
@@ -95,12 +92,6 @@ let bench_pool_dispatch () =
      of the atomic-cursor claim path, no spawn or join in the loop. *)
   let tasks = Array.init 256 (fun i () -> i) in
   Bechamel.Staged.stage (fun () -> ignore (Engine.Pool.run_all ~jobs:1 tasks))
-
-let bench_team_section () =
-  (* One empty Team barrier: the broadcast + wait cost every sharded
-     epoch section pays (members parked on a condvar between calls). *)
-  let team = Engine.Pool.Team.create ~workers:2 in
-  Bechamel.Staged.stage (fun () -> Engine.Pool.Team.run team (fun _ -> ()))
 
 let bench_counters () =
   let counters = Numa.Counters.create (Numa.Amd48.topology ()) in
@@ -221,7 +212,6 @@ let micro_tests =
     Test.make ~name:"cpus_of_node (array)" (bench_cpus_of_node_array ());
     Test.make ~name:"pool fanout 32x2" (bench_pool_fanout ());
     Test.make ~name:"pool dispatch 256x1" (bench_pool_dispatch ());
-    Test.make ~name:"team barrier (2 members)" (bench_team_section ());
     Test.make ~name:"counters record" (bench_counters ());
     Test.make ~name:"carrefour decide (128 hot)" (bench_carrefour_decide ());
     Test.make ~name:"rng zipf 32k" (bench_zipf ());
@@ -262,6 +252,15 @@ let run_micro () =
 (* Experiment sections                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A fault grid whose run hit the epoch cap has not shown that the
+   run completes: fail the bench right after the section's output. *)
+let fail_if_capped = function
+  | [] -> ()
+  | capped ->
+      Printf.eprintf "bench: %d run(s) hit the epoch cap: %s\n" (List.length capped)
+        (String.concat "; " capped);
+      exit 1
+
 let sections : (string * (unit -> unit)) list =
   [
     ("tab2", fun () -> section "Table 2"; Experiments.Single_vm.print_tab2 ());
@@ -295,7 +294,7 @@ let sections : (string * (unit -> unit)) list =
     ( "chaos",
       fun () ->
         section "Chaos (fault injection and graceful degradation)";
-        Experiments.Chaos.print () );
+        fail_if_capped (Experiments.Chaos.print ()) );
     ( "hugepage",
       fun () ->
         section "Hugepage (2 MiB P2M superpages on/off)";
@@ -307,7 +306,7 @@ let sections : (string * (unit -> unit)) list =
     ( "ras",
       fun () ->
         section "Memory RAS (ECC errors and node failure)";
-        Experiments.Ras.print () );
+        fail_if_capped (Experiments.Ras.print ()) );
     ("micro", run_micro);
   ]
 
@@ -423,7 +422,6 @@ let write_json file ~jobs ~timings ~total =
     "{\n\
     \  \"git_rev\": \"%s\",\n\
     \  \"jobs\": %d,\n\
-    \  \"inner_jobs\": %d,\n\
     \  \"host_cores\": %d,\n%s\
     \  \"total_wall_s\": %.3f,\n\
     \  \"sections\": [\n%s\n  ],\n\
@@ -432,7 +430,6 @@ let write_json file ~jobs ~timings ~total =
      }\n"
     (json_escape (git_rev ()))
     jobs
-    (Engine.Pool.default_inner_jobs ())
     host_cores
     (if oversubscribed then "  \"oversubscribed\": true,\n" else "")
     total
@@ -564,7 +561,7 @@ let compare_report file ~jobs ~timings =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [sections...] [--jobs N] [--inner-jobs N] [--json FILE] [--trace FILE]\n\
+    "usage: main.exe [sections...] [--jobs N] [--json FILE] [--trace FILE]\n\
     \       [--trace-cap N] [--compare FILE] [--profile] [--no-fast-forward]\n\
      available sections: all %s\n"
     (String.concat " " (List.map fst sections));
@@ -573,7 +570,6 @@ let usage () =
 type opts = {
   mutable names : string list;
   mutable jobs : int option;
-  mutable inner_jobs : int option;
   mutable json : string option;
   mutable trace : string option;
   mutable trace_cap : int;
@@ -584,7 +580,7 @@ type opts = {
 
 let () =
   let o =
-    { names = []; jobs = None; inner_jobs = None; json = None; trace = None; trace_cap = 4096;
+    { names = []; jobs = None; json = None; trace = None; trace_cap = 4096;
       compare_to = None; profile = false; no_fast_forward = false }
   in
   let rec parse = function
@@ -596,14 +592,6 @@ let () =
             parse rest
         | Some _ | None ->
             Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-            usage ())
-    | "--inner-jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 ->
-            o.inner_jobs <- Some j;
-            parse rest
-        | Some _ | None ->
-            Printf.eprintf "--inner-jobs expects a positive integer, got %S\n" n;
             usage ())
     | "--json" :: file :: rest ->
         o.json <- Some file;
@@ -628,7 +616,7 @@ let () =
         | Some _ | None ->
             Printf.eprintf "--trace-cap expects a positive integer, got %S\n" n;
             usage ())
-    | ("--jobs" | "--inner-jobs" | "--json" | "--trace" | "--trace-cap" | "--compare"
+    | ("--jobs" | "--json" | "--trace" | "--trace-cap" | "--compare"
       | "--help" | "-h") :: _ ->
         usage ()
     | name :: rest ->
@@ -642,7 +630,6 @@ let () =
      trades speed for an A/B check. *)
   if o.no_fast_forward then Engine.Config.set_default_fast_forward false;
   (match o.jobs with Some n -> Engine.Pool.set_default_jobs n | None -> ());
-  (match o.inner_jobs with Some n -> Engine.Pool.set_default_inner_jobs n | None -> ());
   let requested =
     match List.rev o.names with [] | [ "all" ] -> List.map fst sections | names -> names
   in

@@ -150,7 +150,7 @@ let slo_arg =
 let profile_arg =
   Arg.(value & flag
        & info [ "profile" ]
-           ~doc:"Enable the runner phase profiler (kernel shards, sequential \
+           ~doc:"Enable the runner phase profiler (per-vCPU kernels, sequential \
                  reductions, carrefour feed, P2M batches, PV flushes, manager \
                  ticks) and print the span table after the run.")
 
@@ -163,23 +163,10 @@ let no_fast_forward_arg =
                  traces, so this flag only trades speed for nothing — it exists \
                  as the escape hatch and for A/B verification.")
 
-let inner_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "inner-jobs" ] ~docv:"N"
-           ~doc:"Shard the per-epoch vCPU kernel over $(docv) worker domains \
-                 within this single run.  Results and traces are bit-identical \
-                 for every value: cross-vCPU accumulation always happens in a \
-                 sequential fixed-order reduction.  Fault-injection runs \
-                 ignore this and run unsharded.")
-
 let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unpinned machine
-    faults trace trace_cap metrics inner_jobs slo profile no_fast_forward =
+    faults trace trace_cap metrics slo profile no_fast_forward =
   if trace_cap <= 0 then begin
     prerr_endline "xen-numa-sim: --trace-cap must be positive";
-    exit 1
-  end;
-  if inner_jobs < 1 then begin
-    prerr_endline "xen-numa-sim: --inner-jobs must be >= 1";
     exit 1
   end;
   let session =
@@ -200,7 +187,7 @@ let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unp
       ~pinned:(not unpinned) ~policy app
   in
   let cfg =
-    Engine.Config.make ~seed ~machine ~faults ~inner_jobs ~slo
+    Engine.Config.make ~seed ~machine ~faults ~slo
       ~fast_forward:(not no_fast_forward) ~mode [ vm ]
   in
   let result = Engine.Runner.run cfg in
@@ -226,7 +213,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run_app $ app_arg $ mode_arg $ policy_arg $ threads_arg $ seed_arg $ mcs_arg
           $ huge_arg $ pt_walk_arg $ replicate_pt_arg $ unpinned_arg $ machine_arg $ faults_arg
-          $ trace_arg $ trace_cap_arg $ metrics_arg $ inner_jobs_arg $ slo_arg $ profile_arg
+          $ trace_arg $ trace_cap_arg $ metrics_arg $ slo_arg $ profile_arg
           $ no_fast_forward_arg)
 
 let list_apps () =

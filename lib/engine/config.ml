@@ -30,7 +30,6 @@ type t = {
   machine : Numa.Machine_desc.t;
   faults : Faults.Plan.t;
   observer : observer option;
-  inner_jobs : int;
   slo : (string * float) list;
   fast_forward : bool;
 }
@@ -80,7 +79,7 @@ let parse_slo spec =
     (List.filter (fun s -> s <> "") (List.map String.trim (String.split_on_char ',' spec)))
 
 (* Process-wide default for [fast_forward], mirroring
-   [Pool.default_inner_jobs]: lets the bench harness flip every run it
+   [Pool.default_jobs]: lets the bench harness flip every run it
    spawns to the naive epoch loop without threading a flag through the
    experiment grids. *)
 let default_fast_forward_flag = ref true
@@ -89,16 +88,12 @@ let default_fast_forward () = !default_fast_forward_flag
 
 let make ?(epoch = 0.1) ?(seed = 42) ?(max_epochs = 40_000) ?page_kib ?carrefour_config
     ?(machine = Numa.Machine_desc.amd48) ?(faults = Faults.Plan.empty) ?observer
-    ?inner_jobs ?(slo = []) ?fast_forward ~mode vms =
-  let inner_jobs =
-    match inner_jobs with Some n -> n | None -> Pool.default_inner_jobs ()
-  in
+    ?(slo = []) ?fast_forward ~mode vms =
   let fast_forward =
     match fast_forward with Some b -> b | None -> default_fast_forward ()
   in
   if vms = [] then invalid_arg "Config.make: no VMs";
   if epoch <= 0.0 then invalid_arg "Config.make: epoch must be positive";
-  if inner_jobs < 1 then invalid_arg "Config.make: inner_jobs must be >= 1";
   List.iter
     (fun (metric, target) ->
       if not (List.mem metric slo_metrics) then
@@ -109,7 +104,7 @@ let make ?(epoch = 0.1) ?(seed = 42) ?(max_epochs = 40_000) ?page_kib ?carrefour
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Config.make: bad fault plan: " ^ msg));
   { mode; vms; epoch; seed; max_epochs; page_kib; carrefour_config; machine; faults; observer;
-    inner_jobs; slo; fast_forward }
+    slo; fast_forward }
 
 let mode_name = function Linux -> "linux" | Xen -> "xen" | Xen_plus -> "xen+"
 

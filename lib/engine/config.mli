@@ -84,18 +84,6 @@ type t = {
   observer : observer option;
       (** Called at the end of every epoch with live telemetry
           (progress tracking, CSV traces, convergence plots). *)
-  inner_jobs : int;
-      (** Worker shards for the {e intra-run} epoch kernel (the
-          [--inner-jobs] knob): each VM's vCPUs are partitioned into
-          this many contiguous ranges computed on a persistent
-          {!Pool.Team}, with all cross-vCPU accumulation done in a
-          sequential fixed-order reduction — so any value produces
-          bit-identical results, 1 (the default) meaning no extra
-          domains at all.  Fault-injection runs always run the kernel
-          unsharded: the injector draws per-vCPU stall events from one
-          shared stream in vCPU order.  [make] defaults the field to
-          {!Pool.default_inner_jobs} (the bench driver's
-          [--inner-jobs], or [XEN_NUMA_INNER_JOBS], or 1). *)
   slo : (string * float) list;
       (** Latency SLO objectives [(metric, target cycles)] evaluated
           per domain every epoch and at end of run ([--slo]).  Metrics:
@@ -133,12 +121,11 @@ val make : ?epoch:float -> ?seed:int -> ?max_epochs:int -> ?page_kib:int ->
   ?machine:Numa.Machine_desc.t ->
   ?faults:Faults.Plan.t ->
   ?observer:observer ->
-  ?inner_jobs:int ->
   ?slo:(string * float) list ->
   ?fast_forward:bool ->
   mode:mode -> vm_spec list -> t
 (** @raise Invalid_argument on an ill-formed fault plan, an unknown
-    SLO metric or non-positive target, or [inner_jobs < 1]. *)
+    SLO metric or non-positive target. *)
 
 val set_default_fast_forward : bool -> unit
 (** Process-wide default for {!t.fast_forward} (initially [true]),

@@ -41,17 +41,6 @@ val set_default_jobs : int -> unit
 val default_jobs : unit -> int
 (** The count {!run_all} uses when [~jobs] is omitted. *)
 
-val set_default_inner_jobs : int -> unit
-(** Install a process-wide default shard count (clamped to >= 1) for
-    the intra-run epoch kernel — what {!Config.make} uses when
-    [?inner_jobs] is omitted (the bench driver's [--inner-jobs]). *)
-
-val default_inner_jobs : unit -> int
-(** The installed intra-run default, else [XEN_NUMA_INNER_JOBS] (if a
-    positive integer), else 1.  Unlike the outer worker count this is
-    purely a performance knob: any value produces bit-identical
-    results. *)
-
 val run_all : ?jobs:int -> (unit -> 'a) array -> 'a array
 (** [run_all tasks] executes every thunk and returns their results
     indexed exactly like [tasks], whatever the execution schedule.
@@ -66,37 +55,3 @@ val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f l] is [List.map f l] with the applications of [f]
     distributed over the pool; result order follows [l]. *)
-
-(** A persistent squad of worker domains for {e intra-run} sharding:
-    spawn once, then dispatch many short parallel sections against the
-    same members — the per-epoch kernel of {!Runner} cannot afford a
-    [Domain.spawn] per epoch.  Unlike {!run_all}, a team spawns
-    exactly [workers - 1] domains whatever the hardware parallelism:
-    the shard count is part of the determinism contract ([--inner-jobs
-    n] must mean [n] shards), and correctness never depends on the
-    members actually running concurrently. *)
-module Team : sig
-  type t
-
-  val create : workers:int -> t
-  (** Spawn a team of [max 1 workers] members.  Member 0 is the
-      calling domain; members [1 .. workers-1] are spawned domains
-      that block on a condition variable between sections. *)
-
-  val size : t -> int
-
-  val run : t -> (int -> unit) -> unit
-  (** [run t f] executes [f rank] once per member, [rank] in
-      [0 .. size-1], member 0 on the calling domain, and returns when
-      every member has finished (a full barrier).  If any member
-      raises, the exception is re-raised on the caller {e after} the
-      barrier — partial shard writes are never observed.  [f] must
-      confine its writes to rank-private state. *)
-
-  val shutdown : t -> unit
-  (** Join the spawned members.  The team is unusable afterwards. *)
-
-  val with_team : workers:int -> (t -> 'a) -> 'a
-  (** [with_team ~workers f] runs [f] over a fresh team and shuts it
-      down on the way out, exception or not. *)
-end

@@ -80,8 +80,5 @@ let print ?seed () =
   (* Robustness headline: even under 100 % migration-failure injection
      every run completed (the breaker degraded the policy instead of
      letting the engine spin). *)
-  List.iter2
-    (fun (label, _) (result : Engine.Result.t) ->
-      if result.Engine.Result.epochs >= max_epochs then
-        Printf.printf "WARNING: plan %S hit the epoch cap without completing\n" label)
-    plans results
+  Runs.capped ~max_epochs
+    (List.map2 (fun (label, _) result -> (Printf.sprintf "plan %S" label, result)) plans results)

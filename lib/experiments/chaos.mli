@@ -10,4 +10,6 @@ val run : ?seed:int -> unit -> Engine.Result.t list
 (** Results in [plans] order; parallelised over the engine pool with
     per-plan derived seeds (bit-identical whatever the job count). *)
 
-val print : ?seed:int -> unit -> unit
+val print : ?seed:int -> unit -> string list
+(** Print the grid; returns the plans that hit the epoch cap (see
+    {!Runs.capped}). *)

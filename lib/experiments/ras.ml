@@ -100,9 +100,8 @@ let print ?seed () =
   print_newline ();
   (* Robustness headline: every scenario completes — a node failure
      degrades throughput, it never wedges a run. *)
-  List.iter
-    (fun (((app_name, policy_label, _), (sc, _)), (result : Engine.Result.t)) ->
-      if result.Engine.Result.epochs >= max_epochs then
-        Printf.printf "WARNING: cell %s/%s scenario %S hit the epoch cap without completing\n"
-          app_name policy_label sc)
-    tagged
+  Runs.capped ~max_epochs
+    (List.map
+       (fun (((app_name, policy_label, _), (sc, _)), result) ->
+         (Printf.sprintf "cell %s/%s scenario %S" app_name policy_label sc, result))
+       tagged)

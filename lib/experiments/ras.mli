@@ -12,4 +12,6 @@ val run : ?seed:int -> unit -> Engine.Result.t list
     engine pool with per-cell derived seeds (bit-identical whatever
     the job count). *)
 
-val print : ?seed:int -> unit -> unit
+val print : ?seed:int -> unit -> string list
+(** Print the grid; returns the cells that hit the epoch cap (see
+    {!Runs.capped}). *)

@@ -70,3 +70,13 @@ let xen_stock app = xen app Policies.Spec.round_1g
 let xen_plus_default app = xen_plus ~mcs:(uses_mcs app) app Policies.Spec.round_1g
 
 let clear_cache () = Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
+
+let capped ~max_epochs cells =
+  List.filter_map
+    (fun (label, (result : Engine.Result.t)) ->
+      if result.Engine.Result.epochs >= max_epochs then begin
+        Printf.printf "WARNING: %s hit the epoch cap without completing\n" label;
+        Some label
+      end
+      else None)
+    cells

@@ -50,3 +50,9 @@ val xen_plus_default : Workloads.App.t -> key
     applicable. *)
 
 val clear_cache : unit -> unit
+
+val capped : max_epochs:int -> (string * Engine.Result.t) list -> string list
+(** The labels of the [(label, result)] cells that ran into the
+    [max_epochs] cap instead of completing, in input order; prints one
+    [WARNING] line per such cell.  The bench harness exits non-zero
+    when a section reports any. *)

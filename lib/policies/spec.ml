@@ -20,23 +20,30 @@ let placement_name = function
 let name t =
   if t.carrefour then placement_name t.placement ^ "/carrefour" else placement_name t.placement
 
+let placement_of_string = function
+  | "round-1g" | "r1g" | "round1g" -> Some Round_1g
+  | "round-4k" | "r4k" | "round4k" | "interleave" -> Some Round_4k
+  | "first-touch" | "ft" | "firsttouch" -> Some First_touch
+  | _ -> None
+
 let of_string s =
   let s = String.lowercase_ascii (String.trim s) in
-  let base, carrefour =
-    match String.index_opt s '/' with
-    | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1) = "carrefour")
-    | None -> (
-        match String.index_opt s '+' with
-        | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1) = "carrefour")
-        | None -> (s, false))
+  let cut i = (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1))) in
+  let base, suffix =
+    match (String.index_opt s '/', String.index_opt s '+') with
+    | Some i, _ | None, Some i -> cut i
+    | None, None -> (s, None)
   in
-  match base with
-  | "round-1g" | "r1g" | "round1g" ->
-      if carrefour then Error "round-1g cannot be combined with carrefour"
-      else Ok { placement = Round_1g; carrefour = false }
-  | "round-4k" | "r4k" | "round4k" | "interleave" -> Ok { placement = Round_4k; carrefour }
-  | "first-touch" | "ft" | "firsttouch" -> Ok { placement = First_touch; carrefour }
-  | _ -> Error (Printf.sprintf "unknown NUMA policy %S" s)
+  match (placement_of_string base, suffix) with
+  | Some Round_1g, Some "carrefour" -> Error "round-1g cannot be combined with carrefour"
+  | Some placement, (None | Some "carrefour") -> Ok { placement; carrefour = suffix <> None }
+  | Some _, Some _ | None, _ ->
+      Error
+        (Printf.sprintf
+           "unknown NUMA policy %S; valid policies: %s (shorthands ft, r4k, r1g; \"+carrefour\" \
+            also accepted)"
+           s
+           (String.concat ", " (List.map name all)))
 
 let pp fmt t = Format.pp_print_string fmt (name t)
 

@@ -41,7 +41,10 @@ val name : t -> string
 
 val of_string : string -> (t, string) result
 (** Parses names as printed by {!name}; accepts ["ft"], ["r4k"],
-    ["r1g"] shorthands and a ["+carrefour"] / ["/carrefour"] suffix. *)
+    ["r1g"] shorthands and a ["+carrefour"] / ["/carrefour"] suffix.
+    Any other suffix is an error (a typo such as ["ft/carefour"] never
+    falls back to the bare placement), and the message lists the valid
+    spellings. *)
 
 val pp : Format.formatter -> t -> unit
 

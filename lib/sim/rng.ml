@@ -17,15 +17,6 @@ let split t =
   let seed = bits64 t in
   { state = mix seed }
 
-(* A distinct odd gamma (from the PCG family), not [golden_gamma]:
-   [derive t ~id:0] must never collide with the child [split t] would
-   produce from the same state. *)
-let derive_gamma = 0xD1B54A32D192ED03L
-
-let derive t ~id =
-  let z = Int64.add t.state (Int64.mul derive_gamma (Int64.of_int (id + 1))) in
-  { state = mix (mix z) }
-
 let copy t = { state = t.state }
 
 let int t bound =

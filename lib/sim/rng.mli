@@ -19,17 +19,6 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] duplicates the current state without advancing it. *)
 
-val derive : t -> id:int -> t
-(** [derive t ~id] returns the [id]-indexed member of a family of
-    independent streams rooted at [t]'s {e current} state — {b without
-    advancing [t]}, so inserting derivations into existing code leaves
-    every subsequent draw of [t] bit-identical.  The stream is a pure
-    function of (state, [id]): per-vCPU streams derived this way are
-    identical however the vCPUs are later partitioned across shards.
-    Distinct [id]s give decorrelated streams ([id] is scaled by an odd
-    gamma and finalised twice); [derive] never collides with the
-    children {!split} produces. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -230,135 +230,32 @@ let test_fewer_threads_slower () =
   let t12 = completion (run ~threads:12 "ep.D") in
   Alcotest.(check bool) "12 threads slower than 48" true (t12 > 2.0 *. t48)
 
-(* ------------------------------ sharding ---------------------------- *)
+(* ---------------------------- fast-forward --------------------------- *)
 
 let qcheck = QCheck_alcotest.to_alcotest
-
-(* Shard.partition tiles [0, count) with contiguous, ascending,
-   near-equal ranges — for every (count, shards). *)
-let prop_partition_covers =
-  QCheck.Test.make ~name:"partition tiles the vCPU range" ~count:500
-    QCheck.(pair (int_range 0 300) (int_range 1 32))
-    (fun (count, shards) ->
-      let ranges = Engine.Shard.partition ~count ~shards in
-      let k = Array.length ranges in
-      k = max 1 (min shards count)
-      && ranges.(0).Engine.Shard.lo = 0
-      && ranges.(k - 1).Engine.Shard.hi = count
-      && Array.for_all
-           (fun r -> r.Engine.Shard.lo <= r.Engine.Shard.hi)
-           ranges
-      && (let ok = ref true in
-          for s = 1 to k - 1 do
-            if ranges.(s).Engine.Shard.lo <> ranges.(s - 1).Engine.Shard.hi then ok := false
-          done;
-          !ok)
-      &&
-      let sizes = Array.map (fun r -> r.Engine.Shard.hi - r.Engine.Shard.lo) ranges in
-      let mn = Array.fold_left min max_int sizes and mx = Array.fold_left max 0 sizes in
-      mx - mn <= 1)
-
-(* The per-vCPU streams are a pure function of (parent state, vCPU id):
-   deriving them does not advance the parent, and the stream a vCPU
-   gets is the same whatever partition its index lands in. *)
-let prop_streams_partition_invariant =
-  QCheck.Test.make ~name:"per-vCPU streams invariant under partitioning" ~count:200
-    QCheck.(triple int (int_range 1 48) (pair (int_range 1 8) (int_range 1 8)))
-    (fun (seed, count, (shards_a, shards_b)) ->
-      let mk () = Sim.Rng.create ~seed in
-      let parent_a = mk () and parent_b = mk () in
-      let streams_a = Engine.Shard.streams parent_a ~count in
-      let streams_b = Engine.Shard.streams parent_b ~count in
-      (* Consume each family in its partition's shard order — shard by
-         shard, ascending inside a shard — under two different shard
-         counts; every vCPU must still observe its own draws. *)
-      let draw streams ranges =
-        let out = Array.make count 0 in
-        Array.iter
-          (fun r ->
-            for v = r.Engine.Shard.lo to r.Engine.Shard.hi - 1 do
-              out.(v) <- Sim.Rng.int streams.(v) 1_000_000
-            done)
-          ranges;
-        out
-      in
-      let a = draw streams_a (Engine.Shard.partition ~count ~shards:shards_a) in
-      let b = draw streams_b (Engine.Shard.partition ~count ~shards:shards_b) in
-      (* ...and deriving must not have advanced the parents. *)
-      a = b && Sim.Rng.int parent_a 1_000_000 = Sim.Rng.int parent_b 1_000_000)
-
-(* Distinct vCPUs get distinct streams (no aliasing, no collisions in
-   practice for small families). *)
-let prop_streams_distinct =
-  QCheck.Test.make ~name:"per-vCPU streams are distinct" ~count:200
-    QCheck.(pair int (int_range 2 48))
-    (fun (seed, count) ->
-      let streams = Engine.Shard.streams (Sim.Rng.create ~seed) ~count in
-      let draws = Array.map (fun s -> Sim.Rng.bits64 s) streams in
-      let sorted = Array.copy draws in
-      Array.sort compare sorted;
-      let dup = ref false in
-      for i = 1 to count - 1 do
-        if sorted.(i) = sorted.(i - 1) then dup := true
-      done;
-      not !dup)
-
-(* The acceptance property of the whole tentpole: a sharded run's
-   result record — every reduced accumulator, completion, latency,
-   local fraction — is structurally identical (floats compared
-   bitwise) to the unsharded run's. *)
-let prop_sharded_run_identical =
-  QCheck.Test.make ~name:"inner-jobs N result equals inner-jobs 1" ~count:4
-    QCheck.(pair (int_range 2 6) (int_range 0 1000))
-    (fun (inner_jobs, seed) ->
-      let cell inner =
-        let vm =
-          Engine.Config.vm ~threads:7 ~policy:Policies.Spec.round_4k_carrefour (app "swaptions")
-        in
-        Engine.Runner.run
-          (Engine.Config.make ~seed ~max_epochs:40 ~inner_jobs:inner
-             ~mode:Engine.Config.Xen_plus [ vm ])
-      in
-      cell 1 = cell inner_jobs)
-
-let test_sharded_faults_identical () =
-  (* Fault runs force the kernel unsharded; inner_jobs must be inert. *)
-  let faults =
-    match Faults.Plan.of_string "stall=0.05@2-30" with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "bad plan: %s" msg
-  in
-  let cell inner =
-    let vm = Engine.Config.vm ~threads:6 ~policy:Policies.Spec.first_touch (app "swaptions") in
-    Engine.Runner.run
-      (Engine.Config.make ~seed:9 ~max_epochs:40 ~faults ~inner_jobs:inner
-         ~mode:Engine.Config.Xen_plus [ vm ])
-  in
-  Alcotest.(check bool) "identical result" true (cell 1 = cell 4)
-
-(* ---------------------------- fast-forward --------------------------- *)
 
 (* The fast-forward acceptance property: with quiescence-tracked delta
    replay on, every reduced field of the result record — completions,
    latencies, histograms, local fractions — is structurally identical
    (floats compared bitwise) to the naive run's; only the
    [replayed_epochs] accounting may differ.  Randomised over policy,
-   superpages, pt-walk, inner-jobs and seed so replay is exercised
-   under Carrefour decade boundaries, promote scans and sharding. *)
+   superpages, pt-walk, vCPU count and seed so replay is exercised
+   under Carrefour decade boundaries, promote scans and small and
+   odd-sized VMs. *)
 let prop_ff_run_identical =
   QCheck.Test.make ~name:"fast-forward result equals naive" ~count:6
-    QCheck.(quad (int_range 0 9) (int_range 1 4) (int_range 0 1000) bool)
-    (fun (policy_idx, inner_jobs, seed, superpages) ->
+    QCheck.(quad (int_range 0 9) (int_range 1 9) (int_range 0 1000) bool)
+    (fun (policy_idx, threads, seed, superpages) ->
       let policy =
         List.nth Policies.Spec.all (policy_idx mod List.length Policies.Spec.all)
       in
       let pt_walk = seed mod 2 = 0 in
       let cell fast_forward =
         let vm =
-          Engine.Config.vm ~threads:7 ~superpages ~pt_walk ~policy (app "swaptions")
+          Engine.Config.vm ~threads ~superpages ~pt_walk ~policy (app "swaptions")
         in
         Engine.Runner.run
-          (Engine.Config.make ~seed ~max_epochs:60 ~inner_jobs ~fast_forward
+          (Engine.Config.make ~seed ~max_epochs:60 ~fast_forward
              ~mode:Engine.Config.Xen_plus [ vm ])
       in
       let ff = cell true and naive = cell false in
@@ -483,14 +380,6 @@ let suite =
         Alcotest.test_case "two VMs share the CPUs" `Slow test_consolidation_halves_throughput;
         Alcotest.test_case "split halves" `Quick test_split_halves_are_disjoint;
         Alcotest.test_case "fewer threads slower" `Quick test_fewer_threads_slower;
-      ] );
-    ( "engine.shard",
-      [
-        qcheck prop_partition_covers;
-        qcheck prop_streams_partition_invariant;
-        qcheck prop_streams_distinct;
-        qcheck prop_sharded_run_identical;
-        Alcotest.test_case "faults force unsharded" `Quick test_sharded_faults_identical;
       ] );
     ( "engine.ff",
       [

@@ -198,21 +198,6 @@ let test_engine_pt_ignored_under_linux () =
   in
   Alcotest.(check bool) "identical result" true (cell false false = cell true true)
 
-(* The sharded kernel must not see the new feature: walk repricing and
-   replica propagation live outside the per-vCPU shards, so inner-jobs
-   stays bit-identical with both toggles on. *)
-let test_engine_pt_sharded_identical () =
-  let cell inner =
-    let vm =
-      Engine.Config.vm ~threads:7 ~pt_walk:true ~replicate_pt:true
-        ~policy:Policies.Spec.first_touch_carrefour (app "swaptions")
-    in
-    Engine.Runner.run
-      (Engine.Config.make ~seed:13 ~max_epochs:40 ~inner_jobs:inner
-         ~mode:Engine.Config.Xen_plus [ vm ])
-  in
-  Alcotest.(check bool) "identical result" true (cell 1 = cell 4)
-
 (* ------------------------------- sched ------------------------------ *)
 
 let sched_system () = Xen.System.create ~page_scale:262144 (Numa.Amd48.topology ())
@@ -341,8 +326,6 @@ let suite =
         Alcotest.test_case "replication localises walks" `Slow
           test_engine_replicate_pt_localises_walks;
         Alcotest.test_case "ignored under linux" `Quick test_engine_pt_ignored_under_linux;
-        Alcotest.test_case "inner-jobs bit-identical with pt on" `Slow
-          test_engine_pt_sharded_identical;
       ] );
     ( "xen.sched",
       [

@@ -560,6 +560,17 @@ let test_engine_clean_run_reports_no_degradation () =
   Alcotest.(check bool) "no degradation" true
     ((Engine.Result.single r).Engine.Result.degradation = Engine.Result.no_degradation)
 
+(* The chaos and RAS grids report a run that hit [max_epochs] through
+   [Runs.capped], which the bench turns into a non-zero exit: a capped
+   run is flagged, a completed one is not. *)
+let test_capped_run_is_reported () =
+  let capped = chaos_run ~max_epochs:5 "none" in
+  let completed = chaos_run "none" in
+  Alcotest.(check int) "ran into the cap" 5 capped.Engine.Result.epochs;
+  Alcotest.(check (list string)) "only the capped cell is reported" [ "capped" ]
+    (Experiments.Runs.capped ~max_epochs:5 [ ("capped", capped) ]
+    @ Experiments.Runs.capped ~max_epochs:2_000 [ ("completed", completed) ])
+
 let test_engine_jobs_bit_identical () =
   (* The chaos acceptance bar: a fixed-seed fault grid is bit-identical
      whatever the worker count. *)
@@ -579,24 +590,19 @@ let test_engine_jobs_bit_identical () =
       Alcotest.(check bool) (plan ^ " identical across job counts") true (seq.(i) = par.(i)))
     plans
 
-let test_engine_ras_forces_unsharded () =
-  (* Fault runs force the per-epoch vCPU kernel down to one shard so
-     the injector stream stays a pure function of the plan and epoch;
-     the new RAS classes ride the same rule.  --inner-jobs must
-     therefore be a no-op under a node_fail + ECC plan. *)
-  let run inner_jobs =
-    let vm =
-      Engine.Config.vm ~threads:8 ~policy:Policies.Spec.first_touch_carrefour (tiny_app ())
-    in
+let test_engine_ras_evacuates () =
+  (* A node_fail + ECC plan on an 8-vCPU Carrefour VM: the failed
+     node's frames must really be moved off it. *)
+  let vm =
+    Engine.Config.vm ~threads:8 ~policy:Policies.Spec.first_touch_carrefour (tiny_app ())
+  in
+  let r =
     Engine.Runner.run
       (Engine.Config.make ~seed:11 ~max_epochs:400 ~carrefour_config:eager_carrefour
-         ~inner_jobs
          ~faults:(Faults.Plan.of_string_exn "ecc-ce=0.2,node_fail=1.0@50")
          ~mode:Engine.Config.Xen_plus [ vm ])
   in
-  let r1 = run 1 in
-  Alcotest.(check bool) "inner-jobs is a no-op under RAS faults" true (r1 = run 4);
-  let d = (Engine.Result.single r1).Engine.Result.degradation in
+  let d = (Engine.Result.single r).Engine.Result.degradation in
   Alcotest.(check bool) "the node failure actually evacuated frames" true
     (d.Engine.Result.evacuated > 0)
 
@@ -637,6 +643,7 @@ let suite =
           test_engine_completes_under_full_migration_failure;
         Alcotest.test_case "engine clean run" `Quick test_engine_clean_run_reports_no_degradation;
         Alcotest.test_case "engine jobs bit-identical" `Quick test_engine_jobs_bit_identical;
-        Alcotest.test_case "engine ras forces unsharded" `Quick test_engine_ras_forces_unsharded;
+        Alcotest.test_case "engine ras evacuates" `Quick test_engine_ras_evacuates;
+        Alcotest.test_case "capped run is reported" `Quick test_capped_run_is_reported;
       ] );
   ]

@@ -25,9 +25,22 @@ let test_spec_parse () =
   (match Policies.Spec.of_string "round-1g/carrefour" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "r1g+carrefour must be rejected");
-  match Policies.Spec.of_string "bogus" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus must be rejected"
+  (* Unknown names and unknown suffixes are rejected, never parsed as
+     the bare placement, and the message lists the valid spellings. *)
+  List.iter
+    (fun s ->
+      match Policies.Spec.of_string s with
+      | Error m ->
+          Alcotest.(check string)
+            (s ^ " message")
+            (Printf.sprintf
+               "unknown NUMA policy %S; valid policies: first-touch, first-touch/carrefour, \
+                round-4k, round-4k/carrefour, round-1g (shorthands ft, r4k, r1g; \"+carrefour\" \
+                also accepted)"
+               (String.lowercase_ascii s))
+            m
+      | Ok p -> Alcotest.failf "%s must be rejected, parsed as %s" s (Policies.Spec.name p))
+    [ "bogus"; "ft/carefour"; "r1g/x"; "first-touch+"; "r4k/carrefour/x"; "FT+Carefour" ]
 
 let test_spec_runtime_selectable () =
   Alcotest.(check bool) "ft yes" true (Policies.Spec.runtime_selectable Policies.Spec.first_touch);

@@ -126,33 +126,6 @@ cmp "$TRACE_DIR/ras1.jsonl" "$TRACE_DIR/ras4.jsonl" || {
 dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/ras1.jsonl"
 echo "tier1: ras trace determinism OK ($(wc -l < "$TRACE_DIR/ras1.jsonl") JSONL lines)"
 
-# Intra-run sharding determinism: one fig2-style cell traced with the
-# epoch kernel unsharded and sharded over 4 team members must export
-# byte-identical JSONL — the sequential fixed-order reduction, not the
-# shard schedule, decides every accumulated bit.
-dune exec bin/xen_numa_sim.exe -- run pagerank -m linux -p first-touch/carrefour \
-  --inner-jobs 1 --trace "$TRACE_DIR/ij1.jsonl" >/dev/null
-dune exec bin/xen_numa_sim.exe -- run pagerank -m linux -p first-touch/carrefour \
-  --inner-jobs 4 --trace "$TRACE_DIR/ij4.jsonl" >/dev/null
-cmp "$TRACE_DIR/ij1.jsonl" "$TRACE_DIR/ij4.jsonl" || {
-  echo "tier1: FAIL - traces differ between --inner-jobs 1 and --inner-jobs 4" >&2
-  exit 1
-}
-echo "tier1: inner-jobs trace determinism OK ($(wc -l < "$TRACE_DIR/ij1.jsonl") JSONL lines)"
-
-# The same bar with the radix walk model and replicated page tables
-# on: the walk repricing and replica propagation live outside the
-# per-vCPU shards, so the sharded kernel must export identical bytes.
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch/carrefour \
-  --pt-walk --replicate-pt --inner-jobs 1 --trace "$TRACE_DIR/ptij1.jsonl" >/dev/null
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch/carrefour \
-  --pt-walk --replicate-pt --inner-jobs 4 --trace "$TRACE_DIR/ptij4.jsonl" >/dev/null
-cmp "$TRACE_DIR/ptij1.jsonl" "$TRACE_DIR/ptij4.jsonl" || {
-  echo "tier1: FAIL - pt-walk traces differ between --inner-jobs 1 and --inner-jobs 4" >&2
-  exit 1
-}
-echo "tier1: pt-walk inner-jobs determinism OK ($(wc -l < "$TRACE_DIR/ptij1.jsonl") JSONL lines)"
-
 # Fast-forward equivalence: the steady-state delta replay must be
 # invisible in the trace bytes.  One static cell (round-4k quiesces
 # into a pure replay streak) and one Carrefour cell (decade boundaries
@@ -248,21 +221,18 @@ dune exec test/test_main.exe -- test faults
 # invariant (the memory.buddy filter also matches memory.buddy.offline,
 # whose free + allocated + offlined = total invariant covers page
 # offlining), the P2M superpage consistency invariant, the top-k heap
-# invariant, the batched-vs-per-page P2M equivalence, the intra-run
-# sharding invariants (partition tiling, per-vCPU stream independence,
-# sharded-equals-unsharded results), the evacuation
+# invariant, the batched-vs-per-page P2M equivalence, the evacuation
 # frame-conservation property (post-drain P2M maps exactly the
 # pre-failure guest frames, none on an offlined mfn), the
 # replica-equivalence invariant (mirrors track the primary through any
 # op interleaving), the radix walk monotonicity properties, and the
 # fast-forward equivalence property (a delta-replayed run equals the
-# naive run bit for bit across randomised policies and shardings).
+# naive run bit for bit across randomised policies and vCPU counts).
 echo "tier1: randomised property pass (QCHECK_SEED=$QCHECK_SEED)"
 dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
 dune exec test/test_main.exe -- test stats.topk
 dune exec test/test_main.exe -- test xen.p2m.batch
-dune exec test/test_main.exe -- test engine.shard
 dune exec test/test_main.exe -- test engine.ff
 dune exec test/test_main.exe -- test policies.evacuation
 dune exec test/test_main.exe -- test obs.latency
