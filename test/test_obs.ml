@@ -663,18 +663,36 @@ let test_profile_spans_accumulate () =
 
 (* --------------------------- SLO accounting ------------------------ *)
 
-let slo_cfg ~seed ~slo =
+let slo_cfg ?fast_forward ~seed ~slo () =
   let app =
     match Workloads.Catalogue.find "swaptions" with Some a -> a | None -> assert false
   in
   let vm = Engine.Config.vm ~threads:4 ~policy:Policies.Spec.first_touch app in
-  Engine.Config.make ~seed ~max_epochs:40 ~slo ~mode:Engine.Config.Xen_plus [ vm ]
+  Engine.Config.make ~seed ~max_epochs:40 ?fast_forward ~slo ~mode:Engine.Config.Xen_plus
+    [ vm ]
+
+(* The latency summary and SLO rows are a pure function of the config:
+   a rerun at the same seed, and a run with the epoch fast-forward off,
+   reproduce them exactly. *)
+let test_latency_reproducible () =
+  let slo = [ ("p99", 250.0); ("mean", 200.0) ] in
+  let run fast_forward =
+    Engine.Result.single (Engine.Runner.run (slo_cfg ~fast_forward ~seed:21 ~slo ()))
+  in
+  let v = run true and again = run true and naive = run false in
+  Alcotest.(check bool) "samples recorded" true (v.Engine.Result.latency.Engine.Result.samples > 0);
+  Alcotest.(check bool) "rerun latency summary bit-identical" true
+    (v.Engine.Result.latency = again.Engine.Result.latency);
+  Alcotest.(check bool) "rerun slo rows bit-identical" true (v.Engine.Result.slo = again.Engine.Result.slo);
+  Alcotest.(check bool) "fast-forward off latency summary bit-identical" true
+    (v.Engine.Result.latency = naive.Engine.Result.latency);
+  Alcotest.(check bool) "fast-forward off slo rows bit-identical" true
+    (v.Engine.Result.slo = naive.Engine.Result.slo)
 
 let test_slo_observational_and_accounting () =
-  let base = Engine.Runner.run (slo_cfg ~seed:22 ~slo:[]) in
-  let tight = Engine.Runner.run (slo_cfg ~seed:22 ~slo:[ ("p50", 0.001) ]) in
+  let base = Engine.Runner.run (slo_cfg ~seed:22 ~slo:[] ()) in
+  let tight = Engine.Runner.run (slo_cfg ~seed:22 ~slo:[ ("p50", 0.001) ] ()) in
   let vb = Engine.Result.single base and vt = Engine.Result.single tight in
-  Alcotest.(check bool) "samples recorded" true (vb.Engine.Result.latency.Engine.Result.samples > 0);
   (* Purely observational: the run itself must not notice the SLO. *)
   Alcotest.(check (float 0.0)) "completion unchanged" vb.Engine.Result.completion
     vt.Engine.Result.completion;
@@ -691,7 +709,7 @@ let test_slo_observational_and_accounting () =
       Alcotest.(check (float 1e-9)) "burn rate saturates" 1.0 row.Engine.Result.burn_rate
   | rows -> Alcotest.failf "expected 1 slo row, got %d" (List.length rows));
   let loose =
-    Engine.Runner.run (slo_cfg ~seed:22 ~slo:[ ("p99", 1e9) ])
+    Engine.Runner.run (slo_cfg ~seed:22 ~slo:[ ("p99", 1e9) ] ())
   in
   match (Engine.Result.single loose).Engine.Result.slo with
   | [ row ] ->
@@ -750,6 +768,7 @@ let suite =
         qcheck prop_hist_sharded_equals_whole;
         qcheck prop_hist_percentile_monotone;
         Alcotest.test_case "copy and diff" `Quick test_hist_copy_diff;
+        Alcotest.test_case "latency reproducible" `Slow test_latency_reproducible;
         Alcotest.test_case "slo is observational" `Slow test_slo_observational_and_accounting;
         Alcotest.test_case "slo parser" `Quick test_slo_parser;
       ] );
