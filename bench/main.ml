@@ -121,9 +121,46 @@ let bench_carrefour_decide () =
     }
   in
   let config = Policies.Carrefour.User_component.default_config in
+  let workspace = Policies.Carrefour.workspace () in
   Bechamel.Staged.stage (fun () ->
-      Policies.Carrefour.User_component.decide config ~rng ~metrics ~current_node:(fun _ ->
-          Some 0))
+      Policies.Carrefour.User_component.decide config ~workspace ~rng ~metrics ~node_of:(fun _ ->
+          0))
+
+let bench_carrefour_decide_budget () =
+  (* The Carrefour workload's steady state: the interconnect saturates
+     (locality only), most of a 4096-page table clears the heat
+     threshold, one row in ten has a single remote reader, and the
+     budget admits 40 of those ~410 candidates. *)
+  let rng = Sim.Rng.create ~seed:1 in
+  let hot =
+    List.init 4096 (fun i ->
+        let heat = 100.0 +. float_of_int (i * 7919 mod 997) in
+        let node_accesses =
+          match i mod 10 with
+          | 0 -> Array.init 8 (fun n -> if n = 1 + (i mod 7) then heat else 0.0)
+          | 9 -> Array.make 8 0.5
+          | _ -> Array.make 8 (heat /. 8.0)
+        in
+        { Policies.Carrefour.pfn = i; node_accesses; read_fraction = 0.5 })
+  in
+  let metrics =
+    {
+      Policies.Carrefour.System_component.controller_util = Array.make 8 0.2;
+      max_link_util = 0.9;
+      imbalance = 0.0;
+      hot_pages = Policies.Carrefour.hot_of_samples hot;
+    }
+  in
+  let config =
+    {
+      Policies.Carrefour.User_component.default_config with
+      Policies.Carrefour.User_component.migration_budget = 40;
+    }
+  in
+  let workspace = Policies.Carrefour.workspace () in
+  Bechamel.Staged.stage (fun () ->
+      Policies.Carrefour.User_component.decide config ~workspace ~rng ~metrics ~node_of:(fun _ ->
+          0))
 
 let bench_zipf () =
   let rng = Sim.Rng.create ~seed:2 in
@@ -214,6 +251,7 @@ let micro_tests =
     Test.make ~name:"pool dispatch 256x1" (bench_pool_dispatch ());
     Test.make ~name:"counters record" (bench_counters ());
     Test.make ~name:"carrefour decide (128 hot)" (bench_carrefour_decide ());
+    Test.make ~name:"carrefour decide (4096 rows, budget 40)" (bench_carrefour_decide_budget ());
     Test.make ~name:"rng zipf 32k" (bench_zipf ());
     Test.make ~name:"eventq schedule+next" (bench_eventq ());
     Test.make ~name:"quiescence check" (bench_ff_guard ());

@@ -4,100 +4,10 @@ type sample = {
   read_fraction : float;
 }
 
-(* Flat hot-page readout: row [i] of [counts] (length [nodes]) is the
-   per-node access spread of [pfns.(i)], hottest first.  One readout is
-   three arrays instead of thousands of boxed samples, which is what
-   makes the per-period user-component work cheap. *)
-type hot = {
-  nodes : int;
-  count : int;
-  pfns : int array;
-  counts : float array;  (* count * nodes, row-major *)
-  read_fractions : float array;
-  keys : float array;
-      (* ranking key per row (the heat table's accumulated total);
-         rows need not arrive sorted — decide ranks by (key desc,
-         pfn asc), the top-k heap's total order *)
-}
-
-let hot_of_samples samples =
-  let nodes = List.fold_left (fun m s -> max m (Array.length s.node_accesses)) 0 samples in
-  let count = List.length samples in
-  let pfns = Array.make count 0 in
-  let counts = Array.make (count * nodes) 0.0 in
-  let read_fractions = Array.make count 1.0 in
-  let keys = Array.make count 0.0 in
-  List.iteri
-    (fun i s ->
-      pfns.(i) <- s.pfn;
-      Array.blit s.node_accesses 0 counts (i * nodes) (Array.length s.node_accesses);
-      read_fractions.(i) <- s.read_fraction;
-      keys.(i) <- Array.fold_left ( +. ) 0.0 s.node_accesses)
-    samples;
-  { nodes; count; pfns; counts; read_fractions; keys }
-
-let samples_of_hot hot =
-  List.init hot.count (fun i ->
-      {
-        pfn = hot.pfns.(i);
-        node_accesses = Array.sub hot.counts (i * hot.nodes) hot.nodes;
-        read_fraction = hot.read_fractions.(i);
-      })
-
 (* Sum of one row, in ascending index order — the same operation
    sequence as [Array.fold_left ( +. ) 0.0] over a per-page spread, so
    thresholds computed from a row bit-match the historical sample
-   path. *)
-(* Order row indices hottest-first — (key descending, pfn ascending),
-   the top-k heap's total order — without a comparison closure: a
-   median-of-three quicksort with inline comparisons, insertion sort
-   below 12 elements.  The ranking runs every user-component period
-   over every threshold-clearing row, so the constant matters. *)
-let rank_sort keys pfns order len =
-  let before a b =
-    let ka = Array.unsafe_get keys a and kb = Array.unsafe_get keys b in
-    ka > kb || (ka = kb && Array.unsafe_get pfns a < Array.unsafe_get pfns b)
-  in
-  let swap i j =
-    let t = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- t
-  in
-  let rec qsort lo hi =
-    if hi - lo < 12 then
-      for i = lo + 1 to hi do
-        let x = order.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && before x order.(!j) do
-          order.(!j + 1) <- order.(!j);
-          decr j
-        done;
-        order.(!j + 1) <- x
-      done
-    else begin
-      let mid = (lo + hi) / 2 in
-      if before order.(mid) order.(lo) then swap mid lo;
-      if before order.(hi) order.(mid) then begin
-        swap hi mid;
-        if before order.(mid) order.(lo) then swap mid lo
-      end;
-      let pivot = order.(mid) in
-      let i = ref lo and j = ref hi in
-      while !i <= !j do
-        while before order.(!i) pivot do incr i done;
-        while before pivot order.(!j) do decr j done;
-        if !i <= !j then begin
-          swap !i !j;
-          incr i;
-          decr j
-        end
-      done;
-      qsort lo !j;
-      qsort !i hi
-    end
-  in
-  if len > 1 then qsort 0 (len - 1)
-
+   path.  The heat table caches it per row ([sums]). *)
 let row_total counts ~base ~nodes =
   let s = ref 0.0 in
   for j = 0 to nodes - 1 do
@@ -105,13 +15,175 @@ let row_total counts ~base ~nodes =
   done;
   !s
 
+(* Index of the row's first largest count: the node that accesses the
+   page most.  Cached per row as [best], next to [sums]. *)
+let row_argmax (counts : float array) ~base ~nodes =
+  let best = ref 0 in
+  for j = 1 to nodes - 1 do
+    if Array.unsafe_get counts (base + j) > Array.unsafe_get counts (base + !best) then best := j
+  done;
+  !best
+
+(* Flat hot-page readout: row [i] of [counts] (length [nodes]) is the
+   per-node access spread of [pfns.(i)].  One readout is a few arrays
+   instead of thousands of boxed samples, which is what makes the
+   per-period user-component work cheap. *)
+type hot = {
+  nodes : int;
+  count : int;
+  pfns : int array;
+  counts : float array;  (* count * nodes, row-major *)
+  sums : float array;  (* row_total of each row, bit for bit *)
+  best : int array;  (* row_argmax of each row *)
+  reads : float array;  (* read-weighted heat: reads / keys = read fraction *)
+  keys : float array;
+      (* ranking key per row (the heat table's accumulated total);
+         rows need not arrive sorted — decide ranks by (key desc,
+         pfn asc, row asc) *)
+}
+
+(* The heat table's [read_fraction_of_row]: 1.0 for a row that never
+   saw an access. *)
+let read_fraction hot i = if hot.keys.(i) > 0.0 then hot.reads.(i) /. hot.keys.(i) else 1.0
+
+let hot_of_samples samples =
+  let nodes = List.fold_left (fun m s -> max m (Array.length s.node_accesses)) 0 samples in
+  let count = List.length samples in
+  let pfns = Array.make count 0 in
+  let counts = Array.make (count * nodes) 0.0 in
+  let sums = Array.make count 0.0 in
+  let best = Array.make count 0 in
+  let reads = Array.make count 0.0 in
+  let keys = Array.make count 0.0 in
+  List.iteri
+    (fun i s ->
+      pfns.(i) <- s.pfn;
+      Array.blit s.node_accesses 0 counts (i * nodes) (Array.length s.node_accesses);
+      let key = Array.fold_left ( +. ) 0.0 s.node_accesses in
+      sums.(i) <- row_total counts ~base:(i * nodes) ~nodes;
+      best.(i) <- row_argmax counts ~base:(i * nodes) ~nodes;
+      reads.(i) <- s.read_fraction *. key;
+      keys.(i) <- key)
+    samples;
+  { nodes; count; pfns; counts; sums; best; reads; keys }
+
+let samples_of_hot hot =
+  List.init hot.count (fun i ->
+      {
+        pfn = hot.pfns.(i);
+        node_accesses = Array.sub hot.counts (i * hot.nodes) hot.nodes;
+        read_fraction = read_fraction hot i;
+      })
+
+(* Rank order over readout rows: key descending, pfn ascending — the
+   top-k heap's order — then row ascending.  The heat table never holds
+   a pfn twice, so the row tie-break only decides between duplicate
+   pfns of a synthetic readout; it makes the order strict, and a strict
+   order has exactly one sorted arrangement whichever algorithm
+   produces it. *)
+let before (keys : float array) (pfns : int array) a b =
+  let ka = Array.unsafe_get keys a and kb = Array.unsafe_get keys b in
+  ka > kb
+  || ka = kb
+     &&
+     let pa = Array.unsafe_get pfns a and pb = Array.unsafe_get pfns b in
+     pa < pb || (pa = pb && a < b)
+
+(* Reorder [order.(lo) .. order.(hi)] so that its first [len] slots
+   hold its [len] best-ranked rows, in rank order, without ranking the
+   rest: a quickselect narrows to the boundary, then a quicksort ranks
+   the prefix.  Both use a median-of-three Hoare partition with inline
+   comparisons and finish with insertion sort below 12 elements.  The
+   user component walks candidates only until its migration budget is
+   spent, so it ranks a budget-sized prefix, not every candidate. *)
+let rank_prefix keys pfns order ~lo ~hi ~len =
+  let before = before keys pfns in
+  let swap i j =
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  in
+  let insertion lo hi =
+    for i = lo + 1 to hi do
+      let x = order.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && before x order.(!j) do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- x
+    done
+  in
+  (* Afterwards [lo .. j] ranks before [i .. hi], and anything between
+     is the pivot. *)
+  let partition lo hi =
+    let mid = (lo + hi) / 2 in
+    if before order.(mid) order.(lo) then swap mid lo;
+    if before order.(hi) order.(mid) then begin
+      swap hi mid;
+      if before order.(mid) order.(lo) then swap mid lo
+    end;
+    let pivot = order.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while before order.(!i) pivot do incr i done;
+      while before pivot order.(!j) do decr j done;
+      if !i <= !j then begin
+        swap !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    (!i, !j)
+  in
+  let rec qsort lo hi =
+    if hi - lo < 12 then insertion lo hi
+    else begin
+      let i, j = partition lo hi in
+      qsort lo j;
+      qsort i hi
+    end
+  in
+  (* Split [lo .. hi] at [b]: every row before [b] ranks before every
+     row from [b] on. *)
+  let b = lo + len in
+  let rec select lo hi =
+    if lo < b && b <= hi then
+      if hi - lo < 12 then insertion lo hi
+      else begin
+        let i, j = partition lo hi in
+        if b <= j then select lo j else if b > i then select i hi
+      end
+  in
+  select lo hi;
+  qsort lo (b - 1)
+
+(* Ranking workspace for [User_component.decide]: one candidate-row
+   buffer, grown to the widest readout seen and reused every period. *)
+type workspace = { mutable sel : int array }
+
+let workspace () = { sel = [||] }
+
+let sel_buffer ws n =
+  if Array.length ws.sel < n then ws.sel <- Array.make (max n (2 * Array.length ws.sel)) 0;
+  ws.sel
+
 module System_component = struct
   (* Structure-of-arrays heat table.  [slot] direct-maps a pfn to its
      row (+1, 0 = absent); rows [0 .. live-1] are the tracked pages in
      insertion order.  [totals] carries the incrementally accumulated
      heat (the historical [heat.total] field): it can differ from the
      row sum in the last ulp, and it is what keys the top-k readout,
-     so it is stored rather than recomputed. *)
+     so it is stored rather than recomputed.  [sums] caches the row sum
+     itself, always bit-equal to [row_total] of the row, and [best] its
+     [row_argmax]: [record_sample] recomputes both for the rows it
+     touches, and the user component reads them instead of scanning
+     every row every period.  [decay] gets the sum free while halving.
+     It keeps [best]: halving a live row is exact where it matters — a
+     live row sums to at least 1.0, so its largest count is a normal
+     float, halves exactly and stays strictly above every count it
+     beat — so the argmax, and the ratio of its count to the sum, do
+     not move. *)
   type t = {
     system : Xen.System.t;
     domain : Xen.Domain.t;
@@ -121,9 +193,12 @@ module System_component = struct
     mutable counts : float array;  (* cap * nodes, row-major *)
     mutable reads : float array;
     mutable totals : float array;
+    mutable sums : float array;
+    mutable best : int array;
     mutable live : int;
     replicas : (Memory.Page.pfn, Memory.Page.mfn list) Hashtbl.t;
     mutable epoch : int;
+    workspace : workspace;
   }
 
   let initial_rows = 1024
@@ -139,9 +214,12 @@ module System_component = struct
       counts = Array.make (initial_rows * nodes) 0.0;
       reads = Array.make initial_rows 0.0;
       totals = Array.make initial_rows 0.0;
+      sums = Array.make initial_rows 0.0;
+      best = Array.make initial_rows 0;
       live = 0;
       replicas = Hashtbl.create 64;
       epoch = 0;
+      workspace = workspace ();
     }
 
   let ensure_slot t pfn =
@@ -165,17 +243,24 @@ module System_component = struct
         Array.blit a 0 a' 0 (Array.length a);
         a'
       in
-      let pfns = Array.make cap' 0 in
-      Array.blit t.pfns 0 pfns 0 cap;
-      t.pfns <- pfns;
+      let grow_i a =
+        let a' = Array.make cap' 0 in
+        Array.blit a 0 a' 0 cap;
+        a'
+      in
+      t.pfns <- grow_i t.pfns;
+      t.best <- grow_i t.best;
       t.counts <- grow_f t.counts (cap' * t.nodes);
       t.reads <- grow_f t.reads cap';
-      t.totals <- grow_f t.totals cap'
+      t.totals <- grow_f t.totals cap';
+      t.sums <- grow_f t.sums cap'
     end
 
   (* Halve every row in place, drop rows whose decayed sum falls below
      1.0, compacting survivors toward row 0 (insertion order is
-     preserved; the readouts are ordering-insensitive anyway). *)
+     preserved; the readouts are ordering-insensitive anyway).  The
+     decayed sum is accumulated in the same order as [row_total], so it
+     is the row's new cached sum. *)
   let decay t =
     let nodes = t.nodes in
     let w = ref 0 in
@@ -193,10 +278,12 @@ module System_component = struct
         if d <> r then begin
           Array.blit t.counts base t.counts (d * nodes) nodes;
           t.pfns.(d) <- t.pfns.(r);
+          t.best.(d) <- t.best.(r);
           t.slot.(t.pfns.(d)) <- d + 1
         end;
         t.reads.(d) <- t.reads.(r) /. 2.0;
         t.totals.(d) <- !total;
+        t.sums.(d) <- !total;
         incr w
       end
     done;
@@ -221,30 +308,43 @@ module System_component = struct
        discarding the heuristic. *)
     if read_fraction < 0.999 && Hashtbl.length t.replicas > 0 && Hashtbl.mem t.replicas pfn then
       collapse t ~pfn;
-    let added = Array.fold_left ( +. ) 0.0 node_accesses in
     ensure_slot t pfn;
-    let n = min (Array.length node_accesses) t.nodes in
+    let nodes = t.nodes in
+    (* Only the first [nodes] entries are stored, so only they count
+       toward the heat. *)
+    let n = min (Array.length node_accesses) nodes in
+    let added = ref 0.0 in
+    for j = 0 to n - 1 do
+      added := !added +. node_accesses.(j)
+    done;
+    let added = !added in
     let r = t.slot.(pfn) - 1 in
-    if r >= 0 then begin
-      let base = r * t.nodes in
-      for j = 0 to n - 1 do
-        t.counts.(base + j) <- t.counts.(base + j) +. node_accesses.(j)
-      done;
-      t.reads.(r) <- t.reads.(r) +. (read_fraction *. added);
-      t.totals.(r) <- t.totals.(r) +. added
-    end
-    else begin
-      ensure_row t;
-      let r = t.live in
-      let base = r * t.nodes in
-      Array.fill t.counts base t.nodes 0.0;
-      Array.blit node_accesses 0 t.counts base n;
-      t.pfns.(r) <- pfn;
-      t.reads.(r) <- read_fraction *. added;
-      t.totals.(r) <- added;
-      t.slot.(pfn) <- r + 1;
-      t.live <- r + 1
-    end
+    let r =
+      if r >= 0 then begin
+        let base = r * nodes in
+        for j = 0 to n - 1 do
+          t.counts.(base + j) <- t.counts.(base + j) +. node_accesses.(j)
+        done;
+        t.reads.(r) <- t.reads.(r) +. (read_fraction *. added);
+        t.totals.(r) <- t.totals.(r) +. added;
+        r
+      end
+      else begin
+        ensure_row t;
+        let r = t.live in
+        let base = r * nodes in
+        Array.fill t.counts base nodes 0.0;
+        Array.blit node_accesses 0 t.counts base n;
+        t.pfns.(r) <- pfn;
+        t.reads.(r) <- read_fraction *. added;
+        t.totals.(r) <- added;
+        t.slot.(pfn) <- r + 1;
+        t.live <- r + 1;
+        r
+      end
+    in
+    t.sums.(r) <- row_total t.counts ~base:(r * nodes) ~nodes;
+    t.best.(r) <- row_argmax t.counts ~base:(r * nodes) ~nodes
 
   let record_samples t samples =
     begin_epoch t;
@@ -261,22 +361,24 @@ module System_component = struct
     hot_pages : hot;
   }
 
-  let read_fraction_of_row t r = if t.totals.(r) > 0.0 then t.reads.(r) /. t.totals.(r) else 1.0
-
   let hot_of_rows t rows n =
     let nodes = t.nodes in
     let pfns = Array.make n 0 in
     let counts = Array.make (n * nodes) 0.0 in
-    let read_fractions = Array.make n 1.0 in
+    let sums = Array.make n 0.0 in
+    let best = Array.make n 0 in
+    let reads = Array.make n 0.0 in
     let keys = Array.make n 0.0 in
     for i = 0 to n - 1 do
       let r = rows.(i) in
       pfns.(i) <- t.pfns.(r);
       Array.blit t.counts (r * nodes) counts (i * nodes) nodes;
-      read_fractions.(i) <- read_fraction_of_row t r;
+      sums.(i) <- t.sums.(r);
+      best.(i) <- t.best.(r);
+      reads.(i) <- t.reads.(r);
       keys.(i) <- t.totals.(r)
     done;
-    { nodes; count = n; pfns; counts; read_fractions; keys }
+    { nodes; count = n; pfns; counts; sums; best; reads; keys }
 
   let read_hot ?top t =
     match top with
@@ -303,23 +405,25 @@ module System_component = struct
           rows;
         hot_of_rows t rows t.live
 
-  (* Readout in table order, no ranking: the user component sorts only
-     the rows that clear its heat threshold, which is far cheaper than
+  (* Readout in table order, no ranking: the user component ranks only
+     the candidate rows it can still act on, which is far cheaper than
      ranking the whole table every period.  Only valid as a full
      readout (no [top] cap).  The row arrays ALIAS the live table —
      they may be longer than [count] and must not outlive the next
      table mutation (decay/sample), which is fine for the immediate
-     decide-and-act consumer and avoids copying the whole table every
-     period. *)
+     decide-and-act consumer and allocates nothing per row. *)
   let read_metrics_unranked t ~counters =
-    let n = t.live in
-    let nodes = t.nodes in
-    let read_fractions = Array.make n 1.0 in
-    for r = 0 to n - 1 do
-      read_fractions.(r) <- read_fraction_of_row t r
-    done;
     let hot =
-      { nodes; count = n; pfns = t.pfns; counts = t.counts; read_fractions; keys = t.totals }
+      {
+        nodes = t.nodes;
+        count = t.live;
+        pfns = t.pfns;
+        counts = t.counts;
+        sums = t.sums;
+        best = t.best;
+        reads = t.reads;
+        keys = t.totals;
+      }
     in
     let link_util = Numa.Counters.last_link_utilisation counters in
     {
@@ -339,7 +443,11 @@ module System_component = struct
       hot_pages = hot;
     }
 
-  let current_node t pfn = Internal.node_of_pfn t.system t.domain pfn
+  let node_of t pfn =
+    let mfn = Xen.P2m.mfn_of t.domain.Xen.Domain.p2m pfn in
+    if mfn < 0 then -1 else Memory.Machine.node_of_mfn t.system.Xen.System.machine mfn
+
+  let workspace t = t.workspace
 
   let is_replicated t pfn = Hashtbl.mem t.replicas pfn
 
@@ -429,7 +537,7 @@ module User_component = struct
     done;
     !readers
 
-  let decide ?(node_ok = fun (_ : int) -> true) config ~rng ~metrics ~current_node =
+  let decide ?(node_ok = fun (_ : int) -> true) config ~workspace ~rng ~metrics ~node_of =
     let hot = metrics.System_component.hot_pages in
     let n = min config.max_hot_pages hot.count in
     let nodes = hot.nodes in
@@ -463,92 +571,90 @@ module User_component = struct
       end
     in
     if controllers_overloaded || interconnect_saturated then begin
-      (* Collect the rows clearing the heat threshold: only they can
-         act, so only (subsets of) them are ever ranked — (key
-         descending, pfn ascending), the heat table's readout order. *)
-      let order = Array.make n 0 in
-      let tot = Array.make (max 1 n) 0.0 in
-      let m = ref 0 in
-      for i = 0 to n - 1 do
-        let t = row_total hot.counts ~base:(i * nodes) ~nodes in
-        if t >= config.min_accesses then begin
-          order.(!m) <- i;
-          tot.(i) <- t;
-          incr m
-        end
-      done;
-      let m = !m in
-      (* Qualification is pure — the walks only mutate [seen]/[budget]
-         through [emit] — so each heuristic filters its qualifying rows
-         first and ranks just that subset.  The comparator is a strict
-         total order (distinct pfns break key ties), so the sorted
-         subset is the subset restriction of the fully sorted readout:
-         emits, their order, and the random-node draws are exactly
-         those of a walk over the full ranking, without paying
-         O(m log m) when the steady-state subsets are empty. *)
-      let sel = Array.make (max 1 m) 0 in
+      (* Only rows clearing the heat threshold can act.  Qualification
+         is pure — the walks only mutate [seen]/[budget] through [emit]
+         — so each heuristic collects its candidate rows into [sel]
+         first and ranks only what it walks.  The rank order is strict
+         (key descending, pfn ascending, row ascending), so the ranked
+         candidates are the candidate restriction of the fully sorted
+         readout: emits, their order, and the random-node draws are
+         exactly those of a walk over the full ranking. *)
+      let sel = sel_buffer workspace n in
+      (* Walk [sel.(0 .. k-1)] in rank order while budget remains,
+         ranking one chunk at a time: a chunk is as many rows as can
+         still emit — the remaining budget plus the pfns already seen,
+         which are skipped for free — so one chunk usually ends the
+         walk, and the next is ranked only when duplicate pfns skipped
+         rows.  Returns the number of rows walked. *)
+      let walk k f =
+        let s = ref 0 and ranked = ref 0 in
+        while !s < k && !budget > 0 do
+          if !s = !ranked then begin
+            let len = min (k - !ranked) (!budget + Hashtbl.length seen) in
+            rank_prefix hot.keys hot.pfns sel ~lo:!ranked ~hi:(k - 1) ~len;
+            ranked := !ranked + len
+          end;
+          f sel.(!s);
+          incr s
+        done;
+        !s
+      in
       (* Interleave heuristic: hot pages sitting on an overloaded
          controller move to a random underloaded node. *)
       if controllers_overloaded then begin
         let k = ref 0 in
-        for s = 0 to m - 1 do
-          let i = order.(s) in
-          match current_node hot.pfns.(i) with
-          | Some node when List.mem node overloaded ->
+        for i = 0 to n - 1 do
+          if hot.sums.(i) >= config.min_accesses then begin
+            let node = node_of hot.pfns.(i) in
+            if node >= 0 && List.mem node overloaded then begin
               sel.(!k) <- i;
               incr k
-          | Some _ | None -> ()
+            end
+          end
         done;
-        rank_sort hot.keys hot.pfns sel !k;
-        for s = 0 to !k - 1 do
-          let i = sel.(s) in
-          (* The random draw happens for every qualifying row, budget
-             or not — it was an [emit] argument in the full walk. *)
-          emit hot.pfns.(i) (Sim.Rng.pick rng underloaded) Interleave
+        let walked = walk !k (fun i -> emit hot.pfns.(i) (Sim.Rng.pick rng underloaded) Interleave) in
+        (* Each candidate takes one draw whether or not it emits, so the
+           rows the walk never reached take theirs here, unranked: a
+           draw is one [bits64] whatever the row, so the stream ends
+           where a walk over every candidate would leave it. *)
+        for _ = walked to !k - 1 do
+          ignore (Sim.Rng.pick rng underloaded)
         done
       end;
       (* Under interconnect saturation: replicate hot read-only pages
          with many readers (when enabled), migrate single-remote-reader
          pages to their reader. *)
-      if interconnect_saturated then begin
+      if interconnect_saturated && !budget > 0 then begin
         let replicate_row i =
           config.enable_replication
-          && hot.read_fractions.(i) >= config.replication_read_threshold
-          && reader_nodes hot.counts ~base:(i * nodes) ~nodes tot.(i)
+          && read_fraction hot i >= config.replication_read_threshold
+          && reader_nodes hot.counts ~base:(i * nodes) ~nodes hot.sums.(i)
              >= config.min_reader_nodes
         in
-        let best_node i =
-          let base = i * nodes in
-          let best = ref 0 in
-          for j = 0 to nodes - 1 do
-            if hot.counts.(base + j) > hot.counts.(base + !best) then best := j
-          done;
-          !best
-        in
         let k = ref 0 in
-        for s = 0 to m - 1 do
-          let i = order.(s) in
-          if replicate_row i then begin
-            sel.(!k) <- i;
-            incr k
-          end
-          else begin
-            let best = best_node i in
-            let dominant = hot.counts.((i * nodes) + best) /. tot.(i) in
-            if dominant >= config.dominant_fraction && node_ok best then
-              match current_node hot.pfns.(i) with
-              | Some node when node <> best ->
+        for i = 0 to n - 1 do
+          let sum = hot.sums.(i) in
+          if sum >= config.min_accesses then
+            if replicate_row i then begin
+              sel.(!k) <- i;
+              incr k
+            end
+            else begin
+              let best = hot.best.(i) in
+              let dominant = hot.counts.((i * nodes) + best) /. sum in
+              if dominant >= config.dominant_fraction && node_ok best then begin
+                let node = node_of hot.pfns.(i) in
+                if node >= 0 && node <> best then begin
                   sel.(!k) <- i;
                   incr k
-              | Some _ | None -> ()
-          end
+                end
+              end
+            end
         done;
-        rank_sort hot.keys hot.pfns sel !k;
-        for s = 0 to !k - 1 do
-          let i = sel.(s) in
-          if replicate_row i then emit hot.pfns.(i) 0 Replicate
-          else emit hot.pfns.(i) (best_node i) Locality
-        done
+        ignore
+          (walk !k (fun i ->
+               if replicate_row i then emit hot.pfns.(i) 0 Replicate
+               else emit hot.pfns.(i) hot.best.(i) Locality))
       end
     end;
     List.rev !actions
@@ -564,7 +670,7 @@ type report = {
 let run_epoch ?(interleave_only = false) ?migrate sys ~config ~rng ~counters =
   let metrics =
     (* When the whole table fits in the readout cap, skip the ranking
-       heap: decide sorts the (few) threshold-clearing rows itself. *)
+       heap: decide ranks the candidate rows it walks itself. *)
     if System_component.tracked_pages sys <= config.User_component.max_hot_pages then
       System_component.read_metrics_unranked sys ~counters
     else System_component.read_metrics ~top:config.User_component.max_hot_pages sys ~counters
@@ -573,7 +679,7 @@ let run_epoch ?(interleave_only = false) ?migrate sys ~config ~rng ~counters =
   let actions =
     User_component.decide config ~rng ~metrics
       ~node_ok:(fun n -> Numa.Topology.node_online topo n)
-      ~current_node:(System_component.current_node sys)
+      ~workspace:(System_component.workspace sys) ~node_of:(System_component.node_of sys)
   in
   let do_migrate =
     match migrate with

@@ -34,31 +34,52 @@ type sample = {
           consumes it. *)
 }
 
-(** Flat hot-page readout, hottest first: row [i] of [counts] — the
-    [nodes] cells starting at [i * nodes] — is the per-node access
-    spread of [pfns.(i)].  Three arrays per readout instead of one
-    boxed {!sample} per page, so the per-period metrics hypercall stays
-    cheap at thousands of tracked pages. *)
+(** Flat hot-page readout: row [i] of [counts] — the [nodes] cells
+    starting at [i * nodes] — is the per-node access spread of
+    [pfns.(i)].  A few arrays per readout instead of one boxed
+    {!sample} per page, so the per-period metrics hypercall stays cheap
+    at thousands of tracked pages.  Row order depends on the readout:
+    see {!System_component.read_metrics}. *)
 type hot = {
   nodes : int;
   count : int;
   pfns : int array;
   counts : float array;  (** [count * nodes], row-major. *)
-  read_fractions : float array;
+  sums : float array;
+      (** Per-row sum of [counts], accumulated in ascending node order
+          — bit-equal to [Array.fold_left ( +. ) 0.0] over the row. *)
+  best : int array;
+      (** Per-row index of the first largest count: the page's dominant
+          accessor node. *)
+  reads : float array;
+      (** Read-weighted heat per row: [reads.(i) /. keys.(i)] is the
+          row's read fraction (1.0 when the key is 0). *)
   keys : float array;
       (** Ranking key per row — the heat table's accumulated total.
           Rows need not arrive sorted: {!User_component.decide} ranks
           candidate rows by (key descending, pfn ascending), the same
-          total order as the top-k readout. *)
+          total order as the top-k readout, and breaks the ties of a
+          duplicated pfn by row index. *)
 }
 
 val hot_of_samples : sample list -> hot
 (** Pack a sample list (in order) into the flat readout form — the
     convenience path for tests and synthetic metrics; rows are padded
-    to the widest spread in the list and keyed by their row sums. *)
+    to the widest spread in the list and keyed by their row sums;
+    [reads] is [read_fraction *. key], as the heat table stores a
+    freshly sampled page. *)
 
 val samples_of_hot : hot -> sample list
-(** Unpack a readout into per-page samples (copies the rows). *)
+(** Unpack a readout into per-page samples (copies the rows; the read
+    fraction is derived from [reads] and [keys]). *)
+
+type workspace
+(** Reusable ranking workspace for {!User_component.decide}: its
+    candidate buffer grows to the widest readout seen and is reused,
+    so a period allocates no per-row arrays.  Each system component
+    owns one ({!System_component.workspace}). *)
+
+val workspace : unit -> workspace
 
 module System_component : sig
   type t
@@ -84,7 +105,9 @@ module System_component : sig
     controller_util : float array;
     max_link_util : float;
     imbalance : float;
-    hot_pages : hot;  (** Hottest first, capped. *)
+    hot_pages : hot;
+        (** Hottest first when read through {!read_metrics}; in table
+            order when [run_epoch] reads the whole table unranked. *)
   }
 
   val read_metrics : ?top:int -> t -> counters:Numa.Counters.t -> metrics
@@ -97,7 +120,11 @@ module System_component : sig
       [~top:k] returns exactly the first [k] elements of the unbounded
       readout. *)
 
-  val current_node : t -> Memory.Page.pfn -> Numa.Topology.node option
+  val node_of : t -> Memory.Page.pfn -> int
+  (** The node backing the page, or [-1] if it is unmapped.  Allocates
+      nothing: it is called for every candidate row every period. *)
+
+  val workspace : t -> workspace
 
   val migrate : t -> pfn:Memory.Page.pfn -> node:Numa.Topology.node -> bool
   (** Apply one migration through the internal interface; [false] if
@@ -150,16 +177,24 @@ module User_component : sig
   val decide :
     ?node_ok:(Numa.Topology.node -> bool) ->
     config ->
+    workspace:workspace ->
     rng:Sim.Rng.t ->
     metrics:System_component.metrics ->
-    current_node:(Memory.Page.pfn -> Numa.Topology.node option) ->
+    node_of:(Memory.Page.pfn -> int) ->
     action list
   (** Pure decision logic (testable in isolation): interleave actions
       when controllers are overloaded, locality actions when the
       interconnect saturates, hottest pages first, capped by the
-      budget.  [node_ok] (default: accept all) filters candidate
+      budget.  [node_of] gives a page's current node, [-1] when it is
+      unmapped.  [node_ok] (default: accept all) filters candidate
       destinations — {!run_epoch} passes the topology's dynamic node
-      mask so failing nodes are never picked. *)
+      mask so failing nodes are never picked.
+
+      The result, and the state [rng] is left in, are those of ranking
+      every candidate and walking the ranking; only the ranking stops
+      where the budget does.  Every interleave candidate takes one
+      [rng] draw, emitted or not.  [workspace] only holds
+      intermediate state; its contents never affect the result. *)
 end
 
 type report = {

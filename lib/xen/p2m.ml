@@ -83,6 +83,10 @@ let get t pfn =
   if mfn < 0 then Invalid
   else Mapped { mfn; writable = Bytes.get t.writable pfn <> '\000' }
 
+let mfn_of t pfn =
+  check t pfn;
+  t.mfns.(pfn)
+
 (* Demote the extent holding [pfn] to per-frame entries.  Pure
    bookkeeping — the per-frame mfns are already filled in — so lookups
    of every frame in the extent are unchanged.  Cost accounting (the

@@ -68,6 +68,12 @@ val set_on_update : t -> (update -> unit) option -> unit
 val get : t -> Memory.Page.pfn -> entry
 (** @raise Invalid_argument on an out-of-range pfn. *)
 
+val mfn_of : t -> Memory.Page.pfn -> Memory.Page.mfn
+(** The machine frame [pfn] maps to, or [-1] for an [Invalid] entry:
+    {!get} without building an [entry], for per-period scans that only
+    need the frame.
+    @raise Invalid_argument on an out-of-range pfn. *)
+
 val set : t -> Memory.Page.pfn -> mfn:Memory.Page.mfn -> writable:bool -> unit
 (** Install a per-frame entry; splinters the surrounding superpage
     first if there is one. *)

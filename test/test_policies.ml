@@ -256,14 +256,18 @@ let hot_page ?(read_fraction = 0.5) pfn ~node ~count =
 
 let config = Policies.Carrefour.User_component.default_config
 
+(* [User_component.decide] with a fresh workspace and, unless told
+   otherwise, every page on node 0. *)
+let decide ?(node_of = fun _ -> 0) cfg ~rng ~metrics =
+  Policies.Carrefour.User_component.decide cfg ~workspace:(Policies.Carrefour.workspace ()) ~rng
+    ~metrics ~node_of
+
 let test_carrefour_interleave_on_overload () =
   let rng = Sim.Rng.create ~seed:1 in
   let hot = List.init 10 (fun i -> hot_page i ~node:0 ~count:100.0) in
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
   let m = metrics ~controller_util ~max_link_util:0.0 ~hot in
-  let actions =
-    Policies.Carrefour.User_component.decide config ~rng ~metrics:m ~current_node:(fun _ -> Some 0)
-  in
+  let actions = decide config ~rng ~metrics:m in
   Alcotest.(check int) "all hot pages moved" 10 (List.length actions);
   List.iter
     (fun (a : Policies.Carrefour.User_component.action) ->
@@ -278,9 +282,7 @@ let test_carrefour_locality_on_saturation () =
   (* Page 3 accessed only from node 5, currently on node 0. *)
   let hot = [ hot_page 3 ~node:5 ~count:50.0 ] in
   let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
-  let actions =
-    Policies.Carrefour.User_component.decide config ~rng ~metrics:m ~current_node:(fun _ -> Some 0)
-  in
+  let actions = decide config ~rng ~metrics:m in
   match actions with
   | [ a ] ->
       Alcotest.(check int) "to the accessing node" 5 a.Policies.Carrefour.User_component.dest;
@@ -293,9 +295,7 @@ let test_carrefour_idle_no_actions () =
   let hot = [ hot_page 1 ~node:2 ~count:1000.0 ] in
   let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.05 ~hot in
   Alcotest.(check int) "nothing to do" 0
-    (List.length
-       (Policies.Carrefour.User_component.decide config ~rng ~metrics:m
-          ~current_node:(fun _ -> Some 0)))
+    (List.length (decide config ~rng ~metrics:m))
 
 let test_carrefour_respects_budget () =
   let rng = Sim.Rng.create ~seed:4 in
@@ -304,9 +304,7 @@ let test_carrefour_respects_budget () =
   let m = metrics ~controller_util ~max_link_util:0.0 ~hot in
   let tight = { config with Policies.Carrefour.User_component.migration_budget = 7 } in
   Alcotest.(check int) "budget capped" 7
-    (List.length
-       (Policies.Carrefour.User_component.decide tight ~rng ~metrics:m
-          ~current_node:(fun _ -> Some 0)))
+    (List.length (decide tight ~rng ~metrics:m))
 
 let test_carrefour_min_accesses_filter () =
   let rng = Sim.Rng.create ~seed:5 in
@@ -314,9 +312,7 @@ let test_carrefour_min_accesses_filter () =
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
   let m = metrics ~controller_util ~max_link_util:0.9 ~hot in
   Alcotest.(check int) "cold page ignored" 0
-    (List.length
-       (Policies.Carrefour.User_component.decide config ~rng ~metrics:m
-          ~current_node:(fun _ -> Some 0)))
+    (List.length (decide config ~rng ~metrics:m))
 
 let test_carrefour_system_decay () =
   let s = small_system () in
@@ -370,14 +366,8 @@ let test_carrefour_topk_matches_sort () =
   let m_full = metrics ~controller_util ~max_link_util:0.9 ~hot:full_hot in
   let m_top = metrics ~controller_util ~max_link_util:0.9 ~hot:top_hot in
   let tight = { config with Policies.Carrefour.User_component.max_hot_pages = k } in
-  let a_full =
-    Policies.Carrefour.User_component.decide tight ~rng:(Sim.Rng.create ~seed:42)
-      ~metrics:m_full ~current_node:(fun _ -> Some 0)
-  in
-  let a_top =
-    Policies.Carrefour.User_component.decide tight ~rng:(Sim.Rng.create ~seed:42)
-      ~metrics:m_top ~current_node:(fun _ -> Some 0)
-  in
+  let a_full = decide tight ~rng:(Sim.Rng.create ~seed:42) ~metrics:m_full in
+  let a_top = decide tight ~rng:(Sim.Rng.create ~seed:42) ~metrics:m_top in
   Alcotest.(check bool) "same migration set" true (a_full = a_top);
   Alcotest.(check bool) "decisions non-trivial" true (a_full <> [])
 
@@ -467,10 +457,7 @@ let test_carrefour_replication_decision () =
   let rng = Sim.Rng.create ~seed:6 in
   let hot = [ multi_reader_page 4 ~count:50.0 ] in
   let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
-  (match
-     Policies.Carrefour.User_component.decide replication_config ~rng ~metrics:m
-       ~current_node:(fun _ -> Some 0)
-   with
+  (match decide replication_config ~rng ~metrics:m with
   | [ a ] ->
       Alcotest.(check bool) "replicate reason" true
         (a.Policies.Carrefour.User_component.reason = Policies.Carrefour.User_component.Replicate)
@@ -478,10 +465,7 @@ let test_carrefour_replication_decision () =
   (* Same page with writes: not a candidate. *)
   let hot = [ multi_reader_page ~read_fraction:0.7 5 ~count:50.0 ] in
   let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
-  let actions =
-    Policies.Carrefour.User_component.decide replication_config ~rng ~metrics:m
-      ~current_node:(fun _ -> Some 0)
-  in
+  let actions = decide replication_config ~rng ~metrics:m in
   Alcotest.(check bool) "written page not replicated" true
     (List.for_all
        (fun (a : Policies.Carrefour.User_component.action) ->
@@ -498,8 +482,7 @@ let test_carrefour_replication_off_by_default () =
        (fun (a : Policies.Carrefour.User_component.action) ->
          a.Policies.Carrefour.User_component.reason
          <> Policies.Carrefour.User_component.Replicate)
-       (Policies.Carrefour.User_component.decide config ~rng ~metrics:m
-          ~current_node:(fun _ -> Some 0)))
+       (decide config ~rng ~metrics:m))
 
 let prop_carrefour_actions_within_budget_and_hot =
   QCheck.Test.make ~name:"carrefour actions subset of hot pages, within budget" ~count:100
@@ -510,15 +493,308 @@ let prop_carrefour_actions_within_budget_and_hot =
       let controller_util = [| 0.9; 0.1; 0.1; 0.1; 0.1; 0.1; 0.1; 0.1 |] in
       let m = metrics ~controller_util ~max_link_util:0.9 ~hot in
       let cfg = { config with Policies.Carrefour.User_component.migration_budget = budget } in
-      let actions =
-        Policies.Carrefour.User_component.decide cfg ~rng ~metrics:m
-          ~current_node:(fun _ -> Some 0)
-      in
+      let actions = decide cfg ~rng ~metrics:m in
       List.length actions <= budget
       && List.for_all
            (fun (a : Policies.Carrefour.User_component.action) ->
              a.Policies.Carrefour.User_component.pfn < pages)
            actions)
+
+(* A sample wider than the table: only the [nodes] stored entries
+   count toward the row's heat, on first sight and on accumulation. *)
+let test_carrefour_wide_sample () =
+  let s = small_system () in
+  let d, _m = attach s in
+  let sys = Policies.Carrefour.System_component.create s d in
+  let node_accesses = Array.init 10 (fun j -> if j < 8 then 1.0 else 100.0) in
+  Policies.Carrefour.System_component.begin_epoch sys;
+  Policies.Carrefour.System_component.record_sample sys ~pfn:3 ~node_accesses ~read_fraction:0.5;
+  Policies.Carrefour.System_component.record_sample sys ~pfn:3 ~node_accesses ~read_fraction:0.5;
+  let counters = Numa.Counters.create s.Xen.System.topo in
+  Numa.Counters.end_epoch counters ~duration:1.0;
+  let hot =
+    (Policies.Carrefour.System_component.read_metrics sys ~counters)
+      .Policies.Carrefour.System_component.hot_pages
+  in
+  Alcotest.(check int) "one row" 1 hot.Policies.Carrefour.count;
+  Alcotest.(check (float 0.0)) "key" 16.0 hot.Policies.Carrefour.keys.(0);
+  Alcotest.(check (float 0.0)) "sum" 16.0 hot.Policies.Carrefour.sums.(0);
+  Alcotest.(check (float 0.0)) "read-weighted heat" 8.0 hot.Policies.Carrefour.reads.(0)
+
+(* [node_of] agrees with the manager's P2M lookup on a mapped page
+   and answers -1, not an exception, for an unmapped one. *)
+let test_carrefour_node_of () =
+  let s = small_system () in
+  let d, m = attach s in
+  let sys = Policies.Carrefour.System_component.create s d in
+  List.iter
+    (fun pfn ->
+      Alcotest.(check (option int)) "mapped" (Policies.Manager.node_of_pfn m pfn)
+        (Some (Policies.Carrefour.System_component.node_of sys pfn)))
+    [ 0; 1; d.Xen.Domain.mem_frames - 1 ];
+  let s = small_system () in
+  let d, _m = attach ~boot:Policies.Spec.first_touch s in
+  let sys = Policies.Carrefour.System_component.create s d in
+  Alcotest.(check int) "unmapped" (-1) (Policies.Carrefour.System_component.node_of sys 0)
+
+(* Oracle for [User_component.decide]: the full-ranking decide it
+   replaced, kept verbatim but for its inputs — it sums every row from
+   its counts, scans for the dominant node, derives the read fraction
+   from [reads]/[keys], sorts every qualifying row of each heuristic
+   and walks the whole ranking.  It sorts with a stable sort over rows
+   in table order on (key descending, pfn ascending), i.e. (key, pfn,
+   row): the historical quicksort's order whenever pfns are distinct,
+   as in every heat-table readout, and the documented tie order for a
+   readout that repeats a pfn. *)
+let oracle_decide ?(node_ok = fun (_ : int) -> true)
+    (config : Policies.Carrefour.User_component.config) ~rng ~metrics ~node_of =
+  let open Policies.Carrefour in
+  let current_node pfn =
+    let n = node_of pfn in
+    if n < 0 then None else Some n
+  in
+  let hot = metrics.System_component.hot_pages in
+  let n = min config.User_component.max_hot_pages hot.count in
+  let nodes = hot.nodes in
+  let utils = metrics.System_component.controller_util in
+  let mean_util = Sim.Stats.mean utils in
+  let overloaded =
+    Array.to_list utils
+    |> List.mapi (fun n u -> (n, u))
+    |> List.filter (fun (_, u) -> u > config.User_component.mc_threshold && u > 1.25 *. mean_util)
+    |> List.map fst
+  in
+  let underloaded =
+    Array.to_list utils
+    |> List.mapi (fun n u -> (n, u))
+    |> List.filter (fun (n, u) -> u < mean_util && node_ok n)
+    |> List.map fst
+    |> Array.of_list
+  in
+  let controllers_overloaded = overloaded <> [] && Array.length underloaded > 0 in
+  let interconnect_saturated =
+    metrics.System_component.max_link_util > config.User_component.ic_threshold
+  in
+  let actions = ref []
+  and seen = Hashtbl.create 64
+  and budget = ref config.User_component.migration_budget in
+  let emit pfn dest reason =
+    if !budget > 0 && not (Hashtbl.mem seen pfn) then begin
+      Hashtbl.replace seen pfn ();
+      decr budget;
+      actions := { User_component.pfn; dest; reason } :: !actions
+    end
+  in
+  let rank rows =
+    let a = Array.of_list rows in
+    Array.stable_sort
+      (fun x y ->
+        let c = Float.compare hot.keys.(y) hot.keys.(x) in
+        if c <> 0 then c else Int.compare hot.pfns.(x) hot.pfns.(y))
+      a;
+    a
+  in
+  if controllers_overloaded || interconnect_saturated then begin
+    let tot = Array.make (max 1 n) 0.0 in
+    let order = ref [] in
+    for i = n - 1 downto 0 do
+      let t = ref 0.0 in
+      for j = 0 to nodes - 1 do
+        t := !t +. hot.counts.((i * nodes) + j)
+      done;
+      if !t >= config.User_component.min_accesses then begin
+        order := i :: !order;
+        tot.(i) <- !t
+      end
+    done;
+    if controllers_overloaded then
+      Array.iter
+        (fun i -> emit hot.pfns.(i) (Sim.Rng.pick rng underloaded) User_component.Interleave)
+        (rank
+           (List.filter
+              (fun i ->
+                match current_node hot.pfns.(i) with
+                | Some node -> List.mem node overloaded
+                | None -> false)
+              !order));
+    if interconnect_saturated then begin
+      let read_fraction i =
+        if hot.keys.(i) > 0.0 then hot.reads.(i) /. hot.keys.(i) else 1.0
+      in
+      let replicate_row i =
+        config.User_component.enable_replication
+        && read_fraction i >= config.User_component.replication_read_threshold
+        &&
+        let readers = ref 0 in
+        for j = 0 to nodes - 1 do
+          if hot.counts.((i * nodes) + j) > 0.02 *. tot.(i) then incr readers
+        done;
+        !readers >= config.User_component.min_reader_nodes
+      in
+      let best_node i =
+        let base = i * nodes in
+        let best = ref 0 in
+        for j = 0 to nodes - 1 do
+          if hot.counts.(base + j) > hot.counts.(base + !best) then best := j
+        done;
+        !best
+      in
+      Array.iter
+        (fun i ->
+          if replicate_row i then emit hot.pfns.(i) 0 User_component.Replicate
+          else emit hot.pfns.(i) (best_node i) User_component.Locality)
+        (rank
+           (List.filter
+              (fun i ->
+                replicate_row i
+                ||
+                let best = best_node i in
+                hot.counts.((i * nodes) + best) /. tot.(i) >= config.User_component.dominant_fraction
+                && node_ok best
+                &&
+                match current_node hot.pfns.(i) with Some node -> node <> best | None -> false)
+              !order))
+    end
+  end;
+  List.rev !actions
+
+(* One workspace for every case of the differential property, so reuse
+   across periods of different widths is exercised too. *)
+let shared_workspace = Policies.Carrefour.workspace ()
+
+let prop_carrefour_decide_matches_oracle =
+  QCheck.Test.make ~name:"carrefour decide = full-ranking oracle (actions and rng)" ~count:500
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int st (List.length l)) in
+      let rows = Random.State.int st 80 in
+      (* Few distinct heats and a narrow pfn range: key ties and
+         duplicate pfns are common. *)
+      let pfn_range = 1 + (rows * 3 / 4) in
+      let hot =
+        List.init rows (fun _ ->
+            let heat = pick [ 1.0; 3.0; 6.0; 12.0; 24.0; 48.0 ] in
+            let node_accesses =
+              match Random.State.int st 3 with
+              | 0 -> Array.init 8 (fun n -> if n = Random.State.int st 8 then heat else 0.0)
+              | 1 -> Array.init 8 (fun _ -> heat /. 8.0)
+              | _ -> Array.init 8 (fun _ -> if Random.State.bool st then heat /. 4.0 else 0.0)
+            in
+            {
+              Policies.Carrefour.pfn = Random.State.int st pfn_range;
+              node_accesses;
+              read_fraction = pick [ 1.0; 0.97; 0.5 ];
+            })
+      in
+      let home = Array.init pfn_range (fun _ -> Random.State.int st 9 - 1) in
+      let node_of pfn = home.(pfn) in
+      let controller_util, max_link_util =
+        match Random.State.int st 3 with
+        | 0 -> ([| 0.9; 0.05; 0.8; 0.05; 0.05; 0.05; 0.05; 0.05 |], 0.0)
+        | 1 -> (Array.make 8 0.2, 0.9)
+        | _ -> ([| 0.9; 0.1; 0.1; 0.1; 0.7; 0.1; 0.1; 0.1 |], 0.9)
+      in
+      let offline = Random.State.int st 9 in
+      let node_ok n = n <> offline in
+      let cfg =
+        {
+          config with
+          Policies.Carrefour.User_component.migration_budget =
+            1 + Random.State.int st (max 1 (2 * rows));
+          enable_replication = Random.State.bool st;
+          min_reader_nodes = 2;
+        }
+      in
+      let m = metrics ~controller_util ~max_link_util ~hot in
+      let rng_new = Sim.Rng.create ~seed and rng_old = Sim.Rng.create ~seed in
+      let got =
+        Policies.Carrefour.User_component.decide ~node_ok cfg ~workspace:shared_workspace
+          ~rng:rng_new ~metrics:m ~node_of
+      in
+      let want = oracle_decide ~node_ok cfg ~rng:rng_old ~metrics:m ~node_of in
+      got = want && Sim.Rng.bits64 rng_new = Sim.Rng.bits64 rng_old)
+
+(* The heat table's cached row sums and argmax against a model that
+   replays the same float operations on plain per-page arrays: after
+   every epoch, the live rows are exactly the model's pages whose
+   halved sum stayed >= 1.0, with bit-identical counts, sums
+   bit-identical to the in-order row sum, and the row's first largest
+   count as its best node. *)
+let prop_carrefour_heat_table_cache =
+  QCheck.Test.make ~name:"carrefour heat table caches exact sums and argmax" ~count:100
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let s = small_system () in
+      let d, _m = attach s in
+      let sys = Policies.Carrefour.System_component.create s d in
+      let counters = Numa.Counters.create s.Xen.System.topo in
+      Numa.Counters.end_epoch counters ~duration:1.0;
+      let model : (int, float array) Hashtbl.t = Hashtbl.create 64 in
+      let in_order_sum row = Array.fold_left ( +. ) 0.0 row in
+      let argmax row =
+        let b = ref 0 in
+        Array.iteri (fun j c -> if c > row.(!b) then b := j) row;
+        !b
+      in
+      let bits = Int64.bits_of_float in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int st 12 do
+        Policies.Carrefour.System_component.begin_epoch sys;
+        let dropped = ref [] in
+        Hashtbl.iter
+          (fun pfn row ->
+            Array.iteri (fun j c -> row.(j) <- c /. 2.0) row;
+            if in_order_sum row < 1.0 then dropped := pfn :: !dropped)
+          model;
+        List.iter (Hashtbl.remove model) !dropped;
+        for _ = 1 to Random.State.int st 40 do
+          let pfn = Random.State.int st 64 in
+          (* Small integers tie often; tiny values reach subnormals
+             under halving; 9 and 10 wide samples overhang the table. *)
+          let node_accesses =
+            Array.init
+              (8 + Random.State.int st 3)
+              (fun _ ->
+                match Random.State.int st 4 with
+                | 0 -> 0.0
+                | 1 -> float_of_int (Random.State.int st 4)
+                | 2 -> Random.State.float st 1e-300
+                | _ -> Random.State.float st 30.0)
+          in
+          Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses
+            ~read_fraction:0.5;
+          let row =
+            match Hashtbl.find_opt model pfn with
+            | Some row -> row
+            | None ->
+                let row = Array.make 8 0.0 in
+                Hashtbl.replace model pfn row;
+                row
+          in
+          for j = 0 to 7 do
+            row.(j) <- row.(j) +. node_accesses.(j)
+          done
+        done;
+        let hot =
+          (Policies.Carrefour.System_component.read_metrics sys ~counters)
+            .Policies.Carrefour.System_component.hot_pages
+        in
+        ok := !ok && hot.Policies.Carrefour.count = Hashtbl.length model;
+        for i = 0 to hot.Policies.Carrefour.count - 1 do
+          let row = Array.sub hot.Policies.Carrefour.counts (i * 8) 8 in
+          match Hashtbl.find_opt model hot.Policies.Carrefour.pfns.(i) with
+          | None -> ok := false
+          | Some want ->
+              ok :=
+                !ok
+                && Array.for_all2 (fun a b -> bits a = bits b) want row
+                && bits hot.Policies.Carrefour.sums.(i) = bits (in_order_sum row)
+                && hot.Policies.Carrefour.best.(i) = argmax row
+        done
+      done;
+      !ok)
 
 (* ------------------------- failure injection ------------------------ *)
 
@@ -732,5 +1008,9 @@ let suite =
         Alcotest.test_case "replication off by default" `Quick
           test_carrefour_replication_off_by_default;
         QCheck_alcotest.to_alcotest prop_carrefour_actions_within_budget_and_hot;
+        Alcotest.test_case "wide sample counts stored nodes" `Quick test_carrefour_wide_sample;
+        Alcotest.test_case "node_of" `Quick test_carrefour_node_of;
+        QCheck_alcotest.to_alcotest prop_carrefour_decide_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_carrefour_heat_table_cache;
       ] );
   ]

@@ -31,7 +31,9 @@ let test_p2m_basic () =
   let p = Xen.P2m.create ~frames:8 () in
   Alcotest.(check int) "empty" 0 (Xen.P2m.mapped_count p);
   Alcotest.(check bool) "invalid" true (Xen.P2m.get p 0 = Xen.P2m.Invalid);
+  Alcotest.(check int) "invalid mfn_of" (-1) (Xen.P2m.mfn_of p 0);
   Xen.P2m.set p 0 ~mfn:42 ~writable:true;
+  Alcotest.(check int) "mfn_of" 42 (Xen.P2m.mfn_of p 0);
   (match Xen.P2m.get p 0 with
   | Xen.P2m.Mapped { mfn; writable } ->
       Alcotest.(check int) "mfn" 42 mfn;
@@ -44,6 +46,7 @@ let test_p2m_invalidate () =
   Xen.P2m.set p 2 ~mfn:7 ~writable:false;
   Alcotest.(check (option int)) "returns old mfn" (Some 7) (Xen.P2m.invalidate p 2);
   Alcotest.(check (option int)) "already invalid" None (Xen.P2m.invalidate p 2);
+  Alcotest.(check int) "mfn_of invalidated" (-1) (Xen.P2m.mfn_of p 2);
   Alcotest.(check int) "none mapped" 0 (Xen.P2m.mapped_count p)
 
 let test_p2m_write_protect () =
@@ -73,7 +76,9 @@ let test_p2m_iteration () =
 let test_p2m_bounds () =
   let p = Xen.P2m.create ~frames:4 () in
   Alcotest.check_raises "out of range" (Invalid_argument "P2m: pfn out of range") (fun () ->
-      ignore (Xen.P2m.get p 4))
+      ignore (Xen.P2m.get p 4));
+  Alcotest.check_raises "mfn_of out of range" (Invalid_argument "P2m: pfn out of range")
+    (fun () -> ignore (Xen.P2m.mfn_of p 4))
 
 let prop_p2m_set_get_roundtrip =
   QCheck.Test.make ~name:"p2m set/get roundtrip" ~count:300
@@ -81,7 +86,7 @@ let prop_p2m_set_get_roundtrip =
     (fun (pfn, mfn, writable) ->
       let p = Xen.P2m.create ~frames:64 () in
       Xen.P2m.set p pfn ~mfn ~writable;
-      Xen.P2m.get p pfn = Xen.P2m.Mapped { mfn; writable })
+      Xen.P2m.get p pfn = Xen.P2m.Mapped { mfn; writable } && Xen.P2m.mfn_of p pfn = mfn)
 
 (* --------------------------- p2m superpages ------------------------ *)
 

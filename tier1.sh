@@ -225,9 +225,12 @@ dune exec test/test_main.exe -- test faults
 # frame-conservation property (post-drain P2M maps exactly the
 # pre-failure guest frames, none on an offlined mfn), the
 # replica-equivalence invariant (mirrors track the primary through any
-# op interleaving), the radix walk monotonicity properties, and the
+# op interleaving), the radix walk monotonicity properties, the
 # fast-forward equivalence property (a delta-replayed run equals the
-# naive run bit for bit across randomised policies and vCPU counts).
+# naive run bit for bit across randomised policies and vCPU counts),
+# and the Carrefour properties (the budget-bounded decide equals the
+# full-ranking oracle in actions and RNG state; the heat table's cached
+# row sums and argmax stay exact under decay and sampling).
 echo "tier1: randomised property pass (QCHECK_SEED=$QCHECK_SEED)"
 dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
@@ -239,5 +242,6 @@ dune exec test/test_main.exe -- test obs.latency
 dune exec test/test_main.exe -- test obs.query
 dune exec test/test_main.exe -- test xen.pt
 dune exec test/test_main.exe -- test guest.tlb.walk
+dune exec test/test_main.exe -- test policies.carrefour
 
 echo "tier1: OK"
