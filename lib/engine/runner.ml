@@ -1746,7 +1746,7 @@ let run (cfg : Config.t) =
             let was_evacuating = Policies.Manager.evacuating st.manager >= 0 in
             Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
                 Policies.Manager.epoch_tick st.manager ~epoch:!epochs
-                  ~guest_free:(fun pfn -> Guest.Pfn_pool.is_free st.pool pfn)
+                  ~guest_free:(Guest.Pfn_pool.free_pfns st.pool)
                   ());
             (* During (and right after) a drain the placement cache is
                wholesale-stale: re-resolve it through the P2M. *)

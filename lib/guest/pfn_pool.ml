@@ -61,7 +61,7 @@ let release t pfn =
 
 let allocated t = t.allocated
 
-let free_count t = List.length t.free_stack
+let free_pfns t = t.free_stack
 
 let recycled t = t.recycled
 

@@ -36,7 +36,10 @@ val release : t -> Memory.Page.pfn -> unit
     @raise Invalid_argument on double release or out-of-range frame. *)
 
 val allocated : t -> int
-val free_count : t -> int
+
+val free_pfns : t -> Memory.Page.pfn list
+(** The free list itself, most recently released first, in O(1): every
+    released frame not yet re-allocated, each exactly once. *)
 
 val recycled : t -> int
 (** Allocations served from the free list rather than fresh frames —

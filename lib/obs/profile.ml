@@ -18,6 +18,8 @@ type phase =
   | P2m_batch
   | Pv_flush
   | Epoch_tick
+  | Manager_promote_scan
+  | Manager_reconcile
   | Ff_replay
 
 let phases =
@@ -30,6 +32,8 @@ let phases =
     P2m_batch;
     Pv_flush;
     Epoch_tick;
+    Manager_promote_scan;
+    Manager_reconcile;
     Ff_replay;
   ]
 
@@ -42,7 +46,9 @@ let phase_index = function
   | P2m_batch -> 5
   | Pv_flush -> 6
   | Epoch_tick -> 7
-  | Ff_replay -> 8
+  | Manager_promote_scan -> 8
+  | Manager_reconcile -> 9
+  | Ff_replay -> 10
 
 let phase_name = function
   | Kernel_compute -> "kernel.compute"
@@ -53,6 +59,8 @@ let phase_name = function
   | P2m_batch -> "p2m.batch"
   | Pv_flush -> "pv.flush"
   | Epoch_tick -> "manager.epoch_tick"
+  | Manager_promote_scan -> "manager.promote_scan"
+  | Manager_reconcile -> "manager.reconcile"
   | Ff_replay -> "ff.replay"
 
 let nphases = List.length phases

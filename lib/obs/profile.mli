@@ -15,6 +15,8 @@ type phase =
   | P2m_batch  (** batched P2M invalidate/map/migrate replay *)
   | Pv_flush  (** PV queue partition flush *)
   | Epoch_tick  (** policy manager epoch tick *)
+  | Manager_promote_scan  (** superpage promotion scan, nested in [Epoch_tick] *)
+  | Manager_reconcile  (** P2M / guest free-list reconcile sweep, nested in [Epoch_tick] *)
   | Ff_replay  (** fast-forward delta replay of a quiescent epoch *)
 
 val phases : phase list

@@ -1069,18 +1069,34 @@ let promote_scan t =
     end
   end
 
+(* RAS invariant: an offlined machine frame must never stay reachable
+   through any P2M — the UE handler and the evacuation engine remap
+   before the frame retires.  [is_offlined] can only hold once the
+   machine has retired a frame (Buddy's offlined count is exactly its
+   number of retired frames), so until then the walk is skipped. *)
+let assert_no_offlined_mapped t =
+  let machine = t.system.Xen.System.machine in
+  if Memory.Machine.offlined_frames machine > 0 then
+    Xen.P2m.iter_mapped t.domain.Xen.Domain.p2m (fun pfn mfn ->
+        if Memory.Machine.is_offlined machine mfn then
+          invalid_arg
+            (Printf.sprintf "Manager.reconcile: offlined mfn %d still mapped at pfn %d" mfn pfn))
+
 let reconcile t ~guest_free =
+  assert_no_offlined_mapped t;
   let costs = t.system.Xen.System.costs in
   let p2m = t.domain.Xen.Domain.p2m in
-  let stale = ref [] in
-  Xen.P2m.iter_mapped p2m (fun pfn mfn ->
-      (* RAS invariant: an offlined machine frame must never stay
-         reachable through any P2M — the UE handler and the evacuation
-         engine remap before the frame retires. *)
-      if Memory.Machine.is_offlined t.system.Xen.System.machine mfn then
-        invalid_arg
-          (Printf.sprintf "Manager.reconcile: offlined mfn %d still mapped at pfn %d" mfn pfn);
-      if guest_free pfn then stale := pfn :: !stale);
+  (* The stale entries are the guest-free pfns the P2M still maps.  The
+     free list is enumerated instead of the P2M: it is the small side,
+     while the P2M spans the whole padded guest space.  Healing runs in
+     descending pfn order, which fixes the order of the splinter events,
+     the P2M update stream and the frees; the full-P2M oracle in
+     test_faults.ml checks it. *)
+  let stale =
+    List.sort
+      (fun a b -> Int.compare b a)
+      (List.filter (fun pfn -> Xen.P2m.mfn_of p2m pfn >= 0) guest_free)
+  in
   let healed = ref 0 in
   let splinter_time = ref 0.0 in
   List.iter
@@ -1095,7 +1111,7 @@ let reconcile t ~guest_free =
           Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0;
           incr healed
       | None -> ())
-    !stale;
+    stale;
   t.degrade.reconcile_sweeps <- t.degrade.reconcile_sweeps + 1;
   t.degrade.reconciled <- t.degrade.reconciled + !healed;
   emit ~arg:!healed t Obs.Event.Reconcile_sweep;
@@ -1121,13 +1137,13 @@ let epoch_tick t ~epoch ?guest_free () =
   drain_pending t;
   evaluate_breaker t;
   if t.superpages && (not (statically_degraded t)) && epoch > 0 && epoch mod promote_period = 0
-  then ignore (promote_scan t);
+  then ignore (Obs.Profile.span Obs.Profile.Manager_promote_scan (fun () -> promote_scan t));
   match guest_free with
   | Some guest_free
     when t.spec.Spec.placement = Spec.First_touch
          && epoch > 0
          && epoch mod reconcile_period = 0 ->
-      ignore (reconcile t ~guest_free)
+      ignore (Obs.Profile.span Obs.Profile.Manager_reconcile (fun () -> reconcile t ~guest_free))
   | Some _ | None -> ()
 
 let carrefour_epoch_feed t ~counters ~feed =

@@ -147,13 +147,17 @@ val migrate_resilient : t -> pfn:Memory.Page.pfn -> node:Numa.Topology.node -> b
     domain); on persistent failure, defer the page to the bounded
     per-domain retry queue and return [false]. *)
 
-val epoch_tick : t -> epoch:int -> ?guest_free:(Memory.Page.pfn -> bool) -> unit -> unit
+val epoch_tick : t -> epoch:int -> ?guest_free:Memory.Page.pfn list -> unit -> unit
 (** Per-epoch housekeeping: advance the manager's epoch clock, drain a
     budget of deferred migrations (unless the breaker is open), run the
     {!promote_scan} every {e promote period} epochs (when superpages
     are enabled and the domain is not statically degraded), and —
     under first-touch, every {e reconcile period} epochs when
-    [guest_free] is given — run the {!reconcile} sweep. *)
+    [guest_free] is given — run the {!reconcile} sweep over it.
+    [guest_free] is the guest's free list ({!Guest.Pfn_pool.free_pfns},
+    an O(1) read), so passing it every epoch costs nothing.  The scan
+    and the sweep are profiled as [manager.promote_scan] and
+    [manager.reconcile], nested in the caller's [manager.epoch_tick]. *)
 
 val promote_scan : t -> int
 (** One budgeted pass of the superpage promotion scan: examine a
@@ -172,11 +176,19 @@ val pt : t -> Xen.Pt.t option
 (** The page-table placement, present iff [attach] was given
     [pt_walk] or [replicate_pt]. *)
 
-val reconcile : t -> guest_free:(Memory.Page.pfn -> bool) -> int
+val reconcile : t -> guest_free:Memory.Page.pfn list -> int
 (** P2M / guest-free-list reconciliation: invalidate and free every
-    mapped page the guest reports free, healing entries stranded by
-    lost release batches.  Returns the number of pages healed; charges
-    one hypercall plus the invalidation costs. *)
+    mapped page in [guest_free], healing entries stranded by lost
+    release batches, dropped ops or failed hypercalls.  [guest_free]
+    lists the guest's free pfns, each once, in any order.  The stale
+    pages are healed in descending pfn order, splintering a superpage
+    first when one still covers the page.  Returns the number of pages
+    healed; charges one hypercall plus the invalidation costs.  Costs
+    O(|guest_free|) plus a sort of the stale pages, not a P2M walk.
+
+    @raise Invalid_argument naming the mfn and pfn when an offlined
+    machine frame is still mapped (the RAS invariant).  That check walks
+    the P2M, but only once the machine has offlined a frame. *)
 
 (** {2 Hardware RAS} *)
 

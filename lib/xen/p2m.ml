@@ -368,7 +368,11 @@ let check_consistent t =
   scanned = t.mapped && !sp_ok && !sp_seen = t.superpages
 
 let iter_mapped t f =
-  Array.iteri (fun pfn mfn -> if mfn >= 0 then f pfn mfn) t.mfns
+  let mfns = t.mfns in
+  for pfn = 0 to Array.length mfns - 1 do
+    let mfn = mfns.(pfn) in
+    if mfn >= 0 then f pfn mfn
+  done
 
 let fold_mapped t ~init ~f =
   let acc = ref init in

@@ -409,12 +409,72 @@ let test_reconcile_heals_lost_batch () =
   done;
   let free0 = Memory.Machine.free_frames s.Xen.System.machine in
   (* The guest freed pages 0-3 but the release batch was lost: the P2M
-     still maps them.  The sweep heals exactly those entries. *)
-  let healed = Policies.Manager.reconcile m ~guest_free:(fun pfn -> pfn <= 3) in
+     still maps them.  The sweep heals exactly those entries; free pfn
+     10 was never mapped and is left alone. *)
+  let healed = Policies.Manager.reconcile m ~guest_free:[ 3; 10; 0; 2; 1 ] in
   Alcotest.(check int) "four healed" 4 healed;
   Alcotest.(check int) "frames returned" (free0 + 4) (Memory.Machine.free_frames s.Xen.System.machine);
   Alcotest.(check int) "p2m empty" 0 (Xen.P2m.mapped_count d.Xen.Domain.p2m);
   Alcotest.(check bool) "consistent" true (Xen.P2m.check_consistent d.Xen.Domain.p2m)
+
+(* The RAS invariant the sweep asserts: no P2M may still map an
+   offlined frame.  Simulate the bug it guards against — the frame
+   backing pfn 5 is freed behind the P2M's back and retired. *)
+let test_reconcile_rejects_offlined_mapping () =
+  let s = harness_system () in
+  let d = harness_domain s in
+  let m =
+    Policies.Manager.attach s d ~boot:Policies.Spec.first_touch
+      ~rng:(Sim.Rng.create ~seed:6)
+  in
+  let machine = s.Xen.System.machine in
+  ignore (Policies.Internal.map_page s d ~pfn:2 ~node:0);
+  let mfn =
+    match Policies.Internal.map_page s d ~pfn:5 ~node:0 with
+    | Ok mfn -> mfn
+    | Error `Enomem -> Alcotest.fail "harness machine out of memory"
+  in
+  Memory.Machine.free machine ~mfn ~order:0;
+  Alcotest.(check bool) "frame retired" true (Memory.Machine.offline_mfn machine mfn = `Offlined);
+  Alcotest.check_raises "names the mfn and the pfn"
+    (Invalid_argument
+       (Printf.sprintf "Manager.reconcile: offlined mfn %d still mapped at pfn 5" mfn))
+    (fun () -> ignore (Policies.Manager.reconcile m ~guest_free:[ 2 ]));
+  Alcotest.(check int) "nothing healed before the check" 2
+    (Xen.P2m.mapped_count d.Xen.Domain.p2m)
+
+(* The sweep reads the guest free list instead of testing every mapped
+   pfn: that list must hold exactly the pfns [is_free] reports, once
+   each, through any alloc/release sequence. *)
+let prop_free_pfns_is_free_set =
+  QCheck.Test.make ~name:"pfn_pool free list = is_free set" ~count:300
+    QCheck.(triple (int_range 1 64) small_nat (list small_nat))
+    (fun (frames, first_fresh, ops) ->
+      let pool = Guest.Pfn_pool.create ~frames ~first_fresh:(first_fresh mod frames) () in
+      let live = ref [] in
+      let check () =
+        let expected = List.filter (Guest.Pfn_pool.is_free pool) (List.init frames Fun.id) in
+        let got = List.sort Int.compare (Guest.Pfn_pool.free_pfns pool) in
+        if got <> expected then
+          QCheck.Test.fail_reportf "free list [%s] <> is_free set [%s]"
+            (String.concat ";" (List.map string_of_int got))
+            (String.concat ";" (List.map string_of_int expected))
+      in
+      List.iter
+        (fun op ->
+          (match !live with
+          | _ :: _ when op mod 3 <> 0 ->
+              (* Release an arbitrary live pfn, not only the newest. *)
+              let pfn = List.nth !live (op mod List.length !live) in
+              Guest.Pfn_pool.release pool pfn;
+              live := List.filter (( <> ) pfn) !live
+          | _ -> (
+              match Guest.Pfn_pool.alloc pool with
+              | Some pfn -> live := pfn :: !live
+              | None -> ()));
+          check ())
+        ops;
+      true)
 
 (* ---------------------- chaos accounting property ------------------ *)
 
@@ -455,15 +515,72 @@ let check_accounting ~msg s d =
   if not (Xen.P2m.check_consistent d.Xen.Domain.p2m) then
     QCheck.Test.fail_reportf "%s: P2M mapped-count out of sync" msg
 
+(* Test-only oracle: the reconcile sweep's stale set computed the slow
+   way, a walk of the whole P2M keeping every mapped pfn the guest pool
+   reports free.  Prepending during the ascending walk leaves it in
+   descending pfn order, the order the sweep heals in. *)
+let full_sweep_stale p2m pool =
+  Xen.P2m.fold_mapped p2m ~init:[] ~f:(fun acc pfn _ ->
+      if Guest.Pfn_pool.is_free pool pfn then pfn :: acc else acc)
+
+(* Differential check of one sweep against the oracle: it must heal
+   exactly the oracle's pfns, and its P2M update stream must be one
+   [Cleared] per stale pfn in oracle order, each preceded by the
+   [Splintered] of its extent when a superpage still covers it.  Each
+   clear is followed by that frame's free, so this pins the free order
+   too. *)
+let checked_reconcile ~msg m d pool =
+  let p2m = d.Xen.Domain.p2m in
+  let stale = full_sweep_stale p2m pool in
+  let sp = Xen.P2m.sp_frames p2m in
+  let splintered = ref [] in
+  let expected =
+    List.concat_map
+      (fun pfn ->
+        let base = pfn - (pfn mod sp) in
+        if Xen.P2m.is_superpage p2m pfn && not (List.mem base !splintered) then begin
+          splintered := base :: !splintered;
+          [ Xen.P2m.Splintered { pfn = base }; Xen.P2m.Cleared { pfn } ]
+        end
+        else [ Xen.P2m.Cleared { pfn } ])
+      stale
+  in
+  let splinters0 = (Policies.Manager.stats m).Policies.Manager.splinters in
+  let updates = ref [] in
+  Xen.P2m.set_on_update p2m (Some (fun u -> updates := u :: !updates));
+  let healed =
+    Fun.protect
+      ~finally:(fun () -> Xen.P2m.set_on_update p2m None)
+      (fun () -> Policies.Manager.reconcile m ~guest_free:(Guest.Pfn_pool.free_pfns pool))
+  in
+  if healed <> List.length stale then
+    QCheck.Test.fail_reportf "%s: healed %d, oracle stale set has %d" msg healed
+      (List.length stale);
+  if List.rev !updates <> expected then
+    QCheck.Test.fail_reportf "%s: P2M update stream differs from the oracle's (%d vs %d updates)"
+      msg (List.length !updates) (List.length expected);
+  if (Policies.Manager.stats m).Policies.Manager.splinters - splinters0 <> List.length !splintered
+  then QCheck.Test.fail_reportf "%s: splinter count differs from the oracle's" msg;
+  if full_sweep_stale p2m pool <> [] then
+    QCheck.Test.fail_reportf "%s: stale entries survived the sweep" msg
+
 let run_chaos_schedule master_seed =
   let rng = Sim.Rng.create ~seed:master_seed in
   let plan = random_plan rng in
-  let s = harness_system () in
-  let d = harness_domain s in
-  let m =
-    Policies.Manager.attach s d ~boot:Policies.Spec.first_touch_carrefour
-      ~rng:(Sim.Rng.split rng)
+  (* One schedule in three boots round-1G with superpages at a page
+     scale that keeps 4-frame superpage extents, so releases,
+     migrations and reconcile sweeps splinter them. *)
+  let superpages = Sim.Rng.bernoulli rng (1.0 /. 3.0) in
+  let s =
+    if superpages then Xen.System.create ~page_scale:128 (Numa.Amd48.topology ())
+    else harness_system ()
   in
+  let d = harness_domain s in
+  let boot =
+    if superpages then { Policies.Spec.placement = Policies.Spec.Round_1g; carrefour = true }
+    else Policies.Spec.first_touch_carrefour
+  in
+  let m = Policies.Manager.attach ~superpages s d ~boot ~rng:(Sim.Rng.split rng) in
   let inj = Faults.Injector.create ~seed:master_seed plan in
   Faults.Injector.install inj s;
   let frames = Xen.P2m.frames d.Xen.Domain.p2m in
@@ -506,13 +623,14 @@ let run_chaos_schedule master_seed =
               ignore (Policies.Manager.migrate_resilient m ~pfn ~node:(Sim.Rng.int rng 8))
           | [] -> ())
     done;
-    Policies.Manager.epoch_tick m ~epoch
-      ~guest_free:(fun pfn -> Guest.Pfn_pool.is_free pool pfn)
-      ();
+    (* Mid-run sweeps also catch releases still queued, unflushed. *)
+    if epoch mod 10 = 9 then
+      checked_reconcile ~msg:(Printf.sprintf "sweep at epoch %d" epoch) m d pool;
+    Policies.Manager.epoch_tick m ~epoch ~guest_free:(Guest.Pfn_pool.free_pfns pool) ();
     check_accounting ~msg:(Printf.sprintf "epoch %d" epoch) s d
   done;
   Guest.Pv_queue.flush_all queue;
-  ignore (Policies.Manager.reconcile m ~guest_free:(fun pfn -> Guest.Pfn_pool.is_free pool pfn));
+  checked_reconcile ~msg:"final sweep" m d pool;
   check_accounting ~msg:"after reconcile" s d;
   true
 
@@ -606,6 +724,43 @@ let test_engine_ras_evacuates () =
   Alcotest.(check bool) "the node failure actually evacuated frames" true
     (d.Engine.Result.evacuated > 0)
 
+(* The sweep and the promotion scan each have their own profiler
+   phase, nested in the manager tick's: one reconcile span per sweep. *)
+let test_tick_phases_profiled () =
+  let finish () =
+    Obs.Profile.set_enabled false;
+    Obs.Profile.reset ();
+    Obs.Metrics.set_enabled false;
+    Obs.Metrics.reset ()
+  in
+  finish ();
+  Fun.protect ~finally:finish (fun () ->
+      Obs.Profile.set_enabled true;
+      Obs.Metrics.set_enabled true;
+      let vm =
+        Engine.Config.vm ~threads:8 ~superpages:true ~policy:Policies.Spec.first_touch_carrefour
+          (tiny_app ())
+      in
+      ignore
+        (Engine.Runner.run
+           (Engine.Config.make ~seed:11 ~max_epochs:2_000 ~carrefour_config:eager_carrefour
+              ~faults:(Faults.Plan.of_string_exn "batch-loss=0.5")
+              ~mode:Engine.Config.Xen_plus [ vm ]));
+      let phase name =
+        match List.find_opt (fun (n, _, _) -> n = name) (Obs.Profile.totals ()) with
+        | Some (_, calls, ns) -> (calls, ns)
+        | None -> Alcotest.failf "phase %s missing from totals" name
+      in
+      let sweeps, sweep_ns = phase "manager.reconcile" in
+      let scans, scan_ns = phase "manager.promote_scan" in
+      let _, tick_ns = phase "manager.epoch_tick" in
+      Alcotest.(check bool) "sweeps ran" true (sweeps > 0);
+      Alcotest.(check (option int)) "one span per sweep" (Some sweeps)
+        (Obs.Metrics.counter_value "policies.reconcile.sweeps");
+      Alcotest.(check bool) "scans ran" true (scans > 0);
+      Alcotest.(check bool) "sweep time inside the tick's" true (sweep_ns <= tick_ns);
+      Alcotest.(check bool) "scan time inside the tick's" true (scan_ns <= tick_ns))
+
 (* ------------------------------- suite ----------------------------- *)
 
 let suite =
@@ -638,6 +793,9 @@ let suite =
         Alcotest.test_case "deferred migrations drain" `Quick
           test_deferred_drains_when_pressure_lifts;
         Alcotest.test_case "reconcile heals lost batch" `Quick test_reconcile_heals_lost_batch;
+        Alcotest.test_case "reconcile rejects offlined mapping" `Quick
+          test_reconcile_rejects_offlined_mapping;
+        QCheck_alcotest.to_alcotest prop_free_pfns_is_free_set;
         QCheck_alcotest.to_alcotest prop_chaos_frame_accounting;
         Alcotest.test_case "engine survives migrate=1.0" `Quick
           test_engine_completes_under_full_migration_failure;
@@ -645,5 +803,6 @@ let suite =
         Alcotest.test_case "engine jobs bit-identical" `Quick test_engine_jobs_bit_identical;
         Alcotest.test_case "engine ras evacuates" `Quick test_engine_ras_evacuates;
         Alcotest.test_case "capped run is reported" `Quick test_capped_run_is_reported;
+        Alcotest.test_case "tick phases profiled" `Quick test_tick_phases_profiled;
       ] );
   ]

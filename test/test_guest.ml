@@ -1,5 +1,5 @@
 (* Tests for the guest library: gpt, pfn_pool, pv_queue, sync,
-   alloc_model, process. *)
+   process. *)
 
 (* -------------------------------- gpt ----------------------------- *)
 
@@ -268,15 +268,6 @@ let prop_mcs_fifo =
       done;
       List.rev !order = List.init (n - 1) (fun i -> i + 1))
 
-(* ----------------------------- alloc_model ------------------------ *)
-
-let test_alloc_model () =
-  Alcotest.(check int) "glibc over 1s" 100 (Guest.Alloc_model.releases_in Guest.Alloc_model.glibc ~duration:1.0);
-  let wrmem = Guest.Alloc_model.streamflow ~release_period:15e-6 in
-  Alcotest.(check int) "wrmem over 15us" 1 (Guest.Alloc_model.releases_in wrmem ~duration:15e-6);
-  Alcotest.(check int) "wrmem over 1s" 66666 (Guest.Alloc_model.releases_in wrmem ~duration:1.0);
-  Alcotest.(check int) "scalloc never" 0 (Guest.Alloc_model.releases_in Guest.Alloc_model.scalloc ~duration:100.0)
-
 (* ------------------------------- process --------------------------- *)
 
 let test_process_touch_and_free () =
@@ -341,7 +332,6 @@ let suite =
         Alcotest.test_case "wait costs" `Quick test_sync_costs;
         qcheck prop_mcs_fifo;
       ] );
-    ("guest.alloc_model", [ Alcotest.test_case "release rates" `Quick test_alloc_model ]);
     ( "guest.process",
       [
         Alcotest.test_case "touch and free" `Quick test_process_touch_and_free;

@@ -321,7 +321,8 @@ let test_online_cancels_pending () =
 (* Satellite property: with offline/online operations mixed into random
    alloc/free traces the partition invariant extends to
    free + allocated + offlined = total (pending counts as allocated),
-   and offlined frames are never handed out. *)
+   the offlined counter equals the number of retired frames, and
+   offlined frames are never handed out. *)
 let prop_buddy_offline_partition =
   let arena = 512 in
   QCheck.Test.make ~name:"buddy offline keeps the partition invariant" ~count:100
@@ -366,6 +367,14 @@ let prop_buddy_offline_partition =
       if free + held_frames + offlined <> arena then
         QCheck.Test.fail_reportf "%d free + %d held + %d offlined <> %d" free held_frames
           offlined arena;
+      (* The counter is exact: the reconcile sweep skips its
+         offlined-mfn walk whenever it reads zero. *)
+      let retired = ref 0 in
+      for f = 0 to arena - 1 do
+        if Memory.Buddy.is_offlined b ~frame:f then incr retired
+      done;
+      if !retired <> offlined then
+        QCheck.Test.fail_reportf "%d frames retired, counter says %d" !retired offlined;
       (* Draining the free side never yields a retired frame. *)
       let rec drain () =
         match Memory.Buddy.alloc b ~order:0 with
