@@ -205,14 +205,13 @@ let build_region system st_pool process domain ~vfn0 ~pages ~weights ~cpu ~nodes
     | None -> invalid_arg "Runner: guest physical memory exhausted"
     | Some pfn ->
         pfns.(i) <- pfn;
-        (match Xen.P2m.get domain.Xen.Domain.p2m pfn with
-        | Xen.P2m.Invalid ->
-            ignore (Xen.Domain.handle_fault domain ~costs:system.Xen.System.costs ~pfn ~cpu)
-        | Xen.P2m.Mapped _ -> ());
+        let p2m = domain.Xen.Domain.p2m in
+        if Xen.P2m.mfn_of p2m pfn < 0 then
+          ignore (Xen.Domain.handle_fault domain ~costs:system.Xen.System.costs ~pfn ~cpu);
+        let mfn = Xen.P2m.mfn_of p2m pfn in
         let node =
-          match Xen.P2m.get domain.Xen.Domain.p2m pfn with
-          | Xen.P2m.Mapped { mfn; _ } -> Memory.Machine.node_of_mfn system.Xen.System.machine mfn
-          | Xen.P2m.Invalid -> domain.Xen.Domain.home_nodes.(0)
+          if mfn < 0 then domain.Xen.Domain.home_nodes.(0)
+          else Memory.Machine.node_of_mfn system.Xen.System.machine mfn
         in
         page_node.(i) <- node;
         node_weight.(node) <- node_weight.(node) +. weights.(i)

@@ -2,6 +2,41 @@ module Int_set = Set.Make (Int)
 
 let max_order = 20
 
+(* Per-frame byte state, paged: a page of [page_frames] bytes comes
+   into being on its first non-zero write, and a missing page reads as
+   '\000'.  A node's arena holds millions of frames but a run only
+   touches the ones its guest is backed by, so a flat table would make
+   every boot O(machine) where this is O(footprint).  A sparse
+   base -> order map would not be: [split_allocation] tags every frame
+   of a 1 GiB block as its own order-0 allocation. *)
+module Paged = struct
+  let page_bits = 16
+  let page_frames = 1 lsl page_bits
+
+  type t = { len : int; pages : Bytes.t array (* [Bytes.empty] = all zero *) }
+
+  let create len =
+    { len; pages = Array.make ((len + page_frames - 1) lsr page_bits) Bytes.empty }
+
+  (* Out-of-range indices raise [Bytes]' own [Invalid_argument], as a
+     flat table would. *)
+  let get t i =
+    if i < 0 || i >= t.len then invalid_arg "index out of bounds";
+    let page = t.pages.(i lsr page_bits) in
+    if Bytes.length page = 0 then '\000' else Bytes.get page (i land (page_frames - 1))
+
+  let set t i c =
+    if i < 0 || i >= t.len then invalid_arg "index out of bounds";
+    let p = i lsr page_bits in
+    let page = t.pages.(p) in
+    if Bytes.length page > 0 then Bytes.set page (i land (page_frames - 1)) c
+    else if c <> '\000' then begin
+      let page = Bytes.make page_frames '\000' in
+      t.pages.(p) <- page;
+      Bytes.set page (i land (page_frames - 1)) c
+    end
+end
+
 type t = {
   base : int;
   total : int;
@@ -9,12 +44,12 @@ type t = {
   (* allocated.(f - base) = order + 1 when an allocated block of that
      order starts at frame f; detects double frees and order
      mismatches. *)
-  allocated : Bytes.t;
+  allocated : Paged.t;
   (* offline.(f - base): '\000' healthy, '\001' offlined (out of the
      arena, never re-allocated), '\002' offline pending — the frame was
      allocated when the offline request arrived and converts to
      offlined the moment it is freed. *)
-  offline : Bytes.t;
+  offline : Paged.t;
   mutable free : int;
   mutable offlined : int;
   mutable offline_pending : int;
@@ -25,24 +60,27 @@ let block_frames order = 1 lsl order
 let add_block t ~base ~order =
   t.free_sets.(order) <- Int_set.add base t.free_sets.(order)
 
+(* Largest order of an aligned block at [base] that fits below [stop]. *)
+let fit_order base stop =
+  let rec go o =
+    if o < max_order && base land block_frames o = 0 && base + block_frames (o + 1) <= stop
+    then go (o + 1)
+    else o
+  in
+  go 0
+
 let create ~base ~frames =
   if frames <= 0 then invalid_arg "Buddy.create: frames must be positive";
   if base < 0 then invalid_arg "Buddy.create: negative base";
   let t =
     { base; total = frames; free_sets = Array.make (max_order + 1) Int_set.empty;
-      allocated = Bytes.make frames '\000'; offline = Bytes.make frames '\000';
+      allocated = Paged.create frames; offline = Paged.create frames;
       free = 0; offlined = 0; offline_pending = 0 }
-  in
-  let trailing_zeros n =
-    let rec tz n i = if n land 1 = 1 then i else tz (n lsr 1) (i + 1) in
-    if n = 0 then max_order else tz n 0
   in
   (* Greedy cover by maximal aligned power-of-two blocks. *)
   let cur = ref base and stop = base + frames in
   while !cur < stop do
-    let align_order = min max_order (trailing_zeros !cur) in
-    let rec fit o = if o > 0 && !cur + block_frames o > stop then fit (o - 1) else o in
-    let order = fit align_order in
+    let order = fit_order !cur stop in
     add_block t ~base:!cur ~order;
     t.free <- t.free + block_frames order;
     cur := !cur + block_frames order
@@ -55,7 +93,7 @@ let total_frames t = t.total
 let offlined_frames t = t.offlined
 let offline_pending_frames t = t.offline_pending
 
-let offline_state t frame = Bytes.get t.offline (frame - t.base)
+let offline_state t frame = Paged.get t.offline (frame - t.base)
 
 let is_offlined t ~frame =
   frame >= t.base && frame < t.base + t.total && offline_state t frame = '\001'
@@ -86,17 +124,17 @@ let alloc t ~order =
       in
       split found;
       t.free <- t.free - block_frames order;
-      Bytes.set t.allocated (block - t.base) (Char.chr (order + 1));
+      Paged.set t.allocated (block - t.base) (Char.chr (order + 1));
       Some block
 
 let split_allocation t ~base ~order =
   if order < 0 || order > max_order then invalid_arg "Buddy.split_allocation: bad order";
-  (match Char.code (Bytes.get t.allocated (base - t.base)) with
+  (match Char.code (Paged.get t.allocated (base - t.base)) with
   | 0 -> invalid_arg "Buddy.split_allocation: block not allocated"
   | tag when tag - 1 <> order -> invalid_arg "Buddy.split_allocation: order mismatch"
   | _ -> ());
   for f = base to base + block_frames order - 1 do
-    Bytes.set t.allocated (f - t.base) '\001'
+    Paged.set t.allocated (f - t.base) '\001'
   done
 
 let in_range t ~base ~order =
@@ -114,19 +152,27 @@ let rec coalesce t base order =
     else add_block t ~base ~order
   end
 
-let free t ~base ~order =
-  if order < 0 || order > max_order then invalid_arg "Buddy.free: bad order";
+(* The tag checks shared by [free] and [free_run]. *)
+let check_allocated t ~base ~order =
   if not (in_range t ~base ~order) then invalid_arg "Buddy.free: block out of range";
-  (match Char.code (Bytes.get t.allocated (base - t.base)) with
+  match Char.code (Paged.get t.allocated (base - t.base)) with
   | 0 -> invalid_arg "Buddy.free: double free"
   | tag when tag - 1 <> order -> invalid_arg "Buddy.free: order mismatch"
-  | _ -> ());
-  Bytes.set t.allocated (base - t.base) '\000';
+  | _ -> ()
+
+let has_pending t ~base ~frames =
   let pending = ref false in
-  for f = base to base + block_frames order - 1 do
-    if offline_state t f = '\002' then pending := true
-  done;
-  if not !pending then begin
+  if t.offline_pending > 0 then
+    for f = base to base + frames - 1 do
+      if offline_state t f = '\002' then pending := true
+    done;
+  !pending
+
+let free t ~base ~order =
+  if order < 0 || order > max_order then invalid_arg "Buddy.free: bad order";
+  check_allocated t ~base ~order;
+  Paged.set t.allocated (base - t.base) '\000';
+  if not (has_pending t ~base ~frames:(block_frames order)) then begin
     t.free <- t.free + block_frames order;
     coalesce t base order
   end
@@ -137,7 +183,7 @@ let free t ~base ~order =
        a time (coalescing as usual). *)
     for f = base to base + block_frames order - 1 do
       if offline_state t f = '\002' then begin
-        Bytes.set t.offline (f - t.base) '\001';
+        Paged.set t.offline (f - t.base) '\001';
         t.offline_pending <- t.offline_pending - 1;
         t.offlined <- t.offlined + 1
       end
@@ -147,6 +193,59 @@ let free t ~base ~order =
       end
     done
   end
+
+(* Exact for the same reason deferred frees are: with eager coalescing
+   the free sets are a function of the set of free frames alone, so
+   inserting the run's maximal aligned blocks lands where the
+   per-frame frees would. *)
+let free_run t ~base ~frames =
+  for f = base to base + frames - 1 do
+    check_allocated t ~base:f ~order:0
+  done;
+  if has_pending t ~base ~frames then
+    for f = base to base + frames - 1 do
+      free t ~base:f ~order:0
+    done
+  else begin
+    for f = base to base + frames - 1 do
+      Paged.set t.allocated (f - t.base) '\000'
+    done;
+    t.free <- t.free + frames;
+    let cur = ref base and stop = base + frames in
+    while !cur < stop do
+      let order = fit_order !cur stop in
+      coalesce t !cur order;
+      cur := !cur + block_frames order
+    done
+  end
+
+let check_consistent t =
+  let blocks = ref [] and ok = ref true in
+  Array.iteri
+    (fun order set ->
+      Int_set.iter
+        (fun b ->
+          blocks := (b, order) :: !blocks;
+          if b land (block_frames order - 1) <> 0 || not (in_range t ~base:b ~order) then
+            ok := false
+          else begin
+            let buddy = b lxor block_frames order in
+            if order < max_order && Int_set.mem buddy set
+               && in_range t ~base:(min b buddy) ~order:(order + 1)
+            then ok := false;
+            for f = b to b + block_frames order - 1 do
+              if Paged.get t.allocated (f - t.base) <> '\000' || offline_state t f <> '\000'
+              then ok := false
+            done
+          end)
+        set)
+    t.free_sets;
+  let rec disjoint = function
+    | (b, o) :: ((b', _) :: _ as rest) -> b + block_frames o <= b' && disjoint rest
+    | [] | [ _ ] -> true
+  in
+  let sum = List.fold_left (fun acc (_, o) -> acc + block_frames o) 0 !blocks in
+  !ok && sum = t.free && disjoint (List.sort compare !blocks)
 
 let reserve t ~base ~frames =
   let lo = base and hi = base + frames in
@@ -196,7 +295,7 @@ let offline_range t ~base ~frames =
       if b_hi <= lo || b_lo >= hi then add_block t ~base:block ~order
       else if b_lo >= lo && b_hi <= hi then begin
         for f = b_lo to b_hi - 1 do
-          Bytes.set t.offline (f - t.base) '\001'
+          Paged.set t.offline (f - t.base) '\001'
         done;
         offlined_now := !offlined_now + block_frames order;
         t.free <- t.free - block_frames order;
@@ -227,7 +326,7 @@ let offline_range t ~base ~frames =
     let pending = ref 0 in
     for f = lo to hi - 1 do
       if offline_state t f = '\000' then begin
-        Bytes.set t.offline (f - t.base) '\002';
+        Paged.set t.offline (f - t.base) '\002';
         t.offline_pending <- t.offline_pending + 1;
         incr pending
       end
@@ -242,7 +341,7 @@ let online_range t ~base ~frames =
   for f = lo to hi - 1 do
     match offline_state t f with
     | '\001' ->
-        Bytes.set t.offline (f - t.base) '\000';
+        Paged.set t.offline (f - t.base) '\000';
         t.offlined <- t.offlined - 1;
         t.free <- t.free + 1;
         coalesce t f 0;
@@ -250,7 +349,7 @@ let online_range t ~base ~frames =
     | '\002' ->
         (* Cancel a pending offline: the frame stays allocated and will
            return to the free pool normally. *)
-        Bytes.set t.offline (f - t.base) '\000';
+        Paged.set t.offline (f - t.base) '\000';
         t.offline_pending <- t.offline_pending - 1
     | _ -> ()
   done;

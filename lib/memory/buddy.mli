@@ -30,6 +30,17 @@ val free : t -> base:int -> order:int -> unit
     @raise Invalid_argument if the block is outside the managed range
     or (detectable) double-free of an aligned block. *)
 
+val free_run : t -> base:int -> frames:int -> unit
+(** [free_run t ~base ~frames] frees the consecutive order-0
+    allocations [\[base, base + frames)]: the same end state as
+    {!free} of each frame with [~order:0], but the run's frames enter
+    the free sets as its maximal aligned blocks, each coalesced once.
+    Every frame's tag is checked before anything changes; a run that
+    holds an offline-pending frame is freed frame by frame.  A run of
+    [frames <= 0] frees nothing.
+    @raise Invalid_argument with {!free}'s message (out of range,
+    double free, order mismatch) for the first offending frame. *)
+
 val split_allocation : t -> base:int -> order:int -> unit
 (** Re-register an allocated block of [2^order] frames as [2^order]
     individual order-0 allocations, so its frames can later be freed
@@ -50,6 +61,16 @@ val reserve : t -> base:int -> frames:int -> int
 (** [reserve t ~base ~frames] removes the given frame range from the
     free pool (used to model BIOS / I/O holes).  Frames already
     allocated are skipped; returns the number actually reserved. *)
+
+val check_consistent : t -> bool
+(** Invariant check: [true] iff the free blocks are aligned, in range
+    and pairwise disjoint, no two mergeable buddies are both free at
+    the same order, no free frame is tagged allocated, offlined or
+    offline-pending, and the block sizes sum to {!free_frames}.  Under
+    eager coalescing this makes the free sets a function of the set of
+    free frames alone, which is why frees may be deferred and batched
+    ({!free_run}) without changing any later allocation.
+    O(free frames). *)
 
 (** {2 RAS page offlining}
 

@@ -94,6 +94,13 @@ let free t ~mfn ~order =
   if node_of_mfn t last <> node then invalid_arg "Machine.free: block spans nodes";
   Buddy.free t.pools.(node) ~base:mfn ~order
 
+let free_run t ~mfn ~frames =
+  if frames > 0 then begin
+    let node = node_of_mfn t mfn in
+    if node_of_mfn t (mfn + frames - 1) <> node then invalid_arg "Machine.free_run: run spans nodes";
+    Buddy.free_run t.pools.(node) ~base:mfn ~frames
+  end
+
 let free_frames_on t node =
   assert (node >= 0 && node < Array.length t.pools);
   Buddy.free_frames t.pools.(node)

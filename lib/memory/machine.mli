@@ -66,6 +66,12 @@ val split_block : t -> mfn:Page.mfn -> order:int -> unit
 val free : t -> mfn:Page.mfn -> order:int -> unit
 (** @raise Invalid_argument if the block spans two nodes or is free. *)
 
+val free_run : t -> mfn:Page.mfn -> frames:int -> unit
+(** Free [frames] consecutive order-0 allocations from [mfn] (see
+    {!Buddy.free_run}); [frames <= 0] frees nothing.
+    @raise Invalid_argument if the run spans two nodes or any frame is
+    not an order-0 allocation. *)
+
 val free_frames_on : t -> Numa.Topology.node -> int
 val free_frames : t -> int
 

@@ -20,6 +20,7 @@ type phase =
   | Epoch_tick
   | Manager_promote_scan
   | Manager_reconcile
+  | Manager_release
   | Ff_replay
 
 let phases =
@@ -34,6 +35,7 @@ let phases =
     Epoch_tick;
     Manager_promote_scan;
     Manager_reconcile;
+    Manager_release;
     Ff_replay;
   ]
 
@@ -48,7 +50,8 @@ let phase_index = function
   | Epoch_tick -> 7
   | Manager_promote_scan -> 8
   | Manager_reconcile -> 9
-  | Ff_replay -> 10
+  | Manager_release -> 10
+  | Ff_replay -> 11
 
 let phase_name = function
   | Kernel_compute -> "kernel.compute"
@@ -61,6 +64,7 @@ let phase_name = function
   | Epoch_tick -> "manager.epoch_tick"
   | Manager_promote_scan -> "manager.promote_scan"
   | Manager_reconcile -> "manager.reconcile"
+  | Manager_release -> "manager.release"
   | Ff_replay -> "ff.replay"
 
 let nphases = List.length phases

@@ -17,6 +17,9 @@ type phase =
   | Epoch_tick  (** policy manager epoch tick *)
   | Manager_promote_scan  (** superpage promotion scan, nested in [Epoch_tick] *)
   | Manager_reconcile  (** P2M / guest free-list reconcile sweep, nested in [Epoch_tick] *)
+  | Manager_release
+      (** first-touch switch's whole free-list release at boot; [P2m_batch]
+          nests in it *)
   | Ff_replay  (** fast-forward delta replay of a quiescent epoch *)
 
 val phases : phase list

@@ -229,11 +229,7 @@ let populate_round_4k t =
   done;
   (* Return unused cached frames; they were split to order 0 already. *)
   for node = 0 to nodes - 1 do
-    while cache_left.(node) > 0 do
-      Memory.Machine.free machine ~mfn:cache_mfn.(node) ~order:0;
-      cache_mfn.(node) <- cache_mfn.(node) + 1;
-      cache_left.(node) <- cache_left.(node) - 1
-    done
+    Memory.Machine.free_run machine ~mfn:cache_mfn.(node) ~frames:cache_left.(node)
   done
 
 (* Xen's historical allocator: 1 GiB regions round-robin over the home
@@ -500,26 +496,23 @@ let ensure_inv_buf t n =
     t.inv_buf <- Array.make !cap 0
   end
 
-(* Apply the invalidate-winners of one replayed batch through the
-   batched P2M path: one sort, one splinter per touched extent, freed
-   frames returned as we go, amortised cost.  Returns the time to add
-   to the hypercall's bill. *)
-let invalidate_winners t ~n =
+(* Apply one batch of first-touch invalidations through a batched P2M
+   path ([invalidate ~on_splinter]): one splinter per touched extent,
+   amortised cost, the batch event and metrics.  Returns the time to
+   add to the hypercall's bill. *)
+let invalidate_with t invalidate =
   let costs = t.system.Xen.System.costs in
   let time = ref 0.0 in
   let bstats =
-    Xen.P2m.invalidate_batch t.domain.Xen.Domain.p2m
-      ~on_splinter:(fun pfn ->
+    invalidate ~on_splinter:(fun pfn ->
         (* A first-touch invalidation landing inside a 2 MiB superpage
            demotes the whole extent: every 4 KiB entry pays the
            write-protect→remap cost before the one entry can be cleared
-           (the paper's granularity tension made concrete).  The batch
-           sort guarantees this fires at most once per extent. *)
+           (the paper's granularity tension made concrete).  A batch
+           is applied in pfn order, so this fires at most once per
+           extent. *)
         note_splinter t ~pfn;
         time := !time +. Xen.Costs.splinter_time costs ~frames_4k:(sp_frames_4k t))
-      ~on_free:(fun _pfn mfn ->
-        Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0)
-      t.inv_buf ~n
   in
   t.stats.invalidated <- t.stats.invalidated + bstats.Xen.P2m.applied;
   time := !time +. Xen.Costs.invalidate_batch_time costs ~frames:bstats.Xen.P2m.applied;
@@ -529,6 +522,14 @@ let invalidate_winners t ~n =
     Obs.Metrics.observe "xen.p2m.batch_frames" (float_of_int bstats.Xen.P2m.applied)
   end;
   !time
+
+(* The invalidate-winners of one replayed batch, freed frames returned
+   as we go. *)
+let invalidate_winners t ~n =
+  invalidate_with t (fun ~on_splinter ->
+      Xen.P2m.invalidate_batch t.domain.Xen.Domain.p2m ~on_splinter
+        ~on_free:(fun _pfn mfn -> Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0)
+        t.inv_buf ~n)
 
 let page_ops_replay t ops =
   let costs = t.system.Xen.System.costs in
@@ -592,11 +593,34 @@ let release_free_pages t pfns =
    queue-sized Release chunks as [release_free_pages] over a list, but
    the pfns are consecutive and distinct by construction, so no op
    values, no list cells and no dedup pass are materialised — each
-   chunk goes straight into the batched invalidate.  Chunk-level
-   behaviour (one Page_ops hypercall each, the in-transit loss draw,
-   the cost model) is identical to the list path. *)
+   chunk goes straight into a range invalidate.  Chunk-level behaviour
+   (one Page_ops hypercall each, the in-transit loss draw, the cost
+   model) is identical to the list path.
+
+   Freed machine frames gather into one open run per node, handed to
+   [Memory.Machine.free_run] when the next frame does not extend it
+   and at the end.  Deferring the frees is exact: nothing allocates
+   during the release, and with eager coalescing the buddy's free sets
+   are a function of the set of free frames alone
+   ([Memory.Buddy.check_consistent]). *)
 let release_free_range t ~first ~count =
+  Obs.Profile.span Obs.Profile.Manager_release @@ fun () ->
   let costs = t.system.Xen.System.costs in
+  let machine = t.system.Xen.System.machine in
+  let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
+  let run_base = Array.make nodes 0 and run_len = Array.make nodes 0 in
+  let flush node =
+    Memory.Machine.free_run machine ~mfn:run_base.(node) ~frames:run_len.(node);
+    run_len.(node) <- 0
+  in
+  let push mfn =
+    let node = Memory.Machine.node_of_mfn machine mfn in
+    if run_base.(node) + run_len.(node) <> mfn then begin
+      flush node;
+      run_base.(node) <- mfn
+    end;
+    run_len.(node) <- run_len.(node) + 1
+  in
   let total = ref 0.0 in
   let off = ref 0 in
   while !off < count do
@@ -611,19 +635,22 @@ let release_free_range t ~first ~count =
       else begin
         t.stats.ops_received <- t.stats.ops_received + n;
         let time = ref (Xen.Costs.page_ops_batch_time costs ~ops:n) in
-        if t.spec.Spec.placement = Spec.First_touch then begin
-          ensure_inv_buf t n;
-          for i = 0 to n - 1 do
-            t.inv_buf.(i) <- first + !off + i
-          done;
-          time := !time +. invalidate_winners t ~n
-        end;
+        if t.spec.Spec.placement = Spec.First_touch then
+          time :=
+            !time
+            +. invalidate_with t (fun ~on_splinter ->
+                   Xen.P2m.invalidate_range ~on_splinter
+                     ~on_free:(fun _pfn mfn -> push mfn)
+                     t.domain.Xen.Domain.p2m ~first:(first + !off) ~n);
         charge_hypercall t Xen.Hypercall.Page_ops !time;
         !time
       end
     in
     total := !total +. chunk_time;
     off := !off + n
+  done;
+  for node = 0 to nodes - 1 do
+    flush node
   done;
   !total
 

@@ -259,29 +259,43 @@ let check_batch t name n len =
   if n < 0 || n > len then invalid_arg (name ^ ": n out of range");
   ignore t
 
+(* One element of an invalidate batch, counted into [applied] and
+   [splintered]. *)
+let invalidate_one t ?on_splinter ?on_free ~applied ~splintered pfn =
+  check t pfn;
+  let mfn = t.mfns.(pfn) in
+  if mfn >= 0 then begin
+    if t.sp_frames > 1 && Bytes.get t.sp (extent_of t pfn) <> '\000' then begin
+      (match on_splinter with Some f -> f pfn | None -> ());
+      ignore (splinter t pfn);
+      incr splintered
+    end;
+    t.mfns.(pfn) <- -1;
+    Bytes.set t.writable pfn '\000';
+    t.mapped <- t.mapped - 1;
+    notify t (Cleared { pfn });
+    incr applied;
+    match on_free with Some f -> f pfn mfn | None -> ()
+  end
+
 let invalidate_batch t ?on_splinter ?on_free pfns ~n =
   check_batch t "P2m.invalidate_batch" n (Array.length pfns);
   Obs.Profile.span Obs.Profile.P2m_batch @@ fun () ->
   sort_prefix pfns n;
-  let applied = ref 0 in
-  let splintered = ref 0 in
+  let applied = ref 0 and splintered = ref 0 in
   for i = 0 to n - 1 do
-    let pfn = pfns.(i) in
-    check t pfn;
-    let mfn = t.mfns.(pfn) in
-    if mfn >= 0 then begin
-      if t.sp_frames > 1 && Bytes.get t.sp (extent_of t pfn) <> '\000' then begin
-        (match on_splinter with Some f -> f pfn | None -> ());
-        ignore (splinter t pfn);
-        incr splintered
-      end;
-      t.mfns.(pfn) <- -1;
-      Bytes.set t.writable pfn '\000';
-      t.mapped <- t.mapped - 1;
-      notify t (Cleared { pfn });
-      incr applied;
-      match on_free with Some f -> f pfn mfn | None -> ()
-    end
+    invalidate_one t ?on_splinter ?on_free ~applied ~splintered pfns.(i)
+  done;
+  { applied = !applied; splintered = !splintered }
+
+(* The pfns are consecutive, hence already sorted and distinct: the
+   batch path minus the sort and the pfn buffer. *)
+let invalidate_range ?on_splinter ?on_free t ~first ~n =
+  if n < 0 then invalid_arg "P2m.invalidate_range: n out of range";
+  Obs.Profile.span Obs.Profile.P2m_batch @@ fun () ->
+  let applied = ref 0 and splintered = ref 0 in
+  for pfn = first to first + n - 1 do
+    invalidate_one t ?on_splinter ?on_free ~applied ~splintered pfn
   done;
   { applied = !applied; splintered = !splintered }
 

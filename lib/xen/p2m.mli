@@ -145,6 +145,20 @@ val invalidate_batch :
     that of per-page {!invalidate} over the same pfn set.
     @raise Invalid_argument on an out-of-range pfn or [n]. *)
 
+val invalidate_range :
+  ?on_splinter:(Memory.Page.pfn -> unit) ->
+  ?on_free:(Memory.Page.pfn -> Memory.Page.mfn -> unit) ->
+  t ->
+  first:Memory.Page.pfn ->
+  n:int ->
+  batch_stats
+(** {!invalidate_batch} over the consecutive pfns [\[first, first +
+    n)], without the sort or a pfn buffer: the same per-frame state,
+    callbacks, update stream, version bumps and stats, in the same
+    order.
+    @raise Invalid_argument on an out-of-range pfn or a negative
+    [n]. *)
+
 val map_batch :
   t ->
   ?on_splinter:(Memory.Page.pfn -> unit) ->

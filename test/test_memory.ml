@@ -41,6 +41,9 @@ let test_page_orders_from_units () =
 
 (* ------------------------------- buddy ---------------------------- *)
 
+let consistent b =
+  Alcotest.(check bool) "buddy consistent" true (Memory.Buddy.check_consistent b)
+
 let test_buddy_exhausts_exactly () =
   let b = Memory.Buddy.create ~base:0 ~frames:16 in
   Alcotest.(check int) "16 free" 16 (Memory.Buddy.free_frames b);
@@ -58,7 +61,8 @@ let test_buddy_exhausts_exactly () =
   (* All distinct and in range. *)
   let sorted = List.sort_uniq compare !blocks in
   Alcotest.(check int) "distinct" 16 (List.length sorted);
-  List.iter (fun f -> Alcotest.(check bool) "in range" true (f >= 0 && f < 16)) sorted
+  List.iter (fun f -> Alcotest.(check bool) "in range" true (f >= 0 && f < 16)) sorted;
+  consistent b
 
 let test_buddy_split_and_coalesce () =
   let b = Memory.Buddy.create ~base:0 ~frames:16 in
@@ -66,7 +70,8 @@ let test_buddy_split_and_coalesce () =
   Alcotest.(check (option int)) "largest after split" (Some 3) (Memory.Buddy.largest_free_order b);
   Memory.Buddy.free b ~base:f0 ~order:0;
   Alcotest.(check (option int)) "coalesced back" (Some 4) (Memory.Buddy.largest_free_order b);
-  Alcotest.(check int) "all free" 16 (Memory.Buddy.free_frames b)
+  Alcotest.(check int) "all free" 16 (Memory.Buddy.free_frames b);
+  consistent b
 
 let test_buddy_alloc_alignment () =
   let b = Memory.Buddy.create ~base:0 ~frames:1024 in
@@ -75,7 +80,8 @@ let test_buddy_alloc_alignment () =
     | Some f ->
         Alcotest.(check int) (Printf.sprintf "order %d aligned" order) 0 (f mod (1 lsl order))
     | None -> Alcotest.fail "allocation failed"
-  done
+  done;
+  consistent b
 
 let test_buddy_double_free_detected () =
   let b = Memory.Buddy.create ~base:0 ~frames:16 in
@@ -83,7 +89,8 @@ let test_buddy_double_free_detected () =
   | Some f ->
       Memory.Buddy.free b ~base:f ~order:2;
       Alcotest.check_raises "double free" (Invalid_argument "Buddy.free: double free")
-        (fun () -> Memory.Buddy.free b ~base:f ~order:2)
+        (fun () -> Memory.Buddy.free b ~base:f ~order:2);
+      consistent b
   | None -> Alcotest.fail "alloc failed")
 
 let test_buddy_out_of_range_free () =
@@ -95,20 +102,23 @@ let test_buddy_non_power_of_two () =
   let b = Memory.Buddy.create ~base:0 ~frames:100 in
   Alcotest.(check int) "100 free" 100 (Memory.Buddy.free_frames b);
   (* Largest aligned block inside 100 frames is 64. *)
-  Alcotest.(check (option int)) "largest order 6" (Some 6) (Memory.Buddy.largest_free_order b)
+  Alcotest.(check (option int)) "largest order 6" (Some 6) (Memory.Buddy.largest_free_order b);
+  consistent b
 
 let test_buddy_nonzero_base () =
   let b = Memory.Buddy.create ~base:4096 ~frames:256 in
   (match Memory.Buddy.alloc b ~order:8 with
   | Some f -> Alcotest.(check int) "whole range" 4096 f
   | None -> Alcotest.fail "alloc failed");
-  Alcotest.(check (option int)) "empty" None (Memory.Buddy.alloc b ~order:0)
+  Alcotest.(check (option int)) "empty" None (Memory.Buddy.alloc b ~order:0);
+  consistent b
 
 let test_buddy_reserve () =
   let b = Memory.Buddy.create ~base:0 ~frames:64 in
   let reserved = Memory.Buddy.reserve b ~base:10 ~frames:10 in
   Alcotest.(check int) "10 reserved" 10 reserved;
   Alcotest.(check int) "54 free" 54 (Memory.Buddy.free_frames b);
+  consistent b;
   (* The hole is never handed out. *)
   let rec drain acc =
     match Memory.Buddy.alloc b ~order:0 with Some f -> drain (f :: acc) | None -> acc
@@ -133,6 +143,7 @@ let test_buddy_fragmentation_fallback () =
     | None -> Alcotest.fail "alloc failed"
   done;
   Alcotest.(check (option int)) "big blocks left" (Some 7) (Memory.Buddy.largest_free_order b);
+  consistent b;
   Alcotest.(check bool) "order 7 alloc still works" true
     (Memory.Buddy.alloc b ~order:7 <> None);
   Alcotest.(check (option int)) "no more big blocks" None (Memory.Buddy.alloc b ~order:7)
@@ -161,7 +172,7 @@ let prop_buddy_trace =
           end)
         orders;
       let held_frames = List.fold_left (fun acc (_, o) -> acc + (1 lsl o)) 0 !held in
-      Memory.Buddy.free_frames b + held_frames = 1024)
+      Memory.Buddy.free_frames b + held_frames = 1024 && Memory.Buddy.check_consistent b)
 
 (* Satellite property: under random split/alloc/free sequences the
    allocator's view of the arena stays a partition — held blocks never
@@ -205,6 +216,7 @@ let prop_buddy_partition =
                     List.init (1 lsl o) (fun k -> (f + k, 0))
                     @ List.filter (fun blk -> blk <> (f, o)) !held))
         orders;
+      if not (Memory.Buddy.check_consistent b) then QCheck.Test.fail_report "inconsistent";
       (* No two held blocks overlap. *)
       let sorted =
         List.sort compare (List.map (fun (f, o) -> (f, f + (1 lsl o))) !held)
@@ -257,7 +269,9 @@ let prop_buddy_full_free_coalesces =
           orders
       in
       List.iter (fun (f, o) -> Memory.Buddy.free b ~base:f ~order:o) held;
-      Memory.Buddy.free_frames b = 256 && Memory.Buddy.largest_free_order b = Some 8)
+      Memory.Buddy.free_frames b = 256
+      && Memory.Buddy.largest_free_order b = Some 8
+      && Memory.Buddy.check_consistent b)
 
 (* --------------------------- buddy offline ------------------------ *)
 
@@ -270,6 +284,7 @@ let test_offline_free_range () =
   Alcotest.(check int) "offlined counted" 16 (Memory.Buddy.offlined_frames b);
   Alcotest.(check bool) "frame retired" true (Memory.Buddy.is_offlined b ~frame:20);
   Alcotest.(check bool) "outside untouched" false (Memory.Buddy.is_offlined b ~frame:40);
+  consistent b;
   (* The hole is never handed out. *)
   let rec drain acc =
     match Memory.Buddy.alloc b ~order:0 with Some f -> drain (f :: acc) | None -> acc
@@ -288,12 +303,14 @@ let test_offline_allocated_pends () =
   Alcotest.(check int) "4 pending" 4 pending;
   Alcotest.(check int) "pending counted" 4 (Memory.Buddy.offline_pending_frames b);
   Alcotest.(check bool) "not yet retired" false (Memory.Buddy.is_offlined b ~frame:f);
+  consistent b;
   (* The free retires the pending frames instead of recycling them. *)
   Memory.Buddy.free b ~base:f ~order:2;
   Alcotest.(check int) "retired on free" 4 (Memory.Buddy.offlined_frames b);
   Alcotest.(check int) "no pending left" 0 (Memory.Buddy.offline_pending_frames b);
   Alcotest.(check bool) "now retired" true (Memory.Buddy.is_offlined b ~frame:f);
-  Alcotest.(check int) "free excludes them" 28 (Memory.Buddy.free_frames b)
+  Alcotest.(check int) "free excludes them" 28 (Memory.Buddy.free_frames b);
+  consistent b
 
 let test_online_range_restores () =
   let b = Memory.Buddy.create ~base:0 ~frames:64 in
@@ -304,7 +321,8 @@ let test_online_range_restores () =
   Alcotest.(check int) "free whole again" 64 (Memory.Buddy.free_frames b);
   Alcotest.(check int) "no offlined left" 0 (Memory.Buddy.offlined_frames b);
   (* Restoration coalesces: the arena is one max-order block again. *)
-  Alcotest.(check (option int)) "coalesced" (Some 6) (Memory.Buddy.largest_free_order b)
+  Alcotest.(check (option int)) "coalesced" (Some 6) (Memory.Buddy.largest_free_order b);
+  consistent b
 
 let test_online_cancels_pending () =
   let b = Memory.Buddy.create ~base:0 ~frames:16 in
@@ -316,7 +334,8 @@ let test_online_cancels_pending () =
   (* A later free recycles normally. *)
   Memory.Buddy.free b ~base:f ~order:1;
   Alcotest.(check int) "recycled" 16 (Memory.Buddy.free_frames b);
-  Alcotest.(check int) "nothing retired" 0 (Memory.Buddy.offlined_frames b)
+  Alcotest.(check int) "nothing retired" 0 (Memory.Buddy.offlined_frames b);
+  consistent b
 
 (* Satellite property: with offline/online operations mixed into random
    alloc/free traces the partition invariant extends to
@@ -375,6 +394,7 @@ let prop_buddy_offline_partition =
       done;
       if !retired <> offlined then
         QCheck.Test.fail_reportf "%d frames retired, counter says %d" !retired offlined;
+      if not (Memory.Buddy.check_consistent b) then QCheck.Test.fail_report "inconsistent";
       (* Draining the free side never yields a retired frame. *)
       let rec drain () =
         match Memory.Buddy.alloc b ~order:0 with
@@ -386,6 +406,88 @@ let prop_buddy_offline_partition =
       in
       drain ();
       true)
+
+(* Differential property: [free_run] over a run of frames ends in the
+   per-frame [free] loop's state, or raises its first exception.  Twin
+   arenas go through the same random history: split and unsplit
+   allocations (split blocks make runs that cross coalescing
+   boundaries), scattered single frees (free neighbours for the run to
+   merge with), and offline requests (pending frames inside the run).
+   A successful run must leave equal counters and hand out the same
+   next 64 blocks. *)
+let prop_buddy_free_run_equals_per_frame =
+  QCheck.Test.make ~name:"free_run = per-frame free" ~count:300 QCheck.int (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let base = 64 * Sim.Rng.int rng 5 and frames = 512 + Sim.Rng.int rng 512 in
+      let a = Memory.Buddy.create ~base ~frames and b = Memory.Buddy.create ~base ~frames in
+      let both f = f a; f b in
+      (* held.(i): order + 1 of a held block at base + i, and 1 for
+         every frame of a split block. *)
+      let held = Array.make frames 0 in
+      for _ = 1 to 40 do
+        let order = Sim.Rng.int rng 7 in
+        match (Memory.Buddy.alloc a ~order, Memory.Buddy.alloc b ~order) with
+        | Some f, Some f' when f = f' ->
+            if Sim.Rng.int rng 4 > 0 then begin
+              both (fun x -> Memory.Buddy.split_allocation x ~base:f ~order);
+              Array.fill held (f - base) (1 lsl order) 1
+            end
+            else held.(f - base) <- order + 1
+        | None, None -> ()
+        | _ -> QCheck.Test.fail_report "twins diverged while allocating"
+      done;
+      for i = 0 to frames - 1 do
+        if held.(i) = 1 && Sim.Rng.int rng 6 = 0 then begin
+          both (fun x -> Memory.Buddy.free x ~base:(base + i) ~order:0);
+          held.(i) <- 0
+        end
+      done;
+      if Sim.Rng.bool rng then begin
+        let lo = base + Sim.Rng.int rng frames and n = 1 + Sim.Rng.int rng 8 in
+        both (fun x -> ignore (Memory.Buddy.offline_range x ~base:lo ~frames:n))
+      end;
+      (* Mostly a maximal stretch of order-0 tags from a random start;
+         sometimes an arbitrary span, which may hit a free frame, a
+         block base of the wrong order or the end of the arena. *)
+      let start = Sim.Rng.int rng frames in
+      let len =
+        if Sim.Rng.int rng 4 = 0 then 1 + Sim.Rng.int rng 64
+        else begin
+          let n = ref 0 in
+          while start + !n < frames && held.(start + !n) = 1 do
+            incr n
+          done;
+          !n
+        end
+      in
+      let outcome f = match f () with () -> Ok () | exception Invalid_argument m -> Error m in
+      let ra = outcome (fun () -> Memory.Buddy.free_run a ~base:(base + start) ~frames:len) in
+      let rb =
+        outcome (fun () ->
+            for f = base + start to base + start + len - 1 do
+              Memory.Buddy.free b ~base:f ~order:0
+            done)
+      in
+      match (ra, rb) with
+      | Error m, Error m' -> m = m' || QCheck.Test.fail_reportf "raised %S, loop raised %S" m m'
+      | Ok (), Error m | Error m, Ok () -> QCheck.Test.fail_reportf "only one side raised %S" m
+      | Ok (), Ok () ->
+          let counters x =
+            Memory.Buddy.
+              ( free_frames x,
+                largest_free_order x,
+                offlined_frames x,
+                offline_pending_frames x,
+                check_consistent x )
+          in
+          if counters a <> counters b then QCheck.Test.fail_report "counters diverged";
+          if not (Memory.Buddy.check_consistent a) then QCheck.Test.fail_report "inconsistent";
+          for _ = 1 to 64 do
+            let order = Sim.Rng.int rng 5 in
+            if Memory.Buddy.alloc a ~order <> Memory.Buddy.alloc b ~order then
+              QCheck.Test.fail_reportf "next order-%d allocation diverged" order
+          done;
+          true)
 
 (* ------------------------------ machine --------------------------- *)
 
@@ -477,6 +579,30 @@ let test_machine_offline_node () =
   Alcotest.(check int) "restored" 16 restored;
   Alcotest.(check int) "free again" 16 (Memory.Machine.free_frames_on m 2)
 
+(* Boot cost scales with what the guest touches: building the AMD48
+   machine at page scale 1 (33.5 M frames) must not allocate per-frame
+   state. *)
+let test_machine_create_is_sparse () =
+  let topo = Numa.Amd48.topology () in
+  let before = Gc.allocated_bytes () in
+  let m = Memory.Machine.create ~page_scale:1 topo in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity m);
+  if bytes >= 1048576.0 then Alcotest.failf "Machine.create allocated %.0f bytes" bytes
+
+let test_machine_free_run () =
+  let m = machine () in
+  let fpn = Memory.Machine.frames_per_node m in
+  let order = 4 in
+  match Memory.Machine.alloc_on m ~node:1 ~order with
+  | None -> Alcotest.fail "alloc failed"
+  | Some mfn ->
+      Memory.Machine.split_block m ~mfn ~order;
+      Memory.Machine.free_run m ~mfn ~frames:(1 lsl order);
+      Alcotest.(check int) "all back" fpn (Memory.Machine.free_frames_on m 1);
+      Alcotest.check_raises "spans nodes" (Invalid_argument "Machine.free_run: run spans nodes")
+        (fun () -> Memory.Machine.free_run m ~mfn:(fpn - 1) ~frames:2)
+
 let test_machine_mask_vetoes_alloc () =
   let topo = Numa.Amd48.topology () in
   let m = Memory.Machine.create ~page_scale:262144 topo in
@@ -511,6 +637,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_buddy_trace;
         QCheck_alcotest.to_alcotest prop_buddy_partition;
         QCheck_alcotest.to_alcotest prop_buddy_full_free_coalesces;
+        QCheck_alcotest.to_alcotest prop_buddy_free_run_equals_per_frame;
       ] );
     ( "memory.buddy.offline",
       [
@@ -531,5 +658,7 @@ let suite =
         Alcotest.test_case "rejects bad scale" `Quick test_machine_rejects_bad_scale;
         Alcotest.test_case "offline node" `Quick test_machine_offline_node;
         Alcotest.test_case "mask vetoes alloc" `Quick test_machine_mask_vetoes_alloc;
+        Alcotest.test_case "create is sparse" `Quick test_machine_create_is_sparse;
+        Alcotest.test_case "free run" `Quick test_machine_free_run;
       ] );
   ]

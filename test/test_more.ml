@@ -143,6 +143,7 @@ let prop_buddy_reserve_never_allocated =
             drain ()
         | None -> ()
       in
+      ok := !ok && Memory.Buddy.check_consistent b;
       drain ();
       !ok)
 

@@ -251,7 +251,7 @@ let build_twin_p2m ~frames ~sp ~seed =
   for e = 0 to (frames / sp) - 1 do
     let base = e * sp in
     match Sim.Rng.int rng 3 with
-    | 0 ->
+    | 0 when sp > 1 ->
         let mfn = sp * Sim.Rng.int rng 512 in
         let w = Sim.Rng.bool rng in
         Xen.P2m.map_superpage a ~pfn:base ~mfn ~writable:w;
@@ -299,6 +299,45 @@ let prop_p2m_invalidate_batch_equals_per_page =
       if not (Xen.P2m.check_consistent a) then QCheck.Test.fail_report "inconsistent";
       stats.Xen.P2m.applied = List.length !freed_b
       && List.sort compare !freed_a = List.sort compare !freed_b)
+
+(* Differential property: [invalidate_range] over consecutive pfns is
+   [invalidate_batch] over the same pfns — table, version, update
+   stream, callback order and stats — with and without superpages and
+   an update hook, including ranges that run off the table (both raise
+   at the same pfn, having applied the same prefix). *)
+let prop_p2m_invalidate_range_equals_batch =
+  let frames = 64 in
+  QCheck.Test.make ~name:"p2m invalidate_range = invalidate_batch" ~count:300
+    QCheck.(quad int bool bool (pair (int_range 0 63) (int_range 0 68)))
+    (fun (seed, superpages, hook, (first, n)) ->
+      let sp = if superpages then 8 else 1 in
+      let a, b = build_twin_p2m ~frames ~sp ~seed in
+      let log p =
+        let events = ref [] in
+        if hook then Xen.P2m.set_on_update p (Some (fun u -> events := `Update u :: !events));
+        let on_splinter pfn = events := `Splinter_cb pfn :: !events in
+        let on_free pfn mfn = events := `Free_cb (pfn, mfn) :: !events in
+        (events, on_splinter, on_free)
+      in
+      let ev_a, on_splinter_a, on_free_a = log a and ev_b, on_splinter_b, on_free_b = log b in
+      let outcome f = match f () with s -> Ok s | exception Invalid_argument m -> Error m in
+      let ra =
+        outcome (fun () ->
+            Xen.P2m.invalidate_range ~on_splinter:on_splinter_a ~on_free:on_free_a a ~first ~n)
+      in
+      let rb =
+        outcome (fun () ->
+            Xen.P2m.invalidate_batch b ~on_splinter:on_splinter_b ~on_free:on_free_b
+              (Array.init n (fun i -> first + i))
+              ~n)
+      in
+      if ra <> rb then QCheck.Test.fail_report "results or exceptions differ";
+      if !ev_a <> !ev_b then QCheck.Test.fail_report "update or callback streams differ";
+      p2m_dump a = p2m_dump b
+      && Xen.P2m.version a = Xen.P2m.version b
+      && Xen.P2m.mapped_count a = Xen.P2m.mapped_count b
+      && Xen.P2m.splinter_count a = Xen.P2m.splinter_count b
+      && Xen.P2m.check_consistent a)
 
 let prop_p2m_migrate_batch_equals_per_page =
   let frames = 64 and sp = 8 in
@@ -809,6 +848,7 @@ let suite =
     ( "xen.p2m.batch",
       [
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_batch_equals_per_page;
+        QCheck_alcotest.to_alcotest prop_p2m_invalidate_range_equals_batch;
         QCheck_alcotest.to_alcotest prop_p2m_migrate_batch_equals_per_page;
         QCheck_alcotest.to_alcotest prop_p2m_batched_replay_equals_per_page;
         QCheck_alcotest.to_alcotest prop_batch_costs_bounded;

@@ -220,8 +220,12 @@ dune exec test/test_main.exe -- test faults
 # Same randomised seed over the property suites: the buddy partition
 # invariant (the memory.buddy filter also matches memory.buddy.offline,
 # whose free + allocated + offlined = total invariant covers page
-# offlining), the P2M superpage consistency invariant, the top-k heap
-# invariant, the batched-vs-per-page P2M equivalence, the evacuation
+# offlining, and memory.buddy.props; all three check
+# Buddy.check_consistent), the run-wise free_run = per-frame free
+# differential (memory.buddy), the P2M superpage consistency invariant,
+# the top-k heap invariant, the batched-vs-per-page P2M equivalence and
+# the invalidate_range = invalidate_batch differential (xen.p2m.batch),
+# the evacuation
 # frame-conservation property (post-drain P2M maps exactly the
 # pre-failure guest frames, none on an offlined mfn), the
 # replica-equivalence invariant (mirrors track the primary through any
