@@ -97,8 +97,8 @@ type t = {
           identical additions in identical order instead of re-running
           the O(threads×nodes) kernels, so results and traces stay
           bit-identical to the naive loop (the escape hatch is
-          [--no-fast-forward]).  Forced off internally for
-          fault-injection runs, unpinned vCPUs and observer runs.
+          [--no-fast-forward]).  The only whole-run switch: fault
+          plans, unpinned vCPUs and observers decide per epoch.
           [make] defaults the field to {!default_fast_forward}. *)
 }
 

@@ -101,8 +101,8 @@ type t = {
   replayed_epochs : int;
       (** Epochs served by the steady-state fast-forward's delta
           replay instead of the full kernels (0 with
-          [--no-fast-forward], under fault injection, or when the run
-          never reached a quiescent steady state).  Purely an
+          [--no-fast-forward], or when the run never reached a
+          quiescent steady state outside its fault windows).  Purely an
           accounting of {e how} epochs were computed: every other
           field is bit-identical whatever this value. *)
   faults_injected : int;  (** Total faults the injector fired (0 = clean). *)

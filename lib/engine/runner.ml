@@ -616,14 +616,14 @@ let distribute_thread st t ~accesses =
 (* The compute half of the epoch: capacity, instructions and the
    destination spread of every vCPU.  Everything written is indexed by
    the vCPU; everything read ([occupancy], the region weights, the
-   epoch parameters) is fixed for the epoch.  Under fault injection
-   the stall draw consumes the injector's shared stream in vCPU
-   order. *)
-let epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~mr ~freq
-    ~epoch_len ~threads =
+   epoch parameters) is fixed for the epoch.  Inside an armed stall
+   window the stall draw consumes the injector's shared stream in vCPU
+   order; outside one it is a constant [false] with no draw. *)
+let epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq ~epoch_len
+    ~threads =
   for t = 0 to threads - 1 do
     if st.finish.(t) < 0.0 then begin
-      if faults_on && Faults.Injector.vcpu_stalls injector then
+      if Faults.Injector.vcpu_stalls injector then
         (* Injected stall: the vCPU makes no progress this epoch; the
            lost time shows up as blocked time. *)
         st.thread_sync.(t) <- epoch_len
@@ -1160,6 +1160,7 @@ let run (cfg : Config.t) =
    in
    Faults.Injector.assign_node_targets injector ~candidates
      ~nodes:(Numa.Topology.node_count topo) ());
+  let fail_nodes = List.sort_uniq Int.compare (Faults.Injector.node_fail_targets injector) in
   (match obs_stream with
   | None -> ()
   | Some _ ->
@@ -1215,28 +1216,20 @@ let run (cfg : Config.t) =
     List.find (fun st -> st.domain.Xen.Domain.id = id) states
   in
   let running () = List.exists vm_running states in
-  (* Steady-state fast-forward.  Disqualified for the whole run when
-     the escape hatch is pulled, under fault injection (the stall draw
-     consumes a shared stream inside the kernel), with unpinned vCPUs
-     (the credit scheduler draws every epoch) or with an observer (it
-     reads live per-epoch telemetry).  Everything else is decided per
-     epoch: replay only while every running VM armed itself at the end
-     of a full epoch AND this epoch's pass A stayed clean AND the
-     horizon says no boundary work (Carrefour feed, promotion scan,
-     fault window) is due. *)
-  let ff_active =
-    cfg.Config.fast_forward && (not faults_on) && (not any_unpinned)
-    && cfg.Config.observer = None
-  in
+  (* Steady-state fast-forward.  [cfg.fast_forward] is the only
+     whole-run switch; everything else is decided per epoch: replay
+     only while every running VM armed itself at the end of a full
+     epoch AND this epoch's pass A stayed clean AND no vCPU moved AND
+     the horizon says no boundary work is due. *)
   let ff_until = ref 0 in
   let ff_replayed = ref 0 in
   (* Armed at the end of epoch [e], the replay may serve epochs
      strictly below this horizon: the next multiple of 10 when any VM
-     runs Carrefour (user-component feed) or P2M superpages (promotion
-     scan), the next epoch with a fault window armed (belt and braces
-     — fault runs never fast-forward), and a conservative estimate of
-     the earliest thread completion.  The per-epoch [replay_guard] is
-     the safety net; the completion clause only saves it work. *)
+     runs Carrefour (user-component feed), P2M superpages (promotion
+     scan) or the reconcile sweep (first-touch under a fault plan), the
+     next epoch with a fault window armed, and a conservative estimate
+     of the earliest thread completion.  The per-epoch [replay_guard]
+     is the safety net; the completion clause only saves it work. *)
   let skip_horizon e =
     let h = ref cfg.Config.max_epochs in
     let cut v = if v < !h then h := v in
@@ -1245,7 +1238,9 @@ let run (cfg : Config.t) =
         (fun st ->
           vm_running st
           && (Option.is_some (Policies.Manager.carrefour st.manager)
-             || Policies.Manager.superpages_enabled st.manager))
+             || Policies.Manager.superpages_enabled st.manager
+             || (faults_on
+                && st.spec.Config.policy.Policies.Spec.placement = Policies.Spec.First_touch)))
         states
     then cut (e - (e mod 10) + 10);
     (match Faults.Injector.next_armed_epoch injector ~after:(e + 1) with
@@ -1265,6 +1260,18 @@ let run (cfg : Config.t) =
           done)
       states;
     !h
+  in
+  (* Ticked on every running VM every epoch, replayed or not, so the
+     manager's clock is the epoch; only a fault plan feeds reconcile. *)
+  let tick st =
+    let was_evacuating = Policies.Manager.evacuating st.manager >= 0 in
+    Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
+        Policies.Manager.epoch_tick st.manager ~epoch:!epochs
+          ?guest_free:(if faults_on then Some (Guest.Pfn_pool.free_pfns st.pool) else None)
+          ());
+    (* During (and right after) a drain the placement cache is
+       wholesale-stale: re-resolve it through the P2M. *)
+    if was_evacuating || Policies.Manager.evacuating st.manager >= 0 then refresh_regions st
   in
   while running () && !epochs < cfg.Config.max_epochs do
     (match obs_stream with
@@ -1296,13 +1303,14 @@ let run (cfg : Config.t) =
                 end)
           states);
     Faults.Injector.set_epoch injector !epochs;
-    if faults_on then begin
-      (* Node RAS: mirror the injector's failing state into the
-         topology mask.  At a failing transition the node's machine
-         frames are retired immediately (free ones now, mapped ones
-         when freed) and every domain starts draining its resident
-         frames; a recovered node rejoins the mask and pool. *)
-      for n = 0 to nodes - 1 do
+    (* Node RAS: mirror the injector's failing state into the
+       topology mask.  At a failing transition the node's machine
+       frames are retired immediately (free ones now, mapped ones
+       when freed) and every domain starts draining its resident
+       frames; a recovered node rejoins the mask and pool.  Only the
+       plan's node-failure targets can move, in ascending order. *)
+    List.iter
+      (fun n ->
         bw_factor.(n) <- Faults.Injector.node_bandwidth_factor injector ~node:n;
         node_capacity.(n) <- controller_capacity *. Float.max 0.01 bw_factor.(n);
         let failing = Faults.Injector.node_failing injector ~node:n in
@@ -1317,21 +1325,20 @@ let run (cfg : Config.t) =
           Numa.Topology.set_node_online topo n true;
           ignore (Memory.Machine.online_node system.Xen.System.machine n);
           List.iter (fun st -> Policies.Manager.cancel_evacuation st.manager ~node:n) states
-        end
-      done;
-      (* ECC: per-domain draws, in VM order. *)
-      List.iter
-        (fun st ->
-          if vm_running st then
-            List.iter
-              (function
-                | Faults.Injector.Ce pfn -> Policies.Manager.handle_ecc_ce st.manager ~pfn
-                | Faults.Injector.Ue pfn ->
-                    Policies.Manager.handle_ecc_ue st.manager ~pfn;
-                    update_page_node st pfn)
-              (Faults.Injector.ecc_events injector ~frames:st.domain.Xen.Domain.mem_frames))
-        states
-    end;
+        end)
+      fail_nodes;
+    (* ECC: per-domain draws, in VM order. *)
+    List.iter
+      (fun st ->
+        if vm_running st then
+          List.iter
+            (function
+              | Faults.Injector.Ce pfn -> Policies.Manager.handle_ecc_ce st.manager ~pfn
+              | Faults.Injector.Ue pfn ->
+                  Policies.Manager.handle_ecc_ue st.manager ~pfn;
+                  update_page_node st pfn)
+            (Faults.Injector.ecc_events injector ~frames:st.domain.Xen.Domain.mem_frames))
+      states;
     (* Pass A runs for every epoch, replayed or not: the phase check
        and burst draw keep every RNG stream position identical to the
        naive loop's, and the snapshots feed the arming check. *)
@@ -1343,8 +1350,30 @@ let run (cfg : Config.t) =
           if st.ff_rotated || st.burst_victim >= 0 then pass_a_clean := false
         end)
       states;
+    (* Credit-scheduler accounting period: rebalance unpinned vCPUs
+       onto idle pCPUs.  The vCPU moves; its memory does not — exactly
+       the hazard the paper's introduction describes for guest-visible
+       NUMA topologies.  It draws every epoch, replayed or not; an
+       epoch in which a vCPU moved runs in full and stales every
+       capture. *)
+    let vcpus_moved =
+      any_unpinned
+      &&
+      let domains = List.map (fun st -> st.domain) states in
+      let movable (d : Xen.Domain.t) = not (st_of_domain d.Xen.Domain.id).spec.Config.pinned in
+      let active (d : Xen.Domain.t) v = (st_of_domain d.Xen.Domain.id).finish.(v) < 0.0 in
+      let migrations = Xen.Sched.balance topo ~rng:sched_rng ~domains ~movable ~active in
+      List.iter
+        (fun (m : Xen.Sched.migration) ->
+          let st = st_of_domain m.Xen.Sched.domain_id in
+          st.thread_node.(m.Xen.Sched.vcpu) <- Numa.Topology.node_of_cpu topo m.Xen.Sched.to_pcpu;
+          (* the migration itself costs an IPI + context switch *)
+          Xen.Ipi.send st.domain ~costs:system.Xen.System.costs)
+        migrations;
+      migrations <> []
+    in
     let replay =
-      ff_active && !pass_a_clean
+      cfg.Config.fast_forward && (not vcpus_moved) && !pass_a_clean
       && !epochs < !ff_until
       && List.for_all
            (fun st ->
@@ -1465,27 +1494,11 @@ let run (cfg : Config.t) =
                    values, not the last full epoch's. *)
                 Array.blit snap.sn_lat 0 st.avg_lat 0 threads
               end)
-            states)
+            states);
+      List.iter (fun st -> if vm_running st then tick st) states
     end
     else begin
     Array.fill node_demand 0 nodes 0.0;
-    (* Credit-scheduler accounting period: rebalance unpinned vCPUs
-       onto idle pCPUs.  The vCPU moves; its memory does not — exactly
-       the hazard the paper's introduction describes for guest-visible
-       NUMA topologies. *)
-    if any_unpinned then begin
-      let domains = List.map (fun st -> st.domain) states in
-      let movable (d : Xen.Domain.t) = not (st_of_domain d.Xen.Domain.id).spec.Config.pinned in
-      let active (d : Xen.Domain.t) v = (st_of_domain d.Xen.Domain.id).finish.(v) < 0.0 in
-      let migrations = Xen.Sched.balance topo ~rng:sched_rng ~domains ~movable ~active in
-      List.iter
-        (fun (m : Xen.Sched.migration) ->
-          let st = st_of_domain m.Xen.Sched.domain_id in
-          st.thread_node.(m.Xen.Sched.vcpu) <- Numa.Topology.node_of_cpu topo m.Xen.Sched.to_pcpu;
-          (* the migration itself costs an IPI + context switch *)
-          Xen.Ipi.send st.domain ~costs:system.Xen.System.costs)
-        migrations
-    end;
     (* dom0 load for this epoch, from the pv I/O still flowing. *)
     (dom0_active :=
        match dom0 with
@@ -1541,8 +1554,8 @@ let run (cfg : Config.t) =
           Array.fill st.thread_doit 0 threads 0.0;
           Array.fill st.thread_cap 0 threads 0.0;
           Obs.Profile.span Obs.Profile.Kernel_compute (fun () ->
-              epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~mr
-                ~freq ~epoch_len ~threads);
+              epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq
+                ~epoch_len ~threads);
           let accesses_acc = ref epoch_accesses.(vi) in
           Obs.Profile.span Obs.Profile.Reduce (fun () ->
               reduce_epoch_traffic st ~threads ~accesses_acc);
@@ -1632,7 +1645,7 @@ let run (cfg : Config.t) =
         let sat = Numa.Counters.max_route_saturation counters ~src ~dst in
         (* A degraded destination controller behaves like a saturated
            one: retries and dropped bandwidth inflate latency. *)
-        let sat = if faults_on then sat +. (1.0 -. bw_factor.(dst)) else sat in
+        let sat = sat +. (1.0 -. bw_factor.(dst)) in
         lat_memo.((src * nodes) + dst) <- Numa.Latency.mem_cycles latency ~hops ~saturation:sat
       done
     done;
@@ -1712,7 +1725,8 @@ let run (cfg : Config.t) =
               end);
           (* Fault-mode page churn: real alloc/release traffic through
              the pv queue, so op drops and lost batches leave stale P2M
-             entries for the reconciliation sweep to heal. *)
+             entries for the reconciliation sweep to heal.  Full epochs
+             only: a VM with a queue never arms. *)
           (match st.queue with
           | None -> ()
           | Some q ->
@@ -1737,27 +1751,7 @@ let run (cfg : Config.t) =
                     Guest.Pfn_pool.release st.pool pfn;
                     Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
               done);
-          (* Degradation housekeeping: drain deferred migrations and
-             periodically reconcile the P2M against the guest free
-             list.  Only under fault injection — a clean run must stay
-             bit-identical to the pre-faults engine. *)
-          if faults_on then begin
-            let was_evacuating = Policies.Manager.evacuating st.manager >= 0 in
-            Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
-                Policies.Manager.epoch_tick st.manager ~epoch:!epochs
-                  ~guest_free:(Guest.Pfn_pool.free_pfns st.pool)
-                  ());
-            (* During (and right after) a drain the placement cache is
-               wholesale-stale: re-resolve it through the P2M. *)
-            if was_evacuating || Policies.Manager.evacuating st.manager >= 0 then
-              refresh_regions st
-          end
-          else if Policies.Manager.superpages_enabled st.manager then
-            (* Clean runs historically skip the tick; superpage runs
-               need it for the promotion scan (drain/breaker parts are
-               no-ops without faults). *)
-            Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
-                Policies.Manager.epoch_tick st.manager ~epoch:!epochs ());
+          tick st;
           (* Carrefour runs its user component once per second (every
              tenth epoch), like the real system. *)
           (match Policies.Manager.carrefour st.manager with
@@ -1772,24 +1766,29 @@ let run (cfg : Config.t) =
                 | Some _ -> refresh_placement st
                 | None -> ());
           (* Arming check and capture.  The structural clauses prove
-             nothing moved this epoch's inputs (the P2M version covers
-             every mapping mutation — placement, migration, splinter,
-             promote; the finish count covers occupancy; I/O must have
-             drained so dom0 stays idle and disk DMA silent; superpage
-             VMs additionally need the manager quiescent, because their
-             clean-path [epoch_tick] is skipped during replay and must
-             be a provable no-op).  A structurally clean epoch is then
-             captured into the snapshot of its parity; it ARMS the
-             fast-forward when it bitwise reproduced the same-parity
-             capture of two epochs before — the witness that the
-             latency feedback settled into its (period ≤ 2) limit
-             cycle.  Any unclean epoch stales both captures, so a
-             fresh witness always spans consecutive clean epochs.  By
-             induction, every subsequent guarded epoch then reproduces
-             the opposite-parity capture's floats exactly. *)
-          if ff_active then begin
+             nothing moved this epoch's inputs: the P2M version covers
+             every mapping mutation; the finish count covers occupancy;
+             I/O must have drained so dom0 stays idle and disk DMA
+             silent; no vCPU moved; the manager is quiescent, so a
+             replayed epoch's tick only advances its clock; no churn
+             queue; and the next epoch is outside every armed fault
+             window, so both captures an arming leaves behind come from
+             unarmed epochs and a plan armed all run pays no captures.
+             A structurally clean epoch is then captured into the
+             snapshot of its parity; it ARMS the fast-forward when it
+             bitwise reproduced the same-parity capture of two epochs
+             before — the witness that the latency feedback settled
+             into its (period ≤ 2) limit cycle.  Any unclean epoch
+             stales both captures, so a fresh witness always spans
+             consecutive clean epochs.  By induction, every subsequent
+             guarded epoch then reproduces the opposite-parity
+             capture's floats exactly. *)
+          if cfg.Config.fast_forward then begin
             let clean =
-              Xen.P2m.version st.domain.Xen.Domain.p2m = st.ff_p2m_version
+              (not vcpus_moved) && st.queue = None
+              && Faults.Injector.next_armed_epoch injector ~after:(!epochs + 1)
+                 <> Some (!epochs + 1)
+              && Xen.P2m.version st.domain.Xen.Domain.p2m = st.ff_p2m_version
               && (not st.ff_rotated)
               && st.burst_victim < 0
               && (st.ff_io = 0.0
@@ -1799,8 +1798,7 @@ let run (cfg : Config.t) =
               && (let fin = ref 0 in
                   Array.iter (fun f -> if f >= 0.0 then incr fin) st.finish;
                   !fin = st.ff_finished)
-              && ((not (Policies.Manager.superpages_enabled st.manager))
-                 || Policies.Manager.quiescent st.manager)
+              && Policies.Manager.quiescent st.manager
             in
             if not clean then begin
               st.ff_armed <- false;
@@ -1840,7 +1838,7 @@ let run (cfg : Config.t) =
         end)
       states;
     if
-      ff_active
+      cfg.Config.fast_forward
       && List.for_all (fun st -> (not (vm_running st)) || st.ff_armed) states
     then ff_until := skip_horizon !epochs
     end;

@@ -19,9 +19,9 @@ val run : Config.t -> Result.t
     Steady state is fast-forwarded by default
     ({!Config.t.fast_forward}): when an epoch's inputs provably
     reached a fixed point — no P2M mutation, no phase rotation or
-    burst, no thread started or finished, I/O drained, latency
-    feedback bitwise converged, no Carrefour/promotion/fault boundary
-    due — the runner replays the armed epoch's captured float deltas
+    burst, no thread started or finished, no vCPU moved, I/O drained,
+    manager quiescent, latency feedback bitwise converged, no
+    Carrefour/promotion/reconcile/fault boundary due — the runner replays the armed epoch's captured float deltas
     by identical additions in identical order instead of re-running
     the O(threads×nodes) kernels.  Results and traces are
     bit-identical to the naive loop; only

@@ -121,17 +121,19 @@ let next_armed_epoch t ~after =
 
 (* Fold the plan: every armed matching spec draws independently, and
    the fault fires if any draw does.  Draw-per-spec (no short-circuit)
-   keeps the stream advance a function of the plan and epoch alone. *)
+   keeps the stream advance a function of the plan and epoch alone.
+   The engine asks every epoch: an empty plan answers unfolded. *)
 let query t ~f =
-  List.fold_left
-    (fun fired (s : Plan.spec) ->
-      if not (armed t s.Plan.window) then fired
-      else begin
-        match f s.Plan.site with
-        | None -> fired
-        | Some rate -> Sim.Rng.bernoulli t.rng rate || fired
-      end)
-    false t.plan
+  enabled t
+  && List.fold_left
+       (fun fired (s : Plan.spec) ->
+         if not (armed t s.Plan.window) then fired
+         else begin
+           match f s.Plan.site with
+           | None -> fired
+           | Some rate -> Sim.Rng.bernoulli t.rng rate || fired
+         end)
+       false t.plan
 
 (* ------------------------------------------------------------------ *)
 (* Node failure (hardware RAS)                                         *)
@@ -207,7 +209,7 @@ type ecc_event = Ce of int | Ue of int
    query, fired or not: the stream advance stays a function of the
    plan and epoch alone, never of which faults happened to fire. *)
 let ecc_events t ~frames =
-  if frames <= 0 then []
+  if frames <= 0 || not (enabled t) then []
   else begin
     let events =
       List.fold_left

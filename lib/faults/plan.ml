@@ -24,7 +24,7 @@ type t = spec list
 
 let empty = []
 
-let is_empty t = t = []
+let is_empty = List.is_empty
 
 let spec ?(from_epoch = 0) ?until_epoch site =
   { site; window = { from_epoch; until_epoch } }

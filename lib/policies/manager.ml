@@ -1206,7 +1206,7 @@ let degrade t = t.degrade
 let pending_migrations t = Queue.length t.pending
 
 (* Nothing deferred, nothing in flight: an [epoch_tick] delivered now
-   would only advance [t.epoch].  The pending queue and evacuation
+   only advances [t.epoch].  The pending queue and evacuation
    engine must be drained, the breaker closed with its cooldown event
    already emitted, and the breaker window below the evaluation
    threshold — [evaluate_breaker] only acts at [breaker_min_attempts],

@@ -226,8 +226,8 @@ val quiescent : t -> bool
     its cooldown event already emitted) and its evaluation window is
     below the trip threshold, so a skipped evaluation is a no-op.
     When [quiescent] holds, an {!epoch_tick} that is not a
-    promote-scan or reconcile boundary would only advance the
-    manager's epoch clock — the engine's steady-state fast-forward
-    relies on this to skip such ticks entirely. *)
+    promote-scan or reconcile boundary only advances the manager's
+    epoch clock — the engine's steady-state fast-forward relies on
+    this on the epochs it replays. *)
 
 val node_of_pfn : t -> Memory.Page.pfn -> Numa.Topology.node option

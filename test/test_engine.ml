@@ -234,28 +234,43 @@ let test_fewer_threads_slower () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* The fault plans the fast-forward property runs under: empty, then
+   windows of each kind the replay must step around, then a
+   first-touch churn plan (on the fault suite's shrunk wrmem) whose pv
+   queue keeps the VM from arming. *)
+let ff_fault_plans =
+  [| ""; "stall=1.0@5-15"; "ecc-ue=0.5@10-20"; "node_fail=0.5@10-25"; "batch-loss=0.3" |]
+
 (* The fast-forward acceptance property: with quiescence-tracked delta
    replay on, every reduced field of the result record — completions,
-   latencies, histograms, local fractions — is structurally identical
-   (floats compared bitwise) to the naive run's; only the
-   [replayed_epochs] accounting may differ.  Randomised over policy,
-   superpages, pt-walk, vCPU count and seed so replay is exercised
-   under Carrefour decade boundaries, promote scans and small and
+   latencies, histograms, local fractions, degradation counters — is
+   structurally identical (floats compared bitwise) to the naive run's;
+   only the [replayed_epochs] accounting may differ.  Randomised over
+   policy, superpages, pt-walk, vCPU count, seed, fault plan and
+   pinning, so replay is exercised under Carrefour decade boundaries,
+   promote scans, fault windows, unpinned vCPUs and small and
    odd-sized VMs. *)
 let prop_ff_run_identical =
-  QCheck.Test.make ~name:"fast-forward result equals naive" ~count:6
-    QCheck.(quad (int_range 0 9) (int_range 1 9) (int_range 0 1000) bool)
-    (fun (policy_idx, threads, seed, superpages) ->
+  QCheck.Test.make ~name:"fast-forward result equals naive" ~count:8
+    QCheck.(
+      pair
+        (quad (int_range 0 9) (int_range 1 9) (int_range 0 1000) bool)
+        (pair (int_range 0 (Array.length ff_fault_plans - 1)) bool))
+    (fun ((policy_idx, threads, seed, superpages), (plan_idx, pinned)) ->
+      let churn = plan_idx = Array.length ff_fault_plans - 1 in
       let policy =
-        List.nth Policies.Spec.all (policy_idx mod List.length Policies.Spec.all)
+        if churn then Policies.Spec.first_touch
+        else List.nth Policies.Spec.all (policy_idx mod List.length Policies.Spec.all)
       in
       let pt_walk = seed mod 2 = 0 in
+      let faults = Faults.Plan.of_string_exn ff_fault_plans.(plan_idx) in
       let cell fast_forward =
         let vm =
-          Engine.Config.vm ~threads ~superpages ~pt_walk ~policy (app "swaptions")
+          Engine.Config.vm ~threads ~superpages ~pt_walk ~pinned ~policy
+            (if churn then Test_faults.tiny_app () else app "swaptions")
         in
         Engine.Runner.run
-          (Engine.Config.make ~seed ~max_epochs:60 ~fast_forward
+          (Engine.Config.make ~seed ~max_epochs:60 ~faults ~fast_forward
              ~mode:Engine.Config.Xen_plus [ vm ])
       in
       let ff = cell true and naive = cell false in
@@ -277,17 +292,67 @@ let test_ff_replays_steady_state () =
   Alcotest.(check bool) "most epochs replayed" true
     (ff.Engine.Result.replayed_epochs > ff.Engine.Result.epochs / 2)
 
-let test_ff_forced_off_under_faults () =
-  (* Fault runs must disable fast-forward wholesale, not merely skip
-     armed windows. *)
-  let faults = Faults.Plan.of_string_exn "stall=0.05@2-30" in
-  let vm = Engine.Config.vm ~threads:6 ~policy:Policies.Spec.round_4k (app "swaptions") in
-  let r =
-    Engine.Runner.run
-      (Engine.Config.make ~seed:9 ~max_epochs:80 ~faults ~fast_forward:true
-         ~mode:Engine.Config.Xen_plus [ vm ])
+let test_ff_no_whole_run_forks () =
+  (* None of these forks the engine: a fault plan replays outside its
+     windows, unpinned vCPUs replay between scheduler moves, and an
+     observer sees the same snapshots either way.  The trace must match
+     too: a node failure after a replay span stamps its drain time with
+     the manager's clock, which only stays right if replayed epochs
+     tick it. *)
+  let check name ?(faults = "") ?(pinned = true) ?(threads = 6) ?(vms = 1)
+      ?(policy = Policies.Spec.round_4k) ?(max_epochs = 120) () =
+    let cell fast_forward =
+      let snaps = ref [] in
+      let session = Obs.Trace.create ~capacity:32_768 () in
+      Obs.Trace.install session;
+      let vm = Engine.Config.vm ~threads ~pinned ~policy (app "swaptions") in
+      let r =
+        Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+            Engine.Runner.run
+              (Engine.Config.make ~seed:9 ~max_epochs ~fast_forward
+                 ~faults:(Faults.Plan.of_string_exn faults)
+                 ~observer:(fun s -> snaps := s :: !snaps)
+                 ~mode:Engine.Config.Xen_plus (List.init vms (fun _ -> vm))))
+      in
+      (r, List.rev !snaps, Obs.Trace.render_jsonl session)
+    in
+    let ff, ff_snaps, ff_trace = cell true in
+    let naive, naive_snaps, naive_trace = cell false in
+    Alcotest.(check bool) (name ^ ": replays") true (ff.Engine.Result.replayed_epochs > 0);
+    Alcotest.(check bool) (name ^ ": result equals naive") true
+      ({ ff with Engine.Result.replayed_epochs = 0 } = naive);
+    Alcotest.(check bool) (name ^ ": snapshots equal naive") true (ff_snaps = naive_snaps);
+    Alcotest.(check string) (name ^ ": trace equals naive") naive_trace ff_trace
   in
-  Alcotest.(check int) "no replay under faults" 0 r.Engine.Result.replayed_epochs
+  check "faults" ~faults:"stall=0.05@2-30" ();
+  check "node failure" ~faults:"node_fail=1.0@120-170" ~threads:48
+    ~policy:Policies.Spec.first_touch ~max_epochs:1_000 ();
+  check "unpinned" ~pinned:false ~threads:48 ~vms:2 ~max_epochs:1_000 ();
+  check "observer" ()
+
+(* A clean run ticks the manager too.  Six wr vCPUs homed on node 0
+   overflow its memory at first touch: every page the allocator places
+   elsewhere is fallback debt in the retry queue.  The tick drains that
+   debt, and the failing retries trip the breaker on a clock that
+   advances, so it also cools down and escalates. *)
+let test_clean_run_ticks_manager () =
+  let vm =
+    Engine.Config.vm ~threads:6 ~home_nodes:[| 0 |] ~policy:Policies.Spec.first_touch_carrefour
+      (app "wr")
+  in
+  let cell fast_forward =
+    Engine.Runner.run
+      (Engine.Config.make ~seed:42 ~max_epochs:200 ~fast_forward ~mode:Engine.Config.Xen_plus
+         [ vm ])
+  in
+  let r = cell true and naive = cell false in
+  Alcotest.(check bool) "fast-forward equals naive" true
+    ({ r with Engine.Result.replayed_epochs = 0 } = naive);
+  let d = (Engine.Result.single r).Engine.Result.degradation in
+  Alcotest.(check int) "no faults injected" 0 r.Engine.Result.faults_injected;
+  Alcotest.(check bool) "fallback debt at boot" true (d.Engine.Result.fallback_maps > 0);
+  Alcotest.(check int) "breaker trips" 4 d.Engine.Result.breaker_trips;
+  Alcotest.(check int) "breaker level" 2 d.Engine.Result.breaker_level
 
 let test_p2m_version_monotone () =
   let t = Xen.P2m.create ~sp_frames:1 ~frames:64 () in
@@ -385,7 +450,8 @@ let suite =
       [
         qcheck prop_ff_run_identical;
         Alcotest.test_case "replays steady state" `Quick test_ff_replays_steady_state;
-        Alcotest.test_case "forced off under faults" `Quick test_ff_forced_off_under_faults;
+        Alcotest.test_case "no whole-run forks" `Quick test_ff_no_whole_run_forks;
+        Alcotest.test_case "clean run ticks manager" `Quick test_clean_run_ticks_manager;
         Alcotest.test_case "p2m version monotone" `Quick test_p2m_version_monotone;
         Alcotest.test_case "next armed epoch edges" `Quick test_next_armed_epoch_edges;
       ] );

@@ -139,6 +139,75 @@ let test_injector_empty_disabled () =
   Faults.Injector.set_epoch inj 3;
   Alcotest.(check bool) "never fires" false (Faults.Injector.migrate_fails inj)
 
+(* Random plans: one to four specs of any site, bounded or open windows. *)
+let gen_plan =
+  let open QCheck.Gen in
+  let rate = float_bound_inclusive 1.0 in
+  let site =
+    oneof
+      [
+        map (fun r -> Faults.Plan.Alloc_flaky r) rate;
+        map (fun n -> Faults.Plan.Node_offline n) (int_bound 7);
+        map (fun r -> Faults.Plan.Migrate_enomem r) rate;
+        map (fun r -> Faults.Plan.Batch_loss r) rate;
+        map (fun r -> Faults.Plan.Op_drop r) rate;
+        map (fun r -> Faults.Plan.Hypercall_flaky r) rate;
+        map (fun r -> Faults.Plan.Iommu_storm r) rate;
+        map (fun r -> Faults.Plan.Vcpu_stall r) rate;
+        map (fun r -> Faults.Plan.Ecc_ce r) rate;
+        map (fun r -> Faults.Plan.Ecc_ue r) rate;
+        map (fun r -> Faults.Plan.Node_fail r) rate;
+      ]
+  in
+  let spec =
+    map3
+      (fun site from_epoch span ->
+        match span with
+        | None -> Faults.Plan.spec ~from_epoch site
+        | Some n -> Faults.Plan.spec ~from_epoch ~until_epoch:(from_epoch + 1 + n) site)
+      site (int_bound 40) (opt (int_bound 30))
+  in
+  list_size (int_range 1 4) spec
+
+(* The lemma the engine's fast-forward rests on: at an epoch where no
+   window is armed ([next_armed_epoch ~after:e <> Some e]), every site
+   query answers false (or no events, full bandwidth) and leaves the
+   injector — stream, stats, node-fault bookkeeping — exactly where an
+   untouched twin's is.  So skipping those queries on a replayed epoch
+   changes nothing. *)
+let prop_unarmed_queries_inert =
+  QCheck.Test.make ~name:"injector: unarmed epochs answer no and draw nothing" ~count:500
+    QCheck.(
+      triple
+        (make ~print:Faults.Plan.to_string gen_plan)
+        (int_range 0 100) small_nat)
+    (fun (plan, epoch, seed) ->
+      let make () =
+        let inj = Faults.Injector.create ~seed plan in
+        Faults.Injector.assign_node_targets inj ~nodes:8 ();
+        Faults.Injector.set_epoch inj epoch;
+        inj
+      in
+      let inj = make () and twin = make () in
+      QCheck.assume (Faults.Injector.next_armed_epoch inj ~after:epoch <> Some epoch);
+      let quiet =
+        List.for_all
+          (fun node ->
+            (not (Faults.Injector.alloc_fails inj ~node))
+            && (not (Faults.Injector.node_failing inj ~node))
+            && (not (Faults.Injector.node_offline inj ~node))
+            && Faults.Injector.node_bandwidth_factor inj ~node = 1.0)
+          (List.init 8 Fun.id)
+        && (not (Faults.Injector.migrate_fails inj))
+        && (not (Faults.Injector.batch_lost inj ~ops:4))
+        && (not (Faults.Injector.op_dropped inj))
+        && (not (Faults.Injector.hypercall_fails inj))
+        && (not (Faults.Injector.iommu_faults inj))
+        && (not (Faults.Injector.vcpu_stalls inj))
+        && Faults.Injector.ecc_events inj ~frames:4096 = []
+      in
+      quiet && Marshal.to_string inj [] = Marshal.to_string twin [])
+
 (* ---------------------------- RAS sites ---------------------------- *)
 
 let test_injector_ecc_deterministic () =
@@ -784,6 +853,7 @@ let suite =
           test_injector_node_fail_lifecycle;
         Alcotest.test_case "injector node-fail recovers" `Quick
           test_injector_node_fail_transient_recovers;
+        QCheck_alcotest.to_alcotest prop_unarmed_queries_inert;
         Alcotest.test_case "p2m rejects negative mfn" `Quick test_p2m_rejects_negative_mfn;
         Alcotest.test_case "p2m check_consistent" `Quick test_p2m_check_consistent;
         Alcotest.test_case "queue re-entrant flush" `Quick test_queue_reentrant_flush;

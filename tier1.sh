@@ -148,6 +148,33 @@ cmp "$TRACE_DIR/ffcon.jsonl" "$TRACE_DIR/ffcoff.jsonl" || {
   echo "tier1: FAIL - carrefour-cell traces differ between fast-forward on and off" >&2
   exit 1
 }
+# The same bar for the runs that used to fork the engine: a fault plan
+# with a node-failure window (replays outside it; the manager tick keeps
+# its clock on replayed epochs, so the drain timing matches), unpinned
+# vCPUs (the credit scheduler draws on every epoch), and the whole RAS
+# grid.
+dune exec bin/xen_numa_sim.exe -- run swaptions -p first-touch --faults node_fail=1.0@120-170 \
+  --trace "$TRACE_DIR/ffnon.jsonl" >/dev/null
+dune exec bin/xen_numa_sim.exe -- run swaptions -p first-touch --faults node_fail=1.0@120-170 \
+  --no-fast-forward --trace "$TRACE_DIR/ffnoff.jsonl" >/dev/null
+cmp "$TRACE_DIR/ffnon.jsonl" "$TRACE_DIR/ffnoff.jsonl" || {
+  echo "tier1: FAIL - node-failure traces differ between fast-forward on and off" >&2
+  exit 1
+}
+dune exec bin/xen_numa_sim.exe -- run cg.C -t 48 -m xen+ -p first-touch/carrefour --unpinned \
+  --trace "$TRACE_DIR/ffuon.jsonl" >/dev/null
+dune exec bin/xen_numa_sim.exe -- run cg.C -t 48 -m xen+ -p first-touch/carrefour --unpinned \
+  --no-fast-forward --trace "$TRACE_DIR/ffuoff.jsonl" >/dev/null
+cmp "$TRACE_DIR/ffuon.jsonl" "$TRACE_DIR/ffuoff.jsonl" || {
+  echo "tier1: FAIL - unpinned traces differ between fast-forward on and off" >&2
+  exit 1
+}
+dune exec bench/main.exe -- ras --jobs 2 --no-fast-forward --trace "$TRACE_DIR/rasoff.jsonl" \
+  --trace-cap 512 >/dev/null
+cmp "$TRACE_DIR/ras1.jsonl" "$TRACE_DIR/rasoff.jsonl" || {
+  echo "tier1: FAIL - ras traces differ between fast-forward on and off" >&2
+  exit 1
+}
 echo "tier1: fast-forward trace equivalence OK"
 
 # Trace query engine smoke: the streaming query over the tab1 traces
@@ -210,8 +237,10 @@ echo "tier1: profiler and SLO smoke OK"
 
 # Short randomised chaos pass: a fresh QCHECK_SEED (overridable for
 # replay) re-runs the fault-injection property suite, whose
-# frame-accounting invariant (no leaks, no double frees) fails the
-# build on violation.
+# frame-accounting invariant (no leaks, no double frees) and the
+# unarmed-epoch injector property (no answer, no draw outside armed
+# windows — what the fast-forward relies on) fail the build on
+# violation.
 QCHECK_SEED="${QCHECK_SEED:-$(date +%s)}"
 export QCHECK_SEED
 echo "tier1: randomised chaos pass (QCHECK_SEED=$QCHECK_SEED)"
@@ -231,7 +260,8 @@ dune exec test/test_main.exe -- test faults
 # replica-equivalence invariant (mirrors track the primary through any
 # op interleaving), the radix walk monotonicity properties, the
 # fast-forward equivalence property (a delta-replayed run equals the
-# naive run bit for bit across randomised policies and vCPU counts),
+# naive run bit for bit across randomised policies, vCPU counts, fault
+# plans and pinning),
 # and the Carrefour properties (the budget-bounded decide equals the
 # full-ranking oracle in actions and RNG state; the heat table's cached
 # row sums and argmax stay exact under decay and sampling).
