@@ -162,6 +162,80 @@ let bench_carrefour_decide_budget () =
       Policies.Carrefour.User_component.decide config ~workspace ~rng ~metrics ~node_of:(fun _ ->
           0))
 
+let bench_carrefour_decay () =
+  (* One heat-table decay over 4096 live rows of 8 nodes.  The rows
+     start at 2^900 accesses, so they live ~900 periods; the table is
+     refilled when they are gone, an amortised ~5 samples per call. *)
+  let system = Xen.System.create ~page_scale:262144 (Numa.Amd48.topology ()) in
+  let domain =
+    Xen.System.create_domain system ~name:"decay" ~kind:Xen.Domain.DomU ~vcpus:6
+      ~mem_bytes:(4 * 1024 * 1024 * 1024) ()
+  in
+  let sys = Policies.Carrefour.System_component.create system domain in
+  let heat = Float.ldexp 1.0 900 in
+  let fill () =
+    for pfn = 0 to 4095 do
+      let node_accesses = Array.init 8 (fun n -> if n = pfn land 7 then heat else heat /. 64.0) in
+      Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses ~read_fraction:0.5
+    done
+  in
+  Bechamel.Staged.stage (fun () ->
+      if Policies.Carrefour.System_component.tracked_pages sys = 0 then fill ();
+      Policies.Carrefour.System_component.begin_epoch sys)
+
+let bench_promote_scan () =
+  (* One promotion scan over 512 extents of 32 frames, none of them
+     promotable: each has a hole, a frame on a second node or a frame
+     of differing writability at a rotating offset, or is scattered on
+     a node with no free 2 MiB block left.  The scan finds nothing, so
+     every call examines all 512 extents. *)
+  let system = Xen.System.create ~page_scale:16 (Numa.Amd48.topology ()) in
+  let domain =
+    Xen.System.create_domain system ~name:"scan" ~kind:Xen.Domain.DomU ~vcpus:6
+      ~mem_bytes:(512 * 2 * 1024 * 1024) ()
+  in
+  let manager =
+    Policies.Manager.attach ~superpages:true system domain ~boot:Policies.Spec.first_touch
+      ~rng:(Sim.Rng.create ~seed:1)
+  in
+  let machine = system.Xen.System.machine and p2m = domain.Xen.Domain.p2m in
+  let sp = Xen.P2m.sp_frames p2m and order = Memory.Machine.order_2m machine in
+  let starved = 7 in
+  let frame node = Option.get (Memory.Machine.alloc_frame machine ~node) in
+  let block node =
+    let b = Option.get (Memory.Machine.alloc_on machine ~node ~order) in
+    Memory.Machine.split_block machine ~mfn:b ~order;
+    b
+  in
+  for e = 0 to 511 do
+    let base = e * sp and node = e mod 7 and at = e * 7 mod sp in
+    let set i ~mfn ~writable = Xen.P2m.set p2m (base + i) ~mfn ~writable in
+    match e mod 4 with
+    | 0 ->
+        let b = block node in
+        for i = 0 to sp - 1 do
+          if i <> at then set i ~mfn:(b + i) ~writable:true
+        done
+    | 1 ->
+        let b = block node in
+        for i = 0 to sp - 1 do
+          set i ~mfn:(if i = at then frame ((node + 1) mod 7) else b + i) ~writable:true
+        done
+    | 2 ->
+        let b = block node in
+        for i = 0 to sp - 1 do
+          set i ~mfn:(b + i) ~writable:(i <> at)
+        done
+    | _ ->
+        for i = sp - 1 downto 0 do
+          set i ~mfn:(frame starved) ~writable:true
+        done
+  done;
+  while Memory.Machine.alloc_on machine ~node:starved ~order <> None do
+    ()
+  done;
+  Bechamel.Staged.stage (fun () -> Policies.Manager.promote_scan manager)
+
 let bench_zipf () =
   let rng = Sim.Rng.create ~seed:2 in
   Bechamel.Staged.stage (fun () -> Sim.Rng.zipf rng ~n:32768 ~s:0.9)
@@ -252,6 +326,8 @@ let micro_tests =
     Test.make ~name:"counters record" (bench_counters ());
     Test.make ~name:"carrefour decide (128 hot)" (bench_carrefour_decide ());
     Test.make ~name:"carrefour decide (4096 rows, budget 40)" (bench_carrefour_decide_budget ());
+    Test.make ~name:"carrefour decay (4096 rows)" (bench_carrefour_decay ());
+    Test.make ~name:"promote scan (512 mixed extents)" (bench_promote_scan ());
     Test.make ~name:"rng zipf 32k" (bench_zipf ());
     Test.make ~name:"eventq schedule+next" (bench_eventq ());
     Test.make ~name:"quiescence check" (bench_ff_guard ());

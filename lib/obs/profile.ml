@@ -15,6 +15,8 @@ type phase =
   | Kernel_latency
   | Reduce
   | Carrefour_feed
+  | Carrefour_decay
+  | Carrefour_decide
   | P2m_batch
   | Pv_flush
   | Epoch_tick
@@ -30,6 +32,8 @@ let phases =
     Kernel_latency;
     Reduce;
     Carrefour_feed;
+    Carrefour_decay;
+    Carrefour_decide;
     P2m_batch;
     Pv_flush;
     Epoch_tick;
@@ -45,13 +49,15 @@ let phase_index = function
   | Kernel_latency -> 2
   | Reduce -> 3
   | Carrefour_feed -> 4
-  | P2m_batch -> 5
-  | Pv_flush -> 6
-  | Epoch_tick -> 7
-  | Manager_promote_scan -> 8
-  | Manager_reconcile -> 9
-  | Manager_release -> 10
-  | Ff_replay -> 11
+  | Carrefour_decay -> 5
+  | Carrefour_decide -> 6
+  | P2m_batch -> 7
+  | Pv_flush -> 8
+  | Epoch_tick -> 9
+  | Manager_promote_scan -> 10
+  | Manager_reconcile -> 11
+  | Manager_release -> 12
+  | Ff_replay -> 13
 
 let phase_name = function
   | Kernel_compute -> "kernel.compute"
@@ -59,6 +65,8 @@ let phase_name = function
   | Kernel_latency -> "kernel.latency"
   | Reduce -> "reduce"
   | Carrefour_feed -> "carrefour.feed"
+  | Carrefour_decay -> "carrefour.decay"
+  | Carrefour_decide -> "carrefour.decide"
   | P2m_batch -> "p2m.batch"
   | Pv_flush -> "pv.flush"
   | Epoch_tick -> "manager.epoch_tick"

@@ -12,6 +12,8 @@ type phase =
   | Kernel_latency  (** per-vCPU weighted-latency kernel *)
   | Reduce  (** sequential fixed-order reductions *)
   | Carrefour_feed  (** per-epoch carrefour sample feed *)
+  | Carrefour_decay  (** heat-table decay, nested in [Carrefour_feed] *)
+  | Carrefour_decide  (** user-component decision, nested in [Carrefour_feed] *)
   | P2m_batch  (** batched P2M invalidate/map/migrate replay *)
   | Pv_flush  (** PV queue partition flush *)
   | Epoch_tick  (** policy manager epoch tick *)

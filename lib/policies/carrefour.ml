@@ -40,6 +40,10 @@ type hot = {
       (* ranking key per row (the heat table's accumulated total);
          rows need not arrive sorted — decide ranks by (key desc,
          pfn asc, row asc) *)
+  scale : float;
+      (* power of two every value of counts/sums/reads/keys carries:
+         the heat table's decay scale in the unranked readout, 1.0
+         everywhere else *)
 }
 
 (* The heat table's [read_fraction_of_row]: 1.0 for a row that never
@@ -65,13 +69,14 @@ let hot_of_samples samples =
       reads.(i) <- s.read_fraction *. key;
       keys.(i) <- key)
     samples;
-  { nodes; count; pfns; counts; sums; best; reads; keys }
+  { nodes; count; pfns; counts; sums; best; reads; keys; scale = 1.0 }
 
 let samples_of_hot hot =
   List.init hot.count (fun i ->
       {
         pfn = hot.pfns.(i);
-        node_accesses = Array.sub hot.counts (i * hot.nodes) hot.nodes;
+        node_accesses =
+          Array.init hot.nodes (fun j -> hot.counts.((i * hot.nodes) + j) /. hot.scale);
         read_fraction = read_fraction hot i;
       })
 
@@ -170,20 +175,45 @@ let sel_buffer ws n =
 
 module System_component = struct
   (* Structure-of-arrays heat table.  [slot] direct-maps a pfn to its
-     row (+1, 0 = absent); rows [0 .. live-1] are the tracked pages in
-     insertion order.  [totals] carries the incrementally accumulated
-     heat (the historical [heat.total] field): it can differ from the
-     row sum in the last ulp, and it is what keys the top-k readout,
-     so it is stored rather than recomputed.  [sums] caches the row sum
-     itself, always bit-equal to [row_total] of the row, and [best] its
-     [row_argmax]: [record_sample] recomputes both for the rows it
-     touches, and the user component reads them instead of scanning
-     every row every period.  [decay] gets the sum free while halving.
-     It keeps [best]: halving a live row is exact where it matters — a
-     live row sums to at least 1.0, so its largest count is a normal
-     float, halves exactly and stays strictly above every count it
-     beat — so the argmax, and the ratio of its count to the sum, do
-     not move. *)
+     row (+1, 0 = absent); rows [0 .. live-1] are the tracked pages, in
+     no particular order.  [totals] carries the incrementally
+     accumulated heat (the historical [heat.total] field): it can
+     differ from the row sum in the last ulp, and it is what keys the
+     top-k readout, so it is stored rather than recomputed.  [sums]
+     caches the row sum itself, always bit-equal to [row_total] of the
+     row, and [best] its [row_argmax]: [record_sample] recomputes both
+     for the rows it touches, and the user component reads them
+     instead of scanning every row every period.
+
+     Decay by exponent.  Every stored value is its logical value times
+     [scale] = 2^[exp], and halving the whole table is [exp + 1]: the
+     stored values stay put.  Multiplying by a power of two is exact,
+     and so are sums, products and comparisons of values that all carry
+     the same power-of-two factor, so every operation on the scaled
+     table gives the scaled result of the same operation on the eagerly
+     halved one, bit for bit.  Samples enter as [a *. scale]; readouts
+     that copy divide it back out.  Three things keep the equivalence
+     exact:
+     - Halving is exact unless the logical value is below 2^-1021,
+       where the result can be subnormal and round.  [least] holds, per
+       row, the smallest non-zero magnitude among the row's counts and
+       read heat; a row whose [least] is that small takes the stepwise
+       path ([halve_tiny]): each such value is unscaled, halved with
+       the eager rounding and rescaled.  So the stored value is always
+       a float times 2^[exp], exactly.
+     - The row sum after halving is the scaled sum before it, so decay
+       keeps [sums] and [best] as they are — the eager decay kept
+       [best] too — and sets [totals] to the sum.  Only [halve_tiny]
+       recomputes the sum.
+     - [exp] returns to 0 every [renormalise_at] periods: every value
+       is divided by [scale], which is exact because the quotient is a
+       float.  Logical values below 2^(1023 - renormalise_at) cannot
+       overflow the scaled table.
+
+     Dropped rows are swap-removed: the last row fills the hole.  No
+     consumer depends on row order: the readouts rank by the strict
+     (key, pfn) order and [User_component.decide] is invariant under
+     row permutations. *)
   type t = {
     system : Xen.System.t;
     domain : Xen.Domain.t;
@@ -195,13 +225,16 @@ module System_component = struct
     mutable totals : float array;
     mutable sums : float array;
     mutable best : int array;
+    mutable least : float array;  (* smallest non-zero |count| or |read|, infinity if none *)
     mutable live : int;
+    mutable exp : int;
+    mutable scale : float;  (* 2^exp *)
     replicas : (Memory.Page.pfn, Memory.Page.mfn list) Hashtbl.t;
-    mutable epoch : int;
     workspace : workspace;
   }
 
   let initial_rows = 1024
+  let renormalise_at = 64
 
   let create system domain =
     let nodes = Numa.Topology.node_count system.Xen.System.topo in
@@ -216,9 +249,11 @@ module System_component = struct
       totals = Array.make initial_rows 0.0;
       sums = Array.make initial_rows 0.0;
       best = Array.make initial_rows 0;
+      least = Array.make initial_rows 0.0;
       live = 0;
+      exp = 0;
+      scale = 1.0;
       replicas = Hashtbl.create 64;
-      epoch = 0;
       workspace = workspace ();
     }
 
@@ -253,41 +288,99 @@ module System_component = struct
       t.counts <- grow_f t.counts (cap' * t.nodes);
       t.reads <- grow_f t.reads cap';
       t.totals <- grow_f t.totals cap';
-      t.sums <- grow_f t.sums cap'
+      t.sums <- grow_f t.sums cap';
+      t.least <- grow_f t.least cap'
     end
 
-  (* Halve every row in place, drop rows whose decayed sum falls below
-     1.0, compacting survivors toward row 0 (insertion order is
-     preserved; the readouts are ordering-insensitive anyway).  The
-     decayed sum is accumulated in the same order as [row_total], so it
-     is the row's new cached sum. *)
-  let decay t =
+  (* Recompute row [r]'s cached sum, argmax and [least]. *)
+  let refresh t r =
     let nodes = t.nodes in
-    let w = ref 0 in
+    let base = r * nodes in
+    t.sums.(r) <- row_total t.counts ~base ~nodes;
+    t.best.(r) <- row_argmax t.counts ~base ~nodes;
+    let least = ref (Float.abs t.reads.(r)) in
+    if not (!least > 0.0) then least := infinity;
+    for j = base to base + nodes - 1 do
+      let m = Float.abs t.counts.(j) in
+      if m > 0.0 && m < !least then least := m
+    done;
+    t.least.(r) <- !least
+
+  (* The stepwise path of a row holding a value below 2^-1021
+     logically: such values are halved as floats — unscaled, halved
+     with the eager rounding, rescaled one power higher — and the rest
+     of the row halves exactly by the exponent bump alone.  The sum is
+     recomputed from the new counts; [best] is kept, as the eager decay
+     kept it. *)
+  let halve_tiny t r =
+    let e = t.exp in
+    let tiny = Float.ldexp 1.0 (e - 1021) in
+    let step x =
+      if x <> 0.0 && Float.abs x < tiny then Float.ldexp (Float.ldexp x (-e) /. 2.0) (e + 1) else x
+    in
+    let base = r * t.nodes in
+    for j = base to base + t.nodes - 1 do
+      t.counts.(j) <- step t.counts.(j)
+    done;
+    t.reads.(r) <- step t.reads.(r);
+    let best = t.best.(r) in
+    refresh t r;
+    t.best.(r) <- best
+
+  (* Move row [src] into row [dst] (whose page has left the table). *)
+  let move t ~src ~dst =
+    let nodes = t.nodes in
+    Array.blit t.counts (src * nodes) t.counts (dst * nodes) nodes;
+    t.pfns.(dst) <- t.pfns.(src);
+    t.reads.(dst) <- t.reads.(src);
+    t.totals.(dst) <- t.totals.(src);
+    t.sums.(dst) <- t.sums.(src);
+    t.best.(dst) <- t.best.(src);
+    t.least.(dst) <- t.least.(src);
+    t.slot.(t.pfns.(dst)) <- dst + 1
+
+  (* Divide the scale out of every value and restart the exponent. *)
+  let renormalise t =
+    let inv = Float.ldexp 1.0 (-t.exp) in
+    for i = 0 to (t.live * t.nodes) - 1 do
+      t.counts.(i) <- t.counts.(i) *. inv
+    done;
     for r = 0 to t.live - 1 do
-      let base = r * nodes in
-      let total = ref 0.0 in
-      for j = 0 to nodes - 1 do
-        let c = Array.unsafe_get t.counts (base + j) /. 2.0 in
-        Array.unsafe_set t.counts (base + j) c;
-        total := !total +. c
-      done;
-      if !total < 1.0 then t.slot.(t.pfns.(r)) <- 0
+      t.reads.(r) <- t.reads.(r) *. inv;
+      t.totals.(r) <- t.totals.(r) *. inv;
+      t.sums.(r) <- t.sums.(r) *. inv;
+      t.least.(r) <- t.least.(r) *. inv
+    done;
+    t.exp <- 0;
+    t.scale <- 1.0
+
+  (* Halve the table: drop the rows whose halved sum falls below 1.0,
+     i.e. whose stored sum is below the next scale, and reset each
+     survivor's total to its sum.  A dropped row is replaced by the last
+     one, which is tested in its turn. *)
+  let decay t =
+    let tiny = Float.ldexp 1.0 (t.exp - 1021) in
+    let next = Float.ldexp 1.0 (t.exp + 1) in
+    let least = t.least and sums = t.sums and totals = t.totals in
+    let r = ref 0 in
+    while !r < t.live do
+      let i = !r in
+      if Array.unsafe_get least i < tiny then halve_tiny t i;
+      let sum = Array.unsafe_get sums i in
+      if sum < next then begin
+        t.slot.(t.pfns.(i)) <- 0;
+        let last = t.live - 1 in
+        if i < last then move t ~src:last ~dst:i;
+        t.live <- last
+      end
       else begin
-        let d = !w in
-        if d <> r then begin
-          Array.blit t.counts base t.counts (d * nodes) nodes;
-          t.pfns.(d) <- t.pfns.(r);
-          t.best.(d) <- t.best.(r);
-          t.slot.(t.pfns.(d)) <- d + 1
-        end;
-        t.reads.(d) <- t.reads.(r) /. 2.0;
-        t.totals.(d) <- !total;
-        t.sums.(d) <- !total;
-        incr w
+        Array.unsafe_set totals i sum;
+        incr r
       end
     done;
-    t.live <- !w
+    t.exp <- t.exp + 1;
+    t.scale <- next;
+    if t.exp >= renormalise_at then renormalise t
 
   let collapse t ~pfn =
     match Hashtbl.find_opt t.replicas pfn with
@@ -296,9 +389,7 @@ module System_component = struct
         List.iter (fun mfn -> Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0) mfns;
         Hashtbl.remove t.replicas pfn
 
-  let begin_epoch t =
-    decay t;
-    t.epoch <- t.epoch + 1
+  let begin_epoch t = Obs.Profile.span Obs.Profile.Carrefour_decay (fun () -> decay t)
 
   let record_sample t ~pfn ~node_accesses ~read_fraction =
     (* Any write to a replicated page invalidates its replicas:
@@ -309,7 +400,7 @@ module System_component = struct
     if read_fraction < 0.999 && Hashtbl.length t.replicas > 0 && Hashtbl.mem t.replicas pfn then
       collapse t ~pfn;
     ensure_slot t pfn;
-    let nodes = t.nodes in
+    let nodes = t.nodes and scale = t.scale in
     (* Only the first [nodes] entries are stored, so only they count
        toward the heat. *)
     let n = min (Array.length node_accesses) nodes in
@@ -323,10 +414,10 @@ module System_component = struct
       if r >= 0 then begin
         let base = r * nodes in
         for j = 0 to n - 1 do
-          t.counts.(base + j) <- t.counts.(base + j) +. node_accesses.(j)
+          t.counts.(base + j) <- t.counts.(base + j) +. (node_accesses.(j) *. scale)
         done;
-        t.reads.(r) <- t.reads.(r) +. (read_fraction *. added);
-        t.totals.(r) <- t.totals.(r) +. added;
+        t.reads.(r) <- t.reads.(r) +. (read_fraction *. added *. scale);
+        t.totals.(r) <- t.totals.(r) +. (added *. scale);
         r
       end
       else begin
@@ -334,17 +425,18 @@ module System_component = struct
         let r = t.live in
         let base = r * nodes in
         Array.fill t.counts base nodes 0.0;
-        Array.blit node_accesses 0 t.counts base n;
+        for j = 0 to n - 1 do
+          t.counts.(base + j) <- node_accesses.(j) *. scale
+        done;
         t.pfns.(r) <- pfn;
-        t.reads.(r) <- read_fraction *. added;
-        t.totals.(r) <- added;
+        t.reads.(r) <- read_fraction *. added *. scale;
+        t.totals.(r) <- added *. scale;
         t.slot.(pfn) <- r + 1;
         t.live <- r + 1;
         r
       end
     in
-    t.sums.(r) <- row_total t.counts ~base:(r * nodes) ~nodes;
-    t.best.(r) <- row_argmax t.counts ~base:(r * nodes) ~nodes
+    refresh t r
 
   let record_samples t samples =
     begin_epoch t;
@@ -361,8 +453,10 @@ module System_component = struct
     hot_pages : hot;
   }
 
+  (* Copy rows out, dividing the scale back out. *)
   let hot_of_rows t rows n =
     let nodes = t.nodes in
+    let inv = 1.0 /. t.scale in
     let pfns = Array.make n 0 in
     let counts = Array.make (n * nodes) 0.0 in
     let sums = Array.make n 0.0 in
@@ -372,13 +466,15 @@ module System_component = struct
     for i = 0 to n - 1 do
       let r = rows.(i) in
       pfns.(i) <- t.pfns.(r);
-      Array.blit t.counts (r * nodes) counts (i * nodes) nodes;
-      sums.(i) <- t.sums.(r);
+      for j = 0 to nodes - 1 do
+        counts.((i * nodes) + j) <- t.counts.((r * nodes) + j) *. inv
+      done;
+      sums.(i) <- t.sums.(r) *. inv;
       best.(i) <- t.best.(r);
-      reads.(i) <- t.reads.(r);
-      keys.(i) <- t.totals.(r)
+      reads.(i) <- t.reads.(r) *. inv;
+      keys.(i) <- t.totals.(r) *. inv
     done;
-    { nodes; count = n; pfns; counts; sums; best; reads; keys }
+    { nodes; count = n; pfns; counts; sums; best; reads; keys; scale = 1.0 }
 
   let read_hot ?top t =
     match top with
@@ -411,7 +507,8 @@ module System_component = struct
      readout (no [top] cap).  The row arrays ALIAS the live table —
      they may be longer than [count] and must not outlive the next
      table mutation (decay/sample), which is fine for the immediate
-     decide-and-act consumer and allocates nothing per row. *)
+     decide-and-act consumer and allocates nothing per row.  The values
+     keep the table's scale, which the readout carries. *)
   let read_metrics_unranked t ~counters =
     let hot =
       {
@@ -423,6 +520,7 @@ module System_component = struct
         best = t.best;
         reads = t.reads;
         keys = t.totals;
+        scale = t.scale;
       }
     in
     let link_util = Numa.Counters.last_link_utilisation counters in
@@ -530,10 +628,14 @@ module User_component = struct
 
   type action = { pfn : Memory.Page.pfn; dest : Numa.Topology.node; reason : reason }
 
-  let reader_nodes counts ~base ~nodes total =
+  (* Nodes whose count tops 2% of the row's [total].  Both carry the
+     readout's [scale]; the threshold is formed on the unscaled total
+     and scaled back, so the test is the unscaled one bit for bit. *)
+  let reader_nodes counts ~base ~nodes ~scale total =
+    let threshold = 0.02 *. (total /. scale) *. scale in
     let readers = ref 0 in
     for j = 0 to nodes - 1 do
-      if counts.(base + j) > 0.02 *. total then incr readers
+      if counts.(base + j) > threshold then incr readers
     done;
     !readers
 
@@ -541,6 +643,10 @@ module User_component = struct
     let hot = metrics.System_component.hot_pages in
     let n = min config.max_hot_pages hot.count in
     let nodes = hot.nodes in
+    (* The heat threshold in the readout's scale.  Every other test
+       compares two scaled values or takes a ratio of two, so the
+       scale cancels exactly. *)
+    let min_accesses = config.min_accesses *. hot.scale in
     let utils = metrics.System_component.controller_util in
     let mean_util = Sim.Stats.mean utils in
     let overloaded =
@@ -604,7 +710,7 @@ module User_component = struct
       if controllers_overloaded then begin
         let k = ref 0 in
         for i = 0 to n - 1 do
-          if hot.sums.(i) >= config.min_accesses then begin
+          if hot.sums.(i) >= min_accesses then begin
             let node = node_of hot.pfns.(i) in
             if node >= 0 && List.mem node overloaded then begin
               sel.(!k) <- i;
@@ -628,13 +734,13 @@ module User_component = struct
         let replicate_row i =
           config.enable_replication
           && read_fraction hot i >= config.replication_read_threshold
-          && reader_nodes hot.counts ~base:(i * nodes) ~nodes hot.sums.(i)
+          && reader_nodes hot.counts ~base:(i * nodes) ~nodes ~scale:hot.scale hot.sums.(i)
              >= config.min_reader_nodes
         in
         let k = ref 0 in
         for i = 0 to n - 1 do
           let sum = hot.sums.(i) in
-          if sum >= config.min_accesses then
+          if sum >= min_accesses then
             if replicate_row i then begin
               sel.(!k) <- i;
               incr k
@@ -677,9 +783,10 @@ let run_epoch ?(interleave_only = false) ?migrate sys ~config ~rng ~counters =
   in
   let topo = sys.System_component.system.Xen.System.topo in
   let actions =
-    User_component.decide config ~rng ~metrics
-      ~node_ok:(fun n -> Numa.Topology.node_online topo n)
-      ~workspace:(System_component.workspace sys) ~node_of:(System_component.node_of sys)
+    Obs.Profile.span Obs.Profile.Carrefour_decide (fun () ->
+        User_component.decide config ~rng ~metrics
+          ~node_ok:(fun n -> Numa.Topology.node_online topo n)
+          ~workspace:(System_component.workspace sys) ~node_of:(System_component.node_of sys))
   in
   let do_migrate =
     match migrate with

@@ -39,7 +39,11 @@ type sample = {
     [pfns.(i)].  A few arrays per readout instead of one boxed
     {!sample} per page, so the per-period metrics hypercall stays cheap
     at thousands of tracked pages.  Row order depends on the readout:
-    see {!System_component.read_metrics}. *)
+    see {!System_component.read_metrics}.  The unranked one may come in
+    any order, so {!User_component.decide} does not depend on it: on a
+    readout with distinct pfns and no more rows than
+    [max_hot_pages], it gives the same actions and leaves its [rng] in
+    the same state for any permutation of the rows. *)
 type hot = {
   nodes : int;
   count : int;
@@ -60,6 +64,14 @@ type hot = {
           candidate rows by (key descending, pfn ascending), the same
           total order as the top-k readout, and breaks the ties of a
           duplicated pfn by row index. *)
+  scale : float;
+      (** Power of two that every value of [counts], [sums], [reads]
+          and [keys] carries: the logical value is the stored one
+          divided by [scale].  The heat table's unranked readout keeps
+          its decay scale (see {!System_component.begin_epoch});
+          every other readout, and {!hot_of_samples}, has [1.0].
+          {!User_component.decide} applies it exactly: its threshold
+          tests give the unscaled answers bit for bit. *)
 }
 
 val hot_of_samples : sample list -> hot
@@ -88,8 +100,14 @@ module System_component : sig
 
   val begin_epoch : t -> unit
   (** Open a sampling epoch: page heat decays by half so stale hotness
-      fades.  Call once per epoch, before the epoch's
-      {!record_sample}s. *)
+      fades, and pages whose heat falls below 1.0 leave the table.  Call
+      once per epoch, before the epoch's {!record_sample}s.
+
+      The table stores every value times a power of two and decays by
+      raising the power, so a period costs a test per row, not a pass
+      over every count.  The values it hands out are bit-identical to
+      halving every count eagerly, subnormals included.  Profiled as
+      [carrefour.decay]. *)
 
   val record_sample :
     t -> pfn:Memory.Page.pfn -> node_accesses:float array -> read_fraction:float -> unit
@@ -107,7 +125,9 @@ module System_component : sig
     imbalance : float;
     hot_pages : hot;
         (** Hottest first when read through {!read_metrics}; in table
-            order when [run_epoch] reads the whole table unranked. *)
+            order, an arbitrary permutation that decay reshuffles, and
+            with the table's scale when [run_epoch] reads the whole
+            table unranked. *)
   }
 
   val read_metrics : ?top:int -> t -> counters:Numa.Counters.t -> metrics
@@ -116,9 +136,11 @@ module System_component : sig
       [top] bounds the readout to the [top] hottest pages, selected
       with a min-heap ({!Sim.Stats.Topk}) instead of a full sort;
       omitted (or [<= 0]) returns the whole table sorted.  Both paths
-      order by (accumulated heat descending, pfn ascending), so
-      [~top:k] returns exactly the first [k] elements of the unbounded
-      readout. *)
+      order by (accumulated heat descending, pfn ascending), a strict
+      order on the table's distinct pfns, so the result does not depend
+      on the table's internal row order, and [~top:k] returns exactly
+      the first [k] elements of the unbounded readout.  Values are
+      copied unscaled ([scale = 1.0]). *)
 
   val node_of : t -> Memory.Page.pfn -> int
   (** The node backing the page, or [-1] if it is unmapped.  Allocates
@@ -194,7 +216,11 @@ module User_component : sig
       every candidate and walking the ranking; only the ranking stops
       where the budget does.  Every interleave candidate takes one
       [rng] draw, emitted or not.  [workspace] only holds
-      intermediate state; its contents never affect the result. *)
+      intermediate state; its contents never affect the result.
+      Neither does the readout's [scale] (the result is that of the
+      unscaled readout) nor, when its pfns are distinct and it fits in
+      [max_hot_pages], the order of its rows.  Profiled as
+      [carrefour.decide] when {!run_epoch} calls it. *)
 end
 
 type report = {

@@ -1024,6 +1024,7 @@ let promote_scan t =
     if extents = 0 then 0
     else begin
       let frames_4k = sp_frames_4k t in
+      let fpn = Memory.Machine.frames_per_node machine in
       let examined = ref 0 in
       let promoted = ref 0 in
       let to_scan = min extents promote_scan_extents in
@@ -1033,38 +1034,37 @@ let promote_scan t =
         if not (Xen.P2m.is_superpage p2m base) then begin
           (* Classify the extent: fully mapped on one node with uniform
              writability is promotable; contiguity decides the cheap
-             vs the copying path. *)
-          let all_mapped = ref true in
-          let node = ref (-1) in
-          let same_node = ref true in
-          let uniform_w = ref true in
-          let w0 = ref false in
-          for i = 0 to sp - 1 do
-            match Xen.P2m.get p2m (base + i) with
-            | Xen.P2m.Invalid -> all_mapped := false
-            | Xen.P2m.Mapped { mfn; writable } ->
-                let n = Memory.Machine.node_of_mfn machine mfn in
-                if i = 0 then begin
-                  node := n;
-                  w0 := writable
-                end
-                else begin
-                  if n <> !node then same_node := false;
-                  if writable <> !w0 then uniform_w := false
-                end
+             vs the copying path.  The verdict is a conjunction over
+             the frames, so the walk stops at the first frame that
+             breaks it: a hole, a second node, or a writable bit that
+             differs from frame 0's.  Node n owns the machine frames
+             [n * fpn, (n + 1) * fpn), so the node test is a range test;
+             a hole at frame 0 leaves the range empty. *)
+          let mfn0 = Xen.P2m.mfn_of p2m base in
+          let node = if mfn0 < 0 then -1 else Memory.Machine.node_of_mfn machine mfn0 in
+          let lo = if node < 0 then 0 else node * fpn in
+          let hi = if node < 0 then 0 else lo + fpn in
+          let w0 = Xen.P2m.is_writable p2m base in
+          let i = ref 1 in
+          while !i < sp do
+            let mfn = Xen.P2m.mfn_of p2m (base + !i) in
+            if mfn >= lo && mfn < hi && Xen.P2m.is_writable p2m (base + !i) = w0 then incr i
+            else i := sp + 1
           done;
-          if !all_mapped && !same_node && !uniform_w then begin
+          if !i = sp then begin
             if Xen.P2m.promote p2m ~pfn:base then begin
               account.Xen.Domain.migrate_time <-
                 account.Xen.Domain.migrate_time
                 +. Xen.Costs.promote_time costs ~frames_4k ~copy_bytes:0;
               t.stats.promotes <- t.stats.promotes + 1;
-              emit ~pfn:base ~node:!node ~arg:sp t Obs.Event.Promote;
+              emit ~pfn:base ~node ~arg:sp t Obs.Event.Promote;
               if Obs.Metrics.enabled () then Obs.Metrics.incr "policies.superpage.promotes";
               incr promoted
             end
             else begin
-              match Memory.Machine.alloc_on machine ~node:!node ~order:(Memory.Machine.order_2m machine) with
+              match
+                Memory.Machine.alloc_on machine ~node ~order:(Memory.Machine.order_2m machine)
+              with
               | None -> () (* no contiguous block free on that node *)
               | Some new_base ->
                   Memory.Machine.split_block machine ~mfn:new_base
@@ -1083,7 +1083,7 @@ let promote_scan t =
                     +. Xen.Costs.promote_time costs ~frames_4k
                          ~copy_bytes:(sp * Memory.Machine.frame_bytes machine);
                   t.stats.superpage_migrates <- t.stats.superpage_migrates + 1;
-                  emit ~pfn:base ~node:!node ~arg:sp t Obs.Event.Superpage_migrate;
+                  emit ~pfn:base ~node ~arg:sp t Obs.Event.Superpage_migrate;
                   if Obs.Metrics.enabled () then
                     Obs.Metrics.incr "policies.superpage.migrates";
                   incr promoted
@@ -1222,6 +1222,7 @@ let quiescent t =
   && (not t.breaker_was_open)
   && t.breaker_attempts < breaker_min_attempts
 let superpages_enabled t = t.superpages
+let promote_cursor t = t.promote_cursor
 let pt t = t.pt
 
 let node_of_pfn t pfn = Internal.node_of_pfn t.system t.domain pfn

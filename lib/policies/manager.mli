@@ -168,7 +168,12 @@ val promote_scan : t -> int
     (superpage-migrate).  Charges {!Xen.Costs.promote_time} to the
     domain's migration account.  Returns the number of extents
     promoted; 0 when superpages are disabled.  Deterministic: cursor
-    order only, no randomness. *)
+    order only, no randomness.  An extent's classification stops at its
+    first disqualifying frame: a hole, a second node or a writable bit
+    that differs from the first frame's. *)
+
+val promote_cursor : t -> int
+(** The extent index the next {!promote_scan} starts at. *)
 
 val superpages_enabled : t -> bool
 

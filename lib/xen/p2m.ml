@@ -87,6 +87,10 @@ let mfn_of t pfn =
   check t pfn;
   t.mfns.(pfn)
 
+let is_writable t pfn =
+  check t pfn;
+  Bytes.get t.writable pfn <> '\000'
+
 (* Demote the extent holding [pfn] to per-frame entries.  Pure
    bookkeeping — the per-frame mfns are already filled in — so lookups
    of every frame in the extent are unchanged.  Cost accounting (the

@@ -74,6 +74,11 @@ val mfn_of : t -> Memory.Page.pfn -> Memory.Page.mfn
     need the frame.
     @raise Invalid_argument on an out-of-range pfn. *)
 
+val is_writable : t -> Memory.Page.pfn -> bool
+(** The writable bit of a mapped entry, without building an [entry];
+    meaningless for an [Invalid] one.
+    @raise Invalid_argument on an out-of-range pfn. *)
+
 val set : t -> Memory.Page.pfn -> mfn:Memory.Page.mfn -> writable:bool -> unit
 (** Install a per-frame entry; splinters the surrounding superpage
     first if there is one. *)

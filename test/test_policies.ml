@@ -796,6 +796,599 @@ let prop_carrefour_heat_table_cache =
       done;
       !ok)
 
+(* Eager model of the heat table: the float operations of the table
+   that halved every count of every row at each epoch, on plain
+   per-page rows — counts, read-weighted heat and accumulated total. *)
+module Eager_heat = struct
+  type row = { counts : float array; mutable reads : float; mutable total : float }
+
+  let in_order_sum row = Array.fold_left ( +. ) 0.0 row
+
+  let decay model =
+    let dropped = ref [] in
+    Hashtbl.iter
+      (fun pfn row ->
+        Array.iteri (fun j c -> row.counts.(j) <- c /. 2.0) row.counts;
+        let total = in_order_sum row.counts in
+        if total < 1.0 then dropped := pfn :: !dropped
+        else begin
+          row.reads <- row.reads /. 2.0;
+          row.total <- total
+        end)
+      model;
+    List.iter (Hashtbl.remove model) !dropped
+
+  let record model ~pfn ~node_accesses ~read_fraction =
+    let n = min (Array.length node_accesses) 8 in
+    let added = ref 0.0 in
+    for j = 0 to n - 1 do
+      added := !added +. node_accesses.(j)
+    done;
+    match Hashtbl.find_opt model pfn with
+    | Some row ->
+        for j = 0 to n - 1 do
+          row.counts.(j) <- row.counts.(j) +. node_accesses.(j)
+        done;
+        row.reads <- row.reads +. (read_fraction *. !added);
+        row.total <- row.total +. !added
+    | None ->
+        let counts = Array.make 8 0.0 in
+        Array.blit node_accesses 0 counts 0 n;
+        Hashtbl.replace model pfn { counts; reads = read_fraction *. !added; total = !added }
+
+  (* The rows in the readouts' rank order: total descending, pfn
+     ascending. *)
+  let ranked model =
+    List.sort
+      (fun (pa, a) (pb, b) ->
+        let c = Float.compare b.total a.total in
+        if c <> 0 then c else Int.compare pa pb)
+      (Hashtbl.fold (fun pfn row acc -> (pfn, row) :: acc) model [])
+
+  (* The model as a flat readout, keyed and read-weighted like the
+     table's. *)
+  let hot model =
+    let rows = ranked model in
+    let h =
+      Policies.Carrefour.hot_of_samples
+        (List.map
+           (fun (pfn, row) ->
+             { Policies.Carrefour.pfn; node_accesses = Array.copy row.counts; read_fraction = 0.5 })
+           rows)
+    in
+    {
+      h with
+      Policies.Carrefour.reads = Array.of_list (List.map (fun (_, r) -> r.reads) rows);
+      keys = Array.of_list (List.map (fun (_, r) -> r.total) rows);
+    }
+end
+
+let bits = Int64.bits_of_float
+
+let argmax row =
+  let b = ref 0 in
+  Array.iteri (fun j c -> if c > row.(!b) then b := j) row;
+  !b
+
+(* Row [i] of a readout against a model row, bit for bit. *)
+let readout_row_matches (hot : Policies.Carrefour.hot) i (row : Eager_heat.row) =
+  let counts = Array.sub hot.Policies.Carrefour.counts (i * 8) 8 in
+  Array.for_all2 (fun a b -> bits a = bits b) row.Eager_heat.counts counts
+  && bits hot.Policies.Carrefour.sums.(i) = bits (Eager_heat.in_order_sum counts)
+  && hot.Policies.Carrefour.best.(i) = argmax counts
+  && bits hot.Policies.Carrefour.reads.(i) = bits row.Eager_heat.reads
+  && bits hot.Policies.Carrefour.keys.(i) = bits row.Eager_heat.total
+
+(* One sample: small integers tie often, tiny and subnormal values
+   decay through the subnormal range, 9 and 10 wide samples overhang
+   the table. *)
+let random_accesses st =
+  Array.init
+    (8 + Random.State.int st 3)
+    (fun _ ->
+      match Random.State.int st 6 with
+      | 0 -> 0.0
+      | 1 -> float_of_int (Random.State.int st 4)
+      | 2 -> Random.State.float st 1e-300
+      | 3 -> Random.State.float st 1e-310
+      | _ -> Random.State.float st 30.0)
+
+let is_subnormal x = x <> 0.0 && Float.abs x < Float.min_float
+
+(* The heat table against the eager model over more epochs than the
+   table's renormalisation period, with a page that stays hot while
+   its tiny counts and read heat decay through the subnormal range:
+   every readout row — counts, sum, argmax, read heat and key — and
+   every [~top] prefix match the model bit for bit.  A case passes
+   only if the model held a subnormal value in a live row. *)
+let prop_carrefour_heat_table_eager =
+  QCheck.Test.make ~name:"carrefour heat table = eager halving (renormalised, subnormal)"
+    ~count:60 QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let s = small_system () in
+      let d, _m = attach s in
+      let sys = Policies.Carrefour.System_component.create s d in
+      let counters = Numa.Counters.create s.Xen.System.topo in
+      Numa.Counters.end_epoch counters ~duration:1.0;
+      let model = Hashtbl.create 64 in
+      let feed ~pfn ~node_accesses ~read_fraction =
+        Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses ~read_fraction;
+        Eager_heat.record model ~pfn ~node_accesses ~read_fraction
+      in
+      let keeper_reads = List.nth [ 0.5; 1e-300; 0.0 ] (Random.State.int st 3) in
+      let ok = ref true and subnormal = ref false in
+      (* The table renormalises every 64 periods. *)
+      for epoch = 1 to 65 + Random.State.int st 80 do
+        Policies.Carrefour.System_component.begin_epoch sys;
+        Eager_heat.decay model;
+        (* Page 0 stays hot; its tiny counts are never refreshed
+           after the first epoch, so they halve into subnormals. *)
+        let keeper = Array.make 8 0.0 in
+        keeper.(0) <- 2.0;
+        if epoch = 1 then begin
+          keeper.(3) <- Random.State.float st 1e-300;
+          keeper.(5) <- Random.State.float st 1e-290
+        end;
+        feed ~pfn:0 ~node_accesses:keeper ~read_fraction:keeper_reads;
+        for _ = 1 to Random.State.int st 12 do
+          feed
+            ~pfn:(1 + Random.State.int st 15)
+            ~node_accesses:(random_accesses st)
+            ~read_fraction:(List.nth [ 0.5; 1.0; 1e-300 ] (Random.State.int st 3))
+        done;
+        let full =
+          (Policies.Carrefour.System_component.read_metrics sys ~counters)
+            .Policies.Carrefour.System_component.hot_pages
+        in
+        let k = 1 + Random.State.int st 8 in
+        let top =
+          (Policies.Carrefour.System_component.read_metrics ~top:k sys ~counters)
+            .Policies.Carrefour.System_component.hot_pages
+        in
+        let want = Eager_heat.ranked model in
+        ok :=
+          !ok
+          && full.Policies.Carrefour.count = List.length want
+          && top.Policies.Carrefour.count = min k (List.length want)
+          && List.for_all Fun.id
+               (List.mapi
+                  (fun i (pfn, row) ->
+                    full.Policies.Carrefour.pfns.(i) = pfn
+                    && readout_row_matches full i row
+                    && (i >= k
+                       || (top.Policies.Carrefour.pfns.(i) = pfn && readout_row_matches top i row)))
+                  want);
+        List.iter
+          (fun (_, (row : Eager_heat.row)) ->
+            if Array.exists is_subnormal row.Eager_heat.counts || is_subnormal row.Eager_heat.reads
+            then subnormal := true)
+          want
+      done;
+      !ok && !subnormal)
+
+(* [run_epoch] reads the live table unranked and still scaled; its
+   actions (seen through the migrate hook and the report) and the
+   state it leaves the RNG in must be those of [decide] over the eager
+   model's unscaled readout, at every period through a
+   renormalisation. *)
+let prop_carrefour_unranked_readout_unscaled =
+  QCheck.Test.make ~name:"carrefour run_epoch on the scaled table = decide on the eager readout"
+    ~count:25 QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let s = small_system () in
+      let d, _m = attach ~vcpus:48 ~gib:64 s in
+      let sys = Policies.Carrefour.System_component.create s d in
+      let counters = Numa.Counters.create s.Xen.System.topo in
+      (* Node 0's controller is the only loaded one and the 1 -> 0 link
+         carries traffic: with zero thresholds both heuristics run. *)
+      let gib = 1024.0 *. 1024.0 *. 1024.0 in
+      Numa.Counters.record_accesses counters ~src:1 ~dst:0 ~count:(4.0 *. gib /. 64.0)
+        ~bytes_per_access:64.0;
+      Numa.Counters.end_epoch counters ~duration:1.0;
+      let cfg =
+        {
+          config with
+          Policies.Carrefour.User_component.mc_threshold = 0.0;
+          ic_threshold = 0.0;
+          min_accesses = List.nth [ 2.0; 0.0 ] (Random.State.int st 2);
+          migration_budget = 1 + Random.State.int st 12;
+          enable_replication = Random.State.bool st;
+          min_reader_nodes = 2;
+        }
+      in
+      let topo = s.Xen.System.topo in
+      let node_ok n = Numa.Topology.node_online topo n in
+      let model = Hashtbl.create 64 in
+      let ok = ref true in
+      for _ = 1 to 65 + Random.State.int st 20 do
+        Policies.Carrefour.System_component.begin_epoch sys;
+        Eager_heat.decay model;
+        for _ = 1 to Random.State.int st 16 do
+          let pfn = Random.State.int st 64 in
+          (* Some pages see only subnormal counts: with a zero heat
+             threshold they reach the reader-node test. *)
+          let node_accesses =
+            if Random.State.int st 4 = 0 then
+              Array.init 8 (fun _ ->
+                  if Random.State.bool st then Random.State.float st 1e-310 else 0.0)
+            else random_accesses st
+          in
+          let read_fraction = List.nth [ 0.5; 1.0; 0.97 ] (Random.State.int st 3) in
+          Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses ~read_fraction;
+          Eager_heat.record model ~pfn ~node_accesses ~read_fraction
+        done;
+        let rng_seed = Random.State.bits st in
+        (* The table's utilisations with the model's readout; [~top:1]
+           only keeps the discarded copy small. *)
+        let metrics =
+          {
+            (Policies.Carrefour.System_component.read_metrics ~top:1 sys ~counters) with
+            Policies.Carrefour.System_component.hot_pages = Eager_heat.hot model;
+          }
+        in
+        let rng_want = Sim.Rng.create ~seed:rng_seed in
+        let want =
+          Policies.Carrefour.User_component.decide ~node_ok cfg
+            ~workspace:(Policies.Carrefour.workspace ()) ~rng:rng_want ~metrics
+            ~node_of:(Policies.Carrefour.System_component.node_of sys)
+        in
+        let moves = ref [] in
+        let rng_got = Sim.Rng.create ~seed:rng_seed in
+        let report =
+          Policies.Carrefour.run_epoch
+            ~migrate:(fun ~pfn ~node ->
+              moves := (pfn, node) :: !moves;
+              false)
+            sys ~config:cfg ~rng:rng_got ~counters
+        in
+        let want_moves =
+          List.filter_map
+            (fun (a : Policies.Carrefour.User_component.action) ->
+              match a.Policies.Carrefour.User_component.reason with
+              | Policies.Carrefour.User_component.Replicate -> None
+              | _ -> Some (a.Policies.Carrefour.User_component.pfn, a.dest))
+            want
+        in
+        ok :=
+          !ok
+          && List.rev !moves = want_moves
+          && report.Policies.Carrefour.interleave_migrations
+             + report.Policies.Carrefour.locality_migrations
+             + report.Policies.Carrefour.replications + report.Policies.Carrefour.failed
+             = List.length want
+          && Sim.Rng.bits64 rng_got = Sim.Rng.bits64 rng_want
+      done;
+      !ok)
+
+(* The reader-node test on a scaled readout forms its 2% threshold on
+   the unscaled total, which differs from 2% of the scaled total only
+   on pages of subnormal counts.  Counts [24q; q] (q the least
+   subnormal): 2% of 25q rounds up to q, so node 3 is no reader and the
+   page is a locality candidate, not a replication one. *)
+let test_carrefour_reader_share_subnormal () =
+  let s = small_system () in
+  let d, _m = attach ~vcpus:48 ~gib:64 s in
+  let sys = Policies.Carrefour.System_component.create s d in
+  for _ = 1 to 5 do
+    Policies.Carrefour.System_component.begin_epoch sys
+  done;
+  let pfn =
+    List.find (fun p -> Policies.Carrefour.System_component.node_of sys p <> 2) [ 0; 1 ]
+  in
+  let q = Float.ldexp 1.0 (-1074) in
+  let node_accesses = Array.make 8 0.0 in
+  node_accesses.(2) <- 24.0 *. q;
+  node_accesses.(3) <- q;
+  Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses ~read_fraction:1.0;
+  let counters = Numa.Counters.create s.Xen.System.topo in
+  Numa.Counters.record_accesses counters ~src:1 ~dst:0 ~count:1e6 ~bytes_per_access:64.0;
+  Numa.Counters.end_epoch counters ~duration:1.0;
+  let cfg =
+    {
+      config with
+      Policies.Carrefour.User_component.mc_threshold = 2.0;
+      ic_threshold = 0.0;
+      min_accesses = 0.0;
+      enable_replication = true;
+      min_reader_nodes = 2;
+    }
+  in
+  let moves = ref [] in
+  let report =
+    Policies.Carrefour.run_epoch
+      ~migrate:(fun ~pfn ~node ->
+        moves := (pfn, node) :: !moves;
+        true)
+      sys ~config:cfg ~rng:(Sim.Rng.create ~seed:1) ~counters
+  in
+  Alcotest.(check int) "no replication" 0 report.Policies.Carrefour.replications;
+  Alcotest.(check (list (pair int int))) "locality move to node 2" [ (pfn, 2) ] !moves
+
+(* [decide] over a readout with distinct pfns gives the same actions
+   and leaves the RNG in the same state whatever the row order — the
+   heat table swap-removes dropped rows and relies on it — and
+   whatever power of two the readout carries. *)
+let prop_carrefour_decide_permutation =
+  QCheck.Test.make ~name:"carrefour decide ignores row order and readout scale" ~count:300
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int st (List.length l)) in
+      let rows = Random.State.int st 80 in
+      let pfn_pool = Array.init (2 * rows + 1) Fun.id in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done
+      in
+      shuffle pfn_pool;
+      let samples =
+        Array.init rows (fun i ->
+            let heat = pick [ 1.0; 3.0; 6.0; 12.0; 24.0; 48.0 ] in
+            let node_accesses =
+              match Random.State.int st 3 with
+              | 0 -> Array.init 8 (fun n -> if n = Random.State.int st 8 then heat else 0.0)
+              | 1 -> Array.init 8 (fun _ -> heat /. 8.0)
+              | _ -> Array.init 8 (fun _ -> if Random.State.bool st then heat /. 4.0 else 0.0)
+            in
+            {
+              Policies.Carrefour.pfn = pfn_pool.(i);
+              node_accesses;
+              read_fraction = pick [ 1.0; 0.97; 0.5 ];
+            })
+      in
+      let home = Array.init (Array.length pfn_pool) (fun _ -> Random.State.int st 9 - 1) in
+      let node_of pfn = home.(pfn) in
+      let controller_util, max_link_util =
+        match Random.State.int st 3 with
+        | 0 -> ([| 0.9; 0.05; 0.8; 0.05; 0.05; 0.05; 0.05; 0.05 |], 0.0)
+        | 1 -> (Array.make 8 0.2, 0.9)
+        | _ -> ([| 0.9; 0.1; 0.1; 0.1; 0.7; 0.1; 0.1; 0.1 |], 0.9)
+      in
+      let offline = Random.State.int st 9 in
+      let node_ok n = n <> offline in
+      let cfg =
+        {
+          config with
+          Policies.Carrefour.User_component.migration_budget =
+            1 + Random.State.int st (max 1 (2 * rows));
+          enable_replication = Random.State.bool st;
+          min_reader_nodes = 2;
+        }
+      in
+      let run hot =
+        let rng = Sim.Rng.create ~seed in
+        let m =
+          {
+            Policies.Carrefour.System_component.controller_util;
+            max_link_util;
+            imbalance = 0.0;
+            hot_pages = hot;
+          }
+        in
+        let actions =
+          Policies.Carrefour.User_component.decide ~node_ok cfg ~workspace:shared_workspace ~rng
+            ~metrics:m ~node_of
+        in
+        (actions, Sim.Rng.bits64 rng)
+      in
+      let base = Policies.Carrefour.hot_of_samples (Array.to_list samples) in
+      shuffle samples;
+      let permuted = Policies.Carrefour.hot_of_samples (Array.to_list samples) in
+      let scale = Float.ldexp 1.0 (Random.State.int st 64) in
+      let up = Array.map (fun x -> x *. scale) in
+      let scaled =
+        {
+          permuted with
+          Policies.Carrefour.counts = up permuted.Policies.Carrefour.counts;
+          sums = up permuted.Policies.Carrefour.sums;
+          reads = up permuted.Policies.Carrefour.reads;
+          keys = up permuted.Policies.Carrefour.keys;
+          scale;
+        }
+      in
+      let want = run base in
+      run permuted = want && run scaled = want)
+
+(* ------------------------- promotion scan -------------------------- *)
+
+(* The promotion scan before its early exit, kept verbatim but for its
+   state (cursor, counters and trace go to refs): it classifies every
+   frame of an extent through [P2m.get]. *)
+let oracle_promote_scan s d ~cursor ~promotes ~migrates ~events =
+  let p2m = d.Xen.Domain.p2m in
+  let sp = Xen.P2m.sp_frames p2m in
+  let machine = s.Xen.System.machine in
+  let costs = s.Xen.System.costs in
+  let account = d.Xen.Domain.account in
+  let extents = Xen.P2m.frames p2m / sp in
+  let frames_4k = sp * Memory.Machine.page_scale machine in
+  let emit ~pfn ~node cls = events := (cls, pfn, node, sp) :: !events in
+  let examined = ref 0 in
+  let promoted = ref 0 in
+  let to_scan = min extents 512 in
+  while !examined < to_scan && !promoted < 2 do
+    let base = (!cursor + !examined) mod extents * sp in
+    incr examined;
+    if not (Xen.P2m.is_superpage p2m base) then begin
+      let all_mapped = ref true in
+      let node = ref (-1) in
+      let same_node = ref true in
+      let uniform_w = ref true in
+      let w0 = ref false in
+      for i = 0 to sp - 1 do
+        match Xen.P2m.get p2m (base + i) with
+        | Xen.P2m.Invalid -> all_mapped := false
+        | Xen.P2m.Mapped { mfn; writable } ->
+            let n = Memory.Machine.node_of_mfn machine mfn in
+            if i = 0 then begin
+              node := n;
+              w0 := writable
+            end
+            else begin
+              if n <> !node then same_node := false;
+              if writable <> !w0 then uniform_w := false
+            end
+      done;
+      if !all_mapped && !same_node && !uniform_w then begin
+        if Xen.P2m.promote p2m ~pfn:base then begin
+          account.Xen.Domain.migrate_time <-
+            account.Xen.Domain.migrate_time
+            +. Xen.Costs.promote_time costs ~frames_4k ~copy_bytes:0;
+          incr promotes;
+          emit ~pfn:base ~node:!node Obs.Event.Promote;
+          incr promoted
+        end
+        else begin
+          match
+            Memory.Machine.alloc_on machine ~node:!node ~order:(Memory.Machine.order_2m machine)
+          with
+          | None -> ()
+          | Some new_base ->
+              Memory.Machine.split_block machine ~mfn:new_base
+                ~order:(Memory.Machine.order_2m machine);
+              for i = 0 to sp - 1 do
+                match Xen.P2m.get p2m (base + i) with
+                | Xen.P2m.Mapped { mfn = old_mfn; writable } ->
+                    Xen.P2m.set p2m (base + i) ~mfn:(new_base + i) ~writable;
+                    Memory.Machine.free machine ~mfn:old_mfn ~order:0
+                | Xen.P2m.Invalid -> assert false
+              done;
+              let ok = Xen.P2m.promote p2m ~pfn:base in
+              assert ok;
+              account.Xen.Domain.migrate_time <-
+                account.Xen.Domain.migrate_time
+                +. Xen.Costs.promote_time costs ~frames_4k
+                     ~copy_bytes:(sp * Memory.Machine.frame_bytes machine);
+              incr migrates;
+              emit ~pfn:base ~node:!node Obs.Event.Superpage_migrate;
+              incr promoted
+        end
+      end
+    end
+  done;
+  cursor := (!cursor + !examined) mod extents;
+  !promoted
+
+(* A superpage-enabled domain whose extents (8 frames of 256 KiB) mix
+   every shape the scan meets: empty, holes at random offsets,
+   contiguous single-node blocks, scattered single-node frames, a
+   stray frame on a second node, one frame of differing writability,
+   existing superpages, and scattered frames on a node left with no
+   free 2 MiB block.  Deterministic in [seed], so two calls build
+   identical worlds. *)
+let promote_world seed =
+  let st = Random.State.make [| seed |] in
+  let s = Xen.System.create ~page_scale:64 (Numa.Amd48.topology ()) in
+  let extents = 8 + Random.State.int st 56 in
+  let d =
+    Xen.System.create_domain s ~name:"sp" ~kind:Xen.Domain.DomU ~vcpus:6
+      ~mem_bytes:(extents * 2 * 1024 * 1024) ()
+  in
+  let m =
+    Policies.Manager.attach ~superpages:true s d ~boot:Policies.Spec.first_touch
+      ~rng:(Sim.Rng.create ~seed:1)
+  in
+  let p2m = d.Xen.Domain.p2m and machine = s.Xen.System.machine in
+  let sp = Xen.P2m.sp_frames p2m in
+  let order = Memory.Machine.order_2m machine in
+  let starved = Random.State.int st 8 in
+  let other node = (node + 1 + Random.State.int st 7) mod 8 in
+  let frame node = Option.get (Memory.Machine.alloc_frame machine ~node) in
+  let block node = Option.get (Memory.Machine.alloc_on machine ~node ~order) in
+  let contiguous node =
+    let b = block node in
+    Memory.Machine.split_block machine ~mfn:b ~order;
+    Array.init sp (fun i -> b + i)
+  in
+  (* Frames of one node in descending order: never a contiguous run. *)
+  let scattered node =
+    let a = Array.init sp (fun _ -> frame node) in
+    Array.sort (fun x y -> compare y x) a;
+    a
+  in
+  let install base ?(skip = -1) ?(flip = -1) ~writable mfns =
+    Array.iteri
+      (fun i mfn ->
+        if i <> skip then
+          Xen.P2m.set p2m (base + i) ~mfn ~writable:(if i = flip then not writable else writable))
+      mfns
+  in
+  for e = 0 to extents - 1 do
+    let base = e * sp in
+    let node = Random.State.int st 8 in
+    let writable = Random.State.bool st in
+    let at = Random.State.int st sp in
+    match Random.State.int st 9 with
+    | 0 -> ()
+    | 1 -> install base ~writable (contiguous node)
+    | 2 -> install base ~writable ~skip:at (contiguous node)
+    | 3 -> install base ~writable (scattered node)
+    | 4 -> install base ~writable ~skip:at (scattered node)
+    | 5 ->
+        let mfns = if Random.State.bool st then contiguous node else scattered node in
+        mfns.(at) <- frame (other node);
+        install base ~writable mfns
+    | 6 -> install base ~writable ~flip:at (contiguous node)
+    | 7 -> Xen.P2m.map_superpage p2m ~pfn:base ~mfn:(block node) ~writable
+    | _ -> install base ~writable (scattered starved)
+  done;
+  while Memory.Machine.alloc_on machine ~node:starved ~order <> None do
+    ()
+  done;
+  (s, d, m)
+
+let event_tuple (_, (e : Obs.Event.t)) =
+  (e.Obs.Event.cls, e.Obs.Event.pfn, e.Obs.Event.node, e.Obs.Event.arg)
+
+let same_p2m a b =
+  let frames = Xen.P2m.frames a in
+  let ok = ref (frames = Xen.P2m.frames b) in
+  for pfn = 0 to frames - 1 do
+    ok :=
+      !ok
+      && Xen.P2m.get a pfn = Xen.P2m.get b pfn
+      && Xen.P2m.is_superpage a pfn = Xen.P2m.is_superpage b pfn
+  done;
+  !ok
+
+(* [Manager.promote_scan] against the full-classification oracle on
+   two identical worlds, over consecutive scans: the same return
+   values, cursor, P2M, promote and superpage-migrate counts, charged
+   time, free frames and trace events. *)
+let prop_promote_scan_matches_oracle =
+  QCheck.Test.make ~name:"promote scan = full-classification oracle" ~count:60
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let s, d, m = promote_world seed in
+      let s', d', _ = promote_world seed in
+      let stream = Obs.Stream.create ~label:"scan" () in
+      Xen.System.set_obs s (Some stream);
+      let cursor = ref 0 and promotes = ref 0 and migrates = ref 0 and events = ref [] in
+      let ok = ref true in
+      for _ = 1 to 8 do
+        let got = Policies.Manager.promote_scan m in
+        let want = oracle_promote_scan s' d' ~cursor ~promotes ~migrates ~events in
+        let stats = Policies.Manager.stats m in
+        ok :=
+          !ok && got = want
+          && Policies.Manager.promote_cursor m = !cursor
+          && stats.Policies.Manager.promotes = !promotes
+          && stats.Policies.Manager.superpage_migrates = !migrates
+          && d.Xen.Domain.account.Xen.Domain.migrate_time
+             = d'.Xen.Domain.account.Xen.Domain.migrate_time
+          && Memory.Machine.free_frames s.Xen.System.machine
+             = Memory.Machine.free_frames s'.Xen.System.machine
+          && same_p2m d.Xen.Domain.p2m d'.Xen.Domain.p2m
+          && List.map event_tuple (Obs.Stream.events stream) = List.rev !events
+      done;
+      !ok && Xen.P2m.check_consistent d.Xen.Domain.p2m)
+
 (* ------------------------- failure injection ------------------------ *)
 
 (* Exhaust one node's 16 one-GiB frames. *)
@@ -1012,5 +1605,11 @@ let suite =
         Alcotest.test_case "node_of" `Quick test_carrefour_node_of;
         QCheck_alcotest.to_alcotest prop_carrefour_decide_matches_oracle;
         QCheck_alcotest.to_alcotest prop_carrefour_heat_table_cache;
+        QCheck_alcotest.to_alcotest prop_carrefour_heat_table_eager;
+        QCheck_alcotest.to_alcotest prop_carrefour_unranked_readout_unscaled;
+        Alcotest.test_case "reader share on subnormal counts" `Quick
+          test_carrefour_reader_share_subnormal;
+        QCheck_alcotest.to_alcotest prop_carrefour_decide_permutation;
       ] );
+    ("policies.promote", [ QCheck_alcotest.to_alcotest prop_promote_scan_matches_oracle ]);
   ]

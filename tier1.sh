@@ -262,9 +262,16 @@ dune exec test/test_main.exe -- test faults
 # fast-forward equivalence property (a delta-replayed run equals the
 # naive run bit for bit across randomised policies, vCPU counts, fault
 # plans and pinning),
-# and the Carrefour properties (the budget-bounded decide equals the
+# the Carrefour properties (the budget-bounded decide equals the
 # full-ranking oracle in actions and RNG state; the heat table's cached
-# row sums and argmax stay exact under decay and sampling).
+# row sums and argmax stay exact under decay and sampling; the
+# exponent-scaled heat table equals eager halving in counts, sums,
+# argmax, read heat, keys and top-k readouts across a renormalisation
+# and into subnormal counts; run_epoch on the scaled unranked readout
+# equals decide on the eager readout; decide ignores row order and
+# readout scale), and the promote-scan differential (the early-exit
+# scan equals the full-classification oracle in return value, cursor,
+# P2M, counters, charged time and trace events; policies.promote).
 echo "tier1: randomised property pass (QCHECK_SEED=$QCHECK_SEED)"
 dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
@@ -277,5 +284,6 @@ dune exec test/test_main.exe -- test obs.query
 dune exec test/test_main.exe -- test xen.pt
 dune exec test/test_main.exe -- test guest.tlb.walk
 dune exec test/test_main.exe -- test policies.carrefour
+dune exec test/test_main.exe -- test policies.promote
 
 echo "tier1: OK"
