@@ -260,47 +260,17 @@ let bench_ff_guard () =
       ignore (Engine.Runner.replay_guard ~finish ~doit ~remaining ~cap ~final))
 
 let bench_ff_replay () =
-  (* One VM's delta-replay body at 48 threads x 8 nodes: work
-     retirement, the counter commit, end-of-epoch accounting and the
-     run-length histogram fill — everything a replayed epoch still
-     does, with the O(threads x nodes) kernels skipped. *)
-  let topo = Numa.Amd48.topology () in
-  let counters = Numa.Counters.create topo in
-  let threads = 48 in
-  let nodes = 8 in
-  let doit = Array.make threads 1.0 in
-  let dst = Array.init (threads * nodes) (fun i -> float_of_int (1 + (i mod nodes))) in
-  let total = Array.make threads 36.0 in
-  let lat = Array.make threads 312.5 in
-  let remaining = Array.make threads 1e12 in
-  let final = Array.make threads 1e3 in
-  let hist = Sim.Stats.Histogram.create () in
-  Bechamel.Staged.stage (fun () ->
-      for t = 0 to threads - 1 do
-        if doit.(t) > 0.0 then begin
-          remaining.(t) <- remaining.(t) -. final.(t);
-          let base = t * nodes in
-          for n = 0 to nodes - 1 do
-            if dst.(base + n) > 0.0 then
-              Numa.Counters.record_accesses counters ~src:(t mod nodes) ~dst:n
-                ~count:dst.(base + n) ~bytes_per_access:64.0
-          done
-        end
-      done;
-      Numa.Counters.end_epoch counters ~duration:0.1;
-      let run_v = ref 0.0 in
-      let run_n = ref 0 in
-      for t = 0 to threads - 1 do
-        if total.(t) > 0.0 then begin
-          if !run_n > 0 && lat.(t) = !run_v then incr run_n
-          else begin
-            if !run_n > 0 then Sim.Stats.Histogram.add_n hist !run_v !run_n;
-            run_v := lat.(t);
-            run_n := 1
-          end
-        end
-      done;
-      if !run_n > 0 then Sim.Stats.Histogram.add_n hist !run_v !run_n)
+  (* The runner's own replay stage for one armed 48-vCPU VM on the
+     8-node machine: work retirement, disk DMA, the counter commit,
+     end-of-epoch accounting, the latency reduction with its run-length
+     histogram fill, and the manager tick — everything a replayed epoch
+     still does, with the O(threads x nodes) kernels skipped. *)
+  let app =
+    match Workloads.Catalogue.find "swaptions" with Some a -> a | None -> assert false
+  in
+  let vm = Engine.Config.vm ~threads:48 ~policy:Policies.Spec.round_4k app in
+  Bechamel.Staged.stage
+    (Engine.Runner.replay_stage (Engine.Config.make ~seed:1 ~mode:Engine.Config.Xen_plus [ vm ]))
 
 let bench_engine_epoch () =
   (* One full small run: the per-epoch cost of the whole engine. *)
@@ -312,7 +282,7 @@ let bench_engine_epoch () =
       let cfg = Engine.Config.make ~seed:1 ~max_epochs:10 ~mode:Engine.Config.Linux [ vm ] in
       ignore (Engine.Runner.run cfg))
 
-let micro_tests =
+let micro_tests () =
   let open Bechamel in
   [
     Test.make ~name:"p2m set/get/invalidate" (bench_p2m ());
@@ -359,7 +329,7 @@ let run_micro () =
               Printf.printf "%-28s %12.1f ns/op\n" (Test.Elt.name elt) t
           | Some _ | None -> Printf.printf "%-28s (no estimate)\n" (Test.Elt.name elt))
         (Test.elements test))
-    micro_tests;
+    (micro_tests ());
   micro_estimates := List.rev !micro_estimates
 
 (* ------------------------------------------------------------------ *)

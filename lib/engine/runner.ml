@@ -18,18 +18,80 @@ type region = {
          rank [rank]; algorithmic phases move the hot front *)
 }
 
-(* The per-vCPU epoch state lives in flat structure-of-arrays form,
-   indexed by vCPU (row [t * nodes .. t * nodes + nodes - 1] of
-   [thread_dst] is vCPU [t]'s destination spread), so the epoch
+(* The per-vCPU slots one epoch writes: what the kernels leave behind
+   for the end of the epoch, and, through [lat], for the next epoch's
+   compute kernel.  Flat and indexed by vCPU ([dst] row [t * nodes ..
+   t * nodes + nodes - 1] is vCPU [t]'s destination spread), so the
    kernels walk contiguous memory.
 
    The kernels write {e only} vCPU-indexed slots; every accumulation
-   that crosses vCPUs ([src_shared], [shared_accesses_epoch], the
-   counters, [weighted_lat] ...) reads those slots afterwards in one
-   sequential vCPU-order reduction.  Float addition is not
-   associative, so the reduction order — vCPU 0, 1, 2, ... — is fixed,
-   and the per-vCPU slots are exactly what the fast-forward captures
-   and replays (DESIGN.md §13, §17). *)
+   that crosses vCPUs ([src_shared], the counters, [weighted_lat] ...)
+   reads them afterwards in one sequential vCPU-order reduction.  Float
+   addition is not associative, so the reduction order — vCPU 0, 1,
+   2, ... — is fixed.  [vm_state] holds the live slots; the
+   fast-forward captures copies and runs the same end-of-epoch stages
+   over a copy (DESIGN.md §13, §17). *)
+type slots = {
+  sync : float array;   (* blocked time contribution this epoch *)
+  doit : float array;   (* tentative instructions; > 0 marks vCPUs that did work *)
+  cap : float array;    (* instruction capacity this epoch *)
+  final : float array;  (* instructions retired this epoch: the throughput kernel
+                           scales [dst] in place, which loses [doit *. realized] *)
+  total : float array;  (* realized accesses, the latency weights *)
+  lat : float array;    (* average memory latency per vCPU *)
+  dst : float array;    (* realized traffic, threads * nodes, row-major by vCPU *)
+}
+
+let make_slots ~threads ~nodes ~lat =
+  {
+    sync = Array.make threads 0.0;
+    doit = Array.make threads 0.0;
+    cap = Array.make threads 0.0;
+    final = Array.make threads 0.0;
+    total = Array.make threads 0.0;
+    lat = Array.make threads lat;
+    dst = Array.make (threads * nodes) 0.0;
+  }
+
+let copy_slots ~from ~into =
+  let blit a b = Array.blit a 0 b 0 (Array.length a) in
+  blit from.sync into.sync;
+  blit from.doit into.doit;
+  blit from.cap into.cap;
+  blit from.final into.final;
+  blit from.total into.total;
+  blit from.lat into.lat;
+  blit from.dst into.dst
+
+(* Bitwise equality of two float arrays — the witness comparisons must
+   distinguish last-ulp neighbours, which [=] on floats does, but
+   bit-comparison also makes the NaN/negative-zero cases unambiguous. *)
+let arrays_bits_equal a b =
+  let ok = ref true in
+  let n = Array.length a in
+  for i = 0 to n - 1 do
+    if !ok && Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then ok := false
+  done;
+  !ok
+
+let slots_bits_equal a b =
+  arrays_bits_equal a.lat b.lat && arrays_bits_equal a.dst b.dst
+  && arrays_bits_equal a.total b.total && arrays_bits_equal a.sync b.sync
+  && arrays_bits_equal a.doit b.doit && arrays_bits_equal a.cap b.cap
+  && arrays_bits_equal a.final b.final
+
+(* One captured epoch for the fast-forward.  The latency feedback's
+   fixed point is in general a period-2 limit cycle in the last ulp
+   (the one-epoch-lag iteration overshoots and alternates between two
+   neighbouring floats forever), so the runner keeps one capture per
+   epoch parity and the replay alternates them; a true period-1 fixed
+   point just makes the two captures equal. *)
+type snapshot = {
+  mutable epoch : int;  (* capture epoch; -1 = stale *)
+  slots : slots;
+  mutable io : float;   (* disk DMA bytes of the captured epoch *)
+}
+
 type vm_state = {
   spec : Config.vm_spec;
   domain : Xen.Domain.t;
@@ -39,7 +101,6 @@ type vm_state = {
       (* Concrete pv queue driving real alloc/release churn; only built
          under fault injection (clean runs model the churn analytically
          in release_churn_overhead). *)
-  process : Guest.Process.t;
   shared : region;
   privates : region array;
   (* Flat pfn -> region location index.  Guest pfns are small dense
@@ -62,22 +123,12 @@ type vm_state = {
   mutable sample_count : int;
   sample_scratch : float array;
   remaining : float array;
-  avg_lat : float array;
   finish : float array;  (* -1 while running *)
   thread_node : int array;
-  thread_dst : float array;  (* threads * nodes, row-major by vCPU *)
+  slots : slots;  (* this epoch's per-vCPU slots (live) *)
   thread_accesses : float array;  (* this epoch, per thread *)
-  thread_doit : float array;  (* tentative instructions this epoch *)
-  thread_cap : float array;   (* instruction capacity this epoch *)
   thread_shared : float array;  (* accesses into the shared region *)
   thread_burst : float array;   (* burst accesses, > 0 only for the source *)
-  thread_sync : float array;    (* blocked time contribution this epoch *)
-  thread_total : float array;   (* realized accesses, for the latency pass *)
-  thread_final : float array;   (* instructions retired this epoch, per thread;
-                                   captured because the throughput kernel scales
-                                   thread_dst/thread_accesses in place, which
-                                   loses [doit *. realized] — the delta the
-                                   fast-forward replay re-subtracts *)
   src_shared : float array;  (* accesses into the shared region per source node *)
   mutable shared_accesses_epoch : float;
   mutable burst_victim : int;
@@ -114,32 +165,13 @@ type vm_state = {
   mutable ff_finished : int;     (* finished-thread count at the top *)
   mutable ff_rotated : bool;     (* pass A rotated the hot front this epoch *)
   mutable ff_io : float;         (* disk DMA bytes transferred this epoch *)
-  mutable ff_slo_active : bool;  (* the SLO block ran this epoch (scratch) *)
-  ff_slo_violate : bool array;   (* per-objective verdicts (scratch) *)
-  ff_snap : ff_snap array;       (* the two parity captures (even, odd) *)
-}
-
-(* One captured epoch of per-thread deltas for the fast-forward.  The
-   latency feedback's fixed point is in general a period-2 limit cycle
-   in the last ulp (the one-epoch-lag iteration overshoots and
-   alternates between two neighbouring floats forever), so the runner
-   keeps one capture per epoch parity and the replay alternates them;
-   a true period-1 fixed point just makes the two captures equal. *)
-and ff_snap = {
-  mutable sn_epoch : int;  (* capture epoch; -1 = stale *)
-  sn_sync : float array;   (* thread_sync: per-thread blocked time *)
-  sn_doit : float array;   (* > 0 marks threads that did work *)
-  sn_cap : float array;    (* epoch instruction ceiling, for the guard *)
-  sn_final : float array;  (* instructions retired (the work delta) *)
-  sn_total : float array;  (* realized accesses (the latency weights) *)
-  sn_lat : float array;    (* per-thread average latency *)
-  sn_dst : float array;    (* realized per-thread per-node traffic *)
-  mutable sn_io : float;   (* disk DMA bytes of the captured epoch *)
-  mutable sn_slo_active : bool;
-  sn_slo_violate : bool array;
+  ff_snap : snapshot array;      (* the two parity captures (even, odd) *)
 }
 
 let vm_running st = Array.exists (fun f -> f < 0.0) st.finish
+
+let finished_threads st =
+  Array.fold_left (fun n f -> if f >= 0.0 then n + 1 else n) 0 st.finish
 
 (* ------------------------------------------------------------------ *)
 (* Cost models per mode                                                *)
@@ -195,8 +227,7 @@ let uniform_weights ~pages = Array.make pages (1.0 /. float_of_int pages)
 (* Touch [pages] consecutive virtual pages as [cpu]; returns the region
    with its placement resolved through the guest and hypervisor page
    tables. *)
-let build_region system st_pool process domain ~vfn0 ~pages ~weights ~cpu ~nodes =
-  ignore st_pool;
+let build_region system process domain ~vfn0 ~pages ~weights ~cpu ~nodes =
   let pfns = Array.make pages 0 in
   let page_node = Array.make pages 0 in
   let node_weight = Array.make nodes 0.0 in
@@ -234,6 +265,11 @@ let tlb_cycles_per_instr (cfg : Config.t) (spec : Config.vm_spec) =
        ~footprint_bytes:(app.Workloads.App.footprint_mb * 1024 * 1024)
        ~hot_access_share:(tlb_hot_access_share app)
 
+(* Fraction of the mapped guest frames behind 2 MiB P2M entries. *)
+let superpage_fraction p2m =
+  let mapped = Xen.P2m.mapped_count p2m in
+  if mapped = 0 then 0.0 else float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
+
 (* Under P2M superpages the walk cost is not a boot-time constant: the
    fraction of guest memory behind 2 MiB entries moves as first-touch
    invalidations splinter extents and the promotion scan re-coalesces
@@ -244,14 +280,9 @@ let tlb_cycles_per_instr_dynamic (cfg : Config.t) (spec : Config.vm_spec)
   if spec.Config.huge_pages then tlb_cycles_per_instr cfg spec
   else begin
     let app = spec.Config.app in
-    let p2m = domain.Xen.Domain.p2m in
-    let mapped = Xen.P2m.mapped_count p2m in
-    let huge_fraction =
-      if mapped = 0 then 0.0
-      else float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
-    in
     0.3
-    *. Guest.Tlb.cycles_per_access_mixed Guest.Tlb.opteron ~huge_fraction
+    *. Guest.Tlb.cycles_per_access_mixed Guest.Tlb.opteron
+         ~huge_fraction:(superpage_fraction domain.Xen.Domain.p2m)
          ~virtualized:(cfg.Config.mode <> Config.Linux)
          ~footprint_bytes:(app.Workloads.App.footprint_mb * 1024 * 1024)
          ~hot_access_share:(tlb_hot_access_share app)
@@ -280,15 +311,11 @@ let tlb_cycles_per_instr_radix (cfg : Config.t) (spec : Config.vm_spec)
   in
   let huge_fraction =
     if spec.Config.huge_pages then 1.0
-    else begin
+    else
       (* Without P2M superpages the counter is 0, so this is the 4 KiB
          path; with them it tracks the live fraction like the flat
          dynamic model. *)
-      let p2m = domain.Xen.Domain.p2m in
-      let mapped = Xen.P2m.mapped_count p2m in
-      if mapped = 0 then 0.0
-      else float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
-    end
+      superpage_fraction domain.Xen.Domain.p2m
   in
   0.3
   *. Guest.Tlb.cycles_per_access_mixed_radix Guest.Tlb.opteron ~huge_fraction
@@ -301,22 +328,27 @@ let eff_weight region i =
   let pages = Array.length region.weights in
   region.weights.(((i - region.shift) mod pages + pages) mod pages)
 
-(* Move the hot front: re-aggregate per-node popularity under the new
-   rotation (replicated pages keep serving their read share locally). *)
+(* Re-aggregate per-node popularity from the pages' nodes under the
+   current rotation, in page order (replicated pages keep serving their
+   read share locally). *)
+let reaggregate region ~read_fraction =
+  Array.fill region.node_weight 0 (Array.length region.node_weight) 0.0;
+  region.replicated_local <- 0.0;
+  Array.iteri
+    (fun i node ->
+      let w = eff_weight region i in
+      if Bytes.get region.replicated i <> '\000' then begin
+        region.node_weight.(node) <- region.node_weight.(node) +. (w *. (1.0 -. read_fraction));
+        region.replicated_local <- region.replicated_local +. (w *. read_fraction)
+      end
+      else region.node_weight.(node) <- region.node_weight.(node) +. w)
+    region.page_node
+
+(* Move the hot front. *)
 let rotate_region region ~shift ~read_fraction =
   if shift <> region.shift then begin
     region.shift <- shift;
-    Array.fill region.node_weight 0 (Array.length region.node_weight) 0.0;
-    region.replicated_local <- 0.0;
-    Array.iteri
-      (fun i node ->
-        let w = eff_weight region i in
-        if Bytes.get region.replicated i <> '\000' then begin
-          region.node_weight.(node) <- region.node_weight.(node) +. (w *. (1.0 -. read_fraction));
-          region.replicated_local <- region.replicated_local +. (w *. read_fraction)
-        end
-        else region.node_weight.(node) <- region.node_weight.(node) +. w)
-      region.page_node
+    reaggregate region ~read_fraction
   end
 
 let carrefour_config (cfg : Config.t) machine =
@@ -423,13 +455,13 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
   let process = Guest.Process.create ~pid:1 ~vframes ~pool in
   let master_cpu = domain.Xen.Domain.vcpu_pin.(0) in
   let shared =
-    build_region system pool process domain ~vfn0:0 ~pages:shared_pages
+    build_region system process domain ~vfn0:0 ~pages:shared_pages
       ~weights:(zipf_weights ~pages:shared_pages ~s:app.Workloads.App.zipf_s)
       ~cpu:master_cpu ~nodes
   in
   let privates =
     Array.init threads (fun t ->
-        build_region system pool process domain
+        build_region system process domain
           ~vfn0:(shared_pages + (t * private_pages))
           ~pages:private_pages
           ~weights:(uniform_weights ~pages:private_pages)
@@ -437,19 +469,15 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
   in
   let pfn_owner = Array.make domain.Xen.Domain.mem_frames (-1) in
   let pfn_slot = Array.make domain.Xen.Domain.mem_frames 0 in
-  Array.iteri
-    (fun i pfn ->
-      pfn_owner.(pfn) <- 0;
-      pfn_slot.(pfn) <- i)
-    shared.pfns;
-  Array.iteri
-    (fun t region ->
-      Array.iteri
-        (fun i pfn ->
-          pfn_owner.(pfn) <- t + 1;
-          pfn_slot.(pfn) <- i)
-        region.pfns)
-    privates;
+  let index owner region =
+    Array.iteri
+      (fun i pfn ->
+        pfn_owner.(pfn) <- owner;
+        pfn_slot.(pfn) <- i)
+      region.pfns
+  in
+  index 0 shared;
+  Array.iteri (fun t region -> index (t + 1) region) privates;
   let work =
     Workloads.App.instructions_per_thread app ~threads
       ~freq_hz:cfg.Config.machine.Numa.Machine_desc.freq_hz
@@ -460,7 +488,6 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     manager;
     pool;
     queue;
-    process;
     shared;
     privates;
     pfn_owner;
@@ -471,19 +498,13 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     sample_count = 0;
     sample_scratch = Array.make nodes 0.0;
     remaining = Array.make threads work;
-    avg_lat = Array.make threads 190.0;
     finish = Array.make threads (-1.0);
     thread_node =
       Array.init threads (fun t -> Numa.Topology.node_of_cpu topo domain.Xen.Domain.vcpu_pin.(t));
-    thread_dst = Array.make (threads * nodes) 0.0;
+    slots = make_slots ~threads ~nodes ~lat:190.0;
     thread_accesses = Array.make threads 0.0;
-    thread_doit = Array.make threads 0.0;
-    thread_cap = Array.make threads 0.0;
     thread_shared = Array.make threads 0.0;
     thread_burst = Array.make threads 0.0;
-    thread_sync = Array.make threads 0.0;
-    thread_total = Array.make threads 0.0;
-    thread_final = Array.make threads 0.0;
     src_shared = Array.make nodes 0.0;
     shared_accesses_epoch = 0.0;
     burst_victim = -1;
@@ -510,23 +531,9 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     ff_finished = 0;
     ff_rotated = false;
     ff_io = 0.0;
-    ff_slo_active = false;
-    ff_slo_violate = Array.make (List.length cfg.Config.slo) false;
     ff_snap =
       Array.init 2 (fun _ ->
-          {
-            sn_epoch = -1;
-            sn_sync = Array.make threads 0.0;
-            sn_doit = Array.make threads 0.0;
-            sn_cap = Array.make threads 0.0;
-            sn_final = Array.make threads 0.0;
-            sn_total = Array.make threads 0.0;
-            sn_lat = Array.make threads 0.0;
-            sn_dst = Array.make (threads * nodes) 0.0;
-            sn_io = 0.0;
-            sn_slo_active = false;
-            sn_slo_violate = Array.make (List.length cfg.Config.slo) false;
-          });
+          { epoch = -1; slots = make_slots ~threads ~nodes ~lat:0.0; io = 0.0 });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -586,7 +593,7 @@ let epoch_sync_overhead cfg st =
 let distribute_thread st t ~accesses =
   let app = st.spec.Config.app in
   let nodes = Array.length st.src_shared in
-  let dst = st.thread_dst in
+  let dst = st.slots.dst in
   let base = t * nodes in
   let m = app.Workloads.App.master_bias in
   let burst_share = if st.burst_source = t then 0.5 else 0.0 in
@@ -621,23 +628,24 @@ let distribute_thread st t ~accesses =
    order; outside one it is a constant [false] with no draw. *)
 let epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq ~epoch_len
     ~threads =
+  let s = st.slots in
   for t = 0 to threads - 1 do
     if st.finish.(t) < 0.0 then begin
       if Faults.Injector.vcpu_stalls injector then
         (* Injected stall: the vCPU makes no progress this epoch; the
            lost time shows up as blocked time. *)
-        st.thread_sync.(t) <- epoch_len
+        s.sync.(t) <- epoch_len
       else begin
         let pcpu = st.domain.Xen.Domain.vcpu_pin.(t) in
         let share = 1.0 /. float_of_int (max 1 occupancy.(pcpu)) in
         let avail = (epoch_len -. oh) *. share *. carrefour_tax in
-        st.thread_sync.(t) <- oh;
-        let cpi = 1.0 +. (mr *. st.avg_lat.(t)) +. st.tlb_cycles_per_instr in
+        s.sync.(t) <- oh;
+        let cpi = 1.0 +. (mr *. s.lat.(t)) +. st.tlb_cycles_per_instr in
         let cap = avail *. freq /. cpi in
         if cap > 0.0 then begin
           let doit = Float.min st.remaining.(t) cap in
-          st.thread_doit.(t) <- doit;
-          st.thread_cap.(t) <- cap;
+          s.doit.(t) <- doit;
+          s.cap.(t) <- cap;
           let accesses = doit *. mr in
           st.thread_accesses.(t) <- accesses;
           distribute_thread st t ~accesses
@@ -648,16 +656,15 @@ let epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq ~e
 
 (* Fixed-order reduction over the kernel's per-vCPU slots: vCPU 0
    first, always. *)
-let reduce_epoch_traffic st ~threads ~accesses_acc =
+let reduce_epoch_traffic st ~threads =
   for t = 0 to threads - 1 do
-    if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. st.thread_sync.(t);
-    if st.thread_cap.(t) > 0.0 then begin
+    if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. st.slots.sync.(t);
+    if st.slots.cap.(t) > 0.0 then begin
       let acc_shared = st.thread_shared.(t) in
       st.src_shared.(st.thread_node.(t)) <- st.src_shared.(st.thread_node.(t)) +. acc_shared;
       st.shared_accesses_epoch <- st.shared_accesses_epoch +. acc_shared;
       if st.thread_burst.(t) > 0.0 then
-        st.burst_accesses_epoch <- st.burst_accesses_epoch +. st.thread_burst.(t);
-      accesses_acc := !accesses_acc +. st.thread_accesses.(t)
+        st.burst_accesses_epoch <- st.burst_accesses_epoch +. st.thread_burst.(t)
     end
   done
 
@@ -680,16 +687,26 @@ let replay_guard ~finish ~doit ~remaining ~cap ~final =
   done;
   !ok
 
-(* Bitwise equality of two float arrays — the witness comparisons must
-   distinguish last-ulp neighbours, which [=] on floats does, but
-   bit-comparison also makes the NaN/negative-zero cases unambiguous. *)
-let arrays_bits_equal a b =
-  let ok = ref true in
-  let n = Array.length a in
-  for i = 0 to n - 1 do
-    if !ok && Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then ok := false
+(* The fast-forward's skip horizon for one VM, armed at the end of
+   epoch [epoch]: the replay may serve epochs strictly below it.  It
+   cuts at the next multiple of 10 when boundary work is due there
+   (Carrefour's user-component feed, the superpage promotion scan, the
+   reconcile sweep), at the next epoch with a fault window armed, and
+   at a conservative estimate of each running thread's completion.
+   The per-epoch [replay_guard] is the safety net; the completion cut
+   only saves it work.  Pure. *)
+let skip_horizon ~epoch ~max_epochs ~boundary_due ~next_armed ~finish ~remaining ~cap ~final =
+  let h = if boundary_due then Int.min max_epochs (epoch - (epoch mod 10) + 10) else max_epochs in
+  let h = ref (match next_armed with Some a -> Int.min h a | None -> h) in
+  for t = 0 to Array.length finish - 1 do
+    if finish.(t) < 0.0 && final.(t) > 0.0 then
+      h :=
+        Int.min !h
+          (epoch + 1
+          + int_of_float
+              (Float.min 1e9 (Float.max 0.0 ((remaining.(t) -. cap.(t)) /. final.(t)))))
   done;
-  !ok
+  !h
 
 (* Pass A of the epoch: the two pieces that must run every epoch even
    when the fast-forward replays the rest — the hot-front phase check
@@ -705,9 +722,7 @@ let epoch_pass_a st =
   st.ff_io <- 0.0;
   st.ff_p2m_version <- Xen.P2m.version st.domain.Xen.Domain.p2m;
   st.ff_migrations <- st.migrations;
-  (let fin = ref 0 in
-   Array.iter (fun f -> if f >= 0.0 then incr fin) st.finish;
-   st.ff_finished <- !fin);
+  st.ff_finished <- finished_threads st;
   let app = st.spec.Config.app in
   (* algorithmic phases: as the run progresses, the hot front of the
      shared region moves; static placements do not notice, dynamic
@@ -754,21 +769,16 @@ let disk_traffic cfg st counters ~bus_node ~node_demand =
     let bytes = Float.min st.io_bytes_left (app.Workloads.App.disk_mb_s *. 1e6 *. cfg.Config.epoch) in
     st.io_bytes_left <- st.io_bytes_left -. bytes;
     st.ff_io <- bytes;
+    let charge bytes node =
+      node_demand.(node) <- node_demand.(node) +. bytes;
+      Numa.Counters.record_accesses counters ~src:bus_node ~dst:node
+        ~count:(bytes /. access_bytes) ~bytes_per_access:access_bytes
+    in
     match cfg.Config.mode with
-    | Config.Linux ->
-        let node = st.thread_node.(0) in
-        node_demand.(node) <- node_demand.(node) +. bytes;
-        Numa.Counters.record_accesses counters ~src:bus_node ~dst:node
-          ~count:(bytes /. access_bytes) ~bytes_per_access:access_bytes
+    | Config.Linux -> charge bytes st.thread_node.(0)
     | Config.Xen | Config.Xen_plus ->
         let home = st.domain.Xen.Domain.home_nodes in
-        let share = bytes /. float_of_int (Array.length home) in
-        Array.iter
-          (fun node ->
-            node_demand.(node) <- node_demand.(node) +. share;
-            Numa.Counters.record_accesses counters ~src:bus_node ~dst:node
-              ~count:(share /. access_bytes) ~bytes_per_access:access_bytes)
-          home
+        Array.iter (charge (bytes /. float_of_int (Array.length home))) home
   end
 
 (* Hot-page samples for Carrefour: the top of the shared region's
@@ -849,6 +859,33 @@ let feed_samples st sys =
   done;
   st.private_sample_cursor <- st.private_sample_cursor + 8
 
+(* Hand [f] a tracked pfn's region, slot and current node; untracked
+   and unmapped pfns are skipped. *)
+let with_tracked_page st pfn f =
+  let owner = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1 in
+  if owner >= 0 then
+    match Policies.Manager.node_of_pfn st.manager pfn with
+    | None -> ()
+    | Some node ->
+        f (if owner = 0 then st.shared else st.privates.(owner - 1)) st.pfn_slot.(pfn) node
+
+(* Move page [i]'s popularity from its cached node to [node] (only the
+   write share of a replicated page); returns whether the node
+   changed. *)
+let move_page region i node ~read_fraction =
+  let old_node = region.page_node.(i) in
+  old_node <> node
+  && begin
+       let w = eff_weight region i in
+       let moved =
+         if Bytes.get region.replicated i <> '\000' then w *. (1.0 -. read_fraction) else w
+       in
+       region.node_weight.(old_node) <- region.node_weight.(old_node) -. moved;
+       region.node_weight.(node) <- region.node_weight.(node) +. moved;
+       region.page_node.(i) <- node;
+       true
+     end
+
 (* Refresh cached placement after Carrefour migrations and
    replications, over the pages fed this period. *)
 let refresh_placement st =
@@ -856,45 +893,26 @@ let refresh_placement st =
   let carrefour = Policies.Manager.carrefour st.manager in
   for s = 0 to st.sample_count - 1 do
     let pfn = st.sample_pfns.(s) in
-    (let owner = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1 in
-      if owner >= 0 then
-        match Policies.Manager.node_of_pfn st.manager pfn with
-        | None -> ()
-        | Some node ->
-            let i = st.pfn_slot.(pfn) in
-            let region = if owner = 0 then st.shared else st.privates.(owner - 1) in
-            let w = eff_weight region i in
-            (* Replication status change: the read share of the
-               page's popularity moves between the home node and the
-               everywhere-local pool. *)
-            let replicated_now =
-              match carrefour with
-              | Some sys -> Policies.Carrefour.System_component.is_replicated sys pfn
-              | None -> false
-            in
-            let was = Bytes.get region.replicated i <> '\000' in
-            if replicated_now && not was then begin
-              let moved = w *. read_fraction in
-              region.node_weight.(region.page_node.(i)) <-
-                region.node_weight.(region.page_node.(i)) -. moved;
-              region.replicated_local <- region.replicated_local +. moved;
-              Bytes.set region.replicated i '\001'
-            end
-            else if was && not replicated_now then begin
-              let moved = w *. read_fraction in
-              region.node_weight.(region.page_node.(i)) <-
-                region.node_weight.(region.page_node.(i)) +. moved;
-              region.replicated_local <- region.replicated_local -. moved;
-              Bytes.set region.replicated i '\000'
-            end;
-            let old_node = region.page_node.(i) in
-            if old_node <> node then begin
-              let moved = if replicated_now then w *. (1.0 -. read_fraction) else w in
-              region.node_weight.(old_node) <- region.node_weight.(old_node) -. moved;
-              region.node_weight.(node) <- region.node_weight.(node) +. moved;
-              region.page_node.(i) <- node;
-              st.migrations <- st.migrations + 1
-            end)
+    with_tracked_page st pfn (fun region i node ->
+        let w = eff_weight region i in
+        (* Replication status change: the read share of the page's
+           popularity moves between the home node and the
+           everywhere-local pool. *)
+        let replicated_now =
+          match carrefour with
+          | Some sys -> Policies.Carrefour.System_component.is_replicated sys pfn
+          | None -> false
+        in
+        if replicated_now <> (Bytes.get region.replicated i <> '\000') then begin
+          (* [x -. (-. m)] is bitwise [x +. m]: IEEE subtraction adds
+             the negation. *)
+          let moved = if replicated_now then w *. read_fraction else -.(w *. read_fraction) in
+          let home = region.page_node.(i) in
+          region.node_weight.(home) <- region.node_weight.(home) -. moved;
+          region.replicated_local <- region.replicated_local +. moved;
+          Bytes.set region.replicated i (if replicated_now then '\001' else '\000')
+        end;
+        if move_page region i node ~read_fraction then st.migrations <- st.migrations + 1)
   done
 
 (* Re-resolve every region page's node through the P2M: while an
@@ -902,23 +920,13 @@ let refresh_placement st =
    what the per-sample Carrefour refresh can track, and traffic routed
    at the stale (collapsing) node would never recover. *)
 let refresh_region st region =
-  let read_fraction = st.spec.Config.app.Workloads.App.read_fraction in
-  let nodes = Array.length region.node_weight in
-  Array.fill region.node_weight 0 nodes 0.0;
-  region.replicated_local <- 0.0;
   Array.iteri
     (fun i pfn ->
-      (match Policies.Manager.node_of_pfn st.manager pfn with
+      match Policies.Manager.node_of_pfn st.manager pfn with
       | Some node -> region.page_node.(i) <- node
-      | None -> ());
-      let node = region.page_node.(i) in
-      let w = eff_weight region i in
-      if Bytes.get region.replicated i <> '\000' then begin
-        region.node_weight.(node) <- region.node_weight.(node) +. (w *. (1.0 -. read_fraction));
-        region.replicated_local <- region.replicated_local +. (w *. read_fraction)
-      end
-      else region.node_weight.(node) <- region.node_weight.(node) +. w)
-    region.pfns
+      | None -> ())
+    region.pfns;
+  reaggregate region ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction
 
 let refresh_regions st =
   refresh_region st st.shared;
@@ -927,26 +935,88 @@ let refresh_regions st =
 (* Targeted variant for sparse placement changes (the UE remap): move
    one page's popularity between nodes. *)
 let update_page_node st pfn =
-  if pfn < Array.length st.pfn_owner then begin
-    let owner = st.pfn_owner.(pfn) in
-    if owner >= 0 then
-      match Policies.Manager.node_of_pfn st.manager pfn with
-      | None -> ()
-      | Some node ->
-          let region = if owner = 0 then st.shared else st.privates.(owner - 1) in
-          let i = st.pfn_slot.(pfn) in
-          let old_node = region.page_node.(i) in
-          if old_node <> node then begin
-            let read_fraction = st.spec.Config.app.Workloads.App.read_fraction in
-            let w = eff_weight region i in
-            let moved =
-              if Bytes.get region.replicated i <> '\000' then w *. (1.0 -. read_fraction)
-              else w
-            in
-            region.node_weight.(old_node) <- region.node_weight.(old_node) -. moved;
-            region.node_weight.(node) <- region.node_weight.(node) +. moved;
-            region.page_node.(i) <- node
-          end
+  with_tracked_page st pfn (fun region i node ->
+      ignore
+        (move_page region i node ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction))
+
+(* ------------------------------------------------------------------ *)
+(* End-of-epoch stages, shared by full and replayed epochs             *)
+(* ------------------------------------------------------------------ *)
+
+(* An SLO metric's value from a mean latency and a quantile function
+   over the latency samples it summarises. *)
+let slo_value metric ~mean ~quantile =
+  match metric with
+  | "mean" -> mean
+  | "p50" -> quantile 50.0
+  | "p95" -> quantile 95.0
+  | "p99" -> quantile 99.0
+  | "p999" -> quantile 99.9
+  | m -> invalid_arg ("Runner: unknown SLO metric " ^ m)
+
+(* Commit the realized thread traffic to the hardware counters — a
+   cross-vCPU float accumulation, so vCPU order, sequential. *)
+let commit_traffic counters st (s : slots) =
+  let nodes = Array.length st.src_shared in
+  for t = 0 to st.spec.Config.threads - 1 do
+    if s.doit.(t) > 0.0 then begin
+      let base = t * nodes in
+      let src = st.thread_node.(t) in
+      for n = 0 to nodes - 1 do
+        if s.dst.(base + n) > 0.0 then
+          Numa.Counters.record_accesses counters ~src ~dst:n ~count:s.dst.(base + n)
+            ~bytes_per_access:access_bytes
+      done
+    end
+  done
+
+(* The latency reduction: weighted, total and local accesses, the
+   latency histogram and the epoch's SLO verdicts, in vCPU order — the
+   one place latency samples are recorded, so the histogram (and
+   everything derived from it) follows vCPU order.  Runs of
+   bitwise-equal samples enter the histogram through one [add_n], which
+   leaves the very same sums as one [add] per sample.  The SLO
+   accounting only reads the epoch's latencies — no RNG, no traffic, no
+   trace — so a run with objectives stays bit-identical to one
+   without. *)
+let reduce_latency (cfg : Config.t) st (s : slots) =
+  let nodes = Array.length st.src_shared in
+  let running = ref 0 in
+  let ep_wlat = ref 0.0 in
+  let ep_total = ref 0.0 in
+  let run_v = ref 0.0 in
+  let run_n = ref 0 in
+  for t = 0 to st.spec.Config.threads - 1 do
+    let total = s.total.(t) in
+    if total > 0.0 then begin
+      let lat = s.lat.(t) in
+      let w = total *. lat in
+      st.weighted_lat <- st.weighted_lat +. w;
+      st.total_accesses <- st.total_accesses +. total;
+      st.local_accesses <- st.local_accesses +. s.dst.((t * nodes) + st.thread_node.(t));
+      if !run_n > 0 && Int64.bits_of_float lat = Int64.bits_of_float !run_v then incr run_n
+      else begin
+        if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
+        run_v := lat;
+        run_n := 1
+      end;
+      st.slo_scratch.(!running) <- lat;
+      incr running;
+      ep_wlat := !ep_wlat +. w;
+      ep_total := !ep_total +. total
+    end
+  done;
+  if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
+  if cfg.Config.slo <> [] && !running > 0 then begin
+    st.active_epochs <- st.active_epochs + 1;
+    let samples = Array.sub st.slo_scratch 0 !running in
+    (* Read outside the closure, so the accumulators stay unboxed. *)
+    let mean = !ep_wlat /. !ep_total in
+    List.iteri
+      (fun i (metric, target) ->
+        let value = slo_value metric ~mean ~quantile:(Sim.Stats.percentile samples) in
+        if value > target then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
+      cfg.Config.slo
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1012,7 +1082,7 @@ let vm_result cfg system st =
   in
   let release_overhead = release_churn_overhead cfg st ~active_seconds:compute_time in
   let p2m = st.domain.Xen.Domain.p2m in
-  let mapped = Xen.P2m.mapped_count p2m in
+  let pt_count f = match Policies.Manager.pt st.manager with Some pt -> f pt | None -> 0 in
   let avg_latency_cycles =
     if st.total_accesses > 0.0 then st.weighted_lat /. st.total_accesses else 0.0
   in
@@ -1034,13 +1104,8 @@ let vm_result cfg system st =
     List.mapi
       (fun i (metric, target) ->
         let value =
-          match metric with
-          | "mean" -> avg_latency_cycles
-          | "p50" -> latency.Result.p50
-          | "p95" -> latency.Result.p95
-          | "p99" -> latency.Result.p99
-          | "p999" -> latency.Result.p999
-          | m -> invalid_arg ("Runner: unknown SLO metric " ^ m)
+          slo_value metric ~mean:avg_latency_cycles
+            ~quantile:(Sim.Stats.Histogram.percentile st.lat_hist)
         in
         {
           Result.metric;
@@ -1070,32 +1135,77 @@ let vm_result cfg system st =
     local_fraction =
       (if st.total_accesses > 0.0 then st.local_accesses /. st.total_accesses else 0.0);
     superpages = Xen.P2m.superpage_count p2m;
-    superpage_fraction =
-      (if mapped > 0 then float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
-       else 0.0);
+    superpage_fraction = superpage_fraction p2m;
     splinters = Xen.P2m.splinter_count p2m;
     promotes = Xen.P2m.promote_count p2m;
     superpage_migrates = (Policies.Manager.stats st.manager).Policies.Manager.superpage_migrates;
     walk_cycles_per_instr = st.tlb_cycles_per_instr;
-    pt_replica_updates =
-      (match Policies.Manager.pt st.manager with
-      | Some pt -> Xen.Pt.replica_updates pt
-      | None -> 0);
-    pt_replica_invalidations =
-      (match Policies.Manager.pt st.manager with
-      | Some pt -> Xen.Pt.replica_invalidations pt
-      | None -> 0);
+    pt_replica_updates = pt_count Xen.Pt.replica_updates;
+    pt_replica_invalidations = pt_count Xen.Pt.replica_invalidations;
     pt_replica_time = account.Xen.Domain.pt_replica_time;
     latency;
     slo;
     degradation = vm_degradation st;
   }
 
+
 (* ------------------------------------------------------------------ *)
-(* Main loop                                                           *)
+(* Epoch pipeline                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let run (cfg : Config.t) =
+(* The state of one run, shared by the stages below. *)
+type run_state = {
+  cfg : Config.t;
+  topo : Numa.Topology.t;
+  system : Xen.System.t;
+  obs_stream : Obs.Stream.t option;
+  counters : Numa.Counters.t;
+  injector : Faults.Injector.t;
+  states : vm_state list;
+  dom0 : Xen.Domain.t option;
+  fail_nodes : int list;  (* the plan's node-failure targets, ascending *)
+  nodes : int;
+  bus_node : int;
+  controller_capacity : float;
+  node_demand : float array;
+  node_scale : float array;
+  (* RAS state: per-node effective capacity and bandwidth factor (both
+     move only under a [node_fail] plan) and the failing state seen
+     last epoch, for transition detection. *)
+  node_capacity : float array;
+  bw_factor : float array;
+  node_was_failing : bool array;
+  (* Per-epoch memo of the (src, dst) memory latency: topology distance
+     is static and route saturation is a last-epoch snapshot, so within
+     one epoch every thread pair sharing (src, dst) sees the same
+     cycles.  Filled eagerly each epoch — the values are a pure
+     function of the topology and the counter snapshot, so eager and
+     lazy fills agree bit for bit, and the latency kernel reads it
+     without a fill check per thread pair. *)
+  lat_memo : float array;
+  occupancy : int array;
+  sched_rng : Sim.Rng.t;
+  mutable now : float;
+  mutable epochs : int;
+  (* Steady-state fast-forward.  [cfg.fast_forward] is the only
+     whole-run switch; everything else is decided per epoch: replay
+     only while every running VM armed itself at the end of a full
+     epoch AND this epoch's pass A stayed clean AND no vCPU moved AND
+     the epoch lies below the skip horizon. *)
+  mutable ff_until : int;
+  mutable ff_replayed : int;
+}
+
+(* What the per-epoch inputs leave for the replay decision. *)
+type epoch_inputs = {
+  vcpus_moved : bool;  (* the credit scheduler moved a vCPU this epoch *)
+  pass_a_clean : bool;  (* no running VM rotated its hot front or burst *)
+}
+
+(* One dom0 vCPU shuttles roughly 150 MB/s of pv I/O. *)
+let dom0_core_mb_s = 150.0
+
+let boot (cfg : Config.t) =
   let scale = Config.page_scale cfg in
   let machine_desc = cfg.Config.machine in
   let topo = machine_desc.Numa.Machine_desc.topology () in
@@ -1144,13 +1254,13 @@ let run (cfg : Config.t) =
      (boot) no window is armed: population is never perturbed. *)
   let injector = Faults.Injector.create ~seed:cfg.Config.seed cfg.Config.faults in
   Faults.Injector.install injector system;
-  let faults_on = Faults.Injector.enabled injector in
   let states = List.map (setup_vm cfg system injector root_rng) cfg.Config.vms in
+  let nodes = Numa.Topology.node_count topo in
   (* Node-fail targets are drawn from the union of the guests' home
      nodes, so an injected failure always lands where memory lives.
      Safe after setup: at epoch -1 nothing is armed, so boot drew
      nothing from the injector's stream. *)
-  (let seen = Array.make (Numa.Topology.node_count topo) false in
+  (let seen = Array.make nodes false in
    List.iter
      (fun st -> Array.iter (fun n -> seen.(n) <- true) st.domain.Xen.Domain.home_nodes)
      states;
@@ -1158,9 +1268,7 @@ let run (cfg : Config.t) =
      Array.of_list
        (List.filter (fun n -> seen.(n)) (List.init (Array.length seen) Fun.id))
    in
-   Faults.Injector.assign_node_targets injector ~candidates
-     ~nodes:(Numa.Topology.node_count topo) ());
-  let fail_nodes = List.sort_uniq Int.compare (Faults.Injector.node_fail_targets injector) in
+   Faults.Injector.assign_node_targets injector ~candidates ~nodes ());
   (match obs_stream with
   | None -> ()
   | Some _ ->
@@ -1170,721 +1278,585 @@ let run (cfg : Config.t) =
           | Some q -> Guest.Pv_queue.set_obs q ~domain:st.domain.Xen.Domain.id obs_stream
           | None -> ())
         states);
-  let latency = machine_desc.Numa.Machine_desc.latency in
-  let freq = machine_desc.Numa.Machine_desc.freq_hz in
-  let nodes = Numa.Topology.node_count topo in
-  let bus_node =
-    match machine_desc.Numa.Machine_desc.pci_bus_nodes with
-    | _ :: n :: _ -> n
-    | [ n ] -> n
-    | [] -> 0
-  in
-  let epoch_len = cfg.Config.epoch in
-  let now = ref 0.0 in
-  let epochs = ref 0 in
-  let epoch_accesses = Array.make (List.length states) 0.0 in
   (* A controller's sustained random-access throughput is well below
      its streaming peak (bank cycle time, row misses): 62% of the
      13 GiB/s plate number, as derived by the request-level simulator
      (Microsim.Memsim.random_access_efficiency). *)
   let controller_capacity =
-    0.62 *. Numa.Topology.controller_gib_per_s topo *. (1024.0 ** 3.0) *. epoch_len
+    0.62 *. Numa.Topology.controller_gib_per_s topo *. (1024.0 ** 3.0) *. cfg.Config.epoch
   in
-  let node_demand = Array.make nodes 0.0 in
-  let node_scale = Array.make nodes 1.0 in
-  (* RAS state: per-node effective capacity and bandwidth factor (both
-     move only under a [node_fail] plan) and the failing state seen
-     last epoch, for transition detection. *)
-  let node_capacity = Array.make nodes controller_capacity in
-  let bw_factor = Array.make nodes 1.0 in
-  let node_was_failing = Array.make nodes false in
-  (* Per-epoch memo of the (src, dst) memory latency: topology distance
-     is static and route saturation is a last-epoch snapshot, so within
-     one epoch every thread pair sharing (src, dst) sees the same
-     cycles.  Filled eagerly each epoch — the values are a pure
-     function of the topology and the counter snapshot, so eager and
-     lazy fills agree bit for bit, and the latency kernel reads it
-     without a fill check per thread pair. *)
-  let lat_memo = Array.make (nodes * nodes) 0.0 in
-  let occupancy = Array.make (Array.length system.Xen.System.pcpu_load) 0 in
-  let dom0_active = ref 0 in
-  (* One dom0 vCPU shuttles roughly 150 MB/s of pv I/O. *)
-  let dom0_core_mb_s = 150.0 in
-  let sched_rng = Sim.Rng.split root_rng in
-  let any_unpinned = List.exists (fun st -> not st.spec.Config.pinned) states in
-  let st_of_domain id =
-    List.find (fun st -> st.domain.Xen.Domain.id = id) states
-  in
-  let running () = List.exists vm_running states in
-  (* Steady-state fast-forward.  [cfg.fast_forward] is the only
-     whole-run switch; everything else is decided per epoch: replay
-     only while every running VM armed itself at the end of a full
-     epoch AND this epoch's pass A stayed clean AND no vCPU moved AND
-     the horizon says no boundary work is due. *)
-  let ff_until = ref 0 in
-  let ff_replayed = ref 0 in
-  (* Armed at the end of epoch [e], the replay may serve epochs
-     strictly below this horizon: the next multiple of 10 when any VM
-     runs Carrefour (user-component feed), P2M superpages (promotion
-     scan) or the reconcile sweep (first-touch under a fault plan), the
-     next epoch with a fault window armed, and a conservative estimate
-     of the earliest thread completion.  The per-epoch [replay_guard]
-     is the safety net; the completion clause only saves it work. *)
-  let skip_horizon e =
-    let h = ref cfg.Config.max_epochs in
-    let cut v = if v < !h then h := v in
-    if
-      List.exists
-        (fun st ->
-          vm_running st
-          && (Option.is_some (Policies.Manager.carrefour st.manager)
-             || Policies.Manager.superpages_enabled st.manager
-             || (faults_on
-                && st.spec.Config.policy.Policies.Spec.placement = Policies.Spec.First_touch)))
-        states
-    then cut (e - (e mod 10) + 10);
-    (match Faults.Injector.next_armed_epoch injector ~after:(e + 1) with
-    | Some a -> cut a
-    | None -> ());
-    List.iter
-      (fun st ->
-        if vm_running st then
-          for t = 0 to st.spec.Config.threads - 1 do
-            if st.finish.(t) < 0.0 && st.thread_final.(t) > 0.0 then
-              cut
-                (e + 1
-                + int_of_float
-                    (Float.min 1e9
-                       (Float.max 0.0
-                          ((st.remaining.(t) -. st.thread_cap.(t)) /. st.thread_final.(t)))))
-          done)
-      states;
-    !h
-  in
-  (* Ticked on every running VM every epoch, replayed or not, so the
-     manager's clock is the epoch; only a fault plan feeds reconcile. *)
-  let tick st =
-    let was_evacuating = Policies.Manager.evacuating st.manager >= 0 in
-    Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
-        Policies.Manager.epoch_tick st.manager ~epoch:!epochs
-          ?guest_free:(if faults_on then Some (Guest.Pfn_pool.free_pfns st.pool) else None)
-          ());
-    (* During (and right after) a drain the placement cache is
-       wholesale-stale: re-resolve it through the P2M. *)
-    if was_evacuating || Policies.Manager.evacuating st.manager >= 0 then refresh_regions st
-  in
-  while running () && !epochs < cfg.Config.max_epochs do
-    (match obs_stream with
-    | None -> ()
-    | Some stream ->
-        (* Stamp subsequent events with this epoch's virtual time. *)
-        Obs.Stream.set_time stream !now;
-        Obs.Stream.emit ~arg:!epochs stream Obs.Event.Epoch_boundary;
-        (* Walk/replica summaries, one per domain per epoch (the raw
-           update stream would swamp the ring): the walk CPI term in
-           milli-cycles, and the cumulative per-mirror counters.
-           Emitted only when the feature is on, so every other run's
-           trace is byte-identical to the pre-walk-model engine. *)
+  {
+    cfg;
+    topo;
+    system;
+    obs_stream;
+    counters;
+    injector;
+    states;
+    dom0;
+    fail_nodes = List.sort_uniq Int.compare (Faults.Injector.node_fail_targets injector);
+    nodes;
+    bus_node =
+      (match machine_desc.Numa.Machine_desc.pci_bus_nodes with
+      | _ :: n :: _ -> n
+      | [ n ] -> n
+      | [] -> 0);
+    controller_capacity;
+    node_demand = Array.make nodes 0.0;
+    node_scale = Array.make nodes 1.0;
+    node_capacity = Array.make nodes controller_capacity;
+    bw_factor = Array.make nodes 1.0;
+    node_was_failing = Array.make nodes false;
+    lat_memo = Array.make (nodes * nodes) 0.0;
+    occupancy = Array.make (Array.length system.Xen.System.pcpu_load) 0;
+    sched_rng = Sim.Rng.split root_rng;
+    now = 0.0;
+    epochs = 0;
+    ff_until = 0;
+    ff_replayed = 0;
+  }
+
+let running rs = List.exists vm_running rs.states
+
+(* Ticked on every running VM every epoch, replayed or not, so the
+   manager's clock is the epoch; only a fault plan feeds reconcile. *)
+let tick rs st =
+  let was_evacuating = Policies.Manager.evacuating st.manager >= 0 in
+  Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
+      Policies.Manager.epoch_tick st.manager ~epoch:rs.epochs
+        ?guest_free:
+          (if Faults.Injector.enabled rs.injector then Some (Guest.Pfn_pool.free_pfns st.pool)
+           else None)
+        ());
+  (* During (and right after) a drain the placement cache is
+     wholesale-stale: re-resolve it through the P2M. *)
+  if was_evacuating || Policies.Manager.evacuating st.manager >= 0 then refresh_regions st
+
+(* --- Epoch inputs: run on every epoch, replayed or not ------------- *)
+
+let trace_epoch rs stream =
+  (* Stamp subsequent events with this epoch's virtual time. *)
+  Obs.Stream.set_time stream rs.now;
+  Obs.Stream.emit ~arg:rs.epochs stream Obs.Event.Epoch_boundary;
+  (* Walk/replica summaries, one per domain per epoch (the raw update
+     stream would swamp the ring): the walk CPI term in milli-cycles,
+     and the cumulative per-mirror counters.  Emitted only when the
+     feature is on, so every other run's trace is byte-identical to the
+     pre-walk-model engine. *)
+  List.iter
+    (fun st ->
+      match Policies.Manager.pt st.manager with
+      | None -> ()
+      | Some pt ->
+          let d = st.domain.Xen.Domain.id in
+          if st.spec.Config.pt_walk then
+            Obs.Stream.emit ~domain:d
+              ~arg:(int_of_float (1000.0 *. st.tlb_cycles_per_instr))
+              stream Obs.Event.Pt_walk;
+          if Xen.Pt.replicated pt then begin
+            Obs.Stream.emit ~domain:d ~arg:(Xen.Pt.replica_updates pt) stream
+              Obs.Event.Pt_replica_update;
+            Obs.Stream.emit ~domain:d ~arg:(Xen.Pt.replica_invalidations pt) stream
+              Obs.Event.Pt_replica_invalidate
+          end)
+    rs.states
+
+(* Node RAS: mirror the injector's failing state into the topology
+   mask.  At a failing transition the node's machine frames are
+   retired immediately (free ones now, mapped ones when freed) and
+   every domain starts draining its resident frames; a recovered node
+   rejoins the mask and pool.  Only the plan's node-failure targets can
+   move, in ascending order. *)
+let node_ras rs =
+  let machine = rs.system.Xen.System.machine in
+  List.iter
+    (fun n ->
+      rs.bw_factor.(n) <- Faults.Injector.node_bandwidth_factor rs.injector ~node:n;
+      rs.node_capacity.(n) <- rs.controller_capacity *. Float.max 0.01 rs.bw_factor.(n);
+      let failing = Faults.Injector.node_failing rs.injector ~node:n in
+      if failing && not rs.node_was_failing.(n) then begin
+        rs.node_was_failing.(n) <- true;
+        Numa.Topology.set_node_online rs.topo n false;
+        ignore (Memory.Machine.offline_node machine n);
+        List.iter (fun st -> Policies.Manager.request_evacuation st.manager ~node:n) rs.states
+      end
+      else if (not failing) && rs.node_was_failing.(n) then begin
+        rs.node_was_failing.(n) <- false;
+        Numa.Topology.set_node_online rs.topo n true;
+        ignore (Memory.Machine.online_node machine n);
+        List.iter (fun st -> Policies.Manager.cancel_evacuation st.manager ~node:n) rs.states
+      end)
+    rs.fail_nodes
+
+(* ECC: per-domain draws, in VM order. *)
+let ecc rs =
+  List.iter
+    (fun st ->
+      if vm_running st then
         List.iter
-          (fun st ->
-            match Policies.Manager.pt st.manager with
-            | None -> ()
-            | Some pt ->
-                let d = st.domain.Xen.Domain.id in
-                if st.spec.Config.pt_walk then
-                  Obs.Stream.emit ~domain:d
-                    ~arg:(int_of_float (1000.0 *. st.tlb_cycles_per_instr))
-                    stream Obs.Event.Pt_walk;
-                if Xen.Pt.replicated pt then begin
-                  Obs.Stream.emit ~domain:d ~arg:(Xen.Pt.replica_updates pt) stream
-                    Obs.Event.Pt_replica_update;
-                  Obs.Stream.emit ~domain:d ~arg:(Xen.Pt.replica_invalidations pt) stream
-                    Obs.Event.Pt_replica_invalidate
-                end)
-          states);
-    Faults.Injector.set_epoch injector !epochs;
-    (* Node RAS: mirror the injector's failing state into the
-       topology mask.  At a failing transition the node's machine
-       frames are retired immediately (free ones now, mapped ones
-       when freed) and every domain starts draining its resident
-       frames; a recovered node rejoins the mask and pool.  Only the
-       plan's node-failure targets can move, in ascending order. *)
-    List.iter
-      (fun n ->
-        bw_factor.(n) <- Faults.Injector.node_bandwidth_factor injector ~node:n;
-        node_capacity.(n) <- controller_capacity *. Float.max 0.01 bw_factor.(n);
-        let failing = Faults.Injector.node_failing injector ~node:n in
-        if failing && not node_was_failing.(n) then begin
-          node_was_failing.(n) <- true;
-          Numa.Topology.set_node_online topo n false;
-          ignore (Memory.Machine.offline_node system.Xen.System.machine n);
-          List.iter (fun st -> Policies.Manager.request_evacuation st.manager ~node:n) states
-        end
-        else if (not failing) && node_was_failing.(n) then begin
-          node_was_failing.(n) <- false;
-          Numa.Topology.set_node_online topo n true;
-          ignore (Memory.Machine.online_node system.Xen.System.machine n);
-          List.iter (fun st -> Policies.Manager.cancel_evacuation st.manager ~node:n) states
-        end)
-      fail_nodes;
-    (* ECC: per-domain draws, in VM order. *)
-    List.iter
-      (fun st ->
-        if vm_running st then
-          List.iter
-            (function
-              | Faults.Injector.Ce pfn -> Policies.Manager.handle_ecc_ce st.manager ~pfn
-              | Faults.Injector.Ue pfn ->
-                  Policies.Manager.handle_ecc_ue st.manager ~pfn;
-                  update_page_node st pfn)
-            (Faults.Injector.ecc_events injector ~frames:st.domain.Xen.Domain.mem_frames))
-      states;
-    (* Pass A runs for every epoch, replayed or not: the phase check
-       and burst draw keep every RNG stream position identical to the
-       naive loop's, and the snapshots feed the arming check. *)
-    let pass_a_clean = ref true in
-    List.iter
-      (fun st ->
+          (function
+            | Faults.Injector.Ce pfn -> Policies.Manager.handle_ecc_ce st.manager ~pfn
+            | Faults.Injector.Ue pfn ->
+                Policies.Manager.handle_ecc_ue st.manager ~pfn;
+                update_page_node st pfn)
+          (Faults.Injector.ecc_events rs.injector ~frames:st.domain.Xen.Domain.mem_frames))
+    rs.states
+
+(* Credit-scheduler accounting period: rebalance unpinned vCPUs onto
+   idle pCPUs.  The vCPU moves; its memory does not — exactly the
+   hazard the paper's introduction describes for guest-visible NUMA
+   topologies.  It draws every epoch, replayed or not; an epoch in
+   which a vCPU moved runs in full and stales every capture.  Returns
+   whether any vCPU moved. *)
+let schedule_vcpus rs =
+  List.exists (fun st -> not st.spec.Config.pinned) rs.states
+  &&
+  let st_of_domain id = List.find (fun st -> st.domain.Xen.Domain.id = id) rs.states in
+  let domains = List.map (fun st -> st.domain) rs.states in
+  let movable (d : Xen.Domain.t) = not (st_of_domain d.Xen.Domain.id).spec.Config.pinned in
+  let active (d : Xen.Domain.t) v = (st_of_domain d.Xen.Domain.id).finish.(v) < 0.0 in
+  let migrations = Xen.Sched.balance rs.topo ~rng:rs.sched_rng ~domains ~movable ~active in
+  List.iter
+    (fun (m : Xen.Sched.migration) ->
+      let st = st_of_domain m.Xen.Sched.domain_id in
+      st.thread_node.(m.Xen.Sched.vcpu) <- Numa.Topology.node_of_cpu rs.topo m.Xen.Sched.to_pcpu;
+      (* the migration itself costs an IPI + context switch *)
+      Xen.Ipi.send st.domain ~costs:rs.system.Xen.System.costs)
+    migrations;
+  migrations <> []
+
+let epoch_inputs rs =
+  Option.iter (trace_epoch rs) rs.obs_stream;
+  Faults.Injector.set_epoch rs.injector rs.epochs;
+  node_ras rs;
+  ecc rs;
+  (* Pass A runs for every epoch, replayed or not: the phase check and
+     burst draw keep every RNG stream position identical to the naive
+     loop's, and the snapshots feed the arming check. *)
+  let pass_a_clean =
+    List.fold_left
+      (fun clean st ->
         if vm_running st then begin
           epoch_pass_a st;
-          if st.ff_rotated || st.burst_victim >= 0 then pass_a_clean := false
-        end)
-      states;
-    (* Credit-scheduler accounting period: rebalance unpinned vCPUs
-       onto idle pCPUs.  The vCPU moves; its memory does not — exactly
-       the hazard the paper's introduction describes for guest-visible
-       NUMA topologies.  It draws every epoch, replayed or not; an
-       epoch in which a vCPU moved runs in full and stales every
-       capture. *)
-    let vcpus_moved =
-      any_unpinned
-      &&
-      let domains = List.map (fun st -> st.domain) states in
-      let movable (d : Xen.Domain.t) = not (st_of_domain d.Xen.Domain.id).spec.Config.pinned in
-      let active (d : Xen.Domain.t) v = (st_of_domain d.Xen.Domain.id).finish.(v) < 0.0 in
-      let migrations = Xen.Sched.balance topo ~rng:sched_rng ~domains ~movable ~active in
-      List.iter
-        (fun (m : Xen.Sched.migration) ->
-          let st = st_of_domain m.Xen.Sched.domain_id in
-          st.thread_node.(m.Xen.Sched.vcpu) <- Numa.Topology.node_of_cpu topo m.Xen.Sched.to_pcpu;
-          (* the migration itself costs an IPI + context switch *)
-          Xen.Ipi.send st.domain ~costs:system.Xen.System.costs)
-        migrations;
-      migrations <> []
-    in
-    let replay =
-      cfg.Config.fast_forward && (not vcpus_moved) && !pass_a_clean
-      && !epochs < !ff_until
-      && List.for_all
-           (fun st ->
-             (not (vm_running st))
-             || (st.ff_armed
-                &&
-                (* The capture whose parity matches this epoch is the
-                   one the replay would apply. *)
-                let snap = st.ff_snap.(!epochs land 1) in
-                (* Steady disk DMA replays too, but only while the pool
-                   can still serve a full-rate epoch; the partial final
-                   epoch (and the first post-I/O epoch) must run live. *)
-                (if snap.sn_io > 0.0 then st.io_bytes_left >= snap.sn_io
-                 else st.io_bytes_left <= 0.0)
-                && replay_guard ~finish:st.finish ~doit:snap.sn_doit ~remaining:st.remaining
-                     ~cap:snap.sn_cap ~final:snap.sn_final))
-           states
-    in
-    if replay then begin
-      (* Delta replay: every float accumulation below re-performs the
-         additions the full kernels would have performed, on the same
-         frozen per-thread values, in the same order — so the run's
-         results and traces are bit-identical to the naive loop (the
-         engine.ff suite checks exactly that).  Scratch state the full
-         path rebuilds from scratch each epoch (node_demand,
-         node_scale, lat_memo, src_shared...) is left stale: only full
-         epochs read it, and each starts by refilling it. *)
-      incr ff_replayed;
-      let parity = !epochs land 1 in
-      Obs.Profile.span Obs.Profile.Ff_replay (fun () ->
-          List.iter
-            (fun st ->
-              if vm_running st then begin
-                let snap = st.ff_snap.(parity) in
-                let threads = st.spec.Config.threads in
-                for t = 0 to threads - 1 do
-                  if st.finish.(t) < 0.0 then
-                    st.sync_overhead <- st.sync_overhead +. snap.sn_sync.(t);
-                  if snap.sn_doit.(t) > 0.0 then
-                    st.remaining.(t) <- st.remaining.(t) -. snap.sn_final.(t)
-                done
-              end)
-            states;
-          (* Steady-phase disk DMA: the guard proved this epoch moves
-             the same full-rate byte count as the captured one, so the
-             live code recomputes the identical transfer — decrement,
-             counter records and all — in the full path's VM order
-             (I/O is committed before the thread traffic there too). *)
-          List.iter
-            (fun st ->
-              if vm_running st && st.ff_snap.(parity).sn_io > 0.0 then
-                disk_traffic cfg st counters ~bus_node ~node_demand)
-            states;
-          (* Commit the captured realized traffic to the hardware
-             counters — the verbatim full-path loop, VM-major like the
-             original, so the per-(src,dst) accumulation order is
-             unchanged. *)
-          List.iter
-            (fun st ->
-              if vm_running st then begin
-                let snap = st.ff_snap.(parity) in
-                let threads = st.spec.Config.threads in
-                for t = 0 to threads - 1 do
-                  if snap.sn_doit.(t) > 0.0 then begin
-                    let base = t * nodes in
-                    let src = st.thread_node.(t) in
-                    for n = 0 to nodes - 1 do
-                      if snap.sn_dst.(base + n) > 0.0 then
-                        Numa.Counters.record_accesses counters ~src ~dst:n
-                          ~count:snap.sn_dst.(base + n) ~bytes_per_access:access_bytes
-                    done
-                  end
-                done
-              end)
-            states;
-          Numa.Counters.end_epoch counters ~duration:epoch_len;
-          (* Latency reduction replay: identical adds from the captured
-             per-thread totals and latencies.  Consecutive bitwise-equal
-             samples enter the histogram through one [add_n] — the sums
-             it updates see the very same addition sequence. *)
-          List.iter
-            (fun st ->
-              if vm_running st then begin
-                let snap = st.ff_snap.(parity) in
-                let threads = st.spec.Config.threads in
-                let run_v = ref 0.0 in
-                let run_n = ref 0 in
-                for t = 0 to threads - 1 do
-                  if snap.sn_total.(t) > 0.0 then begin
-                    let total = snap.sn_total.(t) in
-                    let lat = snap.sn_lat.(t) in
-                    st.weighted_lat <- st.weighted_lat +. (total *. lat);
-                    st.total_accesses <- st.total_accesses +. total;
-                    st.local_accesses <-
-                      st.local_accesses +. snap.sn_dst.((t * nodes) + st.thread_node.(t));
-                    if !run_n > 0 && Int64.bits_of_float lat = Int64.bits_of_float !run_v then
-                      incr run_n
-                    else begin
-                      if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
-                      run_v := lat;
-                      run_n := 1
-                    end
-                  end
-                done;
-                if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
-                (* SLO accounting replay: under the witnessed cycle the
-                   epoch's metric values — hence the captured verdicts —
-                   are what the full path would recompute. *)
-                if snap.sn_slo_active then begin
-                  st.active_epochs <- st.active_epochs + 1;
-                  Array.iteri
-                    (fun i v -> if v then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
-                    snap.sn_slo_violate
-                end;
-                (* Keep the one live cross-epoch input phase-correct:
-                   the next full epoch's compute kernel reads
-                   [avg_lat], which must hold this (replayed) epoch's
-                   values, not the last full epoch's. *)
-                Array.blit snap.sn_lat 0 st.avg_lat 0 threads
-              end)
-            states);
-      List.iter (fun st -> if vm_running st then tick st) states
-    end
-    else begin
-    Array.fill node_demand 0 nodes 0.0;
-    (* dom0 load for this epoch, from the pv I/O still flowing. *)
-    (dom0_active :=
-       match dom0 with
-       | None -> 0
-       | Some _ ->
-           let pv_mb_s =
-             List.fold_left
-               (fun acc st ->
-                 if
-                   vm_running st && st.io_bytes_left > 0.0
-                   && io_path cfg.Config.mode st.spec.Config.policy = `Pv
-                 then acc +. st.spec.Config.app.Workloads.App.disk_mb_s
-                 else acc)
-               0.0 states
-           in
-           min 6 (int_of_float (Float.round (pv_mb_s /. dom0_core_mb_s))));
-    compute_occupancy ~occ:occupancy states ~dom0 ~dom0_active:!dom0_active;
-    List.iteri
-      (fun vi st ->
-        if vm_running st then begin
-          let threads = st.spec.Config.threads in
-          (* reset per-epoch traffic *)
-          Array.fill st.thread_dst 0 (Array.length st.thread_dst) 0.0;
-          Array.fill st.thread_accesses 0 threads 0.0;
-          Array.fill st.thread_shared 0 threads 0.0;
-          Array.fill st.thread_burst 0 threads 0.0;
-          Array.fill st.thread_sync 0 threads 0.0;
-          Array.fill st.src_shared 0 nodes 0.0;
-          st.shared_accesses_epoch <- 0.0;
-          st.burst_accesses_epoch <- 0.0;
-          epoch_accesses.(vi) <- 0.0;
-          let app = st.spec.Config.app in
-          (* Track the live superpage fraction (splinters and promotes
-             move it); non-superpage runs keep the boot-time constant
-             bit for bit.  Under --pt-walk the radix model reprices the
-             walk from the page tables' current placement instead. *)
-          (match Policies.Manager.pt st.manager with
-          | Some pt when st.spec.Config.pt_walk ->
-              st.tlb_cycles_per_instr <-
-                tlb_cycles_per_instr_radix cfg st.spec st.domain ~pt
-                  ~thread_node:st.thread_node ~topo ~latency
-          | Some _ | None ->
-              if Policies.Manager.superpages_enabled st.manager then
-                st.tlb_cycles_per_instr <- tlb_cycles_per_instr_dynamic cfg st.spec st.domain);
-          let oh = epoch_sync_overhead cfg st in
-          (* Carrefour's continuous hardware-counter sampling is not
-             free: the paper observes it slightly degrades applications
-             it cannot help. *)
-          let carrefour_tax =
-            match Policies.Manager.carrefour st.manager with Some _ -> 0.98 | None -> 1.0
-          in
-          let mr = app.Workloads.App.miss_rate in
-          Array.fill st.thread_doit 0 threads 0.0;
-          Array.fill st.thread_cap 0 threads 0.0;
-          Obs.Profile.span Obs.Profile.Kernel_compute (fun () ->
-              epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq
-                ~epoch_len ~threads);
-          let accesses_acc = ref epoch_accesses.(vi) in
-          Obs.Profile.span Obs.Profile.Reduce (fun () ->
-              reduce_epoch_traffic st ~threads ~accesses_acc);
-          epoch_accesses.(vi) <- !accesses_acc;
-          disk_traffic cfg st counters ~bus_node ~node_demand
-        end)
-      states;
-    (* Bandwidth clamp: a memory controller serves at most its
-       (random-access effective) capacity per epoch.  When the demand
-       on a node overflows, every thread touching that node stalls in
-       proportion — the throughput collapse that makes master-slave
-       patterns so expensive, beyond the latency inflation alone. *)
-    List.iter
-      (fun st ->
-        if vm_running st then
-          for t = 0 to st.spec.Config.threads - 1 do
-            let base = t * nodes in
-            for n = 0 to nodes - 1 do
-              node_demand.(n) <- node_demand.(n) +. (st.thread_dst.(base + n) *. access_bytes)
-            done
-          done)
-      states;
-    for n = 0 to nodes - 1 do
-      node_scale.(n) <-
-        (if node_demand.(n) > node_capacity.(n) then node_capacity.(n) /. node_demand.(n)
-         else 1.0)
-    done;
-    List.iter
-      (fun st ->
-        if vm_running st then begin
-          let threads = st.spec.Config.threads in
-          let now_v = !now in
-          (* vCPU-local half: realized throughput, work retirement and
-             finish times read only vCPU [t]'s slots (node_scale is
-             fixed for the epoch). *)
-          Obs.Profile.span Obs.Profile.Kernel_throughput (fun () ->
-              for t = 0 to threads - 1 do
-                if st.thread_doit.(t) > 0.0 then begin
-                  let base = t * nodes in
-                  (* A sequential access stream advances at the pace of
-                     its most throttled destination. *)
-                  let realized = ref 1.0 in
-                  for n = 0 to nodes - 1 do
-                    if st.thread_dst.(base + n) > 1e-9 && node_scale.(n) < !realized then
-                      realized := node_scale.(n)
-                  done;
-                  let realized = !realized in
-                  let final = st.thread_doit.(t) *. realized in
-                  (* Captured for the fast-forward: the in-place
-                     [*. realized] scaling below loses [final]. *)
-                  st.thread_final.(t) <- final;
-                  st.remaining.(t) <- st.remaining.(t) -. final;
-                  if st.remaining.(t) <= 0.0 then
-                    st.finish.(t) <-
-                      now_v
-                      +. (epoch_len
-                         *. (final /. Float.max 1.0 (st.thread_cap.(t) *. realized)));
-                  if realized < 1.0 then begin
-                    st.thread_accesses.(t) <- st.thread_accesses.(t) *. realized;
-                    for n = 0 to nodes - 1 do
-                      st.thread_dst.(base + n) <- st.thread_dst.(base + n) *. realized
-                    done
-                  end
-                end
-              done);
-          (* Commit the realized traffic to the hardware counters — a
-             cross-vCPU float accumulation, so vCPU order, sequential. *)
-          Obs.Profile.span Obs.Profile.Reduce (fun () ->
-              for t = 0 to threads - 1 do
-                if st.thread_doit.(t) > 0.0 then begin
-                  let base = t * nodes in
-                  let src = st.thread_node.(t) in
-                  for n = 0 to nodes - 1 do
-                    if st.thread_dst.(base + n) > 0.0 then
-                      Numa.Counters.record_accesses counters ~src ~dst:n
-                        ~count:st.thread_dst.(base + n) ~bytes_per_access:access_bytes
-                  done
-                end
-              done)
-        end)
-      states;
-    Numa.Counters.end_epoch counters ~duration:epoch_len;
-    (* latency feedback and per-thread stats *)
-    for src = 0 to nodes - 1 do
-      for dst = 0 to nodes - 1 do
-        let hops = Numa.Topology.distance topo src dst in
-        let sat = Numa.Counters.max_route_saturation counters ~src ~dst in
-        (* A degraded destination controller behaves like a saturated
-           one: retries and dropped bandwidth inflate latency. *)
-        let sat = sat +. (1.0 -. bw_factor.(dst)) in
-        lat_memo.((src * nodes) + dst) <- Numa.Latency.mem_cycles latency ~hops ~saturation:sat
-      done
-    done;
-    List.iter
-      (fun st ->
-        if vm_running st then begin
-          let threads = st.spec.Config.threads in
-          Obs.Profile.span Obs.Profile.Kernel_latency (fun () ->
-              for t = 0 to threads - 1 do
-                let base = t * nodes in
-                let total = ref 0.0 in
-                for n = 0 to nodes - 1 do
-                  total := !total +. st.thread_dst.(base + n)
-                done;
-                let total = !total in
-                st.thread_total.(t) <- total;
-                if total > 0.0 then begin
-                  let src = st.thread_node.(t) in
-                  let lat = ref 0.0 in
-                  for n = 0 to nodes - 1 do
-                    if st.thread_dst.(base + n) > 0.0 then
-                      lat :=
-                        !lat
-                        +. (st.thread_dst.(base + n) /. total
-                           *. lat_memo.((src * nodes) + n))
-                  done;
-                  st.avg_lat.(t) <- !lat
-                end
-              done);
-          Obs.Profile.span Obs.Profile.Reduce (fun () ->
-              (* Sequential fixed-order reduction; also the one place
-                 latency samples are recorded, so the histogram (and
-                 everything derived from it) follows vCPU order. *)
-              let running = ref 0 in
-              let ep_wlat = ref 0.0 in
-              let ep_total = ref 0.0 in
-              for t = 0 to threads - 1 do
-                if st.thread_total.(t) > 0.0 then begin
-                  let total = st.thread_total.(t) in
-                  st.weighted_lat <- st.weighted_lat +. (total *. st.avg_lat.(t));
-                  st.total_accesses <- st.total_accesses +. total;
-                  st.local_accesses <-
-                    st.local_accesses +. st.thread_dst.((t * nodes) + st.thread_node.(t));
-                  Sim.Stats.Histogram.add st.lat_hist st.avg_lat.(t);
-                  st.slo_scratch.(!running) <- st.avg_lat.(t);
-                  incr running;
-                  ep_wlat := !ep_wlat +. (total *. st.avg_lat.(t));
-                  ep_total := !ep_total +. total
-                end
-              done;
-              (* Per-epoch SLO accounting: purely observational reads
-                 of the epoch's latencies — no RNG, no traffic, no
-                 trace — so a run with objectives stays bit-identical
-                 to one without. *)
-              st.ff_slo_active <- cfg.Config.slo <> [] && !running > 0;
-              if st.ff_slo_active then begin
-                st.active_epochs <- st.active_epochs + 1;
-                let samples = Array.sub st.slo_scratch 0 !running in
-                List.iteri
-                  (fun i (metric, target) ->
-                    let value =
-                      match metric with
-                      | "mean" -> !ep_wlat /. !ep_total
-                      | "p50" -> Sim.Stats.percentile samples 50.0
-                      | "p95" -> Sim.Stats.percentile samples 95.0
-                      | "p99" -> Sim.Stats.percentile samples 99.0
-                      | "p999" -> Sim.Stats.percentile samples 99.9
-                      | m -> invalid_arg ("Runner: unknown SLO metric " ^ m)
-                    in
-                    (* Verdicts are remembered so a replayed epoch can
-                       bump the same counters without re-deriving the
-                       percentiles (identical under quiescence). *)
-                    let violated = value > target in
-                    st.ff_slo_violate.(i) <- violated;
-                    if violated then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
-                  cfg.Config.slo
-              end);
-          (* Fault-mode page churn: real alloc/release traffic through
-             the pv queue, so op drops and lost batches leave stale P2M
-             entries for the reconciliation sweep to heal.  Full epochs
-             only: a VM with a queue never arms. *)
-          (match st.queue with
-          | None -> ()
-          | Some q ->
-              let period =
-                match st.spec.Config.app.Workloads.App.page_release_period with
-                | Some p -> p
-                | None -> epoch_len
-              in
-              let iters = min 64 (max 1 (int_of_float (epoch_len /. period))) in
-              let threads = st.spec.Config.threads in
-              for i = 0 to iters - 1 do
-                match Guest.Pfn_pool.alloc st.pool with
-                | None -> ()
-                | Some pfn ->
-                    Guest.Pv_queue.record q (Guest.Pv_queue.Alloc pfn);
-                    (match Xen.P2m.get st.domain.Xen.Domain.p2m pfn with
-                    | Xen.P2m.Invalid ->
-                        ignore
-                          (Xen.Domain.handle_fault st.domain ~costs:system.Xen.System.costs
-                             ~pfn ~cpu:st.domain.Xen.Domain.vcpu_pin.(i mod threads))
-                    | Xen.P2m.Mapped _ -> ());
-                    Guest.Pfn_pool.release st.pool pfn;
-                    Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
-              done);
-          tick st;
-          (* Carrefour runs its user component once per second (every
-             tenth epoch), like the real system. *)
-          (match Policies.Manager.carrefour st.manager with
-          | None -> ()
-          | Some _ ->
-              if !epochs mod 10 = 0 then
-                match
-                  Obs.Profile.span Obs.Profile.Carrefour_feed (fun () ->
-                      Policies.Manager.carrefour_epoch_feed st.manager ~counters
-                        ~feed:(fun sys -> feed_samples st sys))
-                with
-                | Some _ -> refresh_placement st
-                | None -> ());
-          (* Arming check and capture.  The structural clauses prove
-             nothing moved this epoch's inputs: the P2M version covers
-             every mapping mutation; the finish count covers occupancy;
-             I/O must have drained so dom0 stays idle and disk DMA
-             silent; no vCPU moved; the manager is quiescent, so a
-             replayed epoch's tick only advances its clock; no churn
-             queue; and the next epoch is outside every armed fault
-             window, so both captures an arming leaves behind come from
-             unarmed epochs and a plan armed all run pays no captures.
-             A structurally clean epoch is then captured into the
-             snapshot of its parity; it ARMS the fast-forward when it
-             bitwise reproduced the same-parity capture of two epochs
-             before — the witness that the latency feedback settled
-             into its (period ≤ 2) limit cycle.  Any unclean epoch
-             stales both captures, so a fresh witness always spans
-             consecutive clean epochs.  By induction, every subsequent
-             guarded epoch then reproduces the opposite-parity
-             capture's floats exactly. *)
-          if cfg.Config.fast_forward then begin
-            let clean =
-              (not vcpus_moved) && st.queue = None
-              && Faults.Injector.next_armed_epoch injector ~after:(!epochs + 1)
-                 <> Some (!epochs + 1)
-              && Xen.P2m.version st.domain.Xen.Domain.p2m = st.ff_p2m_version
-              && (not st.ff_rotated)
-              && st.burst_victim < 0
-              && (st.ff_io = 0.0
-                 || st.ff_io
-                    = st.spec.Config.app.Workloads.App.disk_mb_s *. 1e6 *. cfg.Config.epoch)
-              && st.migrations = st.ff_migrations
-              && (let fin = ref 0 in
-                  Array.iter (fun f -> if f >= 0.0 then incr fin) st.finish;
-                  !fin = st.ff_finished)
-              && Policies.Manager.quiescent st.manager
-            in
-            if not clean then begin
-              st.ff_armed <- false;
-              st.ff_snap.(0).sn_epoch <- -1;
-              st.ff_snap.(1).sn_epoch <- -1
-            end
-            else begin
-              let snap = st.ff_snap.(!epochs land 1) in
-              let other = st.ff_snap.(1 - (!epochs land 1)) in
-              st.ff_armed <-
-                snap.sn_epoch >= 0
-                && (!epochs - snap.sn_epoch) land 1 = 0
-                && other.sn_epoch >= 0
-                && (!epochs - other.sn_epoch) land 1 = 1
-                && arrays_bits_equal snap.sn_lat st.avg_lat
-                && arrays_bits_equal snap.sn_dst st.thread_dst
-                && arrays_bits_equal snap.sn_total st.thread_total
-                && arrays_bits_equal snap.sn_sync st.thread_sync
-                && arrays_bits_equal snap.sn_doit st.thread_doit
-                && arrays_bits_equal snap.sn_cap st.thread_cap
-                && arrays_bits_equal snap.sn_final st.thread_final
-                && Int64.bits_of_float snap.sn_io = Int64.bits_of_float st.ff_io;
-              snap.sn_epoch <- !epochs;
-              Array.blit st.thread_sync 0 snap.sn_sync 0 threads;
-              Array.blit st.thread_doit 0 snap.sn_doit 0 threads;
-              Array.blit st.thread_cap 0 snap.sn_cap 0 threads;
-              Array.blit st.thread_final 0 snap.sn_final 0 threads;
-              Array.blit st.thread_total 0 snap.sn_total 0 threads;
-              Array.blit st.avg_lat 0 snap.sn_lat 0 threads;
-              Array.blit st.thread_dst 0 snap.sn_dst 0 (threads * nodes);
-              snap.sn_io <- st.ff_io;
-              snap.sn_slo_active <- st.ff_slo_active;
-              Array.blit st.ff_slo_violate 0 snap.sn_slo_violate 0
-                (Array.length st.ff_slo_violate)
-            end
-          end
-        end)
-      states;
-    if
-      cfg.Config.fast_forward
-      && List.for_all (fun st -> (not (vm_running st)) || st.ff_armed) states
-    then ff_until := skip_horizon !epochs
-    end;
-    (match cfg.Config.observer with
-    | None -> ()
-    | Some observer ->
-        let progress st =
-          let total = Array.fold_left ( +. ) 0.0 st.remaining in
-          let work =
-            float_of_int st.spec.Config.threads
-            *. Workloads.App.instructions_per_thread st.spec.Config.app
-                 ~threads:st.spec.Config.threads
-                 ~freq_hz:cfg.Config.machine.Numa.Machine_desc.freq_hz
-          in
-          Float.max 0.0 (Float.min 1.0 (1.0 -. (total /. work)))
+          clean && not (st.ff_rotated || st.burst_victim >= 0)
+        end
+        else clean)
+      true rs.states
+  in
+  { vcpus_moved = schedule_vcpus rs; pass_a_clean }
+
+(* --- Replayed epoch ------------------------------------------------ *)
+
+let replayable rs inputs =
+  rs.cfg.Config.fast_forward && (not inputs.vcpus_moved) && inputs.pass_a_clean
+  && rs.epochs < rs.ff_until
+  && List.for_all
+       (fun st ->
+         (not (vm_running st))
+         || st.ff_armed
+            &&
+            (* The capture whose parity matches this epoch is the one
+               the replay would apply. *)
+            let snap = st.ff_snap.(rs.epochs land 1) in
+            (* Steady disk DMA replays too, but only while the pool can
+               still serve a full-rate epoch; the partial final epoch
+               (and the first post-I/O epoch) must run live. *)
+            (if snap.io > 0.0 then st.io_bytes_left >= snap.io else st.io_bytes_left <= 0.0)
+            && replay_guard ~finish:st.finish ~doit:snap.slots.doit ~remaining:st.remaining
+                 ~cap:snap.slots.cap ~final:snap.slots.final)
+       rs.states
+
+(* The captured epoch's blocked time and retired work: the full path's
+   traffic reduction and throughput kernel leave exactly these. *)
+let retire st (s : slots) =
+  for t = 0 to st.spec.Config.threads - 1 do
+    if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. s.sync.(t);
+    if s.doit.(t) > 0.0 then st.remaining.(t) <- st.remaining.(t) -. s.final.(t)
+  done
+
+(* Delta replay: the full epoch's end-of-epoch stages, run over the
+   capture of this epoch's parity instead of the slots the kernels
+   would have rewritten with the same bits — same additions, same
+   order, so results and traces are bit-identical to the naive loop
+   (the engine.ff suite checks exactly that).  Disk DMA is committed
+   before the thread traffic, as in the full path; the replay guard
+   proved it moves the captured full-rate byte count, or nothing.
+   Scratch the full path rebuilds every epoch (node_demand,
+   node_scale, lat_memo, src_shared...) is left stale: only full
+   epochs read it, and each starts by refilling it. *)
+let replay_epoch rs =
+  rs.ff_replayed <- rs.ff_replayed + 1;
+  let snap st = st.ff_snap.(rs.epochs land 1).slots in
+  let each f = List.iter (fun st -> if vm_running st then f st) rs.states in
+  Obs.Profile.span Obs.Profile.Ff_replay (fun () ->
+      each (fun st -> retire st (snap st));
+      each (fun st ->
+          disk_traffic rs.cfg st rs.counters ~bus_node:rs.bus_node ~node_demand:rs.node_demand);
+      each (fun st -> commit_traffic rs.counters st (snap st));
+      Numa.Counters.end_epoch rs.counters ~duration:rs.cfg.Config.epoch;
+      each (fun st ->
+          let s = snap st in
+          reduce_latency rs.cfg st s;
+          (* Keep the one live cross-epoch input phase-correct: the
+             next full epoch's compute kernel reads [lat], which must
+             hold this (replayed) epoch's values. *)
+          Array.blit s.lat 0 st.slots.lat 0 (Array.length s.lat)));
+  each (tick rs)
+
+(* --- Full epoch ---------------------------------------------------- *)
+
+(* dom0 load, occupancy, then per VM: reset the epoch's slots, reprice
+   the page walk, run the compute kernel, reduce its traffic and charge
+   the disk DMA. *)
+let compute_stage rs =
+  let cfg = rs.cfg and nodes = rs.nodes in
+  let machine = cfg.Config.machine in
+  Array.fill rs.node_demand 0 nodes 0.0;
+  (* dom0 load for this epoch, from the pv I/O still flowing. *)
+  let dom0_active =
+    match rs.dom0 with
+    | None -> 0
+    | Some _ ->
+        let pv_mb_s =
+          List.fold_left
+            (fun acc st ->
+              if
+                vm_running st && st.io_bytes_left > 0.0
+                && io_path cfg.Config.mode st.spec.Config.policy = `Pv
+              then acc +. st.spec.Config.app.Workloads.App.disk_mb_s
+              else acc)
+            0.0 rs.states
         in
-        observer
-          {
-            Config.epoch_index = !epochs;
-            time = !now +. epoch_len;
-            imbalance = Numa.Counters.imbalance counters;
-            max_controller_util =
-              Array.fold_left Float.max 0.0 (Numa.Counters.last_controller_utilisation counters);
-            max_link_util =
-              Array.fold_left Float.max 0.0 (Numa.Counters.last_link_utilisation counters);
-            progress =
-              List.map (fun st -> (st.spec.Config.app.Workloads.App.name, progress st)) states;
-            local_fraction =
-              List.map
-                (fun st ->
-                  ( st.spec.Config.app.Workloads.App.name,
-                    if st.total_accesses > 0.0 then st.local_accesses /. st.total_accesses
-                    else 0.0 ))
-                states;
-          });
-    incr epochs;
-    now := !now +. epoch_len
-  done;
+        min 6 (int_of_float (Float.round (pv_mb_s /. dom0_core_mb_s)))
+  in
+  compute_occupancy ~occ:rs.occupancy rs.states ~dom0:rs.dom0 ~dom0_active;
+  List.iter
+    (fun st ->
+      if vm_running st then begin
+        let threads = st.spec.Config.threads in
+        let s = st.slots in
+        (* reset per-epoch traffic *)
+        Array.fill s.dst 0 (Array.length s.dst) 0.0;
+        Array.fill st.thread_accesses 0 threads 0.0;
+        Array.fill st.thread_shared 0 threads 0.0;
+        Array.fill st.thread_burst 0 threads 0.0;
+        Array.fill s.sync 0 threads 0.0;
+        Array.fill st.src_shared 0 nodes 0.0;
+        st.shared_accesses_epoch <- 0.0;
+        st.burst_accesses_epoch <- 0.0;
+        let app = st.spec.Config.app in
+        (* Track the live superpage fraction (splinters and promotes
+           move it); non-superpage runs keep the boot-time constant bit
+           for bit.  Under --pt-walk the radix model reprices the walk
+           from the page tables' current placement instead. *)
+        (match Policies.Manager.pt st.manager with
+        | Some pt when st.spec.Config.pt_walk ->
+            st.tlb_cycles_per_instr <-
+              tlb_cycles_per_instr_radix cfg st.spec st.domain ~pt ~thread_node:st.thread_node
+                ~topo:rs.topo ~latency:machine.Numa.Machine_desc.latency
+        | Some _ | None ->
+            if Policies.Manager.superpages_enabled st.manager then
+              st.tlb_cycles_per_instr <- tlb_cycles_per_instr_dynamic cfg st.spec st.domain);
+        let oh = epoch_sync_overhead cfg st in
+        (* Carrefour's continuous hardware-counter sampling is not free:
+           the paper observes it slightly degrades applications it
+           cannot help. *)
+        let carrefour_tax =
+          match Policies.Manager.carrefour st.manager with Some _ -> 0.98 | None -> 1.0
+        in
+        let mr = app.Workloads.App.miss_rate in
+        Array.fill s.doit 0 threads 0.0;
+        Array.fill s.cap 0 threads 0.0;
+        Obs.Profile.span Obs.Profile.Kernel_compute (fun () ->
+            epoch_compute_kernel st ~injector:rs.injector ~occupancy:rs.occupancy ~oh
+              ~carrefour_tax ~mr ~freq:machine.Numa.Machine_desc.freq_hz
+              ~epoch_len:cfg.Config.epoch ~threads);
+        Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_epoch_traffic st ~threads);
+        disk_traffic cfg st rs.counters ~bus_node:rs.bus_node ~node_demand:rs.node_demand
+      end)
+    rs.states
+
+(* Bandwidth clamp: a memory controller serves at most its
+   (random-access effective) capacity per epoch.  When the demand on a
+   node overflows, every thread touching that node stalls in proportion
+   — the throughput collapse that makes master-slave patterns so
+   expensive, beyond the latency inflation alone. *)
+let clamp_bandwidth rs =
+  let nodes = rs.nodes in
+  List.iter
+    (fun st ->
+      if vm_running st then
+        for t = 0 to st.spec.Config.threads - 1 do
+          let base = t * nodes in
+          for n = 0 to nodes - 1 do
+            rs.node_demand.(n) <- rs.node_demand.(n) +. (st.slots.dst.(base + n) *. access_bytes)
+          done
+        done)
+    rs.states;
+  for n = 0 to nodes - 1 do
+    rs.node_scale.(n) <-
+      (if rs.node_demand.(n) > rs.node_capacity.(n) then rs.node_capacity.(n) /. rs.node_demand.(n)
+       else 1.0)
+  done
+
+(* vCPU-local half: realized throughput, work retirement and finish
+   times read only vCPU [t]'s slots (node_scale is fixed for the
+   epoch); then the counter commit. *)
+let throughput_stage rs st =
+  let nodes = rs.nodes and epoch_len = rs.cfg.Config.epoch in
+  let s = st.slots in
+  Obs.Profile.span Obs.Profile.Kernel_throughput (fun () ->
+      for t = 0 to st.spec.Config.threads - 1 do
+        if s.doit.(t) > 0.0 then begin
+          let base = t * nodes in
+          (* A sequential access stream advances at the pace of its most
+             throttled destination. *)
+          let realized = ref 1.0 in
+          for n = 0 to nodes - 1 do
+            if s.dst.(base + n) > 1e-9 && rs.node_scale.(n) < !realized then
+              realized := rs.node_scale.(n)
+          done;
+          let realized = !realized in
+          let final = s.doit.(t) *. realized in
+          s.final.(t) <- final;
+          st.remaining.(t) <- st.remaining.(t) -. final;
+          if st.remaining.(t) <= 0.0 then
+            st.finish.(t) <-
+              rs.now +. (epoch_len *. (final /. Float.max 1.0 (s.cap.(t) *. realized)));
+          if realized < 1.0 then begin
+            st.thread_accesses.(t) <- st.thread_accesses.(t) *. realized;
+            for n = 0 to nodes - 1 do
+              s.dst.(base + n) <- s.dst.(base + n) *. realized
+            done
+          end
+        end
+      done);
+  Obs.Profile.span Obs.Profile.Reduce (fun () -> commit_traffic rs.counters st s)
+
+(* Latency feedback: the memo from this epoch's counters (a degraded
+   destination controller behaves like a saturated one: retries and
+   dropped bandwidth inflate latency). *)
+let fill_latency_memo rs =
+  let nodes = rs.nodes and latency = rs.cfg.Config.machine.Numa.Machine_desc.latency in
+  for src = 0 to nodes - 1 do
+    for dst = 0 to nodes - 1 do
+      let hops = Numa.Topology.distance rs.topo src dst in
+      let sat = Numa.Counters.max_route_saturation rs.counters ~src ~dst in
+      let sat = sat +. (1.0 -. rs.bw_factor.(dst)) in
+      rs.lat_memo.((src * nodes) + dst) <- Numa.Latency.mem_cycles latency ~hops ~saturation:sat
+    done
+  done
+
+let latency_stage rs st =
+  let nodes = rs.nodes in
+  let s = st.slots in
+  Obs.Profile.span Obs.Profile.Kernel_latency (fun () ->
+      for t = 0 to st.spec.Config.threads - 1 do
+        let base = t * nodes in
+        let total = ref 0.0 in
+        for n = 0 to nodes - 1 do
+          total := !total +. s.dst.(base + n)
+        done;
+        let total = !total in
+        s.total.(t) <- total;
+        if total > 0.0 then begin
+          let src = st.thread_node.(t) in
+          let lat = ref 0.0 in
+          for n = 0 to nodes - 1 do
+            if s.dst.(base + n) > 0.0 then
+              lat := !lat +. (s.dst.(base + n) /. total *. rs.lat_memo.((src * nodes) + n))
+          done;
+          s.lat.(t) <- !lat
+        end
+      done);
+  Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_latency rs.cfg st s)
+
+(* Fault-mode page churn: real alloc/release traffic through the pv
+   queue, so op drops and lost batches leave stale P2M entries for the
+   reconciliation sweep to heal.  Full epochs only: a VM with a queue
+   never arms. *)
+let page_churn rs st =
+  match st.queue with
+  | None -> ()
+  | Some q ->
+      let epoch_len = rs.cfg.Config.epoch in
+      let period =
+        match st.spec.Config.app.Workloads.App.page_release_period with
+        | Some p -> p
+        | None -> epoch_len
+      in
+      let iters = min 64 (max 1 (int_of_float (epoch_len /. period))) in
+      let threads = st.spec.Config.threads in
+      for i = 0 to iters - 1 do
+        match Guest.Pfn_pool.alloc st.pool with
+        | None -> ()
+        | Some pfn ->
+            Guest.Pv_queue.record q (Guest.Pv_queue.Alloc pfn);
+            (match Xen.P2m.get st.domain.Xen.Domain.p2m pfn with
+            | Xen.P2m.Invalid ->
+                ignore
+                  (Xen.Domain.handle_fault st.domain ~costs:rs.system.Xen.System.costs ~pfn
+                     ~cpu:st.domain.Xen.Domain.vcpu_pin.(i mod threads))
+            | Xen.P2m.Mapped _ -> ());
+            Guest.Pfn_pool.release st.pool pfn;
+            Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
+      done
+
+(* Carrefour runs its user component once per second (every tenth
+   epoch), like the real system. *)
+let carrefour_period rs st =
+  match Policies.Manager.carrefour st.manager with
+  | None -> ()
+  | Some _ ->
+      if rs.epochs mod 10 = 0 then
+        match
+          Obs.Profile.span Obs.Profile.Carrefour_feed (fun () ->
+              Policies.Manager.carrefour_epoch_feed st.manager ~counters:rs.counters
+                ~feed:(fun sys -> feed_samples st sys))
+        with
+        | Some _ -> refresh_placement st
+        | None -> ()
+
+(* Arming check and capture.  The structural clauses prove nothing
+   moved this epoch's inputs: the P2M version covers every mapping
+   mutation; the finish count covers occupancy; I/O must have drained
+   so dom0 stays idle and disk DMA silent; no vCPU moved; the manager
+   is quiescent, so a replayed epoch's tick only advances its clock; no
+   churn queue; and the next epoch is outside every armed fault window,
+   so both captures an arming leaves behind come from unarmed epochs
+   and a plan armed all run pays no captures.  A structurally clean
+   epoch is then captured into the snapshot of its parity; it ARMS the
+   fast-forward when it bitwise reproduced the same-parity capture of
+   two epochs before — the witness that the latency feedback settled
+   into its (period ≤ 2) limit cycle.  Any unclean epoch stales both
+   captures, so a fresh witness always spans consecutive clean epochs.
+   By induction, every subsequent guarded epoch then reproduces the
+   opposite-parity capture's floats exactly. *)
+let arm rs st ~vcpus_moved =
+  let e = rs.epochs in
+  let clean =
+    (not vcpus_moved) && st.queue = None
+    && Faults.Injector.next_armed_epoch rs.injector ~after:(e + 1) <> Some (e + 1)
+    && Xen.P2m.version st.domain.Xen.Domain.p2m = st.ff_p2m_version
+    && (not st.ff_rotated)
+    && st.burst_victim < 0
+    && (st.ff_io = 0.0
+       || st.ff_io = st.spec.Config.app.Workloads.App.disk_mb_s *. 1e6 *. rs.cfg.Config.epoch)
+    && st.migrations = st.ff_migrations
+    && finished_threads st = st.ff_finished
+    && Policies.Manager.quiescent st.manager
+  in
+  if not clean then begin
+    st.ff_armed <- false;
+    st.ff_snap.(0).epoch <- -1;
+    st.ff_snap.(1).epoch <- -1
+  end
+  else begin
+    let snap = st.ff_snap.(e land 1) in
+    let other = st.ff_snap.(1 - (e land 1)) in
+    (* A capture only ever holds an epoch of its own parity. *)
+    st.ff_armed <-
+      snap.epoch >= 0 && other.epoch >= 0
+      && slots_bits_equal snap.slots st.slots
+      && Int64.bits_of_float snap.io = Int64.bits_of_float st.ff_io;
+    snap.epoch <- e;
+    copy_slots ~from:st.slots ~into:snap.slots;
+    snap.io <- st.ff_io
+  end
+
+(* The horizon over every VM: boundary work is due at the next
+   multiple of 10 when any running VM feeds Carrefour, runs the
+   promotion scan or runs the reconcile sweep (first-touch under a
+   fault plan). *)
+let horizon rs =
+  let epoch = rs.epochs and max_epochs = rs.cfg.Config.max_epochs in
+  let boundary_due =
+    List.exists
+      (fun st ->
+        vm_running st
+        && (Option.is_some (Policies.Manager.carrefour st.manager)
+           || Policies.Manager.superpages_enabled st.manager
+           || Faults.Injector.enabled rs.injector
+              && st.spec.Config.policy.Policies.Spec.placement = Policies.Spec.First_touch))
+      rs.states
+  in
+  let next_armed = Faults.Injector.next_armed_epoch rs.injector ~after:(epoch + 1) in
+  List.fold_left
+    (fun h st ->
+      Int.min h
+        (skip_horizon ~epoch ~max_epochs ~boundary_due ~next_armed ~finish:st.finish
+           ~remaining:st.remaining ~cap:st.slots.cap ~final:st.slots.final))
+    max_epochs rs.states
+
+let full_epoch rs ~vcpus_moved =
+  compute_stage rs;
+  clamp_bandwidth rs;
+  List.iter (fun st -> if vm_running st then throughput_stage rs st) rs.states;
+  Numa.Counters.end_epoch rs.counters ~duration:rs.cfg.Config.epoch;
+  fill_latency_memo rs;
+  List.iter
+    (fun st ->
+      if vm_running st then begin
+        latency_stage rs st;
+        page_churn rs st;
+        tick rs st;
+        carrefour_period rs st;
+        if rs.cfg.Config.fast_forward then arm rs st ~vcpus_moved
+      end)
+    rs.states;
+  if
+    rs.cfg.Config.fast_forward
+    && List.for_all (fun st -> (not (vm_running st)) || st.ff_armed) rs.states
+  then rs.ff_until <- horizon rs
+
+(* --- Observer, step, finish ---------------------------------------- *)
+
+let observe rs =
+  match rs.cfg.Config.observer with
+  | None -> ()
+  | Some observer ->
+      let progress st =
+        let total = Array.fold_left ( +. ) 0.0 st.remaining in
+        let work = float_of_int st.spec.Config.threads *. st.work_per_thread in
+        Float.max 0.0 (Float.min 1.0 (1.0 -. (total /. work)))
+      in
+      let counters = rs.counters in
+      observer
+        {
+          Config.epoch_index = rs.epochs;
+          time = rs.now +. rs.cfg.Config.epoch;
+          imbalance = Numa.Counters.imbalance counters;
+          max_controller_util =
+            Array.fold_left Float.max 0.0 (Numa.Counters.last_controller_utilisation counters);
+          max_link_util =
+            Array.fold_left Float.max 0.0 (Numa.Counters.last_link_utilisation counters);
+          progress =
+            List.map (fun st -> (st.spec.Config.app.Workloads.App.name, progress st)) rs.states;
+          local_fraction =
+            List.map
+              (fun st ->
+                ( st.spec.Config.app.Workloads.App.name,
+                  if st.total_accesses > 0.0 then st.local_accesses /. st.total_accesses else 0.0
+                ))
+              rs.states;
+        }
+
+let step rs =
+  let inputs = epoch_inputs rs in
+  if replayable rs inputs then replay_epoch rs else full_epoch rs ~vcpus_moved:inputs.vcpus_moved;
+  observe rs;
+  rs.epochs <- rs.epochs + 1;
+  rs.now <- rs.now +. rs.cfg.Config.epoch
+
+let finish rs =
   let result =
     {
-      Result.vms = List.map (vm_result cfg system) states;
-      imbalance = Numa.Counters.imbalance counters;
-      interconnect_load = Numa.Counters.interconnect_load counters;
-      epochs = !epochs;
-      replayed_epochs = !ff_replayed;
-      faults_injected = Faults.Injector.total_injected injector;
+      Result.vms = List.map (vm_result rs.cfg rs.system) rs.states;
+      imbalance = Numa.Counters.imbalance rs.counters;
+      interconnect_load = Numa.Counters.interconnect_load rs.counters;
+      epochs = rs.epochs;
+      replayed_epochs = rs.ff_replayed;
+      faults_injected = Faults.Injector.total_injected rs.injector;
     }
   in
   if Obs.Metrics.enabled () then begin
@@ -1918,6 +1890,22 @@ let run (cfg : Config.t) =
             Obs.Metrics.observe "engine.pt.replica_time_s"
               st.domain.Xen.Domain.account.Xen.Domain.pt_replica_time
         | Some _ | None -> ())
-      states
+      rs.states
   end;
   result
+
+let run (cfg : Config.t) =
+  let rs = boot cfg in
+  while running rs && rs.epochs < cfg.Config.max_epochs do
+    step rs
+  done;
+  finish rs
+
+let replay_stage cfg =
+  let rs = boot cfg in
+  while rs.epochs >= rs.ff_until do
+    if not (running rs && rs.epochs < cfg.Config.max_epochs) then
+      invalid_arg "Runner.replay_stage: the run ended before the fast-forward armed";
+    step rs
+  done;
+  fun () -> replay_epoch rs

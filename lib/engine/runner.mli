@@ -16,16 +16,23 @@
 val run : Config.t -> Result.t
 (** Simulate the configuration to completion (or [max_epochs]).
 
+    [run] boots the machine and the VMs, then drives one epoch at a
+    time: the epoch's inputs (trace stamps, RAS and ECC events, pass A,
+    the credit scheduler), then either a full epoch or a replayed one,
+    then the observer; at the end it assembles the result.
+
     Steady state is fast-forwarded by default
     ({!Config.t.fast_forward}): when an epoch's inputs provably
     reached a fixed point — no P2M mutation, no phase rotation or
     burst, no thread started or finished, no vCPU moved, I/O drained,
     manager quiescent, latency feedback bitwise converged, no
-    Carrefour/promotion/reconcile/fault boundary due — the runner replays the armed epoch's captured float deltas
-    by identical additions in identical order instead of re-running
-    the O(threads×nodes) kernels.  Results and traces are
-    bit-identical to the naive loop; only
-    {!Result.t.replayed_epochs} tells the difference. *)
+    Carrefour/promotion/reconcile/fault boundary due — the epoch skips
+    the O(threads×nodes) kernels and runs the full epoch's own
+    end-of-epoch stages (work retirement, disk DMA, counter commit,
+    latency reduction with its SLO verdicts, manager tick) over the
+    captured per-vCPU slots.  Results and traces are bit-identical to
+    the naive loop; only {!Result.t.replayed_epochs} tells the
+    difference. *)
 
 val access_bytes : float
 (** Bytes charged per memory access (one cache line). *)
@@ -39,3 +46,25 @@ val replay_guard :
     [Float.min remaining cap] stays bitwise equal to [cap]) and
     [remaining.(t) -. final.(t) > 0.0] (so no thread would have
     finished).  Pure; exposed for the micro benchmark. *)
+
+val skip_horizon :
+  epoch:int -> max_epochs:int -> boundary_due:bool -> next_armed:int option ->
+  finish:float array -> remaining:float array -> cap:float array -> final:float array -> int
+(** The fast-forward's skip horizon for one VM's threads, armed at the
+    end of [epoch]: replay may serve epochs strictly below it.  It is
+    [max_epochs], cut to the next multiple of 10 when [boundary_due]
+    (periodic Carrefour, promotion or reconcile work), to [next_armed]
+    (the next epoch with a fault window armed), and, for every thread
+    still running ([finish.(t) < 0]) that retired work ([final.(t) >
+    0]), to [epoch + 1 + (remaining.(t) - cap.(t)) / final.(t)],
+    clamped to \[0, 1e9\].  The runner takes the minimum over its VMs.
+    Pure. *)
+
+val replay_stage : Config.t -> unit -> unit
+(** [replay_stage cfg] boots [cfg], runs it until the fast-forward
+    has armed, and returns the runner's own replay stage over that
+    state: each call replays one epoch from the capture (work
+    retirement, disk DMA, counter commit, latency reduction, manager
+    tick) without advancing the clock.  Exposed for the micro
+    benchmark.  Raises [Invalid_argument] if the run ends before it
+    arms. *)

@@ -673,13 +673,17 @@ let slo_cfg ?fast_forward ~seed ~slo () =
 
 (* The latency summary and SLO rows are a pure function of the config:
    a rerun at the same seed, and a run with the epoch fast-forward off,
-   reproduce them exactly. *)
+   reproduce them exactly.  The p99 target of 158.7 cycles lies between
+   the run's epoch latencies: the first epoch stays below it, the
+   steady state (~158.8) exceeds it, so its violations land on
+   replayed epochs, whose verdicts are recomputed from the capture. *)
 let test_latency_reproducible () =
-  let slo = [ ("p99", 250.0); ("mean", 200.0) ] in
-  let run fast_forward =
-    Engine.Result.single (Engine.Runner.run (slo_cfg ~fast_forward ~seed:21 ~slo ()))
-  in
-  let v = run true and again = run true and naive = run false in
+  let slo = [ ("p99", 250.0); ("mean", 200.0); ("p99", 158.7) ] in
+  let run fast_forward = Engine.Runner.run (slo_cfg ~fast_forward ~seed:21 ~slo ()) in
+  let r = run true and r_naive = run false in
+  let v = Engine.Result.single r
+  and again = Engine.Result.single (run true)
+  and naive = Engine.Result.single r_naive in
   Alcotest.(check bool) "samples recorded" true (v.Engine.Result.latency.Engine.Result.samples > 0);
   Alcotest.(check bool) "rerun latency summary bit-identical" true
     (v.Engine.Result.latency = again.Engine.Result.latency);
@@ -687,7 +691,20 @@ let test_latency_reproducible () =
   Alcotest.(check bool) "fast-forward off latency summary bit-identical" true
     (v.Engine.Result.latency = naive.Engine.Result.latency);
   Alcotest.(check bool) "fast-forward off slo rows bit-identical" true
-    (v.Engine.Result.slo = naive.Engine.Result.slo)
+    (v.Engine.Result.slo = naive.Engine.Result.slo);
+  Alcotest.(check bool) "fast-forward off result bit-identical" true
+    ({ r with Engine.Result.replayed_epochs = 0 } = r_naive);
+  let replayed = r.Engine.Result.replayed_epochs in
+  Alcotest.(check bool) "epochs replayed" true (replayed > 0);
+  match List.rev v.Engine.Result.slo with
+  | row :: _ ->
+      let violations = row.Engine.Result.violation_epochs in
+      Alcotest.(check bool) "some epochs violate" true (violations > 0);
+      Alcotest.(check bool) "not every epoch violates" true
+        (violations < row.Engine.Result.active_epochs);
+      Alcotest.(check bool) "violations land on replayed epochs" true
+        (violations > r.Engine.Result.epochs - replayed)
+  | [] -> Alcotest.fail "no slo rows"
 
 let test_slo_observational_and_accounting () =
   let base = Engine.Runner.run (slo_cfg ~seed:22 ~slo:[] ()) in

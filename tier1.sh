@@ -235,6 +235,29 @@ grep -q "slo p99" "$TRACE_DIR/profile.txt" || {
 }
 echo "tier1: profiler and SLO smoke OK"
 
+# SLO verdicts on replayed epochs: a replayed epoch recomputes its
+# objectives from the captured latencies.  The targets sit inside the
+# run's epoch-latency range (the steady-state p99 exceeds 220 cycles
+# and the warm-up epochs do not; the mean exceeds 218 only during
+# warm-up), so some but not all epochs violate.  Stdout must match with
+# fast-forward on and off once the replay count is stripped.
+for ff in "" --no-fast-forward; do
+  dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 --slo p99=220,mean=218 $ff \
+    > "$TRACE_DIR/slo.txt"
+  sed 's/ ([0-9]* replayed)//' "$TRACE_DIR/slo.txt" > "$TRACE_DIR/slo${ff:-on}.txt"
+done
+cmp "$TRACE_DIR/sloon.txt" "$TRACE_DIR/slo--no-fast-forward.txt" || {
+  echo "tier1: FAIL - SLO output differs between fast-forward on and off" >&2
+  exit 1
+}
+awk '/epochs in violation/ { rows++; for (i = 1; i <= NF; i++) if ($i ~ /^[0-9]+\/[0-9]+$/) {
+       split($i, f, "/"); if (f[1] == 0 || f[1] == f[2]) bad = 1 } }
+     END { exit (bad || rows != 2) }' "$TRACE_DIR/sloon.txt" || {
+  echo "tier1: FAIL - SLO targets no longer split the epochs into violating and not" >&2
+  exit 1
+}
+echo "tier1: SLO fast-forward equivalence OK"
+
 # Short randomised chaos pass: a fresh QCHECK_SEED (overridable for
 # replay) re-runs the fault-injection property suite, whose
 # frame-accounting invariant (no leaks, no double frees) and the
