@@ -58,18 +58,16 @@ let () =
     Numa.Counters.end_epoch counters ~duration:1.0;
     (* Hardware sampling feeds the system component; the user component
        reads the metrics and decides. *)
-    let samples =
-      List.map
-        (fun pfn ->
-          {
-            Policies.Carrefour.pfn;
-            node_accesses = Array.make 8 (per_page /. 8.0);
-            read_fraction = 0.5;
-          })
-        hot_pages
-    in
+    let node_accesses = Array.make 8 (per_page /. 8.0) in
     let report =
-      match Policies.Manager.carrefour_epoch manager ~counters ~samples with
+      match
+        Policies.Manager.carrefour_epoch_feed manager ~counters ~feed:(fun sys ->
+            List.iter
+              (fun pfn ->
+                Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses
+                  ~read_fraction:0.5)
+              hot_pages)
+      with
       | Some report -> report
       | None -> failwith "carrefour is not active"
     in

@@ -198,15 +198,14 @@ let wakeup_of_mode costs = function
   | Config.Xen | Config.Xen_plus -> costs.Xen.Costs.blocked_wakeup_guest
 
 (* I/O path: Linux is native; stock Xen uses the dom0-mediated pv
-   drivers; Xen+ uses PCI passthrough with the IOMMU — unless the
-   first-touch policy is active, which is incompatible with the IOMMU
+   drivers; Xen+ uses PCI passthrough with the IOMMU — unless the policy
+   invalidates free pages, which is incompatible with the IOMMU
    (invalid P2M entries abort DMA with an asynchronous error). *)
-let io_path mode (policy : Policies.Spec.t) =
+let io_path mode policy =
   match mode with
   | Config.Linux -> `Native
   | Config.Xen -> `Pv
-  | Config.Xen_plus ->
-      if policy.Policies.Spec.placement = Policies.Spec.First_touch then `Pv else `Passthrough
+  | Config.Xen_plus -> if Policies.Spec.invalidates_free_pages policy then `Pv else `Passthrough
 
 let io_request_overhead costs = function
   | `Native -> costs.Xen.Costs.disk_native_request
@@ -392,42 +391,22 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
   let boot =
     match cfg.Config.mode with
     | Config.Linux -> policy  (* Linux applies its policy directly. *)
-    | Config.Xen | Config.Xen_plus ->
-        if policy.Policies.Spec.placement = Policies.Spec.Round_1g then Policies.Spec.round_1g
-        else if superpages && policy.Policies.Spec.placement = Policies.Spec.First_touch then
-          (* With superpages the contiguous boot placement is worth
-             modelling for first-touch too: the switch's free-list
-             release then splinters every 2 MiB entry — the paper's
-             granularity tension at its sharpest. *)
-          Policies.Spec.round_1g
-        else Policies.Spec.round_4k
+    | Config.Xen | Config.Xen_plus -> Policies.Spec.boot ~superpages policy
   in
   let manager =
     Policies.Manager.attach ~carrefour_config:(carrefour_config cfg machine) ~superpages
       ~pt_walk ~replicate_pt system domain ~boot ~rng
   in
-  (match cfg.Config.mode with
-  | Config.Linux -> ()
-  | Config.Xen | Config.Xen_plus ->
-      if not (Policies.Spec.equal policy boot) then begin
-        match Policies.Manager.set_policy manager policy with
-        | Ok () ->
-            (* On a switch to first-touch the guest reports its whole
-               free list; every entry is invalidated so the first touch
-               of each page faults into the hypervisor. *)
-            if policy.Policies.Spec.placement = Policies.Spec.First_touch then
-              ignore
-                (Policies.Manager.release_free_range manager ~first:0
-                   ~count:domain.Xen.Domain.mem_frames)
-        | Error msg -> invalid_arg ("Runner: " ^ msg)
-      end);
+  (match Policies.Manager.switch manager policy with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Runner: " ^ msg));
   let queue =
     match cfg.Config.mode with
     | Config.Linux -> None
     | Config.Xen | Config.Xen_plus ->
         if
           Faults.Injector.enabled injector
-          && policy.Policies.Spec.placement = Policies.Spec.First_touch
+          && Policies.Spec.invalidates_free_pages policy
           && app.Workloads.App.page_release_period <> None
         then begin
           let q =
@@ -1024,18 +1003,16 @@ let reduce_latency (cfg : Config.t) st (s : slots) =
 (* ------------------------------------------------------------------ *)
 
 let release_churn_overhead cfg st ~active_seconds =
-  match (cfg.Config.mode, st.spec.Config.policy.Policies.Spec.placement) with
-  | (Config.Xen | Config.Xen_plus), Policies.Spec.First_touch -> (
-      match st.spec.Config.app.Workloads.App.page_release_period with
-      | None -> 0.0
-      | Some period ->
-          let costs = Xen.Costs.default in
-          let per_release =
-            (costs.Xen.Costs.hypercall_entry /. 128.0)
-            +. costs.Xen.Costs.page_op_send +. costs.Xen.Costs.page_invalidate
-            +. costs.Xen.Costs.hypervisor_fault +. costs.Xen.Costs.page_map
-          in
-          active_seconds /. period *. per_release /. float_of_int st.spec.Config.threads)
+  match (cfg.Config.mode, st.spec.Config.app.Workloads.App.page_release_period) with
+  | (Config.Xen | Config.Xen_plus), Some period
+    when Policies.Spec.invalidates_free_pages st.spec.Config.policy ->
+      let costs = Xen.Costs.default in
+      let per_release =
+        (costs.Xen.Costs.hypercall_entry /. 128.0)
+        +. costs.Xen.Costs.page_op_send +. costs.Xen.Costs.page_invalidate
+        +. costs.Xen.Costs.hypervisor_fault +. costs.Xen.Costs.page_map
+      in
+      active_seconds /. period *. per_release /. float_of_int st.spec.Config.threads
   | _ -> 0.0
 
 let vm_degradation st =
@@ -1319,7 +1296,8 @@ let boot (cfg : Config.t) =
 let running rs = List.exists vm_running rs.states
 
 (* Ticked on every running VM every epoch, replayed or not, so the
-   manager's clock is the epoch; only a fault plan feeds reconcile. *)
+   manager's clock is the epoch.  Under a fault plan the guest reports
+   its free list, which lets the manager run its reconcile sweeps. *)
 let tick rs st =
   let was_evacuating = Policies.Manager.evacuating st.manager >= 0 in
   Obs.Profile.span Obs.Profile.Epoch_tick (fun () ->
@@ -1765,20 +1743,11 @@ let arm rs st ~vcpus_moved =
   end
 
 (* The horizon over every VM: boundary work is due at the next
-   multiple of 10 when any running VM feeds Carrefour, runs the
-   promotion scan or runs the reconcile sweep (first-touch under a
-   fault plan). *)
+   multiple of 10 when any running VM's manager says so. *)
 let horizon rs =
   let epoch = rs.epochs and max_epochs = rs.cfg.Config.max_epochs in
   let boundary_due =
-    List.exists
-      (fun st ->
-        vm_running st
-        && (Option.is_some (Policies.Manager.carrefour st.manager)
-           || Policies.Manager.superpages_enabled st.manager
-           || Faults.Injector.enabled rs.injector
-              && st.spec.Config.policy.Policies.Spec.placement = Policies.Spec.First_touch))
-      rs.states
+    List.exists (fun st -> vm_running st && Policies.Manager.boundary_due st.manager) rs.states
   in
   let next_armed = Faults.Injector.next_armed_epoch rs.injector ~after:(epoch + 1) in
   List.fold_left

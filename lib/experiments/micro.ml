@@ -126,7 +126,7 @@ let print_dma () =
   | Ok () -> ()
   | Error msg -> failwith msg);
   let buffer = [ 0; 1; 2; 3 ] in
-  ignore (Policies.Manager.release_free_pages manager buffer);
+  ignore (Policies.Manager.release_free_range manager ~first:0 ~count:(List.length buffer));
   print_endline "first-touch x IOMMU incompatibility (Section 4.4.1):";
   (match Xen.Dma.read system domain ~pci ~path:Xen.Dma.Passthrough ~buffer ~bytes:16384 with
   | Ok _ -> print_endline "  passthrough read: unexpectedly succeeded (BUG)"
@@ -161,12 +161,9 @@ let batching ?(ops = 100_000) () =
   in
   let rng = Sim.Rng.create ~seed:11 in
   let manager = Policies.Manager.attach system domain ~boot:Policies.Spec.round_4k ~rng in
-  (match Policies.Manager.set_policy manager Policies.Spec.first_touch with
+  (match Policies.Manager.switch manager Policies.Spec.first_touch with
   | Ok () -> ()
   | Error msg -> failwith msg);
-  ignore
-    (Policies.Manager.release_free_pages manager
-       (List.init domain.Xen.Domain.mem_frames (fun i -> i)));
   Xen.Domain.reset_account domain;
   let base_stats = Policies.Manager.stats manager in
   let base_invalidated = base_stats.Policies.Manager.invalidated in

@@ -189,7 +189,3 @@ let compare_merged a b =
     let c = compare a.stream b.stream in
     if c <> 0 then c else compare a.seq b.seq
   end
-
-let pp fmt e =
-  Format.fprintf fmt "%.6f %s dom=%d vcpu=%d pfn=%d node=%d arg=%d" e.time (class_name e.cls)
-    e.domain e.vcpu e.pfn e.node e.arg

@@ -79,5 +79,3 @@ type merged = {
 
 val compare_merged : merged -> merged -> int
 (** Total order by (time, stream, seq) — the merge key. *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,6 +29,7 @@ let promote_period = 10 (* epochs between promotion scans *)
 let promote_budget = 2 (* extents coalesced per scan *)
 let promote_scan_extents = 512 (* extents examined per scan *)
 let evac_budget = 512 (* frames moved off a failing node per epoch *)
+let batch_cap = max drain_budget evac_budget
 
 type degrade = {
   mutable migrate_retries : int;
@@ -73,6 +74,17 @@ let fresh_degrade () =
     evac_epochs = 0;
   }
 
+(* Grouped-migration scratch, shared by the deferred-queue drain and the
+   node evacuation, which run one after the other in [epoch_tick].
+   Entry i moves [pfns.(i)] along the (src, dst) node pair
+   [keys.(i) = src * nodes + dst]; a negative key moves nothing. *)
+type batch = {
+  pfns : int array;
+  keys : int array;
+  group : int array;  (* the pfns of the group being migrated *)
+  mfns : int array;  (* their target frames *)
+}
+
 type t = {
   system : Xen.System.t;
   domain : Xen.Domain.t;
@@ -95,11 +107,8 @@ type t = {
   mutable breaker_was_open : bool;  (* for the cooldown-close trace event *)
   mutable replay_dedup : Guest.Pv_queue.dedup option;  (* lazy, P2M-sized *)
   mutable inv_buf : int array;  (* invalidate-winner scratch, grows on demand *)
-  drain_pfns : int array;  (* drain_budget-sized drain scratch *)
-  drain_nodes : int array;
-  drain_src : int array;
-  group_pfns : int array;
-  group_mfns : int array;
+  mutable free_reported : bool;  (* the last tick carried the guest free list *)
+  batch : batch;
   (* Node-evacuation engine (RAS): while [evac_node >= 0] every epoch
      moves up to [evac_budget] resident frames off that node. *)
   mutable evac_node : int;  (* -1 = no evacuation in progress *)
@@ -107,10 +116,6 @@ type t = {
   mutable evac_rr : int;  (* round-robin cursor over surviving nodes *)
   mutable evac_backoff : int;  (* consecutive ENOMEM epochs, for backoff *)
   mutable evac_started : int;  (* epoch the evacuation was requested *)
-  evac_pfns : int array;  (* evac_budget-sized scratch *)
-  evac_dst : int array;
-  evac_group : int array;
-  evac_mfns : int array;
 }
 
 (* Trace emission for this domain's stream; a branch-and-return no-op
@@ -391,20 +396,19 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
       breaker_was_open = false;
       replay_dedup = None;
       inv_buf = [||];
-      drain_pfns = Array.make drain_budget 0;
-      drain_nodes = Array.make drain_budget 0;
-      drain_src = Array.make drain_budget 0;
-      group_pfns = Array.make drain_budget 0;
-      group_mfns = Array.make drain_budget 0;
+      free_reported = false;
+      batch =
+        {
+          pfns = Array.make batch_cap 0;
+          keys = Array.make batch_cap 0;
+          group = Array.make batch_cap 0;
+          mfns = Array.make batch_cap 0;
+        };
       evac_node = -1;
       evac_cursor = 0;
       evac_rr = 0;
       evac_backoff = 0;
       evac_started = 0;
-      evac_pfns = Array.make evac_budget 0;
-      evac_dst = Array.make evac_budget 0;
-      evac_group = Array.make evac_budget 0;
-      evac_mfns = Array.make evac_budget 0;
     }
   in
   (* Install the replica-maintenance hook before the boot population so
@@ -440,9 +444,6 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
   domain.Xen.Domain.policy_name <- Spec.name boot;
   t
 
-let domain t = t.domain
-let system t = t.system
-let spec t = t.spec
 let stats t = t.stats
 
 let charge_hypercall t id time =
@@ -536,8 +537,7 @@ let page_ops_replay t ops =
   let n = Array.length ops in
   t.stats.ops_received <- t.stats.ops_received + n;
   let time = ref (Xen.Costs.page_ops_batch_time costs ~ops:n) in
-  let first_touch = t.spec.Spec.placement = Spec.First_touch in
-  if first_touch then begin
+  if Spec.invalidates_free_pages t.spec then begin
     ensure_inv_buf t n;
     let k = ref 0 in
     Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun pfn action ->
@@ -571,31 +571,12 @@ let page_ops_hypercall t ops =
 
 let release_batch = 128
 
-let release_free_pages t pfns =
-  let rec go pfns acc =
-    match pfns with
-    | [] -> acc
-    | _ ->
-        let now, rest =
-          let rec split n acc = function
-            | [] -> (List.rev acc, [])
-            | x :: xs when n > 0 -> split (n - 1) (x :: acc) xs
-            | xs -> (List.rev acc, xs)
-          in
-          split release_batch [] pfns
-        in
-        let ops = Array.of_list (List.map (fun pfn -> Guest.Pv_queue.Release pfn) now) in
-        go rest (acc +. page_ops_hypercall t ops)
-  in
-  go pfns 0.0
-
-(* Whole-range release (the policy-switch free-list report): same
-   queue-sized Release chunks as [release_free_pages] over a list, but
-   the pfns are consecutive and distinct by construction, so no op
-   values, no list cells and no dedup pass are materialised — each
-   chunk goes straight into a range invalidate.  Chunk-level behaviour
-   (one Page_ops hypercall each, the in-transit loss draw, the cost
-   model) is identical to the list path.
+(* Range release (the policy-switch free-list report): queue-sized
+   Release chunks, each one Page_ops hypercall with the in-transit loss
+   draw and the cost model of [page_ops_hypercall].  The pfns are
+   consecutive and distinct by construction, so no op values and no
+   dedup pass are materialised — each chunk goes straight into a range
+   invalidate.
 
    Freed machine frames gather into one open run per node, handed to
    [Memory.Machine.free_run] when the next frame does not extend it
@@ -635,7 +616,7 @@ let release_free_range t ~first ~count =
       else begin
         t.stats.ops_received <- t.stats.ops_received + n;
         let time = ref (Xen.Costs.page_ops_batch_time costs ~ops:n) in
-        if t.spec.Spec.placement = Spec.First_touch then
+        if Spec.invalidates_free_pages t.spec then
           time :=
             !time
             +. invalidate_with t (fun ~on_splinter ->
@@ -653,6 +634,18 @@ let release_free_range t ~first ~count =
     flush node
   done;
   !total
+
+(* The switch as the guest performs it.  At boot every guest frame is
+   free, so the whole free-list report is the range of all of them. *)
+let switch t spec =
+  if Spec.equal spec t.spec then Ok ()
+  else
+    match set_policy t spec with
+    | Error _ as e -> e
+    | Ok () ->
+        if Spec.invalidates_free_pages spec then
+          ignore (release_free_range t ~first:0 ~count:t.domain.Xen.Domain.mem_frames);
+        Ok ()
 
 let carrefour t = t.carrefour
 
@@ -731,105 +724,101 @@ let evaluate_breaker t =
     t.breaker_failures <- 0
   end
 
+(* The grouped migration shared by the drain and the evacuation: the
+   batch entries [\[0, n)] are grouped by (src, dst) pair, in ascending
+   key order, and each group is one [Internal.migrate_group] onto its
+   destination, paying the amortised per-pair cost instead of per-page
+   setup.  [on_group t ~dst ~gn outcome] does the caller's accounting
+   for each group, whose pfns are [t.batch.group.(0..gn-1)].  ENOMEM
+   stops the pass with the group's unmoved tail at
+   [t.batch.group.(moved..gn-1)]; the result is the failing group's key,
+   or -1 when every group went through. *)
+let migrate_grouped t ~n ~on_group =
+  let b = t.batch in
+  let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
+  let on_splinter pfn = note_splinter t ~pfn in
+  let above = ref (-1) and stopped = ref (-1) in
+  while !stopped < 0 && !above < max_int do
+    let key = ref max_int in
+    for i = 0 to n - 1 do
+      let k = b.keys.(i) in
+      if k > !above && k < !key then key := k
+    done;
+    above := !key;
+    if !key < max_int then begin
+      let gn = ref 0 in
+      for i = 0 to n - 1 do
+        if b.keys.(i) = !key then begin
+          b.group.(!gn) <- b.pfns.(i);
+          incr gn
+        end
+      done;
+      let dst = !key mod nodes in
+      let outcome =
+        Internal.migrate_group t.system t.domain ~on_splinter ~pfns:b.group ~scratch_mfns:b.mfns
+          ~n:!gn ~node:dst ()
+      in
+      on_group t ~dst ~gn:!gn outcome;
+      match outcome with `Done _ -> () | `Enomem _ -> stopped := !key
+    end
+  done;
+  !stopped
+
 (* Drain attempts feed the breaker window too: once Carrefour has been
    shed the retry queue is the only remaining migration traffic, and a
    queue that keeps failing is exactly the signal to stop deferring and
-   fall back to static placement.
+   fall back to static placement.  A transient ENOMEM counts the
+   failing page as one more attempt and requeues the group's unmoved
+   tail. *)
+let drain_group t ~dst ~gn outcome =
+  let moved = match outcome with `Done moved | `Enomem moved -> moved in
+  t.breaker_attempts <- t.breaker_attempts + moved;
+  t.degrade.drained <- t.degrade.drained + moved;
+  for i = 0 to moved - 1 do
+    emit ~pfn:t.batch.group.(i) ~node:dst t Obs.Event.Migrate_drain
+  done;
+  if Obs.Metrics.enabled () then Obs.Metrics.incr ~by:moved "policies.migrate.drained";
+  match outcome with
+  | `Done _ -> ()
+  | `Enomem _ ->
+      t.breaker_attempts <- t.breaker_attempts + 1;
+      t.breaker_failures <- t.breaker_failures + 1;
+      for i = moved to gn - 1 do
+        Queue.push (t.batch.group.(i), dst) t.pending
+      done
 
-   The epoch's budget is popped in one go and grouped by
-   (current node, wanted node) pair, each group migrated as one batched
-   remap ([Internal.migrate_group]) paying the amortised per-pair cost
-   instead of per-page setup.  A transient ENOMEM stops the drain for
-   the epoch exactly as before: the failing page and everything not yet
-   attempted go back on the queue. *)
+(* The epoch's budget is popped in one go.  Expired debts and
+   already-home pages resolve as they are popped; the rest migrate in
+   (current node, wanted node) groups.  ENOMEM stops the drain for the
+   epoch: after the failing group's tail, the entries of every later
+   group go back on the queue in the order they were popped. *)
 let drain_pending t =
   if (not (breaker_open t)) && not (Queue.is_empty t.pending) then begin
+    let b = t.batch in
     let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
-    let popped = ref 0 in
-    while !popped < drain_budget && not (Queue.is_empty t.pending) do
-      let pfn, node = Queue.pop t.pending in
-      t.drain_pfns.(!popped) <- pfn;
-      t.drain_nodes.(!popped) <- node;
-      incr popped;
-      ()
-    done;
-    let n = !popped in
-    (* Classify: expired debts and already-home pages resolve here;
-       real moves record their source node for grouping. *)
+    let n = min drain_budget (Queue.length t.pending) in
     for i = 0 to n - 1 do
-      t.drain_src.(i) <-
-        (match Internal.node_of_pfn t.system t.domain t.drain_pfns.(i) with
+      let pfn, dst = Queue.pop t.pending in
+      b.pfns.(i) <- pfn;
+      b.keys.(i) <-
+        (match Internal.node_of_pfn t.system t.domain pfn with
         | None ->
             (* Released while deferred: debt expired. *)
             t.breaker_attempts <- t.breaker_attempts + 1;
             -1
-        | Some src ->
-            if src = t.drain_nodes.(i) then begin
-              t.breaker_attempts <- t.breaker_attempts + 1;
-              t.degrade.drained <- t.degrade.drained + 1;
-              emit ~pfn:t.drain_pfns.(i) ~node:src t Obs.Event.Migrate_drain;
-              if Obs.Metrics.enabled () then Obs.Metrics.incr "policies.migrate.drained";
-              -1
-            end
-            else src)
+        | Some src when src = dst ->
+            t.breaker_attempts <- t.breaker_attempts + 1;
+            t.degrade.drained <- t.degrade.drained + 1;
+            emit ~pfn ~node:src t Obs.Event.Migrate_drain;
+            if Obs.Metrics.enabled () then Obs.Metrics.incr "policies.migrate.drained";
+            -1
+        | Some src -> (src * nodes) + dst)
     done;
-    let stopped = ref false in
-    let requeue_from group k =
-      (* Unmigrated tail of the failing group, then every group not yet
-         attempted, in (src, dst) order. *)
-      for i = k to Array.length group - 1 do
-        Queue.push group.(i) t.pending
+    let stopped = migrate_grouped t ~n ~on_group:drain_group in
+    if stopped >= 0 then
+      for i = 0 to n - 1 do
+        if b.keys.(i) > stopped then Queue.push (b.pfns.(i), b.keys.(i) mod nodes) t.pending
       done
-    in
-    let pair = ref 0 in
-    while (not !stopped) && !pair < nodes * nodes do
-      let src = !pair / nodes and dst = !pair mod nodes in
-      if src <> dst then begin
-        let g = ref 0 in
-        for i = 0 to n - 1 do
-          if t.drain_src.(i) = src && t.drain_nodes.(i) = dst then begin
-            t.group_pfns.(!g) <- t.drain_pfns.(i);
-            incr g
-          end
-        done;
-        let gn = !g in
-        if gn > 0 then begin
-          match
-            Internal.migrate_group t.system t.domain
-              ~on_splinter:(fun pfn -> note_splinter t ~pfn)
-              ~pfns:t.group_pfns ~scratch_mfns:t.group_mfns ~n:gn ~node:dst ()
-          with
-          | `Done moved ->
-              t.breaker_attempts <- t.breaker_attempts + moved;
-              t.degrade.drained <- t.degrade.drained + moved;
-              for i = 0 to moved - 1 do
-                emit ~pfn:t.group_pfns.(i) ~node:dst t Obs.Event.Migrate_drain
-              done;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.incr ~by:moved "policies.migrate.drained"
-          | `Enomem moved ->
-              (* Node still exhausted: requeue the rest and stop for
-                 this epoch. *)
-              t.breaker_attempts <- t.breaker_attempts + moved + 1;
-              t.breaker_failures <- t.breaker_failures + 1;
-              t.degrade.drained <- t.degrade.drained + moved;
-              for i = 0 to moved - 1 do
-                emit ~pfn:t.group_pfns.(i) ~node:dst t Obs.Event.Migrate_drain
-              done;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.incr ~by:moved "policies.migrate.drained";
-              requeue_from (Array.init (gn - moved) (fun i -> (t.group_pfns.(moved + i), dst))) 0;
-              (* Groups after this one in (src, dst) order. *)
-              for i = 0 to n - 1 do
-                let s = t.drain_src.(i) and d = t.drain_nodes.(i) in
-                if s >= 0 && (s * nodes) + d > !pair then
-                  Queue.push (t.drain_pfns.(i), d) t.pending
-              done;
-              stopped := true
-        end
-      end;
-      incr pair
-    done
   end
 
 (* ------------------------------------------------------------------ *)
@@ -911,13 +900,42 @@ let cancel_evacuation t ~node = if t.evac_node = node then t.evac_node <- -1
 
 let evacuating t = t.evac_node
 
+(* Round-robin over the surviving online nodes; -1 when none is left. *)
+let rec evac_target t topo ~nodes attempts =
+  let cand = t.evac_rr mod nodes in
+  t.evac_rr <- t.evac_rr + 1;
+  if cand <> t.evac_node && Numa.Topology.node_online topo cand then cand
+  else if attempts + 1 < nodes then evac_target t topo ~nodes (attempts + 1)
+  else -1
+
+(* ENOMEM charges the exponential backoff and spills the group's
+   unmoved tail into the deferred queue: the ordinary drain keeps
+   retrying it with its own budget even if the next scan pass misses
+   these pfns. *)
+let evacuate_group t ~dst ~gn outcome =
+  let moved = match outcome with `Done moved | `Enomem moved -> moved in
+  t.breaker_attempts <- t.breaker_attempts + gn;
+  t.degrade.evacuated <- t.degrade.evacuated + moved;
+  match outcome with
+  | `Done _ ->
+      t.evac_backoff <- 0;
+      emit ~node:dst ~arg:moved t Obs.Event.Evacuate;
+      if Obs.Metrics.enabled () then Obs.Metrics.incr ~by:moved "policies.ras.evacuated"
+  | `Enomem _ ->
+      t.breaker_failures <- t.breaker_failures + 1;
+      charge_backoff t (min t.evac_backoff max_migrate_retries);
+      t.evac_backoff <- t.evac_backoff + 1;
+      if moved > 0 then emit ~node:dst ~arg:moved t Obs.Event.Evacuate;
+      for i = moved to gn - 1 do
+        push_pending t ~pfn:t.batch.group.(i) ~node:dst
+      done
+
 (* One evacuation step: scan the guest-physical space from the rotating
    cursor, collect up to [evac_budget] frames still resident on the
    failing node, and move them in grouped batches round-robin over the
    surviving online nodes.  A full scan finding nothing resident ends
    the evacuation (the trace records how long the drain took).  ENOMEM
-   charges the exponential backoff, spills the unmoved tail into the
-   deferred queue and feeds the circuit breaker — under a persistent
+   stops the step and feeds the circuit breaker — under a persistent
    shortage the breaker escalates to interleave-over-surviving-nodes
    exactly like any other migration failure storm. *)
 let evacuate_step t =
@@ -925,6 +943,7 @@ let evacuate_step t =
     let topo = t.system.Xen.System.topo in
     let frames = Xen.P2m.frames t.domain.Xen.Domain.p2m in
     let nodes = Numa.Topology.node_count topo in
+    let b = t.batch in
     t.degrade.evac_epochs <- t.degrade.evac_epochs + 1;
     (* Collect this epoch's batch behind the cursor. *)
     let collected = ref 0 in
@@ -934,7 +953,7 @@ let evacuate_step t =
       incr scanned;
       match Internal.node_of_pfn t.system t.domain pfn with
       | Some n when n = t.evac_node ->
-          t.evac_pfns.(!collected) <- pfn;
+          b.pfns.(!collected) <- pfn;
           incr collected
       | Some _ | None -> ()
     done;
@@ -948,59 +967,11 @@ let evacuate_step t =
     end
     else if !collected > 0 then begin
       let n = !collected in
-      (* Destination per frame: round-robin over surviving nodes. *)
       for i = 0 to n - 1 do
-        let rec pick attempts =
-          let cand = t.evac_rr mod nodes in
-          t.evac_rr <- t.evac_rr + 1;
-          if cand <> t.evac_node && Numa.Topology.node_online topo cand then cand
-          else if attempts + 1 < nodes then pick (attempts + 1)
-          else -1
-        in
-        t.evac_dst.(i) <- pick 0
+        let dst = evac_target t topo ~nodes 0 in
+        b.keys.(i) <- (if dst < 0 then -1 else (t.evac_node * nodes) + dst)
       done;
-      let stopped = ref false in
-      let dst = ref 0 in
-      while (not !stopped) && !dst < nodes do
-        if !dst <> t.evac_node then begin
-          let g = ref 0 in
-          for i = 0 to n - 1 do
-            if t.evac_dst.(i) = !dst then begin
-              t.evac_group.(!g) <- t.evac_pfns.(i);
-              incr g
-            end
-          done;
-          let gn = !g in
-          if gn > 0 then begin
-            t.breaker_attempts <- t.breaker_attempts + gn;
-            match
-              Internal.migrate_group t.system t.domain
-                ~on_splinter:(fun pfn -> note_splinter t ~pfn)
-                ~pfns:t.evac_group ~scratch_mfns:t.evac_mfns ~n:gn ~node:!dst ()
-            with
-            | `Done moved ->
-                t.degrade.evacuated <- t.degrade.evacuated + moved;
-                t.evac_backoff <- 0;
-                emit ~node:!dst ~arg:moved t Obs.Event.Evacuate;
-                if Obs.Metrics.enabled () then
-                  Obs.Metrics.incr ~by:moved "policies.ras.evacuated"
-            | `Enomem moved ->
-                t.degrade.evacuated <- t.degrade.evacuated + moved;
-                t.breaker_failures <- t.breaker_failures + 1;
-                charge_backoff t (min t.evac_backoff max_migrate_retries);
-                t.evac_backoff <- t.evac_backoff + 1;
-                if moved > 0 then emit ~node:!dst ~arg:moved t Obs.Event.Evacuate;
-                (* Spill the unmoved tail into the deferred queue: the
-                   ordinary drain keeps retrying it with its own budget
-                   even if the next scan pass misses these pfns. *)
-                for i = moved to gn - 1 do
-                  push_pending t ~pfn:t.evac_group.(i) ~node:!dst
-                done;
-                stopped := true
-          end
-        end;
-        incr dst
-      done
+      ignore (migrate_grouped t ~n ~on_group:evacuate_group)
     end
   end
 
@@ -1152,6 +1123,14 @@ let reconcile t ~guest_free =
     +. !splinter_time);
   !healed
 
+(* The reconcile rule, stated once: a domain sweeps when its placement
+   invalidates free pages and its guest reports its free list on every
+   tick — which the engine does under a fault plan, where releases can
+   be lost. *)
+let sweeps t = t.free_reported && Spec.invalidates_free_pages t.spec
+
+let boundary_due t = Option.is_some t.carrefour || t.superpages || sweeps t
+
 let epoch_tick t ~epoch ?guest_free () =
   t.epoch <- epoch;
   (* The breaker closes by cooldown expiry, not by an explicit call:
@@ -1165,11 +1144,9 @@ let epoch_tick t ~epoch ?guest_free () =
   evaluate_breaker t;
   if t.superpages && (not (statically_degraded t)) && epoch > 0 && epoch mod promote_period = 0
   then ignore (Obs.Profile.span Obs.Profile.Manager_promote_scan (fun () -> promote_scan t));
+  t.free_reported <- Option.is_some guest_free;
   match guest_free with
-  | Some guest_free
-    when t.spec.Spec.placement = Spec.First_touch
-         && epoch > 0
-         && epoch mod reconcile_period = 0 ->
+  | Some guest_free when sweeps t && epoch > 0 && epoch mod reconcile_period = 0 ->
       ignore (Obs.Profile.span Obs.Profile.Manager_reconcile (fun () -> reconcile t ~guest_free))
   | Some _ | None -> ()
 
@@ -1193,14 +1170,6 @@ let carrefour_epoch_feed t ~counters ~feed =
         evaluate_breaker t;
         Some report
       end
-
-let carrefour_epoch t ~counters ~samples =
-  carrefour_epoch_feed t ~counters ~feed:(fun sys ->
-      List.iter
-        (fun (s : Carrefour.sample) ->
-          Carrefour.System_component.record_sample sys ~pfn:s.Carrefour.pfn
-            ~node_accesses:s.Carrefour.node_accesses ~read_fraction:s.Carrefour.read_fraction)
-        samples)
 
 let degrade t = t.degrade
 let pending_migrations t = Queue.length t.pending

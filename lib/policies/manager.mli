@@ -1,14 +1,22 @@
 (** Per-domain NUMA policy engine: the paper's {e external interface}
     (Section 4.2) plus the boot-time placement.
 
-    A domain boots with an eager placement — round-4K by default, or
-    round-1G for testing (Xen's historical default).  At runtime, the
-    first hypercall ({!set_policy}) switches the placement to
+    A domain boots with an eager placement ({!Spec.boot}).  At runtime,
+    the first hypercall ({!set_policy}) switches the placement to
     first-touch and/or toggles Carrefour; the second hypercall
     ({!page_ops_hypercall}) delivers the guest's batched
     allocation/release queue, from which the first-touch policy
     invalidates the P2M entries of free pages so their next touch
-    faults into the hypervisor and lands them on the toucher's node. *)
+    faults into the hypervisor and lands them on the toucher's node.
+    {!switch} is that sequence as the guest runs it at boot: the
+    set-policy hypercall, then the whole free-list report when the new
+    policy invalidates free pages.
+
+    The manager also owns what its policy implies for the engine's
+    epoch loop: {!epoch_tick} decides whether the domain runs reconcile
+    sweeps, and {!boundary_due} says whether any period-gated work
+    (Carrefour, the promotion scan, the sweeps) makes epoch multiples
+    of 10 unskippable. *)
 
 type stats = {
   mutable populated_1g : int;   (** 1 GiB regions placed at boot. *)
@@ -86,14 +94,18 @@ val attach :
     @raise Invalid_argument when machine memory cannot back the
     domain. *)
 
-val domain : t -> Xen.Domain.t
-val system : t -> Xen.System.t
-val spec : t -> Spec.t
 val stats : t -> stats
 
 val set_policy : t -> Spec.t -> (unit, string) result
 (** The policy-selection hypercall.  Fails on non-runtime-selectable
     specs (round-1G is boot-only).  Charges one hypercall. *)
+
+val switch : t -> Spec.t -> (unit, string) result
+(** The policy switch as the guest performs it right after boot: the
+    {!set_policy} hypercall, then — when the new policy invalidates
+    free pages ({!Spec.invalidates_free_pages}) — the guest's whole
+    free list, which at boot is every guest frame, reported through
+    {!release_free_range}.  A no-op when [spec] is already in force. *)
 
 val page_ops_hypercall : t -> Guest.Pv_queue.op array -> float
 (** The batched page-ops hypercall: replays the queue with
@@ -104,42 +116,32 @@ val page_ops_hypercall : t -> Guest.Pv_queue.op array -> float
     Under a non-first-touch placement the queue is accepted but entries
     are only accounted, never invalidated. *)
 
-val release_free_pages : t -> Memory.Page.pfn list -> float
-(** Convenience used when switching to first-touch: the guest reports
-    its whole free list; equivalent to one big [page_ops_hypercall]
-    with Release entries (split into capacity-sized batches). *)
-
 val release_free_range : t -> first:Memory.Page.pfn -> count:int -> float
-(** [release_free_pages] over the consecutive range
-    [\[first, first + count)], without materialising the list: each
-    capacity-sized chunk is one Page_ops hypercall whose Release
-    entries go straight into the batched P2M invalidate.  Chunk-level
-    semantics (loss faults, costs, stats) match the list path. *)
+(** The guest reports the free pages [\[first, first + count)]: the same
+    as {!page_ops_hypercall} over Release entries split into 128-op
+    chunks, one Page_ops hypercall each (loss faults, costs, stats),
+    but each chunk goes straight into the batched P2M invalidate
+    without materialising the ops.  Returns the summed hypercall
+    time. *)
 
 val carrefour : t -> Carrefour.System_component.t option
 (** The Carrefour system component, present while the spec has
     Carrefour enabled. *)
-
-val carrefour_epoch :
-  t -> counters:Numa.Counters.t -> samples:Carrefour.sample list -> Carrefour.report option
-(** Feed one epoch of samples and run the user component; [None] when
-    Carrefour is off or the circuit breaker is open.  Migrations go
-    through the resilient path; the breaker window is evaluated after
-    each period and may trip (suspending the policy for a cooldown) or
-    escalate the degradation level. *)
 
 val carrefour_epoch_feed :
   t ->
   counters:Numa.Counters.t ->
   feed:(Carrefour.System_component.t -> unit) ->
   Carrefour.report option
-(** Allocation-light variant of {!carrefour_epoch}: instead of a
-    materialised sample list, [feed] is called once (after
+(** One Carrefour period: [feed] is called once (after
     {!Carrefour.System_component.begin_epoch}, before the user
-    component runs) to push samples straight into the heat table with
-    {!Carrefour.System_component.record_sample} — typically from
-    reusable scratch arrays.  [feed] is not called when Carrefour is
-    off or the breaker is open. *)
+    component runs) to push the epoch's samples into the heat table
+    with {!Carrefour.System_component.record_sample}, then the user
+    component runs.  [None], without calling [feed], when Carrefour is
+    off or the circuit breaker is open.  Migrations go through the
+    resilient path; the breaker window is evaluated after each period
+    and may trip (suspending the policy for a cooldown) or escalate
+    the degradation level. *)
 
 val migrate_resilient : t -> pfn:Memory.Page.pfn -> node:Numa.Topology.node -> bool
 (** Migration with graceful degradation: on transient ENOMEM, retry up
@@ -151,13 +153,21 @@ val epoch_tick : t -> epoch:int -> ?guest_free:Memory.Page.pfn list -> unit -> u
 (** Per-epoch housekeeping: advance the manager's epoch clock, drain a
     budget of deferred migrations (unless the breaker is open), run the
     {!promote_scan} every {e promote period} epochs (when superpages
-    are enabled and the domain is not statically degraded), and —
-    under first-touch, every {e reconcile period} epochs when
-    [guest_free] is given — run the {!reconcile} sweep over it.
-    [guest_free] is the guest's free list ({!Guest.Pfn_pool.free_pfns},
-    an O(1) read), so passing it every epoch costs nothing.  The scan
-    and the sweep are profiled as [manager.promote_scan] and
+    are enabled and the domain is not statically degraded), and run
+    the {!reconcile} sweep over [guest_free] every {e reconcile period}
+    epochs while the domain sweeps.  A domain sweeps when its guest
+    reports its free list on the tick ([guest_free] given; the engine
+    does so under a fault plan) and its placement invalidates free
+    pages.  [guest_free] is the guest's free list
+    ({!Guest.Pfn_pool.free_pfns}, an O(1) read).  The scan and the
+    sweep are profiled as [manager.promote_scan] and
     [manager.reconcile], nested in the caller's [manager.epoch_tick]. *)
+
+val boundary_due : t -> bool
+(** Period-gated work is due at epoch multiples of 10: Carrefour is
+    on, superpages are enabled (the promotion scan), or the domain
+    sweeps as of the last {!epoch_tick}.  The engine's fast-forward
+    never replays across such an epoch. *)
 
 val promote_scan : t -> int
 (** One budgeted pass of the superpage promotion scan: examine a

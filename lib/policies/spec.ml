@@ -12,6 +12,14 @@ let all = [ first_touch; first_touch_carrefour; round_4k; round_4k_carrefour; ro
 
 let runtime_selectable t = t.placement <> Round_1g
 
+let boot ~superpages t =
+  match t.placement with
+  | Round_1g -> round_1g
+  | First_touch when superpages -> round_1g
+  | First_touch | Round_4k -> round_4k
+
+let invalidates_free_pages t = t.placement = First_touch
+
 let placement_name = function
   | Round_1g -> "round-1g"
   | Round_4k -> "round-4k"

@@ -36,6 +36,20 @@ val all : t list
 val runtime_selectable : t -> bool
 (** All except boot-only round-1G combinations. *)
 
+val boot : superpages:bool -> t -> t
+(** The eager placement a Xen domain boots with before it switches to
+    the given policy: round-1G for round-1G, and for first-touch when
+    [superpages] is on (the contiguous boot is worth modelling there:
+    the switch's free-list release then splinters every 2 MiB entry,
+    the paper's granularity tension at its sharpest); round-4K
+    otherwise. *)
+
+val invalidates_free_pages : t -> bool
+(** The policy invalidates the P2M entries of the guest's free pages
+    (first-touch), so their next touch faults into the hypervisor.  It
+    is then incompatible with the IOMMU (an invalid entry aborts a
+    passthrough DMA) and acts on the guest's page-ops queue. *)
+
 val name : t -> string
 (** Paper-style name: ["first-touch/carrefour"], ["round-4k"], ... *)
 

@@ -52,5 +52,3 @@ let render_groups ~title ~series ?(width = 40) data =
       Buffer.add_char buf '\n')
     data;
   Buffer.contents buf
-
-let print_groups ~title ~series ?width data = print_string (render_groups ~title ~series ?width data)

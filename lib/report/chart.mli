@@ -22,6 +22,3 @@ val render_groups :
 (** Grouped bars: each (label, values) row renders one bar per series,
     tagged with the series name — the ASCII equivalent of the paper's
     grouped bar figures. *)
-
-val print_groups :
-  title:string -> series:string list -> ?width:int -> (string * float list) list -> unit

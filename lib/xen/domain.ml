@@ -46,10 +46,6 @@ let fresh_account () =
     pt_replica_ops = 0;
   }
 
-let node_of_vcpu t ~topo v =
-  assert (v >= 0 && v < t.vcpus);
-  Numa.Topology.node_of_cpu topo t.vcpu_pin.(v)
-
 let handle_fault t ~costs ~pfn ~cpu =
   t.account.fault_count <- t.account.fault_count + 1;
   t.account.fault_time <- t.account.fault_time +. costs.Costs.hypervisor_fault;
@@ -77,10 +73,3 @@ let reset_account t =
   a.ipi_count <- 0;
   a.pt_replica_time <- 0.0;
   a.pt_replica_ops <- 0
-
-let pp fmt t =
-  let kind = match t.kind with Dom0 -> "dom0" | DomU -> "domU" in
-  Format.fprintf fmt "domain %d (%s, %s): %d vCPUs, %d frames, home nodes [%s], policy %s"
-    t.id t.name kind t.vcpus t.mem_frames
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.home_nodes)))
-    t.policy_name

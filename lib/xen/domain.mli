@@ -45,9 +45,6 @@ type t = {
 
 val fresh_account : unit -> account
 
-val node_of_vcpu : t -> topo:Numa.Topology.t -> int -> Numa.Topology.node
-(** NUMA node of the pCPU backing the given vCPU. *)
-
 val handle_fault : t -> costs:Costs.t -> pfn:Memory.Page.pfn -> cpu:Numa.Topology.cpu -> bool
 (** Deliver a hypervisor page fault for [pfn]: charges the fault cost
     and runs the installed handler.  Returns [true] if a handler mapped
@@ -55,5 +52,3 @@ val handle_fault : t -> costs:Costs.t -> pfn:Memory.Page.pfn -> cpu:Numa.Topolog
     is installed or the entry is still invalid. *)
 
 val reset_account : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -47,13 +47,3 @@ let record ?obs ?(domain = -1) t id ~time =
 let stats t id = t.(index id)
 
 let total_calls t = Array.fold_left (fun acc s -> acc + s.calls) 0 t
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun id ->
-      let s = stats t id in
-      Format.fprintf fmt "%2d %-24s %8d calls  %a@," (nr id) (name id) s.calls
-        Sim.Units.pp_seconds s.time)
-    all;
-  Format.fprintf fmt "@]"

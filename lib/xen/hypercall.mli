@@ -48,5 +48,3 @@ val stats : table -> id -> stats
 (** Live view; mutating it is visible in the table. *)
 
 val total_calls : table -> int
-
-val pp : Format.formatter -> table -> unit

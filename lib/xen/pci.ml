@@ -32,9 +32,6 @@ let release_bus t ~bus_id = Hashtbl.remove t.owners bus_id
 
 let owner t ~bus_id = Hashtbl.find_opt t.owners bus_id
 
-let bus_of_device t device =
-  List.find_opt (fun b -> List.mem device b.devices) t.bus_list
-
 let domain_has_passthrough t domain device =
   List.exists
     (fun b ->

@@ -33,8 +33,5 @@ val release_bus : t -> bus_id:int -> unit
 
 val owner : t -> bus_id:int -> Domain.t option
 
-val bus_of_device : t -> device -> bus option
-(** First bus hosting the device. *)
-
 val domain_has_passthrough : t -> Domain.t -> device -> bool
 (** Whether the domain owns a bus carrying the given device. *)

@@ -60,8 +60,6 @@ let apply t update =
         t.replica_updates <- t.replica_updates + n)
   end
 
-let iter_replicas t f = Array.iter (fun (node, r) -> f ~node r) t.replicas
-
 let check_consistent t ~primary =
   let frames = P2m.frames primary in
   Array.for_all

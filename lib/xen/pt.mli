@@ -53,8 +53,6 @@ val replica_updates : t -> int
 val replica_invalidations : t -> int
 (** Cumulative per-mirror invalidations (clear / splinter). *)
 
-val iter_replicas : t -> (node:int -> P2m.t -> unit) -> unit
-
 val check_consistent : t -> primary:P2m.t -> bool
 (** [true] iff every mirror is translation-equivalent to [primary]:
     same geometry, same per-pfn entries and superpage membership, same

@@ -466,6 +466,60 @@ let test_deferred_drains_when_pressure_lifts () =
         (Policies.Manager.node_of_pfn m pfn))
     [ 0; 3; 7 ]
 
+(* The drain's ENOMEM path.  Eight deferred migrations form four
+   (src, dst) groups: (0,1) = [13; 3], (0,2) = [11; 14; 15],
+   (0,3) = [10; 16] and (1,2) = [12], popped interleaved.  Node 2 has
+   one free frame, so (0,1) moves, (0,2) moves its first page and
+   stops the drain.  The queue then holds the failing group's unmoved
+   tail, followed by the entries of every later group in the order
+   they were popped — observed by homing them by hand and letting the
+   next drain resolve them in queue order. *)
+let test_drain_enomem_requeues () =
+  let s = harness_system () in
+  let d = harness_domain s in
+  let m = Policies.Manager.attach s d ~boot:Policies.Spec.first_touch ~rng:(Sim.Rng.create ~seed:5) in
+  let inj = Faults.Injector.create ~seed:5 (Faults.Plan.of_string_exn "migrate=1.0@0-1") in
+  Faults.Injector.install inj s;
+  let machine = s.Xen.System.machine in
+  let popped = [ (10, 3); (11, 2); (12, 2); (13, 1); (14, 2); (3, 1); (15, 2); (16, 3) ] in
+  List.iter
+    (fun (pfn, _) -> ignore (Policies.Internal.map_page s d ~pfn ~node:(if pfn = 12 then 1 else 0)))
+    popped;
+  Faults.Injector.set_epoch inj 0;
+  List.iter (fun (pfn, node) -> ignore (Policies.Manager.migrate_resilient m ~pfn ~node)) popped;
+  Alcotest.(check int) "all deferred" 8 (Policies.Manager.pending_migrations m);
+  let rec fill acc =
+    match Memory.Machine.alloc_frame machine ~node:2 with Some mfn -> fill (mfn :: acc) | None -> acc
+  in
+  let held = match fill [] with mfn :: rest -> Memory.Machine.free machine ~mfn ~order:0; rest | [] -> [] in
+  let drains () =
+    let stream = Obs.Stream.create ~label:"drain" () in
+    Xen.System.set_obs s (Some stream);
+    fun () ->
+      List.filter_map
+        (fun (_, (e : Obs.Event.t)) ->
+          if e.Obs.Event.cls = Obs.Event.Migrate_drain then Some (e.Obs.Event.pfn, e.Obs.Event.node)
+          else None)
+        (Obs.Stream.events stream)
+  in
+  let events = drains () in
+  Faults.Injector.set_epoch inj 1;
+  Policies.Manager.epoch_tick m ~epoch:1 ();
+  Alcotest.(check (list (pair int int))) "(0,1) whole, (0,2) head" [ (3, 1); (13, 1); (11, 2) ] (events ());
+  Alcotest.(check int) "drained" 3 (Policies.Manager.degrade m).Policies.Manager.drained;
+  Alcotest.(check int) "requeued" 5 (Policies.Manager.pending_migrations m);
+  List.iter
+    (fun pfn -> Alcotest.(check (option int)) "left in place" (Some 0) (Policies.Manager.node_of_pfn m pfn))
+    [ 14; 15; 10; 16 ];
+  List.iter (fun mfn -> Memory.Machine.free machine ~mfn ~order:0) held;
+  let requeued = [ (14, 2); (15, 2); (10, 3); (12, 2); (16, 3) ] in
+  List.iter (fun (pfn, node) -> ignore (Policies.Internal.migrate_page s d ~pfn ~node)) requeued;
+  let events = drains () in
+  (* The failure tripped the breaker; tick once it has cooled down. *)
+  Policies.Manager.epoch_tick m ~epoch:31 ();
+  Alcotest.(check (list (pair int int))) "queue order" requeued (events ());
+  Alcotest.(check int) "queue empty" 0 (Policies.Manager.pending_migrations m)
+
 let test_reconcile_heals_lost_batch () =
   let s = harness_system () in
   let d = harness_domain s in
@@ -646,7 +700,7 @@ let run_chaos_schedule master_seed =
   in
   let d = harness_domain s in
   let boot =
-    if superpages then { Policies.Spec.placement = Policies.Spec.Round_1g; carrefour = true }
+    if superpages then { Policies.Spec.round_1g with carrefour = true }
     else Policies.Spec.first_touch_carrefour
   in
   let m = Policies.Manager.attach ~superpages s d ~boot ~rng:(Sim.Rng.split rng) in
@@ -862,6 +916,7 @@ let suite =
         Alcotest.test_case "breaker escalates to static" `Quick test_breaker_escalates_to_static;
         Alcotest.test_case "deferred migrations drain" `Quick
           test_deferred_drains_when_pressure_lifts;
+        Alcotest.test_case "drain enomem requeues" `Quick test_drain_enomem_requeues;
         Alcotest.test_case "reconcile heals lost batch" `Quick test_reconcile_heals_lost_batch;
         Alcotest.test_case "reconcile rejects offlined mapping" `Quick
           test_reconcile_rejects_offlined_mapping;

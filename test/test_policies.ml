@@ -228,16 +228,40 @@ let test_manager_page_ops_inert_without_first_touch () =
   Alcotest.(check bool) "entry survives under round-4k" true
     (Xen.P2m.get d.Xen.Domain.p2m 0 <> Xen.P2m.Invalid)
 
-let test_manager_release_free_pages_batches () =
+let test_manager_release_free_range_batches () =
   let s = small_system () in
   let d, m = attach s in
   (match Policies.Manager.set_policy m Policies.Spec.first_touch with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let pfns = List.init d.Xen.Domain.mem_frames (fun i -> i) in
-  let time = Policies.Manager.release_free_pages m pfns in
+  let time = Policies.Manager.release_free_range m ~first:0 ~count:d.Xen.Domain.mem_frames in
   Alcotest.(check bool) "positive time" true (time > 0.0);
   Alcotest.(check int) "all invalidated" 0 (Xen.P2m.mapped_count d.Xen.Domain.p2m)
+
+(* [Manager.boundary_due] clause by clause: Carrefour, superpages and
+   reconcile sweeps (first-touch whose guest reports its free list, as
+   under a fault plan) each make it due on their own; none of them
+   leaves the fast-forward horizon free. *)
+let test_manager_boundary_due () =
+  let verdict ?(superpages = false) ?guest_free spec =
+    let s = small_system () in
+    let d = make_domain s in
+    let m =
+      Policies.Manager.attach ~superpages s d
+        ~boot:(Policies.Spec.boot ~superpages spec)
+        ~rng:(Sim.Rng.create ~seed:1)
+    in
+    (match Policies.Manager.switch m spec with Ok () -> () | Error e -> Alcotest.fail e);
+    Policies.Manager.epoch_tick m ~epoch:1 ?guest_free ();
+    Policies.Manager.boundary_due m
+  in
+  let check = Alcotest.(check bool) in
+  check "carrefour" true (verdict Policies.Spec.round_4k_carrefour);
+  check "superpages" true (verdict ~superpages:true Policies.Spec.round_4k);
+  check "first-touch with a fault plan" true (verdict ~guest_free:[] Policies.Spec.first_touch);
+  check "none" false (verdict Policies.Spec.round_4k);
+  check "first-touch without a fault plan" false (verdict Policies.Spec.first_touch);
+  check "free list without first-touch" false (verdict ~guest_free:[] Policies.Spec.round_4k)
 
 (* ------------------------------ carrefour -------------------------- *)
 
@@ -255,6 +279,16 @@ let hot_page ?(read_fraction = 0.5) pfn ~node ~count =
   { Policies.Carrefour.pfn; node_accesses; read_fraction }
 
 let config = Policies.Carrefour.User_component.default_config
+
+(* One Carrefour period over a sample list. *)
+let carrefour_epoch m ~counters ~samples =
+  Policies.Manager.carrefour_epoch_feed m ~counters ~feed:(fun sys ->
+      List.iter
+        (fun (s : Policies.Carrefour.sample) ->
+          Policies.Carrefour.System_component.record_sample sys ~pfn:s.Policies.Carrefour.pfn
+            ~node_accesses:s.Policies.Carrefour.node_accesses
+            ~read_fraction:s.Policies.Carrefour.read_fraction)
+        samples)
 
 (* [User_component.decide] with a fresh workspace and, unless told
    otherwise, every page on node 0. *)
@@ -387,8 +421,7 @@ let test_carrefour_end_to_end_migration () =
     ~count:(13.0 *. gib /. 64.0) ~bytes_per_access:64.0;
   Numa.Counters.end_epoch counters ~duration:1.0;
   let remote = (victim_node + 1) mod 8 in
-  let sample = hot_page 0 ~node:remote ~count:1000.0 in
-  (match Policies.Manager.carrefour_epoch m ~counters ~samples:[ sample ] with
+  (match carrefour_epoch m ~counters ~samples:[ hot_page 0 ~node:remote ~count:1000.0 ] with
   | Some report ->
       Alcotest.(check bool) "some migration happened" true
         (report.Policies.Carrefour.interleave_migrations
@@ -1389,6 +1422,70 @@ let prop_promote_scan_matches_oracle =
       done;
       !ok && Xen.P2m.check_consistent d.Xen.Domain.p2m)
 
+(* [Manager.release_free_range] against the list path it replaced,
+   kept here as the oracle: 128-op Release chunks through
+   [page_ops_hypercall].  Two identical worlds with superpages booted
+   round-1G (so the release splinters), with or without a batch-loss
+   plan, release the same random range after the switch to
+   first-touch.  They must end with the same P2M, free frames per node,
+   stats, degradation counters, account, hypercall table, returned
+   time and trace events. *)
+let release_oracle m ~first ~count =
+  let total = ref 0.0 and off = ref 0 in
+  while !off < count do
+    let n = min 128 (count - !off) in
+    let ops = Array.init n (fun i -> Guest.Pv_queue.Release (first + !off + i)) in
+    total := !total +. Policies.Manager.page_ops_hypercall m ops;
+    off := !off + n
+  done;
+  !total
+
+let prop_release_range_matches_list_path =
+  QCheck.Test.make ~name:"release_free_range = page-ops list path" ~count:40
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) bool)
+    (fun (seed, r, lossy) ->
+      let world () =
+        let s = Xen.System.create ~page_scale:1 (Numa.Amd48.topology ()) in
+        let d =
+          Xen.System.create_domain s ~name:"release" ~kind:Xen.Domain.DomU ~vcpus:1
+            ~mem_bytes:(64 * 1024 * 1024) ()
+        in
+        let m =
+          Policies.Manager.attach ~superpages:true s d ~boot:Policies.Spec.round_1g
+            ~rng:(Sim.Rng.create ~seed)
+        in
+        if lossy then begin
+          let inj = Faults.Injector.create ~seed (Faults.Plan.of_string_exn "batch-loss=0.5") in
+          Faults.Injector.install inj s;
+          Faults.Injector.set_epoch inj 0
+        end;
+        (match Policies.Manager.set_policy m Policies.Spec.first_touch with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        let stream = Obs.Stream.create ~capacity:65536 ~label:"release" () in
+        Xen.System.set_obs s (Some stream);
+        (s, d, m, stream)
+      in
+      let s, d, m, stream = world () and s', d', m', stream' = world () in
+      let frames = d.Xen.Domain.mem_frames in
+      let first = r mod frames in
+      let count = 1 + (r / frames mod (frames - first)) in
+      let t = Policies.Manager.release_free_range m ~first ~count in
+      let t' = release_oracle m' ~first ~count in
+      let machine = s.Xen.System.machine and machine' = s'.Xen.System.machine in
+      let page_ops d = Xen.Hypercall.stats d.Xen.Domain.hypercalls Xen.Hypercall.Page_ops in
+      Int64.bits_of_float t = Int64.bits_of_float t'
+      && same_p2m d.Xen.Domain.p2m d'.Xen.Domain.p2m
+      && List.for_all
+           (fun n -> Memory.Machine.free_frames_on machine n = Memory.Machine.free_frames_on machine' n)
+           (List.init 8 Fun.id)
+      && Policies.Manager.stats m = Policies.Manager.stats m'
+      && Policies.Manager.degrade m = Policies.Manager.degrade m'
+      && d.Xen.Domain.account = d'.Xen.Domain.account
+      && page_ops d = page_ops d'
+      && Obs.Stream.events stream = Obs.Stream.events stream'
+      && (lossy || (Policies.Manager.stats m).Policies.Manager.splinters > 0))
+
 (* ------------------------- failure injection ------------------------ *)
 
 (* Exhaust one node's 16 one-GiB frames. *)
@@ -1445,7 +1542,7 @@ let test_failure_carrefour_reports_failed () =
   Numa.Counters.record_accesses counters ~src:victim_node ~dst:victim_node
     ~count:(13.0 *. gib /. 64.0) ~bytes_per_access:64.0;
   Numa.Counters.end_epoch counters ~duration:1.0;
-  (match Policies.Manager.carrefour_epoch m ~counters ~samples:[ hot_page 0 ~node:victim_node ~count:1000.0 ] with
+  (match carrefour_epoch m ~counters ~samples:[ hot_page 0 ~node:victim_node ~count:1000.0 ] with
   | Some report ->
       Alcotest.(check bool) "failure counted, no crash" true
         (report.Policies.Carrefour.failed > 0
@@ -1499,6 +1596,57 @@ let test_ecc_handlers () =
   Alcotest.(check int) "one ue counted" 1 dg.Policies.Manager.ecc_ue;
   Alcotest.(check bool) "consistent" true (Xen.P2m.check_consistent d.Xen.Domain.p2m)
 
+(* The evacuation's ENOMEM path.  Seventeen pages leave failed node 0
+   round-robin over nodes 1..7 in pfn order, so the node-1 group is
+   [0; 7; 14] and the node-2 group [1; 8; 15].  Node 2 has one free
+   frame: the node-1 group moves, the node-2 group moves pfn 1 and
+   stops the step.  Its unmoved tail is deferred (one Migrate_defer per
+   pfn), the first backoff is charged, and the later groups stay put. *)
+let test_evacuation_enomem_defers_tail () =
+  let s = Xen.System.create ~page_scale:16384 (Numa.Amd48.topology ()) in
+  let d =
+    Xen.System.create_domain s ~name:"evac" ~kind:Xen.Domain.DomU ~vcpus:6
+      ~mem_bytes:(4 * 1024 * 1024 * 1024) ()
+  in
+  let m = Policies.Manager.attach s d ~boot:Policies.Spec.first_touch ~rng:(Sim.Rng.create ~seed:6) in
+  let machine = s.Xen.System.machine in
+  for pfn = 0 to 16 do
+    ignore (Policies.Internal.map_page s d ~pfn ~node:0)
+  done;
+  let held =
+    match drain_node s 2 with
+    | mfn :: rest ->
+        Memory.Machine.free machine ~mfn ~order:0;
+        rest
+    | [] -> []
+  in
+  let stream = Obs.Stream.create ~label:"evac" () in
+  Xen.System.set_obs s (Some stream);
+  Numa.Topology.set_node_online s.Xen.System.topo 0 false;
+  Policies.Manager.request_evacuation m ~node:0;
+  Policies.Manager.epoch_tick m ~epoch:1 ();
+  let dg = Policies.Manager.degrade m in
+  Alcotest.(check int) "evacuated" 4 dg.Policies.Manager.evacuated;
+  Alcotest.(check int) "tail deferred" 2 dg.Policies.Manager.deferred;
+  Alcotest.(check (float 0.0)) "first backoff charged" 2e-5 dg.Policies.Manager.backoff_time;
+  (* The drain runs right after the step and finds node 2 still full. *)
+  Alcotest.(check int) "tail pending" 2 (Policies.Manager.pending_migrations m);
+  Alcotest.(check (list (pair int int))) "events"
+    [ (1, 3); (2, 1); (8, 2); (15, 2) ]
+    (List.filter_map
+       (fun (_, (e : Obs.Event.t)) ->
+         match e.Obs.Event.cls with
+         | Obs.Event.Evacuate -> Some (e.Obs.Event.node, e.Obs.Event.arg)
+         | Obs.Event.Migrate_defer -> Some (e.Obs.Event.pfn, e.Obs.Event.node)
+         | _ -> None)
+       (Obs.Stream.events stream));
+  List.iter
+    (fun (pfn, node) ->
+      Alcotest.(check (option int)) (Printf.sprintf "pfn %d" pfn) (Some node)
+        (Policies.Manager.node_of_pfn m pfn))
+    [ (0, 1); (7, 1); (14, 1); (1, 2); (8, 0); (15, 0); (2, 0); (16, 0) ];
+  List.iter (fun mfn -> Memory.Machine.free machine ~mfn ~order:0) held
+
 (* The RAS satellite property: after a node failure the drain completes,
    the P2M maps exactly the pfns it mapped before the failure, none of
    them resident on the failed node or on an offlined machine frame,
@@ -1550,6 +1698,8 @@ let suite =
     ( "policies.evacuation",
       [
         Alcotest.test_case "ecc handlers" `Quick test_ecc_handlers;
+        Alcotest.test_case "evacuation enomem defers tail" `Quick
+          test_evacuation_enomem_defers_tail;
         QCheck_alcotest.to_alcotest prop_evacuation_conserves_frames;
       ] );
     ( "policies.spec",
@@ -1581,7 +1731,9 @@ let suite =
         Alcotest.test_case "reallocated left in place" `Quick test_manager_page_ops_reallocated_left;
         Alcotest.test_case "inert without first-touch" `Quick
           test_manager_page_ops_inert_without_first_touch;
-        Alcotest.test_case "release free pages" `Quick test_manager_release_free_pages_batches;
+        Alcotest.test_case "release free pages" `Quick test_manager_release_free_range_batches;
+        QCheck_alcotest.to_alcotest prop_release_range_matches_list_path;
+        Alcotest.test_case "boundary work due" `Quick test_manager_boundary_due;
       ] );
     ( "policies.carrefour",
       [

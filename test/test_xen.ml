@@ -608,39 +608,11 @@ let test_hypercall_table_via_manager () =
 
 (* ------------------------------- balloon ---------------------------- *)
 
-let test_balloon_inflate_deflate () =
-  let s = make_system () in
-  let d = Xen.System.create_domain s ~name:"b" ~kind:Xen.Domain.DomU ~vcpus:1 ~mem_bytes:(4 * 1024 * 1024 * 1024) () in
-  (* Back a few pages first. *)
-  for pfn = 0 to 3 do
-    ignore (Policies.Internal.map_page s d ~pfn ~node:0)
-  done;
-  let balloon = Xen.Balloon.create s d in
-  let free0 = Memory.Machine.free_frames s.Xen.System.machine in
-  Alcotest.(check int) "2 reclaimed" 2 (Xen.Balloon.inflate balloon ~pfns:[ 0; 1 ]);
-  Alcotest.(check int) "frames back to the heap" (free0 + 2)
-    (Memory.Machine.free_frames s.Xen.System.machine);
-  Alcotest.(check int) "ballooned" 2 (Xen.Balloon.ballooned balloon);
-  (* The guest MUST NOT use a ballooned page — that is why ballooning
-     cannot implement first-touch (Section 4.2.3). *)
-  (match Xen.Balloon.guest_touch balloon 0 with
-  | Error `Ballooned -> ()
-  | Ok () -> Alcotest.fail "ballooned page must not be usable");
-  (match Xen.Balloon.guest_touch balloon 2 with
-  | Ok () -> ()
-  | Error `Ballooned -> Alcotest.fail "page 2 was never ballooned");
-  let back = Xen.Balloon.deflate balloon ~count:2 in
-  Alcotest.(check int) "deflated both" 2 (List.length back);
-  Alcotest.(check int) "balloon empty" 0 (Xen.Balloon.ballooned balloon);
-  List.iter
-    (fun pfn ->
-      Alcotest.(check bool) "repopulated" true (Xen.P2m.get d.Xen.Domain.p2m pfn <> Xen.P2m.Invalid))
-    back
-
 let test_balloon_vs_page_ops_queue () =
   (* The contrast of Section 4.2.3: a page released through the
      page-ops queue stays usable (its next touch just faults and is
-     remapped), while a ballooned page is gone until deflation. *)
+     remapped), while a ballooned page would be gone until deflation —
+     which is why ballooning cannot implement first-touch. *)
   let s = make_system () in
   let d = Xen.System.create_domain s ~name:"q" ~kind:Xen.Domain.DomU ~vcpus:1 ~mem_bytes:(4 * 1024 * 1024 * 1024) () in
   let rng = Sim.Rng.create ~seed:9 in
@@ -683,7 +655,7 @@ let test_dma_iommu_fault_on_invalid_entry () =
   (match Policies.Manager.set_policy manager Policies.Spec.first_touch with
   | Ok () -> ()
   | Error m -> failwith m);
-  ignore (Policies.Manager.release_free_pages manager [ 5 ]);
+  ignore (Policies.Manager.release_free_range manager ~first:5 ~count:1);
   Alcotest.(check bool) "entry invalidated" true (Xen.P2m.get d.Xen.Domain.p2m 5 = Xen.P2m.Invalid);
   (match Xen.Dma.read s d ~pci ~path:Xen.Dma.Passthrough ~buffer:[ 4; 5 ] ~bytes:8192 with
   | Error (Xen.Dma.Iommu_fault { pfn }) -> Alcotest.(check int) "faulting pfn" 5 pfn
@@ -888,7 +860,6 @@ let suite =
       ] );
     ( "xen.balloon",
       [
-        Alcotest.test_case "inflate/deflate" `Quick test_balloon_inflate_deflate;
         Alcotest.test_case "balloon vs page-ops queue" `Quick test_balloon_vs_page_ops_queue;
       ] );
     ( "xen.dma",

@@ -5,6 +5,16 @@ set -e
 cd "$(dirname "$0")"
 
 dune build
+
+# Placement decisions belong to lib/policies: no other module matches
+# or compares Spec.placement; the engine asks Spec and Policies.Manager
+# what a placement implies.
+if grep -rn --include='*.ml' --exclude-dir=_build \
+  'Spec\.\(placement\|First_touch\|Round_1g\|Round_4k\)' . | grep -v '^\./lib/policies/'; then
+  echo "tier1: FAIL - placement dispatch outside lib/policies (lines above)" >&2
+  exit 1
+fi
+
 dune runtest
 dune exec bench/main.exe -- tab1 --jobs 2
 
