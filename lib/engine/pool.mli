@@ -12,7 +12,7 @@
     Determinism contract: tasks must not share mutable state (beyond
     internally synchronized memoization) and must derive any
     randomness from a seed that is a function of the task itself — see
-    {!Experiments.Runs.task_seed} for the seeding scheme the
+    {!Experiments.Runs.cell_seed} for the seeding scheme the
     experiment grids use.
 
     Worker count: [~jobs] argument if given, else the process-wide

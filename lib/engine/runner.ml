@@ -666,27 +666,6 @@ let replay_guard ~finish ~doit ~remaining ~cap ~final =
   done;
   !ok
 
-(* The fast-forward's skip horizon for one VM, armed at the end of
-   epoch [epoch]: the replay may serve epochs strictly below it.  It
-   cuts at the next multiple of 10 when boundary work is due there
-   (Carrefour's user-component feed, the superpage promotion scan, the
-   reconcile sweep), at the next epoch with a fault window armed, and
-   at a conservative estimate of each running thread's completion.
-   The per-epoch [replay_guard] is the safety net; the completion cut
-   only saves it work.  Pure. *)
-let skip_horizon ~epoch ~max_epochs ~boundary_due ~next_armed ~finish ~remaining ~cap ~final =
-  let h = if boundary_due then Int.min max_epochs (epoch - (epoch mod 10) + 10) else max_epochs in
-  let h = ref (match next_armed with Some a -> Int.min h a | None -> h) in
-  for t = 0 to Array.length finish - 1 do
-    if finish.(t) < 0.0 && final.(t) > 0.0 then
-      h :=
-        Int.min !h
-          (epoch + 1
-          + int_of_float
-              (Float.min 1e9 (Float.max 0.0 ((remaining.(t) -. cap.(t)) /. final.(t)))))
-  done;
-  !h
-
 (* Pass A of the epoch: the two pieces that must run every epoch even
    when the fast-forward replays the rest — the hot-front phase check
    (reads only [remaining]) and the burst bernoulli draw (advances
@@ -1165,11 +1144,8 @@ type run_state = {
   mutable now : float;
   mutable epochs : int;
   (* Steady-state fast-forward.  [cfg.fast_forward] is the only
-     whole-run switch; everything else is decided per epoch: replay
-     only while every running VM armed itself at the end of a full
-     epoch AND this epoch's pass A stayed clean AND no vCPU moved AND
-     the epoch lies below the skip horizon. *)
-  mutable ff_until : int;
+     whole-run switch; everything else is decided per epoch, by
+     [replayable]. *)
   mutable ff_replayed : int;
 }
 
@@ -1289,7 +1265,6 @@ let boot (cfg : Config.t) =
     sched_rng = Sim.Rng.split root_rng;
     now = 0.0;
     epochs = 0;
-    ff_until = 0;
     ff_replayed = 0;
   }
 
@@ -1425,17 +1400,25 @@ let epoch_inputs rs =
 
 (* --- Replayed epoch ------------------------------------------------ *)
 
+(* The one replay decision, taken at the epoch it decides: no vCPU
+   moved and pass A stayed clean; no fault window is armed now; no
+   running VM's manager has periodic work (Carrefour feed, promote
+   scan, reconcile sweep) due now; and every running VM armed itself
+   at the end of a full epoch, its I/O state matches the capture and
+   the replay guard passes. *)
 let replayable rs inputs =
+  let e = rs.epochs in
   rs.cfg.Config.fast_forward && (not inputs.vcpus_moved) && inputs.pass_a_clean
-  && rs.epochs < rs.ff_until
+  && Faults.Injector.next_armed_epoch rs.injector ~after:e <> Some e
   && List.for_all
        (fun st ->
          (not (vm_running st))
-         || st.ff_armed
+         || (not (Policies.Manager.boundary_due st.manager ~epoch:e))
+            && st.ff_armed
             &&
             (* The capture whose parity matches this epoch is the one
                the replay would apply. *)
-            let snap = st.ff_snap.(rs.epochs land 1) in
+            let snap = st.ff_snap.(e land 1) in
             (* Steady disk DMA replays too, but only while the pool can
                still serve a full-rate epoch; the partial final epoch
                (and the first post-I/O epoch) must run live. *)
@@ -1680,33 +1663,31 @@ let page_churn rs st =
             Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
       done
 
-(* Carrefour runs its user component once per second (every tenth
-   epoch), like the real system. *)
+(* Carrefour runs its user component once per period (once per
+   second), like the real system; the Manager owns the period. *)
 let carrefour_period rs st =
-  match Policies.Manager.carrefour st.manager with
-  | None -> ()
-  | Some _ ->
-      if rs.epochs mod 10 = 0 then
-        match
-          Obs.Profile.span Obs.Profile.Carrefour_feed (fun () ->
-              Policies.Manager.carrefour_epoch_feed st.manager ~counters:rs.counters
-                ~feed:(fun sys -> feed_samples st sys))
-        with
-        | Some _ -> refresh_placement st
-        | None -> ()
+  if Policies.Manager.carrefour_due st.manager ~epoch:rs.epochs then
+    match
+      Obs.Profile.span Obs.Profile.Carrefour_feed (fun () ->
+          Policies.Manager.carrefour_epoch_feed st.manager ~counters:rs.counters
+            ~feed:(fun sys -> feed_samples st sys))
+    with
+    | Some _ -> refresh_placement st
+    | None -> ()
 
 (* Arming check and capture.  The structural clauses prove nothing
    moved this epoch's inputs: the P2M version covers every mapping
    mutation; the finish count covers occupancy; I/O must have drained
    so dom0 stays idle and disk DMA silent; no vCPU moved; the manager
    is quiescent, so a replayed epoch's tick only advances its clock; no
-   churn queue; and the next epoch is outside every armed fault window,
-   so both captures an arming leaves behind come from unarmed epochs
-   and a plan armed all run pays no captures.  A structurally clean
-   epoch is then captured into the snapshot of its parity; it ARMS the
-   fast-forward when it bitwise reproduced the same-parity capture of
-   two epochs before — the witness that the latency feedback settled
-   into its (period ≤ 2) limit cycle.  Any unclean epoch stales both
+   churn queue; and the next epoch is outside every armed fault window.
+   That last clause is not needed for correctness ([replayable] refuses
+   armed epochs on its own): it keeps a plan armed for the whole run
+   from paying a capture per epoch for replays that never come.  A
+   structurally clean epoch is then captured into the snapshot of its
+   parity; it ARMS the fast-forward when it bitwise reproduced the
+   same-parity capture of two epochs before — the witness that the
+   latency feedback settled into its (period ≤ 2) limit cycle.  Any unclean epoch stales both
    captures, so a fresh witness always spans consecutive clean epochs.
    By induction, every subsequent guarded epoch then reproduces the
    opposite-parity capture's floats exactly. *)
@@ -1742,21 +1723,6 @@ let arm rs st ~vcpus_moved =
     snap.io <- st.ff_io
   end
 
-(* The horizon over every VM: boundary work is due at the next
-   multiple of 10 when any running VM's manager says so. *)
-let horizon rs =
-  let epoch = rs.epochs and max_epochs = rs.cfg.Config.max_epochs in
-  let boundary_due =
-    List.exists (fun st -> vm_running st && Policies.Manager.boundary_due st.manager) rs.states
-  in
-  let next_armed = Faults.Injector.next_armed_epoch rs.injector ~after:(epoch + 1) in
-  List.fold_left
-    (fun h st ->
-      Int.min h
-        (skip_horizon ~epoch ~max_epochs ~boundary_due ~next_armed ~finish:st.finish
-           ~remaining:st.remaining ~cap:st.slots.cap ~final:st.slots.final))
-    max_epochs rs.states
-
 let full_epoch rs ~vcpus_moved =
   compute_stage rs;
   clamp_bandwidth rs;
@@ -1772,11 +1738,7 @@ let full_epoch rs ~vcpus_moved =
         carrefour_period rs st;
         if rs.cfg.Config.fast_forward then arm rs st ~vcpus_moved
       end)
-    rs.states;
-  if
-    rs.cfg.Config.fast_forward
-    && List.for_all (fun st -> (not (vm_running st)) || st.ff_armed) rs.states
-  then rs.ff_until <- horizon rs
+    rs.states
 
 (* --- Observer, step, finish ---------------------------------------- *)
 
@@ -1872,7 +1834,8 @@ let run (cfg : Config.t) =
 
 let replay_stage cfg =
   let rs = boot cfg in
-  while rs.epochs >= rs.ff_until do
+  let armed st = (not (vm_running st)) || st.ff_armed in
+  while not (running rs && List.for_all armed rs.states) do
     if not (running rs && rs.epochs < cfg.Config.max_epochs) then
       invalid_arg "Runner.replay_stage: the run ended before the fast-forward armed";
     step rs

@@ -22,20 +22,20 @@ val run : Config.t -> Result.t
     then the observer; at the end it assembles the result.
 
     Steady state is fast-forwarded by default
-    ({!Config.t.fast_forward}): when an epoch's inputs provably
-    reached a fixed point — no P2M mutation, no phase rotation or
-    burst, no thread started or finished, no vCPU moved, I/O drained,
-    manager quiescent, latency feedback bitwise converged, no
-    Carrefour/promotion/reconcile/fault boundary due — the epoch skips
-    the O(threads×nodes) kernels and runs the full epoch's own
-    end-of-epoch stages (work retirement, disk DMA, counter commit,
-    latency reduction with its SLO verdicts, manager tick) over the
-    captured per-vCPU slots.  Results and traces are bit-identical to
-    the naive loop; only {!Result.t.replayed_epochs} tells the
+    ({!Config.t.fast_forward}).  Whether an epoch is replayed is decided
+    once, at that epoch: every running VM armed itself at the end of a
+    full epoch (no P2M mutation, no phase rotation or burst, no thread
+    started or finished, I/O drained, manager quiescent, latency
+    feedback bitwise converged), this epoch moved no vCPU and rotated
+    no hot front, no fault window is armed at it, no running VM's
+    manager has periodic work due at it
+    ({!Policies.Manager.boundary_due}), and {!replay_guard} passes.  A
+    replayed epoch skips the O(threads×nodes) kernels and runs the full
+    epoch's own end-of-epoch stages (work retirement, disk DMA, counter
+    commit, latency reduction with its SLO verdicts, manager tick) over
+    the captured per-vCPU slots.  Results and traces are bit-identical
+    to the naive loop; only {!Result.t.replayed_epochs} tells the
     difference. *)
-
-val access_bytes : float
-(** Bytes charged per memory access (one cache line). *)
 
 val replay_guard :
   finish:float array -> doit:float array -> remaining:float array ->
@@ -45,26 +45,15 @@ val replay_guard :
     the armed epoch, [remaining.(t) >= cap.(t)] (so the kernel's
     [Float.min remaining cap] stays bitwise equal to [cap]) and
     [remaining.(t) -. final.(t) > 0.0] (so no thread would have
-    finished).  Pure; exposed for the micro benchmark. *)
-
-val skip_horizon :
-  epoch:int -> max_epochs:int -> boundary_due:bool -> next_armed:int option ->
-  finish:float array -> remaining:float array -> cap:float array -> final:float array -> int
-(** The fast-forward's skip horizon for one VM's threads, armed at the
-    end of [epoch]: replay may serve epochs strictly below it.  It is
-    [max_epochs], cut to the next multiple of 10 when [boundary_due]
-    (periodic Carrefour, promotion or reconcile work), to [next_armed]
-    (the next epoch with a fault window armed), and, for every thread
-    still running ([finish.(t) < 0]) that retired work ([final.(t) >
-    0]), to [epoch + 1 + (remaining.(t) - cap.(t)) / final.(t)],
-    clamped to \[0, 1e9\].  The runner takes the minimum over its VMs.
-    Pure. *)
+    finished).  Finished threads ([finish.(t) >= 0]) and idle ones
+    ([doit.(t) = 0]) are ignored.  Pure; exposed for the unit tests and
+    the micro benchmark. *)
 
 val replay_stage : Config.t -> unit -> unit
-(** [replay_stage cfg] boots [cfg], runs it until the fast-forward
-    has armed, and returns the runner's own replay stage over that
-    state: each call replays one epoch from the capture (work
-    retirement, disk DMA, counter commit, latency reduction, manager
-    tick) without advancing the clock.  Exposed for the micro
-    benchmark.  Raises [Invalid_argument] if the run ends before it
-    arms. *)
+(** [replay_stage cfg] boots [cfg], steps it until every running VM
+    has armed the fast-forward, and returns the runner's own replay
+    stage over that state: each call replays one epoch from the
+    capture (work retirement, disk DMA, counter commit, latency
+    reduction, manager tick) without advancing the clock.  Exposed for
+    the micro benchmark.  Raises [Invalid_argument] if the run ends
+    before it arms. *)

@@ -34,14 +34,6 @@ let eager_carrefour =
 
 let max_epochs = 5_000
 
-(* Same scheme as Runs.task_seed: the cell's stream is a pure function
-   of (plan, base seed), so a parallel sweep is bit-identical to the
-   sequential one whatever the schedule. *)
-let plan_seed ~base plan =
-  let h = ref 0x811C9DC5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) plan;
-  (base * 0x9E3779B1 lxor !h) land 0x3FFFFFFF
-
 let run_one ~seed plan =
   let app =
     match Workloads.Catalogue.find "wrmem" with Some a -> a | None -> assert false
@@ -49,7 +41,7 @@ let run_one ~seed plan =
   let vm = Engine.Config.vm ~threads:16 ~policy:Policies.Spec.first_touch_carrefour app in
   let faults = Faults.Plan.of_string_exn plan in
   let cfg =
-    Engine.Config.make ~seed:(plan_seed ~base:seed plan) ~max_epochs ~faults
+    Engine.Config.make ~seed:(Runs.cell_seed ~base:seed plan) ~max_epochs ~faults
       ~carrefour_config:eager_carrefour ~mode:Engine.Config.Xen_plus [ vm ]
   in
   Engine.Runner.run cfg

@@ -6,6 +6,10 @@
 val plans : (string * string) list
 (** (label, plan string) pairs of the grid. *)
 
+val eager_carrefour : Policies.Carrefour.User_component.config
+(** Carrefour thresholds eager enough that the grid's faults reach the
+    migration path (the RAS grid uses them too). *)
+
 val run : ?seed:int -> unit -> Engine.Result.t list
 (** Results in [plans] order; parallelised over the engine pool with
     per-plan derived seeds (bit-identical whatever the job count). *)

@@ -20,17 +20,6 @@ let apps = [ "kmeans"; "cg.C" ]
 let policies =
   [ Policies.Spec.round_1g; Policies.Spec.round_4k; Policies.Spec.first_touch ]
 
-(* Same scheme as Chaos.plan_seed: the cell's stream is a pure function
-   of (app, policy, base seed).  The superpage toggle deliberately does
-   NOT enter the hash — the on/off pair of a cell replays the same
-   workload stream, so the completion delta is the superpage effect and
-   nothing else.  (The runner keeps their trace streams distinct by
-   suffixing "/sp" to the on-cell's label.) *)
-let cell_seed ~base key =
-  let h = ref 0x811C9DC5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) key;
-  (base * 0x9E3779B1 lxor !h) land 0x3FFFFFFF
-
 let cells = List.concat_map (fun app -> List.map (fun p -> (app, p)) policies) apps
 
 let run_one ~seed ~app ~policy ~superpages =
@@ -38,9 +27,15 @@ let run_one ~seed ~app ~policy ~superpages =
     match Workloads.Catalogue.find app with Some a -> a | None -> assert false
   in
   let vm = Engine.Config.vm ~superpages ~policy app_t in
+  (* The cell's stream is a pure function of (app, policy, base seed).
+     The superpage toggle deliberately does NOT enter the label — the
+     on/off pair of a cell replays the same workload stream, so the
+     completion delta is the superpage effect and nothing else.  (The
+     runner keeps their trace streams distinct by suffixing "/sp" to
+     the on-cell's label.) *)
   let key = app ^ "/" ^ Policies.Spec.name policy in
   let cfg =
-    Engine.Config.make ~seed:(cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
+    Engine.Config.make ~seed:(Runs.cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
   in
   Engine.Runner.run cfg
 

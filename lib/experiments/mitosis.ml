@@ -21,18 +21,6 @@
 let apps = [ "kmeans"; "cg.C" ]
 let policies = [ Policies.Spec.round_1g; Policies.Spec.first_touch_carrefour ]
 
-(* Same scheme as Hugepage.cell_seed: the cell's stream is a pure
-   function of (app, policy, base seed).  The pt-walk/replicate-pt
-   toggles deliberately do NOT enter the hash — all four variants of a
-   cell replay the same workload stream, so the deltas are the walk
-   pricing and the replication cost and nothing else.  (The runner
-   keeps their trace streams distinct via the "/ptw" and "/rep" label
-   suffixes.) *)
-let cell_seed ~base key =
-  let h = ref 0x811C9DC5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) key;
-  (base * 0x9E3779B1 lxor !h) land 0x3FFFFFFF
-
 let cells = List.concat_map (fun app -> List.map (fun p -> (app, p)) policies) apps
 
 (* (pt_walk, replicate_pt) in fixed report order: baseline, honesty
@@ -44,9 +32,14 @@ let run_one ~seed ~app ~policy ~pt_walk ~replicate_pt =
     match Workloads.Catalogue.find app with Some a -> a | None -> assert false
   in
   let vm = Engine.Config.vm ~pt_walk ~replicate_pt ~policy app_t in
+  (* As in the hugepage grid, the pt-walk/replicate-pt toggles do NOT
+     enter the seed label: all four variants of a cell replay the same
+     workload stream, so the deltas are the walk pricing and the
+     replication cost and nothing else.  (The runner keeps their trace
+     streams distinct via the "/ptw" and "/rep" label suffixes.) *)
   let key = app ^ "/" ^ Policies.Spec.name policy in
   let cfg =
-    Engine.Config.make ~seed:(cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
+    Engine.Config.make ~seed:(Runs.cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
   in
   Engine.Runner.run cfg
 

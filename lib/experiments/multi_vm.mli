@@ -17,9 +17,6 @@ type pair_result = {
   improvement_b : float;
 }
 
-val fig8_pairs : (string * string) list
-val fig9_pairs : (string * string) list
-
 val fig8 : ?seed:int -> unit -> pair_result list
 val print_fig8 : ?seed:int -> unit -> unit
 

@@ -21,27 +21,7 @@ let cells =
     ("wrmem", "4k/cfr", Policies.Spec.round_4k_carrefour);
   ]
 
-(* Same eager thresholds as the chaos grid, for the same reason: the
-   carrefour cells must actually reach the migration path so the
-   evacuation drain competes with policy traffic. *)
-let eager_carrefour =
-  {
-    Policies.Carrefour.User_component.default_config with
-    Policies.Carrefour.User_component.mc_threshold = 0.30;
-    ic_threshold = 0.05;
-    dominant_fraction = 0.60;
-    min_accesses = 2.0;
-  }
-
 let max_epochs = 5_000
-
-(* Same scheme as Runs.task_seed / Chaos.plan_seed: each cell's stream
-   is a pure function of (cell label, base seed), so the parallel sweep
-   is bit-identical to the sequential one whatever the schedule. *)
-let cell_seed ~base label =
-  let h = ref 0x811C9DC5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) label;
-  (base * 0x9E3779B1 lxor !h) land 0x3FFFFFFF
 
 let run_one ~seed ~app_name ~policy plan =
   let app =
@@ -49,10 +29,13 @@ let run_one ~seed ~app_name ~policy plan =
   in
   let vm = Engine.Config.vm ~threads:16 ~policy app in
   let faults = Faults.Plan.of_string_exn plan in
+  (* The chaos grid's eager thresholds, for the same reason: the
+     carrefour cells must actually reach the migration path so the
+     evacuation drain competes with policy traffic. *)
   let cfg =
     Engine.Config.make
-      ~seed:(cell_seed ~base:seed (app_name ^ "|" ^ plan))
-      ~max_epochs ~faults ~carrefour_config:eager_carrefour ~mode:Engine.Config.Xen_plus
+      ~seed:(Runs.cell_seed ~base:seed (app_name ^ "|" ^ plan))
+      ~max_epochs ~faults ~carrefour_config:Chaos.eager_carrefour ~mode:Engine.Config.Xen_plus
       [ vm ]
   in
   Engine.Runner.run cfg

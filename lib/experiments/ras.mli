@@ -4,9 +4,6 @@
     (cell, scenario) — including the evacuation progress of the
     node-fail runs. *)
 
-val scenarios : (string * string) list
-(** (label, fault-plan string) pairs of the scenario axis. *)
-
 val run : ?seed:int -> unit -> Engine.Result.t list
 (** Results in grid order (cells x scenarios); parallelised over the
     engine pool with per-cell derived seeds (bit-identical whatever

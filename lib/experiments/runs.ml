@@ -10,17 +10,18 @@ let cache_mutex = Mutex.create ()
 
 (* FNV-1a over the cell's stable textual identity, folded into the
    base seed.  Every grid cell owns an RNG stream that is a pure
-   function of (mode, workload, policy, mcs, base seed): cells never
-   share RNG state, so a parallel sweep is bit-identical to the
-   sequential one whatever the schedule. *)
-let task_seed ~base key =
-  let tag =
-    Printf.sprintf "%s|%s|%s|%b" (Engine.Config.mode_name key.mode) key.app
-      (Policies.Spec.name key.policy) key.mcs
-  in
+   function of (label, base seed): cells never share RNG state, so a
+   parallel sweep is bit-identical to the sequential one whatever the
+   schedule. *)
+let cell_seed ~base label =
   let h = ref 0x811C9DC5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) tag;
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) label;
   (base * 0x9E3779B1 lxor !h) land 0x3FFFFFFF
+
+let task_seed ~base key =
+  cell_seed ~base
+    (Printf.sprintf "%s|%s|%s|%b" (Engine.Config.mode_name key.mode) key.app
+       (Policies.Spec.name key.policy) key.mcs)
 
 let run ?(seed = 42) key =
   let cached = Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache (key, seed)) in

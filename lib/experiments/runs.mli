@@ -19,10 +19,13 @@ val run : ?seed:int -> key -> Engine.Result.t
     workers concurrently.  @raise Invalid_argument on an unknown
     app. *)
 
+val cell_seed : base:int -> string -> int
+(** Deterministic per-cell seed: FNV-1a over the cell's stable label,
+    folded into [base].  Independent of execution order, worker count
+    and platform.  Every experiment grid seeds its cells with it. *)
+
 val task_seed : base:int -> key -> int
-(** Deterministic per-cell seed: a stable hash of the (mode, app,
-    policy, mcs) identity folded into [base].  Independent of
-    execution order, worker count and platform. *)
+(** {!cell_seed} of the key's (mode, app, policy, mcs) identity. *)
 
 val completion : ?seed:int -> key -> float
 

@@ -93,8 +93,8 @@ let armed t (w : Plan.window) =
 
 (* Earliest epoch [>= after] at which any plan window (or resolved
    node-fault window) is armed.  Pure arithmetic over the plan — no
-   draws, no clock dependence — so the engine can use it to bound a
-   fast-forward span without perturbing the fault stream.  A permanent
+   draws, no clock dependence — so the engine's fast-forward can ask
+   it of any epoch without perturbing the fault stream.  A permanent
    node failure stays armed past its drain window. *)
 let next_armed_epoch t ~after =
   let min_opt acc e =
@@ -303,8 +303,8 @@ let install t (system : Xen.System.t) =
     hooks.Xen.System.batch_lost <- (fun ops -> batch_lost t ~ops)
   end
 
-(* Batch loss is NOT installed here: the queue's flush handler is the
-   page-ops hypercall, which already consults [System.faults.batch_lost]
-   — wiring [lose_batch] too would draw twice per batch. *)
+(* Only op drops are a queue site: batch loss is drawn once per batch by
+   the queue's flush handler, the page-ops hypercall, through
+   [System.faults.batch_lost]. *)
 let install_queue t queue =
-  if enabled t then Guest.Pv_queue.set_fault_hooks queue ~drop_op:(fun _ -> op_dropped t) ()
+  if enabled t then Guest.Pv_queue.set_fault_hooks queue ~drop_op:(fun _ -> op_dropped t)

@@ -5,7 +5,7 @@
     {!Plan} on every query, and counts what it injected.  Because every
     run builds its own injector from its own seed, grid sweeps stay
     bit-reproducible at any worker count — the same guarantee
-    [Runs.task_seed] gives the experiment grids.
+    [Runs.cell_seed] gives the experiment grids.
 
     Queries only draw from the stream while at least one matching spec
     is armed for the current epoch, so an empty (or dormant) plan
@@ -44,8 +44,9 @@ val next_armed_epoch : t -> after:int -> int option
     node-failure window, including the forever-armed tail of a
     permanent failure) is armed; [None] when no window can ever arm
     again.  Pure — no draws and no dependence on the injection clock —
-    so callers may probe arbitrary horizons (the engine bounds its
-    fast-forward spans with it) without perturbing the stream. *)
+    so callers may probe any epoch (the engine's fast-forward asks
+    [~after:e = Some e] of each epoch [e] it might replay, and of
+    [e + 1] when it arms) without perturbing the stream. *)
 
 (* Per-site queries: [true] means the fault fires now.  Each query
    updates {!stats} when it fires. *)
@@ -109,5 +110,6 @@ val install : t -> Xen.System.t -> unit
     hypercall layer and the IOMMU. *)
 
 val install_queue : t -> Guest.Pv_queue.t -> unit
-(** Arm the guest-side queue sites (op drop, batch loss) on a
-    para-virtualized queue. *)
+(** Arm the guest-side queue site (op drop) on a para-virtualized
+    queue.  Batch loss is drawn by the page-ops hypercall, once per
+    batch. *)

@@ -10,8 +10,6 @@ type stats = {
   mutable ops_sent : int;
   mutable guest_time : float;
   mutable dropped : int;
-  mutable lost_batches : int;
-  mutable lost_ops : int;
   mutable dedup_hits : int;
 }
 
@@ -43,7 +41,6 @@ type t = {
   dedup : dedup option;
   scratch : op array;  (* survivor collection, reused across flushes *)
   mutable drop_op : op -> bool;
-  mutable lose_batch : op array -> bool;
   mutable obs : Obs.Stream.t option;
   mutable obs_domain : int;
 }
@@ -66,14 +63,11 @@ let create ?(partitions = 4) ?(capacity = 128) ?frames ~flush () =
         ops_sent = 0;
         guest_time = 0.0;
         dropped = 0;
-        lost_batches = 0;
-        lost_ops = 0;
         dedup_hits = 0;
       };
     dedup = (match frames with Some frames -> Some (dedup ~frames) | None -> None);
     scratch = Array.make capacity (Alloc 0);
     drop_op = (fun _ -> false);
-    lose_batch = (fun _ -> false);
     obs = None;
     obs_domain = -1;
   }
@@ -82,9 +76,7 @@ let set_obs t ?(domain = -1) stream =
   t.obs <- stream;
   t.obs_domain <- domain
 
-let set_fault_hooks t ?drop_op ?lose_batch () =
-  (match drop_op with Some f -> t.drop_op <- f | None -> ());
-  match lose_batch with Some f -> t.lose_batch <- f | None -> ()
+let set_fault_hooks t ~drop_op = t.drop_op <- drop_op
 
 let partitions t = Array.length t.parts
 
@@ -157,38 +149,21 @@ let flush_partition t part =
     in
     let sent = Array.length ops in
     if sent > 0 then begin
-      if t.lose_batch ops then begin
-        (* Injected transit loss: the hypervisor never sees the batch.
-           The guest's view and the P2M now disagree until the periodic
-           reconciliation sweep heals them. *)
-        t.stats.lost_batches <- t.stats.lost_batches + 1;
-        t.stats.lost_ops <- t.stats.lost_ops + sent;
-        (match t.obs with
-        | None -> ()
-        | Some stream ->
-            Obs.Stream.emit ~domain:t.obs_domain ~arg:sent stream Obs.Event.Pv_lost);
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr "guest.pv.lost_batches";
-          Obs.Metrics.incr ~by:sent "guest.pv.lost_ops"
-        end
-      end
-      else begin
-        (* The partition lock is held across the hypercall: no other core
-           can reallocate a queued page while the hypervisor processes it. *)
-        let time = t.flush ops in
-        t.stats.flushes <- t.stats.flushes + 1;
-        t.stats.ops_sent <- t.stats.ops_sent + sent;
-        t.stats.guest_time <- t.stats.guest_time +. time;
-        (match t.obs with
-        | None -> ()
-        | Some stream ->
-            Obs.Stream.emit ~domain:t.obs_domain ~arg:sent stream Obs.Event.Pv_flush);
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr "guest.pv.flushes";
-          Obs.Metrics.incr ~by:sent "guest.pv.ops_sent";
-          Obs.Metrics.observe "guest.pv.batch_size" (float_of_int sent);
-          Obs.Metrics.observe "guest.pv.flush_time_s" time
-        end
+      (* The partition lock is held across the hypercall: no other core
+         can reallocate a queued page while the hypervisor processes it. *)
+      let time = t.flush ops in
+      t.stats.flushes <- t.stats.flushes + 1;
+      t.stats.ops_sent <- t.stats.ops_sent + sent;
+      t.stats.guest_time <- t.stats.guest_time +. time;
+      (match t.obs with
+      | None -> ()
+      | Some stream ->
+          Obs.Stream.emit ~domain:t.obs_domain ~arg:sent stream Obs.Event.Pv_flush);
+      if Obs.Metrics.enabled () then begin
+        Obs.Metrics.incr "guest.pv.flushes";
+        Obs.Metrics.incr ~by:sent "guest.pv.ops_sent";
+        Obs.Metrics.observe "guest.pv.batch_size" (float_of_int sent);
+        Obs.Metrics.observe "guest.pv.flush_time_s" time
       end
     end
   end

@@ -40,8 +40,6 @@ type stats = {
   mutable guest_time : float;
       (** Guest-visible time spent flushing (hypercall + lock hold). *)
   mutable dropped : int;  (** Ops swallowed by an injected drop fault. *)
-  mutable lost_batches : int;  (** Flushed batches lost in transit. *)
-  mutable lost_ops : int;  (** Ops inside those lost batches. *)
   mutable dedup_hits : int;
       (** Superseded ops removed by the flush-time shard dedup. *)
 }
@@ -85,24 +83,19 @@ val record : t -> op -> unit
     hypercall if it reaches capacity.  The partition is emptied before
     the flush handler runs, so a handler may re-enter [record]. *)
 
-val set_fault_hooks :
-  t ->
-  ?drop_op:(op -> bool) ->
-  ?lose_batch:(op array -> bool) ->
-  unit ->
-  unit
-(** Install fault-injection hooks ([Faults.Injector.install_queue]).
-    [drop_op op] returning [true] silently discards the op; the draw
+val set_fault_hooks : t -> drop_op:(op -> bool) -> unit
+(** Install the op-drop fault hook ([Faults.Injector.install_queue]):
+    [drop_op op] returning [true] silently discards the op.  The draw
     happens at flush time, once per op surviving dedup, so the fault
     schedule is independent of how many superseded duplicates each op
-    shadowed.  [lose_batch ops] returning [true] loses a full flushed
-    batch in transit (the hypervisor never replays it).  Both default
-    to never firing. *)
+    shadowed.  Defaults to never firing.  Batch loss in transit is not
+    a queue hook: the page-ops hypercall draws it once per batch
+    ({!Xen.System.fault_hooks}). *)
 
 val set_obs : t -> ?domain:int -> Obs.Stream.t option -> unit
 (** Attach a trace stream: [record] then emits [Pv_record] (pfn; arg 0
     = alloc, 1 = release), successful flushes emit [Pv_flush] (arg =
-    batch size), in-transit losses [Pv_lost], and flushes that
+    batch size), and flushes that
     superseded queued ops [Pv_dedup] (arg = ops removed).  [domain]
     labels the events (default -1). *)
 

@@ -70,11 +70,6 @@ val cycles_per_access_mixed :
 val walk_levels : int
 (** Depth of a full 4 KiB radix walk (4 on x86-64). *)
 
-val radix_levels : page_size -> int
-(** Walk depth by page size: {!Small_4k} walks all [walk_levels]
-    levels, {!Huge_2m} stops one level short (the L1 entry maps the
-    whole 2 MiB extent). *)
-
 val walk_cycles_radix :
   t -> virtualized:bool -> levels:int -> level_ratio:(int -> float) -> float
 (** Cycles for one walk of [levels] levels.  [level_ratio i] is the

@@ -17,8 +17,6 @@ type vfn = int
 (** Virtual frame number (an index into a process address space). *)
 
 val size_4k : int
-val size_2m : int
-val size_1g : int
 
 val frames_per_2m : int
 (** 4 KiB frames per 2 MiB superpage (512). *)

@@ -11,7 +11,6 @@ type t = {
   mutable epochs : int;
   last_controller_util : float array;
   last_link_util : float array;
-  sum_controller_util : float array;
   mutable sum_max_link_util : float;
 }
 
@@ -32,7 +31,6 @@ let create topo =
     epochs = 0;
     last_controller_util = Array.make nodes 0.0;
     last_link_util = Array.make nlinks 0.0;
-    sum_controller_util = Array.make nodes 0.0;
     sum_max_link_util = 0.0;
   }
 
@@ -53,8 +51,6 @@ let record_accesses t ~src ~dst ~count ~bytes_per_access =
       (Topology.route t.topo src dst)
   end
 
-let record_access t ~src ~dst ~bytes = record_accesses t ~src ~dst ~count:1.0 ~bytes_per_access:bytes
-
 let node_accesses t = Array.copy t.node_accesses
 let node_bytes t = Array.copy t.node_bytes
 let local_accesses t = t.local
@@ -70,7 +66,6 @@ let end_epoch t ~duration =
     (fun n bytes ->
       let u = Float.min 1.0 (bytes /. controller_cap) in
       t.last_controller_util.(n) <- u;
-      t.sum_controller_util.(n) <- t.sum_controller_util.(n) +. u;
       t.epoch_node_bytes.(n) <- 0.0)
     t.epoch_node_bytes;
   let links = Topology.links t.topo in
@@ -114,10 +109,6 @@ let interconnect_load t =
     normalise_link_reading ~raw:(raw_link_reading ~utilisation:avg)
   end
 
-let avg_controller_utilisation t =
-  if t.epochs = 0 then Array.map (fun _ -> 0.0) t.sum_controller_util
-  else Array.map (fun s -> s /. float_of_int t.epochs) t.sum_controller_util
-
 let reset t =
   Array.fill t.node_accesses 0 (Array.length t.node_accesses) 0.0;
   Array.fill t.node_bytes 0 (Array.length t.node_bytes) 0.0;
@@ -129,5 +120,4 @@ let reset t =
   t.epochs <- 0;
   Array.fill t.last_controller_util 0 (Array.length t.last_controller_util) 0.0;
   Array.fill t.last_link_util 0 (Array.length t.last_link_util) 0.0;
-  Array.fill t.sum_controller_util 0 (Array.length t.sum_controller_util) 0.0;
   t.sum_max_link_util <- 0.0

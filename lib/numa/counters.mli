@@ -20,14 +20,11 @@ val create : Topology.t -> t
 
 val topology : t -> Topology.t
 
-val record_access : t -> src:Topology.node -> dst:Topology.node -> bytes:float -> unit
-(** Record [bytes] worth of memory traffic from a CPU of node [src] to
-    the memory bank of node [dst]; charges the destination node counter
-    and every link on the route. *)
-
 val record_accesses :
   t -> src:Topology.node -> dst:Topology.node -> count:float -> bytes_per_access:float -> unit
-(** Bulk variant: [count] accesses of [bytes_per_access] bytes each. *)
+(** Record [count] accesses of [bytes_per_access] bytes each from a CPU
+    of node [src] to the memory bank of node [dst]; charges the
+    destination node counter and every link on the route. *)
 
 val node_accesses : t -> float array
 (** Cumulative access counts per destination node. *)
@@ -77,9 +74,6 @@ val interconnect_load : t -> float
 (** Average over closed epochs of the most-loaded-link utilisation,
     round-tripped through the raw 50–80 % amplitude as the paper
     reports it.  0 when no epoch has been closed. *)
-
-val avg_controller_utilisation : t -> float array
-(** Per-node controller utilisation averaged over closed epochs. *)
 
 val reset : t -> unit
 (** Forget everything (counters, histories, epochs). *)

@@ -41,8 +41,6 @@ val create :
 
 val cache_cycles : t -> level -> float
 
-val max_hops : t -> int
-
 val mem_cycles : t -> hops:int -> saturation:float -> float
 (** [mem_cycles t ~hops ~saturation] with [saturation] in [\[0, 1\]]
     (values above 1 are clamped): cycles for one memory access at the

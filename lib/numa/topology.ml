@@ -133,11 +133,6 @@ let set_node_online t n online =
   assert (n >= 0 && n < t.nodes);
   Bytes.set t.node_mask n (if online then '\001' else '\000')
 
-let online_nodes t =
-  let count = ref 0 in
-  Bytes.iter (fun c -> if c = '\001' then incr count) t.node_mask;
-  !count
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>%d nodes x %d CPUs, %a per node, controller %.1f GiB/s@,"
     t.nodes t.cpus_per_node Sim.Units.pp_bytes t.mem_per_node t.controller_gib_per_s;

@@ -81,7 +81,4 @@ val node_online : t -> node -> bool
 
 val set_node_online : t -> node -> bool -> unit
 
-val online_nodes : t -> int
-(** Number of nodes currently in the mask. *)
-
 val pp : Format.formatter -> t -> unit

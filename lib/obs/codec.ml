@@ -103,7 +103,7 @@ let string_field field obj ~line =
 (* One streamed record of a trace file: the unit both the whole-string
    readers and the bounded-memory fold are built from. *)
 type item =
-  | Header
+  | Header of { streams : int; events : int }
   | Meta of int * stream_info
   | Ev of Event.merged
 
@@ -165,7 +165,33 @@ let parse_jsonl_line ~line l =
              markers is unknown. *)
           if Json.member "trace" obj = None then
             corrupt "line %d: neither header, stream nor event" line
-          else Header)
+          else
+            Header { streams = int_field "streams" obj ~line; events = int_field "events" obj ~line })
+
+(* A JSONL trace cut at a line boundary still parses line by line: only
+   the header's promised counts expose the missing tail.  [count]
+   tallies the records of one pass; [check] compares them with the
+   header at end of input. *)
+type tally = {
+  mutable header : (int * int) option;
+  mutable meta : int;
+  mutable ev : int;
+}
+
+let tally () = { header = None; meta = 0; ev = 0 }
+
+let count t = function
+  | Header { streams; events } -> t.header <- Some (streams, events)
+  | Meta _ -> t.meta <- t.meta + 1
+  | Ev _ -> t.ev <- t.ev + 1
+
+let check t =
+  match t.header with
+  | None -> corrupt "missing header line"
+  | Some (streams, events) ->
+      if streams <> t.meta || events <> t.ev then
+        corrupt "truncated: header promises %d streams and %d events, read %d and %d" streams
+          events t.meta t.ev
 
 let streams_of_table streams =
   let n = 1 + Hashtbl.fold (fun id _ acc -> max id acc) streams (-1) in
@@ -180,13 +206,17 @@ let read_jsonl text =
   in
   let streams = Hashtbl.create 16 in
   let events = ref [] in
+  let t = tally () in
   List.iteri
     (fun i l ->
-      match parse_jsonl_line ~line:(i + 1) l with
-      | Header -> ()
+      let item = parse_jsonl_line ~line:(i + 1) l in
+      count t item;
+      match item with
+      | Header _ -> ()
       | Meta (id, s) -> Hashtbl.replace streams id s
       | Ev m -> events := m :: !events)
     lines;
+  check t;
   { streams = streams_of_table streams; events = List.rev !events }
 
 type cursor = { data : string; mutable pos : int }
@@ -329,11 +359,17 @@ let fold_binary_channel ic ~init ~f =
   !acc
 
 let fold_jsonl_channel ic ~init ~f =
+  let t = tally () in
   let rec go line acc =
     match input_line ic with
-    | exception End_of_file -> acc
+    | exception End_of_file ->
+        check t;
+        acc
     | l when String.trim l = "" -> go line acc
-    | l -> go (line + 1) (f acc (parse_jsonl_line ~line l))
+    | l ->
+        let item = parse_jsonl_line ~line l in
+        count t item;
+        go (line + 1) (f acc item)
   in
   go 1 init
 

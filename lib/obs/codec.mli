@@ -23,7 +23,9 @@ val write_jsonl : Buffer.t -> export -> unit
 val write_binary : Buffer.t -> export -> unit
 
 val read_jsonl : string -> export
-(** @raise Corrupt on any unparseable or structurally wrong line. *)
+(** @raise Corrupt on any unparseable or structurally wrong line, and
+    when the stream and event records read differ from the counts the
+    header promises (a file cut at a line boundary). *)
 
 val read_binary : string -> export
 
@@ -36,7 +38,9 @@ val read : string -> export
 (** One streamed record of a trace file, in file order: stream
     metadata records first, then events in merged order. *)
 type item =
-  | Header  (** the JSONL header line (binary traces never yield it) *)
+  | Header of { streams : int; events : int }
+      (** the JSONL header line and the record counts it promises
+          (binary traces never yield it) *)
   | Meta of int * stream_info  (** stream id, metadata *)
   | Ev of Event.merged
 

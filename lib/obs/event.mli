@@ -4,7 +4,7 @@
     and a (domain, vcpu, pfn, node) context; fields that do not apply
     to a class are [-1].  [arg] is a small class-specific payload:
     hypercall number (entry), duration in nanoseconds (exit), batch
-    size (pv flush/loss), breaker trip count/level, healed pages
+    size (pv flush), breaker trip count/level, healed pages
     (reconcile sweep), epoch index (boundary), frames demoted or
     coalesced (splinter / promote / superpage migrate), superseded ops
     removed by the shard dedup (pv dedup), frames in one batched P2M
@@ -26,6 +26,9 @@ type class_ =
   | Pv_record
   | Pv_flush
   | Pv_lost
+      (** Never emitted: batch loss is drawn and counted by the
+          page-ops hypercall.  Kept so the binary codec's class
+          indices do not shift. *)
   | Breaker_trip
   | Breaker_escalate
   | Breaker_cooldown

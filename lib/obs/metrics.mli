@@ -38,7 +38,6 @@ val histogram_copy : ?registry:t -> string -> Sim.Stats.Histogram.t option
 val incr_in : t -> ?by:int -> string -> unit
 val gauge_in : t -> string -> float -> unit
 val observe_in : t -> string -> float -> unit
-val merge_histogram_in : t -> string -> Sim.Stats.Histogram.t -> unit
 
 type histogram_summary = {
   count : int;
@@ -64,7 +63,6 @@ val counter_value : ?registry:t -> string -> int option
 (** Current value of a counter; [None] if absent or another kind. *)
 
 val reset : unit -> unit
-val reset_in : t -> unit
 
 val pp : Format.formatter -> unit -> unit
 val render : unit -> string

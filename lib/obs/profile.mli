@@ -25,7 +25,6 @@ type phase =
   | Ff_replay  (** fast-forward delta replay of a quiescent epoch *)
 
 val phases : phase list
-val phase_name : phase -> string
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

@@ -122,7 +122,7 @@ let run ?(top = 10) f path =
   let () =
     Codec.fold_file path ~init:() ~f:(fun () item ->
         match item with
-        | Codec.Header -> ()
+        | Codec.Header _ -> ()
         | Codec.Meta (_, s) ->
             st.dropped <- st.dropped + s.Codec.dropped;
             Array.iteri (fun i n -> st.emitted.(i) <- st.emitted.(i) + n) s.Codec.by_class

@@ -24,6 +24,7 @@ let drain_budget = 64 (* deferred migrations retried per epoch *)
 let breaker_min_attempts = 8
 let breaker_threshold = 0.5
 let breaker_cooldown = 30 (* epochs the breaker stays open per trip *)
+let carrefour_period = 10 (* epochs between user-component runs: once per second *)
 let reconcile_period = 50 (* epochs between P2M<->free-list sweeps *)
 let promote_period = 10 (* epochs between promotion scans *)
 let promote_budget = 2 (* extents coalesced per scan *)
@@ -1129,7 +1130,18 @@ let reconcile t ~guest_free =
    be lost. *)
 let sweeps t = t.free_reported && Spec.invalidates_free_pages t.spec
 
-let boundary_due t = Option.is_some t.carrefour || t.superpages || sweeps t
+(* The period-gated work, one predicate per period: [epoch_tick] and
+   the engine's Carrefour feed fire on exactly these epochs, and
+   [boundary_due] is their union. *)
+let carrefour_due t ~epoch = Option.is_some t.carrefour && epoch mod carrefour_period = 0
+
+let promote_due t ~epoch =
+  t.superpages && (not (statically_degraded t)) && epoch > 0 && epoch mod promote_period = 0
+
+let reconcile_due t ~epoch = sweeps t && epoch > 0 && epoch mod reconcile_period = 0
+
+let boundary_due t ~epoch =
+  carrefour_due t ~epoch || promote_due t ~epoch || reconcile_due t ~epoch
 
 let epoch_tick t ~epoch ?guest_free () =
   t.epoch <- epoch;
@@ -1142,11 +1154,11 @@ let epoch_tick t ~epoch ?guest_free () =
   evacuate_step t;
   drain_pending t;
   evaluate_breaker t;
-  if t.superpages && (not (statically_degraded t)) && epoch > 0 && epoch mod promote_period = 0
-  then ignore (Obs.Profile.span Obs.Profile.Manager_promote_scan (fun () -> promote_scan t));
+  if promote_due t ~epoch then
+    ignore (Obs.Profile.span Obs.Profile.Manager_promote_scan (fun () -> promote_scan t));
   t.free_reported <- Option.is_some guest_free;
   match guest_free with
-  | Some guest_free when sweeps t && epoch > 0 && epoch mod reconcile_period = 0 ->
+  | Some guest_free when reconcile_due t ~epoch ->
       ignore (Obs.Profile.span Obs.Profile.Manager_reconcile (fun () -> reconcile t ~guest_free))
   | Some _ | None -> ()
 
@@ -1182,8 +1194,8 @@ let pending_migrations t = Queue.length t.pending
    so skipping it below that is a no-op, even with a residue of
    attempts left by an old promote scan that will never reach the
    threshold again.  Promote scans and reconcile sweeps are
-   period-gated on the epoch number and handled separately by the
-   caller's skip horizon. *)
+   period-gated on the epoch number: [boundary_due] names their
+   epochs. *)
 let quiescent t =
   Queue.is_empty t.pending
   && t.evac_node < 0

@@ -14,9 +14,10 @@
 
     The manager also owns what its policy implies for the engine's
     epoch loop: {!epoch_tick} decides whether the domain runs reconcile
-    sweeps, and {!boundary_due} says whether any period-gated work
-    (Carrefour, the promotion scan, the sweeps) makes epoch multiples
-    of 10 unskippable. *)
+    sweeps, and {!boundary_due} names the epochs at which period-gated
+    work (the Carrefour feed, the promotion scan, the sweeps) fires, so
+    the engine's fast-forward runs them in full.  The three periods are
+    defined here and nowhere else. *)
 
 type stats = {
   mutable populated_1g : int;   (** 1 GiB regions placed at boot. *)
@@ -163,11 +164,19 @@ val epoch_tick : t -> epoch:int -> ?guest_free:Memory.Page.pfn list -> unit -> u
     sweep are profiled as [manager.promote_scan] and
     [manager.reconcile], nested in the caller's [manager.epoch_tick]. *)
 
-val boundary_due : t -> bool
-(** Period-gated work is due at epoch multiples of 10: Carrefour is
-    on, superpages are enabled (the promotion scan), or the domain
-    sweeps as of the last {!epoch_tick}.  The engine's fast-forward
-    never replays across such an epoch. *)
+val carrefour_due : t -> epoch:int -> bool
+(** Carrefour is on and [epoch] is a multiple of its period (10 epochs,
+    once per simulated second): the engine runs
+    {!carrefour_epoch_feed} at exactly these epochs. *)
+
+val boundary_due : t -> epoch:int -> bool
+(** Periodic work fires at [epoch]: the Carrefour feed
+    ({!carrefour_due}), the {!promote_scan} (superpages on, the domain
+    not statically degraded, every 10 epochs from 10) or the
+    {!reconcile} sweep (the domain sweeps as of the last
+    {!epoch_tick}, every 50 epochs from 50).  {!epoch_tick} reads the
+    same per-period predicates, so the two cannot disagree.  The
+    engine's fast-forward never replays such an epoch. *)
 
 val promote_scan : t -> int
 (** One budgeted pass of the superpage promotion scan: examine a

@@ -23,8 +23,6 @@ val next : 'a t -> (float * 'a) option
 (** Pops the earliest event and advances the clock to its timestamp.
     Events with equal timestamps pop in insertion order (FIFO). *)
 
-val peek_time : 'a t -> float option
-
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int

@@ -26,6 +26,3 @@ let send domain ~costs =
   let a = domain.Domain.account in
   a.Domain.ipi_count <- a.Domain.ipi_count + 1;
   a.Domain.ipi_time <- a.Domain.ipi_time +. costs.Costs.ipi_guest
-
-let wakeup_cost mode ~costs =
-  match mode with Native -> costs.Costs.ipi_native | Guest -> costs.Costs.ipi_guest

@@ -24,6 +24,3 @@ val total : mode -> float
 
 val send : Domain.t -> costs:Costs.t -> unit
 (** Charge one guest-mode IPI to the domain's account. *)
-
-val wakeup_cost : mode -> costs:Costs.t -> float
-(** Cost of waking a sleeping CPU (one IPI) in the given mode. *)

@@ -22,9 +22,6 @@ type fault_hooks = {
           replayed; [true] loses the batch in transit. *)
 }
 
-val no_faults : unit -> fault_hooks
-(** Hooks that never fire (the default for every new system). *)
-
 type t = {
   topo : Numa.Topology.t;
   machine : Memory.Machine.t;
@@ -70,6 +67,3 @@ val destroy_domain : t -> Domain.t -> unit
 val pcpu_share : t -> Numa.Topology.cpu -> float
 (** CPU time share a vCPU pinned on this pCPU receives
     ([1 / occupancy]; 1.0 when the pCPU is idle or single-booked). *)
-
-val mem_frames_of_bytes : t -> int -> int
-(** Guest-physical frames covering the byte count, in scaled frames. *)

@@ -397,36 +397,24 @@ let test_next_armed_epoch_edges () =
   let empty = "" in
   Alcotest.(check (option int)) "empty plan never arms" None (next empty ~after:0)
 
-(* The skip horizon is a pure function of the epoch, the run's cap,
-   the boundary flag, the next armed fault epoch and the threads'
-   progress, so each cut is checked without a simulation. *)
-let test_skip_horizon () =
-  let horizon ?(epoch = 23) ?(max_epochs = 1_000) ?(boundary_due = false) ?next_armed
-      ?(finish = [| -1.0 |]) ?(remaining = [| 0.0 |]) ?(cap = [| 0.0 |]) ?(final = [| 0.0 |]) () =
-    Engine.Runner.skip_horizon ~epoch ~max_epochs ~boundary_due ~next_armed ~finish ~remaining
-      ~cap ~final
+(* The replay guard is a pure predicate over the capture arrays: the
+   cut sits exactly at [remaining >= cap && remaining - final > 0] for
+   every running thread that did work. *)
+let test_replay_guard () =
+  let guard ?(finish = [| -1.0 |]) ?(doit = [| 1.0 |]) ?(cap = [| 20.0 |]) ?(final = [| 10.0 |])
+      remaining =
+    Engine.Runner.replay_guard ~finish ~doit ~remaining ~cap ~final
   in
-  let check = Alcotest.(check int) in
-  check "nothing due: the epoch cap" 1_000 (horizon ());
-  check "boundary: the next multiple of 10" 30 (horizon ~boundary_due:true ());
-  check "boundary on a multiple: the one after" 40 (horizon ~epoch:30 ~boundary_due:true ());
-  check "boundary past the cap" 25 (horizon ~max_epochs:25 ~boundary_due:true ());
-  check "armed window" 27 (horizon ~next_armed:27 ());
-  check "armed window after the boundary" 30 (horizon ~boundary_due:true ~next_armed:35 ());
-  (* (75 - 20) / 10 = 5.5 epochs of headroom: 23 + 1 + 5. *)
-  check "completion" 29
-    (horizon ~remaining:[| 75.0 |] ~cap:[| 20.0 |] ~final:[| 10.0 |] ());
-  check "completion at the ceiling" 24
-    (horizon ~remaining:[| 15.0 |] ~cap:[| 20.0 |] ~final:[| 10.0 |] ());
-  check "completion clamped to 1e9 epochs" (23 + 1 + 1_000_000_000)
-    (horizon ~max_epochs:max_int ~remaining:[| 1e300 |] ~cap:[| 1.0 |] ~final:[| 1e-300 |] ());
-  check "earliest thread wins" 26
-    (horizon ~finish:[| -1.0; -1.0 |] ~remaining:[| 75.0; 45.0 |] ~cap:[| 20.0; 20.0 |]
-       ~final:[| 10.0; 10.0 |] ());
-  check "finished threads ignored" 1_000
-    (horizon ~finish:[| 4.2 |] ~remaining:[| 15.0 |] ~cap:[| 20.0 |] ~final:[| 10.0 |] ());
-  check "idle threads ignored" 1_000
-    (horizon ~remaining:[| 15.0 |] ~cap:[| 20.0 |] ~final:[| 0.0 |] ())
+  let check = Alcotest.(check bool) in
+  check "headroom" true (guard [| 25.0 |]);
+  check "below the ceiling" false (guard [| 15.0 |]);
+  check "at the ceiling" true (guard [| 20.0 |]);
+  check "would finish" false (guard ~cap:[| 10.0 |] [| 10.0 |]);
+  check "one thread short fails all" false
+    (guard ~finish:[| -1.0; -1.0 |] ~doit:[| 1.0; 1.0 |] ~cap:[| 20.0; 20.0 |]
+       ~final:[| 10.0; 10.0 |] [| 25.0; 15.0 |]);
+  check "finished threads ignored" true (guard ~finish:[| 4.2 |] [| 15.0 |]);
+  check "idle threads ignored" true (guard ~doit:[| 0.0 |] [| 15.0 |])
 
 let suite =
   [
@@ -485,6 +473,6 @@ let suite =
         Alcotest.test_case "clean run ticks manager" `Quick test_clean_run_ticks_manager;
         Alcotest.test_case "p2m version monotone" `Quick test_p2m_version_monotone;
         Alcotest.test_case "next armed epoch edges" `Quick test_next_armed_epoch_edges;
-        Alcotest.test_case "skip horizon cuts" `Quick test_skip_horizon;
+        Alcotest.test_case "replay guard cuts" `Quick test_replay_guard;
       ] );
   ]

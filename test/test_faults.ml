@@ -326,12 +326,11 @@ let test_queue_reentrant_flush () =
   Alcotest.(check int) "re-entered op queued" 1 (Guest.Pv_queue.pending queue);
   Alcotest.(check int) "four ops sent" 4 (Guest.Pv_queue.stats queue).Guest.Pv_queue.ops_sent
 
-let test_queue_drop_and_loss_hooks () =
+let test_queue_drop_hook () =
   (* Drop draws happen at flush time, once per op surviving dedup: the
      first full partition (pfns 0-3) loses its first two ops to the
-     drop hook and ships the other two as a batch that the loss hook
-     eats; the flush_all remainder (pfns 4-5) ships and is eaten
-     whole.  Two lost batches, four lost ops, two drops. *)
+     drop hook and ships the other two; the flush_all remainder (pfns
+     4-5) ships whole.  Two batches, four ops sent, two drops. *)
   let sent = ref 0 in
   let queue =
     Guest.Pv_queue.create ~partitions:1 ~capacity:4
@@ -341,19 +340,18 @@ let test_queue_drop_and_loss_hooks () =
       ()
   in
   let drops = ref 2 in
-  Guest.Pv_queue.set_fault_hooks queue
-    ~drop_op:(fun _ -> decr drops; !drops >= 0)
-    ~lose_batch:(fun _ -> true)
-    ();
+  Guest.Pv_queue.set_fault_hooks queue ~drop_op:(fun _ ->
+      decr drops;
+      !drops >= 0);
   for pfn = 0 to 5 do
     Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn)
   done;
   Guest.Pv_queue.flush_all queue;
   let stats = Guest.Pv_queue.stats queue in
   Alcotest.(check int) "two dropped" 2 stats.Guest.Pv_queue.dropped;
-  Alcotest.(check int) "batches lost" 2 stats.Guest.Pv_queue.lost_batches;
-  Alcotest.(check int) "lost ops counted" 4 stats.Guest.Pv_queue.lost_ops;
-  Alcotest.(check int) "nothing reached the hypervisor" 0 !sent
+  Alcotest.(check int) "two batches" 2 stats.Guest.Pv_queue.flushes;
+  Alcotest.(check int) "survivors reached the hypervisor" 4 !sent;
+  Alcotest.(check int) "ops_sent counted" 4 stats.Guest.Pv_queue.ops_sent
 
 (* Most-recent-op-wins, as a property: replay visits every queued page
    exactly once and applies its latest op. *)
@@ -911,7 +909,7 @@ let suite =
         Alcotest.test_case "p2m rejects negative mfn" `Quick test_p2m_rejects_negative_mfn;
         Alcotest.test_case "p2m check_consistent" `Quick test_p2m_check_consistent;
         Alcotest.test_case "queue re-entrant flush" `Quick test_queue_reentrant_flush;
-        Alcotest.test_case "queue fault hooks" `Quick test_queue_drop_and_loss_hooks;
+        Alcotest.test_case "queue fault hooks" `Quick test_queue_drop_hook;
         QCheck_alcotest.to_alcotest prop_replay_most_recent_wins;
         Alcotest.test_case "breaker escalates to static" `Quick test_breaker_escalates_to_static;
         Alcotest.test_case "deferred migrations drain" `Quick

@@ -603,6 +603,31 @@ let test_query_streaming_rejects_corrupt () =
         | exception Obs.Codec.Corrupt _ -> true
         | _ -> false))
 
+(* A JSONL trace cut at a line boundary parses line by line; the
+   header's stream and event counts must still expose the missing
+   tail, in the whole-string reader and in the streaming fold. *)
+let test_jsonl_cut_at_line_boundary () =
+  let jsonl = Obs.Trace.render_jsonl (mk_session ()) in
+  let lines = String.split_on_char '\n' jsonl in
+  let prefix n = String.concat "\n" (List.filteri (fun i _ -> i < n) lines) ^ "\n" in
+  let raises f = match f () with exception Obs.Codec.Corrupt _ -> true | _ -> false in
+  (* Header, two stream records, four events: every proper prefix past
+     the header is short of one or the other. *)
+  for n = 1 to List.length lines - 2 do
+    let cut = prefix n in
+    Alcotest.(check bool) (Printf.sprintf "read_jsonl rejects %d lines" n) true
+      (raises (fun () -> Obs.Codec.read_jsonl cut));
+    with_temp_file ".jsonl" cut (fun path ->
+        Alcotest.(check bool) (Printf.sprintf "query rejects %d lines" n) true
+          (raises (fun () -> Obs.Query.run (Obs.Query.filter ()) path)))
+  done;
+  Alcotest.(check bool) "headerless events rejected" true
+    (raises (fun () ->
+         Obs.Codec.read_jsonl (String.concat "\n" (List.tl lines))));
+  with_temp_file ".jsonl" jsonl (fun path ->
+      Alcotest.(check int) "the whole file still streams" 4
+        (Obs.Query.run (Obs.Query.filter ()) path).Obs.Query.matched)
+
 let test_summary_drop_warning () =
   let session = Obs.Trace.create ~capacity:2 () in
   let s = Obs.Trace.stream session ~label:"hot" in
@@ -798,6 +823,7 @@ let suite =
         Alcotest.test_case "filters and renders" `Quick test_query_filters;
         Alcotest.test_case "streaming rejects corrupt files" `Quick
           test_query_streaming_rejects_corrupt;
+        Alcotest.test_case "jsonl cut at a line rejected" `Quick test_jsonl_cut_at_line_boundary;
         Alcotest.test_case "summary warns on drops" `Quick test_summary_drop_warning;
       ] );
     ( "obs.profile",

@@ -238,12 +238,13 @@ let test_manager_release_free_range_batches () =
   Alcotest.(check bool) "positive time" true (time > 0.0);
   Alcotest.(check int) "all invalidated" 0 (Xen.P2m.mapped_count d.Xen.Domain.p2m)
 
-(* [Manager.boundary_due] clause by clause: Carrefour, superpages and
-   reconcile sweeps (first-touch whose guest reports its free list, as
-   under a fault plan) each make it due on their own; none of them
-   leaves the fast-forward horizon free. *)
+(* [Manager.boundary_due] clause by clause and epoch by epoch:
+   Carrefour (every 10 epochs from 0), superpages (the promotion scan,
+   every 10 from 10) and reconcile sweeps (first-touch whose guest
+   reports its free list, as under a fault plan: every 50 from 50) are
+   each due on their own period and never off it. *)
 let test_manager_boundary_due () =
-  let verdict ?(superpages = false) ?guest_free spec =
+  let manager ?(superpages = false) ?guest_free spec =
     let s = small_system () in
     let d = make_domain s in
     let m =
@@ -253,15 +254,22 @@ let test_manager_boundary_due () =
     in
     (match Policies.Manager.switch m spec with Ok () -> () | Error e -> Alcotest.fail e);
     Policies.Manager.epoch_tick m ~epoch:1 ?guest_free ();
-    Policies.Manager.boundary_due m
+    m
   in
-  let check = Alcotest.(check bool) in
-  check "carrefour" true (verdict Policies.Spec.round_4k_carrefour);
-  check "superpages" true (verdict ~superpages:true Policies.Spec.round_4k);
-  check "first-touch with a fault plan" true (verdict ~guest_free:[] Policies.Spec.first_touch);
-  check "none" false (verdict Policies.Spec.round_4k);
-  check "first-touch without a fault plan" false (verdict Policies.Spec.first_touch);
-  check "free list without first-touch" false (verdict ~guest_free:[] Policies.Spec.round_4k)
+  let epochs = [ 0; 1; 9; 10; 15; 20; 49; 50; 100 ] in
+  let due m = List.filter (fun epoch -> Policies.Manager.boundary_due m ~epoch) epochs in
+  let feeds m = List.filter (fun epoch -> Policies.Manager.carrefour_due m ~epoch) epochs in
+  let check = Alcotest.(check (list int)) in
+  let carrefour = manager Policies.Spec.round_4k_carrefour in
+  check "carrefour" [ 0; 10; 20; 50; 100 ] (due carrefour);
+  check "carrefour feed" [ 0; 10; 20; 50; 100 ] (feeds carrefour);
+  check "superpages" [ 10; 20; 50; 100 ] (due (manager ~superpages:true Policies.Spec.round_4k));
+  check "first-touch with a fault plan: sweeps only" [ 50; 100 ]
+    (due (manager ~guest_free:[] Policies.Spec.first_touch));
+  check "none" [] (due (manager Policies.Spec.round_4k));
+  check "no feed without carrefour" [] (feeds (manager Policies.Spec.round_4k));
+  check "first-touch without a fault plan" [] (due (manager Policies.Spec.first_touch));
+  check "free list without first-touch" [] (due (manager ~guest_free:[] Policies.Spec.round_4k))
 
 (* ------------------------------ carrefour -------------------------- *)
 

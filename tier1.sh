@@ -219,7 +219,8 @@ echo "tier1: trace query engine OK (codecs and schedules agree)"
 
 # Query usage errors: an unknown class name and a corrupt trace file
 # must both exit non-zero (the class error enumerates the valid names;
-# truncation must never be silently accepted).
+# truncation must never be silently accepted, whether a binary trace
+# is cut mid-record or a JSONL trace at a line boundary).
 if dune exec bin/xen_numa_trace.exe -- query --class no_such_class "$TRACE_DIR/codec.jsonl" \
   >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown query class did not exit non-zero" >&2
@@ -228,6 +229,11 @@ fi
 head -c 100 "$TRACE_DIR/codec.bin" > "$TRACE_DIR/truncated.bin"
 if dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/truncated.bin" >/dev/null 2>&1; then
   echo "tier1: FAIL - truncated binary trace did not exit non-zero" >&2
+  exit 1
+fi
+head -n 200 "$TRACE_DIR/codec.jsonl" > "$TRACE_DIR/truncated.jsonl"
+if dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/truncated.jsonl" >/dev/null 2>&1; then
+  echo "tier1: FAIL - JSONL trace cut at a line boundary did not exit non-zero" >&2
   exit 1
 fi
 
