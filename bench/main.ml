@@ -398,19 +398,6 @@ let sections : (string * (unit -> unit)) list =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Revision of the working tree, for provenance in the JSON report.
    Reads .git directly (no subprocess): HEAD, the ref file it points
    to, or packed-refs.  XEN_NUMA_GIT_REV overrides (CI checkouts). *)
@@ -495,12 +482,12 @@ let write_json file ~jobs ~timings ~total =
       jobs host_cores;
   let entry (name, seconds, p99) =
     match p99 with
-    | None -> Printf.sprintf "    {\"name\": \"%s\", \"wall_s\": %.3f}" (json_escape name) seconds
+    | None -> Printf.sprintf "    {\"name\": \"%s\", \"wall_s\": %.3f}" (Obs.Json.escape name) seconds
     | Some p ->
         Printf.sprintf "    {\"name\": \"%s\", \"wall_s\": %.3f, \"lat_p99\": %.6g}"
-          (json_escape name) seconds p
+          (Obs.Json.escape name) seconds p
   in
-  let micro (name, ns) = Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.1f}" (json_escape name) ns in
+  let micro (name, ns) = Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.1f}" (Obs.Json.escape name) ns in
   let metrics = List.map (fun line -> "    " ^ line) (Obs.Metrics.to_json_entries ()) in
   Printf.fprintf oc
     "{\n\
@@ -512,7 +499,7 @@ let write_json file ~jobs ~timings ~total =
     \  \"micro\": [\n%s\n  ],\n\
     \  \"metrics\": [\n%s\n  ]\n\
      }\n"
-    (json_escape (git_rev ()))
+    (Obs.Json.escape (git_rev ()))
     jobs
     host_cores
     (if oversubscribed then "  \"oversubscribed\": true,\n" else "")

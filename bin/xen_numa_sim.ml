@@ -98,11 +98,11 @@ let faults_conv =
 let faults_arg =
   Arg.(value & opt faults_conv Faults.Plan.empty
        & info [ "faults" ] ~docv:"PLAN"
-           ~doc:"Fault-injection plan: comma-separated $(i,site=value[\\@FROM[-UNTIL]]) \
+           ~doc:"Fault-injection plan: comma-separated $(i,site=value[@FROM[-UNTIL]]) \
                  elements where site is one of alloc, node-off, migrate, batch-loss, \
                  op-drop, hypercall, iommu, stall, ecc-ce, ecc-ue, node_fail.  \
-                 Examples: $(b,migrate=1.0), $(b,alloc=0.3\\@50-150,stall=0.01), \
-                 $(b,node-off=2\\@100-), $(b,ecc-ce=0.5), $(b,node_fail=1.0\\@50) \
+                 Examples: $(b,migrate=1.0), $(b,alloc=0.3@50-150,stall=0.01), \
+                 $(b,node-off=2@100-), $(b,ecc-ce=0.5), $(b,node_fail=1.0@50) \
                  (a random node's bandwidth collapses over a 50-epoch drain window, \
                  then the node goes offline and every domain evacuates it).  The \
                  injection stream is derived from the run seed, so fault runs are \

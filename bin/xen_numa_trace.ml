@@ -1,24 +1,21 @@
-(* xen-numa-trace: xenalyze-style summariser and checker for trace
-   files produced by xen-numa-sim --trace (JSONL or binary). *)
+(* xen-numa-trace: xenalyze-style summariser, checker and query tool
+   for trace files produced by xen-numa-sim --trace (JSONL or binary).
+   Every subcommand reads the file in one bounded-memory streaming
+   pass (Obs.Codec.fold_file). *)
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let die msg =
+  prerr_endline ("xen-numa-trace: " ^ msg);
+  exit 1
 
-let load path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | data -> (
-      match Obs.Codec.read data with
-      | export -> Ok export
-      | exception Obs.Codec.Corrupt msg ->
-          Error (Printf.sprintf "%s: corrupt trace: %s" path msg)
-      | exception Obs.Json.Parse_error msg ->
-          Error (Printf.sprintf "%s: bad JSON: %s" path msg))
+(* Run one streaming pass [read path]; an unreadable or corrupt file
+   is a one-line error and exit 1. *)
+let reading read path =
+  match read path with
+  | exception Sys_error msg -> die msg
+  | exception Obs.Codec.Corrupt msg -> die (Printf.sprintf "%s: corrupt trace: %s" path msg)
+  | result -> result
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Trace file to read.")
@@ -28,69 +25,68 @@ let timeline_arg =
        & info [ "timeline" ] ~docv:"ROWS" ~doc:"Epoch-timeline rows to print (default 24).")
 
 let summary rows path =
-  match load path with
-  | Error msg ->
-      prerr_endline ("xen-numa-trace: " ^ msg);
-      exit 1
-  | Ok export -> print_string (Obs.Summary.render ~timeline_rows:rows (Obs.Summary.of_export export))
+  print_string (Obs.Summary.render ~timeline_rows:rows (reading Obs.Summary.of_file path))
 
 let summary_cmd =
   let doc = "Summarise a trace: per-class counts, inter-arrival stats, epoch timeline" in
   Cmd.v (Cmd.info "summary" ~doc) Term.(const summary $ timeline_arg $ file_arg)
 
 (* Structural validation beyond what the codec already rejects: the
-   ring accounting invariant per stream and the merge-order contract. *)
+   ring accounting invariant per stream and the merge-order contract.
+   One streaming pass keeps per-stream kept counts and the previous
+   event; the codec delivers every stream record before the first
+   event, so an event's stream id is checked on arrival. *)
 let check path =
-  match load path with
-  | Error msg ->
-      prerr_endline ("xen-numa-trace: " ^ msg);
+  let streams = ref [] and nstreams = ref 0 and kept = Hashtbl.create 16 in
+  let events = ref 0 and prev = ref None and disorder = ref 0 in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let visit () = function
+    | Obs.Codec.Header _ -> ()
+    | Obs.Codec.Meta (_, s) ->
+        streams := s :: !streams;
+        incr nstreams
+    | Obs.Codec.Ev m ->
+        let w = m.Obs.Event.stream in
+        incr events;
+        if w < 0 || w >= !nstreams then fail "event references unknown stream %d" w
+        else Hashtbl.replace kept w (1 + Option.value ~default:0 (Hashtbl.find_opt kept w));
+        (match !prev with
+        | Some p when Obs.Event.compare_merged p m > 0 -> incr disorder
+        | _ -> ());
+        prev := Some m
+  in
+  reading (fun path -> Obs.Codec.fold_file path ~init:() ~f:visit) path;
+  let streams = Array.of_list (List.rev !streams) in
+  Array.iteri
+    (fun i (s : Obs.Codec.stream_info) ->
+      let kept = Option.value ~default:0 (Hashtbl.find_opt kept i) in
+      if kept + s.Obs.Codec.dropped <> s.Obs.Codec.emitted then
+        fail "stream %d (%s): kept %d + dropped %d <> emitted %d" i s.Obs.Codec.label kept
+          s.Obs.Codec.dropped s.Obs.Codec.emitted;
+      let by_class_total = Array.fold_left ( + ) 0 s.Obs.Codec.by_class in
+      if by_class_total <> s.Obs.Codec.emitted then
+        fail "stream %d (%s): by-class totals %d <> emitted %d" i s.Obs.Codec.label
+          by_class_total s.Obs.Codec.emitted)
+    streams;
+  for _ = 1 to !disorder do
+    fail "events out of merge order"
+  done;
+  match !failures with
+  | [] ->
+      Printf.printf "ok: %d streams, %d events kept, invariants hold\n" (Array.length streams)
+        !events;
+      (* Drops do not break any invariant (the accounting identity
+         includes them) but they mean the kept counts undercount. *)
+      let dropped = Array.fold_left (fun acc s -> acc + s.Obs.Codec.dropped) 0 streams in
+      if dropped > 0 then
+        Printf.printf
+          "note: %d events were dropped by full rings — kept counts undercount; raise \
+           --trace-cap for a complete capture\n"
+          dropped
+  | msgs ->
+      List.iter (fun m -> prerr_endline ("xen-numa-trace: " ^ m)) (List.rev msgs);
       exit 1
-  | Ok export ->
-      let streams = export.Obs.Codec.streams in
-      let kept = Array.make (Array.length streams) 0 in
-      let failures = ref [] in
-      let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-      List.iter
-        (fun (m : Obs.Event.merged) ->
-          if m.Obs.Event.stream < 0 || m.Obs.Event.stream >= Array.length streams then
-            fail "event references unknown stream %d" m.Obs.Event.stream
-          else kept.(m.Obs.Event.stream) <- kept.(m.Obs.Event.stream) + 1)
-        export.Obs.Codec.events;
-      Array.iteri
-        (fun i (s : Obs.Codec.stream_info) ->
-          if kept.(i) + s.Obs.Codec.dropped <> s.Obs.Codec.emitted then
-            fail "stream %d (%s): kept %d + dropped %d <> emitted %d" i s.Obs.Codec.label kept.(i)
-              s.Obs.Codec.dropped s.Obs.Codec.emitted;
-          let by_class_total = Array.fold_left ( + ) 0 s.Obs.Codec.by_class in
-          if by_class_total <> s.Obs.Codec.emitted then
-            fail "stream %d (%s): by-class totals %d <> emitted %d" i s.Obs.Codec.label
-              by_class_total s.Obs.Codec.emitted)
-        streams;
-      let rec sorted = function
-        | a :: (b :: _ as rest) ->
-            if Obs.Event.compare_merged a b > 0 then fail "events out of merge order";
-            sorted rest
-        | _ -> ()
-      in
-      sorted export.Obs.Codec.events;
-      (match !failures with
-      | [] ->
-          Printf.printf "ok: %d streams, %d events kept, invariants hold\n"
-            (Array.length streams)
-            (List.length export.Obs.Codec.events);
-          (* Drops do not break any invariant (the accounting identity
-             includes them) but they mean the kept counts undercount. *)
-          let dropped =
-            Array.fold_left (fun acc s -> acc + s.Obs.Codec.dropped) 0 streams
-          in
-          if dropped > 0 then
-            Printf.printf
-              "note: %d events were dropped by full rings — kept counts undercount; raise \
-               --trace-cap for a complete capture\n"
-              dropped
-      | msgs ->
-          List.iter (fun m -> prerr_endline ("xen-numa-trace: " ^ m)) (List.rev msgs);
-          exit 1)
 
 let check_cmd =
   let doc = "Validate a trace file's accounting and ordering invariants" in
@@ -139,10 +135,6 @@ let heatmap_arg =
            ~doc:"Also write a per-(epoch, node) matched-event heatmap to $(docv) as CSV.")
 
 let query classes dom vcpu node epochs top format heatmap path =
-  let die msg =
-    prerr_endline ("xen-numa-trace: " ^ msg);
-    exit 1
-  in
   if top < 1 then die "--top must be positive";
   let classes =
     match classes with
@@ -161,25 +153,22 @@ let query classes dom vcpu node epochs top format heatmap path =
   let f =
     Obs.Query.filter ~classes ?domain:dom ?vcpu ?node ?epoch_lo ?epoch_hi ()
   in
-  match Obs.Query.run ~top f path with
-  | exception Sys_error msg -> die msg
-  | exception Obs.Codec.Corrupt msg -> die (Printf.sprintf "%s: corrupt trace: %s" path msg)
-  | result -> (
-      (match format with
-      | `Table -> print_string (Obs.Query.render_table result)
-      | `Jsonl -> print_string (Obs.Query.render_jsonl result));
-      match heatmap with
-      | None -> ()
-      | Some file -> (
-          match open_out file with
-          | exception Sys_error msg -> die msg
-          | oc ->
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () -> output_string oc (Obs.Query.heatmap_csv result));
-              (* stderr: keeps stdout parseable (and byte-identical across
-                 captures that differ only in the CSV destination). *)
-              Printf.eprintf "heatmap written to %s\n" file))
+  let result = reading (Obs.Query.run ~top f) path in
+  (match format with
+  | `Table -> print_string (Obs.Query.render_table result)
+  | `Jsonl -> print_string (Obs.Query.render_jsonl result));
+  match heatmap with
+  | None -> ()
+  | Some file -> (
+      match open_out file with
+      | exception Sys_error msg -> die msg
+      | oc ->
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () -> output_string oc (Obs.Query.heatmap_csv result));
+          (* stderr: keeps stdout parseable (and byte-identical across
+             captures that differ only in the CSV destination). *)
+          Printf.eprintf "heatmap written to %s\n" file)
 
 let query_cmd =
   let doc =

@@ -18,7 +18,7 @@ let classify ~imbalance =
 
 let profile ?(seed = 42) ?(window = 5.0) ~mode app =
   let vm = Config.vm ~policy:Policies.Spec.first_touch app in
-  let cfg = Config.make ~seed ~max_epochs:(int_of_float (window /. 0.1)) ~mode [ vm ] in
+  let cfg = Config.make ~seed ~max_epochs:(int_of_float (window /. Config.epoch_len)) ~mode [ vm ] in
   let result = Runner.run cfg in
   let vm_result =
     match result.Result.vms with [ v ] -> v | _ -> assert false

@@ -19,13 +19,13 @@ let vm ?home_nodes ?(use_mcs = false) ?(huge_pages = false) ?(superpages = false
   { app; threads; policy; home_nodes; use_mcs; huge_pages; superpages; pt_walk; replicate_pt;
     pinned }
 
+let epoch_len = 0.1
+
 type t = {
   mode : mode;
   vms : vm_spec list;
-  epoch : float;
   seed : int;
   max_epochs : int;
-  page_kib : int option;
   carrefour_config : Policies.Carrefour.User_component.config option;
   machine : Numa.Machine_desc.t;
   faults : Faults.Plan.t;
@@ -86,14 +86,13 @@ let default_fast_forward_flag = ref true
 let set_default_fast_forward b = default_fast_forward_flag := b
 let default_fast_forward () = !default_fast_forward_flag
 
-let make ?(epoch = 0.1) ?(seed = 42) ?(max_epochs = 40_000) ?page_kib ?carrefour_config
+let make ?(seed = 42) ?(max_epochs = 40_000) ?carrefour_config
     ?(machine = Numa.Machine_desc.amd48) ?(faults = Faults.Plan.empty) ?observer
     ?(slo = []) ?fast_forward ~mode vms =
   let fast_forward =
     match fast_forward with Some b -> b | None -> default_fast_forward ()
   in
   if vms = [] then invalid_arg "Config.make: no VMs";
-  if epoch <= 0.0 then invalid_arg "Config.make: epoch must be positive";
   List.iter
     (fun (metric, target) ->
       if not (List.mem metric slo_metrics) then
@@ -103,14 +102,13 @@ let make ?(epoch = 0.1) ?(seed = 42) ?(max_epochs = 40_000) ?page_kib ?carrefour
   (match Faults.Plan.validate faults with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Config.make: bad fault plan: " ^ msg));
-  { mode; vms; epoch; seed; max_epochs; page_kib; carrefour_config; machine; faults; observer;
-    slo; fast_forward }
+  { mode; vms; seed; max_epochs; carrefour_config; machine; faults; observer; slo; fast_forward }
 
 let mode_name = function Linux -> "linux" | Xen -> "xen" | Xen_plus -> "xen+"
 
 (* Pick a page granularity keeping the largest app around <= 48k pages:
    small apps keep real 4 KiB pages, dc.B's 39 GB uses 1 MiB units. *)
-let heuristic_scale t =
+let page_scale t =
   let max_fp =
     List.fold_left (fun acc vm -> max acc vm.app.Workloads.App.footprint_mb) 1 t.vms
   in
@@ -119,10 +117,3 @@ let heuristic_scale t =
     if bytes / (4096 * scale) <= 49_152 || scale >= 1024 then scale else fit (scale * 2)
   in
   fit 1
-
-let page_scale t =
-  match t.page_kib with
-  | Some kib ->
-      if kib < 4 || kib land (kib - 1) <> 0 then invalid_arg "Config: page_kib must be a power of two >= 4";
-      kib / 4
-  | None -> heuristic_scale t

@@ -62,16 +62,17 @@ val vm : ?home_nodes:Numa.Topology.node array -> ?use_mcs:bool -> ?huge_pages:bo
   policy:Policies.Spec.t -> Workloads.App.t -> vm_spec
 (** [threads] defaults to 48 (the full machine). *)
 
+val epoch_len : float
+(** Simulated epoch length, seconds (0.1).  Every run steps by it; the
+    Manager's once-per-second Carrefour period
+    ({!Policies.Manager.carrefour_due}, every 10 epochs) and the
+    {!Advisor} profiling window assume it. *)
+
 type t = {
   mode : mode;
   vms : vm_spec list;
-  epoch : float;        (** Simulated epoch length, seconds. *)
   seed : int;
   max_epochs : int;
-  page_kib : int option;
-      (** Simulated page granularity in KiB (power of two, ≥ 4);
-          [None] picks one from the largest footprint so regions stay
-          in the tens of thousands of pages. *)
   carrefour_config : Policies.Carrefour.User_component.config option;
       (** Override the Carrefour user-component tuning (used by the
           heuristic ablations); [None] = engine default. *)
@@ -116,7 +117,7 @@ and epoch_snapshot = {
       (** Per application: cumulative local-access share. *)
 }
 
-val make : ?epoch:float -> ?seed:int -> ?max_epochs:int -> ?page_kib:int ->
+val make : ?seed:int -> ?max_epochs:int ->
   ?carrefour_config:Policies.Carrefour.User_component.config ->
   ?machine:Numa.Machine_desc.t ->
   ?faults:Faults.Plan.t ->
@@ -145,5 +146,5 @@ val parse_slo : string -> ((string * float) list, string) result
 val mode_name : mode -> string
 
 val page_scale : t -> int
-(** Frames-per-simulated-page factor actually used (from [page_kib] or
-    the footprint heuristic). *)
+(** Frames-per-simulated-page factor: picked from the largest footprint
+    so regions stay in the tens of thousands of pages. *)

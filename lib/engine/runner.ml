@@ -554,7 +554,7 @@ let blocking_events_per_s app =
 let epoch_sync_overhead cfg st =
   let app = st.spec.Config.app in
   let costs = costs_of_mode cfg.Config.mode in
-  let events = blocking_events_per_s app *. cfg.Config.epoch in
+  let events = blocking_events_per_s app *. Config.epoch_len in
   let primitive = if st.spec.Config.use_mcs then Guest.Sync.Mcs_spin else Guest.Sync.Futex_sleep in
   let per_event =
     match primitive with
@@ -564,7 +564,7 @@ let epoch_sync_overhead cfg st =
   in
   let total = events *. per_event in
   let threads = float_of_int st.spec.Config.threads in
-  Float.min (0.85 *. cfg.Config.epoch) (total /. threads)
+  Float.min (0.85 *. Config.epoch_len) (total /. threads)
 
 (* Distribute one thread's epoch accesses over destination nodes.
    Writes only vCPU [t]'s row and [t]-indexed slots; the shared-region
@@ -724,7 +724,7 @@ let epoch_pass_a st =
 let disk_traffic cfg st counters ~bus_node ~node_demand =
   let app = st.spec.Config.app in
   if st.io_bytes_left > 0.0 then begin
-    let bytes = Float.min st.io_bytes_left (app.Workloads.App.disk_mb_s *. 1e6 *. cfg.Config.epoch) in
+    let bytes = Float.min st.io_bytes_left (app.Workloads.App.disk_mb_s *. 1e6 *. Config.epoch_len) in
     st.io_bytes_left <- st.io_bytes_left -. bytes;
     st.ff_io <- bytes;
     let charge bytes node =
@@ -1236,7 +1236,7 @@ let boot (cfg : Config.t) =
      13 GiB/s plate number, as derived by the request-level simulator
      (Microsim.Memsim.random_access_efficiency). *)
   let controller_capacity =
-    0.62 *. Numa.Topology.controller_gib_per_s topo *. (1024.0 ** 3.0) *. cfg.Config.epoch
+    0.62 *. Numa.Topology.controller_gib_per_s topo *. (1024.0 ** 3.0) *. Config.epoch_len
   in
   {
     cfg;
@@ -1454,7 +1454,7 @@ let replay_epoch rs =
       each (fun st ->
           disk_traffic rs.cfg st rs.counters ~bus_node:rs.bus_node ~node_demand:rs.node_demand);
       each (fun st -> commit_traffic rs.counters st (snap st));
-      Numa.Counters.end_epoch rs.counters ~duration:rs.cfg.Config.epoch;
+      Numa.Counters.end_epoch rs.counters ~duration:Config.epoch_len;
       each (fun st ->
           let s = snap st in
           reduce_latency rs.cfg st s;
@@ -1531,7 +1531,7 @@ let compute_stage rs =
         Obs.Profile.span Obs.Profile.Kernel_compute (fun () ->
             epoch_compute_kernel st ~injector:rs.injector ~occupancy:rs.occupancy ~oh
               ~carrefour_tax ~mr ~freq:machine.Numa.Machine_desc.freq_hz
-              ~epoch_len:cfg.Config.epoch ~threads);
+              ~epoch_len:Config.epoch_len ~threads);
         Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_epoch_traffic st ~threads);
         disk_traffic cfg st rs.counters ~bus_node:rs.bus_node ~node_demand:rs.node_demand
       end)
@@ -1564,7 +1564,7 @@ let clamp_bandwidth rs =
    times read only vCPU [t]'s slots (node_scale is fixed for the
    epoch); then the counter commit. *)
 let throughput_stage rs st =
-  let nodes = rs.nodes and epoch_len = rs.cfg.Config.epoch in
+  let nodes = rs.nodes in
   let s = st.slots in
   Obs.Profile.span Obs.Profile.Kernel_throughput (fun () ->
       for t = 0 to st.spec.Config.threads - 1 do
@@ -1583,7 +1583,7 @@ let throughput_stage rs st =
           st.remaining.(t) <- st.remaining.(t) -. final;
           if st.remaining.(t) <= 0.0 then
             st.finish.(t) <-
-              rs.now +. (epoch_len *. (final /. Float.max 1.0 (s.cap.(t) *. realized)));
+              rs.now +. (Config.epoch_len *. (final /. Float.max 1.0 (s.cap.(t) *. realized)));
           if realized < 1.0 then begin
             st.thread_accesses.(t) <- st.thread_accesses.(t) *. realized;
             for n = 0 to nodes - 1 do
@@ -1640,13 +1640,12 @@ let page_churn rs st =
   match st.queue with
   | None -> ()
   | Some q ->
-      let epoch_len = rs.cfg.Config.epoch in
       let period =
         match st.spec.Config.app.Workloads.App.page_release_period with
         | Some p -> p
-        | None -> epoch_len
+        | None -> Config.epoch_len
       in
-      let iters = min 64 (max 1 (int_of_float (epoch_len /. period))) in
+      let iters = min 64 (max 1 (int_of_float (Config.epoch_len /. period))) in
       let threads = st.spec.Config.threads in
       for i = 0 to iters - 1 do
         match Guest.Pfn_pool.alloc st.pool with
@@ -1700,7 +1699,7 @@ let arm rs st ~vcpus_moved =
     && (not st.ff_rotated)
     && st.burst_victim < 0
     && (st.ff_io = 0.0
-       || st.ff_io = st.spec.Config.app.Workloads.App.disk_mb_s *. 1e6 *. rs.cfg.Config.epoch)
+       || st.ff_io = st.spec.Config.app.Workloads.App.disk_mb_s *. 1e6 *. Config.epoch_len)
     && st.migrations = st.ff_migrations
     && finished_threads st = st.ff_finished
     && Policies.Manager.quiescent st.manager
@@ -1727,7 +1726,7 @@ let full_epoch rs ~vcpus_moved =
   compute_stage rs;
   clamp_bandwidth rs;
   List.iter (fun st -> if vm_running st then throughput_stage rs st) rs.states;
-  Numa.Counters.end_epoch rs.counters ~duration:rs.cfg.Config.epoch;
+  Numa.Counters.end_epoch rs.counters ~duration:Config.epoch_len;
   fill_latency_memo rs;
   List.iter
     (fun st ->
@@ -1755,7 +1754,7 @@ let observe rs =
       observer
         {
           Config.epoch_index = rs.epochs;
-          time = rs.now +. rs.cfg.Config.epoch;
+          time = rs.now +. Config.epoch_len;
           imbalance = Numa.Counters.imbalance counters;
           max_controller_util =
             Array.fold_left Float.max 0.0 (Numa.Counters.last_controller_utilisation counters);
@@ -1777,7 +1776,7 @@ let step rs =
   if replayable rs inputs then replay_epoch rs else full_epoch rs ~vcpus_moved:inputs.vcpus_moved;
   observe rs;
   rs.epochs <- rs.epochs + 1;
-  rs.now <- rs.now +. rs.cfg.Config.epoch
+  rs.now <- rs.now +. Config.epoch_len
 
 let finish rs =
   let result =

@@ -1,8 +1,9 @@
 (* Wire formats of a merged trace: self-describing JSONL (one object
    per line, greppable, diff-friendly) and a compact fixed-record
    binary format.  Both carry the same data and both round-trip; the
-   readers auto-detect by magic.  Output is a pure function of the
-   export value, so byte-identical exports mean identical traces. *)
+   one reader, [fold_file], auto-detects by magic.  Output is a pure
+   function of the export value, so byte-identical exports mean
+   identical traces. *)
 
 type stream_info = {
   label : string;
@@ -100,8 +101,7 @@ let string_field field obj ~line =
   | Some s -> s
   | None -> corrupt "line %d: field %S is not a string" line field
 
-(* One streamed record of a trace file: the unit both the whole-string
-   readers and the bounded-memory fold are built from. *)
+(* One streamed record of a trace file, in file order. *)
 type item =
   | Header of { streams : int; events : int }
   | Meta of int * stream_info
@@ -168,8 +168,12 @@ let parse_jsonl_line ~line l =
           else
             Header { streams = int_field "streams" obj ~line; events = int_field "events" obj ~line })
 
-(* A JSONL trace cut at a line boundary still parses line by line: only
-   the header's promised counts expose the missing tail.  [count]
+(* A JSONL trace is checked as it streams.  A file cut at a line
+   boundary still parses line by line: only the header's promised
+   counts expose the missing tail.  Stream records must run 0, 1, 2, ...
+   ahead of every event, as the writer emits them and as the binary
+   layout fixes them, so a consumer can index streams as they arrive
+   and a skipped id is caught at the record after the gap.  [count]
    tallies the records of one pass; [check] compares them with the
    header at end of input. *)
 type tally = {
@@ -180,9 +184,13 @@ type tally = {
 
 let tally () = { header = None; meta = 0; ev = 0 }
 
-let count t = function
+let count t ~line = function
   | Header { streams; events } -> t.header <- Some (streams, events)
-  | Meta _ -> t.meta <- t.meta + 1
+  | Meta (id, _) ->
+      if id <> t.meta then
+        corrupt "line %d: stream %d has no metadata record (found stream %d's)" line t.meta id;
+      if t.ev > 0 then corrupt "line %d: stream record after the first event" line;
+      t.meta <- t.meta + 1
   | Ev _ -> t.ev <- t.ev + 1
 
 let check t =
@@ -193,109 +201,11 @@ let check t =
         corrupt "truncated: header promises %d streams and %d events, read %d and %d" streams
           events t.meta t.ev
 
-let streams_of_table streams =
-  let n = 1 + Hashtbl.fold (fun id _ acc -> max id acc) streams (-1) in
-  Array.init n (fun i ->
-      match Hashtbl.find_opt streams i with
-      | Some s -> s
-      | None -> corrupt "stream %d has no metadata record" i)
-
-let read_jsonl text =
-  let lines =
-    List.filteri (fun _ l -> String.trim l <> "") (String.split_on_char '\n' text)
-  in
-  let streams = Hashtbl.create 16 in
-  let events = ref [] in
-  let t = tally () in
-  List.iteri
-    (fun i l ->
-      let item = parse_jsonl_line ~line:(i + 1) l in
-      count t item;
-      match item with
-      | Header _ -> ()
-      | Meta (id, s) -> Hashtbl.replace streams id s
-      | Ev m -> events := m :: !events)
-    lines;
-  check t;
-  { streams = streams_of_table streams; events = List.rev !events }
-
-type cursor = { data : string; mutable pos : int }
-
-let take_i32 c =
-  if c.pos + 4 > String.length c.data then corrupt "binary trace truncated at offset %d" c.pos;
-  let v = Int32.to_int (String.get_int32_be c.data c.pos) in
-  c.pos <- c.pos + 4;
-  v
-
-let take_i64 c =
-  if c.pos + 8 > String.length c.data then corrupt "binary trace truncated at offset %d" c.pos;
-  let v = String.get_int64_be c.data c.pos in
-  c.pos <- c.pos + 8;
-  v
-
-let take_u8 c =
-  if c.pos + 1 > String.length c.data then corrupt "binary trace truncated at offset %d" c.pos;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let take_string c n =
-  if c.pos + n > String.length c.data then corrupt "binary trace truncated at offset %d" c.pos;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let read_binary text =
-  let c = { data = text; pos = 0 } in
-  if take_string c (String.length binary_magic) <> binary_magic then
-    corrupt "bad binary trace magic";
-  let nstreams = take_i32 c in
-  let streams =
-    Array.init nstreams (fun _ ->
-        let label = take_string c (take_i32 c) in
-        let emitted = Int64.to_int (take_i64 c) in
-        let dropped = Int64.to_int (take_i64 c) in
-        let nclasses = take_i32 c in
-        let counts = Array.init nclasses (fun _ -> Int64.to_int (take_i64 c)) in
-        let by_class = Array.make Event.class_count 0 in
-        Array.iteri (fun i n -> if i < Event.class_count then by_class.(i) <- n) counts;
-        { label; emitted; dropped; by_class })
-  in
-  let nevents = Int64.to_int (take_i64 c) in
-  let events =
-    List.init nevents (fun _ ->
-        let stream = take_i32 c in
-        let seq = Int64.to_int (take_i64 c) in
-        let time = Int64.float_of_bits (take_i64 c) in
-        let cls =
-          let idx = take_u8 c in
-          match Event.class_of_index idx with
-          | Some cls -> cls
-          | None -> corrupt "unknown event class index %d" idx
-        in
-        let domain = take_i32 c in
-        let vcpu = take_i32 c in
-        let pfn = Int64.to_int (take_i64 c) in
-        let node = take_i32 c in
-        let arg = Int64.to_int (take_i64 c) in
-        { Event.stream; seq; event = Event.make ~time cls ~domain ~vcpu ~pfn ~node ~arg })
-  in
-  if c.pos <> String.length text then corrupt "trailing bytes after binary trace";
-  { streams; events }
-
-let is_binary text =
-  String.length text >= String.length binary_magic
-  && String.sub text 0 (String.length binary_magic) = binary_magic
-
-let read text = if is_binary text then read_binary text else read_jsonl text
-
-(* ------------------------- streaming reading ------------------------ *)
-
 (* Channel-based fold over a trace file in bounded memory: one line (or
-   one fixed-size binary record) is resident at a time, so a query can
-   stream a trace far larger than RAM.  Truncation or malformed input
-   raises [Corrupt] exactly like the whole-string readers — a short
-   file is an error, never a silently shorter trace. *)
+   one fixed-size binary record) is resident at a time, so every reader
+   can stream a trace far larger than RAM.  Truncation or malformed
+   input raises [Corrupt] — a short file is an error, never a silently
+   shorter trace. *)
 
 let input_exact ic buf n =
   try really_input ic buf 0 n
@@ -313,7 +223,12 @@ let ch_u8 ic buf =
   input_exact ic buf 1;
   Char.code (Bytes.get buf 0)
 
+(* The length comes from the file: checked against the bytes left, a
+   corrupt one neither escapes as Invalid_argument nor allocates past
+   the end of the file. *)
 let ch_string ic n =
+  if n < 0 || n > in_channel_length ic - pos_in ic then
+    corrupt "bad string length %d at offset %d" n (pos_in ic);
   try really_input_string ic n
   with End_of_file -> corrupt "binary trace truncated at offset %d" (pos_in ic)
 
@@ -368,7 +283,7 @@ let fold_jsonl_channel ic ~init ~f =
     | l when String.trim l = "" -> go line acc
     | l ->
         let item = parse_jsonl_line ~line l in
-        count t item;
+        count t ~line item;
         go (line + 1) (f acc item)
   in
   go 1 init

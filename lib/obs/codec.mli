@@ -22,21 +22,9 @@ val write_jsonl : Buffer.t -> export -> unit
 
 val write_binary : Buffer.t -> export -> unit
 
-val read_jsonl : string -> export
-(** @raise Corrupt on any unparseable or structurally wrong line, and
-    when the stream and event records read differ from the counts the
-    header promises (a file cut at a line boundary). *)
-
-val read_binary : string -> export
-
-val is_binary : string -> bool
-
-val read : string -> export
-(** Auto-detect by magic: binary if it starts with ["XNUMATR1"],
-    JSONL otherwise. *)
-
 (** One streamed record of a trace file, in file order: stream
-    metadata records first, then events in merged order. *)
+    metadata records first, by id from 0 with no gap, then events in
+    merged order. *)
 type item =
   | Header of { streams : int; events : int }
       (** the JSONL header line and the record counts it promises
@@ -47,6 +35,12 @@ type item =
 val fold_file : string -> init:'a -> f:('a -> item -> 'a) -> 'a
 (** Stream a trace file (either codec, auto-detected by magic) in
     bounded memory: one line or fixed-size record resident at a time.
+    The only trace reader: {!Summary.of_file}, {!Query.run} and every
+    [xen_numa_trace] subcommand fold through it.
     @raise Corrupt on malformed or truncated input — a short file is
-    an error, never a silently shorter trace.
+    an error, never a silently shorter trace: a file without the binary
+    magic that is not JSON lines, an unknown event class, a missing JSONL header or header
+    counts that differ from the records read, a JSONL stream id with
+    no metadata record (or a stream record after an event), and
+    trailing bytes after a binary trace.
     @raise Sys_error when the file cannot be opened. *)

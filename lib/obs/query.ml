@@ -4,13 +4,10 @@
    per-epoch rates, top-k hot frames and a per-(node, epoch) traffic
    heatmap.
 
-   Epoch attribution matches Summary: an event belongs to the epoch of
-   the last Epoch_boundary its OWN stream emitted before it (by
-   sequence number).  The fold visits events in merged order, within
-   which each stream's seq ascends, so a single per-stream "current
-   epoch" cell reproduces the batch attribution exactly.  Every
-   aggregate is a pure function of the trace bytes, so two
-   byte-identical traces always query identically. *)
+   Epoch attribution is Summary's own rule ([Summary.epoch_of]): an
+   event belongs to the epoch of the last Epoch_boundary its OWN stream
+   emitted before it.  Every aggregate is a pure function of the trace
+   bytes, so two byte-identical traces always query identically. *)
 
 type filter = {
   classes : Event.class_ list;  (* [] = every class *)
@@ -85,7 +82,7 @@ type state = {
   matched_by_class : int array;
   mutable ep_lo : int;
   mutable ep_hi : int;
-  stream_epoch : (int, int) Hashtbl.t;
+  epochs : Summary.epochs;
   pfn_counts : (int, int ref) Hashtbl.t;
   heat_counts : (int * int, int ref) Hashtbl.t;
 }
@@ -109,7 +106,7 @@ let run ?(top = 10) f path =
       matched_by_class = Array.make Event.class_count 0;
       ep_lo = max_int;
       ep_hi = min_int;
-      stream_epoch = Hashtbl.create 16;
+      epochs = Summary.epochs ();
       pfn_counts = Hashtbl.create 1024;
       heat_counts = Hashtbl.create 256;
     }
@@ -129,13 +126,7 @@ let run ?(top = 10) f path =
         | Codec.Ev m ->
             let ev = m.Event.event in
             st.scanned <- st.scanned + 1;
-            if ev.Event.cls = Event.Epoch_boundary then
-              Hashtbl.replace st.stream_epoch m.Event.stream ev.Event.arg;
-            let epoch =
-              match Hashtbl.find_opt st.stream_epoch m.Event.stream with
-              | Some e -> e
-              | None -> -1
-            in
+            let epoch = Summary.epoch_of st.epochs m in
             let i = Event.class_index ev.Event.cls in
             if
               wanted.(i)

@@ -3,7 +3,7 @@
     epoch window and aggregating counts, per-epoch rates, top-k hot
     frames and a per-(node, epoch) heatmap.
 
-    Epoch attribution matches {!Summary}: an event belongs to the
+    Epoch attribution is {!Summary.epoch_of}: an event belongs to the
     epoch of the last [Epoch_boundary] its own stream emitted before
     it.  Aggregates are pure functions of the trace bytes. *)
 

@@ -1,7 +1,8 @@
 (* xenalyze-style digest of a merged trace: per-class counts (true
    emission totals next to what survived the rings), inter-arrival
    statistics per class over the merged order, and a per-epoch
-   timeline of event activity. *)
+   timeline of event activity.  One streaming fold over the trace's
+   items builds it, from a file or from an in-memory export. *)
 
 type class_row = {
   cls : Event.class_;
@@ -29,95 +30,114 @@ type t = {
   timeline : epoch_row list;  (* ascending epoch *)
 }
 
-let of_export (e : Codec.export) =
-  let nclasses = Event.class_count in
-  let emitted = Array.make nclasses 0 in
-  Array.iter
-    (fun (s : Codec.stream_info) ->
-      Array.iteri (fun i n -> emitted.(i) <- emitted.(i) + n) s.Codec.by_class)
-    e.Codec.streams;
-  let kept = Array.make nclasses 0 in
-  let inter = Array.init nclasses (fun _ -> Sim.Stats.Histogram.create ()) in
-  let last_time = Array.make nclasses Float.nan in
-  List.iter
-    (fun (m : Event.merged) ->
-      let i = Event.class_index m.Event.event.Event.cls in
-      kept.(i) <- kept.(i) + 1;
-      if not (Float.is_nan last_time.(i)) then
-        Sim.Stats.Histogram.add inter.(i) (m.Event.event.Event.time -. last_time.(i));
-      last_time.(i) <- m.Event.event.Event.time)
-    e.Codec.events;
-  (* Epoch attribution is per stream: an event belongs to the epoch of
-     the last boundary its own stream emitted before it (by sequence
-     number), so interleaving across streams cannot reassign events. *)
-  let epoch_table : (int, epoch_row) Hashtbl.t = Hashtbl.create 64 in
-  let stream_epoch = Hashtbl.create 16 in
-  let by_stream = Hashtbl.create 16 in
-  List.iter
-    (fun (m : Event.merged) ->
-      let l = try Hashtbl.find by_stream m.Event.stream with Not_found -> [] in
-      Hashtbl.replace by_stream m.Event.stream (m :: l))
-    e.Codec.events;
-  Hashtbl.iter
-    (fun stream events ->
-      let in_seq =
-        List.sort (fun (a : Event.merged) b -> compare a.Event.seq b.Event.seq) events
-      in
-      List.iter
-        (fun (m : Event.merged) ->
-          let ev = m.Event.event in
-          if ev.Event.cls = Event.Epoch_boundary then
-            Hashtbl.replace stream_epoch stream ev.Event.arg;
-          let epoch = try Hashtbl.find stream_epoch stream with Not_found -> -1 in
-          let row =
-            match Hashtbl.find_opt epoch_table epoch with
-            | Some row -> row
-            | None ->
-                { epoch; events = 0; faults = 0; migrations = 0; pv_ops = 0; breaker = 0;
-                  hypercalls = 0 }
-          in
-          let row = { row with events = row.events + 1 } in
-          let row =
-            match ev.Event.cls with
-            | Event.Page_fault | Event.First_touch -> { row with faults = row.faults + 1 }
-            | Event.Migrate_start | Event.Migrate_retry | Event.Migrate_drain ->
-                { row with migrations = row.migrations + 1 }
-            | Event.Pv_record | Event.Pv_flush | Event.Pv_lost ->
-                { row with pv_ops = row.pv_ops + 1 }
-            | Event.Breaker_trip | Event.Breaker_escalate | Event.Breaker_cooldown ->
-                { row with breaker = row.breaker + 1 }
-            | Event.Hypercall_entry -> { row with hypercalls = row.hypercalls + 1 }
-            | _ -> row
-          in
-          Hashtbl.replace epoch_table epoch row)
-        in_seq)
-    by_stream;
-  let timeline =
-    Hashtbl.fold (fun _ row acc -> row :: acc) epoch_table []
-    |> List.sort (fun a b -> compare a.epoch b.epoch)
-  in
-  let classes =
-    List.filter_map
-      (fun cls ->
-        let i = Event.class_index cls in
-        if emitted.(i) = 0 && kept.(i) = 0 then None
-        else Some { cls; emitted = emitted.(i); kept = kept.(i); inter_arrival = inter.(i) })
-      Event.classes
-  in
+(* Epoch attribution is per stream: an event belongs to the epoch of
+   the last boundary its own stream emitted before it, so interleaving
+   across streams cannot reassign events.  Merged order sorts each
+   stream by sequence number, so one "current epoch" cell per stream,
+   read in file order, is the whole rule. *)
+type epochs = (int, int) Hashtbl.t
+
+let epochs () : epochs = Hashtbl.create 16
+
+let epoch_of (cur : epochs) (m : Event.merged) =
+  let ev = m.Event.event in
+  if ev.Event.cls = Event.Epoch_boundary then Hashtbl.replace cur m.Event.stream ev.Event.arg;
+  match Hashtbl.find_opt cur m.Event.stream with Some e -> e | None -> -1
+
+(* The running state of one pass over a trace's items. *)
+type acc = {
+  mutable streams : Codec.stream_info list;  (* newest first *)
+  emitted : int array;
+  kept : int array;
+  inter : Sim.Stats.Histogram.t array;
+  last_time : float array;
+  cur : epochs;
+  rows : (int, epoch_row) Hashtbl.t;
+}
+
+let start () =
+  let n = Event.class_count in
   {
-    streams = e.Codec.streams;
-    total_emitted =
-      Array.fold_left (fun acc (s : Codec.stream_info) -> acc + s.Codec.emitted) 0 e.Codec.streams;
-    total_kept = List.length e.Codec.events;
-    total_dropped =
-      Array.fold_left (fun acc (s : Codec.stream_info) -> acc + s.Codec.dropped) 0 e.Codec.streams;
-    classes;
-    timeline;
+    streams = [];
+    emitted = Array.make n 0;
+    kept = Array.make n 0;
+    inter = Array.init n (fun _ -> Sim.Stats.Histogram.create ());
+    last_time = Array.make n Float.nan;
+    cur = epochs ();
+    rows = Hashtbl.create 64;
   }
+
+let add acc = function
+  | Codec.Header _ -> ()
+  | Codec.Meta (_, s) ->
+      acc.streams <- s :: acc.streams;
+      Array.iteri (fun i n -> acc.emitted.(i) <- acc.emitted.(i) + n) s.Codec.by_class
+  | Codec.Ev m ->
+      let ev = m.Event.event in
+      let i = Event.class_index ev.Event.cls in
+      acc.kept.(i) <- acc.kept.(i) + 1;
+      if not (Float.is_nan acc.last_time.(i)) then
+        Sim.Stats.Histogram.add acc.inter.(i) (ev.Event.time -. acc.last_time.(i));
+      acc.last_time.(i) <- ev.Event.time;
+      let epoch = epoch_of acc.cur m in
+      let row =
+        match Hashtbl.find_opt acc.rows epoch with
+        | Some row -> row
+        | None ->
+            { epoch; events = 0; faults = 0; migrations = 0; pv_ops = 0; breaker = 0;
+              hypercalls = 0 }
+      in
+      let row = { row with events = row.events + 1 } in
+      let row =
+        match ev.Event.cls with
+        | Event.Page_fault | Event.First_touch -> { row with faults = row.faults + 1 }
+        | Event.Migrate_start | Event.Migrate_retry | Event.Migrate_drain ->
+            { row with migrations = row.migrations + 1 }
+        | Event.Pv_record | Event.Pv_flush | Event.Pv_lost -> { row with pv_ops = row.pv_ops + 1 }
+        | Event.Breaker_trip | Event.Breaker_escalate | Event.Breaker_cooldown ->
+            { row with breaker = row.breaker + 1 }
+        | Event.Hypercall_entry -> { row with hypercalls = row.hypercalls + 1 }
+        | _ -> row
+      in
+      Hashtbl.replace acc.rows epoch row
+
+let finish acc =
+  let streams = Array.of_list (List.rev acc.streams) in
+  let sum f = Array.fold_left (fun total s -> total + f s) 0 streams in
+  {
+    streams;
+    total_emitted = sum (fun s -> s.Codec.emitted);
+    total_kept = Array.fold_left ( + ) 0 acc.kept;
+    total_dropped = sum (fun s -> s.Codec.dropped);
+    classes =
+      List.filter_map
+        (fun cls ->
+          let i = Event.class_index cls in
+          if acc.emitted.(i) = 0 && acc.kept.(i) = 0 then None
+          else
+            Some
+              { cls; emitted = acc.emitted.(i); kept = acc.kept.(i); inter_arrival = acc.inter.(i) })
+        Event.classes;
+    timeline =
+      Hashtbl.fold (fun _ row rows -> row :: rows) acc.rows []
+      |> List.sort (fun a b -> compare a.epoch b.epoch);
+  }
+
+let of_file path =
+  finish
+    (Codec.fold_file path ~init:(start ()) ~f:(fun acc item ->
+         add acc item;
+         acc))
+
+let of_export (e : Codec.export) =
+  let acc = start () in
+  Array.iteri (fun id s -> add acc (Codec.Meta (id, s))) e.Codec.streams;
+  List.iter (fun m -> add acc (Codec.Ev m)) e.Codec.events;
+  finish acc
 
 let class_counts t = List.map (fun r -> (r.cls, r.emitted)) t.classes
 
-let render ?(timeline_rows = 24) t =
+let render ?(timeline_rows = 24) (t : t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "trace: %d streams, %d events emitted, %d kept, %d dropped\n"

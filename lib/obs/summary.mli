@@ -27,7 +27,26 @@ type t = {
   timeline : epoch_row list;
 }
 
+val of_file : string -> t
+(** One bounded-memory pass over a trace file ({!Codec.fold_file}).
+    @raise Codec.Corrupt on malformed or truncated input.
+    @raise Sys_error when the file cannot be opened. *)
+
 val of_export : Codec.export -> t
+(** The same fold over an in-memory export: its streams, then its
+    events in merged order. *)
+
+(** {1 Epoch attribution} *)
+
+type epochs
+(** Per-stream current-epoch cells. *)
+
+val epochs : unit -> epochs
+
+val epoch_of : epochs -> Event.merged -> int
+(** Feed the next event in merged order; returns its epoch: that of
+    the last [Epoch_boundary] its own stream emitted, the boundary
+    itself included, or -1 before the stream's first kept boundary. *)
 
 val class_counts : t -> (Event.class_ * int) list
 (** Per-class emission totals — matches the registry counters

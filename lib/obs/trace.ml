@@ -87,10 +87,7 @@ let render_binary t =
   Buffer.contents buf
 
 let write_file t file =
-  let is_binary =
-    String.length file >= 4 && String.sub file (String.length file - 4) 4 = ".bin"
-  in
-  let data = if is_binary then render_binary t else render_jsonl t in
+  let data = if Filename.check_suffix file ".bin" then render_binary t else render_jsonl t in
   let oc = open_out_bin file in
   output_string oc data;
   close_out oc

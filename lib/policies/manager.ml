@@ -24,7 +24,7 @@ let drain_budget = 64 (* deferred migrations retried per epoch *)
 let breaker_min_attempts = 8
 let breaker_threshold = 0.5
 let breaker_cooldown = 30 (* epochs the breaker stays open per trip *)
-let carrefour_period = 10 (* epochs between user-component runs: once per second *)
+let carrefour_period = 10 (* epochs between user-component runs: once per second of 0.1 s epochs *)
 let reconcile_period = 50 (* epochs between P2M<->free-list sweeps *)
 let promote_period = 10 (* epochs between promotion scans *)
 let promote_budget = 2 (* extents coalesced per scan *)
@@ -533,48 +533,54 @@ let invalidate_winners t ~n =
         ~on_free:(fun _pfn mfn -> Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0)
         t.inv_buf ~n)
 
-let page_ops_replay t ops =
+(* One Page_ops hypercall carrying [n] ops.  The in-transit loss is
+   drawn once per batch: a lost batch costs the guest the entry and the
+   hypervisor never replays it (released pages keep their stale P2M
+   entries until the reconciliation sweep heals them).  A delivered
+   batch pays the batch cost plus the time [deliver ()] returns for the
+   caller's own invalidation (0.0 when it has none). *)
+let page_ops_batch t ~n deliver =
   let costs = t.system.Xen.System.costs in
-  let n = Array.length ops in
-  t.stats.ops_received <- t.stats.ops_received + n;
-  let time = ref (Xen.Costs.page_ops_batch_time costs ~ops:n) in
-  if Spec.invalidates_free_pages t.spec then begin
-    ensure_inv_buf t n;
-    let k = ref 0 in
-    Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun pfn action ->
-        match action with
-        | `Invalidate ->
-            t.inv_buf.(!k) <- pfn;
-            incr k
-        | `Leave -> t.stats.left_in_place <- t.stats.left_in_place + 1);
-    if !k > 0 then time := !time +. invalidate_winners t ~n:!k
-  end
-  else
-    Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun _pfn action ->
-        match action with
-        | `Invalidate -> ()
-        | `Leave -> t.stats.left_in_place <- t.stats.left_in_place + 1);
-  charge_hypercall t Xen.Hypercall.Page_ops !time;
-  !time
-
-let page_ops_hypercall t ops =
-  let costs = t.system.Xen.System.costs in
-  if t.system.Xen.System.faults.Xen.System.batch_lost (Array.length ops) then begin
-    (* Batch lost in transit: the guest paid the entry cost but the
-       hypervisor never replays the ops.  Released pages keep their
-       stale P2M entries until the reconciliation sweep heals them. *)
+  if t.system.Xen.System.faults.Xen.System.batch_lost n then begin
     t.degrade.lost_batches <- t.degrade.lost_batches + 1;
-    t.degrade.lost_ops <- t.degrade.lost_ops + Array.length ops;
+    t.degrade.lost_ops <- t.degrade.lost_ops + n;
     charge_hypercall t Xen.Hypercall.Page_ops costs.Xen.Costs.hypercall_entry;
     costs.Xen.Costs.hypercall_entry
   end
-  else page_ops_replay t ops
+  else begin
+    t.stats.ops_received <- t.stats.ops_received + n;
+    let time = Xen.Costs.page_ops_batch_time costs ~ops:n +. deliver () in
+    charge_hypercall t Xen.Hypercall.Page_ops time;
+    time
+  end
+
+(* Replay one guest batch: most recent op per page wins; Release
+   winners are invalidated when the policy invalidates free pages. *)
+let page_ops_hypercall t ops =
+  page_ops_batch t ~n:(Array.length ops) (fun () ->
+      let leave () = t.stats.left_in_place <- t.stats.left_in_place + 1 in
+      if Spec.invalidates_free_pages t.spec then begin
+        ensure_inv_buf t (Array.length ops);
+        let k = ref 0 in
+        Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun pfn -> function
+          | `Invalidate ->
+              t.inv_buf.(!k) <- pfn;
+              incr k
+          | `Leave -> leave ());
+        if !k > 0 then invalidate_winners t ~n:!k else 0.0
+      end
+      else begin
+        Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun _pfn -> function
+          | `Invalidate -> ()
+          | `Leave -> leave ());
+        0.0
+      end)
 
 let release_batch = 128
 
 (* Range release (the policy-switch free-list report): queue-sized
-   Release chunks, each one Page_ops hypercall with the in-transit loss
-   draw and the cost model of [page_ops_hypercall].  The pfns are
+   Release chunks, each one Page_ops hypercall ([page_ops_batch], as
+   for [page_ops_hypercall]).  The pfns are
    consecutive and distinct by construction, so no op values and no
    dedup pass are materialised — each chunk goes straight into a range
    invalidate.
@@ -587,7 +593,6 @@ let release_batch = 128
    ([Memory.Buddy.check_consistent]). *)
 let release_free_range t ~first ~count =
   Obs.Profile.span Obs.Profile.Manager_release @@ fun () ->
-  let costs = t.system.Xen.System.costs in
   let machine = t.system.Xen.System.machine in
   let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
   let run_base = Array.make nodes 0 and run_len = Array.make nodes 0 in
@@ -608,25 +613,13 @@ let release_free_range t ~first ~count =
   while !off < count do
     let n = min release_batch (count - !off) in
     let chunk_time =
-      if t.system.Xen.System.faults.Xen.System.batch_lost n then begin
-        t.degrade.lost_batches <- t.degrade.lost_batches + 1;
-        t.degrade.lost_ops <- t.degrade.lost_ops + n;
-        charge_hypercall t Xen.Hypercall.Page_ops costs.Xen.Costs.hypercall_entry;
-        costs.Xen.Costs.hypercall_entry
-      end
-      else begin
-        t.stats.ops_received <- t.stats.ops_received + n;
-        let time = ref (Xen.Costs.page_ops_batch_time costs ~ops:n) in
-        if Spec.invalidates_free_pages t.spec then
-          time :=
-            !time
-            +. invalidate_with t (fun ~on_splinter ->
-                   Xen.P2m.invalidate_range ~on_splinter
-                     ~on_free:(fun _pfn mfn -> push mfn)
-                     t.domain.Xen.Domain.p2m ~first:(first + !off) ~n);
-        charge_hypercall t Xen.Hypercall.Page_ops !time;
-        !time
-      end
+      page_ops_batch t ~n (fun () ->
+          if Spec.invalidates_free_pages t.spec then
+            invalidate_with t (fun ~on_splinter ->
+                Xen.P2m.invalidate_range ~on_splinter
+                  ~on_free:(fun _pfn mfn -> push mfn)
+                  t.domain.Xen.Domain.p2m ~first:(first + !off) ~n)
+          else 0.0)
     in
     total := !total +. chunk_time;
     off := !off + n

@@ -19,13 +19,6 @@ let test_config_page_scale_heuristic () =
   Alcotest.(check int) "small app scale 1" 1 (Engine.Config.page_scale (cfg "bodytrack"));
   Alcotest.(check bool) "dc.B scales" true (Engine.Config.page_scale (cfg "dc.B") >= 256)
 
-let test_config_page_kib_override () =
-  let cfg =
-    Engine.Config.make ~page_kib:64 ~mode:Engine.Config.Linux
-      [ Engine.Config.vm ~policy:Policies.Spec.first_touch (app "cg.C") ]
-  in
-  Alcotest.(check int) "64 KiB pages = scale 16" 16 (Engine.Config.page_scale cfg)
-
 let test_config_validation () =
   Alcotest.check_raises "no vms" (Invalid_argument "Config.make: no VMs") (fun () ->
       ignore (Engine.Config.make ~mode:Engine.Config.Linux []));
@@ -421,7 +414,6 @@ let suite =
     ( "engine.config",
       [
         Alcotest.test_case "page scale heuristic" `Quick test_config_page_scale_heuristic;
-        Alcotest.test_case "page_kib override" `Quick test_config_page_kib_override;
         Alcotest.test_case "validation" `Quick test_config_validation;
       ] );
     ( "engine.runner",

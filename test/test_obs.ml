@@ -219,6 +219,27 @@ let mk_session () =
   Obs.Stream.emit ~domain:1 ~arg:900 b Obs.Event.Hypercall_exit;
   session
 
+let with_temp_file suffix data f =
+  let path = Filename.temp_file "xen-numa-test" suffix in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc data;
+      close_out oc;
+      f path)
+
+(* Rebuild an export from a trace file through the one reader. *)
+let read_export path =
+  let streams, events =
+    Obs.Codec.fold_file path ~init:([], []) ~f:(fun (streams, events) item ->
+        match item with
+        | Obs.Codec.Header _ -> (streams, events)
+        | Obs.Codec.Meta (_, s) -> (s :: streams, events)
+        | Obs.Codec.Ev m -> (streams, m :: events))
+  in
+  { Obs.Codec.streams = Array.of_list (List.rev streams); events = List.rev events }
+
 let check_export_equal msg (a : Obs.Codec.export) (b : Obs.Codec.export) =
   Alcotest.(check int) (msg ^ ": stream count") (Array.length a.Obs.Codec.streams)
     (Array.length b.Obs.Codec.streams);
@@ -259,24 +280,38 @@ let test_trace_duplicate_label_detached () =
 let test_codec_roundtrips () =
   let session = mk_session () in
   let e = Obs.Trace.export session in
-  let jsonl = Obs.Trace.render_jsonl session in
-  check_export_equal "jsonl" e (Obs.Codec.read_jsonl jsonl);
-  let binary = Obs.Trace.render_binary session in
-  Alcotest.(check bool) "binary magic detected" true (Obs.Codec.is_binary binary);
-  check_export_equal "binary" e (Obs.Codec.read_binary binary);
-  (* Auto-detection picks the right reader for both. *)
-  check_export_equal "auto jsonl" e (Obs.Codec.read jsonl);
-  check_export_equal "auto binary" e (Obs.Codec.read binary)
+  (* The reader picks the codec by magic, whatever the file is called. *)
+  with_temp_file ".trace" (Obs.Trace.render_jsonl session) (fun path ->
+      check_export_equal "jsonl" e (read_export path));
+  with_temp_file ".trace" (Obs.Trace.render_binary session) (fun path ->
+      check_export_equal "binary" e (read_export path))
 
 let test_codec_rejects_corrupt () =
-  Alcotest.(check bool) "truncated binary raises" true
-    (match Obs.Codec.read_binary "XNUMATR1\000\000" with
-    | exception Obs.Codec.Corrupt _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "bad jsonl raises" true
-    (match Obs.Codec.read_jsonl "{\"bogus\": 1}\n" with
-    | exception Obs.Codec.Corrupt _ -> true
-    | _ -> false)
+  let raises data =
+    with_temp_file ".trace" data (fun path ->
+        match read_export path with exception Obs.Codec.Corrupt _ -> true | _ -> false)
+  in
+  let binary = Obs.Trace.render_binary (mk_session ()) in
+  Alcotest.(check bool) "truncated binary raises" true (raises "XNUMATR1\000\000");
+  Alcotest.(check bool) "trailing bytes raise" true (raises (binary ^ "\000"));
+  (* The file ends in the four fixed-size event records; overwrite the
+     class byte (after stream id, seq and time) of the first of them. *)
+  let bad_class = Bytes.of_string binary in
+  let event_bytes = 4 + 8 + 8 + 1 + 4 + 4 + 8 + 4 + 8 in
+  let cls_at = Bytes.length bad_class - (4 * event_bytes) + 4 + 8 + 8 in
+  Bytes.set bad_class cls_at '\255';
+  Alcotest.(check bool) "unknown class index raises" true (raises (Bytes.to_string bad_class));
+  (* The first stream's label length follows the magic and the stream
+     count; a negative or oversized one is corrupt, not a crash. *)
+  List.iter
+    (fun len ->
+      let bad_len = Bytes.of_string binary in
+      Bytes.set_int32_be bad_len 12 len;
+      Alcotest.(check bool) (Printf.sprintf "label length %ld raises" len) true
+        (raises (Bytes.to_string bad_len)))
+    [ -1l; Int32.max_int ];
+  Alcotest.(check bool) "bad jsonl raises" true (raises "{\"bogus\": 1}\n");
+  Alcotest.(check bool) "not json raises" true (raises "XNUMATR0 is not a trace\n")
 
 (* ---------------------- engine-level determinism ------------------- *)
 
@@ -325,8 +360,9 @@ let test_summary_matches_registry () =
       ignore (Engine.Runner.run (small_cfg ~seed:3));
       Obs.Trace.uninstall ();
       Obs.Trace.commit_metrics session;
-      let jsonl = Obs.Trace.render_jsonl session in
-      let summary = Obs.Summary.of_export (Obs.Codec.read jsonl) in
+      let summary =
+        with_temp_file ".jsonl" (Obs.Trace.render_jsonl session) Obs.Summary.of_file
+      in
       let counts = Obs.Summary.class_counts summary in
       Alcotest.(check bool) "run produced events" true (counts <> []);
       List.iter
@@ -512,16 +548,6 @@ let test_slo_parser () =
   | Error msg -> Alcotest.(check bool) "negative target" true (contains msg "positive")
   | Ok _ -> Alcotest.fail "negative target accepted"
 
-let with_temp_file suffix data f =
-  let path = Filename.temp_file "xen-numa-test" suffix in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc data;
-      close_out oc;
-      f path)
-
 (* Acceptance criterion: with an empty filter, query over either codec
    reproduces the per-class emitted and kept counts Summary reports. *)
 let test_query_matches_summary () =
@@ -605,7 +631,7 @@ let test_query_streaming_rejects_corrupt () =
 
 (* A JSONL trace cut at a line boundary parses line by line; the
    header's stream and event counts must still expose the missing
-   tail, in the whole-string reader and in the streaming fold. *)
+   tail, for every reader of the fold. *)
 let test_jsonl_cut_at_line_boundary () =
   let jsonl = Obs.Trace.render_jsonl (mk_session ()) in
   let lines = String.split_on_char '\n' jsonl in
@@ -614,19 +640,66 @@ let test_jsonl_cut_at_line_boundary () =
   (* Header, two stream records, four events: every proper prefix past
      the header is short of one or the other. *)
   for n = 1 to List.length lines - 2 do
-    let cut = prefix n in
-    Alcotest.(check bool) (Printf.sprintf "read_jsonl rejects %d lines" n) true
-      (raises (fun () -> Obs.Codec.read_jsonl cut));
-    with_temp_file ".jsonl" cut (fun path ->
+    with_temp_file ".jsonl" (prefix n) (fun path ->
+        Alcotest.(check bool) (Printf.sprintf "summary rejects %d lines" n) true
+          (raises (fun () -> Obs.Summary.of_file path));
         Alcotest.(check bool) (Printf.sprintf "query rejects %d lines" n) true
           (raises (fun () -> Obs.Query.run (Obs.Query.filter ()) path)))
   done;
-  Alcotest.(check bool) "headerless events rejected" true
-    (raises (fun () ->
-         Obs.Codec.read_jsonl (String.concat "\n" (List.tl lines))));
+  with_temp_file ".jsonl" (String.concat "\n" (List.tl lines)) (fun path ->
+      Alcotest.(check bool) "headerless events rejected" true
+        (raises (fun () -> Obs.Summary.of_file path)));
   with_temp_file ".jsonl" jsonl (fun path ->
       Alcotest.(check int) "the whole file still streams" 4
         (Obs.Query.run (Obs.Query.filter ()) path).Obs.Query.matched)
+
+(* Stream records must run 0, 1, 2, ...: a stream id with no metadata
+   record is corrupt even when the header's counts add up, and a stream
+   record after an event is out of place. *)
+let test_jsonl_stream_gap_rejected () =
+  let lines = String.split_on_char '\n' (Obs.Trace.render_jsonl (mk_session ())) in
+  let replace_prefix ~prefix ~by l =
+    let n = String.length prefix in
+    if String.length l >= n && String.sub l 0 n = prefix then
+      by ^ String.sub l n (String.length l - n)
+    else l
+  in
+  let raises data =
+    with_temp_file ".jsonl" data (fun path ->
+        match Obs.Query.run (Obs.Query.filter ()) path with
+        | exception Obs.Codec.Corrupt _ -> true
+        | _ -> false)
+  in
+  let gap =
+    List.map (replace_prefix ~prefix:"{\"stream\":1," ~by:"{\"stream\":2,") lines
+  in
+  Alcotest.(check bool) "stream 1 missing, stream 2 present" true
+    (raises (String.concat "\n" gap));
+  (* Header, stream 0, stream 1, events: move stream 1 behind the first event. *)
+  let late =
+    match lines with
+    | header :: s0 :: s1 :: ev :: rest -> header :: s0 :: ev :: s1 :: rest
+    | _ -> Alcotest.fail "unexpected trace shape"
+  in
+  Alcotest.(check bool) "stream record after an event" true (raises (String.concat "\n" late))
+
+(* The file fold and the in-memory export fold are one summary: a
+   multi-stream engine trace renders identically through both, on
+   both codecs. *)
+let test_summary_file_equals_export () =
+  with_clean_obs (fun () ->
+      let session = Obs.Trace.create ~capacity:512 () in
+      Obs.Trace.install session;
+      List.iter (fun seed -> ignore (Engine.Runner.run (small_cfg ~seed))) [ 21; 22; 23 ];
+      Obs.Trace.uninstall ();
+      Alcotest.(check int) "three streams" 3 (Obs.Trace.stream_count session);
+      let expected = Obs.Summary.render (Obs.Summary.of_export (Obs.Trace.export session)) in
+      with_temp_file ".jsonl" (Obs.Trace.render_jsonl session) (fun path ->
+          Alcotest.(check string) "jsonl file" expected
+            (Obs.Summary.render (Obs.Summary.of_file path)));
+      with_temp_file ".bin" (Obs.Trace.render_binary session) (fun path ->
+          Alcotest.(check string) "binary file" expected
+            (Obs.Summary.render (Obs.Summary.of_file path))))
 
 let test_summary_drop_warning () =
   let session = Obs.Trace.create ~capacity:2 () in
@@ -824,6 +897,8 @@ let suite =
         Alcotest.test_case "streaming rejects corrupt files" `Quick
           test_query_streaming_rejects_corrupt;
         Alcotest.test_case "jsonl cut at a line rejected" `Quick test_jsonl_cut_at_line_boundary;
+        Alcotest.test_case "jsonl stream-id gap rejected" `Quick test_jsonl_stream_gap_rejected;
+        Alcotest.test_case "summary of file = of export" `Slow test_summary_file_equals_export;
         Alcotest.test_case "summary warns on drops" `Quick test_summary_drop_warning;
       ] );
     ( "obs.profile",

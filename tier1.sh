@@ -15,6 +15,18 @@ if grep -rn --include='*.ml' --exclude-dir=_build \
   exit 1
 fi
 
+# Every command's help must render cleanly: a bad escape in a doc
+# string makes cmdliner print "cmdliner error" lines into the help text.
+for cmd in "xen_numa_sim run" "xen_numa_sim list" "xen_numa_sim topology" \
+  "xen_numa_sim compare" "xen_numa_sim advise" "xen_numa_sim microsim" \
+  "xen_numa_trace summary" "xen_numa_trace check" "xen_numa_trace query"; do
+  set -- $cmd
+  if dune exec "bin/$1.exe" -- "$2" --help=plain 2>&1 | grep -q 'cmdliner error'; then
+    echo "tier1: FAIL - $cmd --help prints a cmdliner error" >&2
+    exit 1
+  fi
+done
+
 dune runtest
 dune exec bench/main.exe -- tab1 --jobs 2
 
@@ -190,7 +202,8 @@ echo "tier1: fast-forward trace equivalence OK"
 # Trace query engine smoke: the streaming query over the tab1 traces
 # from --jobs 1 and --jobs 4 must render byte-identical tables (the
 # aggregates are pure functions of the trace bytes), and the same run
-# captured in both codecs must answer every query identically.
+# captured in both codecs must answer every query, check and summary
+# identically.
 dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/j1.jsonl" > "$TRACE_DIR/q1.txt"
 dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/j4.jsonl" > "$TRACE_DIR/q4.txt"
 cmp "$TRACE_DIR/q1.txt" "$TRACE_DIR/q4.txt" || {
@@ -215,27 +228,37 @@ cmp "$TRACE_DIR/heat_jsonl.csv" "$TRACE_DIR/heat_bin.csv" || {
   echo "tier1: FAIL - heatmap CSV differs between JSONL and binary codecs" >&2
   exit 1
 }
+for sub in check summary; do
+  dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/codec.jsonl" > "$TRACE_DIR/${sub}_jsonl.txt"
+  dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/codec.bin" > "$TRACE_DIR/${sub}_bin.txt"
+  cmp "$TRACE_DIR/${sub}_jsonl.txt" "$TRACE_DIR/${sub}_bin.txt" || {
+    echo "tier1: FAIL - $sub output differs between JSONL and binary codecs" >&2
+    exit 1
+  }
+done
 echo "tier1: trace query engine OK (codecs and schedules agree)"
 
 # Query usage errors: an unknown class name and a corrupt trace file
 # must both exit non-zero (the class error enumerates the valid names;
-# truncation must never be silently accepted, whether a binary trace
-# is cut mid-record or a JSONL trace at a line boundary).
+# truncation must never be silently accepted by any subcommand, whether
+# a binary trace is cut mid-record or a JSONL trace at a line boundary).
 if dune exec bin/xen_numa_trace.exe -- query --class no_such_class "$TRACE_DIR/codec.jsonl" \
   >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown query class did not exit non-zero" >&2
   exit 1
 fi
 head -c 100 "$TRACE_DIR/codec.bin" > "$TRACE_DIR/truncated.bin"
-if dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/truncated.bin" >/dev/null 2>&1; then
-  echo "tier1: FAIL - truncated binary trace did not exit non-zero" >&2
-  exit 1
-fi
 head -n 200 "$TRACE_DIR/codec.jsonl" > "$TRACE_DIR/truncated.jsonl"
-if dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/truncated.jsonl" >/dev/null 2>&1; then
-  echo "tier1: FAIL - JSONL trace cut at a line boundary did not exit non-zero" >&2
-  exit 1
-fi
+for sub in query check summary; do
+  if dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/truncated.bin" >/dev/null 2>&1; then
+    echo "tier1: FAIL - $sub accepted a truncated binary trace" >&2
+    exit 1
+  fi
+  if dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/truncated.jsonl" >/dev/null 2>&1; then
+    echo "tier1: FAIL - $sub accepted a JSONL trace cut at a line boundary" >&2
+    exit 1
+  fi
+done
 
 # Phase profiler smoke: --profile prints the span table (and SLO
 # objectives evaluate without disturbing the run).
