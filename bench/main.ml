@@ -53,19 +53,13 @@ let bench_buddy () =
       | None -> assert false)
 
 let bench_pv_queue () =
-  let queue = Guest.Pv_queue.create ~partitions:4 ~capacity:128 ~flush:(fun _ -> 0.0) () in
+  let queue =
+    Guest.Pv_queue.create ~partitions:4 ~capacity:128 ~frames:0x10000 ~flush:(fun _ -> 0.0) ()
+  in
   let i = ref 0 in
   Bechamel.Staged.stage (fun () ->
       incr i;
       Guest.Pv_queue.record queue (Guest.Pv_queue.Release (!i land 0xffff)))
-
-let bench_replay () =
-  let ops =
-    Array.init 256 (fun i ->
-        if i land 1 = 0 then Guest.Pv_queue.Release (i / 2) else Guest.Pv_queue.Alloc (i / 2))
-  in
-  Bechamel.Staged.stage (fun () ->
-      Guest.Pv_queue.replay ops ~f:(fun _ _ -> ()))
 
 let bench_route () =
   let topo = Numa.Amd48.topology () in
@@ -288,7 +282,6 @@ let micro_tests () =
     Test.make ~name:"p2m set/get/invalidate" (bench_p2m ());
     Test.make ~name:"buddy alloc+free order3" (bench_buddy ());
     Test.make ~name:"pv_queue record(+flush)" (bench_pv_queue ());
-    Test.make ~name:"queue replay (256 ops)" (bench_replay ());
     Test.make ~name:"topology route" (bench_route ());
     Test.make ~name:"cpus_of_node (array)" (bench_cpus_of_node_array ());
     Test.make ~name:"pool fanout 32x2" (bench_pool_fanout ());

@@ -168,24 +168,32 @@ let batching ?(ops = 100_000) () =
   let base_stats = Policies.Manager.stats manager in
   let base_invalidated = base_stats.Policies.Manager.invalidated in
   let base_left = base_stats.Policies.Manager.left_in_place in
+  let frames = domain.Xen.Domain.mem_frames in
   let queue =
-    Guest.Pv_queue.create ~partitions:4 ~capacity:128
+    Guest.Pv_queue.create ~partitions:4 ~capacity:128 ~frames
       ~flush:(Policies.Manager.page_ops_hypercall manager)
       ()
   in
-  let pool =
-    Guest.Pfn_pool.create ~frames:domain.Xen.Domain.mem_frames
-      ~on_alloc:(fun pfn -> Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn))
-      ~on_release:(fun pfn -> Guest.Pv_queue.record queue (Guest.Pv_queue.Release pfn))
-      ()
-  in
+  let pool = Guest.Pfn_pool.create ~frames () in
   let costs = system.Xen.System.costs in
-  let touch pfn =
-    match Xen.P2m.get domain.Xen.Domain.p2m pfn with
-    | Xen.P2m.Invalid ->
-        ignore
-          (Xen.Domain.handle_fault domain ~costs ~pfn ~cpu:domain.Xen.Domain.vcpu_pin.(0))
-    | Xen.P2m.Mapped _ -> ()
+  (* The guest kernel queues each pool operation under the same
+     critical section: record the Alloc, then touch the page; release
+     the page, then record the Release. *)
+  let alloc () =
+    match Guest.Pfn_pool.alloc pool with
+    | None -> failwith "pool exhausted"
+    | Some pfn ->
+        Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn);
+        (match Xen.P2m.get domain.Xen.Domain.p2m pfn with
+        | Xen.P2m.Invalid ->
+            ignore
+              (Xen.Domain.handle_fault domain ~costs ~pfn ~cpu:domain.Xen.Domain.vcpu_pin.(0))
+        | Xen.P2m.Mapped _ -> ());
+        pfn
+  in
+  let release pfn =
+    Guest.Pfn_pool.release pool pfn;
+    Guest.Pv_queue.record queue (Guest.Pv_queue.Release pfn)
   in
   (* Streamflow-like churn over a 512-page working set: a batch of
      munmaps followed by a batch of mmaps that recycle the frames.
@@ -193,22 +201,16 @@ let batching ?(ops = 100_000) () =
      release batches — reallocation while queued stays rare, as the
      paper assumes. *)
   let window = 512 in
-  let ring = Array.init window (fun _ ->
-      match Guest.Pfn_pool.alloc pool with
-      | Some pfn -> touch pfn; pfn
-      | None -> failwith "pool exhausted")
-  in
+  let ring = Array.init window (fun _ -> alloc ()) in
   let releases = ref 0 in
   let rounds = ops / (2 * window) in
   for _ = 1 to rounds do
     for j = 0 to window - 1 do
-      Guest.Pfn_pool.release pool ring.(j);
+      release ring.(j);
       incr releases
     done;
     for j = 0 to window - 1 do
-      match Guest.Pfn_pool.alloc pool with
-      | Some pfn -> touch pfn; ring.(j) <- pfn
-      | None -> failwith "pool exhausted"
+      ring.(j) <- alloc ()
     done
   done;
   Guest.Pv_queue.flush_all queue;

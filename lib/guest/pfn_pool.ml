@@ -6,13 +6,9 @@ type t = {
   mutable next_fresh : int;
   mutable allocated : int;
   mutable recycled : int;
-  on_alloc : Memory.Page.pfn -> unit;
-  on_release : Memory.Page.pfn -> unit;
 }
 
-let nop _ = ()
-
-let create ~frames ?(first_fresh = 0) ?(on_alloc = nop) ?(on_release = nop) () =
+let create ~frames ?(first_fresh = 0) () =
   if frames <= 0 then invalid_arg "Pfn_pool.create: frames must be positive";
   if first_fresh < 0 || first_fresh >= frames then
     invalid_arg "Pfn_pool.create: first_fresh out of range";
@@ -22,8 +18,6 @@ let create ~frames ?(first_fresh = 0) ?(on_alloc = nop) ?(on_release = nop) () =
     next_fresh = first_fresh;
     allocated = 0;
     recycled = 0;
-    on_alloc;
-    on_release;
   }
 
 let frames t = Array.length t.states
@@ -35,7 +29,6 @@ let alloc t =
       t.states.(pfn) <- Allocated;
       t.allocated <- t.allocated + 1;
       t.recycled <- t.recycled + 1;
-      t.on_alloc pfn;
       Some pfn
   | [] ->
       if t.next_fresh >= Array.length t.states then None
@@ -44,7 +37,6 @@ let alloc t =
         t.next_fresh <- t.next_fresh + 1;
         t.states.(pfn) <- Allocated;
         t.allocated <- t.allocated + 1;
-        t.on_alloc pfn;
         Some pfn
       end
 
@@ -54,8 +46,7 @@ let release t pfn =
   | Allocated ->
       t.states.(pfn) <- Free;
       t.free_stack <- pfn :: t.free_stack;
-      t.allocated <- t.allocated - 1;
-      t.on_release pfn
+      t.allocated <- t.allocated - 1
   | Free -> invalid_arg "Pfn_pool.release: double release"
   | Fresh -> invalid_arg "Pfn_pool.release: frame was never allocated"
 

@@ -7,17 +7,15 @@
     without the hypervisor being involved.  Linux zeroes pages on
     release, so all free frames are interchangeable (Section 4.4.2).
 
-    [on_alloc]/[on_release] hooks let the para-virtualized kernel feed
-    the {!Pv_queue} (under the same critical section, as the paper's
-    design requires). *)
+    The para-virtualized kernel feeds the {!Pv_queue} itself, under the
+    same critical section as the pool operation: it records an Alloc
+    right after {!alloc} and a Release right after {!release}. *)
 
 type t
 
 val create :
   frames:int ->
   ?first_fresh:int ->
-  ?on_alloc:(Memory.Page.pfn -> unit) ->
-  ?on_release:(Memory.Page.pfn -> unit) ->
   unit ->
   t
 (** Pool over guest-physical frames [\[0, frames)], all initially

@@ -13,20 +13,6 @@ type stats = {
   mutable dedup_hits : int;
 }
 
-(* Most-recent-op-wins dedup state: a flat generation-stamp array keyed
-   by pfn.  Each batch bumps [gen]; the first (newest) op seen for a
-   pfn stamps it, later (older) ops find the stamp current and are
-   superseded.  O(1) per entry, no clearing between batches, no
-   allocation. *)
-type dedup = {
-  stamp : int array;
-  mutable gen : int;
-}
-
-let dedup ~frames =
-  if frames <= 0 then invalid_arg "Pv_queue.dedup: frames must be positive";
-  { stamp = Array.make frames 0; gen = 0 }
-
 type partition = {
   mutable entries : op array;
   mutable len : int;
@@ -38,7 +24,13 @@ type t = {
   capacity : int;
   flush : op array -> float;
   stats : stats;
-  dedup : dedup option;
+  (* Most-recent-op-wins dedup state: a flat generation-stamp array
+     keyed by pfn.  Each flush bumps [gen]; the first (newest) op seen
+     for a pfn stamps it, later (older) ops find the stamp current and
+     are superseded.  O(1) per entry, no clearing between flushes, no
+     allocation. *)
+  stamp : int array;
+  mutable gen : int;
   scratch : op array;  (* survivor collection, reused across flushes *)
   mutable drop_op : op -> bool;
   mutable obs : Obs.Stream.t option;
@@ -47,10 +39,11 @@ type t = {
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ?(partitions = 4) ?(capacity = 128) ?frames ~flush () =
+let create ?(partitions = 4) ?(capacity = 128) ~frames ~flush () =
   if not (is_power_of_two partitions) then
     invalid_arg "Pv_queue.create: partitions must be a power of two";
   if capacity <= 0 then invalid_arg "Pv_queue.create: capacity must be positive";
+  if frames <= 0 then invalid_arg "Pv_queue.create: frames must be positive";
   {
     parts = Array.init partitions (fun _ -> { entries = Array.make capacity (Alloc 0); len = 0 });
     mask = partitions - 1;
@@ -65,7 +58,8 @@ let create ?(partitions = 4) ?(capacity = 128) ?frames ~flush () =
         dropped = 0;
         dedup_hits = 0;
       };
-    dedup = (match frames with Some frames -> Some (dedup ~frames) | None -> None);
+    stamp = Array.make frames 0;
+    gen = 0;
     scratch = Array.make capacity (Alloc 0);
     drop_op = (fun _ -> false);
     obs = None;
@@ -93,32 +87,19 @@ let flush_partition t part =
        is shared by all partitions — their pfn sets are disjoint (the
        partition index IS the low pfn bits), so a stamp written by one
        partition is never consulted by another. *)
-    let survivors, hits =
-      match t.dedup with
-      | None -> (Array.sub part.entries 0 n, 0)
-      | Some d ->
-          let frames = Array.length d.stamp in
-          d.gen <- d.gen + 1;
-          let g = d.gen in
-          let m = ref 0 in
-          for i = n - 1 downto 0 do
-            let op = part.entries.(i) in
-            let pfn = op_pfn op in
-            if pfn >= 0 && pfn < frames then begin
-              if d.stamp.(pfn) <> g then begin
-                d.stamp.(pfn) <- g;
-                incr m;
-                t.scratch.(t.capacity - !m) <- op
-              end
-            end
-            else begin
-              (* Out-of-range pfn: cannot be stamped, passes through. *)
-              incr m;
-              t.scratch.(t.capacity - !m) <- op
-            end
-          done;
-          (Array.sub t.scratch (t.capacity - !m) !m, n - !m)
-    in
+    t.gen <- t.gen + 1;
+    let g = t.gen in
+    let m = ref 0 in
+    for i = n - 1 downto 0 do
+      let op = part.entries.(i) in
+      let pfn = op_pfn op in
+      if t.stamp.(pfn) <> g then begin
+        t.stamp.(pfn) <- g;
+        incr m;
+        t.scratch.(t.capacity - !m) <- op
+      end
+    done;
+    let survivors = Array.sub t.scratch (t.capacity - !m) !m and hits = n - !m in
     (* Snapshot and reset BEFORE invoking the handler: a flush callback
        that re-enters [record] (e.g. a reconciliation sweep releasing
        pages from inside the hypercall) must find room in the partition
@@ -169,7 +150,11 @@ let flush_partition t part =
   end
 
 let record t op =
-  let part = t.parts.(partition_of t (op_pfn op)) in
+  let pfn = op_pfn op in
+  if pfn < 0 || pfn >= Array.length t.stamp then
+    invalid_arg
+      (Printf.sprintf "Pv_queue.record: pfn %d outside [0, %d)" pfn (Array.length t.stamp));
+  let part = t.parts.(partition_of t pfn) in
   part.entries.(part.len) <- op;
   part.len <- part.len + 1;
   t.stats.enqueued <- t.stats.enqueued + 1;
@@ -177,7 +162,7 @@ let record t op =
   | None -> ()
   | Some stream ->
       let arg = match op with Alloc _ -> 0 | Release _ -> 1 in
-      Obs.Stream.emit ~domain:t.obs_domain ~pfn:(op_pfn op) ~arg stream Obs.Event.Pv_record);
+      Obs.Stream.emit ~domain:t.obs_domain ~pfn ~arg stream Obs.Event.Pv_record);
   if part.len = t.capacity then flush_partition t part
 
 let flush_all t = Array.iter (flush_partition t) t.parts
@@ -185,40 +170,3 @@ let flush_all t = Array.iter (flush_partition t) t.parts
 let pending t = Array.fold_left (fun acc p -> acc + p.len) 0 t.parts
 
 let stats t = t.stats
-
-let replay ?dedup ops ~f =
-  let n = Array.length ops in
-  match dedup with
-  | Some d ->
-      let frames = Array.length d.stamp in
-      d.gen <- d.gen + 1;
-      let g = d.gen in
-      for i = n - 1 downto 0 do
-        let op = ops.(i) in
-        let pfn = op_pfn op in
-        if pfn >= 0 && pfn < frames then begin
-          if d.stamp.(pfn) <> g then begin
-            d.stamp.(pfn) <- g;
-            match op with
-            | Release _ -> f pfn `Invalidate
-            | Alloc _ -> f pfn `Leave
-          end
-        end
-        else begin
-          match op with
-          | Release _ -> f pfn `Invalidate
-          | Alloc _ -> f pfn `Leave
-        end
-      done
-  | None ->
-      let seen = Hashtbl.create n in
-      for i = n - 1 downto 0 do
-        let op = ops.(i) in
-        let pfn = op_pfn op in
-        if not (Hashtbl.mem seen pfn) then begin
-          Hashtbl.replace seen pfn ();
-          match op with
-          | Release _ -> f pfn `Invalidate
-          | Alloc _ -> f pfn `Leave
-        end
-      done

@@ -9,12 +9,11 @@
     when it fills.
 
     Because a page can be reallocated while sitting in the queue, both
-    allocations and releases are recorded, and the hypervisor replays
-    the queue from the most recent entry keeping only the most recent
-    operation per page: a final Release means the page is free and its
-    P2M entry can be invalidated; a final Alloc means the page may
-    already be in use and is left on its current node (copying would be
-    too costly for this rare case).
+    allocations and releases are recorded, and only the most recent
+    operation per page counts: a final Release means the page is free
+    and its P2M entry can be invalidated; a final Alloc means the page
+    may already be in use and is left on its current node (copying
+    would be too costly for this rare case).
 
     A single global queue serializes all cores on its lock, so the
     queue is partitioned by the two least significant bits of the page
@@ -22,10 +21,12 @@
     partition lock across the flush hypercall so no other core can
     reallocate a page that is in flight.
 
-    When created with [~frames], the most-recent-op-wins dedup runs
-    guest-side at flush time over a flat generation-stamp array — O(1)
-    per entry, no hashing, no per-batch clearing — so the hypervisor
-    receives batches that already carry at most one op per page. *)
+    The most-recent-op-wins rule runs here and nowhere else: each flush
+    walks its partition newest-first over a flat generation-stamp
+    array — O(1) per entry, no hashing, no per-batch clearing — so
+    every batch the hypervisor receives carries at most one op per
+    page, and the hypervisor ([Policies.Manager.page_ops_hypercall])
+    applies each op as it arrives. *)
 
 type op =
   | Alloc of Memory.Page.pfn
@@ -44,34 +45,27 @@ type stats = {
       (** Superseded ops removed by the flush-time shard dedup. *)
 }
 
-(** Reusable most-recent-op-wins dedup state: one generation stamp per
-    pfn in a flat int array.  Each batch bumps the generation; an op
-    whose pfn already carries the current stamp is superseded by a
-    newer op in the same batch. *)
-type dedup
-
-val dedup : frames:int -> dedup
-(** Stamp array sized for pfns in [\[0, frames)].
-    @raise Invalid_argument when [frames <= 0]. *)
-
 type t
 
 val create :
   ?partitions:int ->
   ?capacity:int ->
-  ?frames:int ->
+  frames:int ->
   flush:(op array -> float) ->
   unit ->
   t
 (** [create ~partitions ~capacity ~frames ~flush ()] — [partitions]
     defaults to 4 (two PFN bits) and must be a power of two;
     [capacity] (default 128) is the per-partition entry count that
-    triggers a flush.  When [frames] is given, each flush dedups the
-    partition through a shared generation-stamp array before invoking
-    the handler (most recent op per page wins; partitions hold disjoint
-    pfn sets so one stamp array serves all of them).  [flush ops] is
-    the hypervisor's handler; it returns the time the hypercall took,
-    which is charged to [stats.guest_time]. *)
+    triggers a flush; the queue accepts pfns in [\[0, frames)].  Each
+    flush dedups the partition through a generation-stamp array sized
+    [frames] before invoking the handler (most recent op per page wins;
+    partitions hold disjoint pfn sets so one stamp array serves all of
+    them), delivering the survivors oldest-first.  [flush ops] is the
+    hypervisor's handler; it returns the time the hypercall took, which
+    is charged to [stats.guest_time].
+    @raise Invalid_argument when [partitions] is not a power of two or
+    [capacity] or [frames] is not positive. *)
 
 val partitions : t -> int
 
@@ -81,7 +75,9 @@ val partition_of : t -> Memory.Page.pfn -> int
 val record : t -> op -> unit
 (** Append under the partition lock; flushes the partition through the
     hypercall if it reaches capacity.  The partition is emptied before
-    the flush handler runs, so a handler may re-enter [record]. *)
+    the flush handler runs, so a handler may re-enter [record].
+    @raise Invalid_argument when the op's pfn is outside
+    [\[0, frames)]. *)
 
 val set_fault_hooks : t -> drop_op:(op -> bool) -> unit
 (** Install the op-drop fault hook ([Faults.Injector.install_queue]):
@@ -100,18 +96,11 @@ val set_obs : t -> ?domain:int -> Obs.Stream.t option -> unit
     labels the events (default -1). *)
 
 val flush_all : t -> unit
-(** Force-flush every non-empty partition (used at policy switch). *)
+(** Force-flush every non-empty partition: delivers what is still
+    queued when a workload ends (the batching experiment's last
+    flush). *)
 
 val pending : t -> int
 (** Entries currently queued across all partitions. *)
 
 val stats : t -> stats
-
-val replay :
-  ?dedup:dedup -> op array -> f:(Memory.Page.pfn -> [ `Invalidate | `Leave ] -> unit) -> unit
-(** Hypervisor-side replay semantics, reusable by policies: walk the
-    queue from the most recent entry, visit each page once, and apply
-    [`Invalidate] if its most recent op is a Release, [`Leave] if it is
-    an Alloc.  With [dedup] the page-visited check is one stamp-array
-    read (zero allocation); without it a scratch hashtable is used.
-    Pfns outside the dedup's range are passed through undeduped. *)

@@ -208,8 +208,9 @@ let check t =
    shorter trace. *)
 
 let input_exact ic buf n =
+  let at = pos_in ic in
   try really_input ic buf 0 n
-  with End_of_file -> corrupt "binary trace truncated at offset %d" (pos_in ic)
+  with End_of_file -> corrupt "binary trace truncated at offset %d" at
 
 let ch_i32 ic buf =
   input_exact ic buf 4;
@@ -227,10 +228,11 @@ let ch_u8 ic buf =
    corrupt one neither escapes as Invalid_argument nor allocates past
    the end of the file. *)
 let ch_string ic n =
-  if n < 0 || n > in_channel_length ic - pos_in ic then
-    corrupt "bad string length %d at offset %d" n (pos_in ic);
+  let at = pos_in ic in
+  if n < 0 || n > in_channel_length ic - at then
+    corrupt "bad string length %d at offset %d" n at;
   try really_input_string ic n
-  with End_of_file -> corrupt "binary trace truncated at offset %d" (pos_in ic)
+  with End_of_file -> corrupt "binary trace truncated at offset %d" at
 
 let fold_binary_channel ic ~init ~f =
   (* The caller has already consumed the magic. *)

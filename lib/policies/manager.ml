@@ -106,8 +106,7 @@ type t = {
   mutable breaker_failures : int;
   mutable breaker_open_until : int;  (* epoch; -1 = closed *)
   mutable breaker_was_open : bool;  (* for the cooldown-close trace event *)
-  mutable replay_dedup : Guest.Pv_queue.dedup option;  (* lazy, P2M-sized *)
-  mutable inv_buf : int array;  (* invalidate-winner scratch, grows on demand *)
+  mutable inv_buf : int array;  (* a batch's Release pfns, grows on demand *)
   mutable free_reported : bool;  (* the last tick carried the guest free list *)
   batch : batch;
   (* Node-evacuation engine (RAS): while [evac_node >= 0] every epoch
@@ -188,7 +187,7 @@ let sp_frames_4k t =
 (* Record one demotion done on this policy's behalf (the P2M keeps its
    own cumulative counter; this is the policy-visible accounting plus
    trace/metrics).  The time is charged by the caller: the fault path,
-   the page-ops replay and the migration path each fold it into their
+   the page-ops hypercall and the migration path each fold it into their
    own cost totals. *)
 let note_splinter t ~pfn =
   t.stats.splinters <- t.stats.splinters + 1;
@@ -395,7 +394,6 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
       breaker_failures = 0;
       breaker_open_until = -1;
       breaker_was_open = false;
-      replay_dedup = None;
       inv_buf = [||];
       free_reported = false;
       batch =
@@ -479,16 +477,6 @@ let set_policy t new_spec =
     Ok ()
   end
 
-(* Replay dedup state, created on first use: one generation stamp per
-   guest-physical frame, shared by every batch this domain replays. *)
-let replay_dedup t =
-  match t.replay_dedup with
-  | Some d -> d
-  | None ->
-      let d = Guest.Pv_queue.dedup ~frames:(Xen.P2m.frames t.domain.Xen.Domain.p2m) in
-      t.replay_dedup <- Some d;
-      d
-
 let ensure_inv_buf t n =
   if Array.length t.inv_buf < n then begin
     let cap = ref (max 128 (Array.length t.inv_buf)) in
@@ -525,8 +513,8 @@ let invalidate_with t invalidate =
   end;
   !time
 
-(* The invalidate-winners of one replayed batch, freed frames returned
-   as we go. *)
+(* The Release ops of one delivered batch, freed frames returned as we
+   go. *)
 let invalidate_winners t ~n =
   invalidate_with t (fun ~on_splinter ->
       Xen.P2m.invalidate_batch t.domain.Xen.Domain.p2m ~on_splinter
@@ -535,7 +523,7 @@ let invalidate_winners t ~n =
 
 (* One Page_ops hypercall carrying [n] ops.  The in-transit loss is
    drawn once per batch: a lost batch costs the guest the entry and the
-   hypervisor never replays it (released pages keep their stale P2M
+   hypervisor never applies it (released pages keep their stale P2M
    entries until the reconciliation sweep heals them).  A delivered
    batch pays the batch cost plus the time [deliver ()] returns for the
    caller's own invalidation (0.0 when it has none). *)
@@ -554,27 +542,25 @@ let page_ops_batch t ~n deliver =
     time
   end
 
-(* Replay one guest batch: most recent op per page wins; Release
-   winners are invalidated when the policy invalidates free pages. *)
+(* Apply one guest batch.  The queue's flush already kept only the
+   most recent op per page, so every op is final: an Alloc is left in
+   place, a Release is invalidated when the policy invalidates free
+   pages. *)
 let page_ops_hypercall t ops =
   page_ops_batch t ~n:(Array.length ops) (fun () ->
-      let leave () = t.stats.left_in_place <- t.stats.left_in_place + 1 in
-      if Spec.invalidates_free_pages t.spec then begin
-        ensure_inv_buf t (Array.length ops);
-        let k = ref 0 in
-        Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun pfn -> function
-          | `Invalidate ->
-              t.inv_buf.(!k) <- pfn;
-              incr k
-          | `Leave -> leave ());
-        if !k > 0 then invalidate_winners t ~n:!k else 0.0
-      end
-      else begin
-        Guest.Pv_queue.replay ~dedup:(replay_dedup t) ops ~f:(fun _pfn -> function
-          | `Invalidate -> ()
-          | `Leave -> leave ());
-        0.0
-      end)
+      let invalidates = Spec.invalidates_free_pages t.spec in
+      if invalidates then ensure_inv_buf t (Array.length ops);
+      let k = ref 0 in
+      Array.iter
+        (function
+          | Guest.Pv_queue.Alloc _ -> t.stats.left_in_place <- t.stats.left_in_place + 1
+          | Guest.Pv_queue.Release pfn ->
+              if invalidates then begin
+                t.inv_buf.(!k) <- pfn;
+                incr k
+              end)
+        ops;
+      if !k > 0 then invalidate_winners t ~n:!k else 0.0)
 
 let release_batch = 128
 

@@ -109,10 +109,11 @@ val switch : t -> Spec.t -> (unit, string) result
     {!release_free_range}.  A no-op when [spec] is already in force. *)
 
 val page_ops_hypercall : t -> Guest.Pv_queue.op array -> float
-(** The batched page-ops hypercall: replays the queue with
-    most-recent-op-wins semantics; a final Release invalidates the P2M
-    entry and frees the machine frame, a final Alloc leaves the page on
-    its current node.  Returns the hypercall duration (the guest holds
+(** The batched page-ops hypercall.  Input contract: at most one op
+    per pfn — the most recent one, which is what a {!Guest.Pv_queue}
+    flush delivers.  Each op is applied once: a Release invalidates the
+    P2M entry and frees the machine frame, an Alloc (a page reallocated
+    while queued) leaves the page on its current node.  Returns the hypercall duration (the guest holds
     the partition lock for that long) and charges it to the domain.
     Under a non-first-touch placement the queue is accepted but entries
     are only accounted, never invalidated. *)

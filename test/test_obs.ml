@@ -310,6 +310,21 @@ let test_codec_rejects_corrupt () =
       Alcotest.(check bool) (Printf.sprintf "label length %ld raises" len) true
         (raises (Bytes.to_string bad_len)))
     [ -1l; Int32.max_int ];
+  (* A truncated field is reported at the offset where it starts, not
+     where the read gave up: the stream count starts right after the
+     8-byte magic, and the last event ends in an 8-byte field. *)
+  let truncation_message data =
+    with_temp_file ".trace" data (fun path ->
+        match read_export path with
+        | exception Obs.Codec.Corrupt msg -> msg
+        | _ -> Alcotest.fail "truncated trace accepted")
+  in
+  Alcotest.(check string) "cut stream count" "binary trace truncated at offset 8"
+    (truncation_message "XNUMATR1\000\000");
+  let len = String.length binary in
+  Alcotest.(check string) "cut last field"
+    (Printf.sprintf "binary trace truncated at offset %d" (len - 8))
+    (truncation_message (String.sub binary 0 (len - 2)));
   Alcotest.(check bool) "bad jsonl raises" true (raises "{\"bogus\": 1}\n");
   Alcotest.(check bool) "not json raises" true (raises "XNUMATR0 is not a trace\n")
 

@@ -214,9 +214,16 @@ let test_manager_page_ops_reallocated_left () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let node_before = Policies.Manager.node_of_pfn m 2 in
-  ignore
-    (Policies.Manager.page_ops_hypercall m
-       [| Guest.Pv_queue.Release 2; Guest.Pv_queue.Alloc 2 |]);
+  (* Released, then reallocated while still queued: the flush delivers
+     only the Alloc, and the hypervisor leaves the page where it is. *)
+  let q =
+    Guest.Pv_queue.create ~frames:d.Xen.Domain.mem_frames
+      ~flush:(Policies.Manager.page_ops_hypercall m)
+      ()
+  in
+  Guest.Pv_queue.record q (Guest.Pv_queue.Release 2);
+  Guest.Pv_queue.record q (Guest.Pv_queue.Alloc 2);
+  Guest.Pv_queue.flush_all q;
   Alcotest.(check (option int)) "left on its node" node_before (Policies.Manager.node_of_pfn m 2);
   Alcotest.(check bool) "still mapped" true (Xen.P2m.get d.Xen.Domain.p2m 2 <> Xen.P2m.Invalid);
   Alcotest.(check int) "left_in_place" 1 (Policies.Manager.stats m).Policies.Manager.left_in_place

@@ -377,37 +377,6 @@ let prop_p2m_migrate_batch_equals_per_page =
       && List.sort compare !displaced_a = List.sort compare !displaced_b
       && Xen.P2m.check_consistent a)
 
-(* Batched replay: the stamp-array dedup visits the same pages with
-   the same verdicts as the hashtable fallback, and feeding the
-   Invalidate winners through invalidate_batch leaves the P2M exactly
-   as per-page invalidation of the same winners. *)
-let prop_p2m_batched_replay_equals_per_page =
-  let frames = 64 and sp = 8 in
-  QCheck.Test.make ~name:"batched pv replay = per-page replay on the p2m" ~count:300
-    QCheck.(pair int (small_list (pair bool (int_range 0 63))))
-    (fun (seed, spec) ->
-      let ops =
-        Array.of_list
-          (List.map
-             (fun (alloc, pfn) ->
-               if alloc then Guest.Pv_queue.Alloc pfn else Guest.Pv_queue.Release pfn)
-             spec)
-      in
-      let a, b = build_twin_p2m ~frames ~sp ~seed in
-      let dedup = Guest.Pv_queue.dedup ~frames in
-      let winners = ref [] and fallback = ref [] in
-      Guest.Pv_queue.replay ~dedup ops ~f:(fun pfn verdict ->
-          winners := (pfn, verdict = `Invalidate) :: !winners);
-      Guest.Pv_queue.replay ops ~f:(fun pfn verdict ->
-          fallback := (pfn, verdict = `Invalidate) :: !fallback);
-      if List.sort compare !winners <> List.sort compare !fallback then
-        QCheck.Test.fail_report "dedup and hashtable replays disagree";
-      let inv = List.filter_map (fun (pfn, i) -> if i then Some pfn else None) !winners in
-      let batch = Array.of_list inv in
-      ignore (Xen.P2m.invalidate_batch a batch ~n:(Array.length batch));
-      List.iter (fun pfn -> ignore (Xen.P2m.invalidate b pfn)) inv;
-      p2m_dump a = p2m_dump b && Xen.P2m.check_consistent a)
-
 (* The amortisation guarantee: a batch of n never charges more than n
    unbatched operations, and a 1-element migrate batch charges exactly
    the unbatched cost. *)
@@ -822,7 +791,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_batch_equals_per_page;
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_range_equals_batch;
         QCheck_alcotest.to_alcotest prop_p2m_migrate_batch_equals_per_page;
-        QCheck_alcotest.to_alcotest prop_p2m_batched_replay_equals_per_page;
         QCheck_alcotest.to_alcotest prop_batch_costs_bounded;
       ] );
     ( "xen.pt",

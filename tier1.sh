@@ -314,9 +314,11 @@ dune exec test/test_main.exe -- test faults
 # offlining, and memory.buddy.props; all three check
 # Buddy.check_consistent), the run-wise free_run = per-frame free
 # differential (memory.buddy), the P2M superpage consistency invariant,
-# the top-k heap invariant, the batched-vs-per-page P2M equivalence and
-# the invalidate_range = invalidate_batch differential (xen.p2m.batch),
-# the evacuation
+# the top-k heap invariant, the batched-vs-per-page P2M equivalences
+# (invalidate_batch, migrate_batch) and the invalidate_range =
+# invalidate_batch differential (xen.p2m.batch), the queue +
+# page_ops_hypercall = newest-first reference differential (the one
+# most-recent-op-wins pass, guest.pv_queue), the evacuation
 # frame-conservation property (post-drain P2M maps exactly the
 # pre-failure guest frames, none on an offlined mfn), the
 # replica-equivalence invariant (mirrors track the primary through any
@@ -339,6 +341,7 @@ dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
 dune exec test/test_main.exe -- test stats.topk
 dune exec test/test_main.exe -- test xen.p2m.batch
+dune exec test/test_main.exe -- test guest.pv_queue
 dune exec test/test_main.exe -- test engine.ff
 dune exec test/test_main.exe -- test policies.evacuation
 dune exec test/test_main.exe -- test obs.latency
