@@ -353,6 +353,57 @@ let test_queue_drop_hook () =
   Alcotest.(check int) "survivors reached the hypervisor" 4 !sent;
   Alcotest.(check int) "ops_sent counted" 4 stats.Guest.Pv_queue.ops_sent
 
+(* Most-recent-op-wins, as a property: what a queue delivers to the
+   hypervisor names every queued page exactly once, with its latest
+   op, even when small capacities split the stream across flushes of
+   different partitions. *)
+let prop_replay_most_recent_wins =
+  QCheck.Test.make ~name:"pv_queue replay: most recent op wins" ~count:500
+    QCheck.(pair (int_range 1 4) (list (pair bool (int_range 0 7))))
+    (fun (capacity, spec) ->
+      (* Per page, the op the hypervisor currently holds: a later
+         flush of the page's partition overrides an earlier one. *)
+      let applied = Hashtbl.create 8 in
+      let queue =
+        Guest.Pv_queue.create ~partitions:2 ~capacity ~frames:8
+          ~flush:(fun ops ->
+            let seen = Hashtbl.create 8 in
+            Array.iter
+              (fun op ->
+                let pfn = Guest.Pv_queue.op_pfn op in
+                if Hashtbl.mem seen pfn then
+                  QCheck.Test.fail_reportf "pfn %d delivered twice in one batch" pfn;
+                Hashtbl.replace seen pfn ();
+                Hashtbl.replace applied pfn op)
+              ops;
+            0.0)
+          ()
+      in
+      List.iter
+        (fun (alloc, pfn) ->
+          Guest.Pv_queue.record queue
+            (if alloc then Guest.Pv_queue.Alloc pfn else Guest.Pv_queue.Release pfn))
+        spec;
+      Guest.Pv_queue.flush_all queue;
+      List.iter
+        (fun (_, pfn) ->
+          if not (Hashtbl.mem applied pfn) then
+            QCheck.Test.fail_reportf "pfn %d never delivered" pfn)
+        spec;
+      Hashtbl.iter
+        (fun pfn op ->
+          let last =
+            List.fold_left
+              (fun acc (alloc, p) -> if p = pfn then Some alloc else acc)
+              None spec
+          in
+          match (last, op) with
+          | Some true, Guest.Pv_queue.Alloc _ | Some false, Guest.Pv_queue.Release _ -> ()
+          | Some _, _ -> QCheck.Test.fail_reportf "pfn %d got the wrong op" pfn
+          | None, _ -> QCheck.Test.fail_reportf "pfn %d delivered but never queued" pfn)
+        applied;
+      true)
+
 (* ------------------------- breaker escalation ---------------------- *)
 
 let harness_system () = Xen.System.create ~page_scale:16384 (Numa.Amd48.topology ())
@@ -872,6 +923,7 @@ let suite =
         Alcotest.test_case "p2m check_consistent" `Quick test_p2m_check_consistent;
         Alcotest.test_case "queue re-entrant flush" `Quick test_queue_reentrant_flush;
         Alcotest.test_case "queue fault hooks" `Quick test_queue_drop_hook;
+        QCheck_alcotest.to_alcotest prop_replay_most_recent_wins;
         Alcotest.test_case "breaker escalates to static" `Quick test_breaker_escalates_to_static;
         Alcotest.test_case "deferred migrations drain" `Quick
           test_deferred_drains_when_pressure_lifts;

@@ -146,6 +146,57 @@ let test_queue_flush_time_dedup () =
   Alcotest.(check int) "all four recorded" 4 stats.Guest.Pv_queue.enqueued;
   Alcotest.(check int) "three sent" 3 stats.Guest.Pv_queue.ops_sent
 
+(* What the hypervisor replays: the ops of [spec] pushed through a
+   queue whose capacity never fills, so each partition flushes once,
+   at [flush_all]. *)
+let replayed_ops ?partitions ~frames spec =
+  let delivered = ref [] in
+  let q =
+    Guest.Pv_queue.create ?partitions ~capacity:(List.length spec + 1) ~frames
+      ~flush:(fun ops -> delivered := Array.to_list ops :: !delivered; 0.0)
+      ()
+  in
+  List.iter
+    (fun (alloc, pfn) ->
+      Guest.Pv_queue.record q
+        (if alloc then Guest.Pv_queue.Alloc pfn else Guest.Pv_queue.Release pfn))
+    spec;
+  Guest.Pv_queue.flush_all q;
+  List.concat (List.rev !delivered)
+
+let test_queue_replay_most_recent_wins () =
+  (* Release 7 then Alloc 7: the page was reallocated while queued,
+     so the hypervisor gets only the Alloc and leaves the page in
+     place (Section 4.2.4). *)
+  Alcotest.(check bool) "reallocated page: Alloc only" true
+    (replayed_ops ~frames:16 [ (false, 7); (true, 7) ] = [ Guest.Pv_queue.Alloc 7 ]);
+  (* Alloc then Release: final state free -> invalidate. *)
+  Alcotest.(check bool) "released page: Release only" true
+    (replayed_ops ~frames:16 [ (true, 3); (false, 3) ] = [ Guest.Pv_queue.Release 3 ])
+
+let prop_queue_replay_visits_each_page_once =
+  QCheck.Test.make ~name:"replay visits each page exactly once" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 100) (pair bool (int_range 0 20)))
+    (fun spec ->
+      let pfns = List.map Guest.Pv_queue.op_pfn (replayed_ops ~frames:21 spec) in
+      let distinct = List.sort_uniq compare (List.map snd spec) in
+      List.sort compare pfns = distinct)
+
+let prop_queue_replay_matches_final_state =
+  QCheck.Test.make ~name:"replay action = final op per page" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 100) (pair bool (int_range 0 20)))
+    (fun spec ->
+      List.for_all
+        (fun op ->
+          let pfn = Guest.Pv_queue.op_pfn op in
+          let last =
+            List.fold_left (fun acc (alloc, p) -> if p = pfn then Some alloc else acc) None spec
+          in
+          match (last, op) with
+          | Some false, Guest.Pv_queue.Release _ | Some true, Guest.Pv_queue.Alloc _ -> true
+          | _ -> false)
+        (replayed_ops ~frames:21 spec))
+
 let test_queue_rejects_out_of_range () =
   let q = Guest.Pv_queue.create ~frames:16 ~flush:(fun _ -> 0.0) () in
   List.iter
@@ -371,6 +422,9 @@ let suite =
         Alcotest.test_case "partition isolation" `Quick test_queue_partition_isolation;
         Alcotest.test_case "flush_all" `Quick test_queue_flush_all;
         Alcotest.test_case "flush-time dedup" `Quick test_queue_flush_time_dedup;
+        Alcotest.test_case "most recent op wins" `Quick test_queue_replay_most_recent_wins;
+        qcheck prop_queue_replay_visits_each_page_once;
+        qcheck prop_queue_replay_matches_final_state;
         Alcotest.test_case "rejects out-of-range pfn" `Quick test_queue_rejects_out_of_range;
         qcheck prop_queue_page_ops_equals_reference;
       ] );

@@ -377,6 +377,54 @@ let prop_p2m_migrate_batch_equals_per_page =
       && List.sort compare !displaced_a = List.sort compare !displaced_b
       && Xen.P2m.check_consistent a)
 
+(* Batched replay: the pages a pv queue's flush delivers as final
+   Releases are the Release winners of a newest-first hashtable
+   replay of the same ops, and feeding them through invalidate_batch
+   leaves the P2M exactly as per-page invalidation of those winners. *)
+let prop_p2m_batched_replay_equals_per_page =
+  let frames = 64 and sp = 8 in
+  QCheck.Test.make ~name:"batched pv replay = per-page replay on the p2m" ~count:300
+    QCheck.(pair int (small_list (pair bool (int_range 0 63))))
+    (fun (seed, spec) ->
+      let ops =
+        List.map
+          (fun (alloc, pfn) -> if alloc then Guest.Pv_queue.Alloc pfn else Guest.Pv_queue.Release pfn)
+          spec
+      in
+      let a, b = build_twin_p2m ~frames ~sp ~seed in
+      let batched = ref [] in
+      let queue =
+        Guest.Pv_queue.create ~partitions:1 ~capacity:(List.length ops + 1) ~frames
+          ~flush:(fun batch ->
+            let inv =
+              Array.of_list
+                (List.filter_map
+                   (function Guest.Pv_queue.Release pfn -> Some pfn | Guest.Pv_queue.Alloc _ -> None)
+                   (Array.to_list batch))
+            in
+            batched := Array.to_list inv;
+            ignore (Xen.P2m.invalidate_batch a inv ~n:(Array.length inv));
+            0.0)
+          ()
+      in
+      List.iter (Guest.Pv_queue.record queue) ops;
+      Guest.Pv_queue.flush_all queue;
+      let seen = Hashtbl.create 16 and per_page = ref [] in
+      List.iter
+        (fun op ->
+          let pfn = Guest.Pv_queue.op_pfn op in
+          if not (Hashtbl.mem seen pfn) then begin
+            Hashtbl.replace seen pfn ();
+            match op with
+            | Guest.Pv_queue.Release _ -> per_page := pfn :: !per_page
+            | Guest.Pv_queue.Alloc _ -> ()
+          end)
+        (List.rev ops);
+      if List.sort compare !batched <> List.sort compare !per_page then
+        QCheck.Test.fail_report "queue and hashtable replays disagree";
+      List.iter (fun pfn -> ignore (Xen.P2m.invalidate b pfn)) !per_page;
+      p2m_dump a = p2m_dump b && Xen.P2m.check_consistent a)
+
 (* The amortisation guarantee: a batch of n never charges more than n
    unbatched operations, and a 1-element migrate batch charges exactly
    the unbatched cost. *)
@@ -791,6 +839,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_batch_equals_per_page;
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_range_equals_batch;
         QCheck_alcotest.to_alcotest prop_p2m_migrate_batch_equals_per_page;
+        QCheck_alcotest.to_alcotest prop_p2m_batched_replay_equals_per_page;
         QCheck_alcotest.to_alcotest prop_batch_costs_bounded;
       ] );
     ( "xen.pt",
