@@ -61,10 +61,6 @@ val vcpu_stalls : t -> bool
 
 (** {2 Hardware RAS: ECC errors and node failure} *)
 
-val default_drain_window : int
-(** Epochs a [node_fail] drain window spans when the plan omits
-    [UNTIL] (50). *)
-
 val assign_node_targets : t -> ?candidates:int array -> nodes:int -> unit -> unit
 (** Draw the target node of every [Node_fail] spec from the private
     stream, once, in plan order — call before epoch 0.  A non-empty

@@ -74,9 +74,6 @@ val valid_site_names : string list
 (** Every site name {!of_string} accepts, in declaration order — the
     list quoted by the unknown-site parse error. *)
 
-val site_name : site -> string
-(** Canonical token for the site ([Node_fail _] is ["node_fail"]). *)
-
 val of_string : string -> (t, string) result
 (** Parse a comma-separated plan.  Each element is
     [site=value\[\@FROM\[-UNTIL\]\]] where [site] is one of [alloc],

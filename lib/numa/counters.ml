@@ -1,7 +1,6 @@
 type t = {
   topo : Topology.t;
   node_accesses : float array;
-  node_bytes : float array;
   link_bytes : float array;
   mutable local : float;
   mutable remote : float;
@@ -22,7 +21,6 @@ let create topo =
   {
     topo;
     node_accesses = Array.make nodes 0.0;
-    node_bytes = Array.make nodes 0.0;
     link_bytes = Array.make nlinks 0.0;
     local = 0.0;
     remote = 0.0;
@@ -34,12 +32,9 @@ let create topo =
     sum_max_link_util = 0.0;
   }
 
-let topology t = t.topo
-
 let record_accesses t ~src ~dst ~count ~bytes_per_access =
   let bytes = count *. bytes_per_access in
   t.node_accesses.(dst) <- t.node_accesses.(dst) +. count;
-  t.node_bytes.(dst) <- t.node_bytes.(dst) +. bytes;
   t.epoch_node_bytes.(dst) <- t.epoch_node_bytes.(dst) +. bytes;
   if src = dst then t.local <- t.local +. count
   else begin
@@ -52,7 +47,6 @@ let record_accesses t ~src ~dst ~count ~bytes_per_access =
   end
 
 let node_accesses t = Array.copy t.node_accesses
-let node_bytes t = Array.copy t.node_bytes
 let local_accesses t = t.local
 let remote_accesses t = t.remote
 let link_bytes t = Array.copy t.link_bytes
@@ -111,7 +105,6 @@ let interconnect_load t =
 
 let reset t =
   Array.fill t.node_accesses 0 (Array.length t.node_accesses) 0.0;
-  Array.fill t.node_bytes 0 (Array.length t.node_bytes) 0.0;
   Array.fill t.link_bytes 0 (Array.length t.link_bytes) 0.0;
   t.local <- 0.0;
   t.remote <- 0.0;

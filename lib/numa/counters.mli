@@ -18,8 +18,6 @@ type t
 
 val create : Topology.t -> t
 
-val topology : t -> Topology.t
-
 val record_accesses :
   t -> src:Topology.node -> dst:Topology.node -> count:float -> bytes_per_access:float -> unit
 (** Record [count] accesses of [bytes_per_access] bytes each from a CPU
@@ -28,8 +26,6 @@ val record_accesses :
 
 val node_accesses : t -> float array
 (** Cumulative access counts per destination node. *)
-
-val node_bytes : t -> float array
 
 val local_accesses : t -> float
 val remote_accesses : t -> float

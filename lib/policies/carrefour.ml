@@ -42,8 +42,7 @@ type hot = {
          pfn asc, row asc) *)
   scale : float;
       (* power of two every value of counts/sums/reads/keys carries:
-         the heat table's decay scale in the unranked readout, 1.0
-         everywhere else *)
+         the heat table's decay scale, 1.0 in [hot_of_samples] *)
 }
 
 (* The heat table's [read_fraction_of_row]: 1.0 for a row that never
@@ -71,21 +70,11 @@ let hot_of_samples samples =
     samples;
   { nodes; count; pfns; counts; sums; best; reads; keys; scale = 1.0 }
 
-let samples_of_hot hot =
-  List.init hot.count (fun i ->
-      {
-        pfn = hot.pfns.(i);
-        node_accesses =
-          Array.init hot.nodes (fun j -> hot.counts.((i * hot.nodes) + j) /. hot.scale);
-        read_fraction = read_fraction hot i;
-      })
-
-(* Rank order over readout rows: key descending, pfn ascending — the
-   top-k heap's order — then row ascending.  The heat table never holds
-   a pfn twice, so the row tie-break only decides between duplicate
-   pfns of a synthetic readout; it makes the order strict, and a strict
-   order has exactly one sorted arrangement whichever algorithm
-   produces it. *)
+(* Rank order over readout rows: key descending, pfn ascending, then
+   row ascending.  The heat table never holds a pfn twice, so the row
+   tie-break only decides between duplicate pfns of a synthetic
+   readout; it makes the order strict, and a strict order has exactly
+   one sorted arrangement whichever algorithm produces it. *)
 let before (keys : float array) (pfns : int array) a b =
   let ka = Array.unsafe_get keys a and kb = Array.unsafe_get keys b in
   ka > kb
@@ -95,13 +84,14 @@ let before (keys : float array) (pfns : int array) a b =
      pa < pb || (pa = pb && a < b)
 
 (* Reorder [order.(lo) .. order.(hi)] so that its first [len] slots
-   hold its [len] best-ranked rows, in rank order, without ranking the
-   rest: a quickselect narrows to the boundary, then a quicksort ranks
-   the prefix.  Both use a median-of-three Hoare partition with inline
-   comparisons and finish with insertion sort below 12 elements.  The
-   user component walks candidates only until its migration budget is
-   spent, so it ranks a budget-sized prefix, not every candidate. *)
-let rank_prefix keys pfns order ~lo ~hi ~len =
+   hold its [len] best-ranked rows, in rank order when [sorted], without
+   ranking the rest: a quickselect narrows to the boundary, then a
+   quicksort ranks the prefix.  Both use a median-of-three Hoare
+   partition with inline comparisons and finish with insertion sort
+   below 12 elements.  The user component walks candidates only until
+   its migration budget is spent, so it ranks a budget-sized prefix, not
+   every candidate; its hot-page cap only needs the split. *)
+let rank_prefix ~sorted keys pfns order ~lo ~hi ~len =
   let before = before keys pfns in
   let swap i j =
     let t = order.(i) in
@@ -161,17 +151,16 @@ let rank_prefix keys pfns order ~lo ~hi ~len =
       end
   in
   select lo hi;
-  qsort lo (b - 1)
+  if sorted then qsort lo (b - 1)
 
-(* Ranking workspace for [User_component.decide]: one candidate-row
-   buffer, grown to the widest readout seen and reused every period. *)
-type workspace = { mutable sel : int array }
+(* Ranking workspace for [User_component.decide]: a candidate-row buffer
+   and the hot-page cap's row buffer, each grown to the widest readout
+   seen and reused every period. *)
+type workspace = { mutable sel : int array; mutable top : int array }
 
-let workspace () = { sel = [||] }
+let workspace () = { sel = [||]; top = [||] }
 
-let sel_buffer ws n =
-  if Array.length ws.sel < n then ws.sel <- Array.make (max n (2 * Array.length ws.sel)) 0;
-  ws.sel
+let grow buf n = if Array.length buf < n then Array.make (max n (2 * Array.length buf)) 0 else buf
 
 module System_component = struct
   (* Structure-of-arrays heat table.  [slot] direct-maps a pfn to its
@@ -179,7 +168,7 @@ module System_component = struct
      no particular order.  [totals] carries the incrementally
      accumulated heat (the historical [heat.total] field): it can
      differ from the row sum in the last ulp, and it is what keys the
-     top-k readout, so it is stored rather than recomputed.  [sums]
+     ranking, so it is stored rather than recomputed.  [sums]
      caches the row sum itself, always bit-equal to [row_total] of the
      row, and [best] its [row_argmax]: [record_sample] recomputes both
      for the rows it touches, and the user component reads them
@@ -191,9 +180,9 @@ module System_component = struct
      and so are sums, products and comparisons of values that all carry
      the same power-of-two factor, so every operation on the scaled
      table gives the scaled result of the same operation on the eagerly
-     halved one, bit for bit.  Samples enter as [a *. scale]; readouts
-     that copy divide it back out.  Three things keep the equivalence
-     exact:
+     halved one, bit for bit.  Samples enter as [a *. scale]; the
+     readout carries the scale out with the values.  Three things keep
+     the equivalence exact:
      - Halving is exact unless the logical value is below 2^-1021,
        where the result can be subnormal and round.  [least] holds, per
        row, the smallest non-zero magnitude among the row's counts and
@@ -211,9 +200,9 @@ module System_component = struct
        overflow the scaled table.
 
      Dropped rows are swap-removed: the last row fills the hole.  No
-     consumer depends on row order: the readouts rank by the strict
-     (key, pfn) order and [User_component.decide] is invariant under
-     row permutations. *)
+     consumer depends on row order: [User_component.decide] ranks by
+     the strict (key, pfn) order and is invariant under row
+     permutations. *)
   type t = {
     system : Xen.System.t;
     domain : Xen.Domain.t;
@@ -438,14 +427,6 @@ module System_component = struct
     in
     refresh t r
 
-  let record_samples t samples =
-    begin_epoch t;
-    List.iter
-      (fun s ->
-        record_sample t ~pfn:s.pfn ~node_accesses:s.node_accesses
-          ~read_fraction:s.read_fraction)
-      samples
-
   type metrics = {
     controller_util : float array;
     max_link_util : float;
@@ -453,63 +434,14 @@ module System_component = struct
     hot_pages : hot;
   }
 
-  (* Copy rows out, dividing the scale back out. *)
-  let hot_of_rows t rows n =
-    let nodes = t.nodes in
-    let inv = 1.0 /. t.scale in
-    let pfns = Array.make n 0 in
-    let counts = Array.make (n * nodes) 0.0 in
-    let sums = Array.make n 0.0 in
-    let best = Array.make n 0 in
-    let reads = Array.make n 0.0 in
-    let keys = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let r = rows.(i) in
-      pfns.(i) <- t.pfns.(r);
-      for j = 0 to nodes - 1 do
-        counts.((i * nodes) + j) <- t.counts.((r * nodes) + j) *. inv
-      done;
-      sums.(i) <- t.sums.(r) *. inv;
-      best.(i) <- t.best.(r);
-      reads.(i) <- t.reads.(r) *. inv;
-      keys.(i) <- t.totals.(r) *. inv
-    done;
-    { nodes; count = n; pfns; counts; sums; best; reads; keys; scale = 1.0 }
-
-  let read_hot ?top t =
-    match top with
-    | Some k when k > 0 ->
-        (* Bounded selection: a k-sized min-heap over the live heat
-           totals instead of sorting the whole table.  Keys are the
-           incremental totals — the same values the unbounded path
-           sorts by — so [~top:k] is exactly its prefix. *)
-        let heap = Sim.Stats.Topk.create (max 1 (min k t.live)) in
-        for r = 0 to t.live - 1 do
-          Sim.Stats.Topk.add heap ~key:t.totals.(r) t.pfns.(r)
-        done;
-        let picked = Sim.Stats.Topk.sorted_desc heap in
-        let rows = Array.map (fun (_, pfn) -> t.slot.(pfn) - 1) picked in
-        hot_of_rows t rows (Array.length rows)
-    | Some _ | None ->
-        let rows = Array.init t.live (fun r -> r) in
-        Array.sort
-          (fun a b ->
-            (* Same total order as the top-k heap — hotter first, ties
-               toward the smaller pfn. *)
-            let c = Float.compare t.totals.(b) t.totals.(a) in
-            if c <> 0 then c else Int.compare t.pfns.(a) t.pfns.(b))
-          rows;
-        hot_of_rows t rows t.live
-
   (* Readout in table order, no ranking: the user component ranks only
      the candidate rows it can still act on, which is far cheaper than
-     ranking the whole table every period.  Only valid as a full
-     readout (no [top] cap).  The row arrays ALIAS the live table —
-     they may be longer than [count] and must not outlive the next
-     table mutation (decay/sample), which is fine for the immediate
-     decide-and-act consumer and allocates nothing per row.  The values
-     keep the table's scale, which the readout carries. *)
-  let read_metrics_unranked t ~counters =
+     ranking the whole table every period.  The row arrays ALIAS the
+     live table — they may be longer than [count] and must not outlive
+     the next table mutation (decay/sample), which is fine for the
+     immediate decide-and-act consumer and allocates nothing per row.
+     The values keep the table's scale, which the readout carries. *)
+  let read_metrics t ~counters =
     let hot =
       {
         nodes = t.nodes;
@@ -531,16 +463,6 @@ module System_component = struct
       hot_pages = hot;
     }
 
-  let read_metrics ?top t ~counters =
-    let hot = read_hot ?top t in
-    let link_util = Numa.Counters.last_link_utilisation counters in
-    {
-      controller_util = Numa.Counters.last_controller_utilisation counters;
-      max_link_util = Array.fold_left Float.max 0.0 link_util;
-      imbalance = Numa.Counters.imbalance counters;
-      hot_pages = hot;
-    }
-
   let node_of t pfn =
     let mfn = Xen.P2m.mfn_of t.domain.Xen.Domain.p2m pfn in
     if mfn < 0 then -1 else Memory.Machine.node_of_mfn t.system.Xen.System.machine mfn
@@ -548,14 +470,6 @@ module System_component = struct
   let workspace t = t.workspace
 
   let is_replicated t pfn = Hashtbl.mem t.replicas pfn
-
-  let replicated_pages t = Hashtbl.length t.replicas
-
-  let migrate t ~pfn ~node =
-    collapse t ~pfn;
-    match Internal.migrate_page t.system t.domain ~pfn ~node with
-    | Ok _ -> true
-    | Error (`Enomem | `Not_mapped) -> false
 
   (* Replication: hold one frame per other node and charge the copies;
      the page itself keeps its P2M entry (a real implementation would
@@ -641,7 +555,6 @@ module User_component = struct
 
   let decide ?(node_ok = fun (_ : int) -> true) config ~workspace ~rng ~metrics ~node_of =
     let hot = metrics.System_component.hot_pages in
-    let n = min config.max_hot_pages hot.count in
     let nodes = hot.nodes in
     (* The heat threshold in the readout's scale.  Every other test
        compares two scaled values or takes a ratio of two, so the
@@ -677,6 +590,25 @@ module User_component = struct
       end
     in
     if controllers_overloaded || interconnect_saturated then begin
+      (* The hot-page cap: a readout of more than [max_hot_pages] rows
+         contributes only its [max_hot_pages] best-ranked rows, split
+         off unordered into [top.(0 .. n-1)] — the candidate set of a
+         readout ranked and cut to the cap.  Within the cap, row [j] is
+         candidate [j]. *)
+      let capped = hot.count > config.max_hot_pages in
+      let n = if capped then max 0 config.max_hot_pages else hot.count in
+      let top =
+        if capped then begin
+          let top = grow workspace.top hot.count in
+          workspace.top <- top;
+          for i = 0 to hot.count - 1 do
+            top.(i) <- i
+          done;
+          rank_prefix ~sorted:false hot.keys hot.pfns top ~lo:0 ~hi:(hot.count - 1) ~len:n;
+          top
+        end
+        else workspace.top
+      in
       (* Only rows clearing the heat threshold can act.  Qualification
          is pure — the walks only mutate [seen]/[budget] through [emit]
          — so each heuristic collects its candidate rows into [sel]
@@ -685,7 +617,8 @@ module User_component = struct
          candidates are the candidate restriction of the fully sorted
          readout: emits, their order, and the random-node draws are
          exactly those of a walk over the full ranking. *)
-      let sel = sel_buffer workspace n in
+      let sel = grow workspace.sel n in
+      workspace.sel <- sel;
       (* Walk [sel.(0 .. k-1)] in rank order while budget remains,
          ranking one chunk at a time: a chunk is as many rows as can
          still emit — the remaining budget plus the pfns already seen,
@@ -697,7 +630,7 @@ module User_component = struct
         while !s < k && !budget > 0 do
           if !s = !ranked then begin
             let len = min (k - !ranked) (!budget + Hashtbl.length seen) in
-            rank_prefix hot.keys hot.pfns sel ~lo:!ranked ~hi:(k - 1) ~len;
+            rank_prefix ~sorted:true hot.keys hot.pfns sel ~lo:!ranked ~hi:(k - 1) ~len;
             ranked := !ranked + len
           end;
           f sel.(!s);
@@ -709,7 +642,8 @@ module User_component = struct
          controller move to a random underloaded node. *)
       if controllers_overloaded then begin
         let k = ref 0 in
-        for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let i = if capped then Array.unsafe_get top j else j in
           if hot.sums.(i) >= min_accesses then begin
             let node = node_of hot.pfns.(i) in
             if node >= 0 && List.mem node overloaded then begin
@@ -738,7 +672,8 @@ module User_component = struct
              >= config.min_reader_nodes
         in
         let k = ref 0 in
-        for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let i = if capped then Array.unsafe_get top j else j in
           let sum = hot.sums.(i) in
           if sum >= min_accesses then
             if replicate_row i then begin
@@ -773,14 +708,8 @@ type report = {
   failed : int;
 }
 
-let run_epoch ?(interleave_only = false) ?migrate sys ~config ~rng ~counters =
-  let metrics =
-    (* When the whole table fits in the readout cap, skip the ranking
-       heap: decide ranks the candidate rows it walks itself. *)
-    if System_component.tracked_pages sys <= config.User_component.max_hot_pages then
-      System_component.read_metrics_unranked sys ~counters
-    else System_component.read_metrics ~top:config.User_component.max_hot_pages sys ~counters
-  in
+let run_epoch ~interleave_only ~migrate sys ~config ~rng ~counters =
+  let metrics = System_component.read_metrics sys ~counters in
   let topo = sys.System_component.system.Xen.System.topo in
   let actions =
     Obs.Profile.span Obs.Profile.Carrefour_decide (fun () ->
@@ -788,15 +717,10 @@ let run_epoch ?(interleave_only = false) ?migrate sys ~config ~rng ~counters =
           ~node_ok:(fun n -> Numa.Topology.node_online topo n)
           ~workspace:(System_component.workspace sys) ~node_of:(System_component.node_of sys))
   in
-  let do_migrate =
-    match migrate with
-    | None -> fun ~pfn ~node -> System_component.migrate sys ~pfn ~node
-    | Some f ->
-        (* A custom migrator (the manager's resilient path) still has to
-           collapse replicas before moving the page. *)
-        fun ~pfn ~node ->
-          System_component.collapse sys ~pfn;
-          f ~pfn ~node
+  (* Migrating a replicated page first collapses its replicas. *)
+  let do_migrate ~pfn ~node =
+    System_component.collapse sys ~pfn;
+    migrate ~pfn ~node
   in
   let interleave = ref 0 and locality = ref 0 and replications = ref 0 and failed = ref 0 in
   List.iter

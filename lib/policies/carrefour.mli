@@ -38,12 +38,11 @@ type sample = {
     starting at [i * nodes] — is the per-node access spread of
     [pfns.(i)].  A few arrays per readout instead of one boxed
     {!sample} per page, so the per-period metrics hypercall stays cheap
-    at thousands of tracked pages.  Row order depends on the readout:
-    see {!System_component.read_metrics}.  The unranked one may come in
-    any order, so {!User_component.decide} does not depend on it: on a
-    readout with distinct pfns and no more rows than
-    [max_hot_pages], it gives the same actions and leaves its [rng] in
-    the same state for any permutation of the rows. *)
+    at thousands of tracked pages.  Rows come in heat-table order (see
+    {!System_component.read_metrics}), which decay reshuffles, so
+    {!User_component.decide} does not depend on it: on a readout with
+    distinct pfns it gives the same actions and leaves its [rng] in the
+    same state for any permutation of the rows. *)
 type hot = {
   nodes : int;
   count : int;
@@ -61,17 +60,15 @@ type hot = {
   keys : float array;
       (** Ranking key per row — the heat table's accumulated total.
           Rows need not arrive sorted: {!User_component.decide} ranks
-          candidate rows by (key descending, pfn ascending), the same
-          total order as the top-k readout, and breaks the ties of a
-          duplicated pfn by row index. *)
+          candidate rows by (key descending, pfn ascending) and breaks
+          the ties of a duplicated pfn by row index. *)
   scale : float;
       (** Power of two that every value of [counts], [sums], [reads]
           and [keys] carries: the logical value is the stored one
-          divided by [scale].  The heat table's unranked readout keeps
-          its decay scale (see {!System_component.begin_epoch});
-          every other readout, and {!hot_of_samples}, has [1.0].
-          {!User_component.decide} applies it exactly: its threshold
-          tests give the unscaled answers bit for bit. *)
+          divided by [scale].  The heat table's readout keeps its decay
+          scale (see {!System_component.begin_epoch}); {!hot_of_samples}
+          has [1.0].  {!User_component.decide} applies it exactly: its
+          threshold tests give the unscaled answers bit for bit. *)
 }
 
 val hot_of_samples : sample list -> hot
@@ -81,15 +78,12 @@ val hot_of_samples : sample list -> hot
     [reads] is [read_fraction *. key], as the heat table stores a
     freshly sampled page. *)
 
-val samples_of_hot : hot -> sample list
-(** Unpack a readout into per-page samples (copies the rows; the read
-    fraction is derived from [reads] and [keys]). *)
-
 type workspace
 (** Reusable ranking workspace for {!User_component.decide}: its
-    candidate buffer grows to the widest readout seen and is reused,
-    so a period allocates no per-row arrays.  Each system component
-    owns one ({!System_component.workspace}). *)
+    candidate buffer and its hot-page-cap row buffer grow to the widest
+    readout seen and are reused, so a period allocates no per-row
+    arrays.  Each system component owns one
+    ({!System_component.workspace}). *)
 
 val workspace : unit -> workspace
 
@@ -116,42 +110,27 @@ module System_component : sig
       afterwards, so callers may reuse one scratch array across
       samples. *)
 
-  val record_samples : t -> sample list -> unit
-  (** [begin_epoch] followed by {!record_sample} for each element. *)
-
   type metrics = {
     controller_util : float array;
     max_link_util : float;
     imbalance : float;
     hot_pages : hot;
-        (** Hottest first when read through {!read_metrics}; in table
-            order, an arbitrary permutation that decay reshuffles, and
-            with the table's scale when [run_epoch] reads the whole
-            table unranked. *)
+        (** The whole table, in table order (an arbitrary permutation
+            that decay reshuffles) and with the table's scale. *)
   }
 
-  val read_metrics : ?top:int -> t -> counters:Numa.Counters.t -> metrics
+  val read_metrics : t -> counters:Numa.Counters.t -> metrics
   (** What the user component's hypercall returns: utilisations from
-      the hardware monitors plus the accumulated hot-page table.
-      [top] bounds the readout to the [top] hottest pages, selected
-      with a min-heap ({!Sim.Stats.Topk}) instead of a full sort;
-      omitted (or [<= 0]) returns the whole table sorted.  Both paths
-      order by (accumulated heat descending, pfn ascending), a strict
-      order on the table's distinct pfns, so the result does not depend
-      on the table's internal row order, and [~top:k] returns exactly
-      the first [k] elements of the unbounded readout.  Values are
-      copied unscaled ([scale = 1.0]). *)
+      the hardware monitors plus the accumulated hot-page table,
+      unranked.  [hot_pages] aliases the live table: its arrays may be
+      longer than [count], and it is valid only until the next
+      {!begin_epoch} or {!record_sample}.  Allocates nothing per row. *)
 
   val node_of : t -> Memory.Page.pfn -> int
   (** The node backing the page, or [-1] if it is unmapped.  Allocates
       nothing: it is called for every candidate row every period. *)
 
   val workspace : t -> workspace
-
-  val migrate : t -> pfn:Memory.Page.pfn -> node:Numa.Topology.node -> bool
-  (** Apply one migration through the internal interface; [false] if
-      the page is unmapped or the target node is out of memory.
-      Migrating a replicated page first collapses its replicas. *)
 
   val replicate : t -> pfn:Memory.Page.pfn -> bool
   (** Replicate the page: a copy is allocated on every other node and
@@ -163,8 +142,6 @@ module System_component : sig
   (** Drop the replicas of a page (a write invalidates them). *)
 
   val is_replicated : t -> Memory.Page.pfn -> bool
-
-  val replicated_pages : t -> int
 
   val tracked_pages : t -> int
 end
@@ -178,7 +155,9 @@ module User_component : sig
             locality-migration candidate. *)
     min_accesses : float;  (** Heat below which a page is ignored. *)
     migration_budget : int;  (** Max migrations per epoch. *)
-    max_hot_pages : int;  (** Hot-page table readout cap. *)
+    max_hot_pages : int;
+        (** Hot-page cap: {!decide} acts only on the [max_hot_pages]
+            hottest rows of a larger readout. *)
     enable_replication : bool;  (** Off by default (discarded in the paper). *)
     replication_read_threshold : float;
         (** Minimum read fraction for a replication candidate. *)
@@ -207,7 +186,10 @@ module User_component : sig
   (** Pure decision logic (testable in isolation): interleave actions
       when controllers are overloaded, locality actions when the
       interconnect saturates, hottest pages first, capped by the
-      budget.  [node_of] gives a page's current node, [-1] when it is
+      budget.  A readout of more than [max_hot_pages] rows contributes
+      only its [max_hot_pages] best-ranked rows (the rank order below):
+      the decision is that on the readout ranked and cut to the cap.
+      [node_of] gives a page's current node, [-1] when it is
       unmapped.  [node_ok] (default: accept all) filters candidate
       destinations — {!run_epoch} passes the topology's dynamic node
       mask so failing nodes are never picked.
@@ -218,9 +200,10 @@ module User_component : sig
       [rng] draw, emitted or not.  [workspace] only holds
       intermediate state; its contents never affect the result.
       Neither does the readout's [scale] (the result is that of the
-      unscaled readout) nor, when its pfns are distinct and it fits in
-      [max_hot_pages], the order of its rows.  Profiled as
-      [carrefour.decide] when {!run_epoch} calls it. *)
+      unscaled readout) nor, when its pfns are distinct, the order of
+      its rows.  Candidates rank by (key descending, pfn ascending, row
+      ascending).  Profiled as [carrefour.decide] when {!run_epoch}
+      calls it. *)
 end
 
 type report = {
@@ -231,19 +214,18 @@ type report = {
 }
 
 val run_epoch :
-  ?interleave_only:bool ->
-  ?migrate:(pfn:Memory.Page.pfn -> node:Numa.Topology.node -> bool) ->
+  interleave_only:bool ->
+  migrate:(pfn:Memory.Page.pfn -> node:Numa.Topology.node -> bool) ->
   System_component.t ->
   config:User_component.config ->
   rng:Sim.Rng.t ->
   counters:Numa.Counters.t ->
   report
-(** One user-component period: read metrics, decide, apply.  Migration
-    costs are charged to the domain account by the internal
-    interface.
+(** One user-component period: read metrics, decide, apply.
 
-    [interleave_only] (default false) sheds the locality and
-    replication actions — the circuit breaker's first degradation
-    level.  [migrate] substitutes the raw internal-interface migration
-    with a resilient wrapper (retry/defer); replica collapse still
-    happens first. *)
+    [interleave_only] sheds the locality and replication actions — the
+    circuit breaker's first degradation level.  [migrate] moves one
+    page (the Manager's resilient path: retry/defer through the
+    internal interface, which charges the cost to the domain account)
+    and says whether it moved; a replicated page's replicas are
+    collapsed first. *)

@@ -18,10 +18,6 @@ val fmt_ratio : float -> string
 
 val fmt_secs : float -> string
 
-val fmt_cycles : float -> string
-(** Format a latency in cycles ("312"); ["-"] for a non-positive value
-    (no samples recorded). *)
-
 val degradation_header : first:string -> string list
 (** Header of the chaos-run summary table; [first] labels the leading
     column (the fault-plan name). *)

@@ -305,6 +305,51 @@ let carrefour_epoch m ~counters ~samples =
             ~read_fraction:s.Policies.Carrefour.read_fraction)
         samples)
 
+(* One heat-table period over a sample list: decay, then the samples. *)
+let feed_epoch sys samples =
+  Policies.Carrefour.System_component.begin_epoch sys;
+  List.iter
+    (fun (s : Policies.Carrefour.sample) ->
+      Policies.Carrefour.System_component.record_sample sys ~pfn:s.Policies.Carrefour.pfn
+        ~node_accesses:s.Policies.Carrefour.node_accesses
+        ~read_fraction:s.Policies.Carrefour.read_fraction)
+    samples
+
+(* A readout's rows ranked by (key descending, pfn ascending, row
+   ascending), unscaled and cut to the first [cut]: a copy of the heat
+   table's live view in the order and scale [decide] reasons in. *)
+let ranked_readout ?cut (hot : Policies.Carrefour.hot) =
+  let open Policies.Carrefour in
+  let rows = Array.init hot.count Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare hot.keys.(b) hot.keys.(a) in
+      if c <> 0 then c else Int.compare hot.pfns.(a) hot.pfns.(b))
+    rows;
+  let count = match cut with Some k -> min k hot.count | None -> hot.count in
+  let nodes = hot.nodes in
+  let unscale x = x /. hot.scale in
+  let per_row f = Array.init count (fun i -> f rows.(i)) in
+  {
+    nodes;
+    count;
+    pfns = per_row (fun r -> hot.pfns.(r));
+    counts =
+      Array.init (count * nodes) (fun c ->
+          unscale hot.counts.((rows.(c / nodes) * nodes) + (c mod nodes)));
+    sums = per_row (fun r -> unscale hot.sums.(r));
+    best = per_row (fun r -> hot.best.(r));
+    reads = per_row (fun r -> unscale hot.reads.(r));
+    keys = per_row (fun r -> unscale hot.keys.(r));
+    scale = 1.0;
+  }
+
+(* The heat table's live view, ranked and unscaled. *)
+let live_ranked ?cut sys ~counters =
+  ranked_readout ?cut
+    (Policies.Carrefour.System_component.read_metrics sys ~counters)
+      .Policies.Carrefour.System_component.hot_pages
+
 (* [User_component.decide] with a fresh workspace and, unless told
    otherwise, every page on node 0. *)
 let decide ?(node_of = fun _ -> 0) cfg ~rng ~metrics =
@@ -367,58 +412,64 @@ let test_carrefour_system_decay () =
   let s = small_system () in
   let d, _m = attach s in
   let sys = Policies.Carrefour.System_component.create s d in
-  Policies.Carrefour.System_component.record_samples sys [ hot_page 0 ~node:1 ~count:4.0 ];
+  feed_epoch sys [ hot_page 0 ~node:1 ~count:4.0 ];
   Alcotest.(check int) "tracked" 1 (Policies.Carrefour.System_component.tracked_pages sys);
   (* Heat halves every epoch: after a few silent epochs the page drops
      below 1 and is forgotten. *)
   for _ = 1 to 4 do
-    Policies.Carrefour.System_component.record_samples sys []
+    feed_epoch sys []
   done;
   Alcotest.(check int) "forgotten" 0 (Policies.Carrefour.System_component.tracked_pages sys)
 
-(* Satellite differential: the bounded top-k readout is exactly the
-   prefix of the full-sort readout — ties included — so switching the
-   hot-page selection to the heap changes no migration decision. *)
+(* The hot-page cap keeps the top of the full sort, ties included:
+   [decide] capped at [k] on the live table view decides as it does on
+   the view sorted (pfn-ascending ties) and cut to its first [k] rows.
+   The table holds the pages in feed order, so a cap that kept the
+   first [k] rows would keep pfns 0-11 instead. *)
 let test_carrefour_topk_matches_sort () =
   let s = small_system () in
   let d, _m = attach s in
-  let sys_a = Policies.Carrefour.System_component.create s d in
-  let sys_b = Policies.Carrefour.System_component.create s d in
+  let sys = Policies.Carrefour.System_component.create s d in
   (* 40 pages over 5 distinct heat levels: plenty of ties for the
      pfn-ascending tie-break to matter. *)
   let samples =
     List.init 40 (fun i -> hot_page i ~node:(i mod 8) ~count:(float_of_int (30 + (10 * (i mod 5)))))
   in
-  Policies.Carrefour.System_component.record_samples sys_a samples;
-  Policies.Carrefour.System_component.record_samples sys_b samples;
+  feed_epoch sys samples;
   let counters = Numa.Counters.create s.Xen.System.topo in
   Numa.Counters.end_epoch counters ~duration:1.0;
-  let full = Policies.Carrefour.System_component.read_metrics sys_a ~counters in
   let k = 12 in
-  let top = Policies.Carrefour.System_component.read_metrics ~top:k sys_b ~counters in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  let pfns l = List.map (fun (x : Policies.Carrefour.sample) -> x.Policies.Carrefour.pfn) l in
-  let full_hot =
-    Policies.Carrefour.samples_of_hot full.Policies.Carrefour.System_component.hot_pages
-  in
-  let top_hot =
-    Policies.Carrefour.samples_of_hot top.Policies.Carrefour.System_component.hot_pages
-  in
+  let top = live_ranked ~cut:k sys ~counters in
   Alcotest.(check (list int)) "top-k = prefix of the full sort"
-    (pfns (take k full_hot)) (pfns top_hot);
-  (* And the user component decides identically on both readouts. *)
+    [ 4; 9; 14; 19; 24; 29; 34; 39; 3; 8; 13; 18 ]
+    (Array.to_list top.Policies.Carrefour.pfns);
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
-  let m_full = metrics ~controller_util ~max_link_util:0.9 ~hot:full_hot in
-  let m_top = metrics ~controller_util ~max_link_util:0.9 ~hot:top_hot in
+  let decide_on cfg hot =
+    decide cfg ~rng:(Sim.Rng.create ~seed:42)
+      ~metrics:
+        {
+          Policies.Carrefour.System_component.controller_util;
+          max_link_util = 0.9;
+          imbalance = 0.0;
+          hot_pages = hot;
+        }
+  in
   let tight = { config with Policies.Carrefour.User_component.max_hot_pages = k } in
-  let a_full = decide tight ~rng:(Sim.Rng.create ~seed:42) ~metrics:m_full in
-  let a_top = decide tight ~rng:(Sim.Rng.create ~seed:42) ~metrics:m_top in
-  Alcotest.(check bool) "same migration set" true (a_full = a_top);
-  Alcotest.(check bool) "decisions non-trivial" true (a_full <> [])
+  let live =
+    (Policies.Carrefour.System_component.read_metrics sys ~counters)
+      .Policies.Carrefour.System_component.hot_pages
+  in
+  let a_live = decide_on tight live in
+  Alcotest.(check bool) "same migration set" true (a_live = decide_on config top);
+  Alcotest.(check bool) "= the capped full sort" true
+    (a_live = decide_on tight (live_ranked sys ~counters));
+  Alcotest.(check (list int)) "the top k pages move"
+    (List.sort compare (Array.to_list top.Policies.Carrefour.pfns))
+    (List.sort compare
+       (List.map
+          (fun (a : Policies.Carrefour.User_component.action) ->
+            a.Policies.Carrefour.User_component.pfn)
+          a_live))
 
 let test_carrefour_end_to_end_migration () =
   let s = small_system () in
@@ -471,24 +522,44 @@ let test_carrefour_write_collapses_replica () =
   let sys = Policies.Carrefour.System_component.create s d in
   ignore (Policies.Carrefour.System_component.replicate sys ~pfn:1);
   (* A read-only sample keeps the replicas... *)
-  Policies.Carrefour.System_component.record_samples sys
-    [ hot_page ~read_fraction:1.0 1 ~node:2 ~count:10.0 ];
+  feed_epoch sys [ hot_page ~read_fraction:1.0 1 ~node:2 ~count:10.0 ];
   Alcotest.(check bool) "reads keep replicas" true
     (Policies.Carrefour.System_component.is_replicated sys 1);
   (* ...but a write invalidates them. *)
-  Policies.Carrefour.System_component.record_samples sys
-    [ hot_page ~read_fraction:0.9 1 ~node:2 ~count:10.0 ];
+  feed_epoch sys [ hot_page ~read_fraction:0.9 1 ~node:2 ~count:10.0 ];
   Alcotest.(check bool) "write collapses" false
     (Policies.Carrefour.System_component.is_replicated sys 1)
 
+(* A page [run_epoch] migrates loses its replicas before the migrator
+   sees it.  The sample is read-only, so only the migration can
+   collapse them. *)
 let test_carrefour_migrate_collapses_replica () =
   let s = small_system () in
   let d, _m = attach s in
   let sys = Policies.Carrefour.System_component.create s d in
-  ignore (Policies.Carrefour.System_component.replicate sys ~pfn:2);
-  ignore (Policies.Carrefour.System_component.migrate sys ~pfn:2 ~node:5);
+  let pfn = 2 in
+  ignore (Policies.Carrefour.System_component.replicate sys ~pfn);
+  let reader = (Policies.Carrefour.System_component.node_of sys pfn + 1) mod 8 in
+  feed_epoch sys [ hot_page ~read_fraction:1.0 pfn ~node:reader ~count:1000.0 ];
+  Alcotest.(check bool) "reads keep replicas" true
+    (Policies.Carrefour.System_component.is_replicated sys pfn);
+  let counters = Numa.Counters.create s.Xen.System.topo in
+  Numa.Counters.record_accesses counters ~src:1 ~dst:0 ~count:1e6 ~bytes_per_access:64.0;
+  Numa.Counters.end_epoch counters ~duration:1.0;
+  let cfg = { config with Policies.Carrefour.User_component.ic_threshold = 0.0 } in
+  let moves = ref [] in
+  let report =
+    Policies.Carrefour.run_epoch ~interleave_only:false
+      ~migrate:(fun ~pfn ~node ->
+        moves := (pfn, node, Policies.Carrefour.System_component.is_replicated sys pfn) :: !moves;
+        true)
+      sys ~config:cfg ~rng:(Sim.Rng.create ~seed:1) ~counters
+  in
+  Alcotest.(check int) "one locality migration" 1 report.Policies.Carrefour.locality_migrations;
+  Alcotest.(check (list (triple int int bool))) "collapsed before the move"
+    [ (pfn, reader, false) ] !moves;
   Alcotest.(check bool) "migration collapses replicas" false
-    (Policies.Carrefour.System_component.is_replicated sys 2)
+    (Policies.Carrefour.System_component.is_replicated sys pfn)
 
 let replication_config =
   {
@@ -560,10 +631,7 @@ let test_carrefour_wide_sample () =
   Policies.Carrefour.System_component.record_sample sys ~pfn:3 ~node_accesses ~read_fraction:0.5;
   let counters = Numa.Counters.create s.Xen.System.topo in
   Numa.Counters.end_epoch counters ~duration:1.0;
-  let hot =
-    (Policies.Carrefour.System_component.read_metrics sys ~counters)
-      .Policies.Carrefour.System_component.hot_pages
-  in
+  let hot = live_ranked sys ~counters in
   Alcotest.(check int) "one row" 1 hot.Policies.Carrefour.count;
   Alcotest.(check (float 0.0)) "key" 16.0 hot.Policies.Carrefour.keys.(0);
   Alcotest.(check (float 0.0)) "sum" 16.0 hot.Policies.Carrefour.sums.(0);
@@ -593,7 +661,8 @@ let test_carrefour_node_of () =
    in table order on (key descending, pfn ascending), i.e. (key, pfn,
    row): the historical quicksort's order whenever pfns are distinct,
    as in every heat-table readout, and the documented tie order for a
-   readout that repeats a pfn. *)
+   readout that repeats a pfn.  Above the hot-page cap it keeps the
+   cap's worth of best-ranked rows of that order. *)
 let oracle_decide ?(node_ok = fun (_ : int) -> true)
     (config : Policies.Carrefour.User_component.config) ~rng ~metrics ~node_of =
   let open Policies.Carrefour in
@@ -602,7 +671,6 @@ let oracle_decide ?(node_ok = fun (_ : int) -> true)
     if n < 0 then None else Some n
   in
   let hot = metrics.System_component.hot_pages in
-  let n = min config.User_component.max_hot_pages hot.count in
   let nodes = hot.nodes in
   let utils = metrics.System_component.controller_util in
   let mean_util = Sim.Stats.mean utils in
@@ -642,15 +710,19 @@ let oracle_decide ?(node_ok = fun (_ : int) -> true)
       a;
     a
   in
+  let kept = Array.make hot.count false in
+  Array.iteri
+    (fun r i -> if r < config.User_component.max_hot_pages then kept.(i) <- true)
+    (rank (List.init hot.count Fun.id));
   if controllers_overloaded || interconnect_saturated then begin
-    let tot = Array.make (max 1 n) 0.0 in
+    let tot = Array.make (max 1 hot.count) 0.0 in
     let order = ref [] in
-    for i = n - 1 downto 0 do
+    for i = hot.count - 1 downto 0 do
       let t = ref 0.0 in
       for j = 0 to nodes - 1 do
         t := !t +. hot.counts.((i * nodes) + j)
       done;
-      if !t >= config.User_component.min_accesses then begin
+      if kept.(i) && !t >= config.User_component.min_accesses then begin
         order := i :: !order;
         tot.(i) <- !t
       end
@@ -752,6 +824,7 @@ let prop_carrefour_decide_matches_oracle =
             1 + Random.State.int st (max 1 (2 * rows));
           enable_replication = Random.State.bool st;
           min_reader_nodes = 2;
+          max_hot_pages = (if Random.State.bool st then rows else Random.State.int st (rows + 1));
         }
       in
       let m = metrics ~controller_util ~max_link_util ~hot in
@@ -825,10 +898,7 @@ let prop_carrefour_heat_table_cache =
             row.(j) <- row.(j) +. node_accesses.(j)
           done
         done;
-        let hot =
-          (Policies.Carrefour.System_component.read_metrics sys ~counters)
-            .Policies.Carrefour.System_component.hot_pages
-        in
+        let hot = live_ranked sys ~counters in
         ok := !ok && hot.Policies.Carrefour.count = Hashtbl.length model;
         for i = 0 to hot.Policies.Carrefour.count - 1 do
           let row = Array.sub hot.Policies.Carrefour.counts (i * 8) 8 in
@@ -946,9 +1016,10 @@ let is_subnormal x = x <> 0.0 && Float.abs x < Float.min_float
 (* The heat table against the eager model over more epochs than the
    table's renormalisation period, with a page that stays hot while
    its tiny counts and read heat decay through the subnormal range:
-   every readout row — counts, sum, argmax, read heat and key — and
-   every [~top] prefix match the model bit for bit.  A case passes
-   only if the model held a subnormal value in a live row. *)
+   the live view, ranked and unscaled, matches the model's ranking row
+   for row — pfn, counts, sum, argmax, read heat and key — bit for
+   bit.  A case passes only if the model held a subnormal value in a
+   live row. *)
 let prop_carrefour_heat_table_eager =
   QCheck.Test.make ~name:"carrefour heat table = eager halving (renormalised, subnormal)"
     ~count:60 QCheck.(int_bound 1_000_000_000)
@@ -985,27 +1056,15 @@ let prop_carrefour_heat_table_eager =
             ~node_accesses:(random_accesses st)
             ~read_fraction:(List.nth [ 0.5; 1.0; 1e-300 ] (Random.State.int st 3))
         done;
-        let full =
-          (Policies.Carrefour.System_component.read_metrics sys ~counters)
-            .Policies.Carrefour.System_component.hot_pages
-        in
-        let k = 1 + Random.State.int st 8 in
-        let top =
-          (Policies.Carrefour.System_component.read_metrics ~top:k sys ~counters)
-            .Policies.Carrefour.System_component.hot_pages
-        in
+        let full = live_ranked sys ~counters in
         let want = Eager_heat.ranked model in
         ok :=
           !ok
           && full.Policies.Carrefour.count = List.length want
-          && top.Policies.Carrefour.count = min k (List.length want)
           && List.for_all Fun.id
                (List.mapi
                   (fun i (pfn, row) ->
-                    full.Policies.Carrefour.pfns.(i) = pfn
-                    && readout_row_matches full i row
-                    && (i >= k
-                       || (top.Policies.Carrefour.pfns.(i) = pfn && readout_row_matches top i row)))
+                    full.Policies.Carrefour.pfns.(i) = pfn && readout_row_matches full i row)
                   want);
         List.iter
           (fun (_, (row : Eager_heat.row)) ->
@@ -1068,11 +1127,10 @@ let prop_carrefour_unranked_readout_unscaled =
           Eager_heat.record model ~pfn ~node_accesses ~read_fraction
         done;
         let rng_seed = Random.State.bits st in
-        (* The table's utilisations with the model's readout; [~top:1]
-           only keeps the discarded copy small. *)
+        (* The table's utilisations with the model's readout. *)
         let metrics =
           {
-            (Policies.Carrefour.System_component.read_metrics ~top:1 sys ~counters) with
+            (Policies.Carrefour.System_component.read_metrics sys ~counters) with
             Policies.Carrefour.System_component.hot_pages = Eager_heat.hot model;
           }
         in
@@ -1085,7 +1143,7 @@ let prop_carrefour_unranked_readout_unscaled =
         let moves = ref [] in
         let rng_got = Sim.Rng.create ~seed:rng_seed in
         let report =
-          Policies.Carrefour.run_epoch
+          Policies.Carrefour.run_epoch ~interleave_only:false
             ~migrate:(fun ~pfn ~node ->
               moves := (pfn, node) :: !moves;
               false)
@@ -1145,7 +1203,7 @@ let test_carrefour_reader_share_subnormal () =
   in
   let moves = ref [] in
   let report =
-    Policies.Carrefour.run_epoch
+    Policies.Carrefour.run_epoch ~interleave_only:false
       ~migrate:(fun ~pfn ~node ->
         moves := (pfn, node) :: !moves;
         true)
@@ -1157,7 +1215,8 @@ let test_carrefour_reader_share_subnormal () =
 (* [decide] over a readout with distinct pfns gives the same actions
    and leaves the RNG in the same state whatever the row order — the
    heat table swap-removes dropped rows and relies on it — and
-   whatever power of two the readout carries. *)
+   whatever power of two the readout carries, with a hot-page cap above
+   or below the row count. *)
 let prop_carrefour_decide_permutation =
   QCheck.Test.make ~name:"carrefour decide ignores row order and readout scale" ~count:300
     QCheck.(int_bound 1_000_000_000)
@@ -1207,6 +1266,9 @@ let prop_carrefour_decide_permutation =
             1 + Random.State.int st (max 1 (2 * rows));
           enable_replication = Random.State.bool st;
           min_reader_nodes = 2;
+          max_hot_pages =
+            (if Random.State.bool st then rows + Random.State.int st 3
+             else Random.State.int st (max 1 rows));
         }
       in
       let run hot =
@@ -1242,6 +1304,83 @@ let prop_carrefour_decide_permutation =
       in
       let want = run base in
       run permuted = want && run scaled = want)
+
+(* The hot-page cap on the live table: [decide] capped below the row
+   count, on the heat table's own view — scaled, rows in swap-removal
+   order — gives the actions and leaves the RNG as [decide] on that
+   view ranked, unscaled and cut to the cap, at every period. *)
+let prop_carrefour_capped_decide =
+  QCheck.Test.make ~name:"carrefour capped decide = decide on the ranked cut" ~count:40
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int st (List.length l)) in
+      let s = small_system () in
+      let d, _m = attach s in
+      let sys = Policies.Carrefour.System_component.create s d in
+      let counters = Numa.Counters.create s.Xen.System.topo in
+      Numa.Counters.end_epoch counters ~duration:1.0;
+      let home = Array.init 256 (fun _ -> Random.State.int st 9 - 1) in
+      let node_of pfn = home.(pfn) in
+      let ok = ref true and capped = ref 0 in
+      for _ = 1 to 20 + Random.State.int st 60 do
+        Policies.Carrefour.System_component.begin_epoch sys;
+        for _ = 1 to Random.State.int st 24 do
+          Policies.Carrefour.System_component.record_sample sys ~pfn:(Random.State.int st 256)
+            ~node_accesses:(random_accesses st)
+            ~read_fraction:(pick [ 0.5; 1.0; 0.97 ])
+        done;
+        let live =
+          (Policies.Carrefour.System_component.read_metrics sys ~counters)
+            .Policies.Carrefour.System_component.hot_pages
+        in
+        if live.Policies.Carrefour.count > 0 then begin
+          let cap = Random.State.int st live.Policies.Carrefour.count in
+          let controller_util, max_link_util =
+            pick
+              [
+                ([| 0.9; 0.05; 0.8; 0.05; 0.05; 0.05; 0.05; 0.05 |], 0.0);
+                (Array.make 8 0.2, 0.9);
+                ([| 0.9; 0.1; 0.1; 0.1; 0.7; 0.1; 0.1; 0.1 |], 0.9);
+              ]
+          in
+          let offline = Random.State.int st 9 in
+          let node_ok n = n <> offline in
+          let cfg =
+            {
+              config with
+              Policies.Carrefour.User_component.migration_budget = 1 + Random.State.int st 40;
+              enable_replication = Random.State.bool st;
+              min_reader_nodes = 2;
+              min_accesses = pick [ 0.0; 2.0; 8.0 ];
+              max_hot_pages = cap;
+            }
+          in
+          let rng_seed = Random.State.bits st in
+          let run cfg hot =
+            let rng = Sim.Rng.create ~seed:rng_seed in
+            let actions =
+              Policies.Carrefour.User_component.decide ~node_ok cfg ~workspace:shared_workspace
+                ~rng
+                ~metrics:
+                  {
+                    Policies.Carrefour.System_component.controller_util;
+                    max_link_util;
+                    imbalance = 0.0;
+                    hot_pages = hot;
+                  }
+                ~node_of
+            in
+            (actions, Sim.Rng.bits64 rng)
+          in
+          let want =
+            run { cfg with max_hot_pages = config.max_hot_pages } (ranked_readout ~cut:cap live)
+          in
+          ok := !ok && run cfg live = want;
+          incr capped
+        end
+      done;
+      !ok && !capped > 0)
 
 (* ------------------------- promotion scan -------------------------- *)
 
@@ -1777,6 +1916,7 @@ let suite =
         Alcotest.test_case "reader share on subnormal counts" `Quick
           test_carrefour_reader_share_subnormal;
         QCheck_alcotest.to_alcotest prop_carrefour_decide_permutation;
+        QCheck_alcotest.to_alcotest prop_carrefour_capped_decide;
       ] );
     ("policies.promote", [ QCheck_alcotest.to_alcotest prop_promote_scan_matches_oracle ]);
   ]

@@ -51,6 +51,11 @@ echo "tier1: chaos+ras combined smoke OK"
 # pins it).
 dune exec bench/main.exe -- hugepage --jobs 2
 
+# Microbenchmarks, once: their rows build Carrefour readouts by hand
+# and call decide, decay, the replay guard and the delta replay, which
+# no other step runs.
+dune exec bench/main.exe -- micro
+
 # Mitosis grid: radix page-walk pricing and page-table replication
 # on/off (EXPERIMENTS.md documents the expected shape;
 # test/test_extensions.ml pins the differential core).
@@ -329,13 +334,16 @@ dune exec test/test_main.exe -- test faults
 # the Carrefour properties (the budget-bounded decide equals the
 # full-ranking oracle in actions and RNG state; the heat table's cached
 # row sums and argmax stay exact under decay and sampling; the
-# exponent-scaled heat table equals eager halving in counts, sums,
-# argmax, read heat, keys and top-k readouts across a renormalisation
-# and into subnormal counts; run_epoch on the scaled unranked readout
-# equals decide on the eager readout; decide ignores row order and
-# readout scale), and the promote-scan differential (the early-exit
-# scan equals the full-classification oracle in return value, cursor,
-# P2M, counters, charged time and trace events; policies.promote).
+# exponent-scaled heat table, sorted by the test, equals eager halving
+# in pfn order, counts, sums, argmax, read heat and keys across a
+# renormalisation and into subnormal counts; run_epoch on the scaled
+# live table equals decide on the eager readout; decide capped below
+# the row count on the live table equals decide on the ranked,
+# unscaled readout cut to the cap; decide ignores row order and
+# readout scale, under any cap), and the promote-scan differential
+# (the early-exit scan equals the full-classification oracle in return
+# value, cursor, P2M, counters, charged time and trace events;
+# policies.promote).
 echo "tier1: randomised property pass (QCHECK_SEED=$QCHECK_SEED)"
 dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
