@@ -1372,9 +1372,7 @@ let schedule_vcpus rs =
   List.iter
     (fun (m : Xen.Sched.migration) ->
       let st = st_of_domain m.Xen.Sched.domain_id in
-      st.thread_node.(m.Xen.Sched.vcpu) <- Numa.Topology.node_of_cpu rs.topo m.Xen.Sched.to_pcpu;
-      (* the migration itself costs an IPI + context switch *)
-      Xen.Ipi.send st.domain ~costs:rs.system.Xen.System.costs)
+      st.thread_node.(m.Xen.Sched.vcpu) <- Numa.Topology.node_of_cpu rs.topo m.Xen.Sched.to_pcpu)
     migrations;
   migrations <> []
 

@@ -9,11 +9,6 @@ let pp_error fmt = function
       Format.fprintf fmt "asynchronous IOMMU fault on pfn %d: guest already saw EIO" pfn
   | No_passthrough_bus -> Format.fprintf fmt "domain owns no passthrough bus for the device"
 
-let charge_io domain time =
-  let a = domain.Domain.account in
-  a.Domain.io_time <- a.Domain.io_time +. time;
-  a.Domain.io_requests <- a.Domain.io_requests + 1
-
 (* Resolve a buffer page for the pv path: an invalid entry faults
    synchronously into the hypervisor, which can map it in time. *)
 let pv_resolve system domain pfn =
@@ -30,15 +25,10 @@ let path_name = function Native -> "native" | Pv -> "pv" | Passthrough -> "passt
 let read_impl system domain ~pci ~path ~buffer ~bytes =
   let costs = system.System.costs in
   match path with
-  | Native ->
-      let time = Costs.disk_request costs ~path:`Native ~bytes in
-      charge_io domain time;
-      Ok time
+  | Native -> Ok (Costs.disk_request costs ~path:`Native ~bytes)
   | Pv ->
       let fault_time = List.fold_left (fun acc pfn -> acc +. pv_resolve system domain pfn) 0.0 buffer in
-      let time = Costs.disk_request costs ~path:`Pv ~bytes +. fault_time in
-      charge_io domain time;
-      Ok time
+      Ok (Costs.disk_request costs ~path:`Pv ~bytes +. fault_time)
   | Passthrough ->
       if not (Pci.domain_has_passthrough pci domain Pci.Disk) then Error No_passthrough_bus
       else begin
@@ -54,11 +44,7 @@ let read_impl system domain ~pci ~path ~buffer ~bytes =
             let storm_pfn = match buffer with pfn :: _ -> pfn | [] -> 0 in
             if system.System.faults.System.iommu_fault storm_pfn then
               Error (Iommu_fault { pfn = storm_pfn })
-            else begin
-              let time = Costs.disk_request costs ~path:`Passthrough ~bytes in
-              charge_io domain time;
-              Ok time
-            end
+            else Ok (Costs.disk_request costs ~path:`Passthrough ~bytes)
       end
 
 let read system domain ~pci ~path ~buffer ~bytes =

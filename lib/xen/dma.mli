@@ -35,6 +35,5 @@ val read :
   bytes:int ->
   (float, error) result
 (** Perform one DMA read of [bytes] into the guest-physical pages
-    [buffer].  On success returns the elapsed time and charges it to
-    the domain's I/O account; invalid P2M entries are handled per the
-    path semantics above.  [buffer] may be empty for [Native]. *)
+    [buffer].  On success returns the elapsed time; invalid P2M
+    entries are handled per the path semantics above.  [buffer] may be empty for [Native]. *)

@@ -7,10 +7,6 @@ type account = {
   mutable fault_count : int;
   mutable migrate_time : float;
   mutable migrated_pages : int;
-  mutable io_time : float;
-  mutable io_requests : int;
-  mutable ipi_time : float;
-  mutable ipi_count : int;
   mutable pt_replica_time : float;
   mutable pt_replica_ops : int;
 }
@@ -38,10 +34,6 @@ let fresh_account () =
     fault_count = 0;
     migrate_time = 0.0;
     migrated_pages = 0;
-    io_time = 0.0;
-    io_requests = 0;
-    ipi_time = 0.0;
-    ipi_count = 0;
     pt_replica_time = 0.0;
     pt_replica_ops = 0;
   }
@@ -67,9 +59,5 @@ let reset_account t =
   a.fault_count <- 0;
   a.migrate_time <- 0.0;
   a.migrated_pages <- 0;
-  a.io_time <- 0.0;
-  a.io_requests <- 0;
-  a.ipi_time <- 0.0;
-  a.ipi_count <- 0;
   a.pt_replica_time <- 0.0;
   a.pt_replica_ops <- 0

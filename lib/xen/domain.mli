@@ -18,10 +18,6 @@ type account = {
   mutable fault_count : int;
   mutable migrate_time : float;
   mutable migrated_pages : int;
-  mutable io_time : float;
-  mutable io_requests : int;
-  mutable ipi_time : float;
-  mutable ipi_count : int;
   mutable pt_replica_time : float;
       (** Write-propagation time into replicated page tables. *)
   mutable pt_replica_ops : int;

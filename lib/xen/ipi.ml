@@ -21,8 +21,3 @@ let total mode =
   List.fold_left
     (fun acc s -> acc +. (match mode with Native -> s.native | Guest -> s.guest))
     0.0 stages
-
-let send domain ~costs =
-  let a = domain.Domain.account in
-  a.Domain.ipi_count <- a.Domain.ipi_count + 1;
-  a.Domain.ipi_time <- a.Domain.ipi_time +. costs.Costs.ipi_guest

@@ -21,6 +21,3 @@ val stages : stage list
     {!total}[ Guest]. *)
 
 val total : mode -> float
-
-val send : Domain.t -> costs:Costs.t -> unit
-(** Charge one guest-mode IPI to the domain's account. *)

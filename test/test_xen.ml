@@ -552,13 +552,6 @@ let test_ipi_stage_sums () =
   check_us "stages sum native" (Xen.Ipi.total Xen.Ipi.Native) native;
   check_us "stages sum guest" (Xen.Ipi.total Xen.Ipi.Guest) guest
 
-let test_ipi_account () =
-  let s = make_system () in
-  let d = Xen.System.create_domain s ~name:"i" ~kind:Xen.Domain.DomU ~vcpus:1 ~mem_bytes:(1 lsl 30) () in
-  Xen.Ipi.send d ~costs:s.Xen.System.costs;
-  Alcotest.(check int) "count" 1 d.Xen.Domain.account.Xen.Domain.ipi_count;
-  check_us "time" 10.9e-6 d.Xen.Domain.account.Xen.Domain.ipi_time
-
 (* --------------------------------- pci ----------------------------- *)
 
 let test_pci_bus_granularity () =
@@ -664,8 +657,7 @@ let test_dma_paths () =
   | Error _ -> Alcotest.fail "pv failed");
   (match Xen.Dma.read s d ~pci ~path:Xen.Dma.Passthrough ~buffer:[ 0 ] ~bytes:4096 with
   | Ok t -> check_us "passthrough" 186e-6 t
-  | Error _ -> Alcotest.fail "passthrough failed");
-  Alcotest.(check int) "3 requests accounted" 3 d.Xen.Domain.account.Xen.Domain.io_requests
+  | Error _ -> Alcotest.fail "passthrough failed")
 
 let test_dma_iommu_fault_on_invalid_entry () =
   let s, d, manager, pci = io_setup () in
@@ -862,7 +854,6 @@ let suite =
       [
         Alcotest.test_case "totals" `Quick test_ipi_totals;
         Alcotest.test_case "stage sums" `Quick test_ipi_stage_sums;
-        Alcotest.test_case "account" `Quick test_ipi_account;
       ] );
     ( "xen.pci",
       [
