@@ -2,8 +2,7 @@
    worker claims the next index with [Atomic.fetch_and_add] until the
    cursor passes the end.  Compared to the earlier mutex/condvar deque
    this allocates nothing per task and costs one uncontended RMW per
-   claim, which keeps the pool viable for sub-millisecond tasks (see
-   the [pool dispatch] micro benchmark). *)
+   claim, which keeps the pool viable for sub-millisecond tasks. *)
 
 (* ------------------------------------------------------------------ *)
 (* Worker count resolution                                             *)

@@ -46,8 +46,8 @@ val replay_guard :
     [Float.min remaining cap] stays bitwise equal to [cap]) and
     [remaining.(t) -. final.(t) > 0.0] (so no thread would have
     finished).  Finished threads ([finish.(t) >= 0]) and idle ones
-    ([doit.(t) = 0]) are ignored.  Pure; exposed for the unit tests and
-    the micro benchmark. *)
+    ([doit.(t) = 0]) are ignored.  Pure; exposed for the unit tests
+    ([engine.ff] "replay guard cuts"). *)
 
 val replay_stage : Config.t -> unit -> unit
 (** [replay_stage cfg] boots [cfg], steps it until every running VM
@@ -55,5 +55,5 @@ val replay_stage : Config.t -> unit -> unit
     stage over that state: each call replays one epoch from the
     capture (work retirement, disk DMA, counter commit, latency
     reduction, manager tick) without advancing the clock.  Exposed for
-    the micro benchmark.  Raises [Invalid_argument] if the run ends
-    before it arms. *)
+    the [engine.ff] tests, which pin its minor words per call.  Raises
+    [Invalid_argument] if the run ends before it arms. *)

@@ -69,12 +69,6 @@ let gauge name value = if enabled () then gauge_in default name value
 let observe name sample = if enabled () then observe_in default name sample
 let merge_histogram name src = if enabled () then merge_histogram_in default name src
 
-let histogram_copy ?(registry = default) name =
-  Mutex.protect registry.mutex (fun () ->
-      match Hashtbl.find_opt registry.table name with
-      | Some (Histogram h) -> Some (Sim.Stats.Histogram.copy h)
-      | Some _ | None -> None)
-
 type histogram_summary = {
   count : int;
   mean : float;
@@ -141,16 +135,3 @@ let pp fmt () =
   Format.fprintf fmt "@]"
 
 let render () = Format.asprintf "%a" pp ()
-
-let to_json_entries () =
-  List.map
-    (fun (name, entry) ->
-      match entry with
-      | Counter_value n -> Printf.sprintf "{\"name\": \"%s\", \"count\": %d}" (Json.escape name) n
-      | Gauge_value v -> Printf.sprintf "{\"name\": \"%s\", \"value\": %.6f}" (Json.escape name) v
-      | Histogram_value h ->
-          Printf.sprintf
-            "{\"name\": \"%s\", \"count\": %d, \"mean\": %.6g, \"p50\": %.6g, \"p95\": %.6g, \
-             \"p99\": %.6g, \"p999\": %.6g, \"max\": %.6g}"
-            (Json.escape name) h.count h.mean h.p50 h.p95 h.p99 h.p999 h.max)
-    (snapshot ())

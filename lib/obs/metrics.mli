@@ -28,11 +28,6 @@ val merge_histogram : string -> Sim.Stats.Histogram.t -> unit
 (** Fold a whole histogram into a registry histogram in one locked
     step (no-op when disabled).  The source is not consumed. *)
 
-val histogram_copy : ?registry:t -> string -> Sim.Stats.Histogram.t option
-(** Snapshot of a registry histogram; [None] if absent or another
-    kind.  Window a section with [Sim.Stats.Histogram.diff] between two
-    copies. *)
-
 (** Unguarded variants against an explicit registry (used by tests). *)
 
 val incr_in : t -> ?by:int -> string -> unit
@@ -66,7 +61,3 @@ val reset : unit -> unit
 
 val pp : Format.formatter -> unit -> unit
 val render : unit -> string
-
-val to_json_entries : unit -> string list
-(** One JSON object per registry entry, sorted by name — the bench
-    JSON [metrics] section. *)

@@ -115,8 +115,8 @@ let totals () =
     phases
 
 (* Mirror the accumulators into the metrics registry (no-op while
-   metrics are disabled), so `bench --json` ships them alongside the
-   counter section. *)
+   metrics are disabled), so `xen_numa_sim --metrics` renders them
+   alongside the counters. *)
 let commit_metrics () =
   List.iter
     (fun (name, c, t) ->

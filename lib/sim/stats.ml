@@ -162,57 +162,6 @@ module Histogram = struct
   let zeros t = t.zeros
   let bucket_counts t = sorted_buckets t
 
-  let copy t =
-    let buckets = Hashtbl.create (Hashtbl.length t.buckets) in
-    Hashtbl.iter (fun idx r -> Hashtbl.replace buckets idx (ref !r)) t.buckets;
-    {
-      base = t.base;
-      log_base = t.log_base;
-      buckets;
-      zeros = t.zeros;
-      count = t.count;
-      sum = t.sum;
-      min = t.min;
-      max = t.max;
-    }
-
-  (* Window between two snapshots of the SAME growing histogram:
-     [diff t older] is everything added to [t] since [older] was
-     copied.  Min/max are only known to bucket resolution inside the
-     window, so they are rebuilt from the surviving bucket centres. *)
-  let diff t older =
-    if Float.abs (t.base -. older.base) > 1e-12 then
-      invalid_arg "Histogram.diff: mismatched bucket bases";
-    if t.count < older.count || t.zeros < older.zeros then
-      invalid_arg "Histogram.diff: older snapshot is not a subset";
-    let d = create ~base:t.base () in
-    Hashtbl.iter
-      (fun idx r ->
-        let prev =
-          match Hashtbl.find_opt older.buckets idx with Some p -> !p | None -> 0
-        in
-        let n = !r - prev in
-        if n < 0 then invalid_arg "Histogram.diff: older snapshot is not a subset";
-        if n > 0 then Hashtbl.replace d.buckets idx (ref n))
-      t.buckets;
-    d.zeros <- t.zeros - older.zeros;
-    d.count <- t.count - older.count;
-    d.sum <- t.sum -. older.sum;
-    let lo = ref Float.infinity and hi = ref Float.neg_infinity in
-    if d.zeros > 0 then begin
-      lo := 0.0;
-      hi := 0.0
-    end;
-    Hashtbl.iter
-      (fun idx _ ->
-        let v = value_of d idx in
-        if v < !lo then lo := v;
-        if v > !hi then hi := v)
-      d.buckets;
-    d.min <- !lo;
-    d.max <- !hi;
-    d
-
   let merge t other =
     if Float.abs (t.base -. other.base) > 1e-12 then
       invalid_arg "Histogram.merge: mismatched bucket bases";

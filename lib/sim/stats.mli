@@ -73,16 +73,6 @@ module Histogram : sig
       [bucket_counts], [zeros], [count], [min] and [max] report equal
       percentiles. *)
 
-  val copy : t -> t
-  (** Independent deep copy (snapshot). *)
-
-  val diff : t -> t -> t
-  (** [diff t older]: the window of samples added to [t] since [older]
-      was [copy]ed from it.  Min/max of the window are rebuilt to
-      bucket resolution.
-      @raise Invalid_argument when bases differ or [older] is not a
-      subset of [t]. *)
-
   val merge : t -> t -> unit
   (** Fold [other]'s samples into [t].
       @raise Invalid_argument when bases differ. *)

@@ -409,6 +409,58 @@ let test_replay_guard () =
   check "finished threads ignored" true (guard ~finish:[| 4.2 |] [| 15.0 |]);
   check "idle threads ignored" true (guard ~doit:[| 0.0 |] [| 15.0 |])
 
+(* A replayed epoch's allocation is a pure function of the config on
+   one domain, so it is pinned exactly rather than timed: after a
+   warm-up every call of the replay stage allocates the same number of
+   minor words, and no more than the ceiling.  The ceilings are today's
+   counts (OCaml 5.1, no flambda); lower them when the replay allocates
+   less, never raise them. *)
+let test_replay_stage_allocation () =
+  let check name ~mode ~threads ~policy ~ceiling =
+    let vm = Engine.Config.vm ~threads ~policy (app "swaptions") in
+    let replay = Engine.Runner.replay_stage (Engine.Config.make ~seed:1 ~mode [ vm ]) in
+    for _ = 1 to 10 do
+      replay ()
+    done;
+    let words = Array.make 20 0.0 in
+    for i = 0 to Array.length words - 1 do
+      let before = Gc.minor_words () in
+      replay ();
+      words.(i) <- Gc.minor_words () -. before
+    done;
+    let first = int_of_float words.(0) in
+    Array.iteri
+      (fun i w ->
+        Alcotest.(check int) (Printf.sprintf "%s: call %d allocates as call 0" name i) first
+          (int_of_float w))
+      words;
+    if first > ceiling then
+      Alcotest.failf "%s: %d minor words per replayed epoch, above the ceiling of %d" name first
+        ceiling
+  in
+  check "Xen+ round-4K, 48 vCPUs" ~mode:Engine.Config.Xen_plus ~threads:48
+    ~policy:Policies.Spec.round_4k ~ceiling:4774;
+  check "Xen+ first-touch, 48 vCPUs" ~mode:Engine.Config.Xen_plus ~threads:48
+    ~policy:Policies.Spec.first_touch ~ceiling:1358;
+  check "Linux round-4K, 8 vCPUs" ~mode:Engine.Config.Linux ~threads:8
+    ~policy:Policies.Spec.round_4k ~ceiling:412
+
+(* The replay stage needs an armed state: a run that ends first, at
+   its epoch cap or because the fast-forward is off, is a usage
+   error. *)
+let test_replay_stage_unarmed () =
+  let raises name ?fast_forward ~max_epochs () =
+    let vm = Engine.Config.vm ~threads:8 ~policy:Policies.Spec.round_4k (app "swaptions") in
+    let cfg =
+      Engine.Config.make ~seed:1 ~max_epochs ?fast_forward ~mode:Engine.Config.Xen_plus [ vm ]
+    in
+    Alcotest.check_raises name
+      (Invalid_argument "Runner.replay_stage: the run ended before the fast-forward armed")
+      (fun () -> ignore (Engine.Runner.replay_stage cfg : unit -> unit))
+  in
+  raises "cap before the first full epoch" ~max_epochs:1 ();
+  raises "fast-forward off" ~fast_forward:false ~max_epochs:60 ()
+
 let suite =
   [
     ( "engine.config",
@@ -466,5 +518,7 @@ let suite =
         Alcotest.test_case "p2m version monotone" `Quick test_p2m_version_monotone;
         Alcotest.test_case "next armed epoch edges" `Quick test_next_armed_epoch_edges;
         Alcotest.test_case "replay guard cuts" `Quick test_replay_guard;
+        Alcotest.test_case "replay stage allocation ratchet" `Quick test_replay_stage_allocation;
+        Alcotest.test_case "replay stage needs an armed run" `Quick test_replay_stage_unarmed;
       ] );
   ]

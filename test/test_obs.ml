@@ -483,29 +483,6 @@ let prop_hist_percentile_monotone =
       in
       ascending values)
 
-let test_hist_copy_diff () =
-  let h = Sim.Stats.Histogram.create () in
-  for i = 1 to 100 do
-    Sim.Stats.Histogram.add h (float_of_int i)
-  done;
-  let snap = Sim.Stats.Histogram.copy h in
-  (* The copy is independent: growing the original must not leak in. *)
-  Sim.Stats.Histogram.add h 0.0;
-  for i = 1 to 50 do
-    Sim.Stats.Histogram.add h (float_of_int (1000 + i))
-  done;
-  Alcotest.(check int) "snapshot unchanged" 100 (Sim.Stats.Histogram.count snap);
-  let d = Sim.Stats.Histogram.diff h snap in
-  Alcotest.(check int) "window count" 51 (Sim.Stats.Histogram.count d);
-  Alcotest.(check int) "window zeros" 1 (Sim.Stats.Histogram.zeros d);
-  let p50 = Sim.Stats.Histogram.percentile d 50.0 in
-  Alcotest.(check bool) "window p50 in the late range" true (p50 > 900.0 && p50 < 1100.0);
-  let empty = Sim.Stats.Histogram.diff h (Sim.Stats.Histogram.copy h) in
-  Alcotest.(check int) "self-diff is empty" 0 (Sim.Stats.Histogram.count empty);
-  Alcotest.check_raises "diff rejects a non-subset"
-    (Invalid_argument "Histogram.diff: older snapshot is not a subset") (fun () ->
-      ignore (Sim.Stats.Histogram.diff snap h))
-
 (* ------------------------------ query ------------------------------ *)
 
 let contains s sub =
@@ -897,7 +874,6 @@ let suite =
         qcheck prop_hist_merge_associative;
         qcheck prop_hist_sharded_equals_whole;
         qcheck prop_hist_percentile_monotone;
-        Alcotest.test_case "copy and diff" `Quick test_hist_copy_diff;
         Alcotest.test_case "latency reproducible" `Slow test_latency_reproducible;
         Alcotest.test_case "slo is observational" `Slow test_slo_observational_and_accounting;
         Alcotest.test_case "slo parser" `Quick test_slo_parser;

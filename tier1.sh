@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 verification in one command: full build, full test suite, and
-# a parallel-sweep smoke run of the bench driver.
+# Tier-1 verification in one command: full build, full test suite,
+# parallel-sweep smoke runs of the bench driver, determinism checks and
+# the perf gate over the repo benchmark.
 set -e
 cd "$(dirname "$0")"
 
@@ -51,39 +52,60 @@ echo "tier1: chaos+ras combined smoke OK"
 # pins it).
 dune exec bench/main.exe -- hugepage --jobs 2
 
-# Microbenchmarks, once: their rows build Carrefour readouts by hand
-# and call decide, decay, the replay guard and the delta replay, which
-# no other step runs.
-dune exec bench/main.exe -- micro
-
 # Mitosis grid: radix page-walk pricing and page-table replication
 # on/off (EXPERIMENTS.md documents the expected shape;
 # test/test_extensions.ml pins the differential core).
 dune exec bench/main.exe -- mitosis --jobs 2
 
-# Perf gate: re-run the tab1 grid and compare wall-clock against the
-# most recently committed BENCH_*.json (at its recorded --jobs
-# setting, so deltas measure the code and not domain-count overhead).
-# Any section more than 25% slower than the reference fails the build.
-PERF_REF=""
-PERF_REF_TIME=0
-for f in BENCH_*.json; do
-  [ -f "$f" ] || continue
-  t=$(git log -1 --format=%ct -- "$f" 2>/dev/null)
-  [ -n "$t" ] || continue
-  if [ "$t" -gt "$PERF_REF_TIME" ]; then
-    PERF_REF_TIME=$t
-    PERF_REF=$f
+TRACE_DIR="$(mktemp -d)"
+trap 'rm -rf "$TRACE_DIR"' EXIT
+
+# Perf gate: bench/record.sh runs one pass of each repo benchmark
+# workload (benchmark/run.sh, seed 42) and the result is compared with
+# the committed record named here.  Each workload must complete every
+# cell, reproduce the record's result_digest exactly, and keep pass_s
+# (reference time, which takes out the host's slowdowns) and
+# peak_rss_mb within their BENCHMARK.json end_to_end bounds of the
+# record; both are lower-is-better.  Re-baseline by committing a new
+# record and naming it on this line.
+PERF_REF=BENCH_REV.json
+sh bench/record.sh "$TRACE_DIR/perf_now.json"
+# The value on WORKLOAD's line of a record: perf_field FILE WORKLOAD REGEX,
+# where REGEX holds one \(...\) group.
+perf_field() { sed -n "s/^ *\"$2\": .*$3.*/\1/p" "$1"; }
+perf_bad=0
+for w in static carrefour faults consolidation; do
+  now_line=$(grep "^ *\"$w\": " "$TRACE_DIR/perf_now.json" || true)
+  case $now_line in
+    *'"correct": true, '*'"failed": 0, '*) ;;
+    *)
+      echo "tier1: FAIL - perf gate: $w has failed cells" >&2
+      perf_bad=1
+      ;;
+  esac
+  ref_digest=$(perf_field "$PERF_REF" "$w" '"result_digest": "\([0-9a-f]*\)"')
+  now_digest=$(perf_field "$TRACE_DIR/perf_now.json" "$w" '"result_digest": "\([0-9a-f]*\)"')
+  if [ -z "$ref_digest" ] || [ "$now_digest" != "$ref_digest" ]; then
+    echo "tier1: FAIL - perf gate: $w result_digest $now_digest, record $ref_digest" >&2
+    perf_bad=1
   fi
+  for m in pass_s peak_rss_mb; do
+    bound=$(sed -n "s/.*\"name\": \"$m\".*\"bound\": \([0-9.]*\).*/\1/p" BENCHMARK.json)
+    ref=$(perf_field "$PERF_REF" "$w" "\"$m\": {\"value\": \([0-9.e+-]*\)")
+    now=$(perf_field "$TRACE_DIR/perf_now.json" "$w" "\"$m\": {\"value\": \([0-9.e+-]*\)")
+    if ! awk -v w="$w" -v m="$m" -v now="$now" -v ref="$ref" -v bound="$bound" 'BEGIN {
+      if (now == "" || ref == "" || bound == "") exit 1
+      printf "tier1: perf gate %s %s %.4g, record %.4g (%+.1f%%, bound +%.0f%%)\n",
+        w, m, now, ref, 100 * (now / ref - 1), 100 * bound
+      exit !(now <= ref * (1 + bound))
+    }'; then
+      echo "tier1: FAIL - perf gate: $w $m is worse than $PERF_REF allows" >&2
+      perf_bad=1
+    fi
+  done
 done
-if [ -n "$PERF_REF" ]; then
-  PERF_JOBS=$(sed -n 's/^ *"jobs": \([0-9][0-9]*\),$/\1/p' "$PERF_REF")
-  PERF_JOBS="${PERF_JOBS:-1}"
-  echo "tier1: perf gate vs $PERF_REF (--jobs $PERF_JOBS)"
-  dune exec bench/main.exe -- tab1 --jobs "$PERF_JOBS" --compare "$PERF_REF"
-else
-  echo "tier1: perf gate skipped (no committed BENCH_*.json)"
-fi
+[ "$perf_bad" -eq 0 ] || exit 1
+echo "tier1: perf gate OK vs $PERF_REF"
 
 # Usage errors must be reported as such: unknown sections and a
 # malformed --jobs both exit non-zero.
@@ -96,62 +118,46 @@ if dune exec bench/main.exe -- tab1 --jobs banana >/dev/null 2>&1; then
   exit 1
 fi
 
-# Trace determinism smoke: the same grid traced at --jobs 1 and
-# --jobs 4 must export byte-identical JSONL (streams are merged by
-# config-derived label, never by worker schedule), every line must be
-# one JSON object, and the summariser must accept the file.
-TRACE_DIR="$(mktemp -d)"
-trap 'rm -rf "$TRACE_DIR"' EXIT
-dune exec bench/main.exe -- tab1 --jobs 1 --trace "$TRACE_DIR/j1.jsonl" --trace-cap 512 >/dev/null
-dune exec bench/main.exe -- tab1 --jobs 4 --trace "$TRACE_DIR/j4.jsonl" --trace-cap 512 >/dev/null
-cmp "$TRACE_DIR/j1.jsonl" "$TRACE_DIR/j4.jsonl" || {
-  echo "tier1: FAIL - traces differ between --jobs 1 and --jobs 4" >&2
-  exit 1
-}
+# Determinism across worker schedules: each grid below, traced at
+# --jobs 1 and at --jobs 4, must print byte-identical stdout and export
+# byte-identical JSONL (streams are merged by config-derived label,
+# never by worker schedule, and bench prints no timing), and the
+# checker must accept the trace.  Both runs write the same trace path,
+# renamed after each run, so bench's "wrote FILE" line matches too.
+# - tab1: the paper's baseline grid;
+# - hugepage: the promotion scan is cursor-driven and the TLB blend
+#   derives from P2M state, so the worker schedule must not leak in;
+# - mitosis: walk-off cells must replay the baseline engine byte for
+#   byte, and the replica update stream (hence the walk/replica
+#   summary events) must be a function of the cell seed alone;
+# - ras: node-failure targets, ECC draws, evacuation batches and the
+#   degraded traffic model must all be functions of the cell seed.
+for grid in tab1:j hugepage:hp mitosis:mt ras:ras; do
+  section=${grid%%:*}
+  tag=${grid#*:}
+  for jobs in 1 4; do
+    dune exec bench/main.exe -- "$section" --jobs "$jobs" --trace "$TRACE_DIR/$tag.jsonl" \
+      --trace-cap 512 > "$TRACE_DIR/$tag$jobs.out"
+    mv "$TRACE_DIR/$tag.jsonl" "$TRACE_DIR/$tag$jobs.jsonl"
+  done
+  cmp "$TRACE_DIR/${tag}1.out" "$TRACE_DIR/${tag}4.out" || {
+    echo "tier1: FAIL - $section stdout differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  }
+  cmp "$TRACE_DIR/${tag}1.jsonl" "$TRACE_DIR/${tag}4.jsonl" || {
+    echo "tier1: FAIL - $section traces differ between --jobs 1 and --jobs 4" >&2
+    exit 1
+  }
+  dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/${tag}1.jsonl"
+  echo "tier1: $section determinism OK ($(wc -l < "$TRACE_DIR/${tag}1.jsonl") JSONL lines)"
+done
+# Every trace line is one JSON object, and the summariser accepts the
+# file.
 grep -cv '^{.*}$' "$TRACE_DIR/j1.jsonl" >/dev/null 2>&1 && {
   echo "tier1: FAIL - trace contains non-JSON-object lines" >&2
   exit 1
 }
-dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/j1.jsonl"
 dune exec bin/xen_numa_trace.exe -- summary --timeline 4 "$TRACE_DIR/j1.jsonl" >/dev/null
-echo "tier1: trace determinism OK ($(wc -l < "$TRACE_DIR/j1.jsonl") JSONL lines)"
-
-# Same determinism bar for the hugepage grid: the promotion scan is
-# cursor-driven and the TLB blend derives from P2M state, so the
-# worker schedule must not leak into the trace.
-dune exec bench/main.exe -- hugepage --jobs 1 --trace "$TRACE_DIR/hp1.jsonl" --trace-cap 512 >/dev/null
-dune exec bench/main.exe -- hugepage --jobs 4 --trace "$TRACE_DIR/hp4.jsonl" --trace-cap 512 >/dev/null
-cmp "$TRACE_DIR/hp1.jsonl" "$TRACE_DIR/hp4.jsonl" || {
-  echo "tier1: FAIL - hugepage traces differ between --jobs 1 and --jobs 4" >&2
-  exit 1
-}
-dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/hp1.jsonl"
-echo "tier1: hugepage trace determinism OK ($(wc -l < "$TRACE_DIR/hp1.jsonl") JSONL lines)"
-
-# Same bar for the mitosis grid: walk-off cells must replay the
-# baseline engine byte for byte, and the replica update stream (hence
-# the walk/replica summary events) must be a function of the cell seed
-# alone, never of the worker schedule.
-dune exec bench/main.exe -- mitosis --jobs 1 --trace "$TRACE_DIR/mt1.jsonl" --trace-cap 512 >/dev/null
-dune exec bench/main.exe -- mitosis --jobs 4 --trace "$TRACE_DIR/mt4.jsonl" --trace-cap 512 >/dev/null
-cmp "$TRACE_DIR/mt1.jsonl" "$TRACE_DIR/mt4.jsonl" || {
-  echo "tier1: FAIL - mitosis traces differ between --jobs 1 and --jobs 4" >&2
-  exit 1
-}
-dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/mt1.jsonl"
-echo "tier1: mitosis trace determinism OK ($(wc -l < "$TRACE_DIR/mt1.jsonl") JSONL lines)"
-
-# And for the RAS grid: node-failure targets, ECC draws, evacuation
-# batches and the degraded traffic model must all be functions of the
-# cell seed alone, never of the worker schedule.
-dune exec bench/main.exe -- ras --jobs 1 --trace "$TRACE_DIR/ras1.jsonl" --trace-cap 512 >/dev/null
-dune exec bench/main.exe -- ras --jobs 4 --trace "$TRACE_DIR/ras4.jsonl" --trace-cap 512 >/dev/null
-cmp "$TRACE_DIR/ras1.jsonl" "$TRACE_DIR/ras4.jsonl" || {
-  echo "tier1: FAIL - ras traces differ between --jobs 1 and --jobs 4" >&2
-  exit 1
-}
-dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/ras1.jsonl"
-echo "tier1: ras trace determinism OK ($(wc -l < "$TRACE_DIR/ras1.jsonl") JSONL lines)"
 
 # Fast-forward equivalence: the steady-state delta replay must be
 # invisible in the trace bytes.  One static cell (round-4k quiesces
