@@ -68,7 +68,7 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
 # peak_rss_mb within their BENCHMARK.json end_to_end bounds of the
 # record; both are lower-is-better.  Re-baseline by committing a new
 # record and naming it on this line.
-PERF_REF=BENCH_REV.json
+PERF_REF=BENCH_991787b.json
 sh bench/record.sh "$TRACE_DIR/perf_now.json"
 # The value on WORKLOAD's line of a record: perf_field FILE WORKLOAD REGEX,
 # where REGEX holds one \(...\) group.
