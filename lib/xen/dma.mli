@@ -36,4 +36,5 @@ val read :
   (float, error) result
 (** Perform one DMA read of [bytes] into the guest-physical pages
     [buffer].  On success returns the elapsed time; invalid P2M
-    entries are handled per the path semantics above.  [buffer] may be empty for [Native]. *)
+    entries are handled per the path semantics above.  [buffer] may
+    be empty for [Native]. *)
