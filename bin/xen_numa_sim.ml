@@ -46,7 +46,20 @@ let policy_arg =
            ~doc:"NUMA policy: first-touch, round-4k, round-1g, optionally with /carrefour.")
 
 let threads_arg =
-  Arg.(value & opt int 48 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Threads (= vCPUs).")
+  Arg.(value & opt int 48
+       & info [ "t"; "threads" ] ~docv:"N"
+           ~doc:"Threads (= vCPUs), from 1 to the simulated host's CPU count.")
+
+(* The domain builder pins one vCPU per pCPU, so a run takes 1 to the
+   host's CPU count threads; anything else is a usage error. *)
+let check_threads (machine : Numa.Machine_desc.t) threads k =
+  let cpus = Numa.Topology.cpu_count (machine.Numa.Machine_desc.topology ()) in
+  if threads < 1 || threads > cpus then
+    `Error
+      ( true,
+        Printf.sprintf "--threads must be between 1 and %d (the %s host's CPU count), got %d"
+          cpus machine.Numa.Machine_desc.name threads )
+  else `Ok (k ())
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -165,6 +178,7 @@ let no_fast_forward_arg =
 
 let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unpinned machine
     faults trace trace_cap metrics slo profile no_fast_forward =
+  check_threads machine threads @@ fun () ->
   if trace_cap <= 0 then begin
     prerr_endline "xen-numa-sim: --trace-cap must be positive";
     exit 1
@@ -211,10 +225,11 @@ let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unp
 let run_cmd =
   let doc = "Run one application under a NUMA policy" in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run_app $ app_arg $ mode_arg $ policy_arg $ threads_arg $ seed_arg $ mcs_arg
-          $ huge_arg $ pt_walk_arg $ replicate_pt_arg $ unpinned_arg $ machine_arg $ faults_arg
-          $ trace_arg $ trace_cap_arg $ metrics_arg $ slo_arg $ profile_arg
-          $ no_fast_forward_arg)
+    Term.(ret
+            (const run_app $ app_arg $ mode_arg $ policy_arg $ threads_arg $ seed_arg $ mcs_arg
+           $ huge_arg $ pt_walk_arg $ replicate_pt_arg $ unpinned_arg $ machine_arg $ faults_arg
+           $ trace_arg $ trace_cap_arg $ metrics_arg $ slo_arg $ profile_arg
+           $ no_fast_forward_arg))
 
 let list_apps () =
   Report.Table.print
@@ -257,6 +272,7 @@ let topo_cmd =
   Cmd.v (Cmd.info "topology" ~doc) Term.(const show_topo $ const ())
 
 let compare_policies app mode threads seed =
+  check_threads Numa.Machine_desc.amd48 threads @@ fun () ->
   let specs = Policies.Spec.all in
   let rows =
     List.map
@@ -290,7 +306,7 @@ let compare_policies app mode threads seed =
 let compare_cmd =
   let doc = "Run one application under every NUMA policy and compare" in
   Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const compare_policies $ app_arg $ mode_arg $ threads_arg $ seed_arg)
+    Term.(ret (const compare_policies $ app_arg $ mode_arg $ threads_arg $ seed_arg))
 
 let advise app mode seed =
   let r = Engine.Advisor.recommend ~seed ~mode app in

@@ -84,13 +84,12 @@ let parse_slo spec =
    experiment grids. *)
 let default_fast_forward_flag = ref true
 let set_default_fast_forward b = default_fast_forward_flag := b
-let default_fast_forward () = !default_fast_forward_flag
 
 let make ?(seed = 42) ?(max_epochs = 40_000) ?carrefour_config
     ?(machine = Numa.Machine_desc.amd48) ?(faults = Faults.Plan.empty) ?observer
     ?(slo = []) ?fast_forward ~mode vms =
   let fast_forward =
-    match fast_forward with Some b -> b | None -> default_fast_forward ()
+    match fast_forward with Some b -> b | None -> !default_fast_forward_flag
   in
   if vms = [] then invalid_arg "Config.make: no VMs";
   List.iter

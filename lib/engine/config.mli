@@ -100,7 +100,8 @@ type t = {
           bit-identical to the naive loop (the escape hatch is
           [--no-fast-forward]).  The only whole-run switch: fault
           plans, unpinned vCPUs and observers decide per epoch.
-          [make] defaults the field to {!default_fast_forward}. *)
+          [make] defaults the field to the process-wide default
+          ({!set_default_fast_forward}). *)
 }
 
 and observer = epoch_snapshot -> unit
@@ -133,11 +134,6 @@ val set_default_fast_forward : bool -> unit
     mirroring {!Pool.set_default_jobs}: the bench harness flips it so
     [--no-fast-forward] reaches every run the experiment grids spawn
     without threading a flag through them. *)
-
-val default_fast_forward : unit -> bool
-
-val slo_metrics : string list
-(** Valid SLO metric names, in report order. *)
 
 val parse_slo : string -> ((string * float) list, string) result
 (** Parse a ["METRIC=TARGET,..."] objective list (the [--slo] CLI

@@ -10,6 +10,8 @@
 
 let hardware_parallelism = Domain.recommended_domain_count
 
+(* Worker count from [XEN_NUMA_JOBS] (if a positive integer) or
+   [Domain.recommended_domain_count ()].  Always >= 1. *)
 let available_jobs () =
   match Sys.getenv_opt "XEN_NUMA_JOBS" with
   | Some s -> (
@@ -103,6 +105,5 @@ let run_all ?jobs tasks =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_array ?jobs f a = run_all ?jobs (Array.map (fun x () -> f x) a)
-
-let map_list ?jobs f l = Array.to_list (map_array ?jobs f (Array.of_list l))
+let map_list ?jobs f l =
+  Array.to_list (run_all ?jobs (Array.of_list (List.map (fun x () -> f x) l)))

@@ -29,10 +29,6 @@
     are index-addressed and tasks seed their own RNGs, so the worker
     count never changes any output bit, only the schedule. *)
 
-val available_jobs : unit -> int
-(** Worker count from [XEN_NUMA_JOBS] (if a positive integer) or
-    [Domain.recommended_domain_count ()].  Always >= 1. *)
-
 val set_default_jobs : int -> unit
 (** Install a process-wide default worker count (clamped to >= 1),
     overriding [XEN_NUMA_JOBS] for subsequent calls without an
@@ -47,10 +43,6 @@ val run_all : ?jobs:int -> (unit -> 'a) array -> 'a array
     If any task raises, the exception of the lowest-indexed failing
     task is re-raised (with its backtrace) after all workers have
     drained; the remaining tasks still run. *)
-
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f a] is [Array.map f a] with the applications of [f]
-    distributed over the pool; result order follows [a]. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f l] is [List.map f l] with the applications of [f]

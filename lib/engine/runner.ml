@@ -207,11 +207,6 @@ let io_path mode policy =
   | Config.Xen -> `Pv
   | Config.Xen_plus -> if Policies.Spec.invalidates_free_pages policy then `Pv else `Passthrough
 
-let io_request_overhead costs = function
-  | `Native -> costs.Xen.Costs.disk_native_request
-  | `Pv -> costs.Xen.Costs.disk_native_request +. costs.Xen.Costs.disk_pv_extra
-  | `Passthrough -> costs.Xen.Costs.disk_native_request +. costs.Xen.Costs.disk_passthrough_extra
-
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -226,12 +221,12 @@ let uniform_weights ~pages = Array.make pages (1.0 /. float_of_int pages)
 (* Touch [pages] consecutive virtual pages as [cpu]; returns the region
    with its placement resolved through the guest and hypervisor page
    tables. *)
-let build_region system process domain ~vfn0 ~pages ~weights ~cpu ~nodes =
+let build_region system gpt ~alloc domain ~vfn0 ~pages ~weights ~cpu ~nodes =
   let pfns = Array.make pages 0 in
   let page_node = Array.make pages 0 in
   let node_weight = Array.make nodes 0.0 in
   for i = 0 to pages - 1 do
-    match Guest.Process.touch process (vfn0 + i) with
+    match Guest.Gpt.touch gpt (vfn0 + i) ~alloc with
     | None -> invalid_arg "Runner: guest physical memory exhausted"
     | Some pfn ->
         pfns.(i) <- pfn;
@@ -431,16 +426,17 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
   let gib_frames = max 1 (1024 * 1024 * 1024 / frame_bytes) in
   let first_fresh = min gib_frames (domain.Xen.Domain.mem_frames / 4) in
   let pool = Guest.Pfn_pool.create ~frames:domain.Xen.Domain.mem_frames ~first_fresh () in
-  let process = Guest.Process.create ~pid:1 ~vframes ~pool in
+  let gpt = Guest.Gpt.create ~frames:vframes in
+  let alloc () = Guest.Pfn_pool.alloc pool in
   let master_cpu = domain.Xen.Domain.vcpu_pin.(0) in
   let shared =
-    build_region system process domain ~vfn0:0 ~pages:shared_pages
+    build_region system gpt ~alloc domain ~vfn0:0 ~pages:shared_pages
       ~weights:(zipf_weights ~pages:shared_pages ~s:app.Workloads.App.zipf_s)
       ~cpu:master_cpu ~nodes
   in
   let privates =
     Array.init threads (fun t ->
-        build_region system process domain
+        build_region system gpt ~alloc domain
           ~vfn0:(shared_pages + (t * private_pages))
           ~pages:private_pages
           ~weights:(uniform_weights ~pages:private_pages)
@@ -555,12 +551,11 @@ let epoch_sync_overhead cfg st =
   let app = st.spec.Config.app in
   let costs = costs_of_mode cfg.Config.mode in
   let events = blocking_events_per_s app *. Config.epoch_len in
-  let primitive = if st.spec.Config.use_mcs then Guest.Sync.Mcs_spin else Guest.Sync.Futex_sleep in
+  (* MCS waiters spin on a queue flag and never leave the CPU; a futex
+     sleep pays two context switches plus the wake-up. *)
   let per_event =
-    match primitive with
-    | Guest.Sync.Mcs_spin -> 0.0
-    | Guest.Sync.Futex_sleep ->
-        (2.0 *. costs.Xen.Costs.context_switch) +. wakeup_of_mode costs cfg.Config.mode
+    if st.spec.Config.use_mcs then 0.0
+    else (2.0 *. costs.Xen.Costs.context_switch) +. wakeup_of_mode costs cfg.Config.mode
   in
   let total = events *. per_event in
   let threads = float_of_int st.spec.Config.threads in
@@ -1032,7 +1027,7 @@ let vm_result cfg system st =
       let requests =
         Workloads.App.disk_bytes_total app /. float_of_int app.Workloads.App.io_block_bytes
       in
-      requests *. io_request_overhead costs path
+      requests *. Xen.Costs.disk_request_overhead costs path
     end
     else 0.0
   in

@@ -3,17 +3,11 @@
     composed fault plans and prints one degradation-summary row per
     plan. *)
 
-val plans : (string * string) list
-(** (label, plan string) pairs of the grid. *)
-
 val eager_carrefour : Policies.Carrefour.User_component.config
 (** Carrefour thresholds eager enough that the grid's faults reach the
     migration path (the RAS grid uses them too). *)
 
-val run : ?seed:int -> unit -> Engine.Result.t list
-(** Results in [plans] order; parallelised over the engine pool with
-    per-plan derived seeds (bit-identical whatever the job count). *)
-
 val print : ?seed:int -> unit -> string list
-(** Print the grid; returns the plans that hit the epoch cap (see
-    {!Runs.capped}). *)
+(** Run and print the grid, parallelised over the engine pool with
+    per-plan derived seeds (bit-identical whatever the job count);
+    returns the plans that hit the epoch cap (see {!Runs.capped}). *)

@@ -2,7 +2,7 @@ type row = {
   app : string;
   machine : string;
   best : Policies.Spec.t;
-  spread : float;
+  spread : float;  (* worst/best completion ratio over the policies *)
 }
 
 let apps = [ "cg.C"; "sp.C"; "kmeans" ]

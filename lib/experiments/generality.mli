@@ -4,15 +4,7 @@
     behaviour) are properties of the access patterns, not of the AMD48
     interconnect. *)
 
-type row = {
-  app : string;
-  machine : string;
-  best : Policies.Spec.t;
-  spread : float;  (** Worst/best completion ratio over the policies. *)
-}
-
-val run : ?seed:int -> unit -> row list
-(** A representative app per class (cg.C, sp.C, kmeans) on AMD48 and
-    Intel32 under every runtime-selectable policy. *)
-
 val print : ?seed:int -> unit -> unit
+(** A representative app per class (cg.C, sp.C, kmeans) on AMD48 and
+    Intel32 under every runtime-selectable policy: the best policy and
+    the worst/best completion ratio over the policies. *)

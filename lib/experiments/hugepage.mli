@@ -5,17 +5,9 @@
     first-touch policy switch splinters every extent and closes the
     gap, leaving the splinter/promote counters as the explanation. *)
 
-val apps : string list
-val policies : Policies.Spec.t list
-
-val cells : (string * Policies.Spec.t) list
-(** [apps] x [policies], apps-major. *)
-
-val run : ?seed:int -> unit -> (Engine.Result.t * Engine.Result.t) list
-(** (superpages-off, superpages-on) result pairs in [cells] order.
-    Both halves of a pair share one derived seed, so their workload
-    streams are identical and the delta is the superpage effect;
-    parallelised over the engine pool (bit-identical whatever the job
-    count). *)
-
 val print : ?seed:int -> unit -> unit
+(** Run and print the (superpages-off, superpages-on) pair of every
+    (app, boot placement) cell.  Both halves of a pair share one
+    derived seed, so their workload streams are identical and the delta
+    is the superpage effect; parallelised over the engine pool
+    (bit-identical whatever the job count). *)

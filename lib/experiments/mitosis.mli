@@ -7,21 +7,10 @@
     walk term back to local pricing and charges per-mirror write
     propagation instead. *)
 
-val apps : string list
-val policies : Policies.Spec.t list
-
-val cells : (string * Policies.Spec.t) list
-(** [apps] x [policies], apps-major. *)
-
-val variants : (bool * bool) list
-(** (pt_walk, replicate_pt) in report order: (off,off), (off,on),
-    (on,off), (on,on). *)
-
-val run : ?seed:int -> unit -> Engine.Result.t list list
-(** Per cell (in [cells] order), the four variant results in
-    [variants] order.  All four share one derived seed, so their
-    workload streams are identical and the deltas are the walk pricing
-    and replication cost; parallelised over the engine pool
-    (bit-identical whatever the job count). *)
-
 val print : ?seed:int -> unit -> unit
+(** Run and print, per (app, policy) cell, the four (pt_walk,
+    replicate_pt) variants (off,off), (off,on), (on,off), (on,on).  All
+    four share one derived seed, so their workload streams are
+    identical and the deltas are the walk pricing and replication
+    cost; parallelised over the engine pool (bit-identical whatever
+    the job count). *)

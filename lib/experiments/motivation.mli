@@ -18,16 +18,8 @@
       vCPUs and locality recovers — placement decisions belong below
       the topology, in the hypervisor. *)
 
-type row = {
-  label : string;
-  completion : float;
-  local_fraction : float;
-  page_migrations : int;
-}
-
-val run : ?seed:int -> unit -> row list
+val print : ?seed:int -> unit -> unit
 (** Three configurations of the victim: first-touch pinned (the
     baseline), first-touch under vCPU migration, and
-    first-touch/Carrefour under vCPU migration. *)
-
-val print : ?seed:int -> unit -> unit
+    first-touch/Carrefour under vCPU migration; completion, local
+    fraction and page migrations of each. *)

@@ -1,7 +1,7 @@
 type pair_result = {
   app_a : string;
   app_b : string;
-  improvement_a : float;
+  improvement_a : float;  (* T_baseline / T_best for VM A *)
   improvement_b : float;
 }
 

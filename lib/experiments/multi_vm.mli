@@ -8,17 +8,10 @@
       nodes; each configuration runs twice with the halves swapped and
       the completion times averaged (placement-sensitivity control);
     - Figure 9: 48 vCPUs each, every pCPU running one vCPU of each VM
-      (consolidation). *)
+      (consolidation).
 
-type pair_result = {
-  app_a : string;
-  app_b : string;
-  improvement_a : float;  (** T_baseline / T_best for VM A. *)
-  improvement_b : float;
-}
+    Both print, per application pair, each VM's improvement
+    [T_baseline / T_best]. *)
 
-val fig8 : ?seed:int -> unit -> pair_result list
 val print_fig8 : ?seed:int -> unit -> unit
-
-val fig9 : ?seed:int -> unit -> pair_result list
 val print_fig9 : ?seed:int -> unit -> unit

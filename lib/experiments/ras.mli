@@ -4,11 +4,8 @@
     (cell, scenario) — including the evacuation progress of the
     node-fail runs. *)
 
-val run : ?seed:int -> unit -> Engine.Result.t list
-(** Results in grid order (cells x scenarios); parallelised over the
-    engine pool with per-cell derived seeds (bit-identical whatever
-    the job count). *)
-
 val print : ?seed:int -> unit -> string list
-(** Print the grid; returns the cells that hit the epoch cap (see
+(** Run and print the grid (cells x scenarios), parallelised over the
+    engine pool with per-cell derived seeds (bit-identical whatever
+    the job count); returns the cells that hit the epoch cap (see
     {!Runs.capped}). *)

@@ -51,8 +51,6 @@ let completion ?seed key = (Engine.Result.single (run ?seed key)).Engine.Result.
 let linux ?(mcs = false) app policy =
   { mode = Engine.Config.Linux; app = app.Workloads.App.name; policy; mcs }
 
-let xen app policy = { mode = Engine.Config.Xen; app = app.Workloads.App.name; policy; mcs = false }
-
 let xen_plus ?(mcs = false) app policy =
   { mode = Engine.Config.Xen_plus; app = app.Workloads.App.name; policy; mcs }
 
@@ -60,17 +58,11 @@ let mcs_apps = [ "facesim"; "streamcluster" ]
 
 let uses_mcs app = List.mem app.Workloads.App.name mcs_apps
 
-let linux_numa app =
-  linux ~mcs:(uses_mcs app) app app.Workloads.App.paper.Workloads.App.best_linux
-
-let xen_plus_numa app =
-  xen_plus ~mcs:(uses_mcs app) app app.Workloads.App.paper.Workloads.App.best_xen
-
-let xen_stock app = xen app Policies.Spec.round_1g
+let xen_stock app =
+  { mode = Engine.Config.Xen; app = app.Workloads.App.name; policy = Policies.Spec.round_1g;
+    mcs = false }
 
 let xen_plus_default app = xen_plus ~mcs:(uses_mcs app) app Policies.Spec.round_1g
-
-let clear_cache () = Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
 
 let capped ~max_epochs cells =
   List.filter_map

@@ -30,7 +30,6 @@ val task_seed : base:int -> key -> int
 val completion : ?seed:int -> key -> float
 
 val linux : ?mcs:bool -> Workloads.App.t -> Policies.Spec.t -> key
-val xen : Workloads.App.t -> Policies.Spec.t -> key
 val xen_plus : ?mcs:bool -> Workloads.App.t -> Policies.Spec.t -> key
 
 val mcs_apps : string list
@@ -39,20 +38,12 @@ val mcs_apps : string list
 
 val uses_mcs : Workloads.App.t -> bool
 
-val linux_numa : Workloads.App.t -> key
-(** LinuxNUMA: best Linux policy (Table 4) with MCS where applicable. *)
-
-val xen_plus_numa : Workloads.App.t -> key
-(** Xen+NUMA: best Xen+ policy (Table 4) with MCS where applicable. *)
-
 val xen_stock : Workloads.App.t -> key
 (** Stock Xen: round-1G, pv I/O, no MCS. *)
 
 val xen_plus_default : Workloads.App.t -> key
 (** Xen+ baseline: round-1G with passthrough I/O and MCS where
     applicable. *)
-
-val clear_cache : unit -> unit
 
 val capped : max_epochs:int -> (string * Engine.Result.t) list -> string list
 (** The labels of the [(label, result)] cells that ran into the

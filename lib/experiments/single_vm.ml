@@ -37,7 +37,7 @@ type policy_row = {
   ft_carrefour : float;
   r4k : float;
   r4k_carrefour : float;
-  best : Policies.Spec.t;
+  best : Policies.Spec.t;  (* argmin over the four combinations *)
 }
 
 let linux_policy_times ?seed ?(mcs = false) app =
@@ -90,7 +90,7 @@ type tab1_row = {
   imb_r4k : float;
   ic_ft : float;
   ic_r4k : float;
-  class_ : Workloads.App.imbalance_class;
+  class_ : Workloads.App.imbalance_class;  (* from the measured imb_ft *)
   lat_ft : Engine.Result.latency_summary;
       (* tail latency of the first-touch run (the table's reference
          policy): p50/p95/p99/p99.9 over per-vCPU epoch samples *)

@@ -1,90 +1,36 @@
 (** Single-VM experiments: Figures 1, 2, 6, 7, 10 and Tables 1, 2, 4.
 
-    Each function returns the data series of the corresponding paper
-    figure/table; [print_*] renders it as the paper's rows.  Overheads
-    follow the paper's convention: [T / T_baseline - 1] (lower is
-    better); improvements are [T_baseline / T - 1] (higher is
-    better). *)
+    Each [print_*] computes the data series of the corresponding paper
+    figure/table and renders it as the paper's rows.  Overheads follow
+    the paper's convention: [T / T_baseline - 1] (lower is better);
+    improvements are [T_baseline / T - 1] (higher is better). *)
 
-type overhead_row = { app : string; overhead : float }
-
-val fig1 : ?seed:int -> unit -> overhead_row list
+val print_fig1 : ?seed:int -> unit -> unit
 (** Overhead of stock Xen (round-1G, pv I/O, virtualized IPIs) versus
     Linux (first-touch). *)
 
-val print_fig1 : ?seed:int -> unit -> unit
-
-type policy_row = {
-  app : string;
-  ft_carrefour : float;
-  r4k : float;
-  r4k_carrefour : float;
-  best : Policies.Spec.t;  (** Argmin over the four combinations. *)
-}
-(** Improvements relative to the first-touch run (1.0 = no change,
-    2.0 = twice as fast). *)
-
-val fig2 : ?seed:int -> unit -> policy_row list
-(** Linux NUMA policies versus Linux first-touch. *)
-
 val print_fig2 : ?seed:int -> unit -> unit
-
-type tab1_row = {
-  app : string;
-  imb_ft : float;
-  imb_r4k : float;
-  ic_ft : float;
-  ic_r4k : float;
-  class_ : Workloads.App.imbalance_class;  (** From measured imb_ft. *)
-  lat_ft : Engine.Result.latency_summary;
-      (** Tail latency of the first-touch run (cycles, per-vCPU epoch
-          samples). *)
-}
-
-val tab1 : ?seed:int -> unit -> tab1_row list
-(** Measured imbalance and interconnect load under the two static
-    policies in Linux, with the paper's values alongside. *)
+(** Linux NUMA policies versus Linux first-touch, as improvements
+    relative to the first-touch run, with the best of the four
+    combinations. *)
 
 val print_tab1 : ?seed:int -> unit -> unit
+(** Measured imbalance and interconnect load under the two static
+    policies in Linux, with the paper's values alongside, and the tail
+    latency of the first-touch run. *)
 
 val print_tab2 : unit -> unit
 (** Application behaviour table (I/O, context switches, footprint). *)
 
-type fig6_row = { app : string; linux : float; xen : float; xen_plus : float }
-(** Overheads versus LinuxNUMA. *)
-
-val fig6 : ?seed:int -> unit -> fig6_row list
 val print_fig6 : ?seed:int -> unit -> unit
+(** Overheads of Linux, Xen and Xen+ versus LinuxNUMA. *)
 
-type fig7_row = {
-  app : string;
-  ft : float;
-  ft_carrefour : float;
-  r4k : float;
-  r4k_carrefour : float;
-  best : Policies.Spec.t;
-}
-(** Improvements of each Xen policy versus the Xen+ round-1G default. *)
-
-val fig7 : ?seed:int -> unit -> fig7_row list
 val print_fig7 : ?seed:int -> unit -> unit
-
-type tab4_row = {
-  app : string;
-  best_linux : Policies.Spec.t;
-  best_xen : Policies.Spec.t;
-  paper_linux : Policies.Spec.t;
-  paper_xen : Policies.Spec.t;
-}
-
-val tab4 : ?seed:int -> unit -> tab4_row list
-(** Best measured policies versus the paper's Table 4. *)
+(** Improvements of each Xen policy versus the Xen+ round-1G
+    default. *)
 
 val print_tab4 : ?seed:int -> unit -> unit
-
-type fig10_row = { app : string; xen_plus : float; xen_plus_numa : float }
-
-val fig10 : ?seed:int -> unit -> fig10_row list
-(** Overhead of Xen+ and Xen+NUMA versus LinuxNUMA. *)
+(** Best measured policies versus the paper's Table 4. *)
 
 val print_fig10 : ?seed:int -> unit -> unit
+(** Overhead of Xen+ and Xen+NUMA versus LinuxNUMA. *)

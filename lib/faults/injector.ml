@@ -75,10 +75,8 @@ let create ~seed plan =
   { plan; rng; epoch = -1; stats = fresh_stats ();
     node_faults = node_faults_of_plan plan; targets_assigned = false }
 
-let plan t = t.plan
 let enabled t = not (Plan.is_empty t.plan)
 let set_epoch t epoch = t.epoch <- epoch
-let epoch t = t.epoch
 let stats t = t.stats
 
 let total_injected t =

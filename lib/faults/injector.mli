@@ -30,14 +30,11 @@ val create : seed:int -> Plan.t -> t
 (** The injector's stream is a pure function of [seed]; epoch starts at
     [-1] (boot), where no spec is ever armed. *)
 
-val plan : t -> Plan.t
 val enabled : t -> bool
 (** [false] for an empty plan: every query is a constant [false]. *)
 
 val set_epoch : t -> int -> unit
 (** Advance the injection clock; windows are evaluated against it. *)
-
-val epoch : t -> int
 
 val next_armed_epoch : t -> after:int -> int option
 (** Earliest epoch [>= after] at which any spec window (or resolved

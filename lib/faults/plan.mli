@@ -12,10 +12,6 @@ type window = {
   until_epoch : int option;  (** First epoch it is disarmed; [None] = forever. *)
 }
 
-val always : window
-(** [{ from_epoch = 0; until_epoch = None }] — armed for the whole run
-    (boot-time population happens at epoch [-1] and is never armed). *)
-
 type site =
   | Alloc_flaky of float
       (** Every machine frame allocation fails with this probability
@@ -65,7 +61,9 @@ val empty : t
 val is_empty : t -> bool
 
 val spec : ?from_epoch:int -> ?until_epoch:int -> site -> spec
-(** Build a spec; the window defaults to {!always}. *)
+(** Build a spec; the window defaults to the whole run
+    ([{ from_epoch = 0; until_epoch = None }]; boot-time population
+    happens at epoch [-1] and is never armed). *)
 
 val validate : t -> (t, string) result
 (** Check every rate is within [0, 1] and every window well-formed. *)

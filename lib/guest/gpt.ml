@@ -1,52 +1,16 @@
-type t = {
-  entries : int array;  (* -1 = unmapped *)
-  mutable mapped : int;
-  mutable faults : int;
-}
+type t = int array (* -1 = unmapped *)
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Gpt.create: frames must be positive";
-  { entries = Array.make frames (-1); mapped = 0; faults = 0 }
-
-let frames t = Array.length t.entries
-
-let check t vfn =
-  if vfn < 0 || vfn >= Array.length t.entries then invalid_arg "Gpt: vfn out of range"
-
-let get t vfn =
-  check t vfn;
-  let pfn = t.entries.(vfn) in
-  if pfn < 0 then None else Some pfn
-
-let map t vfn pfn =
-  check t vfn;
-  assert (pfn >= 0);
-  if t.entries.(vfn) >= 0 then invalid_arg "Gpt.map: vfn already mapped";
-  t.entries.(vfn) <- pfn;
-  t.mapped <- t.mapped + 1
-
-let unmap t vfn =
-  check t vfn;
-  let pfn = t.entries.(vfn) in
-  if pfn < 0 then None
-  else begin
-    t.entries.(vfn) <- -1;
-    t.mapped <- t.mapped - 1;
-    Some pfn
-  end
-
-let mapped_count t = t.mapped
-let fault_count t = t.faults
+  Array.make frames (-1)
 
 let touch t vfn ~alloc =
-  check t vfn;
-  let pfn = t.entries.(vfn) in
+  if vfn < 0 || vfn >= Array.length t then invalid_arg "Gpt: vfn out of range";
+  let pfn = t.(vfn) in
   if pfn >= 0 then Some pfn
-  else begin
-    t.faults <- t.faults + 1;
+  else
     match alloc () with
     | None -> None
     | Some pfn ->
-        map t vfn pfn;
+        t.(vfn) <- pfn;
         Some pfn
-  end

@@ -12,23 +12,9 @@ type t
 val create : frames:int -> t
 (** Address space of [frames] virtual frames, all unmapped. *)
 
-val frames : t -> int
-
-val get : t -> Memory.Page.vfn -> Memory.Page.pfn option
-
-val map : t -> Memory.Page.vfn -> Memory.Page.pfn -> unit
-(** @raise Invalid_argument if the vfn is already mapped. *)
-
-val unmap : t -> Memory.Page.vfn -> Memory.Page.pfn option
-(** Remove the mapping, returning the physical frame it held. *)
-
-val mapped_count : t -> int
-
-val fault_count : t -> int
-(** Guest page faults taken so far (first touches). *)
-
 val touch :
   t -> Memory.Page.vfn -> alloc:(unit -> Memory.Page.pfn option) -> Memory.Page.pfn option
 (** [touch t vfn ~alloc] resolves an access: returns the mapped frame,
-    or on first touch calls [alloc] to obtain one, maps it and counts a
-    guest fault.  [None] only if [alloc] fails (out of memory). *)
+    or on first touch (a guest page fault) calls [alloc] to obtain one
+    and maps it.  [None] only if [alloc] fails (out of memory).
+    @raise Invalid_argument on an out-of-range vfn. *)

@@ -23,8 +23,6 @@ val create :
     frames for the kernel and DMA zones: fresh allocations start there,
     mirroring how Linux keeps user pages out of low memory. *)
 
-val frames : t -> int
-
 val alloc : t -> Memory.Page.pfn option
 (** Pop the most recently released frame, else the next fresh frame;
     [None] when the guest-physical space is exhausted. *)
@@ -33,14 +31,8 @@ val release : t -> Memory.Page.pfn -> unit
 (** Return a frame to the free list (zeroing is implicit).
     @raise Invalid_argument on double release or out-of-range frame. *)
 
-val allocated : t -> int
-
 val free_pfns : t -> Memory.Page.pfn list
 (** The free list itself, most recently released first, in O(1): every
     released frame not yet re-allocated, each exactly once. *)
-
-val recycled : t -> int
-(** Allocations served from the free list rather than fresh frames —
-    measures how often the Figure-4 reuse pattern occurs. *)
 
 val is_free : t -> Memory.Page.pfn -> bool

@@ -89,7 +89,6 @@ let create ~base ~frames =
   t
 
 let free_frames t = t.free
-let total_frames t = t.total
 let offlined_frames t = t.offlined
 let offline_pending_frames t = t.offline_pending
 

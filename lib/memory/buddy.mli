@@ -52,8 +52,6 @@ val split_allocation : t -> base:int -> order:int -> unit
 val free_frames : t -> int
 (** Total free frames. *)
 
-val total_frames : t -> int
-
 val largest_free_order : t -> int option
 (** Order of the largest currently-free block, [None] if full. *)
 

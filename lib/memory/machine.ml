@@ -28,7 +28,6 @@ let create ?(page_scale = 1) topo =
 
 let set_alloc_veto t veto = t.alloc_veto <- veto
 
-let topology t = t.topo
 let page_scale t = t.page_scale
 let frame_bytes t = Page.size_4k * t.page_scale
 let frames_per_node t = t.frames_per_node
@@ -41,10 +40,6 @@ let node_of_mfn t mfn =
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1
-
-let order_of_bytes t ~bytes =
-  assert (bytes > 0);
-  log2_ceil ((bytes + frame_bytes t - 1) / frame_bytes t)
 
 let scaled_order t native_order =
   let scale_order = log2_ceil t.page_scale in
@@ -107,9 +102,6 @@ let free_frames_on t node =
 
 let free_frames t = Array.fold_left (fun acc pool -> acc + Buddy.free_frames pool) 0 t.pools
 
-let used_frames_per_node t =
-  Array.map (fun pool -> Buddy.total_frames pool - Buddy.free_frames pool) t.pools
-
 (* ------------------------------------------------------------------ *)
 (* RAS page / node offlining                                           *)
 (* ------------------------------------------------------------------ *)
@@ -142,5 +134,3 @@ let offlined_frames_on t node =
 let offlined_frames t =
   Array.fold_left (fun acc pool -> acc + Buddy.offlined_frames pool) 0 t.pools
 
-let offline_pending_frames t =
-  Array.fold_left (fun acc pool -> acc + Buddy.offline_pending_frames pool) 0 t.pools

@@ -18,7 +18,6 @@ val create : ?page_scale:int -> Numa.Topology.t -> t
 (** @raise Invalid_argument if [page_scale] is not a positive power of
     two or does not divide the per-node memory into whole frames. *)
 
-val topology : t -> Numa.Topology.t
 val page_scale : t -> int
 
 val set_alloc_veto : t -> (node:Numa.Topology.node -> order:int -> bool) option -> unit
@@ -35,9 +34,6 @@ val total_frames : t -> int
 val node_of_mfn : t -> Page.mfn -> Numa.Topology.node
 (** Owning node by address-range partition.
     @raise Invalid_argument on an out-of-range frame. *)
-
-val order_of_bytes : t -> bytes:int -> int
-(** Smallest buddy order (in scaled frames) covering [bytes]. *)
 
 val order_1g : t -> int
 (** Buddy order of a 1 GiB region in scaled frames (0 when
@@ -75,9 +71,6 @@ val free_run : t -> mfn:Page.mfn -> frames:int -> unit
 val free_frames_on : t -> Numa.Topology.node -> int
 val free_frames : t -> int
 
-val used_frames_per_node : t -> int array
-(** Allocated frames per node — the placement footprint. *)
-
 (** {2 RAS page / node offlining}
 
     Offlined frames leave the arena permanently (see
@@ -100,4 +93,3 @@ val is_offlined : t -> Page.mfn -> bool
 
 val offlined_frames_on : t -> Numa.Topology.node -> int
 val offlined_frames : t -> int
-val offline_pending_frames : t -> int

@@ -19,9 +19,7 @@ let order_of_size bytes =
   let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
   log2 0 frames
 
-let order_4k = order_of_size size_4k
 let order_2m = order_of_size size_2m
 let order_1g = order_of_size size_1g
 let frames_per_2m = 1 lsl order_2m
 let frames_per_1g = 1 lsl order_1g
-let frames_of_bytes ~bytes = (bytes + size_4k - 1) / size_4k

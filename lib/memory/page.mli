@@ -32,12 +32,8 @@ val order_of_size : int -> int
     @raise Invalid_argument if [bytes] is not a power-of-two multiple
     of {!size_4k}. *)
 
-val order_4k : int
 val order_2m : int
 (** Buddy order of a 2 MiB block of 4 KiB frames (9). *)
 
 val order_1g : int
 (** Buddy order of a 1 GiB block of 4 KiB frames (18). *)
-
-val frames_of_bytes : bytes:int -> int
-(** Number of 4 KiB frames covering [bytes], rounded up. *)

@@ -26,10 +26,6 @@ type params = {
   flit_bytes : float;  (** Transfer unit on links (a cache line). *)
 }
 
-val default : params
-(** Calibrated so the latency probes land on Table 3 (within a few
-    percent) on the AMD48 topology. *)
-
 type result = {
   requests : int;
   mean_latency_ns : float;

@@ -1,6 +1,5 @@
 let nodes = 8
 let cpus_per_node = 6
-let cpu_count = nodes * cpus_per_node
 let mem_per_node = 16 * 1024 * 1024 * 1024
 let freq_hz = 2.2e9
 let cache_line = 64
@@ -30,4 +29,4 @@ let latency =
   Latency.create
     ~mem_base_cycles:[| 156.0; 276.0; 383.0 |]
     ~mem_contended_delta:[| 541.0; 464.0; 480.0 |]
-    ~freq_hz ()
+    ()

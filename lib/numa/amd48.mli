@@ -8,13 +8,8 @@
     and 6 each host a PCI express bus: dom0's network and disk sit on
     node 0's bus, the benchmark/dataset disk on node 6's. *)
 
-val nodes : int
-val cpus_per_node : int
-val cpu_count : int
-val mem_per_node : int
 val freq_hz : float
 val cache_line : int
-val controller_gib_per_s : float
 
 val pci_bus_nodes : int list
 (** Nodes whose PCI express bus hosts devices, in bus order

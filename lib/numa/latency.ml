@@ -7,18 +7,16 @@ type t = {
   mem_base_cycles : float array;
   mem_contended_delta : float array;
   contention_exponent : float;
-  freq_hz : float;
 }
 
 let create ?(l1_cycles = 5.0) ?(l2_cycles = 16.0) ?(l3_cycles = 48.0)
-    ?(contention_exponent = 2.0) ~mem_base_cycles ~mem_contended_delta ~freq_hz () =
+    ?(contention_exponent = 2.0) ~mem_base_cycles ~mem_contended_delta () =
   if Array.length mem_base_cycles = 0 then
     invalid_arg "Latency.create: empty mem_base_cycles";
   if Array.length mem_base_cycles <> Array.length mem_contended_delta then
     invalid_arg "Latency.create: base/delta length mismatch";
-  if freq_hz <= 0.0 then invalid_arg "Latency.create: freq_hz must be positive";
   { l1_cycles; l2_cycles; l3_cycles; mem_base_cycles; mem_contended_delta;
-    contention_exponent; freq_hz }
+    contention_exponent }
 
 let cache_cycles t = function
   | L1 -> t.l1_cycles
@@ -37,8 +35,3 @@ let mem_cycles t ~hops ~saturation =
     if t.contention_exponent = 2.0 then s *. s else s ** t.contention_exponent
   in
   t.mem_base_cycles.(hops) +. (t.mem_contended_delta.(hops) *. contended)
-
-let seconds t ~cycles = cycles /. t.freq_hz
-
-let access_seconds t ~hops ~saturation =
-  seconds t ~cycles:(mem_cycles t ~hops ~saturation)

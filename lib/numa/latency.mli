@@ -21,7 +21,6 @@ type t = {
       (** Convexity of the queueing penalty in the saturation level;
           2.0 gives a gentle knee, matching that contention only bites
           when a resource is close to saturated. *)
-  freq_hz : float;  (** CPU frequency used to convert cycles to time. *)
 }
 
 val create :
@@ -31,7 +30,6 @@ val create :
   ?contention_exponent:float ->
   mem_base_cycles:float array ->
   mem_contended_delta:float array ->
-  freq_hz:float ->
   unit ->
   t
 (** Defaults for the cache levels are the AMD48 values (5/16/48).
@@ -46,9 +44,3 @@ val mem_cycles : t -> hops:int -> saturation:float -> float
     (values above 1 are clamped): cycles for one memory access at the
     given distance.  [saturation] is the utilisation of the most loaded
     resource (destination controller or any route link). *)
-
-val seconds : t -> cycles:float -> float
-(** Convert cycles to seconds at the model's CPU frequency. *)
-
-val access_seconds : t -> hops:int -> saturation:float -> float
-(** [mem_cycles] converted to seconds. *)

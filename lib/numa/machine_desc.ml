@@ -34,7 +34,7 @@ let intel32 =
       Latency.create ~l1_cycles:4.0 ~l2_cycles:12.0 ~l3_cycles:40.0
         ~mem_base_cycles:[| 180.0; 310.0 |]
         ~mem_contended_delta:[| 420.0; 390.0 |]
-        ~freq_hz:2.7e9 ();
+        ();
     freq_hz = 2.7e9;
     cache_line = 64;
     pci_bus_nodes = [ 0; 2 ];

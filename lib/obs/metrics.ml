@@ -12,14 +12,8 @@ type value =
   | Gauge of { mutable value : float }
   | Histogram of Sim.Stats.Histogram.t
 
-type t = {
-  mutex : Mutex.t;
-  table : (string, value) Hashtbl.t;
-}
-
-let create () = { mutex = Mutex.create (); table = Hashtbl.create 64 }
-
-let default = create ()
+let mutex = Mutex.create ()
+let table : (string, value) Hashtbl.t = Hashtbl.create 64
 
 let enabled_flag = Atomic.make false
 
@@ -28,46 +22,40 @@ let set_enabled on = Atomic.set enabled_flag on
 
 let wrong_kind name = invalid_arg (Printf.sprintf "Metrics: %S already has another kind" name)
 
-let incr_in t ?(by = 1) name =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | Some (Counter c) -> c.count <- c.count + by
-      | Some _ -> wrong_kind name
-      | None -> Hashtbl.replace t.table name (Counter { count = by }))
+(* Guarded front doors: no-ops (one atomic read) unless metrics
+   collection is on. *)
+let incr ?(by = 1) name =
+  if enabled () then
+    Mutex.protect mutex (fun () ->
+        match Hashtbl.find_opt table name with
+        | Some (Counter c) -> c.count <- c.count + by
+        | Some _ -> wrong_kind name
+        | None -> Hashtbl.replace table name (Counter { count = by }))
 
-let gauge_in t name value =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | Some (Gauge g) -> g.value <- value
-      | Some _ -> wrong_kind name
-      | None -> Hashtbl.replace t.table name (Gauge { value }))
+let gauge name value =
+  if enabled () then
+    Mutex.protect mutex (fun () ->
+        match Hashtbl.find_opt table name with
+        | Some (Gauge g) -> g.value <- value
+        | Some _ -> wrong_kind name
+        | None -> Hashtbl.replace table name (Gauge { value }))
 
-let observe_in t name sample =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | Some (Histogram h) -> Sim.Stats.Histogram.add h sample
-      | Some _ -> wrong_kind name
-      | None ->
-          let h = Sim.Stats.Histogram.create () in
-          Sim.Stats.Histogram.add h sample;
-          Hashtbl.replace t.table name (Histogram h))
-
-let merge_histogram_in t name src =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | Some (Histogram h) -> Sim.Stats.Histogram.merge h src
+(* Fold samples into the histogram [name], creating it on first use. *)
+let into_histogram name add =
+  Mutex.protect mutex (fun () ->
+      match Hashtbl.find_opt table name with
+      | Some (Histogram h) -> add h
       | Some _ -> wrong_kind name
       | None ->
           let h = Sim.Stats.Histogram.create () in
-          Sim.Stats.Histogram.merge h src;
-          Hashtbl.replace t.table name (Histogram h))
+          add h;
+          Hashtbl.replace table name (Histogram h))
 
-(* Guarded front doors on the default registry: no-ops (one atomic
-   read) unless metrics collection is on. *)
-let incr ?by name = if enabled () then incr_in default ?by name
-let gauge name value = if enabled () then gauge_in default name value
-let observe name sample = if enabled () then observe_in default name sample
-let merge_histogram name src = if enabled () then merge_histogram_in default name src
+let observe name sample =
+  if enabled () then into_histogram name (fun h -> Sim.Stats.Histogram.add h sample)
+
+let merge_histogram name src =
+  if enabled () then into_histogram name (fun h -> Sim.Stats.Histogram.merge h src)
 
 type histogram_summary = {
   count : int;
@@ -84,8 +72,8 @@ type entry =
   | Gauge_value of float
   | Histogram_value of histogram_summary
 
-let snapshot_of t =
-  Mutex.protect t.mutex (fun () ->
+let snapshot () =
+  Mutex.protect mutex (fun () ->
       Hashtbl.fold
         (fun name value acc ->
           let entry =
@@ -105,33 +93,25 @@ let snapshot_of t =
                   }
           in
           (name, entry) :: acc)
-        t.table [])
+        table [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let snapshot () = snapshot_of default
-
-let counter_value ?(registry = default) name =
-  Mutex.protect registry.mutex (fun () ->
-      match Hashtbl.find_opt registry.table name with
+let counter_value name =
+  Mutex.protect mutex (fun () ->
+      match Hashtbl.find_opt table name with
       | Some (Counter c) -> Some c.count
       | Some _ | None -> None)
 
-let reset_in t = Mutex.protect t.mutex (fun () -> Hashtbl.reset t.table)
-let reset () = reset_in default
+let reset () = Mutex.protect mutex (fun () -> Hashtbl.reset table)
 
-let pp fmt () =
-  let rows = snapshot () in
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (name, entry) ->
-      match entry with
-      | Counter_value n -> Format.fprintf fmt "%-44s %12d@," name n
-      | Gauge_value v -> Format.fprintf fmt "%-44s %12.4f@," name v
-      | Histogram_value h ->
-          Format.fprintf fmt
-            "%-44s %12d  mean %.3g  p50 %.3g  p95 %.3g  p99 %.3g  p99.9 %.3g  max %.3g@," name
-            h.count h.mean h.p50 h.p95 h.p99 h.p999 h.max)
-    rows;
-  Format.fprintf fmt "@]"
-
-let render () = Format.asprintf "%a" pp ()
+let render () =
+  let row fmt (name, entry) =
+    match entry with
+    | Counter_value n -> Format.fprintf fmt "%-44s %12d@," name n
+    | Gauge_value v -> Format.fprintf fmt "%-44s %12.4f@," name v
+    | Histogram_value h ->
+        Format.fprintf fmt
+          "%-44s %12d  mean %.3g  p50 %.3g  p95 %.3g  p99 %.3g  p99.9 %.3g  max %.3g@," name
+          h.count h.mean h.p50 h.p95 h.p99 h.p999 h.max
+  in
+  Format.asprintf "@[<v>%a@]" (fun fmt rows -> List.iter (row fmt) rows) (snapshot ())

@@ -24,8 +24,6 @@ type phase =
           nests in it *)
   | Ff_replay  (** fast-forward delta replay of a quiescent epoch *)
 
-val phases : phase list
-
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 

@@ -184,8 +184,6 @@ let run ?(top = 10) f path =
     heat;
   }
 
-let class_counts (t : t) = List.map (fun r -> (r.cls, r.matched)) t.rows
-
 (* ---------------------------- rendering --------------------------- *)
 
 let render_table (t : t) =

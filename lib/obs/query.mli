@@ -61,10 +61,6 @@ val run : ?top:int -> filter -> string -> t
     @raise Codec.Corrupt on malformed or truncated traces.
     @raise Sys_error when the file cannot be opened. *)
 
-val class_counts : t -> (Event.class_ * int) list
-(** Per-class matched counts — with an empty filter these equal the
-    kept counts {!Summary} reports. *)
-
 val render_table : t -> string
 val render_jsonl : t -> string
 

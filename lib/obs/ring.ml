@@ -16,7 +16,6 @@ let create ~capacity ~dummy =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { buf = Array.make capacity dummy; capacity; head = 0; len = 0; emitted = 0; dropped = 0 }
 
-let capacity t = t.capacity
 let length t = t.len
 let emitted t = t.emitted
 let dropped t = t.dropped
@@ -31,11 +30,3 @@ let push t x =
 let to_list t =
   let start = (t.head - t.len + t.capacity) mod t.capacity in
   List.init t.len (fun i -> t.buf.((start + i) mod t.capacity))
-
-let iter t f = List.iter f (to_list t)
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.emitted <- 0;
-  t.dropped <- 0

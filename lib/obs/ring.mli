@@ -12,11 +12,10 @@ val create : capacity:int -> dummy:'a -> 'a t
 (** [dummy] initialises the backing array; it is never returned.
     @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val emitted : 'a t -> int
-(** Total pushes since creation (or last {!clear}). *)
+(** Total pushes since creation. *)
 
 val dropped : 'a t -> int
 (** Pushes that overwrote an unread entry. *)
@@ -24,6 +23,3 @@ val dropped : 'a t -> int
 val push : 'a t -> 'a -> unit
 val to_list : 'a t -> 'a list
 (** Kept entries, oldest first. *)
-
-val iter : 'a t -> ('a -> unit) -> unit
-val clear : 'a t -> unit

@@ -9,9 +9,7 @@ type t = {
   label : string;
   ring : Event.t Ring.t;
   by_class : int array;  (* emitted per class, drop-proof *)
-  mutable seq : int;  (* next sequence number *)
   mutable now : float;  (* current simulated time, set by the runner *)
-  mutable registered : bool;
 }
 
 let dummy_event = Event.make ~time:0.0 Event.Epoch_boundary
@@ -21,24 +19,19 @@ let create ?(capacity = 4096) ~label () =
     label;
     ring = Ring.create ~capacity ~dummy:dummy_event;
     by_class = Array.make Event.class_count 0;
-    seq = 0;
     now = 0.0;
-    registered = false;
   }
 
 let label t = t.label
 let set_time t now = t.now <- now
-let time t = t.now
 
 let emit ?domain ?vcpu ?pfn ?node ?arg t cls =
   let e = Event.make ?domain ?vcpu ?pfn ?node ?arg ~time:t.now cls in
   Ring.push t.ring e;
-  t.by_class.(Event.class_index cls) <- t.by_class.(Event.class_index cls) + 1;
-  t.seq <- t.seq + 1
+  t.by_class.(Event.class_index cls) <- t.by_class.(Event.class_index cls) + 1
 
 let emitted t = Ring.emitted t.ring
 let dropped t = Ring.dropped t.ring
-let kept t = Ring.length t.ring
 let emitted_by_class t = Array.copy t.by_class
 
 (* Kept events with their in-stream sequence numbers.  The ring holds

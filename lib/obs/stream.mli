@@ -16,15 +16,12 @@ val label : t -> string
 val set_time : t -> float -> unit
 (** Set the simulated clock subsequent events are stamped with. *)
 
-val time : t -> float
-
 val emit : ?domain:int -> ?vcpu:int -> ?pfn:int -> ?node:int -> ?arg:int -> t -> Event.class_ -> unit
 (** Append an event stamped with the stream clock.  Constant-time;
     overwrites the oldest event when the ring is full. *)
 
 val emitted : t -> int
 val dropped : t -> int
-val kept : t -> int
 
 val emitted_by_class : t -> int array
 (** Per-{!Event.class_index} emission counts; unlike the ring contents

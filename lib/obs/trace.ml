@@ -21,8 +21,6 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; mutex = Mutex.create (); streams = []; labels = Hashtbl.create 64 }
 
-let capacity t = t.capacity
-
 let stream t ~label =
   Mutex.protect t.mutex (fun () ->
       let s = Stream.create ~capacity:t.capacity ~label () in

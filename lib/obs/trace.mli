@@ -13,16 +13,11 @@ type t
 val create : ?capacity:int -> unit -> t
 (** [capacity] is the per-stream ring capacity (default 4096). *)
 
-val capacity : t -> int
-
 val stream : t -> label:string -> Stream.t
 (** Create and register a stream.  If [label] is already registered
     (two workers racing on the same memoised cell, which produce
     bit-identical event sequences), the returned stream is detached:
     usable, but excluded from the export. *)
-
-val streams : t -> Stream.t list
-(** Registered streams sorted by label — export order. *)
 
 val stream_count : t -> int
 

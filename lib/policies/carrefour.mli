@@ -82,8 +82,7 @@ type workspace
 (** Reusable ranking workspace for {!User_component.decide}: its
     candidate buffer and its hot-page-cap row buffer grow to the widest
     readout seen and are reused, so a period allocates no per-row
-    arrays.  Each system component owns one
-    ({!System_component.workspace}). *)
+    arrays.  Each system component owns one. *)
 
 val workspace : unit -> workspace
 
@@ -129,8 +128,6 @@ module System_component : sig
   val node_of : t -> Memory.Page.pfn -> int
   (** The node backing the page, or [-1] if it is unmapped.  Allocates
       nothing: it is called for every candidate row every period. *)
-
-  val workspace : t -> workspace
 
   val replicate : t -> pfn:Memory.Page.pfn -> bool
   (** Replicate the page: a copy is allocated on every other node and

@@ -2,11 +2,9 @@ type stats = {
   mutable populated_1g : int;
   mutable populated_2m : int;
   mutable populated_4k : int;
-  mutable ops_received : int;
   mutable invalidated : int;
   mutable left_in_place : int;
   mutable first_touch_maps : int;
-  mutable policy_switches : int;
   mutable splinters : int;
   mutable promotes : int;
   mutable superpage_migrates : int;
@@ -37,14 +35,10 @@ type degrade = {
   mutable backoff_time : float;
   mutable deferred : int;
   mutable drained : int;
-  mutable dropped_deferred : int;
   mutable fallback_maps : int;
   mutable breaker_trips : int;
   mutable breaker_level : int;
   mutable lost_batches : int;
-  mutable lost_ops : int;
-  mutable hypercall_retries : int;
-  mutable reconcile_sweeps : int;
   mutable reconciled : int;
   mutable ecc_ce : int;
   mutable ecc_ue : int;
@@ -59,14 +53,10 @@ let fresh_degrade () =
     backoff_time = 0.0;
     deferred = 0;
     drained = 0;
-    dropped_deferred = 0;
     fallback_maps = 0;
     breaker_trips = 0;
     breaker_level = 0;
     lost_batches = 0;
-    lost_ops = 0;
-    hypercall_retries = 0;
-    reconcile_sweeps = 0;
     reconciled = 0;
     ecc_ce = 0;
     ecc_ue = 0;
@@ -131,11 +121,9 @@ let fresh_stats () =
     populated_1g = 0;
     populated_2m = 0;
     populated_4k = 0;
-    ops_received = 0;
     invalidated = 0;
     left_in_place = 0;
     first_touch_maps = 0;
-    policy_switches = 0;
     splinters = 0;
     promotes = 0;
     superpage_migrates = 0;
@@ -315,8 +303,7 @@ let push_pending t ~pfn ~node =
     if Queue.length t.pending >= pending_cap then begin
       (* Bounded queue: shed the oldest debt rather than grow without
          limit under a persistent fault. *)
-      ignore (Queue.pop t.pending);
-      t.degrade.dropped_deferred <- t.degrade.dropped_deferred + 1
+      ignore (Queue.pop t.pending)
     end;
     Queue.push (pfn, node) t.pending;
     t.degrade.deferred <- t.degrade.deferred + 1;
@@ -424,7 +411,6 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
         (Some
            (fun u ->
              Xen.Pt.apply pt u;
-             account.Xen.Domain.pt_replica_ops <- account.Xen.Domain.pt_replica_ops + 1;
              account.Xen.Domain.pt_replica_time <-
                account.Xen.Domain.pt_replica_time
                +.
@@ -447,19 +433,15 @@ let stats t = t.stats
 
 let charge_hypercall t id time =
   let time =
-    if t.system.Xen.System.faults.Xen.System.hypercall_transient () then begin
-      (* Transient failure: the guest retries immediately, paying the
-         entry cost a second time for one logical hypercall. *)
-      t.degrade.hypercall_retries <- t.degrade.hypercall_retries + 1;
+    (* Transient failure: the guest retries immediately, paying the
+       entry cost a second time for one logical hypercall. *)
+    if t.system.Xen.System.faults.Xen.System.hypercall_transient () then
       time +. t.system.Xen.System.costs.Xen.Costs.hypercall_entry
-    end
     else time
   in
   let account = t.domain.Xen.Domain.account in
-  account.Xen.Domain.hypercall_count <- account.Xen.Domain.hypercall_count + 1;
   account.Xen.Domain.hypercall_time <- account.Xen.Domain.hypercall_time +. time;
-  Xen.Hypercall.record ?obs:t.system.Xen.System.obs ~domain:t.domain.Xen.Domain.id
-    t.domain.Xen.Domain.hypercalls id ~time
+  Xen.Hypercall.record ?obs:t.system.Xen.System.obs ~domain:t.domain.Xen.Domain.id id ~time
 
 let set_policy t new_spec =
   if not (Spec.runtime_selectable new_spec) then
@@ -467,7 +449,6 @@ let set_policy t new_spec =
   else begin
     charge_hypercall t Xen.Hypercall.Set_numa_policy
       t.system.Xen.System.costs.Xen.Costs.hypercall_entry;
-    t.stats.policy_switches <- t.stats.policy_switches + 1;
     t.spec <- new_spec;
     (match (new_spec.Spec.carrefour, t.carrefour) with
     | true, None -> t.carrefour <- Some (make_carrefour t)
@@ -531,12 +512,10 @@ let page_ops_batch t ~n deliver =
   let costs = t.system.Xen.System.costs in
   if t.system.Xen.System.faults.Xen.System.batch_lost n then begin
     t.degrade.lost_batches <- t.degrade.lost_batches + 1;
-    t.degrade.lost_ops <- t.degrade.lost_ops + n;
     charge_hypercall t Xen.Hypercall.Page_ops costs.Xen.Costs.hypercall_entry;
     costs.Xen.Costs.hypercall_entry
   end
   else begin
-    t.stats.ops_received <- t.stats.ops_received + n;
     let time = Xen.Costs.page_ops_batch_time costs ~ops:n +. deliver () in
     charge_hypercall t Xen.Hypercall.Page_ops time;
     time
@@ -1090,7 +1069,6 @@ let reconcile t ~guest_free =
           incr healed
       | None -> ())
     stale;
-  t.degrade.reconcile_sweeps <- t.degrade.reconcile_sweeps + 1;
   t.degrade.reconciled <- t.degrade.reconciled + !healed;
   emit ~arg:!healed t Obs.Event.Reconcile_sweep;
   if Obs.Metrics.enabled () then begin

@@ -23,11 +23,9 @@ type stats = {
   mutable populated_1g : int;   (** 1 GiB regions placed at boot. *)
   mutable populated_2m : int;
   mutable populated_4k : int;
-  mutable ops_received : int;   (** Queue entries received. *)
   mutable invalidated : int;    (** Free pages whose entry was cleared. *)
   mutable left_in_place : int;  (** Reallocated-while-queued pages kept. *)
   mutable first_touch_maps : int;  (** Pages placed by the fault path. *)
-  mutable policy_switches : int;
   mutable splinters : int;
       (** Superpage extents demoted on this policy's behalf (first-touch
           invalidations, single-page migrations, reconcile sweeps). *)
@@ -44,7 +42,6 @@ type degrade = {
       (** Simulated time spent in exponential backoff pauses. *)
   mutable deferred : int;  (** Migrations pushed to the retry queue. *)
   mutable drained : int;  (** Deferred migrations later completed. *)
-  mutable dropped_deferred : int;  (** Retry-queue overflow drops. *)
   mutable fallback_maps : int;
       (** [map_page] placements that fell back off the wanted node
           (misplacement debt, repaid by the drain). *)
@@ -52,9 +49,6 @@ type degrade = {
   mutable breaker_level : int;
       (** 0 = full policy, 1 = interleave-only, 2 = static placement. *)
   mutable lost_batches : int;  (** Page-ops batches lost in transit. *)
-  mutable lost_ops : int;
-  mutable hypercall_retries : int;  (** Transient hypercall failures retried. *)
-  mutable reconcile_sweeps : int;
   mutable reconciled : int;  (** Stale P2M entries healed by the sweeps. *)
   mutable ecc_ce : int;  (** Correctable ECC errors scrubbed in place. *)
   mutable ecc_ue : int;  (** Uncorrectable ECC errors handled. *)

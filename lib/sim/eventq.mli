@@ -1,9 +1,9 @@
 (** Discrete-event simulation core.
 
     A minimal priority queue of timestamped events plus a clock.  Used
-    by the fine-grained microprobes (DMA transfers, hypercall batching,
-    IPI delivery) that need exact ordering; the coarse application
-    engine uses fixed epochs instead. *)
+    by the cycle-level memory microsimulator, which needs exact
+    ordering; the coarse application engine uses fixed epochs
+    instead. *)
 
 type 'a t
 

@@ -17,8 +17,6 @@ let split t =
   let seed = bits64 t in
   { state = mix seed }
 
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   (* Keep 62 bits so the value stays non-negative in a 63-bit int. *)
@@ -32,17 +30,7 @@ let unit_float t =
 
 let float t bound = unit_float t *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p = unit_float t < p
-
-let exponential t ~mean =
-  let u = 1.0 -. unit_float t in
-  -.mean *. log u
-
-let gaussian t ~mu ~sigma =
-  let u1 = 1.0 -. unit_float t and u2 = unit_float t in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 (* Rejection-inversion sampling for the Zipf distribution, after
    W. Hormann and G. Derflinger, "Rejection-inversion to generate variates
@@ -68,14 +56,6 @@ let zipf t ~n ~s =
     in
     draw ()
   end
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let pick t a =
   assert (Array.length a > 0);

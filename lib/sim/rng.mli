@@ -16,9 +16,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Used to give each simulated entity its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing it. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -28,24 +25,13 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed positive float with the given mean. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normally distributed float (Box-Muller). *)
 
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] samples a rank in [\[0, n)] under a Zipf law with
     exponent [s]; rank 0 is the most popular.  Uses rejection-inversion
     so it is O(1) per draw even for large [n]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)

@@ -1,11 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
 let mean a =
   let n = Array.length a in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
@@ -23,12 +15,6 @@ let relative_stddev a =
   let m = mean a in
   if m = 0.0 then 0.0 else stddev a /. m
 
-let summary_of_array a =
-  let count = Array.length a in
-  let min = Array.fold_left Float.min Float.infinity a in
-  let max = Array.fold_left Float.max Float.neg_infinity a in
-  { count; mean = mean a; stddev = stddev a; min; max }
-
 let percentile a p =
   assert (p >= 0.0 && p <= 100.0);
   let n = Array.length a in
@@ -42,14 +28,6 @@ let percentile a p =
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
-
-let geometric_mean a =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else begin
-    let acc = Array.fold_left (fun acc x -> assert (x > 0.0); acc +. log x) 0.0 a in
-    exp (acc /. float_of_int n)
   end
 
 module Histogram = struct
@@ -125,7 +103,6 @@ module Histogram = struct
     end
 
   let count t = t.count
-  let total t = t.sum
   let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
   let min t = if t.count = 0 then 0.0 else t.min
   let max t = if t.count = 0 then 0.0 else t.max
@@ -176,14 +153,6 @@ module Histogram = struct
     t.sum <- t.sum +. other.sum;
     if other.min < t.min then t.min <- other.min;
     if other.max > t.max then t.max <- other.max
-
-  let clear t =
-    Hashtbl.reset t.buckets;
-    t.zeros <- 0;
-    t.count <- 0;
-    t.sum <- 0.0;
-    t.min <- Float.infinity;
-    t.max <- Float.neg_infinity
 end
 
 module Topk = struct
@@ -207,9 +176,7 @@ module Topk = struct
     if k <= 0 then invalid_arg "Topk.create: k must be positive";
     { k; keys = Array.make k 0.0; ids = Array.make k 0; size = 0 }
 
-  let capacity t = t.k
   let size t = t.size
-  let clear t = t.size <- 0
 
   (* [ranks_below ka ia kb ib]: candidate (ka, ia) ranks strictly below
      (kb, ib) in the keep order. *)
@@ -254,16 +221,6 @@ module Topk = struct
       sift_down t 0
     end
 
-  (* Exponential decay of every kept key.  A positive factor preserves
-     the ranking order, so the heap shape stays valid as-is. *)
-  let decay t factor =
-    if factor <= 0.0 then invalid_arg "Topk.decay: factor must be positive";
-    for i = 0 to t.size - 1 do
-      t.keys.(i) <- t.keys.(i) *. factor
-    done
-
-  let min_key t = if t.size = 0 then neg_infinity else t.keys.(0)
-
   let sorted_desc t =
     let a = Array.init t.size (fun i -> (t.keys.(i), t.ids.(i))) in
     Array.sort
@@ -280,34 +237,4 @@ module Topk = struct
       if ranks_below t.keys.(i) t.ids.(i) t.keys.(p) t.ids.(p) then ok := false
     done;
     !ok
-end
-
-module Online = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = Float.infinity; max = Float.neg_infinity }
-
-  let add t x =
-    t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.count
-  let mean t = t.mean
-
-  let stddev t =
-    if t.count = 0 then 0.0 else sqrt (t.m2 /. float_of_int t.count)
-
-  let max t = t.max
-  let min t = t.min
 end

@@ -1,33 +1,16 @@
-(** Streaming and array statistics used by counters and reports. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-val summary_of_array : float array -> summary
-(** Summary of a non-empty array ([count = 0] summary for an empty one,
-    with [mean]/[stddev] 0 and infinite [min], neg-infinite [max]). *)
+(** Array statistics, a latency histogram and a top-k selector used by
+    counters and reports. *)
 
 val mean : float array -> float
 
-val stddev : float array -> float
-(** Population standard deviation. *)
-
 val relative_stddev : float array -> float
-(** Standard deviation divided by the mean — the paper's "imbalance"
-    metric (Table 1) over per-node access counts.  Returns 0 when the
-    mean is 0. *)
+(** Population standard deviation divided by the mean — the paper's
+    "imbalance" metric (Table 1) over per-node access counts.  Returns
+    0 when the mean is 0. *)
 
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0,100\]]; linear interpolation
     between ranks.  The array is sorted internally (copy). *)
-
-val geometric_mean : float array -> float
-(** Geometric mean of positive values. *)
 
 (** Log-bucketed histogram for latency-style distributions: fixed
     relative bucket width (default ~9%, base [2^(1/8)]), O(buckets)
@@ -50,7 +33,6 @@ module Histogram : sig
       @raise Invalid_argument on a negative [n]. *)
 
   val count : t -> int
-  val total : t -> float
   val mean : t -> float
 
   val min : t -> float
@@ -76,8 +58,6 @@ module Histogram : sig
   val merge : t -> t -> unit
   (** Fold [other]'s samples into [t].
       @raise Invalid_argument when bases differ. *)
-
-  val clear : t -> unit
 end
 
 (** Bounded top-k selection over (key, id) pairs: a flat-array binary
@@ -93,23 +73,11 @@ module Topk : sig
   (** [create k] keeps the best [k] candidates.
       @raise Invalid_argument when [k <= 0]. *)
 
-  val capacity : t -> int
   val size : t -> int
-
-  val clear : t -> unit
-  (** Forget every candidate (arrays are reused). *)
 
   val add : t -> key:float -> int -> unit
   (** Offer a candidate.  O(1) when it ranks below the current root,
       O(log k) otherwise. *)
-
-  val decay : t -> float -> unit
-  (** Multiply every kept key by a positive factor (ranking, and hence
-      the heap shape, is preserved).
-      @raise Invalid_argument when the factor is not positive. *)
-
-  val min_key : t -> float
-  (** Key of the worst kept element; [neg_infinity] when empty. *)
 
   val sorted_desc : t -> (float * int) array
   (** Kept candidates, best first (key descending, id ascending on
@@ -117,18 +85,4 @@ module Topk : sig
 
   val heap_invariant : t -> bool
   (** Whether the internal heap shape is valid (property tests). *)
-end
-
-(** Online accumulator (Welford) for mean/variance without storing
-    samples. *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val stddev : t -> float
-  val max : t -> float
-  val min : t -> float
 end

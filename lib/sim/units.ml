@@ -1,11 +1,6 @@
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
 let gib n = n * 1024 * 1024 * 1024
-let us x = x *. 1e-6
-let ns x = x *. 1e-9
-let ms x = x *. 1e-3
-let seconds_of_cycles ~cycles ~freq_hz = cycles /. freq_hz
-let cycles_of_seconds ~seconds ~freq_hz = seconds *. freq_hz
 
 let pp_bytes fmt n =
   let f = float_of_int n in

@@ -8,18 +8,6 @@ val kib : int -> int
 val mib : int -> int
 val gib : int -> int
 
-val us : float -> float
-(** Microseconds to seconds. *)
-
-val ns : float -> float
-(** Nanoseconds to seconds. *)
-
-val ms : float -> float
-(** Milliseconds to seconds. *)
-
-val seconds_of_cycles : cycles:float -> freq_hz:float -> float
-val cycles_of_seconds : seconds:float -> freq_hz:float -> float
-
 val pp_bytes : Format.formatter -> int -> unit
 (** Human-readable byte count ("16.0 GiB"). *)
 

@@ -135,6 +135,3 @@ let find name =
 
 let names = List.map (fun app -> app.App.name) all
 
-let by_suite suite = List.filter (fun app -> app.App.suite = suite) all
-
-let by_class class_ = List.filter (fun app -> app.App.paper.App.class_ = class_) all

@@ -21,7 +21,3 @@ val find : string -> App.t option
 (** Case-insensitive lookup by name ("cg.C", "wrmem", ...). *)
 
 val names : string list
-
-val by_suite : App.suite -> App.t list
-
-val by_class : App.imbalance_class -> App.t list

@@ -74,10 +74,6 @@ let invalidate_batch_time t ~frames =
   assert (frames >= 0);
   float_of_int frames *. t.page_invalidate
 
-let map_batch_time t ~frames =
-  assert (frames >= 0);
-  float_of_int frames *. t.page_map
-
 (* Migrating [pages] scaled pages between one (src, dst) node pair in a
    single grouped operation: the write-protect/remap machinery is set up
    once per batch (the fixed share of [page_migrate_fixed], i.e. all of
@@ -108,13 +104,12 @@ let pt_replica_invalidate_time t ~replicas =
   assert (replicas >= 0);
   float_of_int replicas *. (t.page_op_send +. t.page_invalidate)
 
+let disk_request_overhead t = function
+  | `Native -> t.disk_native_request
+  | `Pv -> t.disk_native_request +. t.disk_pv_extra
+  | `Passthrough -> t.disk_native_request +. t.disk_passthrough_extra
+
 let disk_request t ~path ~bytes =
   assert (bytes > 0);
   let transfer = float_of_int bytes /. t.disk_bandwidth in
-  let overhead =
-    match path with
-    | `Native -> t.disk_native_request
-    | `Pv -> t.disk_native_request +. t.disk_pv_extra
-    | `Passthrough -> t.disk_native_request +. t.disk_passthrough_extra
-  in
-  overhead +. transfer
+  disk_request_overhead t path +. transfer

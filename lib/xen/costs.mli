@@ -73,10 +73,6 @@ val invalidate_batch_time : t -> frames:int -> float
 (** Marginal cost of invalidating [frames] P2M entries inside an
     already-entered batched hypercall. *)
 
-val map_batch_time : t -> frames:int -> float
-(** Marginal cost of installing [frames] P2M entries inside an
-    already-entered batched hypercall. *)
-
 val migrate_batch_time : t -> pages:int -> page_bytes:int -> scale:int -> float
 (** Time to migrate [pages] scaled pages (of [page_bytes] each, every
     scaled page standing for [scale] real 4 KiB frames) between one
@@ -97,5 +93,10 @@ val pt_replica_invalidate_time : t -> replicas:int -> float
     tables: a queue send plus an entry invalidate
     ({!field-page_invalidate}) per mirror. *)
 
+val disk_request_overhead : t -> [ `Native | `Pv | `Passthrough ] -> float
+(** Per-request software overhead of one disk read over the given path:
+    the native cost plus the path's extra. *)
+
 val disk_request : t -> path:[ `Native | `Pv | `Passthrough ] -> bytes:int -> float
-(** End-to-end time of one disk read of [bytes] over the given path. *)
+(** End-to-end time of one disk read of [bytes] over the given path:
+    {!disk_request_overhead} plus the transfer. *)

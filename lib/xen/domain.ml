@@ -2,13 +2,11 @@ type kind = Dom0 | DomU
 
 type account = {
   mutable hypercall_time : float;
-  mutable hypercall_count : int;
   mutable fault_time : float;
   mutable fault_count : int;
   mutable migrate_time : float;
   mutable migrated_pages : int;
   mutable pt_replica_time : float;
-  mutable pt_replica_ops : int;
 }
 
 type t = {
@@ -21,7 +19,6 @@ type t = {
   home_nodes : Numa.Topology.node array;
   vcpu_pin : int array;
   account : account;
-  hypercalls : Hypercall.table;
   mutable fault_handler : (Memory.Page.pfn -> cpu:Numa.Topology.cpu -> unit) option;
   mutable policy_name : string;
 }
@@ -29,13 +26,11 @@ type t = {
 let fresh_account () =
   {
     hypercall_time = 0.0;
-    hypercall_count = 0;
     fault_time = 0.0;
     fault_count = 0;
     migrate_time = 0.0;
     migrated_pages = 0;
     pt_replica_time = 0.0;
-    pt_replica_ops = 0;
   }
 
 let handle_fault t ~costs ~pfn ~cpu =
@@ -54,10 +49,8 @@ let handle_fault t ~costs ~pfn ~cpu =
 let reset_account t =
   let a = t.account in
   a.hypercall_time <- 0.0;
-  a.hypercall_count <- 0;
   a.fault_time <- 0.0;
   a.fault_count <- 0;
   a.migrate_time <- 0.0;
   a.migrated_pages <- 0;
-  a.pt_replica_time <- 0.0;
-  a.pt_replica_ops <- 0
+  a.pt_replica_time <- 0.0

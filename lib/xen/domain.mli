@@ -13,15 +13,12 @@ type kind = Dom0 | DomU
 
 type account = {
   mutable hypercall_time : float;
-  mutable hypercall_count : int;
   mutable fault_time : float;
   mutable fault_count : int;
   mutable migrate_time : float;
   mutable migrated_pages : int;
   mutable pt_replica_time : float;
       (** Write-propagation time into replicated page tables. *)
-  mutable pt_replica_ops : int;
-      (** Primary P2M mutations propagated to the mirrors. *)
 }
 
 type t = {
@@ -34,7 +31,6 @@ type t = {
   home_nodes : Numa.Topology.node array;
   vcpu_pin : int array;  (** [vcpu_pin.(v)] is the pCPU running vCPU [v]. *)
   account : account;
-  hypercalls : Hypercall.table;  (** Per-hypercall invocation counts. *)
   mutable fault_handler : (Memory.Page.pfn -> cpu:Numa.Topology.cpu -> unit) option;
   mutable policy_name : string;  (** For reports; policies update it. *)
 }

@@ -71,7 +71,6 @@ let check t pfn =
   if pfn < 0 || pfn >= Array.length t.mfns then invalid_arg "P2m: pfn out of range"
 
 let extent_of t pfn = pfn / t.sp_frames
-let superpage_base t pfn = pfn - (pfn mod t.sp_frames)
 
 let is_superpage t pfn =
   check t pfn;
@@ -206,7 +205,7 @@ let promote t ~pfn =
 type batch_stats = { applied : int; splintered : int }
 
 (* In-place ascending quicksort of a.(lo..hi), optionally swapping a
-   tandem array in step (map/migrate batches carry pfn->mfn pairs).
+   tandem array in step (migrate batches carry pfn->mfn pairs).
    Median-of-three pivoting; insertion sort below 16 elements.  The
    sort is deterministic, so batch processing order is too. *)
 let sort_prefix ?tandem a n =
@@ -303,29 +302,6 @@ let invalidate_range ?on_splinter ?on_free t ~first ~n =
   done;
   { applied = !applied; splintered = !splintered }
 
-let map_batch t ?on_splinter pfns mfns ~n ~writable =
-  check_batch t "P2m.map_batch" n (min (Array.length pfns) (Array.length mfns));
-  Obs.Profile.span Obs.Profile.P2m_batch @@ fun () ->
-  sort_prefix ~tandem:mfns pfns n;
-  let splintered = ref 0 in
-  let w = if writable then '\001' else '\000' in
-  for i = 0 to n - 1 do
-    let pfn = pfns.(i) in
-    check t pfn;
-    let mfn = mfns.(i) in
-    if mfn < 0 then invalid_arg "P2m.map_batch: negative mfn";
-    if t.sp_frames > 1 && Bytes.get t.sp (extent_of t pfn) <> '\000' then begin
-      (match on_splinter with Some f -> f pfn | None -> ());
-      ignore (splinter t pfn);
-      incr splintered
-    end;
-    if t.mfns.(pfn) < 0 then t.mapped <- t.mapped + 1;
-    t.mfns.(pfn) <- mfn;
-    Bytes.set t.writable pfn w;
-    notify t (Set { pfn; mfn; writable })
-  done;
-  { applied = n; splintered = !splintered }
-
 let migrate_batch t ?on_splinter pfns mfns ~n ~f =
   check_batch t "P2m.migrate_batch" n (min (Array.length pfns) (Array.length mfns));
   Obs.Profile.span Obs.Profile.P2m_batch @@ fun () ->
@@ -391,8 +367,3 @@ let iter_mapped t f =
     let mfn = mfns.(pfn) in
     if mfn >= 0 then f pfn mfn
   done
-
-let fold_mapped t ~init ~f =
-  let acc = ref init in
-  iter_mapped t (fun pfn mfn -> acc := f !acc pfn mfn);
-  !acc

@@ -37,7 +37,7 @@ type update =
   | Set of { pfn : int; mfn : int; writable : bool }
       (** A per-frame entry was installed or rewritten (covers [set],
           [write_protect] — with the current mfn and [writable =
-          false] — and each applied map/migrate batch element). *)
+          false] — and each applied migrate batch element). *)
   | Cleared of { pfn : int }  (** The entry was invalidated. *)
   | Superpage_mapped of { pfn : int; mfn : int; writable : bool }
       (** A whole extent was mapped by one superpage entry. *)
@@ -104,9 +104,6 @@ val is_superpage : t -> Memory.Page.pfn -> bool
 (** [true] iff [pfn] lies inside an extent mapped by a superpage
     entry. *)
 
-val superpage_base : t -> Memory.Page.pfn -> Memory.Page.pfn
-(** First pfn of the extent containing [pfn]. *)
-
 val splinter : t -> Memory.Page.pfn -> int
 (** Demote the extent containing [pfn] to per-frame entries; returns
     the number of frames demoted (0 if it was not a superpage).
@@ -164,20 +161,6 @@ val invalidate_range :
     @raise Invalid_argument on an out-of-range pfn or a negative
     [n]. *)
 
-val map_batch :
-  t ->
-  ?on_splinter:(Memory.Page.pfn -> unit) ->
-  int array ->
-  int array ->
-  n:int ->
-  writable:bool ->
-  batch_stats
-(** [map_batch t pfns mfns ~n ~writable] installs [pfns.(i) ->
-    mfns.(i)] for the first [n] pairs (arrays are co-sorted by pfn).
-    State is exactly that of per-page {!set} over the same pairs.
-    @raise Invalid_argument on an out-of-range pfn, a negative mfn, or
-    a bad [n]. *)
-
 val migrate_batch :
   t ->
   ?on_splinter:(Memory.Page.pfn -> unit) ->
@@ -224,5 +207,3 @@ val check_consistent : t -> bool
     O(frames). *)
 
 val iter_mapped : t -> (Memory.Page.pfn -> Memory.Page.mfn -> unit) -> unit
-
-val fold_mapped : t -> init:'a -> f:('a -> Memory.Page.pfn -> Memory.Page.mfn -> 'a) -> 'a

@@ -28,10 +28,6 @@ let assign_bus t ~bus_id domain =
         Hashtbl.replace t.owners bus_id domain;
         Ok ()
 
-let release_bus t ~bus_id = Hashtbl.remove t.owners bus_id
-
-let owner t ~bus_id = Hashtbl.find_opt t.owners bus_id
-
 let domain_has_passthrough t domain device =
   List.exists
     (fun b ->

@@ -17,8 +17,6 @@ type bus = {
 
 type t
 
-val create : buses:(Numa.Topology.node * device list) list -> t
-
 val amd48 : unit -> t
 (** Two buses: bus 0 on node 0 (dom0's network and disk), bus 1 on
     node 6 (the benchmark/dataset disk). *)
@@ -28,10 +26,6 @@ val buses : t -> bus list
 val assign_bus : t -> bus_id:int -> Domain.t -> (unit, string) result
 (** Assign a whole bus to a domain for passthrough.  Fails if the bus
     is already assigned to another domain. *)
-
-val release_bus : t -> bus_id:int -> unit
-
-val owner : t -> bus_id:int -> Domain.t option
 
 val domain_has_passthrough : t -> Domain.t -> device -> bool
 (** Whether the domain owns a bus carrying the given device. *)

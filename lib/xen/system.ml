@@ -118,7 +118,6 @@ let create_domain t ~name ~kind ~vcpus ~mem_bytes ?home_nodes () =
       home_nodes;
       vcpu_pin;
       account = Domain.fresh_account ();
-      hypercalls = Hypercall.create_table ();
       fault_handler = None;
       policy_name = "none";
     }
@@ -127,8 +126,6 @@ let create_domain t ~name ~kind ~vcpus ~mem_bytes ?home_nodes () =
   t.domains <- domain :: t.domains;
   domain
 
-let find_domain t ~id = List.find_opt (fun d -> d.Domain.id = id) t.domains
-
 let destroy_domain t domain =
   P2m.iter_mapped domain.Domain.p2m (fun pfn _ ->
       match P2m.invalidate domain.Domain.p2m pfn with
@@ -136,8 +133,3 @@ let destroy_domain t domain =
       | None -> ());
   Array.iter (fun pcpu -> t.pcpu_load.(pcpu) <- t.pcpu_load.(pcpu) - 1) domain.Domain.vcpu_pin;
   t.domains <- List.filter (fun d -> d.Domain.id <> domain.Domain.id) t.domains
-
-let pcpu_share t pcpu =
-  assert (pcpu >= 0 && pcpu < Array.length t.pcpu_load);
-  let load = t.pcpu_load.(pcpu) in
-  if load <= 1 then 1.0 else 1.0 /. float_of_int load

@@ -59,11 +59,5 @@ val create_domain :
     pCPU once all are busy).
     @raise Invalid_argument if the request cannot fit the machine. *)
 
-val find_domain : t -> id:int -> Domain.t option
-
 val destroy_domain : t -> Domain.t -> unit
 (** Unmaps and frees every machine frame held by the domain's P2M. *)
-
-val pcpu_share : t -> Numa.Topology.cpu -> float
-(** CPU time share a vCPU pinned on this pCPU receives
-    ([1 / occupancy]; 1.0 when the pCPU is idle or single-booked). *)

@@ -654,8 +654,10 @@ let check_accounting ~msg s d =
    reports free.  Prepending during the ascending walk leaves it in
    descending pfn order, the order the sweep heals in. *)
 let full_sweep_stale p2m pool =
-  Xen.P2m.fold_mapped p2m ~init:[] ~f:(fun acc pfn _ ->
-      if Guest.Pfn_pool.is_free pool pfn then pfn :: acc else acc)
+  let stale = ref [] in
+  Xen.P2m.iter_mapped p2m (fun pfn _ ->
+      if Guest.Pfn_pool.is_free pool pfn then stale := pfn :: !stale);
+  !stale
 
 (* Differential check of one sweep against the oracle: it must heal
    exactly the oracle's pfns, and its P2M update stream must be one

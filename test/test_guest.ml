@@ -1,32 +1,31 @@
-(* Tests for the guest library: gpt, pfn_pool, pv_queue, sync,
-   process. *)
+(* Tests for the guest library: gpt, pfn_pool, pv_queue, and a process
+   built from a gpt and the pool. *)
 
 (* -------------------------------- gpt ----------------------------- *)
 
 let test_gpt_lazy () =
   let g = Guest.Gpt.create ~frames:8 in
-  Alcotest.(check (option int)) "unmapped" None (Guest.Gpt.get g 3);
-  Alcotest.(check int) "no faults yet" 0 (Guest.Gpt.fault_count g);
-  let next = ref 100 in
-  let alloc () = incr next; Some !next in
+  let faults = ref 0 in
+  let alloc () = incr faults; Some (100 + !faults) in
   Alcotest.(check (option int)) "first touch allocates" (Some 101) (Guest.Gpt.touch g 3 ~alloc);
-  Alcotest.(check int) "one fault" 1 (Guest.Gpt.fault_count g);
+  Alcotest.(check int) "one fault" 1 !faults;
   Alcotest.(check (option int)) "second touch reuses" (Some 101) (Guest.Gpt.touch g 3 ~alloc);
-  Alcotest.(check int) "still one fault" 1 (Guest.Gpt.fault_count g)
-
-let test_gpt_map_unmap () =
-  let g = Guest.Gpt.create ~frames:4 in
-  Guest.Gpt.map g 0 42;
-  Alcotest.(check int) "mapped count" 1 (Guest.Gpt.mapped_count g);
-  Alcotest.check_raises "remap rejected" (Invalid_argument "Gpt.map: vfn already mapped")
-    (fun () -> Guest.Gpt.map g 0 7);
-  Alcotest.(check (option int)) "unmap returns pfn" (Some 42) (Guest.Gpt.unmap g 0);
-  Alcotest.(check (option int)) "second unmap" None (Guest.Gpt.unmap g 0);
-  Alcotest.(check int) "count back" 0 (Guest.Gpt.mapped_count g)
+  Alcotest.(check int) "still one fault" 1 !faults
 
 let test_gpt_alloc_failure () =
   let g = Guest.Gpt.create ~frames:2 in
   Alcotest.(check (option int)) "oom" None (Guest.Gpt.touch g 0 ~alloc:(fun () -> None))
+
+let test_process_reuse_after_free () =
+  (* The Figure-4 pattern: a page moves from one virtual address to
+     another through the free list, invisibly to any hypervisor. *)
+  let pool = Guest.Pfn_pool.create ~frames:4 () in
+  let g = Guest.Gpt.create ~frames:8 in
+  let alloc () = Guest.Pfn_pool.alloc pool in
+  let pfn0 = match Guest.Gpt.touch g 0 ~alloc with Some x -> x | None -> -1 in
+  Guest.Pfn_pool.release pool pfn0;
+  let pfn1 = match Guest.Gpt.touch g 5 ~alloc with Some x -> x | None -> -1 in
+  Alcotest.(check int) "same physical frame recycled" pfn0 pfn1
 
 (* ------------------------------ pfn_pool --------------------------- *)
 
@@ -37,8 +36,7 @@ let test_pool_lifo_recycling () =
   Alcotest.(check int) "fresh 0" 0 a;
   Alcotest.(check int) "fresh 1" 1 b;
   Guest.Pfn_pool.release pool a;
-  Alcotest.(check (option int)) "recycles most recent" (Some a) (Guest.Pfn_pool.alloc pool);
-  Alcotest.(check int) "one recycled" 1 (Guest.Pfn_pool.recycled pool)
+  Alcotest.(check (option int)) "recycles most recent" (Some a) (Guest.Pfn_pool.alloc pool)
 
 let test_pool_exhaustion () =
   let pool = Guest.Pfn_pool.create ~frames:2 () in
@@ -321,82 +319,6 @@ let prop_queue_page_ops_equals_reference =
       && stats.Policies.Manager.left_in_place = !left
       && (Guest.Pv_queue.stats q).Guest.Pv_queue.dedup_hits = !hits)
 
-(* -------------------------------- sync ----------------------------- *)
-
-let test_mcs_basic () =
-  let lock = Guest.Sync.Mcs.create ~threads:4 in
-  Alcotest.(check bool) "t0 acquires" true (Guest.Sync.Mcs.acquire lock ~thread:0 = `Acquired);
-  Alcotest.(check bool) "t1 queued" true (Guest.Sync.Mcs.acquire lock ~thread:1 = `Queued 0);
-  Alcotest.(check bool) "t2 queued" true (Guest.Sync.Mcs.acquire lock ~thread:2 = `Queued 1);
-  Alcotest.(check int) "2 waiters" 2 (Guest.Sync.Mcs.waiters lock);
-  Alcotest.(check (option int)) "handoff to t1" (Some 1) (Guest.Sync.Mcs.release lock ~thread:0);
-  Alcotest.(check (option int)) "holder is t1" (Some 1) (Guest.Sync.Mcs.holder lock);
-  Alcotest.(check (option int)) "handoff to t2" (Some 2) (Guest.Sync.Mcs.release lock ~thread:1);
-  Alcotest.(check (option int)) "last release" None (Guest.Sync.Mcs.release lock ~thread:2);
-  Alcotest.(check (option int)) "free" None (Guest.Sync.Mcs.holder lock)
-
-let test_mcs_errors () =
-  let lock = Guest.Sync.Mcs.create ~threads:2 in
-  ignore (Guest.Sync.Mcs.acquire lock ~thread:0);
-  Alcotest.check_raises "reacquire" (Invalid_argument "Mcs.acquire: thread already holds or waits")
-    (fun () -> ignore (Guest.Sync.Mcs.acquire lock ~thread:0));
-  Alcotest.check_raises "wrong releaser" (Invalid_argument "Mcs.release: thread is not the holder")
-    (fun () -> ignore (Guest.Sync.Mcs.release lock ~thread:1))
-
-let test_sync_costs () =
-  let futex = Guest.Sync.wait_overhead Guest.Sync.Futex_sleep ~context_switch:1.5e-6 ~ipi:10.9e-6 in
-  Alcotest.(check (float 1e-12)) "futex = 2 switches + ipi" 13.9e-6 futex;
-  Alcotest.(check (float 1e-12)) "spin free" 0.0
-    (Guest.Sync.wait_overhead Guest.Sync.Mcs_spin ~context_switch:1.5e-6 ~ipi:10.9e-6);
-  Alcotest.(check int) "futex switches" 2 (Guest.Sync.switches_per_event Guest.Sync.Futex_sleep);
-  Alcotest.(check int) "spin switches" 0 (Guest.Sync.switches_per_event Guest.Sync.Mcs_spin)
-
-let prop_mcs_fifo =
-  QCheck.Test.make ~name:"mcs hands off in fifo order" ~count:100
-    QCheck.(int_range 2 16)
-    (fun n ->
-      let lock = Guest.Sync.Mcs.create ~threads:n in
-      for t = 0 to n - 1 do
-        ignore (Guest.Sync.Mcs.acquire lock ~thread:t)
-      done;
-      let order = ref [] in
-      let holder = ref 0 in
-      for _ = 1 to n - 1 do
-        match Guest.Sync.Mcs.release lock ~thread:!holder with
-        | Some next ->
-            order := next :: !order;
-            holder := next
-        | None -> ()
-      done;
-      List.rev !order = List.init (n - 1) (fun i -> i + 1))
-
-(* ------------------------------- process --------------------------- *)
-
-let test_process_touch_and_free () =
-  let pool = Guest.Pfn_pool.create ~frames:32 () in
-  let p = Guest.Process.create ~pid:1 ~vframes:16 ~pool in
-  for vfn = 0 to 7 do
-    match Guest.Process.touch p vfn with
-    | Some _ -> ()
-    | None -> Alcotest.fail "touch failed"
-  done;
-  Alcotest.(check int) "8 resident" 8 (Guest.Process.resident p);
-  Alcotest.(check int) "8 allocated in pool" 8 (Guest.Pfn_pool.allocated pool);
-  let released = Guest.Process.free_range p ~first:0 ~count:4 in
-  Alcotest.(check int) "4 released" 4 released;
-  Alcotest.(check int) "4 resident" 4 (Guest.Process.resident p);
-  Alcotest.(check int) "4 in pool" 4 (Guest.Pfn_pool.allocated pool)
-
-let test_process_reuse_after_free () =
-  (* The Figure-4 pattern: a page moves from one virtual address to
-     another through the free list, invisibly to any hypervisor. *)
-  let pool = Guest.Pfn_pool.create ~frames:4 () in
-  let p = Guest.Process.create ~pid:1 ~vframes:8 ~pool in
-  let pfn0 = match Guest.Process.touch p 0 with Some x -> x | None -> -1 in
-  ignore (Guest.Process.free_range p ~first:0 ~count:1);
-  let pfn1 = match Guest.Process.touch p 5 with Some x -> x | None -> -1 in
-  Alcotest.(check int) "same physical frame recycled" pfn0 pfn1
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -404,9 +326,12 @@ let suite =
     ( "guest.gpt",
       [
         Alcotest.test_case "lazy allocation" `Quick test_gpt_lazy;
-        Alcotest.test_case "map/unmap" `Quick test_gpt_map_unmap;
         Alcotest.test_case "alloc failure" `Quick test_gpt_alloc_failure;
       ] );
+    (* A guest process is a page table over the shared frame pool,
+       wired as the runner wires it. *)
+    ( "guest.process",
+      [ Alcotest.test_case "figure-4 reuse" `Quick test_process_reuse_after_free ] );
     ( "guest.pfn_pool",
       [
         Alcotest.test_case "lifo recycling" `Quick test_pool_lifo_recycling;
@@ -427,17 +352,5 @@ let suite =
         qcheck prop_queue_replay_matches_final_state;
         Alcotest.test_case "rejects out-of-range pfn" `Quick test_queue_rejects_out_of_range;
         qcheck prop_queue_page_ops_equals_reference;
-      ] );
-    ( "guest.sync",
-      [
-        Alcotest.test_case "mcs basic" `Quick test_mcs_basic;
-        Alcotest.test_case "mcs errors" `Quick test_mcs_errors;
-        Alcotest.test_case "wait costs" `Quick test_sync_costs;
-        qcheck prop_mcs_fifo;
-      ] );
-    ( "guest.process",
-      [
-        Alcotest.test_case "touch and free" `Quick test_process_touch_and_free;
-        Alcotest.test_case "figure-4 reuse" `Quick test_process_reuse_after_free;
       ] );
   ]

@@ -8,16 +8,12 @@ let test_page_constants () =
   Alcotest.(check int) "2m frames" 512 Memory.Page.frames_per_2m;
   Alcotest.(check int) "1g frames" 262144 Memory.Page.frames_per_1g;
   Alcotest.(check int) "2m order" 9 Memory.Page.order_2m;
-  Alcotest.(check int) "1g order" 18 Memory.Page.order_1g;
-  Alcotest.(check int) "frames of 1 byte" 1 (Memory.Page.frames_of_bytes ~bytes:1);
-  Alcotest.(check int) "frames of 4096" 1 (Memory.Page.frames_of_bytes ~bytes:4096);
-  Alcotest.(check int) "frames of 4097" 2 (Memory.Page.frames_of_bytes ~bytes:4097)
+  Alcotest.(check int) "1g order" 18 Memory.Page.order_1g
 
 (* Satellite of the buddy.mli doc fix: the order constants are derived
    from the Units sizes in one place, so the byte math can never drift
    from the frame math. *)
 let test_page_orders_from_units () =
-  Alcotest.(check int) "order_4k" 0 Memory.Page.order_4k;
   Alcotest.(check int) "order_2m from 2 MiB"
     (Memory.Page.order_of_size (Sim.Units.mib 2))
     Memory.Page.order_2m;
@@ -158,7 +154,7 @@ let prop_buddy_trace =
       let held = ref [] in
       List.iter
         (fun order ->
-          if Sim.Rng.bool rng || !held = [] then begin
+          if Sim.Rng.int rng 2 = 1 || !held = [] then begin
             match Memory.Buddy.alloc b ~order with
             | Some f -> held := (f, order) :: !held
             | None -> ()
@@ -442,7 +438,7 @@ let prop_buddy_free_run_equals_per_frame =
           held.(i) <- 0
         end
       done;
-      if Sim.Rng.bool rng then begin
+      if Sim.Rng.int rng 2 = 1 then begin
         let lo = base + Sim.Rng.int rng frames and n = 1 + Sim.Rng.int rng 8 in
         both (fun x -> ignore (Memory.Buddy.offline_range x ~base:lo ~frames:n))
       end;
@@ -530,8 +526,7 @@ let test_machine_scaled_orders () =
   let m = machine ~page_scale:256 () in
   Alcotest.(check int) "frame bytes 1 MiB" (1024 * 1024) (Memory.Machine.frame_bytes m);
   Alcotest.(check int) "1g order scaled" 10 (Memory.Machine.order_1g m);
-  Alcotest.(check int) "2m order scaled" 1 (Memory.Machine.order_2m m);
-  Alcotest.(check int) "order of 3 MiB" 2 (Memory.Machine.order_of_bytes m ~bytes:(3 * 1024 * 1024))
+  Alcotest.(check int) "2m order scaled" 1 (Memory.Machine.order_2m m)
 
 let test_machine_free_respects_node () =
   let m = machine () in
@@ -547,10 +542,10 @@ let test_machine_used_per_node () =
   ignore (Memory.Machine.alloc_frame m ~node:1);
   ignore (Memory.Machine.alloc_frame m ~node:1);
   ignore (Memory.Machine.alloc_frame m ~node:6);
-  let used = Memory.Machine.used_frames_per_node m in
-  Alcotest.(check int) "node 1" 2 used.(1);
-  Alcotest.(check int) "node 6" 1 used.(6);
-  Alcotest.(check int) "node 0" 0 used.(0)
+  let used node = Memory.Machine.frames_per_node m - Memory.Machine.free_frames_on m node in
+  Alcotest.(check int) "node 1" 2 (used 1);
+  Alcotest.(check int) "node 6" 1 (used 6);
+  Alcotest.(check int) "node 0" 0 (used 0)
 
 let test_machine_rejects_bad_scale () =
   Alcotest.check_raises "non power of two"

@@ -117,11 +117,6 @@ let test_latency_clamps () =
   check_float "hops beyond max clamp" 383.0
     (Numa.Latency.mem_cycles lat ~hops:9 ~saturation:0.0)
 
-let test_latency_seconds () =
-  let lat = Numa.Amd48.latency in
-  check_float "156 cycles at 2.2 GHz" (156.0 /. 2.2e9)
-    (Numa.Latency.access_seconds lat ~hops:0 ~saturation:0.0)
-
 let prop_latency_monotone_in_saturation =
   QCheck.Test.make ~name:"latency monotone in saturation" ~count:300
     QCheck.(triple (int_range 0 2) (float_range 0.0 1.0) (float_range 0.0 1.0))
@@ -294,7 +289,6 @@ let suite =
         Alcotest.test_case "Table 3 contended" `Quick test_latency_table3_contended;
         Alcotest.test_case "caches" `Quick test_latency_caches;
         Alcotest.test_case "clamps" `Quick test_latency_clamps;
-        Alcotest.test_case "seconds" `Quick test_latency_seconds;
         qcheck prop_latency_monotone_in_saturation;
         qcheck prop_latency_monotone_in_hops;
       ] );

@@ -26,10 +26,7 @@ let test_ring_basic () =
   Alcotest.(check (list int)) "keeps most recent" [ 3; 4; 5; 6 ] (Obs.Ring.to_list r);
   Alcotest.(check int) "emitted" 6 (Obs.Ring.emitted r);
   Alcotest.(check int) "dropped" 2 (Obs.Ring.dropped r);
-  Alcotest.(check int) "length" 4 (Obs.Ring.length r);
-  Obs.Ring.clear r;
-  Alcotest.(check (list int)) "clear empties" [] (Obs.Ring.to_list r);
-  Alcotest.(check int) "clear resets emitted" 0 (Obs.Ring.emitted r)
+  Alcotest.(check int) "length" 4 (Obs.Ring.length r)
 
 let test_ring_rejects_bad_capacity () =
   Alcotest.check_raises "zero capacity"
@@ -152,27 +149,28 @@ let test_histogram_merge () =
 (* ----------------------------- metrics ----------------------------- *)
 
 let test_metrics_registry () =
-  let r = Obs.Metrics.create () in
-  Obs.Metrics.incr_in r "b.counter";
-  Obs.Metrics.incr_in r ~by:4 "b.counter";
-  Obs.Metrics.gauge_in r "a.gauge" 2.5;
-  Obs.Metrics.observe_in r "c.lat" 0.5;
-  Obs.Metrics.observe_in r "c.lat" 1.5;
-  (match Obs.Metrics.snapshot_of r with
-  | [ (na, Obs.Metrics.Gauge_value g); (nb, Obs.Metrics.Counter_value c);
-      (nc, Obs.Metrics.Histogram_value h) ] ->
-      Alcotest.(check string) "sorted 1" "a.gauge" na;
-      Alcotest.(check string) "sorted 2" "b.counter" nb;
-      Alcotest.(check string) "sorted 3" "c.lat" nc;
-      Alcotest.(check (float 0.0)) "gauge" 2.5 g;
-      Alcotest.(check int) "counter" 5 c;
-      Alcotest.(check int) "histogram count" 2 h.Obs.Metrics.count;
-      Alcotest.(check (float 1e-9)) "histogram mean" 1.0 h.Obs.Metrics.mean
-  | s -> Alcotest.failf "unexpected snapshot shape (%d entries)" (List.length s));
-  Alcotest.(check (option int)) "counter_value" (Some 5)
-    (Obs.Metrics.counter_value ~registry:r "b.counter");
-  Alcotest.(check (option int)) "absent counter" None
-    (Obs.Metrics.counter_value ~registry:r "missing")
+  with_clean_obs (fun () ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled true;
+      Obs.Metrics.incr "b.counter";
+      Obs.Metrics.incr ~by:4 "b.counter";
+      Obs.Metrics.gauge "a.gauge" 2.5;
+      Obs.Metrics.observe "c.lat" 0.5;
+      Obs.Metrics.observe "c.lat" 1.5;
+      (match Obs.Metrics.snapshot () with
+      | [ (na, Obs.Metrics.Gauge_value g); (nb, Obs.Metrics.Counter_value c);
+          (nc, Obs.Metrics.Histogram_value h) ] ->
+          Alcotest.(check string) "sorted 1" "a.gauge" na;
+          Alcotest.(check string) "sorted 2" "b.counter" nb;
+          Alcotest.(check string) "sorted 3" "c.lat" nc;
+          Alcotest.(check (float 0.0)) "gauge" 2.5 g;
+          Alcotest.(check int) "counter" 5 c;
+          Alcotest.(check int) "histogram count" 2 h.Obs.Metrics.count;
+          Alcotest.(check (float 1e-9)) "histogram mean" 1.0 h.Obs.Metrics.mean
+      | s -> Alcotest.failf "unexpected snapshot shape (%d entries)" (List.length s));
+      Alcotest.(check (option int)) "counter_value" (Some 5)
+        (Obs.Metrics.counter_value "b.counter");
+      Alcotest.(check (option int)) "absent counter" None (Obs.Metrics.counter_value "missing"))
 
 let test_metrics_disabled_noop () =
   with_clean_obs (fun () ->
@@ -828,7 +826,7 @@ let suite =
   [
     ( "obs.ring",
       [
-        Alcotest.test_case "push/overwrite/clear" `Quick test_ring_basic;
+        Alcotest.test_case "push/overwrite" `Quick test_ring_basic;
         Alcotest.test_case "rejects bad capacity" `Quick test_ring_rejects_bad_capacity;
         qcheck prop_ring_accounting;
       ] );

@@ -32,9 +32,7 @@ let test_results_ordered_by_index () =
 let test_map_preserves_order () =
   let l = [ "a"; "bb"; "ccc"; "dddd" ] in
   Alcotest.(check (list int)) "map_list" [ 1; 2; 3; 4 ]
-    (Engine.Pool.map_list ~jobs:3 String.length l);
-  Alcotest.(check (array int)) "map_array" [| 1; 2; 3; 4 |]
-    (Engine.Pool.map_array ~jobs:3 String.length (Array.of_list l))
+    (Engine.Pool.map_list ~jobs:3 String.length l)
 
 let test_exception_propagates () =
   List.iter
@@ -56,7 +54,7 @@ let test_lowest_failure_wins () =
   | exception Boom i -> Alcotest.(check int) "first failure" 3 i)
 
 let test_jobs_env_and_default () =
-  Alcotest.(check bool) "available_jobs >= 1" true (Engine.Pool.available_jobs () >= 1);
+  Alcotest.(check bool) "resolved default >= 1" true (Engine.Pool.default_jobs () >= 1);
   Engine.Pool.set_default_jobs 3;
   Alcotest.(check int) "default override" 3 (Engine.Pool.default_jobs ());
   Engine.Pool.set_default_jobs 0;
@@ -120,8 +118,9 @@ let test_task_seed_stable () =
 
 let test_parallel_runs_cache_safe () =
   (* Hammer the memoized run cache from 8 workers on the same key mix;
-     every worker must observe the same result values. *)
-  Experiments.Runs.clear_cache ();
+     every worker must observe the same result values.  A seed no
+     other test uses keeps the cache cold for these keys. *)
+  let seed = 90_002 in
   let app =
     match Workloads.Catalogue.find "swaptions" with Some a -> a | None -> assert false
   in
@@ -131,7 +130,7 @@ let test_parallel_runs_cache_safe () =
   in
   let tasks =
     Array.init 16 (fun i () ->
-        (Engine.Result.single (Experiments.Runs.run keys.(i mod 2))).Engine.Result.completion)
+        (Engine.Result.single (Experiments.Runs.run ~seed keys.(i mod 2))).Engine.Result.completion)
   in
   let results = Engine.Pool.run_all ~jobs:8 tasks in
   Array.iteri

@@ -23,12 +23,6 @@ let test_rng_split_independent () =
   let b = Sim.Rng.split root in
   Alcotest.(check bool) "split streams differ" true (Sim.Rng.bits64 a <> Sim.Rng.bits64 b)
 
-let test_rng_copy () =
-  let a = Sim.Rng.create ~seed:9 in
-  ignore (Sim.Rng.bits64 a);
-  let b = Sim.Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Sim.Rng.bits64 a) (Sim.Rng.bits64 b)
-
 let test_rng_int_bounds () =
   let rng = Sim.Rng.create ~seed:3 in
   for _ = 1 to 10_000 do
@@ -52,31 +46,6 @@ let test_rng_bernoulli_mean () =
   done;
   check_close "bernoulli mean" 0.3 (float_of_int !hits /. float_of_int n) 0.01
 
-let test_rng_exponential_mean () =
-  let rng = Sim.Rng.create ~seed:7 in
-  let acc = ref 0.0 in
-  let n = 100_000 in
-  for _ = 1 to n do
-    let v = Sim.Rng.exponential rng ~mean:4.0 in
-    if v < 0.0 then Alcotest.fail "negative exponential";
-    acc := !acc +. v
-  done;
-  check_close "exponential mean" 4.0 (!acc /. float_of_int n) 0.1
-
-let test_rng_gaussian_moments () =
-  let rng = Sim.Rng.create ~seed:8 in
-  let n = 100_000 in
-  let acc = ref 0.0 and acc2 = ref 0.0 in
-  for _ = 1 to n do
-    let v = Sim.Rng.gaussian rng ~mu:10.0 ~sigma:2.0 in
-    acc := !acc +. v;
-    acc2 := !acc2 +. (v *. v)
-  done;
-  let mean = !acc /. float_of_int n in
-  let var = (!acc2 /. float_of_int n) -. (mean *. mean) in
-  check_close "gaussian mean" 10.0 mean 0.05;
-  check_close "gaussian sigma" 2.0 (sqrt var) 0.05
-
 let test_rng_zipf_bounds_and_skew () =
   let rng = Sim.Rng.create ~seed:9 in
   let n = 1000 in
@@ -95,14 +64,6 @@ let test_rng_zipf_bounds_and_skew () =
 let test_rng_zipf_single () =
   let rng = Sim.Rng.create ~seed:10 in
   Alcotest.(check int) "n=1 always 0" 0 (Sim.Rng.zipf rng ~n:1 ~s:0.9)
-
-let test_rng_shuffle_permutation () =
-  let rng = Sim.Rng.create ~seed:11 in
-  let a = Array.init 50 (fun i -> i) in
-  Sim.Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
 (* qcheck: Rng.int is always within bounds for arbitrary bounds/seeds *)
 let prop_rng_int_in_bounds =
@@ -128,7 +89,8 @@ let prop_rng_zipf_in_bounds =
 let test_stats_mean_stddev () =
   let a = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
   check_float "mean" 5.0 (Sim.Stats.mean a);
-  check_float "stddev" 2.0 (Sim.Stats.stddev a)
+  (* Population standard deviation 2 over the mean 5. *)
+  check_float "stddev / mean" 0.4 (Sim.Stats.relative_stddev a)
 
 let test_stats_relative_stddev () =
   check_float "uniform => 0" 0.0 (Sim.Stats.relative_stddev [| 3.0; 3.0; 3.0 |]);
@@ -144,25 +106,6 @@ let test_stats_percentile () =
   check_float "p50" 3.0 (Sim.Stats.percentile a 50.0);
   check_float "p100" 5.0 (Sim.Stats.percentile a 100.0);
   check_float "p25" 2.0 (Sim.Stats.percentile a 25.0)
-
-let test_stats_geometric_mean () =
-  check_float "geomean" 4.0 (Sim.Stats.geometric_mean [| 2.0; 8.0 |])
-
-let test_stats_summary () =
-  let s = Sim.Stats.summary_of_array [| 1.0; 3.0 |] in
-  check_float "mean" 2.0 s.Sim.Stats.mean;
-  check_float "min" 1.0 s.Sim.Stats.min;
-  check_float "max" 3.0 s.Sim.Stats.max;
-  Alcotest.(check int) "count" 2 s.Sim.Stats.count
-
-let test_stats_online_matches_batch () =
-  let rng = Sim.Rng.create ~seed:12 in
-  let a = Array.init 1000 (fun _ -> Sim.Rng.float rng 100.0) in
-  let online = Sim.Stats.Online.create () in
-  Array.iter (Sim.Stats.Online.add online) a;
-  check_close "online mean" (Sim.Stats.mean a) (Sim.Stats.Online.mean online) 1e-6;
-  check_close "online stddev" (Sim.Stats.stddev a) (Sim.Stats.Online.stddev online) 1e-6;
-  Alcotest.(check int) "count" 1000 (Sim.Stats.Online.count online)
 
 let prop_stats_relative_stddev_scale_invariant =
   QCheck.Test.make ~name:"relative stddev is scale invariant" ~count:200
@@ -251,12 +194,7 @@ let prop_eventq_drains_sorted =
 let test_units () =
   Alcotest.(check int) "kib" 2048 (Sim.Units.kib 2);
   Alcotest.(check int) "mib" (1024 * 1024) (Sim.Units.mib 1);
-  Alcotest.(check int) "gib" (1024 * 1024 * 1024) (Sim.Units.gib 1);
-  check_float "us" 1e-6 (Sim.Units.us 1.0);
-  check_float "ns" 1e-9 (Sim.Units.ns 1.0);
-  check_float "ms" 1e-3 (Sim.Units.ms 1.0);
-  check_float "cycles to seconds" 1.0 (Sim.Units.seconds_of_cycles ~cycles:2.2e9 ~freq_hz:2.2e9);
-  check_float "seconds to cycles" 2.2e9 (Sim.Units.cycles_of_seconds ~seconds:1.0 ~freq_hz:2.2e9)
+  Alcotest.(check int) "gib" (1024 * 1024 * 1024) (Sim.Units.gib 1)
 
 let test_units_pp () =
   Alcotest.(check string) "bytes" "16.0 GiB" (Format.asprintf "%a" Sim.Units.pp_bytes (Sim.Units.gib 16));
@@ -272,8 +210,7 @@ let test_topk_selects_best () =
   Alcotest.(check bool) "heap shape" true (Sim.Stats.Topk.heap_invariant h);
   Alcotest.(check (array (pair (float 0.0) int))) "best three, descending"
     [| (9.0, 12); (7.0, 14); (5.0, 10) |]
-    (Sim.Stats.Topk.sorted_desc h);
-  Alcotest.(check (float 0.0)) "root is the worst kept" 5.0 (Sim.Stats.Topk.min_key h)
+    (Sim.Stats.Topk.sorted_desc h)
 
 let test_topk_ties_toward_smaller_id () =
   let h = Sim.Stats.Topk.create 2 in
@@ -282,28 +219,12 @@ let test_topk_ties_toward_smaller_id () =
     [| (4.0, 10); (4.0, 20) |]
     (Sim.Stats.Topk.sorted_desc h)
 
-let test_topk_empty_and_clear () =
+let test_topk_empty () =
   let h = Sim.Stats.Topk.create 4 in
   Alcotest.(check int) "empty" 0 (Sim.Stats.Topk.size h);
-  Alcotest.(check bool) "empty min_key" true (Sim.Stats.Topk.min_key h = neg_infinity);
   Alcotest.(check int) "no results" 0 (Array.length (Sim.Stats.Topk.sorted_desc h));
-  Sim.Stats.Topk.add h ~key:1.0 0;
-  Sim.Stats.Topk.clear h;
-  Alcotest.(check int) "cleared" 0 (Sim.Stats.Topk.size h);
   Alcotest.check_raises "k = 0 rejected" (Invalid_argument "Topk.create: k must be positive")
     (fun () -> ignore (Sim.Stats.Topk.create 0))
-
-let test_topk_decay () =
-  let h = Sim.Stats.Topk.create 2 in
-  Sim.Stats.Topk.add h ~key:8.0 1;
-  Sim.Stats.Topk.add h ~key:2.0 2;
-  Sim.Stats.Topk.decay h 0.5;
-  Alcotest.(check (array (pair (float 0.0) int))) "keys halved, order kept"
-    [| (4.0, 1); (1.0, 2) |]
-    (Sim.Stats.Topk.sorted_desc h);
-  Alcotest.check_raises "non-positive factor rejected"
-    (Invalid_argument "Topk.decay: factor must be positive") (fun () ->
-      Sim.Stats.Topk.decay h 0.0)
 
 (* Reference model for the differential property: the same "bigger
    key first, ties toward smaller id" order over a plain list. *)
@@ -326,26 +247,16 @@ let topk_model_add k model x =
   end
 
 let prop_topk_matches_model =
-  QCheck.Test.make ~name:"topk: differential vs list model under insert/decay" ~count:300
-    QCheck.(
-      pair (int_range 1 8)
-        (small_list (pair bool (pair (int_range 0 40) (int_range 0 15)))))
+  QCheck.Test.make ~name:"topk: differential vs list model under insert" ~count:300
+    QCheck.(pair (int_range 1 8) (small_list (pair (int_range 0 40) (int_range 0 15))))
     (fun (k, trace) ->
       let h = Sim.Stats.Topk.create k in
       let model = ref [] in
       List.iter
-        (fun (is_add, (key_i, id)) ->
-          if is_add then begin
-            let key = float_of_int key_i /. 4.0 in
-            Sim.Stats.Topk.add h ~key id;
-            model := topk_model_add k !model (key, id)
-          end
-          else begin
-            (* Deterministic factor derived from the trace element. *)
-            let factor = 0.25 +. (float_of_int id /. 16.0) in
-            Sim.Stats.Topk.decay h factor;
-            model := List.map (fun (ky, i) -> (ky *. factor, i)) !model
-          end;
+        (fun (key_i, id) ->
+          let key = float_of_int key_i /. 4.0 in
+          Sim.Stats.Topk.add h ~key id;
+          model := topk_model_add k !model (key, id);
           if not (Sim.Stats.Topk.heap_invariant h) then
             QCheck.Test.fail_report "heap invariant broken mid-trace")
         trace;
@@ -368,15 +279,11 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "seed differs" `Quick test_rng_seed_differs;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
-        Alcotest.test_case "copy" `Quick test_rng_copy;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
         Alcotest.test_case "bernoulli mean" `Quick test_rng_bernoulli_mean;
-        Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-        Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
         Alcotest.test_case "zipf bounds and skew" `Quick test_rng_zipf_bounds_and_skew;
         Alcotest.test_case "zipf n=1" `Quick test_rng_zipf_single;
-        Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         qcheck prop_rng_int_in_bounds;
         qcheck prop_rng_zipf_in_bounds;
       ] );
@@ -385,9 +292,6 @@ let suite =
         Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
         Alcotest.test_case "relative stddev" `Quick test_stats_relative_stddev;
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
-        Alcotest.test_case "geometric mean" `Quick test_stats_geometric_mean;
-        Alcotest.test_case "summary" `Quick test_stats_summary;
-        Alcotest.test_case "online matches batch" `Quick test_stats_online_matches_batch;
         qcheck prop_stats_relative_stddev_scale_invariant;
         qcheck prop_stats_percentile_monotone;
       ] );
@@ -395,8 +299,7 @@ let suite =
       [
         Alcotest.test_case "selects the best k" `Quick test_topk_selects_best;
         Alcotest.test_case "ties toward smaller id" `Quick test_topk_ties_toward_smaller_id;
-        Alcotest.test_case "empty and clear" `Quick test_topk_empty_and_clear;
-        Alcotest.test_case "decay preserves order" `Quick test_topk_decay;
+        Alcotest.test_case "empty" `Quick test_topk_empty;
         qcheck prop_topk_matches_model;
       ] );
     ( "sim.eventq",

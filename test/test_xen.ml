@@ -70,8 +70,9 @@ let test_p2m_iteration () =
   let p = Xen.P2m.create ~frames:8 () in
   Xen.P2m.set p 1 ~mfn:10 ~writable:true;
   Xen.P2m.set p 5 ~mfn:50 ~writable:true;
-  let pairs = Xen.P2m.fold_mapped p ~init:[] ~f:(fun acc pfn mfn -> (pfn, mfn) :: acc) in
-  Alcotest.(check (list (pair int int))) "fold" [ (5, 50); (1, 10) ] pairs
+  let pairs = ref [] in
+  Xen.P2m.iter_mapped p (fun pfn mfn -> pairs := (pfn, mfn) :: !pairs);
+  Alcotest.(check (list (pair int int))) "iter" [ (5, 50); (1, 10) ] !pairs
 
 let test_p2m_bounds () =
   let p = Xen.P2m.create ~frames:4 () in
@@ -102,7 +103,6 @@ let test_p2m_superpage_map_lookup () =
       (Xen.P2m.get p (8 + i) = Xen.P2m.Mapped { mfn = 64 + i; writable = true })
   done;
   Alcotest.(check bool) "outside" false (Xen.P2m.is_superpage p 0);
-  Alcotest.(check int) "base" 8 (Xen.P2m.superpage_base p 13);
   Alcotest.(check bool) "consistent" true (Xen.P2m.check_consistent p)
 
 let test_p2m_superpage_splinter_preserves_lookups () =
@@ -188,7 +188,7 @@ let prop_p2m_superpage_interleavings =
       let rng = Sim.Rng.create ~seed in
       for _ = 1 to steps do
         let pfn = Sim.Rng.int rng frames in
-        let base = Xen.P2m.superpage_base p pfn in
+        let base = pfn - (pfn mod sp) in
         (* Snapshot the extent: frames other than [pfn] must translate
            identically after any single-frame mutation, superpage or
            not. *)
@@ -196,7 +196,7 @@ let prop_p2m_superpage_interleavings =
         let exempt =
           match Sim.Rng.int rng 6 with
           | 0 ->
-              Xen.P2m.set p pfn ~mfn:(Sim.Rng.int rng 4096) ~writable:(Sim.Rng.bool rng);
+              Xen.P2m.set p pfn ~mfn:(Sim.Rng.int rng 4096) ~writable:(Sim.Rng.int rng 2 = 1);
               `Frame pfn
           | 1 ->
               ignore (Xen.P2m.invalidate p pfn);
@@ -218,7 +218,7 @@ let prop_p2m_superpage_interleavings =
               if !empty then begin
                 Xen.P2m.map_superpage p ~pfn:base
                   ~mfn:(sp * Sim.Rng.int rng 512)
-                  ~writable:(Sim.Rng.bool rng);
+                  ~writable:(Sim.Rng.int rng 2 = 1);
                 `Extent (* the whole extent legitimately changed *)
               end
               else `Nothing
@@ -253,13 +253,13 @@ let build_twin_p2m ~frames ~sp ~seed =
     match Sim.Rng.int rng 3 with
     | 0 when sp > 1 ->
         let mfn = sp * Sim.Rng.int rng 512 in
-        let w = Sim.Rng.bool rng in
+        let w = Sim.Rng.int rng 2 = 1 in
         Xen.P2m.map_superpage a ~pfn:base ~mfn ~writable:w;
         Xen.P2m.map_superpage b ~pfn:base ~mfn ~writable:w
     | 1 ->
         for i = 0 to sp - 1 do
-          if Sim.Rng.bool rng then begin
-            let mfn = Sim.Rng.int rng 4096 and w = Sim.Rng.bool rng in
+          if Sim.Rng.int rng 2 = 1 then begin
+            let mfn = Sim.Rng.int rng 4096 and w = Sim.Rng.int rng 2 = 1 in
             Xen.P2m.set a (base + i) ~mfn ~writable:w;
             Xen.P2m.set b (base + i) ~mfn ~writable:w
           end
@@ -438,8 +438,6 @@ let prop_batch_costs_bounded =
       let ops_sum = nf *. (c.Xen.Costs.hypercall_entry +. c.Xen.Costs.page_op_send) in
       let inv_batch = Xen.Costs.invalidate_batch_time c ~frames:n in
       let inv_sum = nf *. c.Xen.Costs.page_invalidate in
-      let map_batch = Xen.Costs.map_batch_time c ~frames:n in
-      let map_sum = nf *. c.Xen.Costs.page_map in
       let page_bytes = 4096 * scale in
       let mig_single =
         (float_of_int scale *. c.Xen.Costs.page_migrate_fixed)
@@ -449,7 +447,6 @@ let prop_batch_costs_bounded =
       let mig_sum = nf *. mig_single in
       ops_batch <= ops_sum
       && inv_batch <= inv_sum
-      && map_batch <= map_sum
       && mig_batch <= mig_sum +. (1e-9 *. mig_sum)
       && (n > 1 || abs_float (mig_batch -. mig_single) <= 1e-9 *. mig_single))
 
@@ -506,8 +503,8 @@ let test_system_consolidation_shares () =
     Xen.System.create_domain s ~name:"b" ~kind:Xen.Domain.DomU ~vcpus:48
       ~mem_bytes:(1 lsl 30) ()
   in
-  (* Every pCPU runs two vCPUs: share is 1/2. *)
-  Alcotest.(check (float 1e-9)) "half share" 0.5 (Xen.System.pcpu_share s d1.Xen.Domain.vcpu_pin.(0))
+  (* Every pCPU runs two vCPUs. *)
+  Alcotest.(check int) "two vCPUs per pCPU" 2 s.Xen.System.pcpu_load.(d1.Xen.Domain.vcpu_pin.(0))
 
 let test_system_explicit_homes_and_destroy () =
   let s = make_system () in
@@ -523,7 +520,8 @@ let test_system_explicit_homes_and_destroy () =
   | None -> Alcotest.fail "alloc failed");
   Xen.System.destroy_domain s d;
   Alcotest.(check int) "frames restored" free_before (Memory.Machine.free_frames s.Xen.System.machine);
-  Alcotest.(check bool) "domain gone" true (Xen.System.find_domain s ~id:d.Xen.Domain.id = None)
+  Alcotest.(check bool) "domain gone" false
+    (List.exists (fun d' -> d'.Xen.Domain.id = d.Xen.Domain.id) s.Xen.System.domains)
 
 let test_domain_fault_dispatch () =
   let s = make_system () in
@@ -572,8 +570,7 @@ let test_pci_bus_granularity () =
   (match Xen.Pci.assign_bus pci ~bus_id:1 d1 with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
-  Xen.Pci.release_bus pci ~bus_id:1;
-  Alcotest.(check bool) "released" false (Xen.Pci.domain_has_passthrough pci d1 Xen.Pci.Disk)
+  Alcotest.(check bool) "d2 has none" false (Xen.Pci.domain_has_passthrough pci d2 Xen.Pci.Disk)
 
 let test_pci_amd48_buses () =
   let pci = Xen.Pci.amd48 () in
@@ -587,34 +584,48 @@ let test_pci_amd48_buses () =
 let test_hypercall_numbers () =
   Alcotest.(check int) "set_numa_policy" 48 (Xen.Hypercall.nr Xen.Hypercall.Set_numa_policy);
   Alcotest.(check int) "page_ops" 49 (Xen.Hypercall.nr Xen.Hypercall.Page_ops);
-  Alcotest.(check int) "carrefour" 50 (Xen.Hypercall.nr Xen.Hypercall.Carrefour_read_metrics);
-  Alcotest.(check int) "three entry points" 3 (List.length Xen.Hypercall.all)
+  Alcotest.(check int) "carrefour" 50 (Xen.Hypercall.nr Xen.Hypercall.Carrefour_read_metrics)
+
+(* (class, arg) of every hypercall event in the stream, oldest first. *)
+let hypercall_events stream =
+  List.filter_map
+    (fun (_, e) ->
+      match e.Obs.Event.cls with
+      | Obs.Event.Hypercall_entry -> Some (`Entry, e.Obs.Event.arg)
+      | Obs.Event.Hypercall_exit -> Some (`Exit, e.Obs.Event.arg)
+      | _ -> None)
+    (Obs.Stream.events stream)
 
 let test_hypercall_accounting () =
-  let t = Xen.Hypercall.create_table () in
-  Xen.Hypercall.record t Xen.Hypercall.Page_ops ~time:1e-6;
-  Xen.Hypercall.record t Xen.Hypercall.Page_ops ~time:2e-6;
-  Xen.Hypercall.record t Xen.Hypercall.Set_numa_policy ~time:5e-7;
-  let ops = Xen.Hypercall.stats t Xen.Hypercall.Page_ops in
-  Alcotest.(check int) "two page_ops" 2 ops.Xen.Hypercall.calls;
-  Alcotest.(check (float 1e-12)) "time summed" 3e-6 ops.Xen.Hypercall.time;
-  Alcotest.(check int) "total" 3 (Xen.Hypercall.total_calls t);
-  Alcotest.(check int) "carrefour untouched" 0
-    (Xen.Hypercall.stats t Xen.Hypercall.Carrefour_read_metrics).Xen.Hypercall.calls
+  let stream = Obs.Stream.create ~capacity:64 ~label:"hc" () in
+  Xen.Hypercall.record ~obs:stream Xen.Hypercall.Page_ops ~time:1e-6;
+  Xen.Hypercall.record ~obs:stream Xen.Hypercall.Page_ops ~time:2e-6;
+  Xen.Hypercall.record ~obs:stream Xen.Hypercall.Set_numa_policy ~time:5e-7;
+  Alcotest.(check bool) "entry carries the number, exit the time in ns" true
+    (hypercall_events stream
+    = [ (`Entry, 49); (`Exit, 1000); (`Entry, 49); (`Exit, 2000); (`Entry, 48); (`Exit, 500) ])
 
-let test_hypercall_table_via_manager () =
+(* Each hypercall is charged exactly once: one entry event per call,
+   and the domain's hypercall time grows by exactly what the calls
+   cost. *)
+let test_hypercall_charged_once_via_manager () =
   let s = make_system () in
   let d = Xen.System.create_domain s ~name:"hc" ~kind:Xen.Domain.DomU ~vcpus:1 ~mem_bytes:(4 * 1024 * 1024 * 1024) () in
   let rng = Sim.Rng.create ~seed:13 in
   let m = Policies.Manager.attach s d ~boot:Policies.Spec.round_4k ~rng in
+  let stream = Obs.Stream.create ~capacity:4096 ~label:"hc" () in
+  Xen.System.set_obs s (Some stream);
+  let before = d.Xen.Domain.account.Xen.Domain.hypercall_time in
   (match Policies.Manager.set_policy m Policies.Spec.first_touch with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  ignore (Policies.Manager.page_ops_hypercall m [| Guest.Pv_queue.Release 0 |]);
-  Alcotest.(check int) "one policy switch recorded" 1
-    (Xen.Hypercall.stats d.Xen.Domain.hypercalls Xen.Hypercall.Set_numa_policy).Xen.Hypercall.calls;
-  Alcotest.(check int) "one page_ops recorded" 1
-    (Xen.Hypercall.stats d.Xen.Domain.hypercalls Xen.Hypercall.Page_ops).Xen.Hypercall.calls
+  let page_ops = Policies.Manager.page_ops_hypercall m [| Guest.Pv_queue.Release 0 |] in
+  let entries = List.filter (fun (k, _) -> k = `Entry) (hypercall_events stream) in
+  Alcotest.(check (list int)) "one set_numa_policy, then one page_ops" [ 48; 49 ]
+    (List.map snd entries);
+  Alcotest.(check (float 1e-15)) "each call charged once"
+    (s.Xen.System.costs.Xen.Costs.hypercall_entry +. page_ops)
+    (d.Xen.Domain.account.Xen.Domain.hypercall_time -. before)
 
 (* ------------------------------- balloon ---------------------------- *)
 
@@ -735,9 +746,9 @@ let prop_pt_replicas_track_primary =
       let rng = Sim.Rng.create ~seed in
       for _ = 1 to steps do
         let pfn = Sim.Rng.int rng frames in
-        let base = Xen.P2m.superpage_base p pfn in
-        match Sim.Rng.int rng 9 with
-        | 0 -> Xen.P2m.set p pfn ~mfn:(Sim.Rng.int rng 4096) ~writable:(Sim.Rng.bool rng)
+        let base = pfn - (pfn mod sp) in
+        match Sim.Rng.int rng 8 with
+        | 0 -> Xen.P2m.set p pfn ~mfn:(Sim.Rng.int rng 4096) ~writable:(Sim.Rng.int rng 2 = 1)
         | 1 -> ignore (Xen.P2m.invalidate p pfn)
         | 2 -> Xen.P2m.write_protect p pfn
         | 3 -> ignore (Xen.P2m.splinter p pfn)
@@ -750,16 +761,11 @@ let prop_pt_replicas_track_primary =
             if !empty then
               Xen.P2m.map_superpage p ~pfn:base
                 ~mfn:(sp * Sim.Rng.int rng 512)
-                ~writable:(Sim.Rng.bool rng)
+                ~writable:(Sim.Rng.int rng 2 = 1)
         | 6 ->
             let n = 1 + Sim.Rng.int rng 8 in
             let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
             ignore (Xen.P2m.invalidate_batch p pfns ~n)
-        | 7 ->
-            let n = 1 + Sim.Rng.int rng 8 in
-            let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
-            let mfns = Array.init n (fun _ -> Sim.Rng.int rng 4096) in
-            ignore (Xen.P2m.map_batch p pfns mfns ~n ~writable:(Sim.Rng.bool rng))
         | _ ->
             let n = 1 + Sim.Rng.int rng 8 in
             let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
@@ -864,7 +870,7 @@ let suite =
       [
         Alcotest.test_case "numbers" `Quick test_hypercall_numbers;
         Alcotest.test_case "accounting" `Quick test_hypercall_accounting;
-        Alcotest.test_case "manager records" `Quick test_hypercall_table_via_manager;
+        Alcotest.test_case "manager records" `Quick test_hypercall_charged_once_via_manager;
       ] );
     ( "xen.balloon",
       [

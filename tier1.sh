@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification in one command: full build, full test suite,
-# parallel-sweep smoke runs of the bench driver, determinism checks and
+# the chaos grid, determinism checks of the bench driver's grids and
 # the perf gate over the repo benchmark.
 set -e
 cd "$(dirname "$0")"
@@ -29,16 +29,10 @@ for cmd in "xen_numa_sim run" "xen_numa_sim list" "xen_numa_sim topology" \
 done
 
 dune runtest
-dune exec bench/main.exe -- tab1 --jobs 2
 
 # Chaos suite, pinned seed: the degradation grid must complete every
 # fault plan (a plan that hits the epoch cap prints a WARNING).
 dune exec bench/main.exe -- chaos --jobs 2
-
-# Memory-RAS grid: ECC storms and a permanent node failure.  The bar
-# is the same — every cell completes, the failed node is evacuated
-# (DESIGN.md §14; a cell that hits the epoch cap prints a WARNING).
-dune exec bench/main.exe -- ras --jobs 2
 
 # Combined chaos + RAS smoke: software faults and hardware RAS compose
 # in one plan — queue loss and flaky allocations while a node dies and
@@ -46,16 +40,6 @@ dune exec bench/main.exe -- ras --jobs 2
 dune exec bin/xen_numa_sim.exe -- run swaptions -m xen+ -p ft+carrefour \
   --faults "alloc=0.2,batch-loss=0.3,ecc-ce=0.5,ecc-ue=0.02,node_fail=1.0@50" >/dev/null
 echo "tier1: chaos+ras combined smoke OK"
-
-# Hugepage grid: superpages on/off across the three boot placements
-# (EXPERIMENTS.md documents the expected shape; test/test_engine.ml
-# pins it).
-dune exec bench/main.exe -- hugepage --jobs 2
-
-# Mitosis grid: radix page-walk pricing and page-table replication
-# on/off (EXPERIMENTS.md documents the expected shape;
-# test/test_extensions.ml pins the differential core).
-dune exec bench/main.exe -- mitosis --jobs 2
 
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
@@ -108,7 +92,9 @@ done
 echo "tier1: perf gate OK vs $PERF_REF"
 
 # Usage errors must be reported as such: unknown sections and a
-# malformed --jobs both exit non-zero.
+# malformed --jobs both exit non-zero, and a --threads outside 1 to the
+# host's CPU count exits non-zero as a usage error, never as an
+# internal error.
 if dune exec bench/main.exe -- no-such-section >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown bench section did not exit non-zero" >&2
   exit 1
@@ -117,6 +103,18 @@ if dune exec bench/main.exe -- tab1 --jobs banana >/dev/null 2>&1; then
   echo "tier1: FAIL - bad --jobs did not exit non-zero" >&2
   exit 1
 fi
+for cmd in run compare; do
+  for threads in 0 49; do
+    if dune exec bin/xen_numa_sim.exe -- $cmd swaptions -t $threads >"$TRACE_DIR/usage.out" 2>&1; then
+      echo "tier1: FAIL - $cmd -t $threads did not exit non-zero" >&2
+      exit 1
+    fi
+    if grep -q 'internal error' "$TRACE_DIR/usage.out"; then
+      echo "tier1: FAIL - $cmd -t $threads is an internal error, not a usage error" >&2
+      exit 1
+    fi
+  done
+done
 
 # Determinism across worker schedules: each grid below, traced at
 # --jobs 1 and at --jobs 4, must print byte-identical stdout and export
