@@ -25,7 +25,7 @@ type region = {
    kernels walk contiguous memory.
 
    The kernels write {e only} vCPU-indexed slots; every accumulation
-   that crosses vCPUs ([src_shared], the counters, [weighted_lat] ...)
+   that crosses vCPUs ([src_shared], the counters, [sums] ...)
    reads them afterwards in one sequential vCPU-order reduction.  Float
    addition is not associative, so the reduction order — vCPU 0, 1,
    2, ... — is fixed.  [vm_state] holds the live slots; the
@@ -92,6 +92,18 @@ type snapshot = {
   mutable io : float;   (* disk DMA bytes of the captured epoch *)
 }
 
+(* A VM's scalar float accumulators, in an all-float record: OCaml
+   stores its fields unboxed, so the per-vCPU updates of the epoch
+   reductions allocate nothing. *)
+type sums = {
+  mutable shared_accesses_epoch : float;
+  mutable burst_accesses_epoch : float;
+  mutable sync_overhead : float;
+  mutable weighted_lat : float;
+  mutable total_accesses : float;
+  mutable local_accesses : float;
+}
+
 type vm_state = {
   spec : Config.vm_spec;
   domain : Xen.Domain.t;
@@ -130,16 +142,11 @@ type vm_state = {
   thread_shared : float array;  (* accesses into the shared region *)
   thread_burst : float array;   (* burst accesses, > 0 only for the source *)
   src_shared : float array;  (* accesses into the shared region per source node *)
-  mutable shared_accesses_epoch : float;
+  sums : sums;
   mutable burst_victim : int;
   mutable burst_source : int;
-  mutable burst_accesses_epoch : float;
   mutable io_bytes_left : float;
-  mutable sync_overhead : float;
   mutable migrations : int;
-  mutable weighted_lat : float;
-  mutable total_accesses : float;
-  mutable local_accesses : float;
   (* Tail-latency observability: one per-vCPU-per-epoch sample of the
      epoch's mean latency, recorded in the sequential reduction so the
      distribution is bit-identical across --jobs. *)
@@ -169,6 +176,15 @@ type vm_state = {
 }
 
 let vm_running st = Array.exists (fun f -> f < 0.0) st.finish
+
+(* The VM's remaining work, summed in vCPU order by a loop, as
+   [Array.fold_left ( +. )] would but without boxing the running sum. *)
+let[@inline] work_left st =
+  let left = ref 0.0 in
+  for t = 0 to Array.length st.remaining - 1 do
+    left := !left +. st.remaining.(t)
+  done;
+  !left
 
 let finished_threads st =
   Array.fold_left (fun n f -> if f >= 0.0 then n + 1 else n) 0 st.finish
@@ -481,16 +497,19 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     thread_shared = Array.make threads 0.0;
     thread_burst = Array.make threads 0.0;
     src_shared = Array.make nodes 0.0;
-    shared_accesses_epoch = 0.0;
+    sums =
+      {
+        shared_accesses_epoch = 0.0;
+        burst_accesses_epoch = 0.0;
+        sync_overhead = 0.0;
+        weighted_lat = 0.0;
+        total_accesses = 0.0;
+        local_accesses = 0.0;
+      };
     burst_victim = -1;
     burst_source = -1;
-    burst_accesses_epoch = 0.0;
     io_bytes_left = Workloads.App.disk_bytes_total app;
-    sync_overhead = 0.0;
     migrations = 0;
-    weighted_lat = 0.0;
-    total_accesses = 0.0;
-    local_accesses = 0.0;
     lat_hist = Sim.Stats.Histogram.create ();
     slo_scratch = Array.make threads 0.0;
     slo_violations = Array.make (List.length cfg.Config.slo) 0;
@@ -632,13 +651,14 @@ let epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq ~e
    first, always. *)
 let reduce_epoch_traffic st ~threads =
   for t = 0 to threads - 1 do
-    if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. st.slots.sync.(t);
+    let sums = st.sums in
+    if st.finish.(t) < 0.0 then sums.sync_overhead <- sums.sync_overhead +. st.slots.sync.(t);
     if st.slots.cap.(t) > 0.0 then begin
       let acc_shared = st.thread_shared.(t) in
       st.src_shared.(st.thread_node.(t)) <- st.src_shared.(st.thread_node.(t)) +. acc_shared;
-      st.shared_accesses_epoch <- st.shared_accesses_epoch +. acc_shared;
+      sums.shared_accesses_epoch <- sums.shared_accesses_epoch +. acc_shared;
       if st.thread_burst.(t) > 0.0 then
-        st.burst_accesses_epoch <- st.burst_accesses_epoch +. st.thread_burst.(t)
+        sums.burst_accesses_epoch <- sums.burst_accesses_epoch +. st.thread_burst.(t)
     end
   done
 
@@ -682,7 +702,7 @@ let epoch_pass_a st =
      policies must chase *)
   if app.Workloads.App.phases > 1 then begin
     let total = st.work_per_thread *. float_of_int st.spec.Config.threads in
-    let left = Array.fold_left ( +. ) 0.0 st.remaining in
+    let left = work_left st in
     let frac = Float.max 0.0 (1.0 -. (left /. total)) in
     let phase =
       min (app.Workloads.App.phases - 1)
@@ -752,7 +772,7 @@ let feed_samples st sys =
     st.sample_pfns.(st.sample_count) <- pfn;
     st.sample_count <- st.sample_count + 1
   in
-  let shared_total = st.shared_accesses_epoch in
+  let shared_total = st.sums.shared_accesses_epoch in
   if shared_total > 0.0 then begin
     let pages = Array.length st.shared.pfns in
     (* IBS-style sampling: pages are drawn with probability proportional
@@ -805,7 +825,7 @@ let feed_samples st sys =
         if t = st.burst_victim && st.burst_source >= 0 then
           scratch.(st.thread_node.(st.burst_source)) <-
             scratch.(st.thread_node.(st.burst_source))
-            +. (st.burst_accesses_epoch /. float_of_int pages *. 8.0);
+            +. (st.sums.burst_accesses_epoch /. float_of_int pages *. 8.0);
         push region.pfns.(i)
       done
     end
@@ -912,15 +932,9 @@ let slo_value metric ~mean ~quantile =
 let commit_traffic counters st (s : slots) =
   let nodes = Array.length st.src_shared in
   for t = 0 to st.spec.Config.threads - 1 do
-    if s.doit.(t) > 0.0 then begin
-      let base = t * nodes in
-      let src = st.thread_node.(t) in
-      for n = 0 to nodes - 1 do
-        if s.dst.(base + n) > 0.0 then
-          Numa.Counters.record_accesses counters ~src ~dst:n ~count:s.dst.(base + n)
-            ~bytes_per_access:access_bytes
-      done
-    end
+    if s.doit.(t) > 0.0 then
+      Numa.Counters.record_row counters ~src:st.thread_node.(t) s.dst ~base:(t * nodes)
+        ~bytes_per_access:access_bytes
   done
 
 (* The latency reduction: weighted, total and local accesses, the
@@ -944,9 +958,10 @@ let reduce_latency (cfg : Config.t) st (s : slots) =
     if total > 0.0 then begin
       let lat = s.lat.(t) in
       let w = total *. lat in
-      st.weighted_lat <- st.weighted_lat +. w;
-      st.total_accesses <- st.total_accesses +. total;
-      st.local_accesses <- st.local_accesses +. s.dst.((t * nodes) + st.thread_node.(t));
+      let sums = st.sums in
+      sums.weighted_lat <- sums.weighted_lat +. w;
+      sums.total_accesses <- sums.total_accesses +. total;
+      sums.local_accesses <- sums.local_accesses +. s.dst.((t * nodes) + st.thread_node.(t));
       if !run_n > 0 && Int64.bits_of_float lat = Int64.bits_of_float !run_v then incr run_n
       else begin
         if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
@@ -1035,7 +1050,7 @@ let vm_result cfg system st =
   let p2m = st.domain.Xen.Domain.p2m in
   let pt_count f = match Policies.Manager.pt st.manager with Some pt -> f pt | None -> 0 in
   let avg_latency_cycles =
-    if st.total_accesses > 0.0 then st.weighted_lat /. st.total_accesses else 0.0
+    if st.sums.total_accesses > 0.0 then st.sums.weighted_lat /. st.sums.total_accesses else 0.0
   in
   let latency =
     let h = st.lat_hist in
@@ -1077,14 +1092,15 @@ let vm_result cfg system st =
     completion = compute_time +. io_overhead +. virt_overhead +. release_overhead;
     compute_time;
     io_overhead;
-    sync_overhead = st.sync_overhead;
+    sync_overhead = st.sums.sync_overhead;
     virt_overhead;
     release_overhead;
     faults = account.Xen.Domain.fault_count;
     migrations = st.migrations;
     avg_latency_cycles;
     local_fraction =
-      (if st.total_accesses > 0.0 then st.local_accesses /. st.total_accesses else 0.0);
+      (if st.sums.total_accesses > 0.0 then st.sums.local_accesses /. st.sums.total_accesses
+       else 0.0);
     superpages = Xen.P2m.superpage_count p2m;
     superpage_fraction = superpage_fraction p2m;
     splinters = Xen.P2m.splinter_count p2m;
@@ -1424,7 +1440,7 @@ let replayable rs inputs =
    traffic reduction and throughput kernel leave exactly these. *)
 let retire st (s : slots) =
   for t = 0 to st.spec.Config.threads - 1 do
-    if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. s.sync.(t);
+    if st.finish.(t) < 0.0 then st.sums.sync_overhead <- st.sums.sync_overhead +. s.sync.(t);
     if s.doit.(t) > 0.0 then st.remaining.(t) <- st.remaining.(t) -. s.final.(t)
   done
 
@@ -1496,8 +1512,8 @@ let compute_stage rs =
         Array.fill st.thread_burst 0 threads 0.0;
         Array.fill s.sync 0 threads 0.0;
         Array.fill st.src_shared 0 nodes 0.0;
-        st.shared_accesses_epoch <- 0.0;
-        st.burst_accesses_epoch <- 0.0;
+        st.sums.shared_accesses_epoch <- 0.0;
+        st.sums.burst_accesses_epoch <- 0.0;
         let app = st.spec.Config.app in
         (* Track the live superpage fraction (splinters and promotes
            move it); non-superpage runs keep the boot-time constant bit
@@ -1739,7 +1755,7 @@ let observe rs =
   | None -> ()
   | Some observer ->
       let progress st =
-        let total = Array.fold_left ( +. ) 0.0 st.remaining in
+        let total = work_left st in
         let work = float_of_int st.spec.Config.threads *. st.work_per_thread in
         Float.max 0.0 (Float.min 1.0 (1.0 -. (total /. work)))
       in
@@ -1759,7 +1775,9 @@ let observe rs =
             List.map
               (fun st ->
                 ( st.spec.Config.app.Workloads.App.name,
-                  if st.total_accesses > 0.0 then st.local_accesses /. st.total_accesses else 0.0
+                  let sums = st.sums in
+                  if sums.total_accesses > 0.0 then sums.local_accesses /. sums.total_accesses
+                  else 0.0
                 ))
               rs.states;
         }

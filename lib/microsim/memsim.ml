@@ -85,11 +85,9 @@ let run ?(params = default) ?(seed = 1) ~topo ~agents ~window ~requests_per_agen
   let service agent ~at =
     let t = ref (at +. params.cpu_overhead_ns) in
     (* request to the controller: small command, wire delay only *)
-    List.iter
-      (fun (l : Numa.Topology.link) ->
-        ignore l;
-        t := !t +. params.hop_wire_ns)
-      (Numa.Topology.route topo agent.src agent.dst);
+    for _ = 1 to Array.length (Numa.Topology.route topo agent.src agent.dst) do
+      t := !t +. params.hop_wire_ns
+    done;
     (* memory controller: pick the earliest-free bank *)
     let pool = banks.(agent.dst) in
     let best = ref pool.(0) in
@@ -98,11 +96,12 @@ let run ?(params = default) ?(seed = 1) ~topo ~agents ~window ~requests_per_agen
            ~occupancy:params.dram_occupancy_ns;
     (* response: the cache line serializes on every link of the way
        back and pays the wire delay per hop *)
-    List.iter
-      (fun (l : Numa.Topology.link) ->
-        t := reserve link_res.(l.Numa.Topology.link_id) ~at:!t ~service:(ser l);
-        t := !t +. params.hop_wire_ns)
-      (Numa.Topology.route topo agent.dst agent.src);
+    let back = Numa.Topology.route topo agent.dst agent.src in
+    for i = 0 to Array.length back - 1 do
+      let id = back.(i) in
+      t := reserve link_res.(id) ~at:!t ~service:(ser links.(id));
+      t := !t +. params.hop_wire_ns
+    done;
     !t
   in
   let issue i ~at =

@@ -24,6 +24,14 @@ val record_accesses :
     of node [src] to the memory bank of node [dst]; charges the
     destination node counter and every link on the route. *)
 
+val record_row :
+  t -> src:Topology.node -> float array -> base:int -> bytes_per_access:float -> unit
+(** [record_row t ~src row ~base ~bytes_per_access] records one CPU's
+    accesses to every node: [row.(base + dst)] accesses to node [dst],
+    for each [dst] in increasing order, skipping non-positive counts.
+    The very same additions, in the same order, as one
+    {!record_accesses} per positive cell — and it allocates nothing. *)
+
 val node_accesses : t -> float array
 (** Cumulative access counts per destination node. *)
 
@@ -70,6 +78,3 @@ val interconnect_load : t -> float
 (** Average over closed epochs of the most-loaded-link utilisation,
     round-tripped through the raw 50–80 % amplitude as the paper
     reports it.  0 when no epoch has been closed. *)
-
-val reset : t -> unit
-(** Forget everything (counters, histories, epochs). *)

@@ -11,8 +11,9 @@ type t = {
   links : link array;
   (* adjacency.(n) lists (neighbour, link_id) sorted by neighbour. *)
   adjacency : (node * int) list array;
-  (* routes.(src * nodes + dst) is the directed link path. *)
-  routes : link list array;
+  (* routes.(src * nodes + dst) holds the link ids of the directed
+     path, in order; shared, callers must not mutate. *)
+  routes : int array array;
   distances : int array;
   (* node_cpus.(n) is the precomputed CPU id range of node n; shared,
      callers must not mutate. *)
@@ -85,7 +86,7 @@ let create ~nodes ~cpus_per_node ~mem_per_node ~controller_gib_per_s ~links:link
   Array.iteri
     (fun i l -> adjacency.(i) <- List.sort (fun (a, _) (b, _) -> compare a b) l)
     adjacency;
-  let routes = Array.make (nodes * nodes) [] in
+  let routes = Array.make (nodes * nodes) [||] in
   let distances = Array.make (nodes * nodes) 0 in
   for src = 0 to nodes - 1 do
     let pred, dist = bfs adjacency nodes src in
@@ -96,10 +97,10 @@ let create ~nodes ~cpus_per_node ~mem_per_node ~controller_gib_per_s ~links:link
           if v = src then acc
           else begin
             let l = links.(pred.(v)) in
-            path (l :: acc) l.src
+            path (l.link_id :: acc) l.src
           end
         in
-        routes.((src * nodes) + dst) <- path [] dst;
+        routes.((src * nodes) + dst) <- Array.of_list (path [] dst);
         distances.((src * nodes) + dst) <- dist.(dst)
       end
     done

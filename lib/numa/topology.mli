@@ -62,10 +62,12 @@ val distance : t -> node -> node -> int
 
 val diameter : t -> int
 
-val route : t -> node -> node -> link list
-(** Directed links traversed from [src] to [dst], in order; [\[\]] when
-    [src = dst].  Routes are deterministic (lowest-neighbour-first
-    breadth-first search), matching static HT routing tables. *)
+val route : t -> node -> node -> int array
+(** The [link_id]s of the directed links traversed from [src] to [dst],
+    in order; empty when [src = dst].  Routes are deterministic
+    (lowest-neighbour-first breadth-first search), matching static HT
+    routing tables.  The array is precomputed at topology creation and
+    shared — do not mutate it; walking it allocates nothing. *)
 
 val neighbours : t -> node -> node list
 

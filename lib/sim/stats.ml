@@ -36,15 +36,18 @@ module Histogram = struct
      with bounded relative error whatever the value range.  Zero and
      negative values share a dedicated bucket reported as 0. *)
 
+  (* The running float statistics sit in an all-float record, whose
+     fields OCaml stores unboxed: adding a sample allocates nothing for
+     them. *)
+  type moments = { mutable sum : float; mutable min : float; mutable max : float }
+
   type t = {
     base : float;
     log_base : float;
     buckets : (int, int ref) Hashtbl.t;
     mutable zeros : int;
     mutable count : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
+    m : moments;
   }
 
   let create ?(base = Float.pow 2.0 0.125) () =
@@ -55,9 +58,7 @@ module Histogram = struct
       buckets = Hashtbl.create 64;
       zeros = 0;
       count = 0;
-      sum = 0.0;
-      min = Float.infinity;
-      max = Float.neg_infinity;
+      m = { sum = 0.0; min = Float.infinity; max = Float.neg_infinity };
     }
 
   let bucket_of t v = int_of_float (Float.round (log v /. t.log_base))
@@ -66,18 +67,11 @@ module Histogram = struct
      every sample that landed in it. *)
   let value_of t idx = Float.pow t.base (float_of_int idx)
 
-  let add t v =
-    t.count <- t.count + 1;
-    t.sum <- t.sum +. v;
-    if v < t.min then t.min <- v;
-    if v > t.max then t.max <- v;
-    if v <= 0.0 then t.zeros <- t.zeros + 1
-    else begin
-      let idx = bucket_of t v in
-      match Hashtbl.find_opt t.buckets idx with
-      | Some r -> incr r
-      | None -> Hashtbl.replace t.buckets idx (ref 1)
-    end
+  (* [Hashtbl.find], not [find_opt]: a hit allocates no option. *)
+  let bump t idx n =
+    match Hashtbl.find t.buckets idx with
+    | r -> r := !r + n
+    | exception Not_found -> Hashtbl.replace t.buckets idx (ref n)
 
   (* Bulk insert of [n] identical samples.  The sum is accumulated by
      [n] sequential additions, NOT [v *. float n]: repeated float
@@ -87,25 +81,22 @@ module Histogram = struct
   let add_n t v n =
     if n < 0 then invalid_arg "Histogram.add_n: negative count";
     if n > 0 then begin
+      let m = t.m in
       t.count <- t.count + n;
       for _ = 1 to n do
-        t.sum <- t.sum +. v
+        m.sum <- m.sum +. v
       done;
-      if v < t.min then t.min <- v;
-      if v > t.max then t.max <- v;
-      if v <= 0.0 then t.zeros <- t.zeros + n
-      else begin
-        let idx = bucket_of t v in
-        match Hashtbl.find_opt t.buckets idx with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.replace t.buckets idx (ref n)
-      end
+      if v < m.min then m.min <- v;
+      if v > m.max then m.max <- v;
+      if v <= 0.0 then t.zeros <- t.zeros + n else bump t (bucket_of t v) n
     end
 
+  let add t v = add_n t v 1
+
   let count t = t.count
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-  let min t = if t.count = 0 then 0.0 else t.min
-  let max t = if t.count = 0 then 0.0 else t.max
+  let mean t = if t.count = 0 then 0.0 else t.m.sum /. float_of_int t.count
+  let min t = if t.count = 0 then 0.0 else t.m.min
+  let max t = if t.count = 0 then 0.0 else t.m.max
 
   let sorted_buckets t =
     let all = Hashtbl.fold (fun idx r acc -> (idx, !r) :: acc) t.buckets [] in
@@ -119,7 +110,7 @@ module Histogram = struct
       let seen = ref (float_of_int t.zeros) in
       if !seen >= rank && t.zeros > 0 then 0.0
       else begin
-        let result = ref t.max in
+        let result = ref t.m.max in
         (try
            List.iter
              (fun (idx, n) ->
@@ -132,7 +123,7 @@ module Histogram = struct
          with Exit -> ());
         (* Clamp to the observed range: the bucket centre can exceed
            the true extremes by half a bucket. *)
-        Float.min t.max (Float.max t.min !result)
+        Float.min t.m.max (Float.max t.m.min !result)
       end
     end
 
@@ -142,17 +133,12 @@ module Histogram = struct
   let merge t other =
     if Float.abs (t.base -. other.base) > 1e-12 then
       invalid_arg "Histogram.merge: mismatched bucket bases";
-    Hashtbl.iter
-      (fun idx r ->
-        match Hashtbl.find_opt t.buckets idx with
-        | Some mine -> mine := !mine + !r
-        | None -> Hashtbl.replace t.buckets idx (ref !r))
-      other.buckets;
+    Hashtbl.iter (fun idx r -> bump t idx !r) other.buckets;
     t.zeros <- t.zeros + other.zeros;
     t.count <- t.count + other.count;
-    t.sum <- t.sum +. other.sum;
-    if other.min < t.min then t.min <- other.min;
-    if other.max > t.max then t.max <- other.max
+    t.m.sum <- t.m.sum +. other.m.sum;
+    if other.m.min < t.m.min then t.m.min <- other.m.min;
+    if other.m.max > t.m.max then t.m.max <- other.m.max
 end
 
 module Topk = struct

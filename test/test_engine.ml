@@ -439,11 +439,11 @@ let test_replay_stage_allocation () =
         ceiling
   in
   check "Xen+ round-4K, 48 vCPUs" ~mode:Engine.Config.Xen_plus ~threads:48
-    ~policy:Policies.Spec.round_4k ~ceiling:4774;
+    ~policy:Policies.Spec.round_4k ~ceiling:198;
   check "Xen+ first-touch, 48 vCPUs" ~mode:Engine.Config.Xen_plus ~threads:48
-    ~policy:Policies.Spec.first_touch ~ceiling:1358;
+    ~policy:Policies.Spec.first_touch ~ceiling:112;
   check "Linux round-4K, 8 vCPUs" ~mode:Engine.Config.Linux ~threads:8
-    ~policy:Policies.Spec.round_4k ~ceiling:412
+    ~policy:Policies.Spec.round_4k ~ceiling:106
 
 (* The replay stage needs an armed state: a run that ends first, at
    its epoch cap or because the fast-forward is off, is a usage

@@ -34,15 +34,73 @@ let test_topology_distance () =
 let test_topology_route () =
   let t = line_topology () in
   let route = Numa.Topology.route t 0 3 in
-  Alcotest.(check int) "3 links" 3 (List.length route);
+  Alcotest.(check int) "3 links" 3 (Array.length route);
   (* The route is connected and directed from 0 to 3. *)
-  let rec connected src = function
-    | [] -> src = 3
-    | (l : Numa.Topology.link) :: rest -> l.Numa.Topology.src = src && connected l.Numa.Topology.dst rest
+  let links = Numa.Topology.links t in
+  let dst =
+    Array.fold_left
+      (fun at id ->
+        let l = links.(id) in
+        if l.Numa.Topology.src = at then l.Numa.Topology.dst else -1)
+      0 route
   in
-  Alcotest.(check bool) "connected path" true (connected 0 route);
-  Alcotest.(check (list Alcotest.int)) "empty self route" []
-    (List.map (fun (l : Numa.Topology.link) -> l.Numa.Topology.link_id) (Numa.Topology.route t 1 1))
+  Alcotest.(check int) "connected path" 3 dst;
+  Alcotest.(check (array int)) "empty self route" [||] (Numa.Topology.route t 1 1)
+
+(* An independent oracle for the routing table: breadth-first search
+   from [src] over the directed links, visiting neighbours in increasing
+   node order, then the path to [dst] read back from the predecessor
+   links. *)
+let bfs_route t src dst =
+  let nodes = Numa.Topology.node_count t in
+  let links = Numa.Topology.links t in
+  let pred = Array.make nodes (-1) in
+  let seen = Array.make nodes false in
+  seen.(src) <- true;
+  let queue = Queue.create () in
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    let out =
+      Array.to_list links
+      |> List.filter (fun (l : Numa.Topology.link) -> l.Numa.Topology.src = u)
+      |> List.map (fun (l : Numa.Topology.link) -> (l.Numa.Topology.dst, l.Numa.Topology.link_id))
+      |> List.sort compare
+    in
+    List.iter
+      (fun (v, id) ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          pred.(v) <- id;
+          Queue.add v queue
+        end)
+      out
+  done;
+  let rec back acc v =
+    if v = src then acc else back (pred.(v) :: acc) links.(pred.(v)).Numa.Topology.src
+  in
+  back [] dst
+
+let route_topologies () =
+  [
+    ("amd48", Numa.Amd48.topology ());
+    ("intel32", Numa.Machine_desc.intel32.Numa.Machine_desc.topology ());
+    ("chain", line_topology ());
+  ]
+
+let test_topology_routes_match_bfs () =
+  List.iter
+    (fun (name, t) ->
+      let nodes = Numa.Topology.node_count t in
+      for src = 0 to nodes - 1 do
+        for dst = 0 to nodes - 1 do
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s route %d->%d" name src dst)
+            (bfs_route t src dst)
+            (Array.to_list (Numa.Topology.route t src dst))
+        done
+      done)
+    (route_topologies ())
 
 let test_topology_neighbours () =
   let t = line_topology () in
@@ -152,12 +210,9 @@ let test_counters_remote_charges_route_links () =
   Numa.Counters.record_accesses c ~src:0 ~dst:3 ~count:1.0 ~bytes_per_access:64.0;
   let route = Numa.Topology.route t 0 3 in
   let bytes = Numa.Counters.link_bytes c in
-  List.iter
-    (fun (l : Numa.Topology.link) ->
-      check_float "link charged" 64.0 bytes.(l.Numa.Topology.link_id))
-    route;
+  Array.iter (fun id -> check_float "link charged" 64.0 bytes.(id)) route;
   let total = Array.fold_left ( +. ) 0.0 bytes in
-  check_float "only route links charged" (64.0 *. float_of_int (List.length route)) total
+  check_float "only route links charged" (64.0 *. float_of_int (Array.length route)) total
 
 let test_counters_imbalance () =
   let t = Numa.Amd48.topology () in
@@ -237,15 +292,95 @@ let test_counters_interconnect_load () =
   Alcotest.(check (float 0.01)) "50% on most loaded link" 0.5
     (Numa.Counters.interconnect_load c)
 
-let test_counters_reset () =
+(* [record_row] against the per-cell loop it replaces: one
+   [record_accesses] per positive cell, vCPU by vCPU, in node order.
+   Random rows (with zero and negative cells, which both skip) over
+   several epochs must leave every reading bitwise equal.  Cell counts
+   reach tens of millions so that links and controllers saturate. *)
+let prop_counters_record_row_differential =
+  let topos = route_topologies () in
+  let gen =
+    QCheck.Gen.(
+      let* ti = int_bound (List.length topos - 1) in
+      let nodes = Numa.Topology.node_count (snd (List.nth topos ti)) in
+      let cell =
+        frequency
+          [ (3, return 0.0); (1, float_range (-5.0) 0.0); (6, float_range 0.0 2e7) ]
+      in
+      let vcpu = pair (int_bound (nodes - 1)) (array_size (return nodes) cell) in
+      let epoch = list_size (int_range 1 12) vcpu in
+      map (fun epochs -> (ti, epochs)) (list_size (int_range 1 5) epoch))
+  in
+  QCheck.Test.make ~name:"record_row = per-cell record_accesses" ~count:200
+    (QCheck.make gen)
+    (fun (ti, epochs) ->
+      let t = snd (List.nth topos ti) in
+      let nodes = Numa.Topology.node_count t in
+      let by_row = Numa.Counters.create t and by_cell = Numa.Counters.create t in
+      let bits x = Int64.bits_of_float x in
+      let same_array a b =
+        Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+      in
+      let same () =
+        let c f = (f by_row, f by_cell) in
+        let eq_f (a, b) = bits a = bits b and eq_a (a, b) = same_array a b in
+        eq_a (c Numa.Counters.node_accesses)
+        && eq_a (c Numa.Counters.link_bytes)
+        && eq_f (c Numa.Counters.local_accesses)
+        && eq_f (c Numa.Counters.remote_accesses)
+        && eq_f (c Numa.Counters.imbalance)
+        && eq_a (c Numa.Counters.last_controller_utilisation)
+        && eq_a (c Numa.Counters.last_link_utilisation)
+        && eq_f (c Numa.Counters.interconnect_load)
+        && List.for_all
+             (fun src ->
+               List.for_all
+                 (fun dst -> eq_f (c (fun k -> Numa.Counters.max_route_saturation k ~src ~dst)))
+                 (List.init nodes Fun.id))
+             (List.init nodes Fun.id)
+      in
+      List.for_all
+        (fun vcpus ->
+          let row = Array.concat (List.map snd vcpus) in
+          List.iteri
+            (fun v (src, cells) ->
+              Numa.Counters.record_row by_row ~src row ~base:(v * nodes) ~bytes_per_access:64.0;
+              Array.iteri
+                (fun dst count ->
+                  if count > 0.0 then
+                    Numa.Counters.record_accesses by_cell ~src ~dst ~count ~bytes_per_access:64.0)
+                cells)
+            vcpus;
+          Numa.Counters.end_epoch by_row ~duration:0.1;
+          Numa.Counters.end_epoch by_cell ~duration:0.1;
+          same ())
+        epochs)
+
+(* The commit path allocates nothing: after a warm-up, recording 48
+   vCPU rows on AMD48 and closing the epoch leaves the minor heap
+   untouched. *)
+let test_counters_commit_allocates_nothing () =
   let t = Numa.Amd48.topology () in
   let c = Numa.Counters.create t in
-  Numa.Counters.record_accesses c ~src:0 ~dst:1 ~count:100.0 ~bytes_per_access:64.0;
-  Numa.Counters.end_epoch c ~duration:1.0;
-  Numa.Counters.reset c;
-  check_float "accesses cleared" 0.0 (Numa.Counters.node_accesses c).(1);
-  Alcotest.(check int) "epochs cleared" 0 (Numa.Counters.epoch_count c);
-  check_float "interconnect cleared" 0.0 (Numa.Counters.interconnect_load c)
+  let nodes = Numa.Topology.node_count t and vcpus = 48 in
+  let row =
+    Array.init (vcpus * nodes) (fun i -> if i mod 3 = 0 then 0.0 else float_of_int (i * 997))
+  in
+  let epoch () =
+    for v = 0 to vcpus - 1 do
+      Numa.Counters.record_row c ~src:(v / 6) row ~base:(v * nodes) ~bytes_per_access:64.0
+    done;
+    Numa.Counters.end_epoch c ~duration:0.1
+  in
+  for _ = 1 to 3 do
+    epoch ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    epoch ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then Alcotest.failf "record_row + end_epoch allocated %.0f minor words" words
 
 let prop_counters_conservation =
   QCheck.Test.make ~name:"access counts are conserved" ~count:100
@@ -273,6 +408,7 @@ let suite =
         Alcotest.test_case "cpu mapping" `Quick test_topology_cpu_mapping;
         Alcotest.test_case "distance" `Quick test_topology_distance;
         Alcotest.test_case "route" `Quick test_topology_route;
+        Alcotest.test_case "routes match BFS" `Quick test_topology_routes_match_bfs;
         Alcotest.test_case "neighbours" `Quick test_topology_neighbours;
         Alcotest.test_case "rejects disconnected" `Quick test_topology_rejects_disconnected;
         Alcotest.test_case "rejects bad link" `Quick test_topology_rejects_bad_link;
@@ -303,7 +439,8 @@ let suite =
         Alcotest.test_case "raw 50-80% amplitude" `Quick test_counters_raw_amplitude;
         Alcotest.test_case "max route saturation" `Quick test_counters_max_route_saturation;
         Alcotest.test_case "interconnect load" `Quick test_counters_interconnect_load;
-        Alcotest.test_case "reset" `Quick test_counters_reset;
+        Alcotest.test_case "commit allocates nothing" `Quick test_counters_commit_allocates_nothing;
         qcheck prop_counters_conservation;
+        qcheck prop_counters_record_row_differential;
       ] );
   ]
