@@ -14,8 +14,7 @@
                   XEN_NUMA_JOBS or the host's recommended domain count);
                   stdout is byte-identical at every N
    --trace FILE   capture an event trace of every simulated run and
-                  write the deterministic merge to FILE (JSONL, or
-                  binary when FILE ends in .bin)
+                  write the deterministic merge to FILE as JSONL
    --trace-cap N  per-stream trace ring capacity (default 4096)
    --profile      enable the runner phase profiler and print the span
                   table at the end
@@ -164,12 +163,14 @@ let () =
     Obs.Profile.set_enabled true
   end;
   let session =
-    match o.trace with
-    | None -> None
-    | Some _ ->
-        let s = Obs.Trace.create ~capacity:o.trace_cap () in
-        Obs.Trace.install s;
-        Some s
+    Option.map
+      (fun file ->
+        match Obs.Trace.start ~capacity:o.trace_cap file with
+        | s -> s
+        | exception Sys_error msg ->
+            Printf.eprintf "bench: cannot write trace: %s\n" msg;
+            exit 1)
+      o.trace
   in
   List.iter (fun name -> (List.assoc name sections) ()) requested;
   if o.profile then begin

@@ -124,9 +124,8 @@ let faults_arg =
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Capture an event trace of the run and write it to $(docv) \
-                 (JSONL, or the compact binary format when $(docv) ends in \
-                 $(b,.bin)).  Summarise it with $(b,xen-numa-trace).")
+           ~doc:"Capture an event trace of the run and write it to $(docv) as \
+                 JSONL.  Summarise it with $(b,xen-numa-trace).")
 
 let trace_cap_arg =
   Arg.(value & opt int 4096
@@ -176,20 +175,32 @@ let no_fast_forward_arg =
                  traces, so this flag only trades speed for nothing — it exists \
                  as the escape hatch and for A/B verification.")
 
+let die msg =
+  flush stdout;
+  prerr_endline ("xen-numa-sim: " ^ msg);
+  exit 1
+
+(* A run that stops at the epoch cap has not completed, and its result
+   is no measurement: name the cap and fail after the output. *)
+let fail_if_capped ~max_epochs results =
+  match Experiments.Runs.capped ~max_epochs results with
+  | [] -> ()
+  | capped ->
+      die
+        (Printf.sprintf "%s hit the epoch cap (%d epochs) without completing"
+           (String.concat ", " capped) max_epochs)
+
 let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unpinned machine
     faults trace trace_cap metrics slo profile no_fast_forward =
   check_threads machine threads @@ fun () ->
-  if trace_cap <= 0 then begin
-    prerr_endline "xen-numa-sim: --trace-cap must be positive";
-    exit 1
-  end;
+  if trace_cap <= 0 then die "--trace-cap must be positive";
   let session =
-    match trace with
-    | None -> None
-    | Some _ ->
-        let s = Obs.Trace.create ~capacity:trace_cap () in
-        Obs.Trace.install s;
-        Some s
+    Option.map
+      (fun file ->
+        match Obs.Trace.start ~capacity:trace_cap file with
+        | s -> s
+        | exception Sys_error msg -> die ("cannot write trace: " ^ msg))
+      trace
   in
   if metrics then Obs.Metrics.set_enabled true;
   if profile then begin
@@ -220,7 +231,8 @@ let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unp
       Obs.Trace.uninstall ();
       Format.printf "trace written to %s@." file
   | _ -> ());
-  if metrics then Format.printf "@.%s" (Obs.Metrics.render ())
+  if metrics then Format.printf "@.%s" (Obs.Metrics.render ());
+  fail_if_capped ~max_epochs:cfg.Engine.Config.max_epochs [ (app.Workloads.App.name, result) ]
 
 let run_cmd =
   let doc = "Run one application under a NUMA policy" in
@@ -273,35 +285,31 @@ let topo_cmd =
 
 let compare_policies app mode threads seed =
   check_threads Numa.Machine_desc.amd48 threads @@ fun () ->
-  let specs = Policies.Spec.all in
-  let rows =
+  let cfg policy = Engine.Config.make ~seed ~mode [ Engine.Config.vm ~threads ~policy app ] in
+  let results =
     List.map
-      (fun policy ->
-        let vm = Engine.Config.vm ~threads ~policy app in
-        let cfg = Engine.Config.make ~seed ~mode [ vm ] in
-        let result = Engine.Runner.run cfg in
-        let vm_result = Engine.Result.single result in
-        ( Policies.Spec.name policy,
-          vm_result.Engine.Result.completion,
-          result.Engine.Result.imbalance,
-          result.Engine.Result.interconnect_load,
-          vm_result.Engine.Result.local_fraction ))
-      specs
+      (fun policy -> (Policies.Spec.name policy, Engine.Runner.run (cfg policy)))
+      Policies.Spec.all
   in
-  let best = List.fold_left (fun acc (_, c, _, _, _) -> Float.min acc c) Float.infinity rows in
+  let completion result = (Engine.Result.single result).Engine.Result.completion in
+  let best =
+    List.fold_left (fun acc (_, r) -> Float.min acc (completion r)) Float.infinity results
+  in
   Report.Table.print
     ~header:[ "policy"; "completion"; "vs best"; "imbalance"; "interconnect"; "local" ]
     (List.map
-       (fun (name, completion, imb, ic, local) ->
+       (fun (name, result) ->
          [
            name;
-           Report.Table.fmt_secs completion;
-           Report.Table.fmt_ratio (completion /. best);
-           Report.Table.fmt_pct imb;
-           Report.Table.fmt_pct ic;
-           Report.Table.fmt_pct local;
+           Report.Table.fmt_secs (completion result);
+           Report.Table.fmt_ratio (completion result /. best);
+           Report.Table.fmt_pct result.Engine.Result.imbalance;
+           Report.Table.fmt_pct result.Engine.Result.interconnect_load;
+           Report.Table.fmt_pct (Engine.Result.single result).Engine.Result.local_fraction;
          ])
-       rows)
+       results);
+  (* Every policy runs under the same, default, epoch cap. *)
+  fail_if_capped ~max_epochs:(cfg Policies.Spec.round_4k).Engine.Config.max_epochs results
 
 let compare_cmd =
   let doc = "Run one application under every NUMA policy and compare" in

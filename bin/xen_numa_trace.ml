@@ -1,5 +1,5 @@
 (* xen-numa-trace: xenalyze-style summariser, checker and query tool
-   for trace files produced by xen-numa-sim --trace (JSONL or binary).
+   for the JSONL trace files produced by xen-numa-sim --trace.
    Every subcommand reads the file in one bounded-memory streaming
    pass (Obs.Codec.fold_file). *)
 
@@ -42,7 +42,6 @@ let check path =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let visit () = function
-    | Obs.Codec.Header _ -> ()
     | Obs.Codec.Meta (_, s) ->
         streams := s :: !streams;
         incr nstreams
@@ -93,7 +92,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc) Term.(const check $ file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* query: streaming filter + aggregation over either codec             *)
+(* query: streaming filter + aggregation                               *)
 (* ------------------------------------------------------------------ *)
 
 let classes_arg =

@@ -246,40 +246,6 @@ let check_consistent t =
   let sum = List.fold_left (fun acc (_, o) -> acc + block_frames o) 0 !blocks in
   !ok && sum = t.free && disjoint (List.sort compare !blocks)
 
-let reserve t ~base ~frames =
-  let lo = base and hi = base + frames in
-  let reserved = ref 0 in
-  (* Recursively carve the intersection of a free block with [lo,hi). *)
-  let rec carve block order =
-    let b_lo = block and b_hi = block + block_frames order in
-    if b_hi <= lo || b_lo >= hi then begin
-      add_block t ~base:block ~order
-    end
-    else if b_lo >= lo && b_hi <= hi then begin
-      reserved := !reserved + block_frames order;
-      t.free <- t.free - block_frames order
-    end
-    else begin
-      assert (order > 0);
-      let o' = order - 1 in
-      carve block o';
-      carve (block + block_frames o') o'
-    end
-  in
-  for order = 0 to max_order do
-    let overlapping =
-      Int_set.filter
-        (fun block -> block < hi && block + block_frames order > lo)
-        t.free_sets.(order)
-    in
-    Int_set.iter
-      (fun block ->
-        t.free_sets.(order) <- Int_set.remove block t.free_sets.(order);
-        carve block order)
-      overlapping
-  done;
-  !reserved
-
 let offline_range t ~base ~frames =
   if frames < 0 then invalid_arg "Buddy.offline_range: negative frames";
   let lo = max base t.base and hi = min (base + frames) (t.base + t.total) in
@@ -288,7 +254,7 @@ let offline_range t ~base ~frames =
     let offlined_now = ref 0 in
     (* Carve every free block intersecting [lo, hi): the in-range part
        leaves the arena as offlined frames, the rest re-enters the free
-       sets (same recursion as [reserve]). *)
+       sets. *)
     let rec carve block order =
       let b_lo = block and b_hi = block + block_frames order in
       if b_hi <= lo || b_lo >= hi then add_block t ~base:block ~order

@@ -55,11 +55,6 @@ val free_frames : t -> int
 val largest_free_order : t -> int option
 (** Order of the largest currently-free block, [None] if full. *)
 
-val reserve : t -> base:int -> frames:int -> int
-(** [reserve t ~base ~frames] removes the given frame range from the
-    free pool (used to model BIOS / I/O holes).  Frames already
-    allocated are skipped; returns the number actually reserved. *)
-
 val check_consistent : t -> bool
 (** Invariant check: [true] iff the free blocks are aligned, in range
     and pairwise disjoint, no two mergeable buddies are both free at

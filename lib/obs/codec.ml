@@ -1,9 +1,7 @@
-(* Wire formats of a merged trace: self-describing JSONL (one object
-   per line, greppable, diff-friendly) and a compact fixed-record
-   binary format.  Both carry the same data and both round-trip; the
-   one reader, [fold_file], auto-detects by magic.  Output is a pure
-   function of the export value, so byte-identical exports mean
-   identical traces. *)
+(* Wire format of a merged trace: self-describing JSONL (one object
+   per line, greppable, diff-friendly).  The writer and the one reader,
+   [fold_file], round-trip.  Output is a pure function of the export
+   value, so byte-identical exports mean identical traces. *)
 
 type stream_info = {
   label : string;
@@ -18,7 +16,6 @@ type export = {
 }
 
 let jsonl_magic = "{\"trace\":\"xen-numa\""
-let binary_magic = "XNUMATR1"
 
 (* ---------------------------- writing ---------------------------- *)
 
@@ -53,33 +50,6 @@ let write_jsonl buf e =
        (Array.length e.streams) (List.length e.events));
   add_jsonl buf e
 
-let write_binary buf e =
-  Buffer.add_string buf binary_magic;
-  Buffer.add_int32_be buf (Int32.of_int (Array.length e.streams));
-  Array.iter
-    (fun (s : stream_info) ->
-      Buffer.add_int32_be buf (Int32.of_int (String.length s.label));
-      Buffer.add_string buf s.label;
-      Buffer.add_int64_be buf (Int64.of_int s.emitted);
-      Buffer.add_int64_be buf (Int64.of_int s.dropped);
-      Buffer.add_int32_be buf (Int32.of_int (Array.length s.by_class));
-      Array.iter (fun n -> Buffer.add_int64_be buf (Int64.of_int n)) s.by_class)
-    e.streams;
-  Buffer.add_int64_be buf (Int64.of_int (List.length e.events));
-  List.iter
-    (fun (m : Event.merged) ->
-      let ev = m.Event.event in
-      Buffer.add_int32_be buf (Int32.of_int m.Event.stream);
-      Buffer.add_int64_be buf (Int64.of_int m.Event.seq);
-      Buffer.add_int64_be buf (Int64.bits_of_float ev.Event.time);
-      Buffer.add_uint8 buf (Event.class_index ev.Event.cls);
-      Buffer.add_int32_be buf (Int32.of_int ev.Event.domain);
-      Buffer.add_int32_be buf (Int32.of_int ev.Event.vcpu);
-      Buffer.add_int64_be buf (Int64.of_int ev.Event.pfn);
-      Buffer.add_int32_be buf (Int32.of_int ev.Event.node);
-      Buffer.add_int64_be buf (Int64.of_int ev.Event.arg))
-    e.events
-
 (* ---------------------------- reading ---------------------------- *)
 
 exception Corrupt of string
@@ -102,10 +72,10 @@ let string_field field obj ~line =
   | None -> corrupt "line %d: field %S is not a string" line field
 
 (* One streamed record of a trace file, in file order. *)
-type item =
-  | Header of { streams : int; events : int }
-  | Meta of int * stream_info
-  | Ev of Event.merged
+type item = Meta of int * stream_info | Ev of Event.merged
+
+(* A parsed line: the header, which only the fold reads, or an item. *)
+type line = Header of { streams : int; events : int } | Item of item
 
 let parse_jsonl_line ~line l =
   let obj =
@@ -126,14 +96,15 @@ let parse_jsonl_line ~line l =
               | _ -> corrupt "line %d: bad by_class entry %S" line name)
             fields
       | _ -> corrupt "line %d: stream record without by_class" line);
-      Meta
-        ( id,
-          {
-            label = string_field "label" obj ~line;
-            emitted = int_field "emitted" obj ~line;
-            dropped = int_field "dropped" obj ~line;
-            by_class;
-          } )
+      Item
+        (Meta
+           ( id,
+             {
+               label = string_field "label" obj ~line;
+               emitted = int_field "emitted" obj ~line;
+               dropped = int_field "dropped" obj ~line;
+               by_class;
+             } ))
   | None -> (
       match Json.member "class" obj with
       | Some _ ->
@@ -148,18 +119,19 @@ let parse_jsonl_line ~line l =
             | Some f -> f
             | None -> corrupt "line %d: field \"t\" is not a number" line
           in
-          Ev
-            {
-              Event.stream = int_field "w" obj ~line;
-              seq = int_field "seq" obj ~line;
-              event =
-                Event.make ~time cls
-                  ~domain:(int_field "dom" obj ~line)
-                  ~vcpu:(int_field "vcpu" obj ~line)
-                  ~pfn:(int_field "pfn" obj ~line)
-                  ~node:(int_field "node" obj ~line)
-                  ~arg:(int_field "arg" obj ~line);
-            }
+          Item
+            (Ev
+               {
+                 Event.stream = int_field "w" obj ~line;
+                 seq = int_field "seq" obj ~line;
+                 event =
+                   Event.make ~time cls
+                     ~domain:(int_field "dom" obj ~line)
+                     ~vcpu:(int_field "vcpu" obj ~line)
+                     ~pfn:(int_field "pfn" obj ~line)
+                     ~node:(int_field "node" obj ~line)
+                     ~arg:(int_field "arg" obj ~line);
+               })
       | None ->
           (* The header line; anything else without stream/class
              markers is unknown. *)
@@ -168,13 +140,13 @@ let parse_jsonl_line ~line l =
           else
             Header { streams = int_field "streams" obj ~line; events = int_field "events" obj ~line })
 
-(* A JSONL trace is checked as it streams.  A file cut at a line
-   boundary still parses line by line: only the header's promised
-   counts expose the missing tail.  Stream records must run 0, 1, 2, ...
-   ahead of every event, as the writer emits them and as the binary
-   layout fixes them, so a consumer can index streams as they arrive
+(* A trace is checked as it streams.  A line cut in the middle is not
+   valid JSON; a file cut at a line boundary still parses line by line,
+   and only the header's promised counts expose the missing tail.
+   Stream records must run 0, 1, 2, ... ahead of every event, as the
+   writer emits them, so a consumer can index streams as they arrive
    and a skipped id is caught at the record after the gap.  [count]
-   tallies the records of one pass; [check] compares them with the
+   tallies the items of one pass; [check] compares them with the
    header at end of input. *)
 type tally = {
   mutable header : (int * int) option;
@@ -185,7 +157,6 @@ type tally = {
 let tally () = { header = None; meta = 0; ev = 0 }
 
 let count t ~line = function
-  | Header { streams; events } -> t.header <- Some (streams, events)
   | Meta (id, _) ->
       if id <> t.meta then
         corrupt "line %d: stream %d has no metadata record (found stream %d's)" line t.meta id;
@@ -201,106 +172,27 @@ let check t =
         corrupt "truncated: header promises %d streams and %d events, read %d and %d" streams
           events t.meta t.ev
 
-(* Channel-based fold over a trace file in bounded memory: one line (or
-   one fixed-size binary record) is resident at a time, so every reader
-   can stream a trace far larger than RAM.  Truncation or malformed
-   input raises [Corrupt] — a short file is an error, never a silently
-   shorter trace. *)
-
-let input_exact ic buf n =
-  let at = pos_in ic in
-  try really_input ic buf 0 n
-  with End_of_file -> corrupt "binary trace truncated at offset %d" at
-
-let ch_i32 ic buf =
-  input_exact ic buf 4;
-  Int32.to_int (Bytes.get_int32_be buf 0)
-
-let ch_i64 ic buf =
-  input_exact ic buf 8;
-  Bytes.get_int64_be buf 0
-
-let ch_u8 ic buf =
-  input_exact ic buf 1;
-  Char.code (Bytes.get buf 0)
-
-(* The length comes from the file: checked against the bytes left, a
-   corrupt one neither escapes as Invalid_argument nor allocates past
-   the end of the file. *)
-let ch_string ic n =
-  let at = pos_in ic in
-  if n < 0 || n > in_channel_length ic - at then
-    corrupt "bad string length %d at offset %d" n at;
-  try really_input_string ic n
-  with End_of_file -> corrupt "binary trace truncated at offset %d" at
-
-let fold_binary_channel ic ~init ~f =
-  (* The caller has already consumed the magic. *)
-  let buf = Bytes.create 8 in
-  let nstreams = ch_i32 ic buf in
-  let acc = ref init in
-  for i = 0 to nstreams - 1 do
-    let label = ch_string ic (ch_i32 ic buf) in
-    let emitted = Int64.to_int (ch_i64 ic buf) in
-    let dropped = Int64.to_int (ch_i64 ic buf) in
-    let nclasses = ch_i32 ic buf in
-    let by_class = Array.make Event.class_count 0 in
-    for k = 0 to nclasses - 1 do
-      let n = Int64.to_int (ch_i64 ic buf) in
-      if k < Event.class_count then by_class.(k) <- n
-    done;
-    acc := f !acc (Meta (i, { label; emitted; dropped; by_class }))
-  done;
-  let nevents = Int64.to_int (ch_i64 ic buf) in
-  for _ = 1 to nevents do
-    let stream = ch_i32 ic buf in
-    let seq = Int64.to_int (ch_i64 ic buf) in
-    let time = Int64.float_of_bits (ch_i64 ic buf) in
-    let cls =
-      let idx = ch_u8 ic buf in
-      match Event.class_of_index idx with
-      | Some cls -> cls
-      | None -> corrupt "unknown event class index %d" idx
-    in
-    let domain = ch_i32 ic buf in
-    let vcpu = ch_i32 ic buf in
-    let pfn = Int64.to_int (ch_i64 ic buf) in
-    let node = ch_i32 ic buf in
-    let arg = Int64.to_int (ch_i64 ic buf) in
-    acc :=
-      f !acc (Ev { Event.stream; seq; event = Event.make ~time cls ~domain ~vcpu ~pfn ~node ~arg })
-  done;
-  (match input_char ic with
-  | _ -> corrupt "trailing bytes after binary trace"
-  | exception End_of_file -> ());
-  !acc
-
-let fold_jsonl_channel ic ~init ~f =
-  let t = tally () in
-  let rec go line acc =
-    match input_line ic with
-    | exception End_of_file ->
-        check t;
-        acc
-    | l when String.trim l = "" -> go line acc
-    | l ->
-        let item = parse_jsonl_line ~line l in
-        count t ~line item;
-        go (line + 1) (f acc item)
-  in
-  go 1 init
-
+(* One line is resident at a time, so every reader can stream a trace
+   far larger than RAM. *)
 let fold_file path ~init ~f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let magic_len = String.length binary_magic in
-      let head =
-        if in_channel_length ic >= magic_len then really_input_string ic magic_len else ""
+      let t = tally () in
+      let rec go line acc =
+        match input_line ic with
+        | exception End_of_file ->
+            check t;
+            acc
+        | l when String.trim l = "" -> go line acc
+        | l -> (
+            match parse_jsonl_line ~line l with
+            | Header { streams; events } ->
+                t.header <- Some (streams, events);
+                go (line + 1) acc
+            | Item item ->
+                count t ~line item;
+                go (line + 1) (f acc item))
       in
-      if head = binary_magic then fold_binary_channel ic ~init ~f
-      else begin
-        seek_in ic 0;
-        fold_jsonl_channel ic ~init ~f
-      end)
+      go 1 init)

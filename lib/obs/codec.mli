@@ -1,7 +1,7 @@
-(** Trace wire formats: JSONL (one JSON object per line) and a compact
-    fixed-record binary encoding.  Both are pure functions of the
-    export value — two identical merged traces serialise to identical
-    bytes, the property the cross-jobs determinism check relies on. *)
+(** Trace wire format: JSONL, one JSON object per line.  The bytes are
+    a pure function of the export value — two identical merged traces
+    serialise to identical bytes, the property the cross-jobs
+    determinism check relies on. *)
 
 type stream_info = {
   label : string;
@@ -20,27 +20,22 @@ exception Corrupt of string
 val write_jsonl : Buffer.t -> export -> unit
 (** Header line, one metadata line per stream, one line per event. *)
 
-val write_binary : Buffer.t -> export -> unit
-
 (** One streamed record of a trace file, in file order: stream
     metadata records first, by id from 0 with no gap, then events in
-    merged order. *)
+    merged order.  The header line is the fold's own: it checks the
+    record counts the header promises. *)
 type item =
-  | Header of { streams : int; events : int }
-      (** the JSONL header line and the record counts it promises
-          (binary traces never yield it) *)
   | Meta of int * stream_info  (** stream id, metadata *)
   | Ev of Event.merged
 
 val fold_file : string -> init:'a -> f:('a -> item -> 'a) -> 'a
-(** Stream a trace file (either codec, auto-detected by magic) in
-    bounded memory: one line or fixed-size record resident at a time.
-    The only trace reader: {!Summary.of_file}, {!Query.run} and every
-    [xen_numa_trace] subcommand fold through it.
+(** Stream a trace file in bounded memory, one line resident at a
+    time.  The only trace reader: {!Summary.of_file}, {!Query.run} and
+    every [xen_numa_trace] subcommand fold through it.
     @raise Corrupt on malformed or truncated input — a short file is
-    an error, never a silently shorter trace: a file without the binary
-    magic that is not JSON lines, an unknown event class, a missing JSONL header or header
-    counts that differ from the records read, a JSONL stream id with
-    no metadata record (or a stream record after an event), and
-    trailing bytes after a binary trace.
+    an error, never a silently shorter trace: a line that is not JSON
+    (a line cut in the middle), an unknown event class, a missing
+    header or header counts that differ from the records read, a
+    stream id with no metadata record, and a stream record after an
+    event.
     @raise Sys_error when the file cannot be opened. *)

@@ -9,7 +9,6 @@ type class_ =
   | Migrate_drain
   | Pv_record
   | Pv_flush
-  | Pv_lost
   | Breaker_trip
   | Breaker_escalate
   | Breaker_cooldown
@@ -41,7 +40,6 @@ let classes =
     Migrate_drain;
     Pv_record;
     Pv_flush;
-    Pv_lost;
     Breaker_trip;
     Breaker_escalate;
     Breaker_cooldown;
@@ -75,57 +73,24 @@ let class_index = function
   | Migrate_drain -> 7
   | Pv_record -> 8
   | Pv_flush -> 9
-  | Pv_lost -> 10
-  | Breaker_trip -> 11
-  | Breaker_escalate -> 12
-  | Breaker_cooldown -> 13
-  | Reconcile_sweep -> 14
-  | Epoch_boundary -> 15
-  | Splinter -> 16
-  | Promote -> 17
-  | Superpage_migrate -> 18
-  | Pv_dedup -> 19
-  | P2m_batch -> 20
-  | Ecc_ce -> 21
-  | Ecc_ue -> 22
-  | Page_offline -> 23
-  | Node_drain -> 24
-  | Evacuate -> 25
-  | Pt_walk -> 26
-  | Pt_replica_update -> 27
-  | Pt_replica_invalidate -> 28
-
-let class_of_index = function
-  | 0 -> Some Hypercall_entry
-  | 1 -> Some Hypercall_exit
-  | 2 -> Some Page_fault
-  | 3 -> Some First_touch
-  | 4 -> Some Migrate_start
-  | 5 -> Some Migrate_retry
-  | 6 -> Some Migrate_defer
-  | 7 -> Some Migrate_drain
-  | 8 -> Some Pv_record
-  | 9 -> Some Pv_flush
-  | 10 -> Some Pv_lost
-  | 11 -> Some Breaker_trip
-  | 12 -> Some Breaker_escalate
-  | 13 -> Some Breaker_cooldown
-  | 14 -> Some Reconcile_sweep
-  | 15 -> Some Epoch_boundary
-  | 16 -> Some Splinter
-  | 17 -> Some Promote
-  | 18 -> Some Superpage_migrate
-  | 19 -> Some Pv_dedup
-  | 20 -> Some P2m_batch
-  | 21 -> Some Ecc_ce
-  | 22 -> Some Ecc_ue
-  | 23 -> Some Page_offline
-  | 24 -> Some Node_drain
-  | 25 -> Some Evacuate
-  | 26 -> Some Pt_walk
-  | 27 -> Some Pt_replica_update
-  | 28 -> Some Pt_replica_invalidate
-  | _ -> None
+  | Breaker_trip -> 10
+  | Breaker_escalate -> 11
+  | Breaker_cooldown -> 12
+  | Reconcile_sweep -> 13
+  | Epoch_boundary -> 14
+  | Splinter -> 15
+  | Promote -> 16
+  | Superpage_migrate -> 17
+  | Pv_dedup -> 18
+  | P2m_batch -> 19
+  | Ecc_ce -> 20
+  | Ecc_ue -> 21
+  | Page_offline -> 22
+  | Node_drain -> 23
+  | Evacuate -> 24
+  | Pt_walk -> 25
+  | Pt_replica_update -> 26
+  | Pt_replica_invalidate -> 27
 
 let class_name = function
   | Hypercall_entry -> "hypercall_entry"
@@ -138,7 +103,6 @@ let class_name = function
   | Migrate_drain -> "migrate_drain"
   | Pv_record -> "pv_record"
   | Pv_flush -> "pv_flush"
-  | Pv_lost -> "pv_lost"
   | Breaker_trip -> "breaker_trip"
   | Breaker_escalate -> "breaker_escalate"
   | Breaker_cooldown -> "breaker_cooldown"

@@ -25,10 +25,6 @@ type class_ =
   | Migrate_drain
   | Pv_record
   | Pv_flush
-  | Pv_lost
-      (** Never emitted: batch loss is drawn and counted by the
-          page-ops hypercall.  Kept so the binary codec's class
-          indices do not shift. *)
   | Breaker_trip
   | Breaker_escalate
   | Breaker_cooldown
@@ -52,10 +48,9 @@ val classes : class_ list
 val class_count : int
 
 val class_index : class_ -> int
-(** Stable dense index in [0, class_count); the binary codec and the
-    per-stream per-class counters key on it. *)
+(** Stable dense index in [0, class_count); the per-stream per-class
+    counters key on it. *)
 
-val class_of_index : int -> class_ option
 val class_name : class_ -> string
 val class_of_name : string -> class_ option
 

@@ -1,6 +1,6 @@
 (** Observability for the hypervisor simulation: xentrace-style event
     tracing ({!Trace}, {!Stream}, {!Event}, {!Ring}) and a metrics
-    registry ({!Metrics}), with export formats ({!Codec}) and an
+    registry ({!Metrics}), with the JSONL trace format ({!Codec}) and an
     xenalyze-style summariser ({!Summary}). *)
 
 module Event = Event

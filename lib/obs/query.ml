@@ -1,5 +1,5 @@
-(* Streaming trace query engine: one pass over a trace file (either
-   codec, via Codec.fold_file) in bounded memory, filtering events by
+(* Streaming trace query engine: one pass over a trace file (via
+   Codec.fold_file) in bounded memory, filtering events by
    class / domain / vcpu / node / epoch window and aggregating counts,
    per-epoch rates, top-k hot frames and a per-(node, epoch) traffic
    heatmap.
@@ -119,7 +119,6 @@ let run ?(top = 10) f path =
   let () =
     Codec.fold_file path ~init:() ~f:(fun () item ->
         match item with
-        | Codec.Header _ -> ()
         | Codec.Meta (_, s) ->
             st.dropped <- st.dropped + s.Codec.dropped;
             Array.iteri (fun i n -> st.emitted.(i) <- st.emitted.(i) + n) s.Codec.by_class

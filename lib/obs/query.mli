@@ -1,7 +1,7 @@
 (** Streaming trace query engine: one bounded-memory pass over a trace
-    file (either codec), filtering by class / domain / vcpu / node /
-    epoch window and aggregating counts, per-epoch rates, top-k hot
-    frames and a per-(node, epoch) heatmap.
+    file, filtering by class / domain / vcpu / node / epoch window and
+    aggregating counts, per-epoch rates, top-k hot frames and a
+    per-(node, epoch) heatmap.
 
     Epoch attribution is {!Summary.epoch_of}: an event belongs to the
     epoch of the last [Epoch_boundary] its own stream emitted before

@@ -68,7 +68,6 @@ let start () =
   }
 
 let add acc = function
-  | Codec.Header _ -> ()
   | Codec.Meta (_, s) ->
       acc.streams <- s :: acc.streams;
       Array.iteri (fun i n -> acc.emitted.(i) <- acc.emitted.(i) + n) s.Codec.by_class
@@ -93,7 +92,7 @@ let add acc = function
         | Event.Page_fault | Event.First_touch -> { row with faults = row.faults + 1 }
         | Event.Migrate_start | Event.Migrate_retry | Event.Migrate_drain ->
             { row with migrations = row.migrations + 1 }
-        | Event.Pv_record | Event.Pv_flush | Event.Pv_lost -> { row with pv_ops = row.pv_ops + 1 }
+        | Event.Pv_record | Event.Pv_flush -> { row with pv_ops = row.pv_ops + 1 }
         | Event.Breaker_trip | Event.Breaker_escalate | Event.Breaker_cooldown ->
             { row with breaker = row.breaker + 1 }
         | Event.Hypercall_entry -> { row with hypercalls = row.hypercalls + 1 }

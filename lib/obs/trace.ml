@@ -79,16 +79,17 @@ let render_jsonl t =
   Codec.write_jsonl buf (export t);
   Buffer.contents buf
 
-let render_binary t =
-  let buf = Buffer.create 65536 in
-  Codec.write_binary buf (export t);
-  Buffer.contents buf
-
 let write_file t file =
-  let data = if Filename.check_suffix file ".bin" then render_binary t else render_jsonl t in
+  let data = render_jsonl t in
   let oc = open_out_bin file in
   output_string oc data;
   close_out oc
+
+let start ~capacity file =
+  let t = create ~capacity () in
+  close_out (open_out_bin file);
+  install t;
+  t
 
 (* Mirror the per-class emission totals of the registered streams into
    the metrics registry: `summary` over the exported file and the

@@ -34,10 +34,18 @@ val installed : unit -> bool
 val export : t -> Codec.export
 
 val render_jsonl : t -> string
-val render_binary : t -> string
 
 val write_file : t -> string -> unit
-(** Binary when [file] ends in [.bin], JSONL otherwise. *)
+(** Write the merged trace to [file] as JSONL, whatever its suffix. *)
+
+val start : capacity:int -> string -> t
+(** [start ~capacity file] creates a session, empties [file] and
+    installs the session.  Both front ends call it for [--trace FILE]
+    before any run, so an unwritable [file] fails before the
+    simulation rather than after it.  Until {!write_file} writes the
+    trace, the file is empty, which every reader rejects.
+    @raise Sys_error when [file] cannot be written; nothing is
+    installed then. *)
 
 val commit_metrics : t -> unit
 (** Mirror per-class emission totals, drops and stream count into the

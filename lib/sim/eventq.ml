@@ -13,8 +13,6 @@ type 'a t = {
 
 let create () = { heap = [||]; len = 0; clock = 0.0; next_seq = 0 }
 
-let now t = t.clock
-
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let grow t =
@@ -57,16 +55,6 @@ let schedule t ~at payload =
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
-let schedule_after t ~delay payload =
-  assert (delay >= 0.0);
-  schedule t ~at:(t.clock +. delay) payload
-
-let is_empty t = t.len = 0
-
-let size t = t.len
-
-let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
-
 let next t =
   if t.len = 0 then None
   else begin
@@ -79,16 +67,3 @@ let next t =
     t.clock <- top.time;
     Some (top.time, top.payload)
   end
-
-let run t ~handler ~until =
-  let rec loop () =
-    match peek_time t with
-    | Some time when time <= until -> (
-        match next t with
-        | Some (time, payload) ->
-            handler time payload;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ()

@@ -109,22 +109,6 @@ let test_buddy_nonzero_base () =
   Alcotest.(check (option int)) "empty" None (Memory.Buddy.alloc b ~order:0);
   consistent b
 
-let test_buddy_reserve () =
-  let b = Memory.Buddy.create ~base:0 ~frames:64 in
-  let reserved = Memory.Buddy.reserve b ~base:10 ~frames:10 in
-  Alcotest.(check int) "10 reserved" 10 reserved;
-  Alcotest.(check int) "54 free" 54 (Memory.Buddy.free_frames b);
-  consistent b;
-  (* The hole is never handed out. *)
-  let rec drain acc =
-    match Memory.Buddy.alloc b ~order:0 with Some f -> drain (f :: acc) | None -> acc
-  in
-  let all = drain [] in
-  Alcotest.(check int) "54 allocatable" 54 (List.length all);
-  List.iter
-    (fun f -> if f >= 10 && f < 20 then Alcotest.failf "hole frame %d handed out" f)
-    all
-
 let test_buddy_fragmentation_fallback () =
   let b = Memory.Buddy.create ~base:0 ~frames:256 in
   (* Fragment: allocate every other order-0 block of the first 128. *)
@@ -627,7 +611,6 @@ let suite =
         Alcotest.test_case "out of range free" `Quick test_buddy_out_of_range_free;
         Alcotest.test_case "non power of two size" `Quick test_buddy_non_power_of_two;
         Alcotest.test_case "nonzero base" `Quick test_buddy_nonzero_base;
-        Alcotest.test_case "reserve hole" `Quick test_buddy_reserve;
         Alcotest.test_case "fragmentation fallback" `Quick test_buddy_fragmentation_fallback;
         QCheck_alcotest.to_alcotest prop_buddy_trace;
         QCheck_alcotest.to_alcotest prop_buddy_partition;

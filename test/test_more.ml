@@ -1,6 +1,6 @@
 (* Additional coverage: machine descriptions, result plumbing, spec
-   properties, queue stress, buddy reserve properties, counters under
-   multi-epoch histories, cross-machine engine runs. *)
+   properties, queue stress, counters under multi-epoch histories,
+   cross-machine engine runs. *)
 
 let app name =
   match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.failf "no app %s" name
@@ -128,27 +128,6 @@ let test_queue_interleaved_partitions_stress () =
     (fun i n -> if n = 0 then Alcotest.failf "partition %d never used" i)
     per_partition
 
-(* ------------------------------- buddy ------------------------------- *)
-
-let prop_buddy_reserve_never_allocated =
-  QCheck.Test.make ~name:"reserved frames are never allocated" ~count:60
-    QCheck.(pair (int_range 0 200) (int_range 1 56))
-    (fun (base, frames) ->
-      let b = Memory.Buddy.create ~base:0 ~frames:256 in
-      let reserved = Memory.Buddy.reserve b ~base ~frames in
-      let lo = base and hi = base + frames in
-      let ok = ref (reserved <= frames) in
-      let rec drain () =
-        match Memory.Buddy.alloc b ~order:0 with
-        | Some f ->
-            if f >= lo && f < hi then ok := false;
-            drain ()
-        | None -> ()
-      in
-      ok := !ok && Memory.Buddy.check_consistent b;
-      drain ();
-      !ok)
-
 (* ------------------------------ counters ----------------------------- *)
 
 let test_counters_multi_epoch_interconnect_average () =
@@ -217,8 +196,6 @@ let suite =
       ] );
     ( "guest.pv_queue.stress",
       [ Alcotest.test_case "partitions never mix" `Quick test_queue_interleaved_partitions_stress ] );
-    ( "memory.buddy.props",
-      [ QCheck_alcotest.to_alcotest prop_buddy_reserve_never_allocated ] );
     ( "numa.counters.epochs",
       [ Alcotest.test_case "interconnect average" `Quick test_counters_multi_epoch_interconnect_average ] );
     ( "engine.misc",

@@ -1,5 +1,5 @@
 (* Tests for the obs library: trace rings, streams, the deterministic
-   merge and codecs, the metrics registry, the Stats.Histogram, and
+   merge and the JSONL codec, the metrics registry, the Stats.Histogram, and
    the summary-equals-registry contract. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
@@ -14,6 +14,11 @@ let with_clean_obs f =
     Obs.Metrics.reset ()
   in
   Fun.protect ~finally:finish f
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 (* ------------------------------- ring ------------------------------ *)
 
@@ -90,13 +95,13 @@ let test_stream_seq_survives_drops () =
 let test_event_class_roundtrip () =
   List.iter
     (fun cls ->
-      Alcotest.(check bool) "index roundtrip" true
-        (Obs.Event.class_of_index (Obs.Event.class_index cls) = Some cls);
       Alcotest.(check bool) "name roundtrip" true
         (Obs.Event.class_of_name (Obs.Event.class_name cls) = Some cls))
     Obs.Event.classes;
   Alcotest.(check int) "class_count" (List.length Obs.Event.classes) Obs.Event.class_count;
-  Alcotest.(check bool) "bad index" true (Obs.Event.class_of_index 999 = None);
+  Alcotest.(check (list int)) "indices dense, in class order"
+    (List.init Obs.Event.class_count Fun.id)
+    (List.map Obs.Event.class_index Obs.Event.classes);
   Alcotest.(check bool) "bad name" true (Obs.Event.class_of_name "nope" = None)
 
 let test_merge_order () =
@@ -201,7 +206,7 @@ let test_json_parse () =
   Alcotest.(check bool) "bare word rejected" true (Obs.Json.of_string_opt "nope" = None);
   Alcotest.(check string) "escape" "a\\\"b\\\\c\\n" (Obs.Json.escape "a\"b\\c\n")
 
-(* ------------------------- trace and codecs ------------------------ *)
+(* -------------------------- trace and codec ------------------------ *)
 
 let mk_session () =
   let session = Obs.Trace.create ~capacity:8 () in
@@ -232,7 +237,6 @@ let read_export path =
   let streams, events =
     Obs.Codec.fold_file path ~init:([], []) ~f:(fun (streams, events) item ->
         match item with
-        | Obs.Codec.Header _ -> (streams, events)
         | Obs.Codec.Meta (_, s) -> (s :: streams, events)
         | Obs.Codec.Ev m -> (streams, m :: events))
   in
@@ -277,54 +281,54 @@ let test_trace_duplicate_label_detached () =
 
 let test_codec_roundtrips () =
   let session = mk_session () in
-  let e = Obs.Trace.export session in
-  (* The reader picks the codec by magic, whatever the file is called. *)
   with_temp_file ".trace" (Obs.Trace.render_jsonl session) (fun path ->
-      check_export_equal "jsonl" e (read_export path));
-  with_temp_file ".trace" (Obs.Trace.render_binary session) (fun path ->
-      check_export_equal "binary" e (read_export path))
+      check_export_equal "jsonl" (Obs.Trace.export session) (read_export path))
+
+(* One format: the file name's suffix selects nothing. *)
+let test_write_file_ignores_suffix () =
+  let session = mk_session () in
+  let written suffix =
+    with_temp_file suffix "" (fun path ->
+        Obs.Trace.write_file session path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let jsonl = written ".jsonl" in
+  Alcotest.(check string) "jsonl file = render_jsonl" (Obs.Trace.render_jsonl session) jsonl;
+  Alcotest.(check string) ".bin file = .jsonl file" jsonl (written ".bin")
+
+(* An unwritable path fails before a session is installed, so a front
+   end can report it before any run. *)
+let test_start_unwritable () =
+  with_clean_obs (fun () ->
+      (match Obs.Trace.start ~capacity:8 "/no-such-dir/t.jsonl" with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail "unwritable path accepted");
+      Alcotest.(check bool) "nothing installed" false (Obs.Trace.installed ());
+      with_temp_file ".jsonl" "stale" (fun path ->
+          let session = Obs.Trace.start ~capacity:8 path in
+          Alcotest.(check bool) "installed" true
+            (match Obs.Trace.current () with Some s -> s == session | None -> false);
+          Alcotest.(check string) "file emptied" ""
+            (In_channel.with_open_bin path In_channel.input_all)))
 
 let test_codec_rejects_corrupt () =
-  let raises data =
+  let outcome data =
     with_temp_file ".trace" data (fun path ->
-        match read_export path with exception Obs.Codec.Corrupt _ -> true | _ -> false)
+        match read_export path with exception Obs.Codec.Corrupt msg -> Some msg | _ -> None)
   in
-  let binary = Obs.Trace.render_binary (mk_session ()) in
-  Alcotest.(check bool) "truncated binary raises" true (raises "XNUMATR1\000\000");
-  Alcotest.(check bool) "trailing bytes raise" true (raises (binary ^ "\000"));
-  (* The file ends in the four fixed-size event records; overwrite the
-     class byte (after stream id, seq and time) of the first of them. *)
-  let bad_class = Bytes.of_string binary in
-  let event_bytes = 4 + 8 + 8 + 1 + 4 + 4 + 8 + 4 + 8 in
-  let cls_at = Bytes.length bad_class - (4 * event_bytes) + 4 + 8 + 8 in
-  Bytes.set bad_class cls_at '\255';
-  Alcotest.(check bool) "unknown class index raises" true (raises (Bytes.to_string bad_class));
-  (* The first stream's label length follows the magic and the stream
-     count; a negative or oversized one is corrupt, not a crash. *)
-  List.iter
-    (fun len ->
-      let bad_len = Bytes.of_string binary in
-      Bytes.set_int32_be bad_len 12 len;
-      Alcotest.(check bool) (Printf.sprintf "label length %ld raises" len) true
-        (raises (Bytes.to_string bad_len)))
-    [ -1l; Int32.max_int ];
-  (* A truncated field is reported at the offset where it starts, not
-     where the read gave up: the stream count starts right after the
-     8-byte magic, and the last event ends in an 8-byte field. *)
-  let truncation_message data =
-    with_temp_file ".trace" data (fun path ->
-        match read_export path with
-        | exception Obs.Codec.Corrupt msg -> msg
-        | _ -> Alcotest.fail "truncated trace accepted")
-  in
-  Alcotest.(check string) "cut stream count" "binary trace truncated at offset 8"
-    (truncation_message "XNUMATR1\000\000");
-  let len = String.length binary in
-  Alcotest.(check string) "cut last field"
-    (Printf.sprintf "binary trace truncated at offset %d" (len - 8))
-    (truncation_message (String.sub binary 0 (len - 2)));
-  Alcotest.(check bool) "bad jsonl raises" true (raises "{\"bogus\": 1}\n");
-  Alcotest.(check bool) "not json raises" true (raises "XNUMATR0 is not a trace\n")
+  Alcotest.(check bool) "bad jsonl raises" true (outcome "{\"bogus\": 1}\n" <> None);
+  Alcotest.(check bool) "not json raises" true (outcome "XNUMATR0 is not a trace\n" <> None);
+  (* A trace cut inside a line ends in a partial object, which is not
+     JSON, wherever the cut falls (the line-boundary cuts are
+     obs.query "jsonl cut at a line rejected"). *)
+  let jsonl = Obs.Trace.render_jsonl (mk_session ()) in
+  for n = 1 to String.length jsonl - 2 do
+    if jsonl.[n - 1] <> '\n' && jsonl.[n] <> '\n' then
+      match outcome (String.sub jsonl 0 n) with
+      | Some msg when contains msg "not valid JSON" -> ()
+      | Some msg -> Alcotest.failf "cut after %d bytes: %s" n msg
+      | None -> Alcotest.failf "cut after %d bytes accepted" n
+  done
 
 (* ---------------------- engine-level determinism ------------------- *)
 
@@ -483,18 +487,13 @@ let prop_hist_percentile_monotone =
 
 (* ------------------------------ query ------------------------------ *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* Exact-string check: the unknown-class error must enumerate every
    valid class, so a typo is self-correcting from the message alone. *)
 let test_query_unknown_class_message () =
   let expected =
     "unknown event class \"bogus\"; valid classes: hypercall_entry, hypercall_exit, \
      page_fault, first_touch, migrate_start, migrate_retry, migrate_defer, migrate_drain, \
-     pv_record, pv_flush, pv_lost, breaker_trip, breaker_escalate, breaker_cooldown, \
+     pv_record, pv_flush, breaker_trip, breaker_escalate, breaker_cooldown, \
      reconcile_sweep, epoch_boundary, splinter, promote, superpage_migrate, pv_dedup, \
      p2m_batch, ecc_ce, ecc_ue, page_offline, node_drain, evacuate, pt_walk, \
      pt_replica_update, pt_replica_invalidate"
@@ -538,7 +537,7 @@ let test_slo_parser () =
   | Error msg -> Alcotest.(check bool) "negative target" true (contains msg "positive")
   | Ok _ -> Alcotest.fail "negative target accepted"
 
-(* Acceptance criterion: with an empty filter, query over either codec
+(* Acceptance criterion: with an empty filter, query over the file
    reproduces the per-class emitted and kept counts Summary reports. *)
 let test_query_matches_summary () =
   with_clean_obs (fun () ->
@@ -547,12 +546,11 @@ let test_query_matches_summary () =
       ignore (Engine.Runner.run (small_cfg ~seed:5));
       Obs.Trace.uninstall ();
       let summary = Obs.Summary.of_export (Obs.Trace.export session) in
-      let check_codec name data =
-        with_temp_file name data (fun path ->
+      with_temp_file ".jsonl" (Obs.Trace.render_jsonl session) (fun path ->
             let q = Obs.Query.run (Obs.Query.filter ()) path in
-            Alcotest.(check int) (name ^ ": scanned = kept") summary.Obs.Summary.total_kept
+            Alcotest.(check int) "scanned = kept" summary.Obs.Summary.total_kept
               q.Obs.Query.scanned;
-            Alcotest.(check int) (name ^ ": dropped") summary.Obs.Summary.total_dropped
+            Alcotest.(check int) "dropped" summary.Obs.Summary.total_dropped
               q.Obs.Query.dropped;
             List.iter
               (fun (row : Obs.Summary.class_row) ->
@@ -563,19 +561,16 @@ let test_query_matches_summary () =
                 in
                 match qrow with
                 | None ->
-                    Alcotest.failf "%s: class %s missing from query" name
+                    Alcotest.failf "class %s missing from query"
                       (Obs.Event.class_name row.Obs.Summary.cls)
                 | Some r ->
                     Alcotest.(check int)
-                      (name ^ ": emitted " ^ Obs.Event.class_name row.Obs.Summary.cls)
+                      ("emitted " ^ Obs.Event.class_name row.Obs.Summary.cls)
                       row.Obs.Summary.emitted r.Obs.Query.emitted;
                     Alcotest.(check int)
-                      (name ^ ": kept " ^ Obs.Event.class_name row.Obs.Summary.cls)
+                      ("kept " ^ Obs.Event.class_name row.Obs.Summary.cls)
                       row.Obs.Summary.kept r.Obs.Query.matched)
-              summary.Obs.Summary.classes)
-      in
-      check_codec ".jsonl" (Obs.Trace.render_jsonl session);
-      check_codec ".bin" (Obs.Trace.render_binary session))
+              summary.Obs.Summary.classes))
 
 let test_query_filters () =
   let session = mk_session () in
@@ -605,15 +600,14 @@ let test_query_filters () =
 
 let test_query_streaming_rejects_corrupt () =
   let session = mk_session () in
-  let binary = Obs.Trace.render_binary session in
-  let truncated = String.sub binary 0 (String.length binary - 7) in
-  with_temp_file ".bin" truncated (fun path ->
-      Alcotest.(check bool) "truncated binary raises" true
+  let jsonl = Obs.Trace.render_jsonl session in
+  let truncated = String.sub jsonl 0 (String.length jsonl - 7) in
+  with_temp_file ".jsonl" truncated (fun path ->
+      Alcotest.(check bool) "jsonl cut mid-line raises" true
         (match Obs.Query.run (Obs.Query.filter ()) path with
         | exception Obs.Codec.Corrupt _ -> true
         | _ -> false));
-  let jsonl = Obs.Trace.render_jsonl session ^ "this is not json\n" in
-  with_temp_file ".jsonl" jsonl (fun path ->
+  with_temp_file ".jsonl" (jsonl ^ "this is not json\n") (fun path ->
       Alcotest.(check bool) "malformed jsonl line raises" true
         (match Obs.Query.run (Obs.Query.filter ()) path with
         | exception Obs.Codec.Corrupt _ -> true
@@ -674,8 +668,7 @@ let test_jsonl_stream_gap_rejected () =
   Alcotest.(check bool) "stream record after an event" true (raises (String.concat "\n" late))
 
 (* The file fold and the in-memory export fold are one summary: a
-   multi-stream engine trace renders identically through both, on
-   both codecs. *)
+   multi-stream engine trace renders identically through both. *)
 let test_summary_file_equals_export () =
   with_clean_obs (fun () ->
       let session = Obs.Trace.create ~capacity:512 () in
@@ -686,9 +679,6 @@ let test_summary_file_equals_export () =
       let expected = Obs.Summary.render (Obs.Summary.of_export (Obs.Trace.export session)) in
       with_temp_file ".jsonl" (Obs.Trace.render_jsonl session) (fun path ->
           Alcotest.(check string) "jsonl file" expected
-            (Obs.Summary.render (Obs.Summary.of_file path)));
-      with_temp_file ".bin" (Obs.Trace.render_binary session) (fun path ->
-          Alcotest.(check string) "binary file" expected
             (Obs.Summary.render (Obs.Summary.of_file path))))
 
 let test_summary_drop_warning () =
@@ -858,6 +848,8 @@ let suite =
         Alcotest.test_case "duplicate label detached" `Quick test_trace_duplicate_label_detached;
         Alcotest.test_case "codec roundtrips" `Quick test_codec_roundtrips;
         Alcotest.test_case "rejects corrupt input" `Quick test_codec_rejects_corrupt;
+        Alcotest.test_case "write_file ignores the suffix" `Quick test_write_file_ignores_suffix;
+        Alcotest.test_case "start fails before installing" `Quick test_start_unwritable;
       ] );
     ( "obs.engine",
       [
@@ -880,8 +872,7 @@ let suite =
       [
         Alcotest.test_case "unknown class message" `Quick test_query_unknown_class_message;
         Alcotest.test_case "filter parsers" `Quick test_query_parsers;
-        Alcotest.test_case "query matches summary on both codecs" `Slow
-          test_query_matches_summary;
+        Alcotest.test_case "query matches summary" `Slow test_query_matches_summary;
         Alcotest.test_case "filters and renders" `Quick test_query_filters;
         Alcotest.test_case "streaming rejects corrupt files" `Quick
           test_query_streaming_rejects_corrupt;

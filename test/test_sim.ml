@@ -148,34 +148,20 @@ let test_eventq_fifo_ties () =
   let third = pop () in
   Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] [ first; second; third ]
 
+(* The clock stands at the time [next] last returned: scheduling at
+   that time is accepted, and scheduling before it is the past. *)
 let test_eventq_clock_advances () =
   let q = Sim.Eventq.create () in
-  Sim.Eventq.schedule_after q ~delay:5.0 ();
-  check_float "clock starts at 0" 0.0 (Sim.Eventq.now q);
-  ignore (Sim.Eventq.next q);
-  check_float "clock advanced" 5.0 (Sim.Eventq.now q)
-
-let test_eventq_run_until () =
-  let q = Sim.Eventq.create () in
-  for i = 1 to 10 do
-    Sim.Eventq.schedule q ~at:(float_of_int i) i
-  done;
-  let seen = ref [] in
-  Sim.Eventq.run q ~handler:(fun _ i -> seen := i :: !seen) ~until:5.5;
-  Alcotest.(check (list int)) "only first five" [ 5; 4; 3; 2; 1 ] !seen;
-  Alcotest.(check int) "rest remain" 5 (Sim.Eventq.size q)
-
-let test_eventq_handler_reschedule () =
-  let q = Sim.Eventq.create () in
-  Sim.Eventq.schedule q ~at:1.0 0;
-  let count = ref 0 in
-  Sim.Eventq.run q
-    ~handler:(fun _ gen ->
-      incr count;
-      if gen < 4 then Sim.Eventq.schedule_after q ~delay:1.0 (gen + 1))
-    ~until:100.0;
-  Alcotest.(check int) "cascade of 5" 5 !count;
-  Alcotest.(check bool) "empty" true (Sim.Eventq.is_empty q)
+  Sim.Eventq.schedule q ~at:0.0 "now";
+  Sim.Eventq.schedule q ~at:5.0 "later";
+  let pop () = match Sim.Eventq.next q with Some (t, x) -> (t, x) | None -> (Float.nan, "!") in
+  Alcotest.(check (pair (float 0.0) string)) "clock starts at 0" (0.0, "now") (pop ());
+  Alcotest.(check (pair (float 0.0) string)) "clock advanced" (5.0, "later") (pop ());
+  Sim.Eventq.schedule q ~at:5.0 "same instant";
+  Alcotest.(check (pair (float 0.0) string)) "present accepted" (5.0, "same instant") (pop ());
+  match Sim.Eventq.schedule q ~at:4.0 "past" with
+  | exception Assert_failure _ -> ()
+  | () -> Alcotest.fail "scheduled before the clock"
 
 let prop_eventq_drains_sorted =
   QCheck.Test.make ~name:"eventq drains in timestamp order" ~count:200
@@ -307,8 +293,6 @@ let suite =
         Alcotest.test_case "order" `Quick test_eventq_order;
         Alcotest.test_case "fifo ties" `Quick test_eventq_fifo_ties;
         Alcotest.test_case "clock advances" `Quick test_eventq_clock_advances;
-        Alcotest.test_case "run until" `Quick test_eventq_run_until;
-        Alcotest.test_case "handler reschedules" `Quick test_eventq_handler_reschedule;
         qcheck prop_eventq_drains_sorted;
       ] );
     ( "sim.units",

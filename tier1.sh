@@ -94,7 +94,10 @@ echo "tier1: perf gate OK vs $PERF_REF"
 # Usage errors must be reported as such: unknown sections and a
 # malformed --jobs both exit non-zero, and a --threads outside 1 to the
 # host's CPU count exits non-zero as a usage error, never as an
-# internal error.
+# internal error.  A run that hits the epoch cap (every vCPU stalls in
+# every epoch: 40,000 epochs in ~0.3 s) exits non-zero and names the
+# cap.  An unwritable --trace path exits 1 before any run, in both
+# front ends, with one line and no internal error.
 if dune exec bench/main.exe -- no-such-section >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown bench section did not exit non-zero" >&2
   exit 1
@@ -114,6 +117,25 @@ for cmd in run compare; do
       exit 1
     fi
   done
+done
+if dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch \
+  --faults stall=1.0 >"$TRACE_DIR/usage.out" 2>&1; then
+  echo "tier1: FAIL - a run that hit the epoch cap exited 0" >&2
+  exit 1
+fi
+grep -q 'epoch cap (40000 epochs)' "$TRACE_DIR/usage.out" || {
+  echo "tier1: FAIL - a run that hit the epoch cap did not name the cap" >&2
+  exit 1
+}
+for front in "bin/xen_numa_sim.exe -- run swaptions -t 8" "bench/main.exe -- motivation"; do
+  rc=0
+  dune exec $front --trace "$TRACE_DIR/no-such-dir/t.jsonl" \
+    >"$TRACE_DIR/usage.out" 2>"$TRACE_DIR/usage.err" || rc=$?
+  if [ "$rc" -ne 1 ] || [ -s "$TRACE_DIR/usage.out" ] || grep -q 'internal error' "$TRACE_DIR/usage.err" \
+    || [ "$(wc -l < "$TRACE_DIR/usage.err")" -ne 1 ]; then
+    echo "tier1: FAIL - $front with an unwritable --trace path: exit $rc, not 1 with one line before any run" >&2
+    exit 1
+  fi
 done
 
 # Determinism across worker schedules: each grid below, traced at
@@ -210,9 +232,8 @@ echo "tier1: fast-forward trace equivalence OK"
 
 # Trace query engine smoke: the streaming query over the tab1 traces
 # from --jobs 1 and --jobs 4 must render byte-identical tables (the
-# aggregates are pure functions of the trace bytes), and the same run
-# captured in both codecs must answer every query, check and summary
-# identically.
+# aggregates are pure functions of the trace bytes), and a filtered
+# query with a heatmap answers on a single-run trace.
 dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/j1.jsonl" > "$TRACE_DIR/q1.txt"
 dune exec bin/xen_numa_trace.exe -- query "$TRACE_DIR/j4.jsonl" > "$TRACE_DIR/q4.txt"
 cmp "$TRACE_DIR/q1.txt" "$TRACE_DIR/q4.txt" || {
@@ -220,47 +241,27 @@ cmp "$TRACE_DIR/q1.txt" "$TRACE_DIR/q4.txt" || {
   exit 1
 }
 dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch/carrefour \
-  --trace "$TRACE_DIR/codec.jsonl" --trace-cap 512 >/dev/null
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch/carrefour \
-  --trace "$TRACE_DIR/codec.bin" --trace-cap 512 >/dev/null
+  --trace "$TRACE_DIR/cfr.jsonl" --trace-cap 512 >/dev/null
 dune exec bin/xen_numa_trace.exe -- query --class page_fault,epoch_boundary --epochs 0-200 \
-  --format jsonl --heatmap "$TRACE_DIR/heat_jsonl.csv" "$TRACE_DIR/codec.jsonl" \
-  > "$TRACE_DIR/qc_jsonl.txt"
-dune exec bin/xen_numa_trace.exe -- query --class page_fault,epoch_boundary --epochs 0-200 \
-  --format jsonl --heatmap "$TRACE_DIR/heat_bin.csv" "$TRACE_DIR/codec.bin" \
-  > "$TRACE_DIR/qc_bin.txt"
-cmp "$TRACE_DIR/qc_jsonl.txt" "$TRACE_DIR/qc_bin.txt" || {
-  echo "tier1: FAIL - query output differs between JSONL and binary codecs" >&2
-  exit 1
-}
-cmp "$TRACE_DIR/heat_jsonl.csv" "$TRACE_DIR/heat_bin.csv" || {
-  echo "tier1: FAIL - heatmap CSV differs between JSONL and binary codecs" >&2
-  exit 1
-}
-for sub in check summary; do
-  dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/codec.jsonl" > "$TRACE_DIR/${sub}_jsonl.txt"
-  dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/codec.bin" > "$TRACE_DIR/${sub}_bin.txt"
-  cmp "$TRACE_DIR/${sub}_jsonl.txt" "$TRACE_DIR/${sub}_bin.txt" || {
-    echo "tier1: FAIL - $sub output differs between JSONL and binary codecs" >&2
-    exit 1
-  }
-done
-echo "tier1: trace query engine OK (codecs and schedules agree)"
+  --format jsonl --heatmap "$TRACE_DIR/heat.csv" "$TRACE_DIR/cfr.jsonl" >/dev/null
+echo "tier1: trace query engine OK (schedules agree)"
 
 # Query usage errors: an unknown class name and a corrupt trace file
 # must both exit non-zero (the class error enumerates the valid names;
 # truncation must never be silently accepted by any subcommand, whether
-# a binary trace is cut mid-record or a JSONL trace at a line boundary).
-if dune exec bin/xen_numa_trace.exe -- query --class no_such_class "$TRACE_DIR/codec.jsonl" \
+# the trace is cut inside a record or at a line boundary).
+if dune exec bin/xen_numa_trace.exe -- query --class no_such_class "$TRACE_DIR/cfr.jsonl" \
   >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown query class did not exit non-zero" >&2
   exit 1
 fi
-head -c 100 "$TRACE_DIR/codec.bin" > "$TRACE_DIR/truncated.bin"
-head -n 200 "$TRACE_DIR/codec.jsonl" > "$TRACE_DIR/truncated.jsonl"
+head -n 200 "$TRACE_DIR/cfr.jsonl" > "$TRACE_DIR/truncated.jsonl"
+# Ten bytes into line 201: inside an event record.
+head -c $(( $(wc -c < "$TRACE_DIR/truncated.jsonl") + 10 )) "$TRACE_DIR/cfr.jsonl" \
+  > "$TRACE_DIR/midline.jsonl"
 for sub in query check summary; do
-  if dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/truncated.bin" >/dev/null 2>&1; then
-    echo "tier1: FAIL - $sub accepted a truncated binary trace" >&2
+  if dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/midline.jsonl" >/dev/null 2>&1; then
+    echo "tier1: FAIL - $sub accepted a JSONL trace cut inside a record" >&2
     exit 1
   fi
   if dune exec bin/xen_numa_trace.exe -- $sub "$TRACE_DIR/truncated.jsonl" >/dev/null 2>&1; then
