@@ -26,15 +26,6 @@
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '#')
 
-(* A fault grid whose run hit the epoch cap has not shown that the
-   run completes: fail the bench right after the section's output. *)
-let fail_if_capped = function
-  | [] -> ()
-  | capped ->
-      Printf.eprintf "bench: %d run(s) hit the epoch cap: %s\n" (List.length capped)
-        (String.concat "; " capped);
-      exit 1
-
 let sections : (string * (unit -> unit)) list =
   [
     ("tab2", fun () -> section "Table 2"; Experiments.Single_vm.print_tab2 ());
@@ -68,7 +59,7 @@ let sections : (string * (unit -> unit)) list =
     ( "chaos",
       fun () ->
         section "Chaos (fault injection and graceful degradation)";
-        fail_if_capped (Experiments.Chaos.print ()) );
+        Experiments.Chaos.print () );
     ( "hugepage",
       fun () ->
         section "Hugepage (2 MiB P2M superpages on/off)";
@@ -80,7 +71,7 @@ let sections : (string * (unit -> unit)) list =
     ( "ras",
       fun () ->
         section "Memory RAS (ECC errors and node failure)";
-        fail_if_capped (Experiments.Ras.print ()) );
+        Experiments.Ras.print () );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -172,7 +163,13 @@ let () =
             exit 1)
       o.trace
   in
-  List.iter (fun name -> (List.assoc name sections) ()) requested;
+  (* A grid cell that hit the epoch cap has no completion time: fail
+     after the output printed so far. *)
+  (try List.iter (fun name -> (List.assoc name sections) ()) requested
+   with Experiments.Runs.Epoch_cap { label; max_epochs } ->
+     flush stdout;
+     prerr_endline ("bench: " ^ Experiments.Runs.cap_message label max_epochs);
+     exit 1);
   if o.profile then begin
     print_newline ();
     print_string (Obs.Profile.render ())

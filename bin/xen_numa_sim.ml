@@ -22,13 +22,9 @@ let policy_conv =
 
 let app_conv =
   let parse s =
-    match Workloads.Catalogue.find s with
-    | Some app -> Ok app
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown application %S; try one of: %s" s
-                (String.concat ", " Workloads.Catalogue.names)))
+    match Workloads.Catalogue.get s with
+    | app -> Ok app
+    | exception Invalid_argument msg -> Error (`Msg msg)
   in
   let print fmt app = Format.pp_print_string fmt app.Workloads.App.name in
   Arg.conv (parse, print)
@@ -113,7 +109,7 @@ let faults_arg =
        & info [ "faults" ] ~docv:"PLAN"
            ~doc:"Fault-injection plan: comma-separated $(i,site=value[@FROM[-UNTIL]]) \
                  elements where site is one of alloc, node-off, migrate, batch-loss, \
-                 op-drop, hypercall, iommu, stall, ecc-ce, ecc-ue, node_fail.  \
+                 op-drop, hypercall, stall, ecc-ce, ecc-ue, node_fail.  \
                  Examples: $(b,migrate=1.0), $(b,alloc=0.3@50-150,stall=0.01), \
                  $(b,node-off=2@100-), $(b,ecc-ce=0.5), $(b,node_fail=1.0@50) \
                  (a random node's bandwidth collapses over a 50-epoch drain window, \
@@ -182,13 +178,14 @@ let die msg =
 
 (* A run that stops at the epoch cap has not completed, and its result
    is no measurement: name the cap and fail after the output. *)
-let fail_if_capped ~max_epochs results =
-  match Experiments.Runs.capped ~max_epochs results with
+let fail_if_capped (cfg : Engine.Config.t) runs =
+  match List.filter (fun (_, result) -> Experiments.Runs.hit_cap cfg result) runs with
   | [] -> ()
   | capped ->
       die
-        (Printf.sprintf "%s hit the epoch cap (%d epochs) without completing"
-           (String.concat ", " capped) max_epochs)
+        (Experiments.Runs.cap_message
+           (String.concat ", " (List.map fst capped))
+           cfg.Engine.Config.max_epochs)
 
 let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unpinned machine
     faults trace trace_cap metrics slo profile no_fast_forward =
@@ -232,7 +229,7 @@ let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unp
       Format.printf "trace written to %s@." file
   | _ -> ());
   if metrics then Format.printf "@.%s" (Obs.Metrics.render ());
-  fail_if_capped ~max_epochs:cfg.Engine.Config.max_epochs [ (app.Workloads.App.name, result) ]
+  fail_if_capped cfg [ (app.Workloads.App.name, result) ]
 
 let run_cmd =
   let doc = "Run one application under a NUMA policy" in
@@ -309,7 +306,7 @@ let compare_policies app mode threads seed =
          ])
        results);
   (* Every policy runs under the same, default, epoch cap. *)
-  fail_if_capped ~max_epochs:(cfg Policies.Spec.round_4k).Engine.Config.max_epochs results
+  fail_if_capped (cfg Policies.Spec.round_4k) results
 
 let compare_cmd =
   let doc = "Run one application under every NUMA policy and compare" in

@@ -11,20 +11,14 @@ let carrefour_variant ?(replication = false) ~interleave ~locality () =
     replication_read_threshold = 0.85;
   }
 
-let run_variant ?(seed = 42) ?replication ~app_name ~policy ~interleave ~locality () =
-  let app =
-    match Workloads.Catalogue.find app_name with
-    | Some app -> app
-    | None -> invalid_arg "Ablation: unknown app"
-  in
-  let vm = Engine.Config.vm ~policy app in
+let run_variant ?(seed = 42) ~app_name ~policy ~interleave ~locality label =
+  let vm = Engine.Config.vm ~policy (Workloads.Catalogue.get app_name) in
   let cfg =
     Engine.Config.make ~seed ~mode:Engine.Config.Linux
-      ~carrefour_config:(carrefour_variant ?replication ~interleave ~locality ())
+      ~carrefour_config:(carrefour_variant ~interleave ~locality ())
       [ vm ]
   in
-  let result = Engine.Runner.run cfg in
-  let vm_result = Engine.Result.single result in
+  let vm_result = Engine.Result.single (Runs.run_cell (app_name ^ "/" ^ label) cfg) in
   (vm_result.Engine.Result.completion, vm_result.Engine.Result.migrations)
 
 let print_carrefour_heuristics ?seed () =
@@ -51,7 +45,7 @@ let print_carrefour_heuristics ?seed () =
     Engine.Pool.map_list
       (fun ((app_name, policy, _), (name, interleave, locality)) ->
         let completion, migrations =
-          run_variant ?seed ~app_name ~policy ~interleave ~locality ()
+          run_variant ?seed ~app_name ~policy ~interleave ~locality name
         in
         [ name; Report.Table.fmt_secs completion; string_of_int migrations ])
       cells
@@ -111,9 +105,7 @@ let print_mcs ?(seed = 42) () =
     ~header:[ "app"; "futex"; "mcs"; "improvement" ]
     (Engine.Pool.map_list
        (fun name ->
-         let app =
-           match Workloads.Catalogue.find name with Some a -> a | None -> assert false
-         in
+         let app = Workloads.Catalogue.get name in
          let futex =
            Runs.completion ~seed (Runs.xen_plus ~mcs:false app Policies.Spec.round_4k)
          in
@@ -136,19 +128,23 @@ let print_mcs ?(seed = 42) () =
    charge the coherence machinery a real implementation would need. *)
 let print_replication ?(seed = 42) () =
   print_endline "Replication heuristic (discarded in the paper, Section 3.4)";
-  let run ?threshold ~replication app_name =
+  (* Replication on at [threshold]; off without one. *)
+  let run ?threshold app_name =
+    let replication = Option.is_some threshold in
     let cfg = carrefour_variant ~replication ~interleave:true ~locality:true () in
     let cfg =
       match threshold with
       | Some t -> { cfg with Policies.Carrefour.User_component.replication_read_threshold = t }
       | None -> cfg
     in
-    let app =
-      match Workloads.Catalogue.find app_name with Some a -> a | None -> assert false
+    let vm =
+      Engine.Config.vm ~policy:Policies.Spec.round_4k_carrefour (Workloads.Catalogue.get app_name)
     in
-    let vm = Engine.Config.vm ~policy:Policies.Spec.round_4k_carrefour app in
+    let label =
+      app_name ^ "/replication " ^ Option.fold ~none:"off" ~some:string_of_float threshold
+    in
     let result =
-      Engine.Runner.run
+      Runs.run_cell label
         (Engine.Config.make ~seed ~mode:Engine.Config.Linux ~carrefour_config:cfg [ vm ])
     in
     (Engine.Result.single result).Engine.Result.completion
@@ -157,9 +153,9 @@ let print_replication ?(seed = 42) () =
     ~header:[ "app"; "no replication"; "strict (read-only)"; "permissive (>=85% reads)" ]
     (Engine.Pool.map_list
        (fun app_name ->
-         let base = run ~replication:false app_name in
-         let strict = run ~replication:true ~threshold:0.999 app_name in
-         let permissive = run ~replication:true ~threshold:0.85 app_name in
+         let base = run app_name in
+         let strict = run ~threshold:0.999 app_name in
+         let permissive = run ~threshold:0.85 app_name in
          let delta t = Printf.sprintf "%s (%+.1f%%)" (Report.Table.fmt_secs t) (100.0 *. ((base /. t) -. 1.0)) in
          [ app_name; Report.Table.fmt_secs base; delta strict; delta permissive ])
        [ "pagerank"; "bfs"; "memcached" ]);
@@ -181,9 +177,7 @@ let print_huge_pages ?(seed = 42) () =
     (List.concat
        (Engine.Pool.map_list
           (fun app_name ->
-         let app =
-           match Workloads.Catalogue.find app_name with Some a -> a | None -> assert false
-         in
+         let app = Workloads.Catalogue.get app_name in
          let policy = app.Workloads.App.paper.Workloads.App.best_xen in
          let policy =
            if Policies.Spec.runtime_selectable policy then policy else Policies.Spec.round_4k
@@ -192,8 +186,8 @@ let print_huge_pages ?(seed = 42) () =
            (fun (label, mode) ->
              let run huge_pages =
                let vm = Engine.Config.vm ~huge_pages ~policy app in
-               (Engine.Result.single
-                  (Engine.Runner.run (Engine.Config.make ~seed ~mode [ vm ])))
+               let cell = Printf.sprintf "%s/%s/huge %b" app_name label huge_pages in
+               (Engine.Result.single (Runs.run_cell cell (Engine.Config.make ~seed ~mode [ vm ])))
                  .Engine.Result.completion
              in
              let small = run false and huge = run true in

@@ -35,16 +35,16 @@ let eager_carrefour =
 let max_epochs = 5_000
 
 let run_one ~seed plan =
-  let app =
-    match Workloads.Catalogue.find "wrmem" with Some a -> a | None -> assert false
+  let vm =
+    Engine.Config.vm ~threads:16 ~policy:Policies.Spec.first_touch_carrefour
+      (Workloads.Catalogue.get "wrmem")
   in
-  let vm = Engine.Config.vm ~threads:16 ~policy:Policies.Spec.first_touch_carrefour app in
   let faults = Faults.Plan.of_string_exn plan in
   let cfg =
     Engine.Config.make ~seed:(Runs.cell_seed ~base:seed plan) ~max_epochs ~faults
       ~carrefour_config:eager_carrefour ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  Engine.Runner.run cfg
+  Runs.run_cell plan cfg
 
 let run ?(seed = 42) () =
   Array.to_list
@@ -68,9 +68,4 @@ let print ?seed () =
            ~p99:vm.Engine.Result.latency.Engine.Result.p99
            ~completion:vm.Engine.Result.completion)
        plans results);
-  print_newline ();
-  (* Robustness headline: even under 100 % migration-failure injection
-     every run completed (the breaker degraded the policy instead of
-     letting the engine spin). *)
-  Runs.capped ~max_epochs
-    (List.map2 (fun (label, _) result -> (Printf.sprintf "plan %S" label, result)) plans results)
+  print_newline ()

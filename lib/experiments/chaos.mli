@@ -7,7 +7,10 @@ val eager_carrefour : Policies.Carrefour.User_component.config
 (** Carrefour thresholds eager enough that the grid's faults reach the
     migration path (the RAS grid uses them too). *)
 
-val print : ?seed:int -> unit -> string list
+val print : ?seed:int -> unit -> unit
 (** Run and print the grid, parallelised over the engine pool with
-    per-plan derived seeds (bit-identical whatever the job count);
-    returns the plans that hit the epoch cap (see {!Runs.capped}). *)
+    per-plan derived seeds (bit-identical whatever the job count).
+    Robustness headline: even under 100 % migration-failure injection
+    every run completes (the breaker degrades the policy instead of
+    letting the engine spin).
+    @raise Runs.Epoch_cap naming the first plan that does not. *)

@@ -16,9 +16,7 @@ let run ?(seed = 42) () =
   in
   Engine.Pool.map_list
     (fun (machine, name) ->
-      let app =
-        match Workloads.Catalogue.find name with Some a -> a | None -> assert false
-      in
+      let app = Workloads.Catalogue.get name in
       let threads =
         Numa.Topology.cpu_count (machine.Numa.Machine_desc.topology ())
       in
@@ -28,7 +26,12 @@ let run ?(seed = 42) () =
             if Policies.Spec.runtime_selectable policy then begin
               let vm = Engine.Config.vm ~threads ~policy app in
               let cfg = Engine.Config.make ~seed ~machine ~mode:Engine.Config.Xen_plus [ vm ] in
-              let result = Engine.Runner.run cfg in
+              let result =
+                Runs.run_cell
+                  (Printf.sprintf "%s/%s/%s" machine.Numa.Machine_desc.name name
+                     (Policies.Spec.name policy))
+                  cfg
+              in
               Some (policy, (Engine.Result.single result).Engine.Result.completion)
             end
             else None)

@@ -28,20 +28,19 @@ let cells = List.concat_map (fun app -> List.map (fun p -> (app, p)) policies) a
 let variants = [ (false, false); (false, true); (true, false); (true, true) ]
 
 let run_one ~seed ~app ~policy ~pt_walk ~replicate_pt =
-  let app_t =
-    match Workloads.Catalogue.find app with Some a -> a | None -> assert false
-  in
-  let vm = Engine.Config.vm ~pt_walk ~replicate_pt ~policy app_t in
+  let vm = Engine.Config.vm ~pt_walk ~replicate_pt ~policy (Workloads.Catalogue.get app) in
   (* As in the hugepage grid, the pt-walk/replicate-pt toggles do NOT
      enter the seed label: all four variants of a cell replay the same
      workload stream, so the deltas are the walk pricing and the
      replication cost and nothing else.  (The runner keeps their trace
-     streams distinct via the "/ptw" and "/rep" label suffixes.) *)
+     streams distinct via the "/ptw" and "/rep" label suffixes, as the
+     cell label here does.) *)
   let key = app ^ "/" ^ Policies.Spec.name policy in
   let cfg =
     Engine.Config.make ~seed:(Runs.cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  Engine.Runner.run cfg
+  let suffix flag s = if flag then s else "" in
+  Runs.run_cell (key ^ suffix pt_walk "/ptw" ^ suffix replicate_pt "/rep") cfg
 
 (* Results in [variants] order for each cell, in [cells] order. *)
 let run ?(seed = 42) () =

@@ -5,19 +5,15 @@ type row = {
   page_migrations : int;
 }
 
-let app name =
-  match Workloads.Catalogue.find name with
-  | Some app -> app
-  | None -> invalid_arg ("Motivation: unknown app " ^ name)
-
 (* cg.C is the thread-local victim (first-touch is ideal for it while
    nothing moves); ep.D is the noisy neighbour whose heavily contended
    threads retire at different times, freeing pCPUs one by one. *)
 let run_config ?(seed = 42) ~pinned ~policy label =
+  let app = Workloads.Catalogue.get in
   let victim = Engine.Config.vm ~threads:48 ~pinned ~policy (app "cg.C") in
   let neighbour = Engine.Config.vm ~threads:24 ~policy:Policies.Spec.round_4k (app "ep.D") in
   let cfg = Engine.Config.make ~seed ~mode:Engine.Config.Xen_plus [ victim; neighbour ] in
-  let result = Engine.Runner.run cfg in
+  let result = Runs.run_cell label cfg in
   let vm =
     match List.find_opt (fun vm -> vm.Engine.Result.app_name = "cg.C") result.Engine.Result.vms with
     | Some vm -> vm

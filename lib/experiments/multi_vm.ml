@@ -17,16 +17,11 @@ let fig9_pairs =
   [ ("cg.C", "sp.C"); ("ft.C", "mg.D"); ("kmeans", "pca"); ("facesim", "streamcluster");
     ("ep.D", "bt.C"); ("wc", "wrmem") ]
 
-let app_of name =
-  match Workloads.Catalogue.find name with
-  | Some app -> app
-  | None -> invalid_arg (Printf.sprintf "Multi_vm: unknown app %S" name)
-
 let best_policy app = app.Workloads.App.paper.Workloads.App.best_xen
 
 (* Run a pair; [homes] optionally pins each VM to a node set. *)
 let run_pair ?(seed = 42) ~threads ~homes (name_a, name_b) ~policies =
-  let app_a = app_of name_a and app_b = app_of name_b in
+  let app_a = Workloads.Catalogue.get name_a and app_b = Workloads.Catalogue.get name_b in
   let policy_a, policy_b = policies (app_a, app_b) in
   let home_a, home_b = homes in
   let vm ?home_nodes policy app = Engine.Config.vm ?home_nodes ~threads ~policy app in
@@ -36,7 +31,11 @@ let run_pair ?(seed = 42) ~threads ~homes (name_a, name_b) ~policies =
     | _ -> [ vm policy_a app_a; vm policy_b app_b ]
   in
   let cfg = Engine.Config.make ~seed ~mode:Engine.Config.Xen_plus vms in
-  let result = Engine.Runner.run cfg in
+  let label =
+    Printf.sprintf "%s/%s + %s/%s, %d vCPUs" name_a (Policies.Spec.name policy_a) name_b
+      (Policies.Spec.name policy_b) threads
+  in
+  let result = Runs.run_cell label cfg in
   (Engine.Result.completion result name_a, Engine.Result.completion result name_b)
 
 let halves = (Some [| 0; 1; 2; 3 |], Some [| 4; 5; 6; 7 |])

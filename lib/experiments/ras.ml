@@ -24,21 +24,17 @@ let cells =
 let max_epochs = 5_000
 
 let run_one ~seed ~app_name ~policy plan =
-  let app =
-    match Workloads.Catalogue.find app_name with Some a -> a | None -> assert false
-  in
-  let vm = Engine.Config.vm ~threads:16 ~policy app in
+  let vm = Engine.Config.vm ~threads:16 ~policy (Workloads.Catalogue.get app_name) in
   let faults = Faults.Plan.of_string_exn plan in
   (* The chaos grid's eager thresholds, for the same reason: the
      carrefour cells must actually reach the migration path so the
      evacuation drain competes with policy traffic. *)
+  let label = app_name ^ "|" ^ plan in
   let cfg =
-    Engine.Config.make
-      ~seed:(Runs.cell_seed ~base:seed (app_name ^ "|" ^ plan))
-      ~max_epochs ~faults ~carrefour_config:Chaos.eager_carrefour ~mode:Engine.Config.Xen_plus
-      [ vm ]
+    Engine.Config.make ~seed:(Runs.cell_seed ~base:seed label) ~max_epochs ~faults
+      ~carrefour_config:Chaos.eager_carrefour ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  Engine.Runner.run cfg
+  Runs.run_cell label cfg
 
 let grid = List.concat_map (fun cell -> List.map (fun sc -> (cell, sc)) scenarios) cells
 
@@ -80,11 +76,4 @@ let print ?seed () =
            ~completion:vm.Engine.Result.completion
            ~slowdown:(vm.Engine.Result.completion /. base))
        tagged);
-  print_newline ();
-  (* Robustness headline: every scenario completes — a node failure
-     degrades throughput, it never wedges a run. *)
-  Runs.capped ~max_epochs
-    (List.map
-       (fun (((app_name, policy_label, _), (sc, _)), result) ->
-         (Printf.sprintf "cell %s/%s scenario %S" app_name policy_label sc, result))
-       tagged)
+  print_newline ()

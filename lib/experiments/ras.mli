@@ -4,8 +4,9 @@
     (cell, scenario) — including the evacuation progress of the
     node-fail runs. *)
 
-val print : ?seed:int -> unit -> string list
+val print : ?seed:int -> unit -> unit
 (** Run and print the grid (cells x scenarios), parallelised over the
     engine pool with per-cell derived seeds (bit-identical whatever
-    the job count); returns the cells that hit the epoch cap (see
-    {!Runs.capped}). *)
+    the job count).  Robustness headline: every scenario completes — a
+    node failure degrades throughput, it never wedges a run.
+    @raise Runs.Epoch_cap naming the first cell that does not. *)

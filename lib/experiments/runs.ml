@@ -18,24 +18,39 @@ let cell_seed ~base label =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) label;
   (base * 0x9E3779B1 lxor !h) land 0x3FFFFFFF
 
-let task_seed ~base key =
-  cell_seed ~base
-    (Printf.sprintf "%s|%s|%s|%b" (Engine.Config.mode_name key.mode) key.app
-       (Policies.Spec.name key.policy) key.mcs)
+exception Epoch_cap of { label : string; max_epochs : int }
+
+let hit_cap (cfg : Engine.Config.t) (result : Engine.Result.t) =
+  result.Engine.Result.epochs >= cfg.Engine.Config.max_epochs
+
+let cap_message label max_epochs =
+  Printf.sprintf "%s hit the epoch cap (%d epochs) without completing" label max_epochs
+
+(* The one place a grid cell is simulated: a run that stopped at the
+   cap has no completion time, so it fails the grid instead of ranking
+   as the fastest cell. *)
+let run_cell label cfg =
+  let result = Engine.Runner.run cfg in
+  if hit_cap cfg result then
+    raise (Epoch_cap { label; max_epochs = cfg.Engine.Config.max_epochs });
+  result
+
+let key_label key =
+  Printf.sprintf "%s|%s|%s|%b" (Engine.Config.mode_name key.mode) key.app
+    (Policies.Spec.name key.policy) key.mcs
+
+let task_seed ~base key = cell_seed ~base (key_label key)
 
 let run ?(seed = 42) key =
   let cached = Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache (key, seed)) in
   match cached with
   | Some result -> result
   | None ->
-      let app =
-        match Workloads.Catalogue.find key.app with
-        | Some app -> app
-        | None -> invalid_arg (Printf.sprintf "Runs.run: unknown app %S" key.app)
+      let vm =
+        Engine.Config.vm ~use_mcs:key.mcs ~policy:key.policy (Workloads.Catalogue.get key.app)
       in
-      let vm = Engine.Config.vm ~use_mcs:key.mcs ~policy:key.policy app in
       let cfg = Engine.Config.make ~seed:(task_seed ~base:seed key) ~mode:key.mode [ vm ] in
-      let result = Engine.Runner.run cfg in
+      let result = run_cell (key_label key) cfg in
       (* Two workers may simulate the same cell concurrently; both
          produce identical results, so first-write-wins keeps the
          [==]-sharing property callers rely on. *)
@@ -63,13 +78,3 @@ let xen_stock app =
     mcs = false }
 
 let xen_plus_default app = xen_plus ~mcs:(uses_mcs app) app Policies.Spec.round_1g
-
-let capped ~max_epochs cells =
-  List.filter_map
-    (fun (label, (result : Engine.Result.t)) ->
-      if result.Engine.Result.epochs >= max_epochs then begin
-        Printf.printf "WARNING: %s hit the epoch cap without completing\n" label;
-        Some label
-      end
-      else None)
-    cells

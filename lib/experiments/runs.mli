@@ -12,12 +12,30 @@ type key = {
   mcs : bool;
 }
 
+exception Epoch_cap of { label : string; max_epochs : int }
+(** The grid cell [label] stopped at its [max_epochs] cap without
+    completing. *)
+
+val hit_cap : Engine.Config.t -> Engine.Result.t -> bool
+(** [epochs >= max_epochs]: the run stopped at the cap, so its result
+    is no measurement.  The one statement of the rule, shared by every
+    grid and by the command-line front end. *)
+
+val cap_message : string -> int -> string
+(** ["LABEL hit the epoch cap (N epochs) without completing"]. *)
+
+val run_cell : string -> Engine.Config.t -> Engine.Result.t
+(** Simulate one grid cell: every experiment grid runs the engine
+    through here.  The label names the cell in the failure (grids pass
+    the label they seed the cell with).
+    @raise Epoch_cap when the run {!hit_cap}. *)
+
 val run : ?seed:int -> key -> Engine.Result.t
-(** Simulate (memoized).  The engine seed is {!task_seed} of the key,
-    so each grid cell owns an independent, schedule-free RNG stream;
-    the cache is domain-safe and may be hit from {!Engine.Pool}
-    workers concurrently.  @raise Invalid_argument on an unknown
-    app. *)
+(** Simulate (memoized) through {!run_cell}.  The engine seed is
+    {!task_seed} of the key, so each grid cell owns an independent,
+    schedule-free RNG stream; the cache is domain-safe and may be hit
+    from {!Engine.Pool} workers concurrently.
+    @raise Invalid_argument on an unknown app. *)
 
 val cell_seed : base:int -> string -> int
 (** Deterministic per-cell seed: FNV-1a over the cell's stable label,
@@ -44,9 +62,3 @@ val xen_stock : Workloads.App.t -> key
 val xen_plus_default : Workloads.App.t -> key
 (** Xen+ baseline: round-1G with passthrough I/O and MCS where
     applicable. *)
-
-val capped : max_epochs:int -> (string * Engine.Result.t) list -> string list
-(** The labels of the [(label, result)] cells that ran into the
-    [max_epochs] cap instead of completing, in input order; prints one
-    [WARNING] line per such cell.  The bench harness exits non-zero
-    when a section reports any. *)

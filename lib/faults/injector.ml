@@ -4,7 +4,6 @@ type stats = {
   mutable batches_lost : int;
   mutable ops_dropped : int;
   mutable hypercall_errors : int;
-  mutable iommu_faults : int;
   mutable vcpu_stalls : int;
   mutable ecc_ce_errors : int;
   mutable ecc_ue_errors : int;
@@ -41,7 +40,6 @@ let fresh_stats () =
     batches_lost = 0;
     ops_dropped = 0;
     hypercall_errors = 0;
-    iommu_faults = 0;
     vcpu_stalls = 0;
     ecc_ce_errors = 0;
     ecc_ue_errors = 0;
@@ -82,7 +80,7 @@ let stats t = t.stats
 let total_injected t =
   let s = t.stats in
   s.alloc_failures + s.migrate_failures + s.batches_lost + s.ops_dropped
-  + s.hypercall_errors + s.iommu_faults + s.vcpu_stalls
+  + s.hypercall_errors + s.vcpu_stalls
   + s.ecc_ce_errors + s.ecc_ue_errors + s.node_failures
 
 let armed t (w : Plan.window) =
@@ -280,11 +278,6 @@ let hypercall_fails t =
   if fired then t.stats.hypercall_errors <- t.stats.hypercall_errors + 1;
   fired
 
-let iommu_faults t =
-  let fired = query t ~f:(function Plan.Iommu_storm r -> Some r | _ -> None) in
-  if fired then t.stats.iommu_faults <- t.stats.iommu_faults + 1;
-  fired
-
 let vcpu_stalls t =
   let fired = query t ~f:(function Plan.Vcpu_stall r -> Some r | _ -> None) in
   if fired then t.stats.vcpu_stalls <- t.stats.vcpu_stalls + 1;
@@ -297,7 +290,6 @@ let install t (system : Xen.System.t) =
     let hooks = system.Xen.System.faults in
     hooks.Xen.System.migrate_alloc_fails <- (fun () -> migrate_fails t);
     hooks.Xen.System.hypercall_transient <- (fun () -> hypercall_fails t);
-    hooks.Xen.System.iommu_fault <- (fun _ -> iommu_faults t);
     hooks.Xen.System.batch_lost <- (fun ops -> batch_lost t ~ops)
   end
 

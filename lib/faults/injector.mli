@@ -17,7 +17,6 @@ type stats = {
   mutable batches_lost : int;     (** Page-ops batches lost in transit. *)
   mutable ops_dropped : int;      (** Queue ops dropped on overflow. *)
   mutable hypercall_errors : int; (** Transient hypercall failures. *)
-  mutable iommu_faults : int;     (** Injected asynchronous IOMMU faults. *)
   mutable vcpu_stalls : int;      (** Stolen vCPU epochs. *)
   mutable ecc_ce_errors : int;    (** Correctable ECC errors (scrubbed). *)
   mutable ecc_ue_errors : int;    (** Uncorrectable ECC errors (offlined). *)
@@ -53,7 +52,6 @@ val migrate_fails : t -> bool
 val batch_lost : t -> ops:int -> bool
 val op_dropped : t -> bool
 val hypercall_fails : t -> bool
-val iommu_faults : t -> bool
 val vcpu_stalls : t -> bool
 
 (** {2 Hardware RAS: ECC errors and node failure} *)
@@ -99,8 +97,8 @@ val total_injected : t -> int
 val install : t -> Xen.System.t -> unit
 (** Arm the hypervisor-side fault sites: the machine allocator veto
     (transient flakiness and offline nodes) and the
-    {!Xen.System.fault_hooks} consulted by the internal interface, the
-    hypercall layer and the IOMMU. *)
+    {!Xen.System.fault_hooks} consulted by the internal interface and
+    the hypercall layer. *)
 
 val install_queue : t -> Guest.Pv_queue.t -> unit
 (** Arm the guest-side queue site (op drop) on a para-virtualized

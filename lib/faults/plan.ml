@@ -12,7 +12,6 @@ type site =
   | Batch_loss of float
   | Op_drop of float
   | Hypercall_flaky of float
-  | Iommu_storm of float
   | Vcpu_stall of float
   | Ecc_ce of float
   | Ecc_ue of float
@@ -36,7 +35,6 @@ let site_name = function
   | Batch_loss _ -> "batch-loss"
   | Op_drop _ -> "op-drop"
   | Hypercall_flaky _ -> "hypercall"
-  | Iommu_storm _ -> "iommu"
   | Vcpu_stall _ -> "stall"
   | Ecc_ce _ -> "ecc-ce"
   | Ecc_ue _ -> "ecc-ue"
@@ -44,11 +42,11 @@ let site_name = function
 
 let valid_site_names =
   [ "alloc"; "node-off"; "migrate"; "batch-loss"; "op-drop"; "hypercall";
-    "iommu"; "stall"; "ecc-ce"; "ecc-ue"; "node_fail" ]
+    "stall"; "ecc-ce"; "ecc-ue"; "node_fail" ]
 
 let site_rate = function
   | Alloc_flaky r | Migrate_enomem r | Batch_loss r | Op_drop r
-  | Hypercall_flaky r | Iommu_storm r | Vcpu_stall r
+  | Hypercall_flaky r | Vcpu_stall r
   | Ecc_ce r | Ecc_ue r | Node_fail r -> Some r
   | Node_offline _ -> None
 
@@ -131,7 +129,6 @@ let parse_token token =
           | "batch-loss" -> rate_site (fun r -> Batch_loss r)
           | "op-drop" -> rate_site (fun r -> Op_drop r)
           | "hypercall" -> rate_site (fun r -> Hypercall_flaky r)
-          | "iommu" -> rate_site (fun r -> Iommu_storm r)
           | "stall" -> rate_site (fun r -> Vcpu_stall r)
           | "ecc-ce" -> rate_site (fun r -> Ecc_ce r)
           | "ecc-ue" -> rate_site (fun r -> Ecc_ue r)

@@ -30,9 +30,6 @@ type site =
   | Hypercall_flaky of float
       (** Transient hypercall failure; the guest retries immediately
           and pays the entry cost twice. *)
-  | Iommu_storm of float
-      (** A passthrough DMA transfer aborts with an asynchronous IOMMU
-          fault even though every buffer page is mapped. *)
   | Vcpu_stall of float
       (** A running vCPU makes no progress for one epoch (interrupt
           storm, co-scheduling hiccup). *)
@@ -76,7 +73,7 @@ val of_string : string -> (t, string) result
 (** Parse a comma-separated plan.  Each element is
     [site=value\[\@FROM\[-UNTIL\]\]] where [site] is one of [alloc],
     [node-off], [migrate], [batch-loss], [op-drop], [hypercall],
-    [iommu], [stall], [ecc-ce], [ecc-ue], [node_fail] ([node-fail] is
+    [stall], [ecc-ce], [ecc-ue], [node_fail] ([node-fail] is
     accepted as an alias); [value] is a rate in [0, 1] (a node id for
     [node-off]); [FROM]/[UNTIL] bound the armed epochs ([UNTIL]
     exclusive, open-ended when omitted).  An unknown site name is an

@@ -159,13 +159,9 @@ let run ?(top = 10) f path =
   let top_pfns =
     (* Ranking "bigger count wins, ties toward the smaller pfn" is a
        total order, so the selection is independent of hash order. *)
-    let heap = Sim.Stats.Topk.create (Stdlib.max 1 top) in
-    Hashtbl.iter
-      (fun pfn r -> Sim.Stats.Topk.add heap ~key:(float_of_int !r) pfn)
-      st.pfn_counts;
-    List.map
-      (fun (key, pfn) -> (pfn, int_of_float key))
-      (Array.to_list (Sim.Stats.Topk.sorted_desc heap))
+    Hashtbl.fold (fun pfn r acc -> (pfn, !r) :: acc) st.pfn_counts []
+    |> List.sort (fun (pa, ca) (pb, cb) -> if ca = cb then compare pa pb else compare cb ca)
+    |> List.filteri (fun i _ -> i < Stdlib.max 1 top)
   in
   let heat =
     Hashtbl.fold (fun key r acc -> ((key, !r) :: acc)) st.heat_counts []

@@ -140,87 +140,3 @@ module Histogram = struct
     if other.m.min < t.m.min then t.m.min <- other.m.min;
     if other.m.max > t.m.max then t.m.max <- other.m.max
 end
-
-module Topk = struct
-  (* Bounded top-k selector: a binary min-heap of the k best candidates
-     seen so far, stored in parallel flat arrays (no boxing, no
-     allocation after [create]).  The root is the WORST kept element,
-     so a candidate is admitted with one root comparison and at most
-     O(log k) sifting.  Ranking is the total order "bigger key wins,
-     ties break toward the smaller id", so the selected set and the
-     [sorted_desc] order are independent of insertion order — the
-     property the trace determinism bar needs. *)
-
-  type t = {
-    k : int;
-    keys : float array;
-    ids : int array;
-    mutable size : int;
-  }
-
-  let create k =
-    if k <= 0 then invalid_arg "Topk.create: k must be positive";
-    { k; keys = Array.make k 0.0; ids = Array.make k 0; size = 0 }
-
-  let size t = t.size
-
-  (* [ranks_below ka ia kb ib]: candidate (ka, ia) ranks strictly below
-     (kb, ib) in the keep order. *)
-  let ranks_below ka ia kb ib = ka < kb || (ka = kb && ia > ib)
-
-  let swap t i j =
-    let k = t.keys.(i) and id = t.ids.(i) in
-    t.keys.(i) <- t.keys.(j);
-    t.ids.(i) <- t.ids.(j);
-    t.keys.(j) <- k;
-    t.ids.(j) <- id
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if ranks_below t.keys.(i) t.ids.(i) t.keys.(p) t.ids.(p) then begin
-        swap t i p;
-        sift_up t p
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < t.size && ranks_below t.keys.(l) t.ids.(l) t.keys.(!m) t.ids.(!m) then m := l;
-    if r < t.size && ranks_below t.keys.(r) t.ids.(r) t.keys.(!m) t.ids.(!m) then m := r;
-    if !m <> i then begin
-      swap t i !m;
-      sift_down t !m
-    end
-
-  let add t ~key id =
-    if t.size < t.k then begin
-      t.keys.(t.size) <- key;
-      t.ids.(t.size) <- id;
-      t.size <- t.size + 1;
-      sift_up t (t.size - 1)
-    end
-    else if ranks_below t.keys.(0) t.ids.(0) key id then begin
-      t.keys.(0) <- key;
-      t.ids.(0) <- id;
-      sift_down t 0
-    end
-
-  let sorted_desc t =
-    let a = Array.init t.size (fun i -> (t.keys.(i), t.ids.(i))) in
-    Array.sort
-      (fun (ka, ia) (kb, ib) -> if ka = kb then compare ia ib else compare kb ka)
-      a;
-    a
-
-  (* Heap-shape invariant, exposed for the property tests: no element
-     ranks strictly below its parent. *)
-  let heap_invariant t =
-    let ok = ref true in
-    for i = 1 to t.size - 1 do
-      let p = (i - 1) / 2 in
-      if ranks_below t.keys.(i) t.ids.(i) t.keys.(p) t.ids.(p) then ok := false
-    done;
-    !ok
-end

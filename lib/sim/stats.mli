@@ -1,4 +1,4 @@
-(** Array statistics, a latency histogram and a top-k selector used by
+(** Array statistics and a latency histogram used by
     counters and reports. *)
 
 val mean : float array -> float
@@ -58,31 +58,4 @@ module Histogram : sig
   val merge : t -> t -> unit
   (** Fold [other]'s samples into [t].
       @raise Invalid_argument when bases differ. *)
-end
-
-(** Bounded top-k selection over (key, id) pairs: a flat-array binary
-    min-heap of the k best candidates, whose root is the worst kept
-    element.  Ranking is the total order "bigger key first, ties toward
-    the smaller id", so the selected set and its order never depend on
-    insertion order.  Zero allocation after [create] except in
-    [sorted_desc]. *)
-module Topk : sig
-  type t
-
-  val create : int -> t
-  (** [create k] keeps the best [k] candidates.
-      @raise Invalid_argument when [k <= 0]. *)
-
-  val size : t -> int
-
-  val add : t -> key:float -> int -> unit
-  (** Offer a candidate.  O(1) when it ranks below the current root,
-      O(log k) otherwise. *)
-
-  val sorted_desc : t -> (float * int) array
-  (** Kept candidates, best first (key descending, id ascending on
-      ties).  Allocates the result array. *)
-
-  val heap_invariant : t -> bool
-  (** Whether the internal heap shape is valid (property tests). *)
 end

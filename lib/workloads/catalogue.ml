@@ -135,3 +135,10 @@ let find name =
 
 let names = List.map (fun app -> app.App.name) all
 
+
+let get name =
+  match find name with
+  | Some app -> app
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown application %S; try one of: %s" name (String.concat ", " names))

@@ -21,3 +21,8 @@ val find : string -> App.t option
 (** Case-insensitive lookup by name ("cg.C", "wrmem", ...). *)
 
 val names : string list
+
+val get : string -> App.t
+(** {!find} for a name that must exist.
+    @raise Invalid_argument naming the app and listing every valid
+    one. *)

@@ -37,14 +37,7 @@ let read_impl system domain ~pci ~path ~buffer ~bytes =
         let bad = List.find_opt (fun pfn -> P2m.get domain.Domain.p2m pfn = P2m.Invalid) buffer in
         match bad with
         | Some pfn -> Error (Iommu_fault { pfn })
-        | None ->
-            (* Injected fault storm: the transfer aborts asynchronously
-               even though every entry is mapped (spurious IOMMU error,
-               one draw per transfer). *)
-            let storm_pfn = match buffer with pfn :: _ -> pfn | [] -> 0 in
-            if system.System.faults.System.iommu_fault storm_pfn then
-              Error (Iommu_fault { pfn = storm_pfn })
-            else Ok (Costs.disk_request costs ~path:`Passthrough ~bytes)
+        | None -> Ok (Costs.disk_request costs ~path:`Passthrough ~bytes)
       end
 
 let read system domain ~pci ~path ~buffer ~bytes =

@@ -1,7 +1,6 @@
 type fault_hooks = {
   mutable migrate_alloc_fails : unit -> bool;
   mutable hypercall_transient : unit -> bool;
-  mutable iommu_fault : Memory.Page.pfn -> bool;
   mutable batch_lost : int -> bool;
 }
 
@@ -9,7 +8,6 @@ let no_faults () =
   {
     migrate_alloc_fails = (fun () -> false);
     hypercall_transient = (fun () -> false);
-    iommu_fault = (fun _ -> false);
     batch_lost = (fun _ -> false);
   }
 

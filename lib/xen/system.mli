@@ -14,9 +14,6 @@ type fault_hooks = {
   mutable hypercall_transient : unit -> bool;
       (** [true] makes the hypercall fail transiently: the guest
           retries immediately and pays the entry cost again. *)
-  mutable iommu_fault : Memory.Page.pfn -> bool;
-      (** [true] aborts a passthrough DMA transfer with an asynchronous
-          IOMMU fault even though the buffer is fully mapped. *)
   mutable batch_lost : int -> bool;
       (** Called with the batch size before a page-ops batch is
           replayed; [true] loses the batch in transit. *)

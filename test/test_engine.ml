@@ -1,8 +1,7 @@
 (* Integration tests for the engine: configuration, determinism, and
    the qualitative behaviours the paper reports. *)
 
-let app name =
-  match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.failf "no app %s" name
+let app = Workloads.Catalogue.get
 
 let run ?(mode = Engine.Config.Linux) ?(policy = Policies.Spec.first_touch) ?(threads = 48)
     ?(seed = 42) ?use_mcs name =

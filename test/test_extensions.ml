@@ -1,8 +1,7 @@
 (* Tests for the extension substrates: TLB/huge pages, the credit
    scheduler, the policy advisor, and their engine integration. *)
 
-let app name =
-  match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.failf "no app %s" name
+let app = Workloads.Catalogue.get
 
 (* -------------------------------- tlb ------------------------------ *)
 

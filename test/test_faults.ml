@@ -16,7 +16,7 @@ let test_plan_parse_roundtrip () =
       "migrate=1.0";
       "alloc=0.3@50-150,stall=0.01";
       "node-off=2@100-";
-      "batch-loss=0.5,op-drop=0.05,hypercall=0.2,iommu=0.1";
+      "batch-loss=0.5,op-drop=0.05,hypercall=0.2,stall=0.1";
       "alloc=0.15,migrate=0.5";
       "ecc-ce=0.5,ecc-ue=0.01";
       "node_fail=1.0@50-150";
@@ -42,19 +42,25 @@ let contains ~sub s =
 
 let test_plan_unknown_site_lists_valid () =
   (* The unknown-site error is the discovery surface for the grammar:
-     it must name the bad site and enumerate every valid one. *)
-  match Faults.Plan.of_string "bogus=0.1" with
-  | Ok _ -> Alcotest.fail "bogus site should not parse"
-  | Error msg ->
-      Alcotest.(check string) "exact message"
-        (Printf.sprintf "unknown fault site %S (valid sites: %s)" "bogus"
-           (String.concat ", " Faults.Plan.valid_site_names))
-        msg;
-      List.iter
-        (fun site ->
-          Alcotest.(check bool) (Printf.sprintf "message lists %s" site) true
-            (contains ~sub:site msg))
-        [ "ecc-ce"; "ecc-ue"; "node_fail"; "alloc"; "migrate" ]
+     it must name the bad site and enumerate every valid one.  [iommu]
+     is no site: no engine run ever reaches a passthrough transfer. *)
+  List.iter
+    (fun site ->
+      match Faults.Plan.of_string (site ^ "=0.1") with
+      | Ok _ -> Alcotest.failf "%s site should not parse" site
+      | Error msg ->
+          Alcotest.(check string) "exact message"
+            (Printf.sprintf "unknown fault site %S (valid sites: %s)" site
+               (String.concat ", " Faults.Plan.valid_site_names))
+            msg;
+          List.iter
+            (fun site ->
+              Alcotest.(check bool) (Printf.sprintf "message lists %s" site) true
+                (contains ~sub:site msg))
+            [ "ecc-ce"; "ecc-ue"; "node_fail"; "alloc"; "migrate" ])
+    [ "bogus"; "iommu" ];
+  Alcotest.(check bool) "iommu is not a valid site" false
+    (List.mem "iommu" Faults.Plan.valid_site_names)
 
 let test_plan_ras_rate_range () =
   List.iter
@@ -78,7 +84,7 @@ let test_plan_validate_window () =
 
 let all_sites_plan =
   Faults.Plan.of_string_exn
-    "alloc=0.5,migrate=0.5,batch-loss=0.5,op-drop=0.5,hypercall=0.5,iommu=0.5,stall=0.5"
+    "alloc=0.5,migrate=0.5,batch-loss=0.5,op-drop=0.5,hypercall=0.5,stall=0.5"
 
 (* One fixed interleaved query trace: the injector's guarantee is that
    the same plan, seed and query sequence give the same answers. *)
@@ -94,7 +100,6 @@ let query_trace inj =
         Faults.Injector.batch_lost inj ~ops:16;
         Faults.Injector.op_dropped inj;
         Faults.Injector.hypercall_fails inj;
-        Faults.Injector.iommu_faults inj;
         Faults.Injector.vcpu_stalls inj;
       ]
   done;
@@ -152,7 +157,6 @@ let gen_plan =
         map (fun r -> Faults.Plan.Batch_loss r) rate;
         map (fun r -> Faults.Plan.Op_drop r) rate;
         map (fun r -> Faults.Plan.Hypercall_flaky r) rate;
-        map (fun r -> Faults.Plan.Iommu_storm r) rate;
         map (fun r -> Faults.Plan.Vcpu_stall r) rate;
         map (fun r -> Faults.Plan.Ecc_ce r) rate;
         map (fun r -> Faults.Plan.Ecc_ue r) rate;
@@ -202,7 +206,6 @@ let prop_unarmed_queries_inert =
         && (not (Faults.Injector.batch_lost inj ~ops:4))
         && (not (Faults.Injector.op_dropped inj))
         && (not (Faults.Injector.hypercall_fails inj))
-        && (not (Faults.Injector.iommu_faults inj))
         && (not (Faults.Injector.vcpu_stalls inj))
         && Faults.Injector.ecc_events inj ~frames:4096 = []
       in
@@ -779,27 +782,20 @@ let prop_chaos_frame_accounting =
 (* A shrunk wrmem so whole-engine chaos runs stay fast: same churn
    behaviour (15 us release period), a fraction of the work. *)
 let tiny_app () =
-  match Workloads.Catalogue.find "wrmem" with
-  | Some app ->
-      { app with Workloads.App.name = "wrmem-tiny"; footprint_mb = 128; native_seconds = 3.0 }
-  | None -> Alcotest.fail "wrmem missing from the catalogue"
+  { (Workloads.Catalogue.get "wrmem") with
+    Workloads.App.name = "wrmem-tiny"; footprint_mb = 128; native_seconds = 3.0 }
 
-let eager_carrefour =
-  {
-    Policies.Carrefour.User_component.default_config with
-    Policies.Carrefour.User_component.mc_threshold = 0.30;
-    ic_threshold = 0.05;
-    dominant_fraction = 0.60;
-    min_accesses = 2.0;
-  }
+let eager_carrefour = Experiments.Chaos.eager_carrefour
 
-let chaos_run ?(seed = 11) ?(max_epochs = 2_000) plan =
+(* A chaos-grid cell on the tiny app. *)
+let chaos_cfg ?(seed = 11) ?(max_epochs = 2_000) plan =
   let vm =
     Engine.Config.vm ~threads:8 ~policy:Policies.Spec.first_touch_carrefour (tiny_app ())
   in
-  Engine.Runner.run
-    (Engine.Config.make ~seed ~max_epochs ~carrefour_config:eager_carrefour
-       ~faults:(Faults.Plan.of_string_exn plan) ~mode:Engine.Config.Xen_plus [ vm ])
+  Engine.Config.make ~seed ~max_epochs ~carrefour_config:eager_carrefour
+    ~faults:(Faults.Plan.of_string_exn plan) ~mode:Engine.Config.Xen_plus [ vm ]
+
+let chaos_run ?seed ?max_epochs plan = Engine.Runner.run (chaos_cfg ?seed ?max_epochs plan)
 
 let test_engine_completes_under_full_migration_failure () =
   let r = chaos_run "alloc=0.3,migrate=1.0" in
@@ -814,16 +810,27 @@ let test_engine_clean_run_reports_no_degradation () =
   Alcotest.(check bool) "no degradation" true
     ((Engine.Result.single r).Engine.Result.degradation = Engine.Result.no_degradation)
 
-(* The chaos and RAS grids report a run that hit [max_epochs] through
-   [Runs.capped], which the bench turns into a non-zero exit: a capped
-   run is flagged, a completed one is not. *)
+(* Every experiment grid runs its cells through [Runs.run_cell]: a
+   cell that hits [max_epochs] fails the whole grid with the cell's
+   label and the cap (bench prints them as one stderr line and exits
+   1), while a grid whose cells complete gets their plain results. *)
 let test_capped_run_is_reported () =
-  let capped = chaos_run ~max_epochs:5 "none" in
-  let completed = chaos_run "none" in
-  Alcotest.(check int) "ran into the cap" 5 capped.Engine.Result.epochs;
-  Alcotest.(check (list string)) "only the capped cell is reported" [ "capped" ]
-    (Experiments.Runs.capped ~max_epochs:5 [ ("capped", capped) ]
-    @ Experiments.Runs.capped ~max_epochs:2_000 [ ("completed", completed) ])
+  let cell ?max_epochs label () =
+    Experiments.Runs.run_cell label (chaos_cfg ?max_epochs "none")
+  in
+  Alcotest.check_raises "the capped cell fails its grid"
+    (Experiments.Runs.Epoch_cap { label = "capped"; max_epochs = 5 })
+    (fun () ->
+      ignore (Engine.Pool.run_all [| cell "completed"; cell ~max_epochs:5 "capped" |]));
+  Alcotest.(check string) "the failure line"
+    "capped hit the epoch cap (5 epochs) without completing"
+    (Experiments.Runs.cap_message "capped" 5);
+  let completed = Engine.Pool.run_all [| cell "completed" |] in
+  Alcotest.(check bool) "a completed cell passes" true
+    (completed.(0).Engine.Result.epochs < 2_000
+    && not (Experiments.Runs.hit_cap (chaos_cfg "none") completed.(0)));
+  Alcotest.(check bool) "the cap itself counts as capped" true
+    (Experiments.Runs.hit_cap (chaos_cfg ~max_epochs:5 "none") (chaos_run ~max_epochs:5 "none"))
 
 let test_engine_jobs_bit_identical () =
   (* The chaos acceptance bar: a fixed-seed fault grid is bit-identical

@@ -2,8 +2,7 @@
    properties, queue stress, counters under multi-epoch histories,
    cross-machine engine runs. *)
 
-let app name =
-  match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.failf "no app %s" name
+let app = Workloads.Catalogue.get
 
 (* --------------------------- machine_desc --------------------------- *)
 

@@ -572,6 +572,23 @@ let test_query_matches_summary () =
                       row.Obs.Summary.kept r.Obs.Query.matched)
               summary.Obs.Summary.classes))
 
+(* Hot frames rank by count, ties toward the smaller pfn whatever the
+   emission order; [top] cuts the ranking and is at least 1. *)
+let test_query_top_pfns () =
+  let session = Obs.Trace.create ~capacity:64 () in
+  let s = Obs.Trace.stream session ~label:"hot" in
+  Obs.Stream.set_time s 0.0;
+  List.iter
+    (fun pfn -> Obs.Stream.emit ~domain:0 ~pfn s Obs.Event.Page_fault)
+    [ 9; 4; 7; 9; 2; 7; 4; 7; 30; 9 ];
+  with_temp_file ".jsonl" (Obs.Trace.render_jsonl session) (fun path ->
+      let top n = (Obs.Query.run ~top:n (Obs.Query.filter ()) path).Obs.Query.top_pfns in
+      Alcotest.(check (list (pair int int))) "count desc, then pfn asc"
+        [ (7, 3); (9, 3); (4, 2); (2, 1); (30, 1) ]
+        (top 10);
+      Alcotest.(check (list (pair int int))) "top 3 cuts a tie" [ (7, 3); (9, 3); (4, 2) ] (top 3);
+      Alcotest.(check (list (pair int int))) "top 0 keeps one" [ (7, 3) ] (top 0))
+
 let test_query_filters () =
   let session = mk_session () in
   (* mk_session: stream a (label b-second, stream index 1) emits a
@@ -874,6 +891,7 @@ let suite =
         Alcotest.test_case "filter parsers" `Quick test_query_parsers;
         Alcotest.test_case "query matches summary" `Slow test_query_matches_summary;
         Alcotest.test_case "filters and renders" `Quick test_query_filters;
+        Alcotest.test_case "top pfns order and bound" `Quick test_query_top_pfns;
         Alcotest.test_case "streaming rejects corrupt files" `Quick
           test_query_streaming_rejects_corrupt;
         Alcotest.test_case "jsonl cut at a line rejected" `Quick test_jsonl_cut_at_line_boundary;

@@ -186,76 +186,6 @@ let test_units_pp () =
   Alcotest.(check string) "bytes" "16.0 GiB" (Format.asprintf "%a" Sim.Units.pp_bytes (Sim.Units.gib 16));
   Alcotest.(check string) "us" "307.0 us" (Format.asprintf "%a" Sim.Units.pp_seconds 307e-6)
 
-(* ------------------------------ topk ------------------------------- *)
-
-let test_topk_selects_best () =
-  let h = Sim.Stats.Topk.create 3 in
-  List.iter (fun (k, id) -> Sim.Stats.Topk.add h ~key:k id)
-    [ (5.0, 10); (1.0, 11); (9.0, 12); (3.0, 13); (7.0, 14) ];
-  Alcotest.(check int) "size capped" 3 (Sim.Stats.Topk.size h);
-  Alcotest.(check bool) "heap shape" true (Sim.Stats.Topk.heap_invariant h);
-  Alcotest.(check (array (pair (float 0.0) int))) "best three, descending"
-    [| (9.0, 12); (7.0, 14); (5.0, 10) |]
-    (Sim.Stats.Topk.sorted_desc h)
-
-let test_topk_ties_toward_smaller_id () =
-  let h = Sim.Stats.Topk.create 2 in
-  List.iter (fun id -> Sim.Stats.Topk.add h ~key:4.0 id) [ 30; 10; 20 ];
-  Alcotest.(check (array (pair (float 0.0) int))) "smaller ids win equal keys"
-    [| (4.0, 10); (4.0, 20) |]
-    (Sim.Stats.Topk.sorted_desc h)
-
-let test_topk_empty () =
-  let h = Sim.Stats.Topk.create 4 in
-  Alcotest.(check int) "empty" 0 (Sim.Stats.Topk.size h);
-  Alcotest.(check int) "no results" 0 (Array.length (Sim.Stats.Topk.sorted_desc h));
-  Alcotest.check_raises "k = 0 rejected" (Invalid_argument "Topk.create: k must be positive")
-    (fun () -> ignore (Sim.Stats.Topk.create 0))
-
-(* Reference model for the differential property: the same "bigger
-   key first, ties toward smaller id" order over a plain list. *)
-let topk_model_ranks_below (ka, ia) (kb, ib) = ka < kb || (ka = kb && ia > ib)
-
-let topk_model_add k model x =
-  if List.length model < k then x :: model
-  else begin
-    let worst =
-      List.fold_left
-        (fun acc y -> if topk_model_ranks_below y acc then y else acc)
-        (List.hd model) (List.tl model)
-    in
-    if topk_model_ranks_below worst x then
-      x :: (let dropped = ref false in
-            List.filter
-              (fun y -> if (not !dropped) && y = worst then (dropped := true; false) else true)
-              model)
-    else model
-  end
-
-let prop_topk_matches_model =
-  QCheck.Test.make ~name:"topk: differential vs list model under insert" ~count:300
-    QCheck.(pair (int_range 1 8) (small_list (pair (int_range 0 40) (int_range 0 15))))
-    (fun (k, trace) ->
-      let h = Sim.Stats.Topk.create k in
-      let model = ref [] in
-      List.iter
-        (fun (key_i, id) ->
-          let key = float_of_int key_i /. 4.0 in
-          Sim.Stats.Topk.add h ~key id;
-          model := topk_model_add k !model (key, id);
-          if not (Sim.Stats.Topk.heap_invariant h) then
-            QCheck.Test.fail_report "heap invariant broken mid-trace")
-        trace;
-      let expected =
-        List.sort
-          (fun (ka, ia) (kb, ib) ->
-            let c = compare kb ka in
-            if c <> 0 then c else compare ia ib)
-          !model
-        |> Array.of_list
-      in
-      Sim.Stats.Topk.sorted_desc h = expected)
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -280,13 +210,6 @@ let suite =
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
         qcheck prop_stats_relative_stddev_scale_invariant;
         qcheck prop_stats_percentile_monotone;
-      ] );
-    ( "stats.topk",
-      [
-        Alcotest.test_case "selects the best k" `Quick test_topk_selects_best;
-        Alcotest.test_case "ties toward smaller id" `Quick test_topk_ties_toward_smaller_id;
-        Alcotest.test_case "empty" `Quick test_topk_empty;
-        qcheck prop_topk_matches_model;
       ] );
     ( "sim.eventq",
       [

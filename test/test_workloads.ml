@@ -33,8 +33,19 @@ let test_catalogue_find () =
   | None -> Alcotest.fail "wrmem missing");
   Alcotest.(check bool) "unknown is None" true (Workloads.Catalogue.find "quake3" = None)
 
+let test_catalogue_get () =
+  Alcotest.(check string) "case insensitive" "wrmem"
+    (Workloads.Catalogue.get "WRMEM").Workloads.App.name;
+  match Workloads.Catalogue.get "nope" with
+  | _ -> Alcotest.fail "unknown app accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the app and lists every valid one"
+        (Printf.sprintf "unknown application %S; try one of: %s" "nope"
+           (String.concat ", " Workloads.Catalogue.names))
+        msg
+
 let test_catalogue_table2_spot_checks () =
-  let get name = match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.fail name in
+  let get = Workloads.Catalogue.get in
   let dc = get "dc.B" in
   Alcotest.(check int) "dc.B footprint" 39273 dc.Workloads.App.footprint_mb;
   Alcotest.(check (float 0.01)) "dc.B disk" 175.0 dc.Workloads.App.disk_mb_s;
@@ -72,7 +83,7 @@ let test_catalogue_parameter_ranges () =
 let test_catalogue_streamflow_churn () =
   (* wrmem's 15 us release period (Section 4.2.3); non-Mosbench apps
      keep their pages. *)
-  let get name = match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.fail name in
+  let get = Workloads.Catalogue.get in
   (match (get "wrmem").Workloads.App.page_release_period with
   | Some p -> Alcotest.(check (float 1e-12)) "wrmem 15us" 15e-6 p
   | None -> Alcotest.fail "wrmem must churn");
@@ -97,7 +108,7 @@ let test_catalogue_burst_only_for_low_non_carrefour () =
     all
 
 let test_app_work_sizing () =
-  let get name = match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.fail name in
+  let get = Workloads.Catalogue.get in
   let app = get "cg.C" in
   let instr = Workloads.App.instructions_per_thread app ~threads:48 ~freq_hz:2.2e9 in
   Alcotest.(check bool) "positive" true (instr > 0.0);
@@ -106,7 +117,7 @@ let test_app_work_sizing () =
   Alcotest.(check (float 0.5)) "sizing" app.Workloads.App.native_seconds (instr *. cpi /. 2.2e9)
 
 let test_app_helpers () =
-  let get name = match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.fail name in
+  let get = Workloads.Catalogue.get in
   let memcached = get "memcached" in
   Alcotest.(check (float 1.0)) "sync events = ctx/2" 63550.0
     (Workloads.App.sync_events_per_s memcached);
@@ -119,7 +130,7 @@ let test_app_helpers () =
 
 let test_best_policy_references () =
   (* Table 4 spot checks. *)
-  let get name = match Workloads.Catalogue.find name with Some a -> a | None -> Alcotest.fail name in
+  let get = Workloads.Catalogue.get in
   let check name expected field =
     let app = get name in
     let spec = field app.Workloads.App.paper in
@@ -139,6 +150,7 @@ let suite =
         Alcotest.test_case "class counts" `Quick test_catalogue_class_counts;
         Alcotest.test_case "suite counts" `Quick test_catalogue_suites;
         Alcotest.test_case "find" `Quick test_catalogue_find;
+        Alcotest.test_case "get" `Quick test_catalogue_get;
         Alcotest.test_case "Table 2 spot checks" `Quick test_catalogue_table2_spot_checks;
         Alcotest.test_case "bias derivation" `Quick test_catalogue_master_bias_from_table1;
         Alcotest.test_case "parameter ranges" `Quick test_catalogue_parameter_ranges;

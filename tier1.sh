@@ -31,7 +31,8 @@ done
 dune runtest
 
 # Chaos suite, pinned seed: the degradation grid must complete every
-# fault plan (a plan that hits the epoch cap prints a WARNING).
+# fault plan (a plan that hits the epoch cap fails the section: exit 1
+# with one stderr line naming the plan and the cap).
 dune exec bench/main.exe -- chaos --jobs 2
 
 # Combined chaos + RAS smoke: software faults and hardware RAS compose
@@ -96,8 +97,10 @@ echo "tier1: perf gate OK vs $PERF_REF"
 # host's CPU count exits non-zero as a usage error, never as an
 # internal error.  A run that hits the epoch cap (every vCPU stalls in
 # every epoch: 40,000 epochs in ~0.3 s) exits non-zero and names the
-# cap.  An unwritable --trace path exits 1 before any run, in both
-# front ends, with one line and no internal error.
+# cap.  A fault plan naming a site that does not exist (iommu) is a
+# usage error that lists the valid sites.  An unwritable --trace path
+# exits 1 before any run, in both front ends, with one line and no
+# internal error.
 if dune exec bench/main.exe -- no-such-section >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown bench section did not exit non-zero" >&2
   exit 1
@@ -127,6 +130,15 @@ grep -q 'epoch cap (40000 epochs)' "$TRACE_DIR/usage.out" || {
   echo "tier1: FAIL - a run that hit the epoch cap did not name the cap" >&2
   exit 1
 }
+if dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 --faults iommu=0.1 \
+  >"$TRACE_DIR/usage.out" 2>&1; then
+  echo "tier1: FAIL - a plan naming the iommu site exited 0" >&2
+  exit 1
+fi
+if grep -q 'internal error' "$TRACE_DIR/usage.out" || ! grep -q 'valid sites' "$TRACE_DIR/usage.out"; then
+  echo "tier1: FAIL - a plan naming the iommu site did not list the valid sites" >&2
+  exit 1
+fi
 for front in "bin/xen_numa_sim.exe -- run swaptions -t 8" "bench/main.exe -- motivation"; do
   rc=0
   dune exec $front --trace "$TRACE_DIR/no-such-dir/t.jsonl" \
@@ -324,7 +336,7 @@ dune exec test/test_main.exe -- test faults
 # offlining, and memory.buddy.props; all three check
 # Buddy.check_consistent), the run-wise free_run = per-frame free
 # differential (memory.buddy), the P2M superpage consistency invariant,
-# the top-k heap invariant, the batched-vs-per-page P2M equivalences
+# the batched-vs-per-page P2M equivalences
 # (invalidate_batch, migrate_batch) and the invalidate_range =
 # invalidate_batch differential (xen.p2m.batch), the queue +
 # page_ops_hypercall = newest-first reference differential (the one
@@ -352,7 +364,6 @@ dune exec test/test_main.exe -- test faults
 echo "tier1: randomised property pass (QCHECK_SEED=$QCHECK_SEED)"
 dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
-dune exec test/test_main.exe -- test stats.topk
 dune exec test/test_main.exe -- test xen.p2m.batch
 dune exec test/test_main.exe -- test guest.pv_queue
 dune exec test/test_main.exe -- test engine.ff
