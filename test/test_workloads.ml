@@ -150,7 +150,6 @@ let suite =
         Alcotest.test_case "class counts" `Quick test_catalogue_class_counts;
         Alcotest.test_case "suite counts" `Quick test_catalogue_suites;
         Alcotest.test_case "find" `Quick test_catalogue_find;
-        Alcotest.test_case "get" `Quick test_catalogue_get;
         Alcotest.test_case "Table 2 spot checks" `Quick test_catalogue_table2_spot_checks;
         Alcotest.test_case "bias derivation" `Quick test_catalogue_master_bias_from_table1;
         Alcotest.test_case "parameter ranges" `Quick test_catalogue_parameter_ranges;
@@ -159,5 +158,6 @@ let suite =
         Alcotest.test_case "work sizing" `Quick test_app_work_sizing;
         Alcotest.test_case "helpers" `Quick test_app_helpers;
         Alcotest.test_case "Table 4 references" `Quick test_best_policy_references;
+        Alcotest.test_case "get" `Quick test_catalogue_get;
       ] );
   ]
