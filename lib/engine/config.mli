@@ -98,8 +98,8 @@ type t = {
           identical additions in identical order instead of re-running
           the O(threads×nodes) kernels, so results and traces stay
           bit-identical to the naive loop (the escape hatch is
-          [--no-fast-forward]).  The only whole-run switch: fault
-          plans, unpinned vCPUs and observers decide per epoch.
+          [--no-fast-forward]).  The only whole-run switch: an epoch
+          in which a fault fires or a vCPU moves runs in full.
           [make] defaults the field to the process-wide default
           ({!set_default_fast_forward}). *)
 }

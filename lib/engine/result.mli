@@ -102,7 +102,7 @@ type t = {
       (** Epochs served by the steady-state fast-forward's delta
           replay instead of the full kernels (0 with
           [--no-fast-forward], or when the run never reached a
-          quiescent steady state outside its fault windows).  Purely an
+          quiescent steady state between faults that fired).  Purely an
           accounting of {e how} epochs were computed: every other
           field is bit-identical whatever this value. *)
   faults_injected : int;  (** Total faults the injector fired (0 = clean). *)

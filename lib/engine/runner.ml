@@ -136,6 +136,7 @@ type vm_state = {
   sample_scratch : float array;
   remaining : float array;
   finish : float array;  (* -1 while running *)
+  stalled : bool array;  (* this epoch's injected vCPU stalls *)
   thread_node : int array;
   slots : slots;  (* this epoch's per-vCPU slots (live) *)
   thread_accesses : float array;  (* this epoch, per thread *)
@@ -490,6 +491,7 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     sample_scratch = Array.make nodes 0.0;
     remaining = Array.make threads work;
     finish = Array.make threads (-1.0);
+    stalled = Array.make threads false;
     thread_node =
       Array.init threads (fun t -> Numa.Topology.node_of_cpu topo domain.Xen.Domain.vcpu_pin.(t));
     slots = make_slots ~threads ~nodes ~lat:190.0;
@@ -616,15 +618,12 @@ let distribute_thread st t ~accesses =
 (* The compute half of the epoch: capacity, instructions and the
    destination spread of every vCPU.  Everything written is indexed by
    the vCPU; everything read ([occupancy], the region weights, the
-   epoch parameters) is fixed for the epoch.  Inside an armed stall
-   window the stall draw consumes the injector's shared stream in vCPU
-   order; outside one it is a constant [false] with no draw. *)
-let epoch_compute_kernel st ~injector ~occupancy ~oh ~carrefour_tax ~mr ~freq ~epoch_len
-    ~threads =
+   epoch parameters, the stall mask) is fixed for the epoch. *)
+let epoch_compute_kernel st ~occupancy ~oh ~carrefour_tax ~mr ~freq ~epoch_len ~threads =
   let s = st.slots in
   for t = 0 to threads - 1 do
     if st.finish.(t) < 0.0 then begin
-      if Faults.Injector.vcpu_stalls injector then
+      if st.stalled.(t) then
         (* Injected stall: the vCPU makes no progress this epoch; the
            lost time shows up as blocked time. *)
         s.sync.(t) <- epoch_len
@@ -1162,7 +1161,7 @@ type run_state = {
 
 (* What the per-epoch inputs leave for the replay decision. *)
 type epoch_inputs = {
-  vcpus_moved : bool;  (* the credit scheduler moved a vCPU this epoch *)
+  disturbed : bool;  (* a vCPU moved, or a fault changed an input the kernels read *)
   pass_a_clean : bool;  (* no running VM rotated its hot front or burst *)
 }
 
@@ -1330,41 +1329,52 @@ let trace_epoch rs stream =
    retired immediately (free ones now, mapped ones when freed) and
    every domain starts draining its resident frames; a recovered node
    rejoins the mask and pool.  Only the plan's node-failure targets can
-   move, in ascending order. *)
+   move, in ascending order.  Returns whether a node's failing state or
+   bandwidth factor changed. *)
 let node_ras rs =
   let machine = rs.system.Xen.System.machine in
-  List.iter
-    (fun n ->
-      rs.bw_factor.(n) <- Faults.Injector.node_bandwidth_factor rs.injector ~node:n;
-      rs.node_capacity.(n) <- rs.controller_capacity *. Float.max 0.01 rs.bw_factor.(n);
+  List.fold_left
+    (fun changed n ->
+      let bw = Faults.Injector.node_bandwidth_factor rs.injector ~node:n in
+      let bw_moved = not (Float.equal bw rs.bw_factor.(n)) in
+      rs.bw_factor.(n) <- bw;
+      rs.node_capacity.(n) <- rs.controller_capacity *. Float.max 0.01 bw;
       let failing = Faults.Injector.node_failing rs.injector ~node:n in
-      if failing && not rs.node_was_failing.(n) then begin
-        rs.node_was_failing.(n) <- true;
-        Numa.Topology.set_node_online rs.topo n false;
-        ignore (Memory.Machine.offline_node machine n);
-        List.iter (fun st -> Policies.Manager.request_evacuation st.manager ~node:n) rs.states
-      end
-      else if (not failing) && rs.node_was_failing.(n) then begin
-        rs.node_was_failing.(n) <- false;
-        Numa.Topology.set_node_online rs.topo n true;
-        ignore (Memory.Machine.online_node machine n);
-        List.iter (fun st -> Policies.Manager.cancel_evacuation st.manager ~node:n) rs.states
-      end)
-    rs.fail_nodes
+      let flipped = failing <> rs.node_was_failing.(n) in
+      if flipped then begin
+        rs.node_was_failing.(n) <- failing;
+        Numa.Topology.set_node_online rs.topo n (not failing);
+        if failing then ignore (Memory.Machine.offline_node machine n)
+        else ignore (Memory.Machine.online_node machine n);
+        List.iter
+          (fun st ->
+            if failing then Policies.Manager.request_evacuation st.manager ~node:n
+            else Policies.Manager.cancel_evacuation st.manager ~node:n)
+          rs.states
+      end;
+      changed || bw_moved || flipped)
+    false rs.fail_nodes
 
-(* ECC: per-domain draws, in VM order. *)
+(* ECC: per-domain draws, in VM order.  A correctable error only
+   charges the domain and traces; returns whether an uncorrectable one
+   remapped a page (the P2M moved). *)
 let ecc rs =
-  List.iter
-    (fun st ->
-      if vm_running st then
+  List.fold_left
+    (fun remapped st ->
+      if not (vm_running st) then remapped
+      else begin
+        let p2m = st.domain.Xen.Domain.p2m in
+        let version = Xen.P2m.version p2m in
         List.iter
           (function
             | Faults.Injector.Ce pfn -> Policies.Manager.handle_ecc_ce st.manager ~pfn
             | Faults.Injector.Ue pfn ->
                 Policies.Manager.handle_ecc_ue st.manager ~pfn;
                 update_page_node st pfn)
-          (Faults.Injector.ecc_events rs.injector ~frames:st.domain.Xen.Domain.mem_frames))
-    rs.states
+          (Faults.Injector.ecc_events rs.injector ~frames:st.domain.Xen.Domain.mem_frames);
+        remapped || Xen.P2m.version p2m <> version
+      end)
+    false rs.states
 
 (* Credit-scheduler accounting period: rebalance unpinned vCPUs onto
    idle pCPUs.  The vCPU moves; its memory does not — exactly the
@@ -1390,8 +1400,8 @@ let schedule_vcpus rs =
 let epoch_inputs rs =
   Option.iter (trace_epoch rs) rs.obs_stream;
   Faults.Injector.set_epoch rs.injector rs.epochs;
-  node_ras rs;
-  ecc rs;
+  let nodes_changed = node_ras rs in
+  let remapped = ecc rs in
   (* Pass A runs for every epoch, replayed or not: the phase check and
      burst draw keep every RNG stream position identical to the naive
      loop's, and the snapshots feed the arming check. *)
@@ -1405,20 +1415,29 @@ let epoch_inputs rs =
         else clean)
       true rs.states
   in
-  { vcpus_moved = schedule_vcpus rs; pass_a_clean }
+  let vcpus_moved = schedule_vcpus rs in
+  (* The stall draws, VM by VM in vCPU order, for the compute kernel.
+     Drawn here, every epoch, so a replayed epoch advances the
+     injector's stream exactly as a full one. *)
+  let stalled =
+    List.fold_left
+      (fun any st ->
+        Faults.Injector.vcpu_stalls rs.injector ~finish:st.finish ~stalled:st.stalled || any)
+      false rs.states
+  in
+  { disturbed = vcpus_moved || nodes_changed || remapped || stalled; pass_a_clean }
 
 (* --- Replayed epoch ------------------------------------------------ *)
 
-(* The one replay decision, taken at the epoch it decides: no vCPU
-   moved and pass A stayed clean; no fault window is armed now; no
-   running VM's manager has periodic work (Carrefour feed, promote
-   scan, reconcile sweep) due now; and every running VM armed itself
-   at the end of a full epoch, its I/O state matches the capture and
-   the replay guard passes. *)
+(* The one replay decision, taken at the epoch it decides: nothing
+   disturbed the epoch's inputs (no vCPU moved, no fault fired that the
+   kernels read) and pass A stayed clean; no running VM's manager has
+   periodic work (Carrefour feed, promote scan, reconcile sweep) due
+   now; and every running VM armed itself at the end of a full epoch,
+   its I/O state matches the capture and the replay guard passes. *)
 let replayable rs inputs =
   let e = rs.epochs in
-  rs.cfg.Config.fast_forward && (not inputs.vcpus_moved) && inputs.pass_a_clean
-  && Faults.Injector.next_armed_epoch rs.injector ~after:e <> Some e
+  rs.cfg.Config.fast_forward && (not inputs.disturbed) && inputs.pass_a_clean
   && List.for_all
        (fun st ->
          (not (vm_running st))
@@ -1538,9 +1557,8 @@ let compute_stage rs =
         Array.fill s.doit 0 threads 0.0;
         Array.fill s.cap 0 threads 0.0;
         Obs.Profile.span Obs.Profile.Kernel_compute (fun () ->
-            epoch_compute_kernel st ~injector:rs.injector ~occupancy:rs.occupancy ~oh
-              ~carrefour_tax ~mr ~freq:machine.Numa.Machine_desc.freq_hz
-              ~epoch_len:Config.epoch_len ~threads);
+            epoch_compute_kernel st ~occupancy:rs.occupancy ~oh ~carrefour_tax ~mr
+              ~freq:machine.Numa.Machine_desc.freq_hz ~epoch_len:Config.epoch_len ~threads);
         Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_epoch_traffic st ~threads);
         disk_traffic cfg st rs.counters ~bus_node:rs.bus_node ~node_demand:rs.node_demand
       end)
@@ -1686,24 +1704,20 @@ let carrefour_period rs st =
 (* Arming check and capture.  The structural clauses prove nothing
    moved this epoch's inputs: the P2M version covers every mapping
    mutation; the finish count covers occupancy; I/O must have drained
-   so dom0 stays idle and disk DMA silent; no vCPU moved; the manager
-   is quiescent, so a replayed epoch's tick only advances its clock; no
-   churn queue; and the next epoch is outside every armed fault window.
-   That last clause is not needed for correctness ([replayable] refuses
-   armed epochs on its own): it keeps a plan armed for the whole run
-   from paying a capture per epoch for replays that never come.  A
-   structurally clean epoch is then captured into the snapshot of its
-   parity; it ARMS the fast-forward when it bitwise reproduced the
+   so dom0 stays idle and disk DMA silent; nothing disturbed the
+   epoch's inputs (no vCPU moved, no fault fired that the kernels
+   read); the manager is quiescent, so a replayed epoch's tick only
+   advances its clock; and no churn queue.  A structurally clean epoch
+   is then captured into the snapshot of its parity; it ARMS the fast-forward when it bitwise reproduced the
    same-parity capture of two epochs before — the witness that the
    latency feedback settled into its (period ≤ 2) limit cycle.  Any unclean epoch stales both
    captures, so a fresh witness always spans consecutive clean epochs.
    By induction, every subsequent guarded epoch then reproduces the
    opposite-parity capture's floats exactly. *)
-let arm rs st ~vcpus_moved =
+let arm rs st ~disturbed =
   let e = rs.epochs in
   let clean =
-    (not vcpus_moved) && st.queue = None
-    && Faults.Injector.next_armed_epoch rs.injector ~after:(e + 1) <> Some (e + 1)
+    (not disturbed) && st.queue = None
     && Xen.P2m.version st.domain.Xen.Domain.p2m = st.ff_p2m_version
     && (not st.ff_rotated)
     && st.burst_victim < 0
@@ -1731,7 +1745,7 @@ let arm rs st ~vcpus_moved =
     snap.io <- st.ff_io
   end
 
-let full_epoch rs ~vcpus_moved =
+let full_epoch rs ~disturbed =
   compute_stage rs;
   clamp_bandwidth rs;
   List.iter (fun st -> if vm_running st then throughput_stage rs st) rs.states;
@@ -1744,7 +1758,7 @@ let full_epoch rs ~vcpus_moved =
         page_churn rs st;
         tick rs st;
         carrefour_period rs st;
-        if rs.cfg.Config.fast_forward then arm rs st ~vcpus_moved
+        if rs.cfg.Config.fast_forward then arm rs st ~disturbed
       end)
     rs.states
 
@@ -1784,7 +1798,7 @@ let observe rs =
 
 let step rs =
   let inputs = epoch_inputs rs in
-  if replayable rs inputs then replay_epoch rs else full_epoch rs ~vcpus_moved:inputs.vcpus_moved;
+  if replayable rs inputs then replay_epoch rs else full_epoch rs ~disturbed:inputs.disturbed;
   observe rs;
   rs.epochs <- rs.epochs + 1;
   rs.now <- rs.now +. Config.epoch_len

@@ -18,7 +18,7 @@ val run : Config.t -> Result.t
 
     [run] boots the machine and the VMs, then drives one epoch at a
     time: the epoch's inputs (trace stamps, RAS and ECC events, pass A,
-    the credit scheduler), then either a full epoch or a replayed one,
+    the scheduler, vCPU stalls), then a full epoch or a replayed one,
     then the observer; at the end it assembles the result.
 
     Steady state is fast-forwarded by default
@@ -26,9 +26,10 @@ val run : Config.t -> Result.t
     once, at that epoch: every running VM armed itself at the end of a
     full epoch (no P2M mutation, no phase rotation or burst, no thread
     started or finished, I/O drained, manager quiescent, latency
-    feedback bitwise converged), this epoch moved no vCPU and rotated
-    no hot front, no fault window is armed at it, no running VM's
-    manager has periodic work due at it
+    feedback bitwise converged), this epoch moved no vCPU, fired no
+    fault the kernels read (a stall, an ECC remap, a node failing,
+    recovering or losing bandwidth) and rotated no hot front, no
+    running VM's manager has periodic work due at it
     ({!Policies.Manager.boundary_due}), and {!replay_guard} passes.  A
     replayed epoch skips the O(threads×nodes) kernels and runs the full
     epoch's own end-of-epoch stages (work retirement, disk DMA, counter

@@ -87,34 +87,6 @@ let armed t (w : Plan.window) =
   t.epoch >= w.Plan.from_epoch
   && (match w.Plan.until_epoch with None -> true | Some u -> t.epoch < u)
 
-(* Earliest epoch [>= after] at which any plan window (or resolved
-   node-fault window) is armed.  Pure arithmetic over the plan — no
-   draws, no clock dependence — so the engine's fast-forward can ask
-   it of any epoch without perturbing the fault stream.  A permanent
-   node failure stays armed past its drain window. *)
-let next_armed_epoch t ~after =
-  let min_opt acc e =
-    match acc with None -> Some e | Some a -> Some (min a e)
-  in
-  let of_window acc (w : Plan.window) =
-    if after < w.Plan.from_epoch then min_opt acc w.Plan.from_epoch
-    else
-      match w.Plan.until_epoch with
-      | None -> min_opt acc after
-      | Some u -> if after < u then min_opt acc after else acc
-  in
-  let acc =
-    List.fold_left
-      (fun acc (s : Plan.spec) -> of_window acc s.Plan.window)
-      None t.plan
-  in
-  List.fold_left
-    (fun acc nf ->
-      if after < nf.from_epoch then min_opt acc nf.from_epoch
-      else if nf.permanent || after < nf.until_epoch then min_opt acc after
-      else acc)
-    acc t.node_faults
-
 (* Fold the plan: every armed matching spec draws independently, and
    the fault fires if any draw does.  Draw-per-spec (no short-circuit)
    keeps the stream advance a function of the plan and epoch alone.
@@ -278,10 +250,22 @@ let hypercall_fails t =
   if fired then t.stats.hypercall_errors <- t.stats.hypercall_errors + 1;
   fired
 
-let vcpu_stalls t =
-  let fired = query t ~f:(function Plan.Vcpu_stall r -> Some r | _ -> None) in
-  if fired then t.stats.vcpu_stalls <- t.stats.vcpu_stalls + 1;
-  fired
+(* One domain's stall draws, in vCPU order, for its running vCPUs only.
+   An empty plan never writes the mask, so it stays all [false]. *)
+let vcpu_stalls t ~finish ~stalled =
+  let any = ref false in
+  if enabled t then
+    for v = 0 to Array.length stalled - 1 do
+      let fired =
+        finish.(v) < 0.0 && query t ~f:(function Plan.Vcpu_stall r -> Some r | _ -> None)
+      in
+      if fired then begin
+        t.stats.vcpu_stalls <- t.stats.vcpu_stalls + 1;
+        any := true
+      end;
+      stalled.(v) <- fired
+    done;
+  !any
 
 let install t (system : Xen.System.t) =
   if enabled t then begin

@@ -9,7 +9,9 @@
 
     Queries only draw from the stream while at least one matching spec
     is armed for the current epoch, so an empty (or dormant) plan
-    perturbs nothing. *)
+    perturbs nothing.  The engine makes the per-epoch draws (ECC
+    events, vCPU stalls) before it decides whether to replay an epoch,
+    so a replayed epoch leaves the stream where a full one would. *)
 
 type stats = {
   mutable alloc_failures : int;   (** Vetoed machine-frame allocations. *)
@@ -35,15 +37,6 @@ val enabled : t -> bool
 val set_epoch : t -> int -> unit
 (** Advance the injection clock; windows are evaluated against it. *)
 
-val next_armed_epoch : t -> after:int -> int option
-(** Earliest epoch [>= after] at which any spec window (or resolved
-    node-failure window, including the forever-armed tail of a
-    permanent failure) is armed; [None] when no window can ever arm
-    again.  Pure — no draws and no dependence on the injection clock —
-    so callers may probe any epoch (the engine's fast-forward asks
-    [~after:e = Some e] of each epoch [e] it might replay, and of
-    [e + 1] when it arms) without perturbing the stream. *)
-
 (* Per-site queries: [true] means the fault fires now.  Each query
    updates {!stats} when it fires. *)
 
@@ -52,7 +45,14 @@ val migrate_fails : t -> bool
 val batch_lost : t -> ops:int -> bool
 val op_dropped : t -> bool
 val hypercall_fails : t -> bool
-val vcpu_stalls : t -> bool
+
+val vcpu_stalls : t -> finish:float array -> stalled:bool array -> bool
+(** One domain's stall draws for one epoch: in vCPU order, each vCPU [v]
+    still running ([finish.(v) < 0.0]) draws, and [stalled.(v)] says
+    whether it loses the epoch; finished vCPUs draw nothing and read
+    [false].  Returns whether any vCPU stalled.  Fills [stalled] in
+    place; an empty plan returns [false] at once and leaves [stalled]
+    as it is. *)
 
 (** {2 Hardware RAS: ECC errors and node failure} *)
 

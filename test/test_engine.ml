@@ -227,11 +227,20 @@ let test_fewer_threads_slower () =
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* The fault plans the fast-forward property runs under: empty, then
-   windows of each kind the replay must step around, then a
-   first-touch churn plan (on the fault suite's shrunk wrmem) whose pv
-   queue keeps the VM from arming. *)
+   windows of each kind the replay must step around, then whole-run
+   plans whose epochs replay when no fault fires, then a first-touch
+   churn plan (on the fault suite's shrunk wrmem) whose pv queue keeps
+   the VM from arming. *)
 let ff_fault_plans =
-  [| ""; "stall=1.0@5-15"; "ecc-ue=0.5@10-20"; "node_fail=0.5@10-25"; "batch-loss=0.3" |]
+  [|
+    "";
+    "stall=1.0@5-15";
+    "ecc-ue=0.5@10-20";
+    "node_fail=0.5@10-25";
+    "stall=0.02";
+    "alloc=0.15";
+    "batch-loss=0.3";
+  |]
 
 (* The fast-forward acceptance property: with quiescence-tracked delta
    replay on, every reduced field of the result record — completions,
@@ -285,19 +294,19 @@ let test_ff_replays_steady_state () =
     (ff.Engine.Result.replayed_epochs > ff.Engine.Result.epochs / 2)
 
 let test_ff_no_whole_run_forks () =
-  (* None of these forks the engine: a fault plan replays outside its
-     windows, unpinned vCPUs replay between scheduler moves, and an
-     observer sees the same snapshots either way.  The trace must match
-     too: a node failure after a replay span stamps its drain time with
-     the manager's clock, which only stays right if replayed epochs
-     tick it. *)
+  (* None of these forks the engine: a fault plan replays the epochs in
+     which no fault fires, inside its windows or out, unpinned vCPUs
+     replay between scheduler moves, and an observer sees the same
+     snapshots either way.  The trace must match too: a node failure
+     after a replay span stamps its drain time with the manager's
+     clock, which only stays right if replayed epochs tick it. *)
   let check name ?(faults = "") ?(pinned = true) ?(threads = 6) ?(vms = 1)
-      ?(policy = Policies.Spec.round_4k) ?(max_epochs = 120) () =
+      ?(policy = Policies.Spec.round_4k) ?(superpages = false) ?(max_epochs = 120) () =
     let cell fast_forward =
       let snaps = ref [] in
       let session = Obs.Trace.create ~capacity:32_768 () in
       Obs.Trace.install session;
-      let vm = Engine.Config.vm ~threads ~pinned ~policy (app "swaptions") in
+      let vm = Engine.Config.vm ~threads ~pinned ~policy ~superpages (app "swaptions") in
       let r =
         Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
             Engine.Runner.run
@@ -317,6 +326,24 @@ let test_ff_no_whole_run_forks () =
     Alcotest.(check string) (name ^ ": trace equals naive") naive_trace ff_trace
   in
   check "faults" ~faults:"stall=0.05@2-30" ();
+  (* The benchmark's whole-run plans, on an app without release churn. *)
+  List.iter
+    (fun faults ->
+      List.iter
+        (fun (tag, policy) ->
+          check (faults ^ " " ^ tag) ~faults ~threads:16 ~policy ~max_epochs:2_000 ())
+        [
+          ("round-4K", Policies.Spec.round_4k);
+          ("ft+carrefour", Policies.Spec.first_touch_carrefour);
+        ])
+    [ "alloc=0.15,migrate=0.5"; "stall=0.02,hypercall=0.2"; "ecc-ce=0.9"; "node_fail=1.0@50-150" ];
+  (* Faults that disturb without stalling: a partial node failure's
+     bandwidth keeps falling across its long drain window, and an
+     uncorrectable ECC error remaps a page, splintering the P2M
+     superpage it sat in. *)
+  check "partial node failure" ~faults:"node_fail=0.5@20-200" ~threads:16 ~max_epochs:2_000 ();
+  check "ecc-ue superpages" ~faults:"ecc-ue=0.3" ~threads:16 ~policy:Policies.Spec.round_1g
+    ~superpages:true ~max_epochs:2_000 ();
   check "node failure" ~faults:"node_fail=1.0@120-170" ~threads:48
     ~policy:Policies.Spec.first_touch ~max_epochs:1_000 ();
   check "unpinned" ~pinned:false ~threads:48 ~vms:2 ~max_epochs:1_000 ();
@@ -368,26 +395,6 @@ let test_p2m_version_monotone () =
   | Some _ -> Alcotest.fail "entry 5 should be Invalid");
   Xen.P2m.write_protect t 5;
   Alcotest.(check int) "no-ops keep the version" v3 (Xen.P2m.version t)
-
-let test_next_armed_epoch_edges () =
-  let next plan ~after =
-    Faults.Injector.next_armed_epoch
-      (Faults.Injector.create ~seed:1 (Faults.Plan.of_string_exn plan))
-      ~after
-  in
-  let bounded = "stall=0.05@10-20" in
-  (* UNTIL is exclusive: armed for epochs 10..19. *)
-  Alcotest.(check (option int)) "before the window" (Some 10) (next bounded ~after:0);
-  Alcotest.(check (option int)) "at the opening edge" (Some 10) (next bounded ~after:10);
-  Alcotest.(check (option int)) "inside the window" (Some 15) (next bounded ~after:15);
-  Alcotest.(check (option int)) "last armed epoch" (Some 19) (next bounded ~after:19);
-  Alcotest.(check (option int)) "at the closing edge" None (next bounded ~after:20);
-  Alcotest.(check (option int)) "past the window" None (next bounded ~after:100);
-  let open_ended = "stall=0.05@10-" in
-  Alcotest.(check (option int)) "open-ended before" (Some 10) (next open_ended ~after:3);
-  Alcotest.(check (option int)) "open-ended inside" (Some 77) (next open_ended ~after:77);
-  let empty = "" in
-  Alcotest.(check (option int)) "empty plan never arms" None (next empty ~after:0)
 
 (* The replay guard is a pure predicate over the capture arrays: the
    cut sits exactly at [remaining >= cap && remaining - final > 0] for
@@ -515,7 +522,6 @@ let suite =
         Alcotest.test_case "no whole-run forks" `Quick test_ff_no_whole_run_forks;
         Alcotest.test_case "clean run ticks manager" `Quick test_clean_run_ticks_manager;
         Alcotest.test_case "p2m version monotone" `Quick test_p2m_version_monotone;
-        Alcotest.test_case "next armed epoch edges" `Quick test_next_armed_epoch_edges;
         Alcotest.test_case "replay guard cuts" `Quick test_replay_guard;
         Alcotest.test_case "replay stage allocation ratchet" `Quick test_replay_stage_allocation;
         Alcotest.test_case "replay stage needs an armed run" `Quick test_replay_stage_unarmed;

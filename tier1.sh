@@ -30,10 +30,15 @@ done
 
 dune runtest
 
+TRACE_DIR="$(mktemp -d)"
+trap 'rm -rf "$TRACE_DIR"' EXIT
+
 # Chaos suite, pinned seed: the degradation grid must complete every
 # fault plan (a plan that hits the epoch cap fails the section: exit 1
-# with one stderr line naming the plan and the cap).
-dune exec bench/main.exe -- chaos --jobs 2
+# with one stderr line naming the plan and the cap).  Its trace is
+# compared with a --no-fast-forward run below.
+dune exec bench/main.exe -- chaos --jobs 2 --trace "$TRACE_DIR/chaoson.jsonl" --trace-cap 512 \
+  >/dev/null
 
 # Combined chaos + RAS smoke: software faults and hardware RAS compose
 # in one plan — queue loss and flaky allocations while a node dies and
@@ -41,9 +46,6 @@ dune exec bench/main.exe -- chaos --jobs 2
 dune exec bin/xen_numa_sim.exe -- run swaptions -m xen+ -p ft+carrefour \
   --faults "alloc=0.2,batch-loss=0.3,ecc-ce=0.5,ecc-ue=0.02,node_fail=1.0@50" >/dev/null
 echo "tier1: chaos+ras combined smoke OK"
-
-TRACE_DIR="$(mktemp -d)"
-trap 'rm -rf "$TRACE_DIR"' EXIT
 
 # Perf gate: bench/record.sh runs one pass of each repo benchmark
 # workload (benchmark/run.sh, seed 42) and the result is compared with
@@ -214,16 +216,31 @@ cmp "$TRACE_DIR/ffcon.jsonl" "$TRACE_DIR/ffcoff.jsonl" || {
   exit 1
 }
 # The same bar for the runs that used to fork the engine: a fault plan
-# with a node-failure window (replays outside it; the manager tick keeps
-# its clock on replayed epochs, so the drain timing matches), unpinned
-# vCPUs (the credit scheduler draws on every epoch), and the whole RAS
-# grid.
+# with a node-failure window (the manager tick keeps its clock on
+# replayed epochs, so the drain timing matches), a stall plan armed for
+# the whole run (its epochs replay when no vCPU stalls, so its stall
+# draws must not depend on the replay; the cell must replay, or the cmp
+# would prove nothing), unpinned vCPUs (the credit scheduler draws on
+# every epoch), and the whole chaos and RAS grids.
 dune exec bin/xen_numa_sim.exe -- run swaptions -p first-touch --faults node_fail=1.0@120-170 \
   --trace "$TRACE_DIR/ffnon.jsonl" >/dev/null
 dune exec bin/xen_numa_sim.exe -- run swaptions -p first-touch --faults node_fail=1.0@120-170 \
   --no-fast-forward --trace "$TRACE_DIR/ffnoff.jsonl" >/dev/null
 cmp "$TRACE_DIR/ffnon.jsonl" "$TRACE_DIR/ffnoff.jsonl" || {
   echo "tier1: FAIL - node-failure traces differ between fast-forward on and off" >&2
+  exit 1
+}
+dune exec bin/xen_numa_sim.exe -- run swaptions -t 16 -m xen+ -p round-4k \
+  --faults stall=0.02,hypercall=0.2 --trace "$TRACE_DIR/ffson.jsonl" > "$TRACE_DIR/ffson.out"
+dune exec bin/xen_numa_sim.exe -- run swaptions -t 16 -m xen+ -p round-4k \
+  --faults stall=0.02,hypercall=0.2 --no-fast-forward --trace "$TRACE_DIR/ffsoff.jsonl" >/dev/null
+cmp "$TRACE_DIR/ffson.jsonl" "$TRACE_DIR/ffsoff.jsonl" || {
+  echo "tier1: FAIL - whole-run stall traces differ between fast-forward on and off" >&2
+  exit 1
+}
+replayed=$(sed -n 's/.* epochs (\([0-9]*\) replayed).*/\1/p' "$TRACE_DIR/ffson.out")
+[ "${replayed:-0}" -gt 0 ] || {
+  echo "tier1: FAIL - the whole-run stall cell replayed no epoch" >&2
   exit 1
 }
 dune exec bin/xen_numa_sim.exe -- run cg.C -t 48 -m xen+ -p first-touch/carrefour --unpinned \
@@ -238,6 +255,12 @@ dune exec bench/main.exe -- ras --jobs 2 --no-fast-forward --trace "$TRACE_DIR/r
   --trace-cap 512 >/dev/null
 cmp "$TRACE_DIR/ras1.jsonl" "$TRACE_DIR/rasoff.jsonl" || {
   echo "tier1: FAIL - ras traces differ between fast-forward on and off" >&2
+  exit 1
+}
+dune exec bench/main.exe -- chaos --jobs 2 --no-fast-forward --trace "$TRACE_DIR/chaosoff.jsonl" \
+  --trace-cap 512 >/dev/null
+cmp "$TRACE_DIR/chaoson.jsonl" "$TRACE_DIR/chaosoff.jsonl" || {
+  echo "tier1: FAIL - chaos traces differ between fast-forward on and off" >&2
   exit 1
 }
 echo "tier1: fast-forward trace equivalence OK"
@@ -322,9 +345,8 @@ echo "tier1: SLO fast-forward equivalence OK"
 # Short randomised chaos pass: a fresh QCHECK_SEED (overridable for
 # replay) re-runs the fault-injection property suite, whose
 # frame-accounting invariant (no leaks, no double frees) and the
-# unarmed-epoch injector property (no answer, no draw outside armed
-# windows — what the fast-forward relies on) fail the build on
-# violation.
+# unarmed-epoch injector property (a dormant plan answers no and draws
+# nothing) fail the build on violation.
 QCHECK_SEED="${QCHECK_SEED:-$(date +%s)}"
 export QCHECK_SEED
 echo "tier1: randomised chaos pass (QCHECK_SEED=$QCHECK_SEED)"
