@@ -1621,20 +1621,6 @@ let throughput_stage rs st =
       done);
   Obs.Profile.span Obs.Profile.Reduce (fun () -> commit_traffic rs.counters st s)
 
-(* Latency feedback: the memo from this epoch's counters (a degraded
-   destination controller behaves like a saturated one: retries and
-   dropped bandwidth inflate latency). *)
-let fill_latency_memo rs =
-  let nodes = rs.nodes and latency = rs.cfg.Config.machine.Numa.Machine_desc.latency in
-  for src = 0 to nodes - 1 do
-    for dst = 0 to nodes - 1 do
-      let hops = Numa.Topology.distance rs.topo src dst in
-      let sat = Numa.Counters.max_route_saturation rs.counters ~src ~dst in
-      let sat = sat +. (1.0 -. rs.bw_factor.(dst)) in
-      rs.lat_memo.((src * nodes) + dst) <- Numa.Latency.mem_cycles latency ~hops ~saturation:sat
-    done
-  done
-
 let latency_stage rs st =
   let nodes = rs.nodes in
   let s = st.slots in
@@ -1679,12 +1665,10 @@ let page_churn rs st =
         | None -> ()
         | Some pfn ->
             Guest.Pv_queue.record q (Guest.Pv_queue.Alloc pfn);
-            (match Xen.P2m.get st.domain.Xen.Domain.p2m pfn with
-            | Xen.P2m.Invalid ->
-                ignore
-                  (Xen.Domain.handle_fault st.domain ~costs:rs.system.Xen.System.costs ~pfn
-                     ~cpu:st.domain.Xen.Domain.vcpu_pin.(i mod threads))
-            | Xen.P2m.Mapped _ -> ());
+            if Xen.P2m.mfn_of st.domain.Xen.Domain.p2m pfn < 0 then
+              ignore
+                (Xen.Domain.handle_fault st.domain ~costs:rs.system.Xen.System.costs ~pfn
+                   ~cpu:st.domain.Xen.Domain.vcpu_pin.(i mod threads));
             Guest.Pfn_pool.release st.pool pfn;
             Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
       done
@@ -1750,7 +1734,11 @@ let full_epoch rs ~disturbed =
   clamp_bandwidth rs;
   List.iter (fun st -> if vm_running st then throughput_stage rs st) rs.states;
   Numa.Counters.end_epoch rs.counters ~duration:Config.epoch_len;
-  fill_latency_memo rs;
+  (* Latency feedback: the memo from this epoch's counters (a degraded
+     destination controller behaves like a saturated one: retries and
+     dropped bandwidth inflate latency). *)
+  Numa.Counters.fill_latency rs.counters rs.cfg.Config.machine.Numa.Machine_desc.latency
+    ~bw_factor:rs.bw_factor ~into:rs.lat_memo;
   List.iter
     (fun st ->
       if vm_running st then begin
@@ -1804,6 +1792,7 @@ let step rs =
   rs.now <- rs.now +. Config.epoch_len
 
 let finish rs =
+  List.iter (fun st -> Policies.Manager.audit st.manager) rs.states;
   let result =
     {
       Result.vms = List.map (vm_result rs.cfg rs.system) rs.states;

@@ -19,7 +19,8 @@ val run : Config.t -> Result.t
     [run] boots the machine and the VMs, then drives one epoch at a
     time: the epoch's inputs (trace stamps, RAS and ECC events, pass A,
     the scheduler, vCPU stalls), then a full epoch or a replayed one,
-    then the observer; at the end it assembles the result.
+    then the observer; at the end it audits every VM
+    ({!Policies.Manager.audit}) and assembles the result.
 
     Steady state is fast-forwarded by default
     ({!Config.t.fast_forward}).  Whether an epoch is replayed is decided
@@ -36,7 +37,10 @@ val run : Config.t -> Result.t
     commit, latency reduction with its SLO verdicts, manager tick) over
     the captured per-vCPU slots.  Results and traces are bit-identical
     to the naive loop; only {!Result.t.replayed_epochs} tells the
-    difference. *)
+    difference.
+
+    @raise Invalid_argument when the run-end audit finds an offlined
+    machine frame still mapped. *)
 
 val replay_guard :
   finish:float array -> doit:float array -> remaining:float array ->

@@ -92,14 +92,30 @@ let epoch_count t = t.epochs
 let last_controller_utilisation t = Array.copy t.last_controller_util
 let last_link_utilisation t = Array.copy t.last_link_util
 
-let max_route_saturation t ~src ~dst =
-  let sat = ref t.last_controller_util.(dst) in
-  let route = Topology.route t.topo src dst in
-  for i = 0 to Array.length route - 1 do
-    let u = t.last_link_util.(route.(i)) in
-    if u > !sat then sat := u
-  done;
-  !sat
+(* [Latency.mem_cycles] of each pair's route-max saturation, written
+   out in this one body with the same operations in the same order, so
+   the results are bit-identical and no float crosses a call. *)
+let fill_latency t (latency : Latency.t) ~bw_factor ~into =
+  let nodes = Array.length t.last_controller_util in
+  let max_hops = Array.length latency.mem_base_cycles - 1 in
+  let quadratic = latency.contention_exponent = 2.0 in
+  for src = 0 to nodes - 1 do
+    for dst = 0 to nodes - 1 do
+      let sat = ref t.last_controller_util.(dst) in
+      let route = Topology.route t.topo src dst in
+      for i = 0 to Array.length route - 1 do
+        let u = t.last_link_util.(route.(i)) in
+        if u > !sat then sat := u
+      done;
+      let sat = !sat +. (1.0 -. bw_factor.(dst)) in
+      let hops = min (Topology.distance t.topo src dst) max_hops in
+      assert (hops >= 0);
+      let s = Float.max 0.0 (Float.min 1.0 sat) in
+      let contended = if quadratic then s *. s else s ** latency.contention_exponent in
+      into.((src * nodes) + dst) <-
+        latency.mem_base_cycles.(hops) +. (latency.mem_contended_delta.(hops) *. contended)
+    done
+  done
 
 let raw_link_reading ~utilisation =
   let u = Float.max 0.0 (Float.min 1.0 utilisation) in

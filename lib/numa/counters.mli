@@ -60,10 +60,17 @@ val last_controller_utilisation : t -> float array
 val last_link_utilisation : t -> float array
 (** Per-link utilisation (0–1) over the last closed epoch. *)
 
-val max_route_saturation : t -> src:Topology.node -> dst:Topology.node -> float
-(** Max of the destination controller utilisation and the utilisation
-    of every link on the route, from the last closed epoch.  This is
-    the [saturation] input of {!Latency.mem_cycles}. *)
+val fill_latency : t -> Latency.t -> bw_factor:float array -> into:float array -> unit
+(** [fill_latency t latency ~bw_factor ~into] writes, for every node
+    pair, [into.(src * nodes + dst)] = {!Latency.mem_cycles} [latency]
+    at the pair's hop distance and saturation [sat +. (1.0 -.
+    bw_factor.(dst))], where [sat] is the route-max saturation: the max
+    of the destination controller utilisation and the utilisation of
+    every link on the route, from the last closed epoch.  [bw_factor]
+    is each node's remaining bandwidth share (1.0 when healthy), so a
+    degraded controller behaves like a saturated one.  Bit-identical to
+    the per-pair {!Latency.mem_cycles} calls; allocates nothing.
+    [bw_factor] holds one entry per node and [into] nodes² entries. *)
 
 val raw_link_reading : utilisation:float -> float
 (** The hardware's raw link metric: idles at 0.50 and saturates at

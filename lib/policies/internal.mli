@@ -10,6 +10,13 @@
 type map_error = [ `Enomem ]
 type migrate_error = [ `Enomem | `Not_mapped ]
 
+val free_mapped : Xen.System.t -> pfn:Memory.Page.pfn -> mfn:Memory.Page.mfn -> unit
+(** Free the order-0 frame [mfn] that the P2M entry of [pfn] mapped
+    (the caller has already remapped or invalidated the entry).
+    @raise Invalid_argument naming the mfn and the pfn when [mfn] is an
+    offlined frame: a P2M still mapped it (the RAS invariant
+    {!Manager.audit} checks at run end). *)
+
 val map_page :
   Xen.System.t ->
   Xen.Domain.t ->

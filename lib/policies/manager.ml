@@ -499,7 +499,7 @@ let invalidate_with t invalidate =
 let invalidate_winners t ~n =
   invalidate_with t (fun ~on_splinter ->
       Xen.P2m.invalidate_batch t.domain.Xen.Domain.p2m ~on_splinter
-        ~on_free:(fun _pfn mfn -> Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0)
+        ~on_free:(fun pfn mfn -> Internal.free_mapped t.system ~pfn ~mfn)
         t.inv_buf ~n)
 
 (* One Page_ops hypercall carrying [n] ops.  The in-transit loss is
@@ -839,7 +839,7 @@ let handle_ecc_ue t ~pfn =
               account.Xen.Domain.migrate_time
               +. Xen.Costs.splinter_time costs ~frames_4k:(sp_frames_4k t)
           end;
-          Memory.Machine.free machine ~mfn:old_mfn ~order:0;
+          Internal.free_mapped t.system ~pfn ~mfn:old_mfn;
           account.Xen.Domain.migrate_time <-
             account.Xen.Domain.migrate_time
             +. costs.Xen.Costs.page_migrate_fixed
@@ -1003,7 +1003,7 @@ let promote_scan t =
                     match Xen.P2m.get p2m (base + i) with
                     | Xen.P2m.Mapped { mfn = old_mfn; writable } ->
                         Xen.P2m.set p2m (base + i) ~mfn:(new_base + i) ~writable;
-                        Memory.Machine.free machine ~mfn:old_mfn ~order:0
+                        Internal.free_mapped t.system ~pfn:(base + i) ~mfn:old_mfn
                     | Xen.P2m.Invalid -> assert false
                   done;
                   let ok = Xen.P2m.promote p2m ~pfn:base in
@@ -1026,21 +1026,24 @@ let promote_scan t =
     end
   end
 
-(* RAS invariant: an offlined machine frame must never stay reachable
-   through any P2M — the UE handler and the evacuation engine remap
-   before the frame retires.  [is_offlined] can only hold once the
-   machine has retired a frame (Buddy's offlined count is exactly its
-   number of retired frames), so until then the walk is skipped. *)
-let assert_no_offlined_mapped t =
+(* RAS invariant, checked once per run: an offlined machine frame must
+   never stay reachable through any P2M — the UE handler and the
+   evacuation engine remap before the frame retires.  Nothing maps a
+   retired frame again, and moving or dropping such a mapping frees the
+   frame a second time, which [Internal.free_mapped] reports: a
+   violation either fails the run there or lasts until this check.
+   [is_offlined] can only hold once the machine has retired a frame
+   (Buddy's offlined count is exactly its number of retired frames), so
+   until then the walk is skipped. *)
+let audit t =
   let machine = t.system.Xen.System.machine in
   if Memory.Machine.offlined_frames machine > 0 then
     Xen.P2m.iter_mapped t.domain.Xen.Domain.p2m (fun pfn mfn ->
         if Memory.Machine.is_offlined machine mfn then
           invalid_arg
-            (Printf.sprintf "Manager.reconcile: offlined mfn %d still mapped at pfn %d" mfn pfn))
+            (Printf.sprintf "Manager.audit: offlined mfn %d still mapped at pfn %d" mfn pfn))
 
 let reconcile t ~guest_free =
-  assert_no_offlined_mapped t;
   let costs = t.system.Xen.System.costs in
   let p2m = t.domain.Xen.Domain.p2m in
   (* The stale entries are the guest-free pfns the P2M still maps.  The
@@ -1065,7 +1068,7 @@ let reconcile t ~guest_free =
       end;
       match Xen.P2m.invalidate p2m pfn with
       | Some mfn ->
-          Memory.Machine.free t.system.Xen.System.machine ~mfn ~order:0;
+          Internal.free_mapped t.system ~pfn ~mfn;
           incr healed
       | None -> ())
     stale;

@@ -203,11 +203,18 @@ val reconcile : t -> guest_free:Memory.Page.pfn list -> int
     pages are healed in descending pfn order, splintering a superpage
     first when one still covers the page.  Returns the number of pages
     healed; charges one hypercall plus the invalidation costs.  Costs
-    O(|guest_free|) plus a sort of the stale pages, not a P2M walk.
+    O(|guest_free|) plus a sort of the stale pages, not a P2M walk:
+    the RAS check is {!audit}'s, once per run.
+    @raise Invalid_argument from {!Internal.free_mapped} when a healed
+    entry mapped an offlined frame. *)
 
-    @raise Invalid_argument naming the mfn and pfn when an offlined
-    machine frame is still mapped (the RAS invariant).  That check walks
-    the P2M, but only once the machine has offlined a frame. *)
+val audit : t -> unit
+(** Run-end RAS audit: no offlined machine frame may still be mapped
+    in the domain's P2M.  The engine calls it on every VM when a run
+    ends.  It walks the P2M, but only once the machine has offlined a
+    frame; before that it costs one count per node.
+    @raise Invalid_argument naming the mfn and the pfn of the first
+    offlined frame still mapped, in pfn order. *)
 
 (** {2 Hardware RAS} *)
 

@@ -578,10 +578,12 @@ let test_reconcile_heals_lost_batch () =
   Alcotest.(check int) "p2m empty" 0 (Xen.P2m.mapped_count d.Xen.Domain.p2m);
   Alcotest.(check bool) "consistent" true (Xen.P2m.check_consistent d.Xen.Domain.p2m)
 
-(* The RAS invariant the sweep asserts: no P2M may still map an
+(* The RAS invariant the run-end audit checks: no P2M may still map an
    offlined frame.  Simulate the bug it guards against — the frame
-   backing pfn 5 is freed behind the P2M's back and retired. *)
-let test_reconcile_rejects_offlined_mapping () =
+   backing pfn 5 is freed behind the P2M's back and retired.  The sweep
+   checks no invariant and heals only its guest-free pfns; the audit
+   names the frame and the pfn. *)
+let test_audit_rejects_offlined_mapping () =
   let s = harness_system () in
   let d = harness_domain s in
   let m =
@@ -595,14 +597,21 @@ let test_reconcile_rejects_offlined_mapping () =
     | Ok mfn -> mfn
     | Error `Enomem -> Alcotest.fail "harness machine out of memory"
   in
+  Policies.Manager.audit m;
   Memory.Machine.free machine ~mfn ~order:0;
   Alcotest.(check bool) "frame retired" true (Memory.Machine.offline_mfn machine mfn = `Offlined);
+  Alcotest.(check int) "reconcile is silent" 1 (Policies.Manager.reconcile m ~guest_free:[ 2 ]);
+  Alcotest.(check (option int)) "offlined frame left mapped" (Some 0)
+    (Policies.Manager.node_of_pfn m 5);
   Alcotest.check_raises "names the mfn and the pfn"
+    (Invalid_argument (Printf.sprintf "Manager.audit: offlined mfn %d still mapped at pfn 5" mfn))
+    (fun () -> Policies.Manager.audit m);
+  (* Healing that mapping frees the retired frame again: the allocator's
+     double free is reported with the same two numbers. *)
+  Alcotest.check_raises "healing it names them too"
     (Invalid_argument
-       (Printf.sprintf "Manager.reconcile: offlined mfn %d still mapped at pfn 5" mfn))
-    (fun () -> ignore (Policies.Manager.reconcile m ~guest_free:[ 2 ]));
-  Alcotest.(check int) "nothing healed before the check" 2
-    (Xen.P2m.mapped_count d.Xen.Domain.p2m)
+       (Printf.sprintf "Internal.free_mapped: offlined mfn %d still mapped at pfn 5" mfn))
+    (fun () -> ignore (Policies.Manager.reconcile m ~guest_free:[ 5 ]))
 
 (* The sweep reads the guest free list instead of testing every mapped
    pfn: that list must hold exactly the pfns [is_free] reports, once
@@ -962,8 +971,8 @@ let suite =
           test_deferred_drains_when_pressure_lifts;
         Alcotest.test_case "drain enomem requeues" `Quick test_drain_enomem_requeues;
         Alcotest.test_case "reconcile heals lost batch" `Quick test_reconcile_heals_lost_batch;
-        Alcotest.test_case "reconcile rejects offlined mapping" `Quick
-          test_reconcile_rejects_offlined_mapping;
+        Alcotest.test_case "audit rejects offlined mapping" `Quick
+          test_audit_rejects_offlined_mapping;
         QCheck_alcotest.to_alcotest prop_free_pfns_is_free_set;
         QCheck_alcotest.to_alcotest prop_chaos_frame_accounting;
         Alcotest.test_case "engine survives migrate=1.0" `Quick

@@ -269,6 +269,13 @@ let test_counters_raw_amplitude () =
     (Numa.Counters.normalise_link_reading ~raw:(Numa.Counters.raw_link_reading ~utilisation:0.5));
   check_float "clamps low" 0.0 (Numa.Counters.normalise_link_reading ~raw:0.2)
 
+(* [Counters.fill_latency] over healthy nodes, as a fresh array. *)
+let latency_memo ?(latency = Numa.Amd48.latency) c =
+  let nodes = Array.length (Numa.Counters.last_controller_utilisation c) in
+  let into = Array.make (nodes * nodes) 0.0 in
+  Numa.Counters.fill_latency c latency ~bw_factor:(Array.make nodes 1.0) ~into;
+  into
+
 let test_counters_max_route_saturation () =
   let t = Numa.Amd48.topology () in
   let c = Numa.Counters.create t in
@@ -276,10 +283,14 @@ let test_counters_max_route_saturation () =
   let bytes = 13.0 *. 1024.0 *. 1024.0 *. 1024.0 in
   Numa.Counters.record_accesses c ~src:5 ~dst:5 ~count:(bytes /. 64.0) ~bytes_per_access:64.0;
   Numa.Counters.end_epoch c ~duration:1.0;
-  Alcotest.(check (float 0.01)) "route into 5 saturated" 1.0
-    (Numa.Counters.max_route_saturation c ~src:0 ~dst:5);
-  Alcotest.(check (float 0.01)) "unrelated route idle" 0.0
-    (Numa.Counters.max_route_saturation c ~src:1 ~dst:2)
+  let memo = latency_memo c in
+  let cycles ~src ~dst ~saturation =
+    Numa.Latency.mem_cycles Numa.Amd48.latency ~hops:(Numa.Topology.distance t src dst) ~saturation
+  in
+  Alcotest.(check (float 0.01)) "route into 5 saturated"
+    (cycles ~src:0 ~dst:5 ~saturation:1.0) memo.((0 * 8) + 5);
+  Alcotest.(check (float 0.01)) "unrelated route idle"
+    (cycles ~src:1 ~dst:2 ~saturation:0.0) memo.((1 * 8) + 2)
 
 let test_counters_interconnect_load () =
   let t = Numa.Amd48.topology () in
@@ -332,12 +343,7 @@ let prop_counters_record_row_differential =
         && eq_a (c Numa.Counters.last_controller_utilisation)
         && eq_a (c Numa.Counters.last_link_utilisation)
         && eq_f (c Numa.Counters.interconnect_load)
-        && List.for_all
-             (fun src ->
-               List.for_all
-                 (fun dst -> eq_f (c (fun k -> Numa.Counters.max_route_saturation k ~src ~dst)))
-                 (List.init nodes Fun.id))
-             (List.init nodes Fun.id)
+        && eq_a (c latency_memo)
       in
       List.for_all
         (fun vcpus ->
@@ -356,9 +362,69 @@ let prop_counters_record_row_differential =
           same ())
         epochs)
 
+(* [fill_latency] against its definition: per pair, [Latency.mem_cycles]
+   at the hop distance and the route-max saturation (destination
+   controller, then each route link in order) plus the lost bandwidth
+   share, bit for bit.  Random traffic saturates some resources and
+   leaves others idle; bandwidth factors include 0 and 1; the chain's
+   three-hop pairs exceed AMD48's latency table, and an exponent other
+   than 2 takes the [( ** )] path. *)
+let prop_counters_fill_latency_differential =
+  let topos = [ Numa.Amd48.topology (); line_topology () ] in
+  let gen =
+    QCheck.Gen.(
+      let* ti = int_bound 1 in
+      let nodes = Numa.Topology.node_count (List.nth topos ti) in
+      let* traffic =
+        list_size (int_range 0 30)
+          (triple (int_bound (nodes - 1)) (int_bound (nodes - 1)) (float_range 0.0 3e7))
+      in
+      let* bw =
+        array_size (return nodes)
+          (frequency [ (3, return 1.0); (1, return 0.0); (3, float_range 0.0 1.0) ])
+      in
+      let* exponent = oneofl [ 2.0; 1.5 ] in
+      return (ti, traffic, bw, exponent))
+  in
+  QCheck.Test.make ~name:"fill_latency = per-pair mem_cycles" ~count:300 (QCheck.make gen)
+    (fun (ti, traffic, bw, exponent) ->
+      let t = List.nth topos ti in
+      let nodes = Numa.Topology.node_count t in
+      let latency =
+        Numa.Latency.create ~contention_exponent:exponent
+          ~mem_base_cycles:Numa.Amd48.latency.Numa.Latency.mem_base_cycles
+          ~mem_contended_delta:Numa.Amd48.latency.Numa.Latency.mem_contended_delta ()
+      in
+      let c = Numa.Counters.create t in
+      List.iter
+        (fun (src, dst, count) ->
+          Numa.Counters.record_accesses c ~src ~dst ~count ~bytes_per_access:64.0)
+        traffic;
+      Numa.Counters.end_epoch c ~duration:0.1;
+      let controller = Numa.Counters.last_controller_utilisation c in
+      let links = Numa.Counters.last_link_utilisation c in
+      let into = Array.make (nodes * nodes) nan in
+      Numa.Counters.fill_latency c latency ~bw_factor:bw ~into;
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun dst ->
+              let sat =
+                Array.fold_left
+                  (fun sat l -> if links.(l) > sat then links.(l) else sat)
+                  controller.(dst) (Numa.Topology.route t src dst)
+              in
+              let expected =
+                Numa.Latency.mem_cycles latency ~hops:(Numa.Topology.distance t src dst)
+                  ~saturation:(sat +. (1.0 -. bw.(dst)))
+              in
+              Int64.bits_of_float expected = Int64.bits_of_float into.((src * nodes) + dst))
+            (List.init nodes Fun.id))
+        (List.init nodes Fun.id))
+
 (* The commit path allocates nothing: after a warm-up, recording 48
-   vCPU rows on AMD48 and closing the epoch leaves the minor heap
-   untouched. *)
+   vCPU rows on AMD48, closing the epoch and filling the latency memo
+   leave the minor heap untouched. *)
 let test_counters_commit_allocates_nothing () =
   let t = Numa.Amd48.topology () in
   let c = Numa.Counters.create t in
@@ -366,11 +432,14 @@ let test_counters_commit_allocates_nothing () =
   let row =
     Array.init (vcpus * nodes) (fun i -> if i mod 3 = 0 then 0.0 else float_of_int (i * 997))
   in
+  let bw_factor = Array.init nodes (fun n -> if n = 3 then 0.5 else 1.0) in
+  let memo = Array.make (nodes * nodes) 0.0 in
   let epoch () =
     for v = 0 to vcpus - 1 do
       Numa.Counters.record_row c ~src:(v / 6) row ~base:(v * nodes) ~bytes_per_access:64.0
     done;
-    Numa.Counters.end_epoch c ~duration:0.1
+    Numa.Counters.end_epoch c ~duration:0.1;
+    Numa.Counters.fill_latency c Numa.Amd48.latency ~bw_factor ~into:memo
   in
   for _ = 1 to 3 do
     epoch ()
@@ -380,7 +449,7 @@ let test_counters_commit_allocates_nothing () =
     epoch ()
   done;
   let words = Gc.minor_words () -. before in
-  if words > 0.0 then Alcotest.failf "record_row + end_epoch allocated %.0f minor words" words
+  if words > 0.0 then Alcotest.failf "record_row + end_epoch + fill_latency allocated %.0f minor words" words
 
 let prop_counters_conservation =
   QCheck.Test.make ~name:"access counts are conserved" ~count:100
@@ -442,5 +511,6 @@ let suite =
         Alcotest.test_case "commit allocates nothing" `Quick test_counters_commit_allocates_nothing;
         qcheck prop_counters_conservation;
         qcheck prop_counters_record_row_differential;
+        qcheck prop_counters_fill_latency_differential;
       ] );
   ]
