@@ -269,11 +269,12 @@ let test_counters_raw_amplitude () =
     (Numa.Counters.normalise_link_reading ~raw:(Numa.Counters.raw_link_reading ~utilisation:0.5));
   check_float "clamps low" 0.0 (Numa.Counters.normalise_link_reading ~raw:0.2)
 
-(* [Counters.fill_latency] over healthy nodes, as a fresh array. *)
-let latency_memo ?(latency = Numa.Amd48.latency) c =
+(* [Counters.fill_latency] with AMD48's latency over healthy nodes, as a
+   fresh array. *)
+let latency_memo c =
   let nodes = Array.length (Numa.Counters.last_controller_utilisation c) in
   let into = Array.make (nodes * nodes) 0.0 in
-  Numa.Counters.fill_latency c latency ~bw_factor:(Array.make nodes 1.0) ~into;
+  Numa.Counters.fill_latency c Numa.Amd48.latency ~bw_factor:(Array.make nodes 1.0) ~into;
   into
 
 let test_counters_max_route_saturation () =
