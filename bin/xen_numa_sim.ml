@@ -78,8 +78,10 @@ let replicate_pt_arg =
        & info [ "replicate-pt" ]
            ~doc:"Mirror the page tables onto every home node (the Mitosis \
                  policy): page walks resolve from the local mirror, and every \
-                 P2M update pays a per-mirror write-propagation cost.  Most \
-                 useful together with $(b,--pt-walk).  Ignored in linux mode.")
+                 P2M update pays a per-mirror write-propagation cost.  Mirrors \
+                 are priced by their count; no copy of the tables is kept.  \
+                 Most useful together with $(b,--pt-walk).  Ignored in linux \
+                 mode.")
 
 let unpinned_arg =
   Arg.(value & flag & info [ "unpinned" ]

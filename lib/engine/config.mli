@@ -47,9 +47,10 @@ type vm_spec = {
   replicate_pt : bool;
       (** Mirror the page tables onto every home node
           ([--replicate-pt], the Mitosis policy): walks resolve from
-          the local mirror, every P2M update pays the
-          write-propagation cost.  Ignored in [Linux] mode (no
-          P2M). *)
+          the local mirror, every P2M update pays the per-mirror
+          write-propagation cost.  A mirror is modelled by its count
+          ({!Xen.Pt}), not as a copy of the tables.  Ignored in
+          [Linux] mode (no P2M). *)
   pinned : bool;
       (** [true] (the paper's evaluation setting): vCPUs stay on their
           boot pCPUs.  [false]: the credit scheduler may migrate them

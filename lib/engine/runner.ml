@@ -300,22 +300,23 @@ let tlb_cycles_per_instr_dynamic (cfg : Config.t) (spec : Config.vm_spec)
   end
 
 (* Radix pricing (--pt-walk): each walk level is charged at the static
-   latency of the node backing that page-table level, normalised to
-   the local latency the flat model assumes.  Ratios use unsaturated
-   latencies — the walk term prices the tables' placement, not the
-   epoch's congestion — so on a topology where every level is local
-   (one node, or replicated tables) the sum collapses back to the
-   flat constant by construction. *)
+   latency of the node backing the page tables, normalised to the
+   local latency the flat model assumes and averaged over the threads.
+   Every level lives on one node, so one ratio prices them all.  Ratios
+   use unsaturated latencies — the walk term prices the tables'
+   placement, not the epoch's congestion — so on a topology where every
+   walk is local (one node, or replicated tables) the sum collapses
+   back to the flat constant by construction. *)
 let tlb_cycles_per_instr_radix (cfg : Config.t) (spec : Config.vm_spec)
     (domain : Xen.Domain.t) ~(pt : Xen.Pt.t) ~(thread_node : int array) ~topo ~latency =
   let app = spec.Config.app in
   let local = Numa.Latency.mem_cycles latency ~hops:0 ~saturation:0.0 in
   let threads = spec.Config.threads in
-  let level_ratio level =
+  let ratio =
     let acc = ref 0.0 in
     for t = 0 to threads - 1 do
       let node = thread_node.(t) in
-      let hops = Numa.Topology.distance topo node (Xen.Pt.level_node pt ~level ~node) in
+      let hops = Numa.Topology.distance topo node (Xen.Pt.walk_node pt ~node) in
       acc := !acc +. (Numa.Latency.mem_cycles latency ~hops ~saturation:0.0 /. local)
     done;
     !acc /. float_of_int threads
@@ -332,7 +333,7 @@ let tlb_cycles_per_instr_radix (cfg : Config.t) (spec : Config.vm_spec)
   *. Guest.Tlb.cycles_per_access_mixed_radix Guest.Tlb.opteron ~huge_fraction
        ~virtualized:(cfg.Config.mode <> Config.Linux)
        ~footprint_bytes:(app.Workloads.App.footprint_mb * 1024 * 1024)
-       ~hot_access_share:(tlb_hot_access_share app) ~level_ratio
+       ~hot_access_share:(tlb_hot_access_share app) ~ratio
 
 (* Popularity of page [i] under the region's current rotation. *)
 let eff_weight region i =

@@ -50,35 +50,37 @@ let walk_levels = 4
 
 let radix_levels = function Small_4k -> walk_levels | Huge_2m -> walk_levels - 1
 
-let walk_cycles_radix t ~virtualized ~levels ~level_ratio =
+let walk_cycles_radix t ~virtualized ~levels ~ratio =
   (* The flat constants describe a full 4-level walk against local
      memory; a radix walk charges each level separately, scaled by the
-     latency of the node holding that level's page-table page relative
-     to local memory.  A uniform ratio of 1.0 over all 4 levels
-     telescopes back to the flat constant exactly (the division and
-     the 4-term sum are FP-exact for the calibrated values). *)
+     latency of the node holding the page tables relative to local
+     memory.  A ratio of 1.0 over all 4 levels telescopes back to the
+     flat constant exactly (the division and the 4-term sum are
+     FP-exact for the calibrated values).  The sum stays a per-level
+     loop rather than a product: its rounding is what the engine's
+     results were recorded with. *)
   let per_level = walk_cycles t ~virtualized /. float_of_int walk_levels in
   let acc = ref 0.0 in
-  for i = 0 to levels - 1 do
-    acc := !acc +. (per_level *. level_ratio i)
+  for _ = 0 to levels - 1 do
+    acc := !acc +. (per_level *. ratio)
   done;
   !acc
 
 let cycles_per_access_radix t page_size ~virtualized ~footprint_bytes ~hot_access_share
-    ~level_ratio =
+    ~ratio =
   miss_ratio t page_size ~footprint_bytes ~hot_access_share
-  *. walk_cycles_radix t ~virtualized ~levels:(radix_levels page_size) ~level_ratio
+  *. walk_cycles_radix t ~virtualized ~levels:(radix_levels page_size) ~ratio
 
 let cycles_per_access_mixed_radix t ~huge_fraction ~virtualized ~footprint_bytes
-    ~hot_access_share ~level_ratio =
+    ~hot_access_share ~ratio =
   let f = Float.min 1.0 (Float.max 0.0 huge_fraction) in
   let huge =
     cycles_per_access_radix t Huge_2m ~virtualized ~footprint_bytes ~hot_access_share
-      ~level_ratio
+      ~ratio
   in
   let small =
     cycles_per_access_radix t Small_4k ~virtualized ~footprint_bytes ~hot_access_share
-      ~level_ratio
+      ~ratio
   in
   (f *. huge) +. ((1.0 -. f) *. small)
 

@@ -63,19 +63,18 @@ val cycles_per_access_mixed :
 
     Mitosis-style refinement of the flat walk constants: a page walk
     is [walk_levels] dependent memory references, each hitting the
-    node that holds that level's page-table page.  Remote PT pages
-    make each reference dearer by the remote/local latency ratio;
-    2 MiB mappings terminate the walk one level early. *)
+    node that holds the page tables.  Remote PT pages make each
+    reference dearer by the remote/local latency [ratio]; 2 MiB
+    mappings terminate the walk one level early. *)
 
 val walk_levels : int
 (** Depth of a full 4 KiB radix walk (4 on x86-64). *)
 
-val walk_cycles_radix :
-  t -> virtualized:bool -> levels:int -> level_ratio:(int -> float) -> float
-(** Cycles for one walk of [levels] levels.  [level_ratio i] is the
-    memory-latency ratio (relative to local) of the node backing walk
-    level [i]; a uniform ratio of 1.0 over all {!walk_levels} levels
-    reproduces {!walk_cycles} exactly. *)
+val walk_cycles_radix : t -> virtualized:bool -> levels:int -> ratio:float -> float
+(** Cycles for one walk of [levels] levels.  [ratio] is the
+    memory-latency ratio (relative to local) of the node backing the
+    page tables, the same for every level; a ratio of 1.0 over all
+    {!walk_levels} levels reproduces {!walk_cycles} exactly. *)
 
 val cycles_per_access_radix :
   t ->
@@ -83,7 +82,7 @@ val cycles_per_access_radix :
   virtualized:bool ->
   footprint_bytes:int ->
   hot_access_share:float ->
-  level_ratio:(int -> float) ->
+  ratio:float ->
   float
 (** {!cycles_per_access} with the radix walk in place of the flat
     constant. *)
@@ -94,8 +93,8 @@ val cycles_per_access_mixed_radix :
   virtualized:bool ->
   footprint_bytes:int ->
   hot_access_share:float ->
-  level_ratio:(int -> float) ->
+  ratio:float ->
   float
 (** {!cycles_per_access_mixed} with the radix walk: the superpage
     share walks one level fewer, both shares price each level by
-    [level_ratio]. *)
+    [ratio]. *)

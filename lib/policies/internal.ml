@@ -79,8 +79,7 @@ let migrate_page system (domain : Xen.Domain.t) ~pfn ~node =
    the remap itself then goes through [P2m.migrate_batch], which sorts
    once, splinters each extent at most once and lets us charge the
    amortised (src,dst)-pair cost instead of n standalone migrations. *)
-let migrate_group system (domain : Xen.Domain.t) ?on_splinter ~pfns ~scratch_mfns ~n ~node ()
-    =
+let migrate_group system (domain : Xen.Domain.t) ~on_splinter ~pfns ~scratch_mfns ~n ~node =
   assert (n >= 0 && n <= Array.length pfns && n <= Array.length scratch_mfns);
   let m = machine system in
   let faults = system.Xen.System.faults in
@@ -104,30 +103,17 @@ let migrate_group system (domain : Xen.Domain.t) ?on_splinter ~pfns ~scratch_mfn
     let splinter_time = ref 0.0 in
     let stats =
       Xen.P2m.migrate_batch p2m
-        ?on_splinter:
-          (match on_splinter with
-          | None -> None
-          | Some f ->
-              Some
-                (fun pfn ->
-                  splinter_time :=
-                    !splinter_time
-                    +. Xen.Costs.splinter_time costs
-                         ~frames_4k:(Xen.P2m.sp_frames p2m * scale);
-                  f pfn))
+        ~on_splinter:(fun pfn ->
+          splinter_time :=
+            !splinter_time
+            +. Xen.Costs.splinter_time costs ~frames_4k:(Xen.P2m.sp_frames p2m * scale);
+          on_splinter pfn)
         pfns scratch_mfns ~n:moved
         ~f:(fun pfn ~old_mfn -> free_mapped system ~pfn ~mfn:old_mfn)
     in
     (* Every page in the group was mapped when it was grouped and
        nothing invalidates between grouping and remap. *)
     assert (stats.Xen.P2m.applied = moved);
-    (match on_splinter with
-    | None ->
-        (* No observer: still charge the demotions the remap caused. *)
-        splinter_time :=
-          float_of_int stats.Xen.P2m.splintered
-          *. Xen.Costs.splinter_time costs ~frames_4k:(Xen.P2m.sp_frames p2m * scale)
-    | Some _ -> ());
     let time =
       !splinter_time
       +. Xen.Costs.migrate_batch_time costs ~pages:moved
@@ -140,6 +126,5 @@ let migrate_group system (domain : Xen.Domain.t) ?on_splinter ~pfns ~scratch_mfn
   if !stopped then `Enomem moved else `Done moved
 
 let node_of_pfn system (domain : Xen.Domain.t) pfn =
-  match Xen.P2m.get domain.Xen.Domain.p2m pfn with
-  | Xen.P2m.Invalid -> None
-  | Xen.P2m.Mapped { mfn; _ } -> Some (Memory.Machine.node_of_mfn (machine system) mfn)
+  let mfn = Xen.P2m.mfn_of domain.Xen.Domain.p2m pfn in
+  if mfn < 0 then None else Some (Memory.Machine.node_of_mfn (machine system) mfn)

@@ -47,12 +47,11 @@ val migrate_page :
 val migrate_group :
   Xen.System.t ->
   Xen.Domain.t ->
-  ?on_splinter:(Memory.Page.pfn -> unit) ->
+  on_splinter:(Memory.Page.pfn -> unit) ->
   pfns:int array ->
   scratch_mfns:int array ->
   n:int ->
   node:Numa.Topology.node ->
-  unit ->
   [ `Done of int | `Enomem of int ]
 (** Migrate [pfns.(0..n-1)] — which must all be mapped off-node — onto
     [node] as one grouped operation: target frames are allocated (and

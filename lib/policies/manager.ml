@@ -349,16 +349,10 @@ let make_carrefour t = Carrefour.System_component.create t.system t.domain
 let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(superpages = false)
     ?(pt_walk = false) ?(replicate_pt = false) system domain ~boot ~rng =
   let pt =
-    if pt_walk || replicate_pt then begin
-      let p2m = domain.Xen.Domain.p2m in
-      let replicate_nodes =
-        if replicate_pt then Array.copy domain.Xen.Domain.home_nodes else [||]
-      in
-      Some
-        (Xen.Pt.create ~replicate_nodes
-           ~home_node:domain.Xen.Domain.home_nodes.(0)
-           ~frames:(Xen.P2m.frames p2m) ~sp_frames:(Xen.P2m.sp_frames p2m) ())
-    end
+    if pt_walk || replicate_pt then
+      let home_nodes = domain.Xen.Domain.home_nodes in
+      let replicas = if replicate_pt then Array.length home_nodes else 0 in
+      Some (Xen.Pt.create ~replicas ~home_node:home_nodes.(0) ())
     else None
   in
   let t =
@@ -398,10 +392,10 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
     }
   in
   (* Install the replica-maintenance hook before the boot population so
-     the mirrors see the primary's whole update stream from its first
-     entry.  The boot-time propagation cost is charged like any other
-     update; the engine wipes the account after setup, exactly as it
-     does for the population itself. *)
+     the mirrors are charged for the primary's whole update stream from
+     its first entry.  The boot-time propagation cost is charged like
+     any other update; the engine wipes the account after setup, exactly
+     as it does for the population itself. *)
   (match pt with
   | Some pt when Xen.Pt.replicated pt ->
       let costs = system.Xen.System.costs in
@@ -715,7 +709,7 @@ let migrate_grouped t ~n ~on_group =
       let dst = !key mod nodes in
       let outcome =
         Internal.migrate_group t.system t.domain ~on_splinter ~pfns:b.group ~scratch_mfns:b.mfns
-          ~n:!gn ~node:dst ()
+          ~n:!gn ~node:dst
       in
       on_group t ~dst ~gn:!gn outcome;
       match outcome with `Done _ -> () | `Enomem _ -> stopped := !key

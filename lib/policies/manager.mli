@@ -78,12 +78,12 @@ val attach :
     {!epoch_tick} periodically runs the {!promote_scan}.
 
     With [pt_walk] (default [false]) a {!Xen.Pt.t} placement is
-    created — all four walk levels on the domain's first home node —
-    for the engine's radix walk model.  With [replicate_pt] (default
-    [false]) the placement additionally mirrors the P2M onto every
-    home node: the replica-maintenance hook is installed {e before}
-    the boot population so the mirrors replay the primary's whole
-    update stream, and every subsequent P2M mutation charges
+    created — every walk level on the domain's first home node — for
+    the engine's radix walk model.  With [replicate_pt] (default
+    [false]) the placement additionally counts one mirror per home
+    node: the replica-maintenance hook is installed {e before} the
+    boot population so the mirrors are charged for the primary's whole
+    update stream, and every P2M mutation charges
     {!Xen.Costs.pt_replica_update_time} (or the invalidate variant) to
     the domain's [pt_replica_time] account.
     @raise Invalid_argument when machine memory cannot back the

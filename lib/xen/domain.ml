@@ -40,11 +40,11 @@ let handle_fault t ~costs ~pfn ~cpu =
   | None -> false
   | Some handler ->
       handler pfn ~cpu;
-      (match P2m.get t.p2m pfn with
-      | P2m.Mapped _ ->
-          t.account.fault_time <- t.account.fault_time +. costs.Costs.page_map;
-          true
-      | P2m.Invalid -> false)
+      if P2m.mfn_of t.p2m pfn < 0 then false
+      else begin
+        t.account.fault_time <- t.account.fault_time +. costs.Costs.page_map;
+        true
+      end
 
 let reset_account t =
   let a = t.account in

@@ -33,7 +33,9 @@ type t = {
   mutable on_update : (update -> unit) option;
       (* Fires after every mutation, in application order; replaying
          the stream onto a second table reproduces this one exactly
-         (the replicated-page-table machinery depends on it). *)
+         (the [xen.p2m] suite pins it).  Page-table mirrors are priced
+         per update of this stream, so a mutation that skipped it would
+         reach the mirrors unpriced. *)
 }
 
 let create ?(sp_frames = Memory.Page.frames_per_2m) ~frames () =

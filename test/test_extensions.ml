@@ -50,80 +50,71 @@ let test_engine_huge_pages_help_virtualized_big_app () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* Exact pin: at a uniform level ratio of 1.0 the radix sum is the
-   flat walk constant bit for bit (per-level cost = flat / 4, summed
-   over 4 levels), so the --pt-walk path on a topology where every
-   level is local reproduces the flat model to the last bit. *)
+(* Exact pin: at a ratio of 1.0 the radix sum is the flat walk
+   constant bit for bit (per-level cost = flat / 4, summed over 4
+   levels), so the --pt-walk path on a topology where every walk is
+   local reproduces the flat model to the last bit. *)
 let test_walk_radix_uniform_equals_flat () =
   List.iter
     (fun virtualized ->
       Alcotest.(check (float 0.0)) "4-level radix = flat"
         (Guest.Tlb.walk_cycles tlb ~virtualized)
-        (Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:Guest.Tlb.walk_levels
-           ~level_ratio:(fun _ -> 1.0)))
+        (Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:Guest.Tlb.walk_levels ~ratio:1.0))
     [ false; true ];
   let footprint_bytes = 4 * 1024 * 1024 * 1024 and hot_access_share = 0.5 in
   Alcotest.(check (float 0.0)) "blended 4 KiB access cycles = flat"
     (Guest.Tlb.cycles_per_access tlb Guest.Tlb.Small_4k ~virtualized:true ~footprint_bytes
        ~hot_access_share)
     (Guest.Tlb.cycles_per_access_radix tlb Guest.Tlb.Small_4k ~virtualized:true
-       ~footprint_bytes ~hot_access_share ~level_ratio:(fun _ -> 1.0));
+       ~footprint_bytes ~hot_access_share ~ratio:1.0);
   Alcotest.(check (float 0.0)) "mixed with f=0 = flat small"
     (Guest.Tlb.cycles_per_access tlb Guest.Tlb.Small_4k ~virtualized:true ~footprint_bytes
        ~hot_access_share)
     (Guest.Tlb.cycles_per_access_mixed_radix tlb ~huge_fraction:0.0 ~virtualized:true
-       ~footprint_bytes ~hot_access_share ~level_ratio:(fun _ -> 1.0))
+       ~footprint_bytes ~hot_access_share ~ratio:1.0)
 
-let ratio_of ratios i = float_of_int ratios.(i) /. 100.0
+let ratio_of percent = float_of_int percent /. 100.0
 
 (* Walk cost grows with every level added (each level's cost is
-   strictly positive whatever its placement). *)
+   strictly positive whatever the tables' placement). *)
 let prop_walk_monotone_in_depth =
   QCheck.Test.make ~name:"radix walk monotone in depth" ~count:200
-    QCheck.(pair bool (array_of_size (Gen.return Guest.Tlb.walk_levels) (int_range 100 400)))
-    (fun (virtualized, ratios) ->
-      let level_ratio = ratio_of ratios in
+    QCheck.(pair bool (int_range 100 400))
+    (fun (virtualized, percent) ->
+      let ratio = ratio_of percent in
       let ok = ref true in
       for levels = 1 to Guest.Tlb.walk_levels do
         if
-          Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels ~level_ratio
-          <= Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:(levels - 1) ~level_ratio
+          Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels ~ratio
+          <= Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:(levels - 1) ~ratio
         then ok := false
       done;
       !ok)
 
-(* Pushing any subset of levels further away never cheapens the walk:
-   cost is monotone in the pointwise level-ratio order (hence in the
-   number of remote levels, remote being a ratio > 1). *)
-let prop_walk_monotone_in_remote_levels =
-  QCheck.Test.make ~name:"radix walk monotone in remote levels" ~count:200
-    QCheck.(
-      triple bool
-        (array_of_size (Gen.return Guest.Tlb.walk_levels) (int_range 100 400))
-        (array_of_size (Gen.return Guest.Tlb.walk_levels) (int_range 0 300)))
-    (fun (virtualized, ratios, bumps) ->
-      let near = ratio_of ratios in
-      let far i = near i +. (float_of_int bumps.(i) /. 100.0) in
-      Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:Guest.Tlb.walk_levels
-        ~level_ratio:far
-      >= Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:Guest.Tlb.walk_levels
-           ~level_ratio:near)
+(* Moving the tables further away never cheapens the walk: cost is
+   monotone in the latency ratio (remote being a ratio > 1). *)
+let prop_walk_monotone_in_ratio =
+  QCheck.Test.make ~name:"radix walk monotone in ratio" ~count:200
+    QCheck.(triple bool (int_range 100 400) (int_range 0 300))
+    (fun (virtualized, percent, bump) ->
+      let near = ratio_of percent in
+      let far = near +. ratio_of bump in
+      Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:Guest.Tlb.walk_levels ~ratio:far
+      >= Guest.Tlb.walk_cycles_radix tlb ~virtualized ~levels:Guest.Tlb.walk_levels ~ratio:near)
 
 (* For one placement the 2 MiB path is never dearer than the 4 KiB
    path: it misses less (bigger reach) and each miss walks one level
    fewer (a prefix of the same per-level sum). *)
 let prop_walk_superpage_path_cheaper =
   QCheck.Test.make ~name:"superpage path <= 4 KiB path" ~count:200
-    QCheck.(
-      triple bool (int_range 1 64)
-        (array_of_size (Gen.return Guest.Tlb.walk_levels) (int_range 100 400)))
-    (fun (virtualized, quarter_gib, ratios) ->
+    QCheck.(triple bool (int_range 1 64) (int_range 100 400))
+    (fun (virtualized, quarter_gib, percent) ->
       let footprint_bytes = quarter_gib * 256 * 1024 * 1024 in
-      let level_ratio = ratio_of ratios in
+      let ratio = ratio_of percent in
       Guest.Tlb.cycles_per_access_radix tlb Guest.Tlb.Huge_2m ~virtualized ~footprint_bytes
-        ~hot_access_share:0.5 ~level_ratio
+        ~hot_access_share:0.5 ~ratio
       <= Guest.Tlb.cycles_per_access_radix tlb Guest.Tlb.Small_4k ~virtualized
-           ~footprint_bytes ~hot_access_share:0.5 ~level_ratio)
+           ~footprint_bytes ~hot_access_share:0.5 ~ratio)
 
 (* ----------------------------- engine pt --------------------------- *)
 
@@ -313,7 +304,7 @@ let suite =
         Alcotest.test_case "uniform radix = flat, exactly" `Quick
           test_walk_radix_uniform_equals_flat;
         qcheck prop_walk_monotone_in_depth;
-        qcheck prop_walk_monotone_in_remote_levels;
+        qcheck prop_walk_monotone_in_ratio;
         qcheck prop_walk_superpage_path_cheaper;
       ] );
     ( "engine.pt",

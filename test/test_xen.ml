@@ -272,6 +272,62 @@ let p2m_dump p =
   Array.init (Xen.P2m.frames p) (fun pfn ->
       (Xen.P2m.get p pfn, Xen.P2m.is_superpage p pfn))
 
+(* The update stream is complete: replaying it onto a fresh table
+   reproduces the primary through any interleaving of per-frame ops,
+   superpage ops and batched mutations.  Page-table mirrors are priced
+   per update of this stream, so a mutation path that skipped it would
+   go uncharged. *)
+let replay_update r = function
+  | Xen.P2m.Set { pfn; mfn; writable } -> Xen.P2m.set r pfn ~mfn ~writable
+  | Xen.P2m.Cleared { pfn } -> ignore (Xen.P2m.invalidate r pfn)
+  | Xen.P2m.Superpage_mapped { pfn; mfn; writable } ->
+      Xen.P2m.map_superpage r ~pfn ~mfn ~writable
+  | Xen.P2m.Splintered { pfn } -> ignore (Xen.P2m.splinter r pfn)
+  | Xen.P2m.Promoted { pfn } -> ignore (Xen.P2m.promote r ~pfn)
+
+let prop_p2m_update_stream_replays =
+  let frames = 64 and sp = 8 in
+  QCheck.Test.make ~name:"the update stream replays to the primary" ~count:200
+    QCheck.(pair int (int_range 20 120))
+    (fun (seed, steps) ->
+      let p = Xen.P2m.create ~sp_frames:sp ~frames () in
+      let r = Xen.P2m.create ~sp_frames:sp ~frames () in
+      Xen.P2m.set_on_update p (Some (replay_update r));
+      let rng = Sim.Rng.create ~seed in
+      for _ = 1 to steps do
+        let pfn = Sim.Rng.int rng frames in
+        let base = pfn - (pfn mod sp) in
+        match Sim.Rng.int rng 8 with
+        | 0 -> Xen.P2m.set p pfn ~mfn:(Sim.Rng.int rng 4096) ~writable:(Sim.Rng.int rng 2 = 1)
+        | 1 -> ignore (Xen.P2m.invalidate p pfn)
+        | 2 -> Xen.P2m.write_protect p pfn
+        | 3 -> ignore (Xen.P2m.splinter p pfn)
+        | 4 -> ignore (Xen.P2m.promote p ~pfn:base)
+        | 5 ->
+            let empty = ref true in
+            for i = 0 to sp - 1 do
+              if Xen.P2m.get p (base + i) <> Xen.P2m.Invalid then empty := false
+            done;
+            if !empty then
+              Xen.P2m.map_superpage p ~pfn:base
+                ~mfn:(sp * Sim.Rng.int rng 512)
+                ~writable:(Sim.Rng.int rng 2 = 1)
+        | 6 ->
+            let n = 1 + Sim.Rng.int rng 8 in
+            let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
+            ignore (Xen.P2m.invalidate_batch p pfns ~n)
+        | _ ->
+            let n = 1 + Sim.Rng.int rng 8 in
+            let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
+            let mfns = Array.init n (fun _ -> Sim.Rng.int rng 4096) in
+            ignore (Xen.P2m.migrate_batch p pfns mfns ~n ~f:(fun _ ~old_mfn:_ -> ()))
+      done;
+      if not (Xen.P2m.check_consistent p) then QCheck.Test.fail_report "primary inconsistent";
+      if p2m_dump r <> p2m_dump p then QCheck.Test.fail_report "replay diverged from primary";
+      Xen.P2m.mapped_count r = Xen.P2m.mapped_count p
+      && Xen.P2m.superpage_count r = Xen.P2m.superpage_count p
+      && Xen.P2m.check_consistent r)
+
 (* Satellite property: a batched mutation leaves the table in exactly
    the state of the per-page loop over the same ops, whatever the op
    order, duplicates included. *)
@@ -698,27 +754,20 @@ let test_dma_requires_bus () =
 
 (* -------------------------------- pt ------------------------------- *)
 
-let test_pt_level_node () =
-  let pt = Xen.Pt.create ~home_node:2 ~frames:64 ~sp_frames:8 () in
+let test_pt_walk_node () =
+  let pt = Xen.Pt.create ~home_node:2 () in
   Alcotest.(check bool) "not replicated" false (Xen.Pt.replicated pt);
   Alcotest.(check int) "no mirrors" 0 (Xen.Pt.replica_count pt);
-  for level = 0 to Xen.Pt.levels - 1 do
-    Alcotest.(check int) "every level on the home node" 2
-      (Xen.Pt.level_node pt ~level ~node:5)
-  done;
-  Alcotest.check_raises "bad level" (Invalid_argument "Pt.level_node: level out of range")
-    (fun () -> ignore (Xen.Pt.level_node pt ~level:Xen.Pt.levels ~node:0));
-  let rep =
-    Xen.Pt.create ~replicate_nodes:[| 0; 3 |] ~home_node:0 ~frames:64 ~sp_frames:8 ()
-  in
+  Alcotest.(check int) "every walk on the home node" 2 (Xen.Pt.walk_node pt ~node:5);
+  Alcotest.check_raises "negative replicas" (Invalid_argument "Pt.create: negative replicas")
+    (fun () -> ignore (Xen.Pt.create ~replicas:(-1) ~home_node:0 ()));
+  let rep = Xen.Pt.create ~replicas:2 ~home_node:0 () in
   Alcotest.(check bool) "replicated" true (Xen.Pt.replicated rep);
   Alcotest.(check int) "two mirrors" 2 (Xen.Pt.replica_count rep);
-  for level = 0 to Xen.Pt.levels - 1 do
-    Alcotest.(check int) "walker resolves locally" 5 (Xen.Pt.level_node rep ~level ~node:5)
-  done
+  Alcotest.(check int) "walker resolves locally" 5 (Xen.Pt.walk_node rep ~node:5)
 
 let test_pt_counters_classify_updates () =
-  let pt = Xen.Pt.create ~replicate_nodes:[| 1; 4; 6 |] ~home_node:1 ~frames:64 ~sp_frames:8 () in
+  let pt = Xen.Pt.create ~replicas:3 ~home_node:1 () in
   Xen.Pt.apply pt (Xen.P2m.Set { pfn = 3; mfn = 42; writable = true });
   Alcotest.(check int) "set writes all mirrors" 3 (Xen.Pt.replica_updates pt);
   Xen.Pt.apply pt (Xen.P2m.Cleared { pfn = 3 });
@@ -726,73 +775,33 @@ let test_pt_counters_classify_updates () =
   Xen.Pt.apply pt (Xen.P2m.Superpage_mapped { pfn = 8; mfn = 64; writable = false });
   Xen.Pt.apply pt (Xen.P2m.Splintered { pfn = 8 });
   Alcotest.(check int) "superpage map is a write" 6 (Xen.Pt.replica_updates pt);
-  Alcotest.(check int) "splinter is a shootdown" 6 (Xen.Pt.replica_invalidations pt)
+  Alcotest.(check int) "splinter is a shootdown" 6 (Xen.Pt.replica_invalidations pt);
+  Xen.Pt.apply pt (Xen.P2m.Promoted { pfn = 8 });
+  Alcotest.(check int) "promote is a write" 9 (Xen.Pt.replica_updates pt);
+  Alcotest.(check int) "promote is no shootdown" 6 (Xen.Pt.replica_invalidations pt);
+  let solo = Xen.Pt.create ~home_node:1 () in
+  Xen.Pt.apply solo (Xen.P2m.Set { pfn = 3; mfn = 42; writable = true });
+  Xen.Pt.apply solo (Xen.P2m.Cleared { pfn = 3 });
+  Alcotest.(check (pair int int)) "no mirrors, no counts" (0, 0)
+    (Xen.Pt.replica_updates solo, Xen.Pt.replica_invalidations solo)
 
-(* Tentpole differential: with a replicated [Pt] subscribed to the
-   primary's update stream, any interleaving of per-frame ops,
-   superpage ops and batched mutations leaves every mirror
-   translation-equivalent to the primary — checked by dump equality
-   inside [Pt.check_consistent] after every step burst. *)
-let prop_pt_replicas_track_primary =
-  let frames = 64 and sp = 8 in
-  QCheck.Test.make ~name:"pt replicas track any op interleaving" ~count:200
-    QCheck.(pair int (int_range 20 120))
-    (fun (seed, steps) ->
-      let p = Xen.P2m.create ~sp_frames:sp ~frames () in
-      let pt =
-        Xen.Pt.create ~replicate_nodes:[| 0; 3; 5 |] ~home_node:0 ~frames ~sp_frames:sp ()
-      in
-      Xen.P2m.set_on_update p (Some (fun u -> Xen.Pt.apply pt u));
-      let rng = Sim.Rng.create ~seed in
-      for _ = 1 to steps do
-        let pfn = Sim.Rng.int rng frames in
-        let base = pfn - (pfn mod sp) in
-        match Sim.Rng.int rng 8 with
-        | 0 -> Xen.P2m.set p pfn ~mfn:(Sim.Rng.int rng 4096) ~writable:(Sim.Rng.int rng 2 = 1)
-        | 1 -> ignore (Xen.P2m.invalidate p pfn)
-        | 2 -> Xen.P2m.write_protect p pfn
-        | 3 -> ignore (Xen.P2m.splinter p pfn)
-        | 4 -> ignore (Xen.P2m.promote p ~pfn:base)
-        | 5 ->
-            let empty = ref true in
-            for i = 0 to sp - 1 do
-              if Xen.P2m.get p (base + i) <> Xen.P2m.Invalid then empty := false
-            done;
-            if !empty then
-              Xen.P2m.map_superpage p ~pfn:base
-                ~mfn:(sp * Sim.Rng.int rng 512)
-                ~writable:(Sim.Rng.int rng 2 = 1)
-        | 6 ->
-            let n = 1 + Sim.Rng.int rng 8 in
-            let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
-            ignore (Xen.P2m.invalidate_batch p pfns ~n)
-        | _ ->
-            let n = 1 + Sim.Rng.int rng 8 in
-            let pfns = Array.init n (fun _ -> Sim.Rng.int rng frames) in
-            let mfns = Array.init n (fun _ -> Sim.Rng.int rng 4096) in
-            ignore (Xen.P2m.migrate_batch p pfns mfns ~n ~f:(fun _ ~old_mfn:_ -> ()))
-      done;
-      if not (Xen.P2m.check_consistent p) then QCheck.Test.fail_report "primary inconsistent";
-      if not (Xen.Pt.check_consistent pt ~primary:p) then
-        QCheck.Test.fail_report "mirror diverged from primary";
-      true)
-
-(* A mirror is a replay, so per-mirror counters are a pure function of
-   the primary's stream: every mirror receives every update, and the
-   two counters split the stream exactly. *)
+(* Per-mirror counters are a pure function of the primary's stream:
+   every mirror is charged for every update, and the two counters split
+   the stream exactly. *)
 let prop_pt_counters_scale_with_mirrors =
   let frames = 32 and sp = 4 in
   QCheck.Test.make ~name:"pt per-mirror counters scale with mirror count" ~count:200
     QCheck.(triple int (int_range 10 60) (int_range 1 4))
     (fun (seed, steps, mirrors) ->
-      let run mirrors =
+      let run replicas =
         let p = Xen.P2m.create ~sp_frames:sp ~frames () in
-        let pt =
-          Xen.Pt.create
-            ~replicate_nodes:(Array.init mirrors (fun i -> i))
-            ~home_node:0 ~frames ~sp_frames:sp ()
-        in
-        Xen.P2m.set_on_update p (Some (fun u -> Xen.Pt.apply pt u));
+        let pt = Xen.Pt.create ~replicas ~home_node:0 () in
+        let updates = ref 0 in
+        Xen.P2m.set_on_update p
+          (Some
+             (fun u ->
+               incr updates;
+               Xen.Pt.apply pt u));
         let rng = Sim.Rng.create ~seed in
         for _ = 1 to steps do
           let pfn = Sim.Rng.int rng frames in
@@ -801,11 +810,34 @@ let prop_pt_counters_scale_with_mirrors =
           | 1 -> ignore (Xen.P2m.invalidate p pfn)
           | _ -> ignore (Xen.P2m.splinter p pfn)
         done;
-        (Xen.Pt.replica_updates pt, Xen.Pt.replica_invalidations pt)
+        (Xen.Pt.replica_updates pt, Xen.Pt.replica_invalidations pt, !updates)
       in
-      let u1, i1 = run 1 in
-      let un, inv = run mirrors in
-      un = mirrors * u1 && inv = mirrors * i1)
+      let u1, i1, stream = run 1 in
+      let un, inv, _ = run mirrors in
+      u1 + i1 = stream && un = mirrors * u1 && inv = mirrors * i1)
+
+(* A mirror is a count, not a copy: the placement of a replicated
+   domain holds a few words whatever the domain's size. *)
+let test_pt_size_independent_of_domain () =
+  (* 1 MiB scaled frames: the 16 GiB domain has 16,384 of them. *)
+  let s = Xen.System.create ~page_scale:256 (Numa.Amd48.topology ()) in
+  let d =
+    Xen.System.create_domain s ~name:"mirrored" ~kind:Xen.Domain.DomU ~vcpus:12
+      ~mem_bytes:(16 * 1024 * 1024 * 1024) ()
+  in
+  let m =
+    Policies.Manager.attach ~replicate_pt:true s d ~boot:Policies.Spec.round_4k
+      ~rng:(Sim.Rng.create ~seed:1)
+  in
+  let pt = Option.get (Policies.Manager.pt m) in
+  Alcotest.(check bool) "at least 10^4 frames" true (d.Xen.Domain.mem_frames >= 10_000);
+  Alcotest.(check int) "one mirror per home node"
+    (Array.length d.Xen.Domain.home_nodes)
+    (Xen.Pt.replica_count pt);
+  Alcotest.(check bool) "boot population charged to the mirrors" true
+    (Xen.Pt.replica_updates pt >= d.Xen.Domain.mem_frames * Xen.Pt.replica_count pt);
+  let words = Obj.reachable_words (Obj.repr pt) in
+  if words >= 64 then Alcotest.failf "Manager.pt reaches %d words" words
 
 let suite =
   [
@@ -831,6 +863,7 @@ let suite =
         Alcotest.test_case "map_superpage errors" `Quick test_p2m_superpage_map_errors;
         QCheck_alcotest.to_alcotest prop_p2m_set_get_roundtrip;
         QCheck_alcotest.to_alcotest prop_p2m_superpage_interleavings;
+        QCheck_alcotest.to_alcotest prop_p2m_update_stream_replays;
       ] );
     ( "xen.p2m.batch",
       [
@@ -842,10 +875,11 @@ let suite =
       ] );
     ( "xen.pt",
       [
-        Alcotest.test_case "level placement" `Quick test_pt_level_node;
+        Alcotest.test_case "level placement" `Quick test_pt_walk_node;
         Alcotest.test_case "counter classification" `Quick test_pt_counters_classify_updates;
-        QCheck_alcotest.to_alcotest prop_pt_replicas_track_primary;
         QCheck_alcotest.to_alcotest prop_pt_counters_scale_with_mirrors;
+        Alcotest.test_case "size independent of the domain" `Quick
+          test_pt_size_independent_of_domain;
       ] );
     ( "xen.system",
       [
