@@ -302,7 +302,11 @@ let prop_p2m_update_stream_replays =
         | 1 -> ignore (Xen.P2m.invalidate p pfn)
         | 2 -> Xen.P2m.write_protect p pfn
         | 3 -> ignore (Xen.P2m.splinter p pfn)
-        | 4 -> ignore (Xen.P2m.promote p ~pfn:base)
+        | 4 ->
+            (* Splinter first, so a superpage extent comes back promotable:
+               otherwise a successful promote is rare. *)
+            ignore (Xen.P2m.splinter p base);
+            ignore (Xen.P2m.promote p ~pfn:base)
         | 5 ->
             let empty = ref true in
             for i = 0 to sp - 1 do
