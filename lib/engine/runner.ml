@@ -134,6 +134,7 @@ type vm_state = {
   sample_pfns : int array;
   mutable sample_count : int;
   sample_scratch : float array;
+  shared_zipf : Sim.Rng.zipf;  (* the shared region's popularity law *)
   remaining : float array;
   finish : float array;  (* -1 while running *)
   stalled : bool array;  (* this epoch's injected vCPU stalls *)
@@ -337,8 +338,9 @@ let tlb_cycles_per_instr_radix (cfg : Config.t) (spec : Config.vm_spec)
 
 (* Popularity of page [i] under the region's current rotation. *)
 let eff_weight region i =
-  let pages = Array.length region.weights in
-  region.weights.(((i - region.shift) mod pages + pages) mod pages)
+  (* [i] and [shift] are both in [\[0, pages)]. *)
+  let j = i - region.shift in
+  region.weights.(if j < 0 then j + Array.length region.weights else j)
 
 (* Re-aggregate per-node popularity from the pages' nodes under the
    current rotation, in page order (replicated pages keep serving their
@@ -490,6 +492,7 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     sample_pfns = Array.make (128 + (8 * threads)) 0;
     sample_count = 0;
     sample_scratch = Array.make nodes 0.0;
+    shared_zipf = Sim.Rng.zipf_sampler ~n:shared_pages ~s:app.Workloads.App.zipf_s;
     remaining = Array.make threads work;
     finish = Array.make threads (-1.0);
     stalled = Array.make threads false;
@@ -796,9 +799,8 @@ let feed_samples st sys =
     for rank = 0 to min 32 pages - 1 do
       emit rank
     done;
-    let app = st.spec.Config.app in
     for _ = 1 to min 96 pages do
-      emit (Sim.Rng.zipf st.rng ~n:pages ~s:app.Workloads.App.zipf_s)
+      emit (Sim.Rng.zipf st.rng st.shared_zipf)
     done;
     for j = 0 to !touched - 1 do
       Bytes.set seen st.sample_touched.(j) '\000'
@@ -832,15 +834,15 @@ let feed_samples st sys =
   done;
   st.private_sample_cursor <- st.private_sample_cursor + 8
 
-(* Hand [f] a tracked pfn's region, slot and current node; untracked
-   and unmapped pfns are skipped. *)
-let with_tracked_page st pfn f =
-  let owner = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1 in
-  if owner >= 0 then
-    match Policies.Manager.node_of_pfn st.manager pfn with
-    | None -> ()
-    | Some node ->
-        f (if owner = 0 then st.shared else st.privates.(owner - 1)) st.pfn_slot.(pfn) node
+(* The node backing guest page [pfn], -1 when it is unmapped. *)
+let pfn_node machine st pfn =
+  let mfn = Xen.P2m.mfn_of st.domain.Xen.Domain.p2m pfn in
+  if mfn < 0 then -1 else Memory.Machine.node_of_mfn machine mfn
+
+(* The region owner of [pfn] (see [pfn_owner]), -1 when untracked. *)
+let owner_of st pfn = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1
+
+let owned_region st owner = if owner = 0 then st.shared else st.privates.(owner - 1)
 
 (* Move page [i]'s popularity from its cached node to [node] (only the
    write share of a replicated page); returns whether the node
@@ -860,57 +862,64 @@ let move_page region i node ~read_fraction =
      end
 
 (* Refresh cached placement after Carrefour migrations and
-   replications, over the pages fed this period. *)
-let refresh_placement st =
+   replications, over the pages fed this period; untracked and unmapped
+   pages are skipped. *)
+let refresh_placement machine st =
   let read_fraction = st.spec.Config.app.Workloads.App.read_fraction in
   let carrefour = Policies.Manager.carrefour st.manager in
   for s = 0 to st.sample_count - 1 do
     let pfn = st.sample_pfns.(s) in
-    with_tracked_page st pfn (fun region i node ->
-        let w = eff_weight region i in
-        (* Replication status change: the read share of the page's
-           popularity moves between the home node and the
-           everywhere-local pool. *)
-        let replicated_now =
-          match carrefour with
-          | Some sys -> Policies.Carrefour.System_component.is_replicated sys pfn
-          | None -> false
-        in
-        if replicated_now <> (Bytes.get region.replicated i <> '\000') then begin
-          (* [x -. (-. m)] is bitwise [x +. m]: IEEE subtraction adds
-             the negation. *)
-          let moved = if replicated_now then w *. read_fraction else -.(w *. read_fraction) in
-          let home = region.page_node.(i) in
-          region.node_weight.(home) <- region.node_weight.(home) -. moved;
-          region.replicated_local <- region.replicated_local +. moved;
-          Bytes.set region.replicated i (if replicated_now then '\001' else '\000')
-        end;
-        if move_page region i node ~read_fraction then st.migrations <- st.migrations + 1)
+    let owner = owner_of st pfn in
+    let node = if owner >= 0 then pfn_node machine st pfn else -1 in
+    if node >= 0 then begin
+      let region = owned_region st owner and i = st.pfn_slot.(pfn) in
+      let w = eff_weight region i in
+      (* Replication status change: the read share of the page's
+         popularity moves between the home node and the
+         everywhere-local pool. *)
+      let replicated_now =
+        match carrefour with
+        | Some sys -> Policies.Carrefour.System_component.is_replicated sys pfn
+        | None -> false
+      in
+      if replicated_now <> (Bytes.get region.replicated i <> '\000') then begin
+        (* [x -. (-. m)] is bitwise [x +. m]: IEEE subtraction adds
+           the negation. *)
+        let moved = if replicated_now then w *. read_fraction else -.(w *. read_fraction) in
+        let home = region.page_node.(i) in
+        region.node_weight.(home) <- region.node_weight.(home) -. moved;
+        region.replicated_local <- region.replicated_local +. moved;
+        Bytes.set region.replicated i (if replicated_now then '\001' else '\000')
+      end;
+      if move_page region i node ~read_fraction then st.migrations <- st.migrations + 1
+    end
   done
 
 (* Re-resolve every region page's node through the P2M: while an
    evacuation drain is in flight placement moves wholesale, far beyond
    what the per-sample Carrefour refresh can track, and traffic routed
    at the stale (collapsing) node would never recover. *)
-let refresh_region st region =
+let refresh_region machine st region =
   Array.iteri
     (fun i pfn ->
-      match Policies.Manager.node_of_pfn st.manager pfn with
-      | Some node -> region.page_node.(i) <- node
-      | None -> ())
+      let node = pfn_node machine st pfn in
+      if node >= 0 then region.page_node.(i) <- node)
     region.pfns;
   reaggregate region ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction
 
-let refresh_regions st =
-  refresh_region st st.shared;
-  Array.iter (refresh_region st) st.privates
+let refresh_regions machine st =
+  refresh_region machine st st.shared;
+  Array.iter (refresh_region machine st) st.privates
 
 (* Targeted variant for sparse placement changes (the UE remap): move
    one page's popularity between nodes. *)
-let update_page_node st pfn =
-  with_tracked_page st pfn (fun region i node ->
-      ignore
-        (move_page region i node ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction))
+let update_page_node machine st pfn =
+  let owner = owner_of st pfn in
+  let node = if owner >= 0 then pfn_node machine st pfn else -1 in
+  if node >= 0 then
+    ignore
+      (move_page (owned_region st owner) st.pfn_slot.(pfn) node
+         ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction)
 
 (* ------------------------------------------------------------------ *)
 (* End-of-epoch stages, shared by full and replayed epochs             *)
@@ -1294,7 +1303,8 @@ let tick rs st =
         ());
   (* During (and right after) a drain the placement cache is
      wholesale-stale: re-resolve it through the P2M. *)
-  if was_evacuating || Policies.Manager.evacuating st.manager >= 0 then refresh_regions st
+  if was_evacuating || Policies.Manager.evacuating st.manager >= 0 then
+    refresh_regions rs.system.Xen.System.machine st
 
 (* --- Epoch inputs: run on every epoch, replayed or not ------------- *)
 
@@ -1371,7 +1381,7 @@ let ecc rs =
             | Faults.Injector.Ce pfn -> Policies.Manager.handle_ecc_ce st.manager ~pfn
             | Faults.Injector.Ue pfn ->
                 Policies.Manager.handle_ecc_ue st.manager ~pfn;
-                update_page_node st pfn)
+                update_page_node rs.system.Xen.System.machine st pfn)
           (Faults.Injector.ecc_events rs.injector ~frames:st.domain.Xen.Domain.mem_frames);
         remapped || Xen.P2m.version p2m <> version
       end)
@@ -1683,7 +1693,7 @@ let carrefour_period rs st =
           Policies.Manager.carrefour_epoch_feed st.manager ~counters:rs.counters
             ~feed:(fun sys -> feed_samples st sys))
     with
-    | Some _ -> refresh_placement st
+    | Some _ -> refresh_placement rs.system.Xen.System.machine st
     | None -> ()
 
 (* Arming check and capture.  The structural clauses prove nothing

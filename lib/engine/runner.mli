@@ -40,7 +40,8 @@ val run : Config.t -> Result.t
     difference.
 
     @raise Invalid_argument when the run-end audit finds an offlined
-    machine frame still mapped. *)
+    machine frame still mapped, or a Carrefour heat row whose cached
+    node is not its page's node. *)
 
 val replay_guard :
   finish:float array -> doit:float array -> remaining:float array ->

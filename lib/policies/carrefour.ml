@@ -35,6 +35,7 @@ type hot = {
   counts : float array;  (* count * nodes, row-major *)
   sums : float array;  (* row_total of each row, bit for bit *)
   best : int array;  (* row_argmax of each row *)
+  node : int array;  (* node backing each row's page, -1 when unmapped *)
   reads : float array;  (* read-weighted heat: reads / keys = read fraction *)
   keys : float array;
       (* ranking key per row (the heat table's accumulated total);
@@ -49,13 +50,14 @@ type hot = {
    saw an access. *)
 let read_fraction hot i = if hot.keys.(i) > 0.0 then hot.reads.(i) /. hot.keys.(i) else 1.0
 
-let hot_of_samples samples =
+let hot_of_samples ~node_of samples =
   let nodes = List.fold_left (fun m s -> max m (Array.length s.node_accesses)) 0 samples in
   let count = List.length samples in
   let pfns = Array.make count 0 in
   let counts = Array.make (count * nodes) 0.0 in
   let sums = Array.make count 0.0 in
   let best = Array.make count 0 in
+  let node = Array.make count 0 in
   let reads = Array.make count 0.0 in
   let keys = Array.make count 0.0 in
   List.iteri
@@ -65,10 +67,11 @@ let hot_of_samples samples =
       let key = Array.fold_left ( +. ) 0.0 s.node_accesses in
       sums.(i) <- row_total counts ~base:(i * nodes) ~nodes;
       best.(i) <- row_argmax counts ~base:(i * nodes) ~nodes;
+      node.(i) <- node_of s.pfn;
       reads.(i) <- s.read_fraction *. key;
       keys.(i) <- key)
     samples;
-  { nodes; count; pfns; counts; sums; best; reads; keys; scale = 1.0 }
+  { nodes; count; pfns; counts; sums; best; node; reads; keys; scale = 1.0 }
 
 (* Rank order over readout rows: key descending, pfn ascending, then
    row ascending.  The heat table never holds a pfn twice, so the row
@@ -174,6 +177,12 @@ module System_component = struct
      for the rows it touches, and the user component reads them
      instead of scanning every row every period.
 
+     [node] is the node backing each row's page, -1 while it is
+     unmapped.  A row takes it from the P2M when it is inserted; from
+     then on the P2M update stream keeps it current ([on_p2m_update]),
+     so the user component reads a column instead of resolving every
+     candidate's pfn through the P2M and the frame table each period.
+
      Decay by exponent.  Every stored value is its logical value times
      [scale] = 2^[exp], and halving the whole table is [exp + 1]: the
      stored values stay put.  Multiplying by a power of two is exact,
@@ -214,6 +223,7 @@ module System_component = struct
     mutable totals : float array;
     mutable sums : float array;
     mutable best : int array;
+    mutable node : int array;
     mutable least : float array;  (* smallest non-zero |count| or |read|, infinity if none *)
     mutable live : int;
     mutable exp : int;
@@ -238,6 +248,7 @@ module System_component = struct
       totals = Array.make initial_rows 0.0;
       sums = Array.make initial_rows 0.0;
       best = Array.make initial_rows 0;
+      node = Array.make initial_rows 0;
       least = Array.make initial_rows 0.0;
       live = 0;
       exp = 0;
@@ -274,6 +285,7 @@ module System_component = struct
       in
       t.pfns <- grow_i t.pfns;
       t.best <- grow_i t.best;
+      t.node <- grow_i t.node;
       t.counts <- grow_f t.counts (cap' * t.nodes);
       t.reads <- grow_f t.reads cap';
       t.totals <- grow_f t.totals cap';
@@ -325,6 +337,7 @@ module System_component = struct
     t.totals.(dst) <- t.totals.(src);
     t.sums.(dst) <- t.sums.(src);
     t.best.(dst) <- t.best.(src);
+    t.node.(dst) <- t.node.(src);
     t.least.(dst) <- t.least.(src);
     t.slot.(t.pfns.(dst)) <- dst + 1
 
@@ -380,6 +393,36 @@ module System_component = struct
 
   let begin_epoch t = Obs.Profile.span Obs.Profile.Carrefour_decay (fun () -> decay t)
 
+  let node_of t pfn =
+    let p2m = t.domain.Xen.Domain.p2m in
+    let mfn = if pfn < Xen.P2m.frames p2m then Xen.P2m.mfn_of p2m pfn else -1 in
+    if mfn < 0 then -1 else Memory.Machine.node_of_mfn t.system.Xen.System.machine mfn
+
+  (* Row of [pfn], -1 when the table does not track it. *)
+  let row_of t pfn = if pfn < Array.length t.slot then t.slot.(pfn) - 1 else -1
+
+  let set_node t pfn node =
+    let r = row_of t pfn in
+    if r >= 0 then t.node.(r) <- node
+
+  (* Splintering and promotion move no frame, so no row's node
+     changes. *)
+  let on_p2m_update t (u : Xen.P2m.update) =
+    let machine = t.system.Xen.System.machine in
+    match u with
+    | Xen.P2m.Set { pfn; mfn; _ } -> set_node t pfn (Memory.Machine.node_of_mfn machine mfn)
+    | Xen.P2m.Cleared { pfn } -> set_node t pfn (-1)
+    | Xen.P2m.Superpage_mapped { pfn; mfn; _ } ->
+        for k = 0 to Xen.P2m.sp_frames t.domain.Xen.Domain.p2m - 1 do
+          set_node t (pfn + k) (Memory.Machine.node_of_mfn machine (mfn + k))
+        done
+    | Xen.P2m.Splintered _ | Xen.P2m.Promoted _ -> ()
+
+  let iter_nodes t f =
+    for r = 0 to t.live - 1 do
+      f t.pfns.(r) t.node.(r)
+    done
+
   let record_sample t ~pfn ~node_accesses ~read_fraction =
     (* Any write to a replicated page invalidates its replicas:
        the copies would otherwise go stale.  This write-collapse
@@ -418,6 +461,7 @@ module System_component = struct
           t.counts.(base + j) <- node_accesses.(j) *. scale
         done;
         t.pfns.(r) <- pfn;
+        t.node.(r) <- node_of t pfn;
         t.reads.(r) <- read_fraction *. added *. scale;
         t.totals.(r) <- added *. scale;
         t.slot.(pfn) <- r + 1;
@@ -450,6 +494,7 @@ module System_component = struct
         counts = t.counts;
         sums = t.sums;
         best = t.best;
+        node = t.node;
         reads = t.reads;
         keys = t.totals;
         scale = t.scale;
@@ -463,13 +508,9 @@ module System_component = struct
       hot_pages = hot;
     }
 
-  let node_of t pfn =
-    let mfn = Xen.P2m.mfn_of t.domain.Xen.Domain.p2m pfn in
-    if mfn < 0 then -1 else Memory.Machine.node_of_mfn t.system.Xen.System.machine mfn
-
   let workspace t = t.workspace
 
-  let is_replicated t pfn = Hashtbl.mem t.replicas pfn
+  let is_replicated t pfn = Hashtbl.length t.replicas > 0 && Hashtbl.mem t.replicas pfn
 
   (* Replication: hold one frame per other node and charge the copies;
      the page itself keeps its P2M entry (a real implementation would
@@ -553,7 +594,7 @@ module User_component = struct
     done;
     !readers
 
-  let decide ?(node_ok = fun (_ : int) -> true) config ~workspace ~rng ~metrics ~node_of =
+  let decide ?(node_ok = fun (_ : int) -> true) config ~workspace ~rng ~metrics =
     let hot = metrics.System_component.hot_pages in
     let nodes = hot.nodes in
     (* The heat threshold in the readout's scale.  Every other test
@@ -562,12 +603,10 @@ module User_component = struct
     let min_accesses = config.min_accesses *. hot.scale in
     let utils = metrics.System_component.controller_util in
     let mean_util = Sim.Stats.mean utils in
-    let overloaded =
-      Array.to_list utils
-      |> List.mapi (fun n u -> (n, u))
-      |> List.filter (fun (_, u) -> u > config.mc_threshold && u > 1.25 *. mean_util)
-      |> List.map fst
-    in
+    (* Per-period node masks: the per-row tests index them instead of
+       searching a list or calling [node_ok]. *)
+    let overloaded = Array.map (fun u -> u > config.mc_threshold && u > 1.25 *. mean_util) utils in
+    let usable = Array.init nodes node_ok in
     (* Destinations must be in the dynamic node mask: a failing node is
        never a migration target (it may still be a source). *)
     let underloaded =
@@ -577,7 +616,7 @@ module User_component = struct
       |> List.map fst
       |> Array.of_list
     in
-    let controllers_overloaded = overloaded <> [] && Array.length underloaded > 0 in
+    let controllers_overloaded = Array.exists Fun.id overloaded && Array.length underloaded > 0 in
     let interconnect_saturated =
       metrics.System_component.max_link_util > config.ic_threshold
     in
@@ -644,12 +683,15 @@ module User_component = struct
         let k = ref 0 in
         for j = 0 to n - 1 do
           let i = if capped then Array.unsafe_get top j else j in
-          if hot.sums.(i) >= min_accesses then begin
-            let node = node_of hot.pfns.(i) in
-            if node >= 0 && List.mem node overloaded then begin
-              sel.(!k) <- i;
-              incr k
-            end
+          let node = Array.unsafe_get hot.node i in
+          if
+            node >= 0
+            && node < Array.length overloaded
+            && Array.unsafe_get overloaded node
+            && hot.sums.(i) >= min_accesses
+          then begin
+            sel.(!k) <- i;
+            incr k
           end
         done;
         let walked = walk !k (fun i -> emit hot.pfns.(i) (Sim.Rng.pick rng underloaded) Interleave) in
@@ -667,30 +709,27 @@ module User_component = struct
       if interconnect_saturated && !budget > 0 then begin
         let replicate_row i =
           config.enable_replication
+          && hot.sums.(i) >= min_accesses
           && read_fraction hot i >= config.replication_read_threshold
           && reader_nodes hot.counts ~base:(i * nodes) ~nodes ~scale:hot.scale hot.sums.(i)
              >= config.min_reader_nodes
         in
+        (* A page already on its dominant node, or unmapped, fails
+           the first two tests: two int loads settle most rows. *)
+        let locality_row i best =
+          let sum = hot.sums.(i) in
+          sum >= min_accesses
+          && hot.counts.((i * nodes) + best) /. sum >= config.dominant_fraction
+          && Array.unsafe_get usable best
+        in
         let k = ref 0 in
         for j = 0 to n - 1 do
           let i = if capped then Array.unsafe_get top j else j in
-          let sum = hot.sums.(i) in
-          if sum >= min_accesses then
-            if replicate_row i then begin
-              sel.(!k) <- i;
-              incr k
-            end
-            else begin
-              let best = hot.best.(i) in
-              let dominant = hot.counts.((i * nodes) + best) /. sum in
-              if dominant >= config.dominant_fraction && node_ok best then begin
-                let node = node_of hot.pfns.(i) in
-                if node >= 0 && node <> best then begin
-                  sel.(!k) <- i;
-                  incr k
-                end
-              end
-            end
+          let node = Array.unsafe_get hot.node i and best = Array.unsafe_get hot.best i in
+          if (node >= 0 && node <> best && locality_row i best) || replicate_row i then begin
+            sel.(!k) <- i;
+            incr k
+          end
         done;
         ignore
           (walk !k (fun i ->
@@ -715,7 +754,7 @@ let run_epoch ~interleave_only ~migrate sys ~config ~rng ~counters =
     Obs.Profile.span Obs.Profile.Carrefour_decide (fun () ->
         User_component.decide config ~rng ~metrics
           ~node_ok:(fun n -> Numa.Topology.node_online topo n)
-          ~workspace:(System_component.workspace sys) ~node_of:(System_component.node_of sys))
+          ~workspace:(System_component.workspace sys))
   in
   (* Migrating a replicated page first collapses its replicas. *)
   let do_migrate ~pfn ~node =

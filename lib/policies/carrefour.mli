@@ -54,6 +54,10 @@ type hot = {
   best : int array;
       (** Per-row index of the first largest count: the page's dominant
           accessor node. *)
+  node : int array;
+      (** Per-row node backing the page, [-1] when it is unmapped.  The
+          heat table keeps it current from the P2M update stream (see
+          {!System_component.on_p2m_update}). *)
   reads : float array;
       (** Read-weighted heat per row: [reads.(i) /. keys.(i)] is the
           row's read fraction (1.0 when the key is 0). *)
@@ -71,12 +75,12 @@ type hot = {
           threshold tests give the unscaled answers bit for bit. *)
 }
 
-val hot_of_samples : sample list -> hot
+val hot_of_samples : node_of:(Memory.Page.pfn -> int) -> sample list -> hot
 (** Pack a sample list (in order) into the flat readout form — the
     convenience path for tests and synthetic metrics; rows are padded
     to the widest spread in the list and keyed by their row sums;
     [reads] is [read_fraction *. key], as the heat table stores a
-    freshly sampled page. *)
+    freshly sampled page; [node] is [node_of] of each row's pfn. *)
 
 type workspace
 (** Reusable ranking workspace for {!User_component.decide}: its
@@ -107,7 +111,17 @@ module System_component : sig
   (** Feed one hardware sample into the heat table.  [node_accesses]
       is copied on first sight of the page and accumulated in place
       afterwards, so callers may reuse one scratch array across
-      samples. *)
+      samples.  A new row takes its page's node from the P2M. *)
+
+  val on_p2m_update : t -> Xen.P2m.update -> unit
+  (** Keep the rows' [node] column current: feed it every update of the
+      domain's P2M stream (the Manager's observer does).  [Set] and
+      [Cleared] update one row, [Superpage_mapped] every row in the
+      extent; [Splintered] and [Promoted] move no frame. *)
+
+  val iter_nodes : t -> (Memory.Page.pfn -> int -> unit) -> unit
+  (** [f pfn node] over the live rows and their cached nodes, for the
+      run-end audit ({!Manager.audit}). *)
 
   type metrics = {
     controller_util : float array;
@@ -126,8 +140,8 @@ module System_component : sig
       {!begin_epoch} or {!record_sample}.  Allocates nothing per row. *)
 
   val node_of : t -> Memory.Page.pfn -> int
-  (** The node backing the page, or [-1] if it is unmapped.  Allocates
-      nothing: it is called for every candidate row every period. *)
+  (** The node backing the page, or [-1] if it is unmapped or beyond
+      the P2M: a P2M lookup, made when a row is inserted. *)
 
   val replicate : t -> pfn:Memory.Page.pfn -> bool
   (** Replicate the page: a copy is allocated on every other node and
@@ -178,7 +192,6 @@ module User_component : sig
     workspace:workspace ->
     rng:Sim.Rng.t ->
     metrics:System_component.metrics ->
-    node_of:(Memory.Page.pfn -> int) ->
     action list
   (** Pure decision logic (testable in isolation): interleave actions
       when controllers are overloaded, locality actions when the
@@ -186,8 +199,8 @@ module User_component : sig
       budget.  A readout of more than [max_hot_pages] rows contributes
       only its [max_hot_pages] best-ranked rows (the rank order below):
       the decision is that on the readout ranked and cut to the cap.
-      [node_of] gives a page's current node, [-1] when it is
-      unmapped.  [node_ok] (default: accept all) filters candidate
+      A page's current node is the readout's [node] column.  [node_ok]
+      (default: accept all) filters candidate
       destinations — {!run_epoch} passes the topology's dynamic node
       mask so failing nodes are never picked.
 

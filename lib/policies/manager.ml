@@ -344,7 +344,44 @@ let install_fault_handler t =
             end
         | Error `Enomem -> ())
 
-let make_carrefour t = Carrefour.System_component.create t.system t.domain
+(* The domain's one P2M update observer.  With page-table mirrors it
+   charges them for every update; while Carrefour is live it keeps the
+   heat table's node column current.  It reads [t.carrefour] at call
+   time, so a policy switch or a degradation needs no re-install.  It
+   is installed when first needed — before the boot population when
+   there are mirrors, else when Carrefour starts — so a run with
+   neither has no observer; installing it again replaces it with an
+   identical one. *)
+let observe t =
+  let mirrors =
+    match t.pt with
+    | Some pt when Xen.Pt.replicated pt -> Some (pt, Xen.Pt.replica_count pt)
+    | Some _ | None -> None
+  in
+  let costs = t.system.Xen.System.costs in
+  let account = t.domain.Xen.Domain.account in
+  Xen.P2m.set_on_update t.domain.Xen.Domain.p2m
+    (Some
+       (fun u ->
+         (match mirrors with
+         | None -> ()
+         | Some (pt, replicas) ->
+             Xen.Pt.apply pt u;
+             account.Xen.Domain.pt_replica_time <-
+               account.Xen.Domain.pt_replica_time
+               +.
+               match u with
+               | Xen.P2m.Cleared _ | Xen.P2m.Splintered _ ->
+                   Xen.Costs.pt_replica_invalidate_time costs ~replicas
+               | Xen.P2m.Set _ | Xen.P2m.Superpage_mapped _ | Xen.P2m.Promoted _ ->
+                   Xen.Costs.pt_replica_update_time costs ~replicas);
+         match t.carrefour with
+         | Some sys -> Carrefour.System_component.on_p2m_update sys u
+         | None -> ()))
+
+let make_carrefour t =
+  observe t;
+  Carrefour.System_component.create t.system t.domain
 
 let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(superpages = false)
     ?(pt_walk = false) ?(replicate_pt = false) system domain ~boot ~rng =
@@ -391,29 +428,12 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
       evac_started = 0;
     }
   in
-  (* Install the replica-maintenance hook before the boot population so
-     the mirrors are charged for the primary's whole update stream from
-     its first entry.  The boot-time propagation cost is charged like
-     any other update; the engine wipes the account after setup, exactly
-     as it does for the population itself. *)
-  (match pt with
-  | Some pt when Xen.Pt.replicated pt ->
-      let costs = system.Xen.System.costs in
-      let account = domain.Xen.Domain.account in
-      let replicas = Xen.Pt.replica_count pt in
-      Xen.P2m.set_on_update domain.Xen.Domain.p2m
-        (Some
-           (fun u ->
-             Xen.Pt.apply pt u;
-             account.Xen.Domain.pt_replica_time <-
-               account.Xen.Domain.pt_replica_time
-               +.
-               match u with
-               | Xen.P2m.Cleared _ | Xen.P2m.Splintered _ ->
-                   Xen.Costs.pt_replica_invalidate_time costs ~replicas
-               | Xen.P2m.Set _ | Xen.P2m.Superpage_mapped _ | Xen.P2m.Promoted _ ->
-                   Xen.Costs.pt_replica_update_time costs ~replicas))
-  | Some _ | None -> ());
+  (* Install the observer before the boot population so the mirrors are
+     charged for the primary's whole update stream from its first
+     entry.  The boot-time propagation cost is charged like any other
+     update; the engine wipes the account after setup, exactly as it
+     does for the population itself. *)
+  (match pt with Some pt when Xen.Pt.replicated pt -> observe t | Some _ | None -> ());
   (match boot.Spec.placement with
   | Spec.Round_4k -> populate_round_4k t
   | Spec.Round_1g -> populate_round_1g t
@@ -1035,7 +1055,17 @@ let audit t =
     Xen.P2m.iter_mapped t.domain.Xen.Domain.p2m (fun pfn mfn ->
         if Memory.Machine.is_offlined machine mfn then
           invalid_arg
-            (Printf.sprintf "Manager.audit: offlined mfn %d still mapped at pfn %d" mfn pfn))
+            (Printf.sprintf "Manager.audit: offlined mfn %d still mapped at pfn %d" mfn pfn));
+  match t.carrefour with
+  | None -> ()
+  | Some sys ->
+      Carrefour.System_component.iter_nodes sys (fun pfn node ->
+          let actual = Carrefour.System_component.node_of sys pfn in
+          if node <> actual then
+            invalid_arg
+              (Printf.sprintf
+                 "Manager.audit: heat row of pfn %d caches node %d, the P2M maps node %d" pfn node
+                 actual))
 
 let reconcile t ~guest_free =
   let costs = t.system.Xen.System.costs in

@@ -81,11 +81,17 @@ val attach :
     created — every walk level on the domain's first home node — for
     the engine's radix walk model.  With [replicate_pt] (default
     [false]) the placement additionally counts one mirror per home
-    node: the replica-maintenance hook is installed {e before} the
-    boot population so the mirrors are charged for the primary's whole
-    update stream, and every P2M mutation charges
+    node, and every P2M mutation charges
     {!Xen.Costs.pt_replica_update_time} (or the invalidate variant) to
     the domain's [pt_replica_time] account.
+
+    The manager installs the domain's one P2M update observer when it
+    first needs it: {e before} the boot population when there are
+    mirrors (so they are charged for the primary's whole update
+    stream), else when Carrefour first starts.  It drives the mirror
+    charge and the live Carrefour heat table's node column
+    ({!Carrefour.System_component.on_p2m_update}); a domain with
+    neither has no observer.
     @raise Invalid_argument when machine memory cannot back the
     domain. *)
 
@@ -209,12 +215,16 @@ val reconcile : t -> guest_free:Memory.Page.pfn list -> int
     entry mapped an offlined frame. *)
 
 val audit : t -> unit
-(** Run-end RAS audit: no offlined machine frame may still be mapped
-    in the domain's P2M.  The engine calls it on every VM when a run
-    ends.  It walks the P2M, but only once the machine has offlined a
-    frame; before that it costs one count per node.
+(** Run-end audit.  The engine calls it on every VM when a run ends.
+    - RAS: no offlined machine frame may still be mapped in the
+      domain's P2M.  It walks the P2M, but only once the machine has
+      offlined a frame; before that it costs one count per node.
+    - While Carrefour is live, every heat-table row's cached node must
+      be the node the P2M maps its page to ([-1] when unmapped):
+      O(rows).
     @raise Invalid_argument naming the mfn and the pfn of the first
-    offlined frame still mapped, in pfn order. *)
+    offlined frame still mapped, in pfn order, or the pfn, the cached
+    node and the actual node of the first stale heat row. *)
 
 (** {2 Hardware RAS} *)
 

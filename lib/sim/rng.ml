@@ -34,24 +34,39 @@ let bernoulli t p = unit_float t < p
 
 (* Rejection-inversion sampling for the Zipf distribution, after
    W. Hormann and G. Derflinger, "Rejection-inversion to generate variates
-   from monotone discrete distributions" (1996).  O(1) per draw. *)
-let zipf t ~n ~s =
+   from monotone discrete distributions" (1996).  O(1) per draw; the
+   constants that depend only on [n] and [s] are computed once, when the
+   sampler is built. *)
+type zipf = {
+  n : int;
+  nf : float;
+  s : float;
+  log_law : bool;  (* s = 1 (within 1e-9): H is log, its inverse exp *)
+  hx0 : float;
+  hn : float;
+}
+
+let zipf_h ~log_law ~s x = if log_law then log x else (x ** (1.0 -. s)) /. (1.0 -. s)
+
+let zipf_h_inv z x =
+  if z.log_law then exp x else ((1.0 -. z.s) *. x) ** (1.0 /. (1.0 -. z.s))
+
+let zipf_sampler ~n ~s =
   assert (n > 0);
-  if n = 1 then 0
+  let log_law = Float.abs (1.0 -. s) < 1e-9 and nf = float_of_int n in
+  let h = zipf_h ~log_law ~s in
+  { n; nf; s; log_law; hx0 = h 0.5 -. 1.0; hn = h (nf +. 0.5) }
+
+let zipf t z =
+  if z.n = 1 then 0
   else begin
-    let nf = float_of_int n in
-    let h x = if Float.abs (1.0 -. s) < 1e-9 then log x else (x ** (1.0 -. s)) /. (1.0 -. s) in
-    let h_inv x =
-      if Float.abs (1.0 -. s) < 1e-9 then exp x else ((1.0 -. s) *. x) ** (1.0 /. (1.0 -. s))
-    in
-    let hx0 = h 0.5 -. 1.0 in
-    let hn = h (nf +. 0.5) in
     let rec draw () =
-      let u = hx0 +. (unit_float t *. (hn -. hx0)) in
-      let x = h_inv u in
+      let u = z.hx0 +. (unit_float t *. (z.hn -. z.hx0)) in
+      let x = zipf_h_inv z u in
       let k = Float.round x in
-      let k = Float.max 1.0 (Float.min nf k) in
-      if k -. x <= 0.5 || u >= h (k +. 0.5) -. (k ** -.s) then int_of_float k - 1
+      let k = Float.max 1.0 (Float.min z.nf k) in
+      if k -. x <= 0.5 || u >= zipf_h ~log_law:z.log_law ~s:z.s (k +. 0.5) -. (k ** -.z.s) then
+        int_of_float k - 1
       else draw ()
     in
     draw ()

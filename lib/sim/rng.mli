@@ -28,10 +28,17 @@ val float : t -> float -> float
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] samples a rank in [\[0, n)] under a Zipf law with
-    exponent [s]; rank 0 is the most popular.  Uses rejection-inversion
-    so it is O(1) per draw even for large [n]. *)
+type zipf
+(** A Zipf law over ranks [\[0, n)] with exponent [s], its constants
+    computed once. *)
+
+val zipf_sampler : n:int -> s:float -> zipf
+(** [n] must be positive. *)
+
+val zipf : t -> zipf -> int
+(** [zipf t z] samples a rank of [z]'s law; rank 0 is the most
+    popular.  Uses rejection-inversion so it is O(1) per draw even for
+    large [n]; [n = 1] always gives 0 and draws nothing. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)

@@ -289,12 +289,14 @@ let test_manager_boundary_due () =
 
 (* ------------------------------ carrefour -------------------------- *)
 
-let metrics ~controller_util ~max_link_util ~hot =
+(* Metrics over a sample list with, unless told otherwise, every page
+   on node 0. *)
+let metrics ?(node_of = fun _ -> 0) ~controller_util ~max_link_util ~hot () =
   {
     Policies.Carrefour.System_component.controller_util;
     max_link_util;
     imbalance = Sim.Stats.relative_stddev controller_util;
-    hot_pages = Policies.Carrefour.hot_of_samples hot;
+    hot_pages = Policies.Carrefour.hot_of_samples ~node_of hot;
   }
 
 let hot_page ?(read_fraction = 0.5) pfn ~node ~count =
@@ -348,6 +350,7 @@ let ranked_readout ?cut (hot : Policies.Carrefour.hot) =
           unscale hot.counts.((rows.(c / nodes) * nodes) + (c mod nodes)));
     sums = per_row (fun r -> unscale hot.sums.(r));
     best = per_row (fun r -> hot.best.(r));
+    node = per_row (fun r -> hot.node.(r));
     reads = per_row (fun r -> unscale hot.reads.(r));
     keys = per_row (fun r -> unscale hot.keys.(r));
     scale = 1.0;
@@ -359,17 +362,16 @@ let live_ranked ?cut sys ~counters =
     (Policies.Carrefour.System_component.read_metrics sys ~counters)
       .Policies.Carrefour.System_component.hot_pages
 
-(* [User_component.decide] with a fresh workspace and, unless told
-   otherwise, every page on node 0. *)
-let decide ?(node_of = fun _ -> 0) cfg ~rng ~metrics =
+(* [User_component.decide] with a fresh workspace. *)
+let decide cfg ~rng ~metrics =
   Policies.Carrefour.User_component.decide cfg ~workspace:(Policies.Carrefour.workspace ()) ~rng
-    ~metrics ~node_of
+    ~metrics
 
 let test_carrefour_interleave_on_overload () =
   let rng = Sim.Rng.create ~seed:1 in
   let hot = List.init 10 (fun i -> hot_page i ~node:0 ~count:100.0) in
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
-  let m = metrics ~controller_util ~max_link_util:0.0 ~hot in
+  let m = metrics ~controller_util ~max_link_util:0.0 ~hot () in
   let actions = decide config ~rng ~metrics:m in
   Alcotest.(check int) "all hot pages moved" 10 (List.length actions);
   List.iter
@@ -384,7 +386,7 @@ let test_carrefour_locality_on_saturation () =
   let rng = Sim.Rng.create ~seed:2 in
   (* Page 3 accessed only from node 5, currently on node 0. *)
   let hot = [ hot_page 3 ~node:5 ~count:50.0 ] in
-  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
+  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot () in
   let actions = decide config ~rng ~metrics:m in
   match actions with
   | [ a ] ->
@@ -396,7 +398,7 @@ let test_carrefour_locality_on_saturation () =
 let test_carrefour_idle_no_actions () =
   let rng = Sim.Rng.create ~seed:3 in
   let hot = [ hot_page 1 ~node:2 ~count:1000.0 ] in
-  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.05 ~hot in
+  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.05 ~hot () in
   Alcotest.(check int) "nothing to do" 0
     (List.length (decide config ~rng ~metrics:m))
 
@@ -404,7 +406,7 @@ let test_carrefour_respects_budget () =
   let rng = Sim.Rng.create ~seed:4 in
   let hot = List.init 100 (fun i -> hot_page i ~node:0 ~count:100.0) in
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
-  let m = metrics ~controller_util ~max_link_util:0.0 ~hot in
+  let m = metrics ~controller_util ~max_link_util:0.0 ~hot () in
   let tight = { config with Policies.Carrefour.User_component.migration_budget = 7 } in
   Alcotest.(check int) "budget capped" 7
     (List.length (decide tight ~rng ~metrics:m))
@@ -413,7 +415,7 @@ let test_carrefour_min_accesses_filter () =
   let rng = Sim.Rng.create ~seed:5 in
   let hot = [ hot_page 1 ~node:0 ~count:0.5 ] in
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
-  let m = metrics ~controller_util ~max_link_util:0.9 ~hot in
+  let m = metrics ~controller_util ~max_link_util:0.9 ~hot () in
   Alcotest.(check int) "cold page ignored" 0
     (List.length (decide config ~rng ~metrics:m))
 
@@ -453,14 +455,15 @@ let test_carrefour_topk_matches_sort () =
     [ 4; 9; 14; 19; 24; 29; 34; 39; 3; 8; 13; 18 ]
     (Array.to_list top.Policies.Carrefour.pfns);
   let controller_util = [| 0.9; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05; 0.05 |] in
-  let decide_on cfg hot =
+  (* Every page on node 0, whatever the P2M says. *)
+  let decide_on cfg (hot : Policies.Carrefour.hot) =
     decide cfg ~rng:(Sim.Rng.create ~seed:42)
       ~metrics:
         {
           Policies.Carrefour.System_component.controller_util;
           max_link_util = 0.9;
           imbalance = 0.0;
-          hot_pages = hot;
+          hot_pages = { hot with node = Array.make (Array.length hot.pfns) 0 };
         }
   in
   let tight = { config with Policies.Carrefour.User_component.max_hot_pages = k } in
@@ -584,7 +587,7 @@ let multi_reader_page ?(read_fraction = 1.0) pfn ~count =
 let test_carrefour_replication_decision () =
   let rng = Sim.Rng.create ~seed:6 in
   let hot = [ multi_reader_page 4 ~count:50.0 ] in
-  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
+  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot () in
   (match decide replication_config ~rng ~metrics:m with
   | [ a ] ->
       Alcotest.(check bool) "replicate reason" true
@@ -592,7 +595,7 @@ let test_carrefour_replication_decision () =
   | actions -> Alcotest.failf "expected one replicate action, got %d" (List.length actions));
   (* Same page with writes: not a candidate. *)
   let hot = [ multi_reader_page ~read_fraction:0.7 5 ~count:50.0 ] in
-  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
+  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot () in
   let actions = decide replication_config ~rng ~metrics:m in
   Alcotest.(check bool) "written page not replicated" true
     (List.for_all
@@ -604,7 +607,7 @@ let test_carrefour_replication_decision () =
 let test_carrefour_replication_off_by_default () =
   let rng = Sim.Rng.create ~seed:7 in
   let hot = [ multi_reader_page 6 ~count:50.0 ] in
-  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
+  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot () in
   Alcotest.(check bool) "default config never replicates" true
     (List.for_all
        (fun (a : Policies.Carrefour.User_component.action) ->
@@ -619,7 +622,7 @@ let prop_carrefour_actions_within_budget_and_hot =
       let rng = Sim.Rng.create ~seed:(pages + budget) in
       let hot = List.init pages (fun i -> hot_page i ~node:0 ~count:100.0) in
       let controller_util = [| 0.9; 0.1; 0.1; 0.1; 0.1; 0.1; 0.1; 0.1 |] in
-      let m = metrics ~controller_util ~max_link_util:0.9 ~hot in
+      let m = metrics ~controller_util ~max_link_util:0.9 ~hot () in
       let cfg = { config with Policies.Carrefour.User_component.migration_budget = budget } in
       let actions = decide cfg ~rng ~metrics:m in
       List.length actions <= budget
@@ -836,11 +839,11 @@ let prop_carrefour_decide_matches_oracle =
           max_hot_pages = (if Random.State.bool st then rows else Random.State.int st (rows + 1));
         }
       in
-      let m = metrics ~controller_util ~max_link_util ~hot in
+      let m = metrics ~node_of ~controller_util ~max_link_util ~hot () in
       let rng_new = Sim.Rng.create ~seed and rng_old = Sim.Rng.create ~seed in
       let got =
         Policies.Carrefour.User_component.decide ~node_ok cfg ~workspace:shared_workspace
-          ~rng:rng_new ~metrics:m ~node_of
+          ~rng:rng_new ~metrics:m
       in
       let want = oracle_decide ~node_ok cfg ~rng:rng_old ~metrics:m ~node_of in
       got = want && Sim.Rng.bits64 rng_new = Sim.Rng.bits64 rng_old)
@@ -973,11 +976,11 @@ module Eager_heat = struct
       (Hashtbl.fold (fun pfn row acc -> (pfn, row) :: acc) model [])
 
   (* The model as a flat readout, keyed and read-weighted like the
-     table's. *)
-  let hot model =
+     table's, with [node_of] of each page. *)
+  let hot ~node_of model =
     let rows = ranked model in
     let h =
-      Policies.Carrefour.hot_of_samples
+      Policies.Carrefour.hot_of_samples ~node_of
         (List.map
            (fun (pfn, row) ->
              { Policies.Carrefour.pfn; node_accesses = Array.copy row.counts; read_fraction = 0.5 })
@@ -1140,14 +1143,14 @@ let prop_carrefour_unranked_readout_unscaled =
         let metrics =
           {
             (Policies.Carrefour.System_component.read_metrics sys ~counters) with
-            Policies.Carrefour.System_component.hot_pages = Eager_heat.hot model;
+            Policies.Carrefour.System_component.hot_pages =
+              Eager_heat.hot ~node_of:(Policies.Carrefour.System_component.node_of sys) model;
           }
         in
         let rng_want = Sim.Rng.create ~seed:rng_seed in
         let want =
           Policies.Carrefour.User_component.decide ~node_ok cfg
             ~workspace:(Policies.Carrefour.workspace ()) ~rng:rng_want ~metrics
-            ~node_of:(Policies.Carrefour.System_component.node_of sys)
         in
         let moves = ref [] in
         let rng_got = Sim.Rng.create ~seed:rng_seed in
@@ -1292,13 +1295,13 @@ let prop_carrefour_decide_permutation =
         in
         let actions =
           Policies.Carrefour.User_component.decide ~node_ok cfg ~workspace:shared_workspace ~rng
-            ~metrics:m ~node_of
+            ~metrics:m
         in
         (actions, Sim.Rng.bits64 rng)
       in
-      let base = Policies.Carrefour.hot_of_samples (Array.to_list samples) in
+      let base = Policies.Carrefour.hot_of_samples ~node_of (Array.to_list samples) in
       shuffle samples;
-      let permuted = Policies.Carrefour.hot_of_samples (Array.to_list samples) in
+      let permuted = Policies.Carrefour.hot_of_samples ~node_of (Array.to_list samples) in
       let scale = Float.ldexp 1.0 (Random.State.int st 64) in
       let up = Array.map (fun x -> x *. scale) in
       let scaled =
@@ -1339,9 +1342,13 @@ let prop_carrefour_capped_decide =
             ~node_accesses:(random_accesses st)
             ~read_fraction:(pick [ 0.5; 1.0; 0.97 ])
         done;
+        (* The test's own page placement, unmapped pages included. *)
         let live =
-          (Policies.Carrefour.System_component.read_metrics sys ~counters)
-            .Policies.Carrefour.System_component.hot_pages
+          let live =
+            (Policies.Carrefour.System_component.read_metrics sys ~counters)
+              .Policies.Carrefour.System_component.hot_pages
+          in
+          { live with Policies.Carrefour.node = Array.map node_of live.Policies.Carrefour.pfns }
         in
         if live.Policies.Carrefour.count > 0 then begin
           let cap = Random.State.int st live.Policies.Carrefour.count in
@@ -1378,7 +1385,6 @@ let prop_carrefour_capped_decide =
                     imbalance = 0.0;
                     hot_pages = hot;
                   }
-                ~node_of
             in
             (actions, Sim.Rng.bits64 rng)
           in
@@ -1390,6 +1396,134 @@ let prop_carrefour_capped_decide =
         end
       done;
       !ok && !capped > 0)
+
+(* The heat table's node column against the P2M: after any interleaving
+   of samples, decay and P2M mutations of every kind, every live row
+   caches the node [Internal.node_of_pfn] gives its page (-1 when
+   unmapped).  Runs with and without page-table mirrors (which share
+   the one P2M observer) and switches Carrefour off and back on
+   mid-stream.  The domain has 8 extents of 8 frames of 256 KiB; the
+   mfns are arbitrary machine frames, as the P2M does not allocate. *)
+let prop_carrefour_node_column_tracks_p2m =
+  QCheck.Test.make ~name:"carrefour node column = P2M node under any update stream" ~count:150
+    QCheck.(pair (int_bound 1_000_000_000) bool)
+    (fun (seed, mirrors) ->
+      let st = Random.State.make [| seed |] in
+      let s = Xen.System.create ~page_scale:64 (Numa.Amd48.topology ()) in
+      let d =
+        Xen.System.create_domain s ~name:"col" ~kind:Xen.Domain.DomU ~vcpus:6
+          ~mem_bytes:(8 * 2 * 1024 * 1024) ()
+      in
+      let m =
+        Policies.Manager.attach ~superpages:true ~replicate_pt:mirrors s d
+          ~boot:Policies.Spec.first_touch ~rng:(Sim.Rng.create ~seed:1)
+      in
+      let set_policy spec =
+        match Policies.Manager.set_policy m spec with Ok () -> () | Error e -> failwith e
+      in
+      set_policy Policies.Spec.first_touch_carrefour;
+      let p2m = d.Xen.Domain.p2m in
+      let frames = Xen.P2m.frames p2m and sp = Xen.P2m.sp_frames p2m in
+      let machine_frames = Memory.Machine.total_frames s.Xen.System.machine in
+      let pfn () = Random.State.int st frames in
+      let mfn () = Random.State.int st machine_frames in
+      let pfns n = Array.init n (fun _ -> pfn ()) in
+      let ok = ref true in
+      let check () =
+        match Policies.Manager.carrefour m with
+        | None -> ()
+        | Some sys ->
+            Policies.Carrefour.System_component.iter_nodes sys (fun pfn node ->
+                let actual =
+                  match Policies.Internal.node_of_pfn s d pfn with Some n -> n | None -> -1
+                in
+                if node <> actual then ok := false)
+      in
+      let sample () =
+        match Policies.Manager.carrefour m with
+        | None -> ()
+        | Some sys ->
+            let node_accesses = Array.make 8 0.0 in
+            node_accesses.(Random.State.int st 8) <- float_of_int (1 + Random.State.int st 40);
+            Policies.Carrefour.System_component.record_sample sys ~pfn:(pfn ()) ~node_accesses
+              ~read_fraction:0.5
+      in
+      for _ = 1 to 8 do
+        sample ()
+      done;
+      for _ = 1 to 60 + Random.State.int st 120 do
+        let base = pfn () / sp * sp in
+        (match Random.State.int st 13 with
+        | 0 | 1 -> sample ()
+        | 2 -> (
+            match Policies.Manager.carrefour m with
+            | None -> ()
+            | Some sys -> Policies.Carrefour.System_component.begin_epoch sys)
+        | 3 -> Xen.P2m.set p2m (pfn ()) ~mfn:(mfn ()) ~writable:(Random.State.bool st)
+        | 4 -> ignore (Xen.P2m.invalidate p2m (pfn ()))
+        | 5 ->
+            let n = 1 + Random.State.int st 8 in
+            ignore (Xen.P2m.invalidate_batch p2m (pfns n) ~n)
+        | 6 ->
+            let first = pfn () in
+            let n = Random.State.int st (frames - first + 1) in
+            ignore (Xen.P2m.invalidate_range p2m ~first ~n)
+        | 7 ->
+            let n = 1 + Random.State.int st 8 in
+            ignore
+              (Xen.P2m.migrate_batch p2m (pfns n) (Array.init n (fun _ -> mfn ())) ~n
+                 ~f:(fun _ ~old_mfn:_ -> ()))
+        | 8 ->
+            (* Clear the extent first, so the superpage always maps over
+               rows that were just unmapped. *)
+            ignore (Xen.P2m.invalidate_range p2m ~first:base ~n:sp);
+            Xen.P2m.map_superpage p2m ~pfn:base
+              ~mfn:(sp * Random.State.int st (machine_frames / sp))
+              ~writable:(Random.State.bool st)
+        | 9 -> ignore (Xen.P2m.splinter p2m (pfn ()))
+        | 10 ->
+            (* Splinter first, so a mapped superpage comes back
+               promotable. *)
+            ignore (Xen.P2m.splinter p2m base);
+            ignore (Xen.P2m.promote p2m ~pfn:base)
+        | 11 -> Xen.P2m.write_protect p2m (pfn ())
+        | _ ->
+            (* Off for a few steps at a time. *)
+            if Option.is_none (Policies.Manager.carrefour m) || Random.State.int st 4 = 0 then
+              set_policy
+                (if Option.is_some (Policies.Manager.carrefour m) then Policies.Spec.first_touch
+                 else Policies.Spec.first_touch_carrefour));
+        check ()
+      done;
+      !ok)
+
+(* The run-end audit checks the node column: a row left stale — its
+   page moved while the P2M had no observer — fails it with the pfn,
+   the cached node and the actual one. *)
+let test_carrefour_audit_rejects_stale_row () =
+  let s = small_system () in
+  let d, m = attach s in
+  (match Policies.Manager.set_policy m Policies.Spec.round_4k_carrefour with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let sys = Option.get (Policies.Manager.carrefour m) in
+  feed_epoch sys [ hot_page 0 ~node:1 ~count:100.0 ];
+  let home = Option.get (Policies.Manager.node_of_pfn m 0) in
+  let migrate node =
+    match Policies.Internal.migrate_page s d ~pfn:0 ~node with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "migration failed"
+  in
+  let moved = (home + 1) mod 8 and stale = (home + 2) mod 8 in
+  migrate moved;
+  Policies.Manager.audit m;
+  Xen.P2m.set_on_update d.Xen.Domain.p2m None;
+  migrate stale;
+  Alcotest.check_raises "stale row"
+    (Invalid_argument
+       (Printf.sprintf "Manager.audit: heat row of pfn 0 caches node %d, the P2M maps node %d"
+          moved stale))
+    (fun () -> Policies.Manager.audit m)
 
 (* ------------------------- promotion scan -------------------------- *)
 
@@ -1925,6 +2059,9 @@ let suite =
           test_carrefour_reader_share_subnormal;
         QCheck_alcotest.to_alcotest prop_carrefour_decide_permutation;
         QCheck_alcotest.to_alcotest prop_carrefour_capped_decide;
+        QCheck_alcotest.to_alcotest prop_carrefour_node_column_tracks_p2m;
+        Alcotest.test_case "audit rejects a stale heat row" `Quick
+          test_carrefour_audit_rejects_stale_row;
       ] );
     ("policies.promote", [ QCheck_alcotest.to_alcotest prop_promote_scan_matches_oracle ]);
   ]

@@ -51,8 +51,9 @@ let test_rng_zipf_bounds_and_skew () =
   let n = 1000 in
   let counts = Array.make n 0 in
   let draws = 200_000 in
+  let z = Sim.Rng.zipf_sampler ~n ~s:1.0 in
   for _ = 1 to draws do
-    let v = Sim.Rng.zipf rng ~n ~s:1.0 in
+    let v = Sim.Rng.zipf rng z in
     if v < 0 || v >= n then Alcotest.failf "zipf out of bounds: %d" v;
     counts.(v) <- counts.(v) + 1
   done;
@@ -63,7 +64,10 @@ let test_rng_zipf_bounds_and_skew () =
 
 let test_rng_zipf_single () =
   let rng = Sim.Rng.create ~seed:10 in
-  Alcotest.(check int) "n=1 always 0" 0 (Sim.Rng.zipf rng ~n:1 ~s:0.9)
+  Alcotest.(check int) "n=1 always 0" 0 (Sim.Rng.zipf rng (Sim.Rng.zipf_sampler ~n:1 ~s:0.9));
+  Alcotest.(check int64) "n=1 draws nothing"
+    (Sim.Rng.bits64 (Sim.Rng.create ~seed:10))
+    (Sim.Rng.bits64 rng)
 
 (* qcheck: Rng.int is always within bounds for arbitrary bounds/seeds *)
 let prop_rng_int_in_bounds =
@@ -81,8 +85,51 @@ let prop_rng_zipf_in_bounds =
     (fun (n, seed, s) ->
       QCheck.assume (n > 0);
       let rng = Sim.Rng.create ~seed in
-      let v = Sim.Rng.zipf rng ~n ~s in
+      let v = Sim.Rng.zipf rng (Sim.Rng.zipf_sampler ~n ~s) in
       v >= 0 && v < n)
+
+(* The Zipf draw as it was computed before the sampler existed: every
+   constant recomputed per call.  [unit_float] is the generator's
+   53-bit mapping, restated over [bits64]. *)
+let zipf_per_call t ~n ~s =
+  let unit_float t =
+    float_of_int (Int64.to_int (Int64.shift_right_logical (Sim.Rng.bits64 t) 11)) *. 0x1p-53
+  in
+  if n = 1 then 0
+  else begin
+    let nf = float_of_int n in
+    let h x = if Float.abs (1.0 -. s) < 1e-9 then log x else (x ** (1.0 -. s)) /. (1.0 -. s) in
+    let h_inv x =
+      if Float.abs (1.0 -. s) < 1e-9 then exp x else ((1.0 -. s) *. x) ** (1.0 /. (1.0 -. s))
+    in
+    let hx0 = h 0.5 -. 1.0 in
+    let hn = h (nf +. 0.5) in
+    let rec draw () =
+      let u = hx0 +. (unit_float t *. (hn -. hx0)) in
+      let x = h_inv u in
+      let k = Float.round x in
+      let k = Float.max 1.0 (Float.min nf k) in
+      if k -. x <= 0.5 || u >= h (k +. 0.5) -. (k ** -.s) then int_of_float k - 1 else draw ()
+    in
+    draw ()
+  end
+
+(* The sampler built once gives the per-call formula's draws and leaves
+   the generator where it left it, bit for bit: at s = 1 (the log law),
+   within 1e-9 of it, and away from it. *)
+let prop_rng_zipf_sampler_matches_per_call =
+  QCheck.Test.make ~name:"rng zipf sampler = per-call formula (draws and state)" ~count:300
+    QCheck.(
+      triple (int_range 1 100_000) int
+        (oneof [ always 1.0; always (1.0 +. 5e-10); float_range 0.05 3.0 ]))
+    (fun (n, seed, s) ->
+      let z = Sim.Rng.zipf_sampler ~n ~s in
+      let a = Sim.Rng.create ~seed and b = Sim.Rng.create ~seed in
+      let same = ref true in
+      for _ = 1 to 64 do
+        same := !same && Sim.Rng.zipf a z = zipf_per_call b ~n ~s
+      done;
+      !same && Sim.Rng.bits64 a = Sim.Rng.bits64 b)
 
 (* ------------------------------ stats ----------------------------- *)
 
@@ -202,6 +249,7 @@ let suite =
         Alcotest.test_case "zipf n=1" `Quick test_rng_zipf_single;
         qcheck prop_rng_int_in_bounds;
         qcheck prop_rng_zipf_in_bounds;
+        qcheck prop_rng_zipf_sampler_matches_per_call;
       ] );
     ( "sim.stats",
       [
