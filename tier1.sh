@@ -55,7 +55,7 @@ echo "tier1: chaos+ras combined smoke OK"
 # peak_rss_mb within their BENCHMARK.json end_to_end bounds of the
 # record; both are lower-is-better.  Re-baseline by committing a new
 # record and naming it on this line.
-PERF_REF=BENCH_7b2c7d8.json
+PERF_REF=BENCH_6caac10.json
 sh bench/record.sh "$TRACE_DIR/perf_now.json"
 # The value on WORKLOAD's line of a record: perf_field FILE WORKLOAD REGEX,
 # where REGEX holds one \(...\) group.
