@@ -115,11 +115,15 @@ type vm_state = {
          in release_churn_overhead). *)
   shared : region;
   privates : region array;
-  (* Flat pfn -> region location index.  Guest pfns are small dense
-     ints (< mem_frames), so two int arrays beat a Hashtbl on the
-     per-sample lookup path: no hashing, no boxing, no allocation.
-     owner -1 = untracked, 0 = shared region, t+1 = private region of
-     thread t; slot is the page's index within that region. *)
+  (* Flat pfn -> region location index.  Region pfns are small dense
+     ints from the pool's fresh range, so two int arrays beat a
+     Hashtbl on the per-sample lookup path: no hashing, no boxing, no
+     allocation.  Entry i is pfn [pfn_base + i], and the arrays end at
+     the highest region pfn: they are sized by the regions, not by
+     mem_frames.  owner -1 = untracked, 0 = shared region, t+1 =
+     private region of thread t; slot is the page's index within that
+     region. *)
+  pfn_base : int;
   pfn_owner : int array;
   pfn_slot : int array;
   (* Scratch for build_samples, reused every Carrefour period instead
@@ -244,20 +248,19 @@ let build_region system gpt ~alloc domain ~vfn0 ~pages ~weights ~cpu ~nodes =
   let page_node = Array.make pages 0 in
   let node_weight = Array.make nodes 0.0 in
   for i = 0 to pages - 1 do
-    match Guest.Gpt.touch gpt (vfn0 + i) ~alloc with
-    | None -> invalid_arg "Runner: guest physical memory exhausted"
-    | Some pfn ->
-        pfns.(i) <- pfn;
-        let p2m = domain.Xen.Domain.p2m in
-        if Xen.P2m.mfn_of p2m pfn < 0 then
-          ignore (Xen.Domain.handle_fault domain ~costs:system.Xen.System.costs ~pfn ~cpu);
-        let mfn = Xen.P2m.mfn_of p2m pfn in
-        let node =
-          if mfn < 0 then domain.Xen.Domain.home_nodes.(0)
-          else Memory.Machine.node_of_mfn system.Xen.System.machine mfn
-        in
-        page_node.(i) <- node;
-        node_weight.(node) <- node_weight.(node) +. weights.(i)
+    let pfn = Guest.Gpt.touch gpt (vfn0 + i) ~alloc in
+    if pfn < 0 then invalid_arg "Runner: guest physical memory exhausted";
+    pfns.(i) <- pfn;
+    let p2m = domain.Xen.Domain.p2m in
+    if Xen.P2m.mfn_of p2m pfn < 0 then
+      ignore (Xen.Domain.handle_fault domain ~costs:system.Xen.System.costs ~pfn ~cpu);
+    let mfn = Xen.P2m.mfn_of p2m pfn in
+    let node =
+      if mfn < 0 then domain.Xen.Domain.home_nodes.(0)
+      else Memory.Machine.node_of_mfn system.Xen.System.machine mfn
+    in
+    page_node.(i) <- node;
+    node_weight.(node) <- node_weight.(node) +. weights.(i)
   done;
   { pfns; weights; page_node; node_weight; replicated = Bytes.make pages '\000';
     replicated_local = 0.0; shift = 0 }
@@ -462,13 +465,17 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
           ~weights:(uniform_weights ~pages:private_pages)
           ~cpu:domain.Xen.Domain.vcpu_pin.(t) ~nodes)
   in
-  let pfn_owner = Array.make domain.Xen.Domain.mem_frames (-1) in
-  let pfn_slot = Array.make domain.Xen.Domain.mem_frames 0 in
+  (* The pool hands region pages out from first_fresh up. *)
+  let pfn_base = first_fresh in
+  let top region = Array.fold_left Int.max pfn_base region.pfns in
+  let span = 1 + Array.fold_left (fun acc r -> Int.max acc (top r)) (top shared) privates - pfn_base in
+  let pfn_owner = Array.make span (-1) in
+  let pfn_slot = Array.make span 0 in
   let index owner region =
     Array.iteri
       (fun i pfn ->
-        pfn_owner.(pfn) <- owner;
-        pfn_slot.(pfn) <- i)
+        pfn_owner.(pfn - pfn_base) <- owner;
+        pfn_slot.(pfn - pfn_base) <- i)
       region.pfns
   in
   index 0 shared;
@@ -485,6 +492,7 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     queue;
     shared;
     privates;
+    pfn_base;
     pfn_owner;
     pfn_slot;
     sample_seen = Bytes.make shared_pages '\000';
@@ -840,7 +848,12 @@ let pfn_node machine st pfn =
   if mfn < 0 then -1 else Memory.Machine.node_of_mfn machine mfn
 
 (* The region owner of [pfn] (see [pfn_owner]), -1 when untracked. *)
-let owner_of st pfn = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1
+let owner_of st pfn =
+  let i = pfn - st.pfn_base in
+  if i >= 0 && i < Array.length st.pfn_owner then st.pfn_owner.(i) else -1
+
+(* Page [pfn]'s index within its region; [pfn] must be tracked. *)
+let slot_of st pfn = st.pfn_slot.(pfn - st.pfn_base)
 
 let owned_region st owner = if owner = 0 then st.shared else st.privates.(owner - 1)
 
@@ -872,7 +885,7 @@ let refresh_placement machine st =
     let owner = owner_of st pfn in
     let node = if owner >= 0 then pfn_node machine st pfn else -1 in
     if node >= 0 then begin
-      let region = owned_region st owner and i = st.pfn_slot.(pfn) in
+      let region = owned_region st owner and i = slot_of st pfn in
       let w = eff_weight region i in
       (* Replication status change: the read share of the page's
          popularity moves between the home node and the
@@ -918,7 +931,7 @@ let update_page_node machine st pfn =
   let node = if owner >= 0 then pfn_node machine st pfn else -1 in
   if node >= 0 then
     ignore
-      (move_page (owned_region st owner) st.pfn_slot.(pfn) node
+      (move_page (owned_region st owner) (slot_of st pfn) node
          ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction)
 
 (* ------------------------------------------------------------------ *)
@@ -1672,16 +1685,16 @@ let page_churn rs st =
       let iters = min 64 (max 1 (int_of_float (Config.epoch_len /. period))) in
       let threads = st.spec.Config.threads in
       for i = 0 to iters - 1 do
-        match Guest.Pfn_pool.alloc st.pool with
-        | None -> ()
-        | Some pfn ->
-            Guest.Pv_queue.record q (Guest.Pv_queue.Alloc pfn);
-            if Xen.P2m.mfn_of st.domain.Xen.Domain.p2m pfn < 0 then
-              ignore
-                (Xen.Domain.handle_fault st.domain ~costs:rs.system.Xen.System.costs ~pfn
-                   ~cpu:st.domain.Xen.Domain.vcpu_pin.(i mod threads));
-            Guest.Pfn_pool.release st.pool pfn;
-            Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
+        let pfn = Guest.Pfn_pool.alloc st.pool in
+        if pfn >= 0 then begin
+          Guest.Pv_queue.record q (Guest.Pv_queue.Alloc pfn);
+          if Xen.P2m.mfn_of st.domain.Xen.Domain.p2m pfn < 0 then
+            ignore
+              (Xen.Domain.handle_fault st.domain ~costs:rs.system.Xen.System.costs ~pfn
+                 ~cpu:st.domain.Xen.Domain.vcpu_pin.(i mod threads));
+          Guest.Pfn_pool.release st.pool pfn;
+          Guest.Pv_queue.record q (Guest.Pv_queue.Release pfn)
+        end
       done
 
 (* Carrefour runs its user component once per period (once per

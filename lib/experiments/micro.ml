@@ -180,16 +180,14 @@ let batching ?(ops = 100_000) () =
      critical section: record the Alloc, then touch the page; release
      the page, then record the Release. *)
   let alloc () =
-    match Guest.Pfn_pool.alloc pool with
-    | None -> failwith "pool exhausted"
-    | Some pfn ->
-        Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn);
-        (match Xen.P2m.get domain.Xen.Domain.p2m pfn with
-        | Xen.P2m.Invalid ->
-            ignore
-              (Xen.Domain.handle_fault domain ~costs ~pfn ~cpu:domain.Xen.Domain.vcpu_pin.(0))
-        | Xen.P2m.Mapped _ -> ());
-        pfn
+    let pfn = Guest.Pfn_pool.alloc pool in
+    if pfn < 0 then failwith "pool exhausted";
+    Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn);
+    (match Xen.P2m.get domain.Xen.Domain.p2m pfn with
+    | Xen.P2m.Invalid ->
+        ignore (Xen.Domain.handle_fault domain ~costs ~pfn ~cpu:domain.Xen.Domain.vcpu_pin.(0))
+    | Xen.P2m.Mapped _ -> ());
+    pfn
   in
   let release pfn =
     Guest.Pfn_pool.release pool pfn;

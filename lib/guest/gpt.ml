@@ -7,10 +7,9 @@ let create ~frames =
 let touch t vfn ~alloc =
   if vfn < 0 || vfn >= Array.length t then invalid_arg "Gpt: vfn out of range";
   let pfn = t.(vfn) in
-  if pfn >= 0 then Some pfn
-  else
-    match alloc () with
-    | None -> None
-    | Some pfn ->
-        t.(vfn) <- pfn;
-        Some pfn
+  if pfn >= 0 then pfn
+  else begin
+    let pfn = alloc () in
+    if pfn >= 0 then t.(vfn) <- pfn;
+    pfn
+  end

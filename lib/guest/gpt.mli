@@ -12,9 +12,9 @@ type t
 val create : frames:int -> t
 (** Address space of [frames] virtual frames, all unmapped. *)
 
-val touch :
-  t -> Memory.Page.vfn -> alloc:(unit -> Memory.Page.pfn option) -> Memory.Page.pfn option
+val touch : t -> Memory.Page.vfn -> alloc:(unit -> Memory.Page.pfn) -> Memory.Page.pfn
 (** [touch t vfn ~alloc] resolves an access: returns the mapped frame,
     or on first touch (a guest page fault) calls [alloc] to obtain one
-    and maps it.  [None] only if [alloc] fails (out of memory).
+    and maps it.  [-1] only if [alloc] fails (returns [-1]: out of
+    memory).
     @raise Invalid_argument on an out-of-range vfn. *)

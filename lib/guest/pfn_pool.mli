@@ -21,11 +21,13 @@ val create :
 (** Pool over guest-physical frames [\[0, frames)], all initially
     unallocated ("fresh").  [first_fresh] (default 0) reserves the low
     frames for the kernel and DMA zones: fresh allocations start there,
-    mirroring how Linux keeps user pages out of low memory. *)
+    mirroring how Linux keeps user pages out of low memory.  The pool
+    keeps one byte per frame it has handed out, not per frame it
+    covers. *)
 
-val alloc : t -> Memory.Page.pfn option
+val alloc : t -> Memory.Page.pfn
 (** Pop the most recently released frame, else the next fresh frame;
-    [None] when the guest-physical space is exhausted. *)
+    [-1] when the guest-physical space is exhausted. *)
 
 val release : t -> Memory.Page.pfn -> unit
 (** Return a frame to the free list (zeroing is implicit).

@@ -35,6 +35,44 @@ module Paged = struct
       t.pages.(p) <- page;
       Bytes.set page (i land (page_frames - 1)) c
     end
+
+  (* [set] over [\[i, i + len)], with one [Bytes.fill] per page. *)
+  let fill t i len c =
+    if len > 0 then begin
+      if i < 0 || i + len > t.len then invalid_arg "index out of bounds";
+      let stop = i + len and cur = ref i in
+      while !cur < stop do
+        let p = !cur lsr page_bits and off = !cur land (page_frames - 1) in
+        let n = Int.min (page_frames - off) (stop - !cur) in
+        if Bytes.length t.pages.(p) > 0 then Bytes.fill t.pages.(p) off n c
+        else if c <> '\000' then begin
+          let page = Bytes.make page_frames '\000' in
+          t.pages.(p) <- page;
+          Bytes.fill page off n c
+        end;
+        cur := !cur + n
+      done
+    end
+
+  (* [true] iff [\[i, i + len)] is in bounds and every byte in it reads
+     [c]. *)
+  let all_equal t i len c =
+    i >= 0 && i + len <= t.len
+    && begin
+         let stop = i + len and cur = ref i and ok = ref true in
+         while !ok && !cur < stop do
+           let p = !cur lsr page_bits and off = !cur land (page_frames - 1) in
+           let n = Int.min (page_frames - off) (stop - !cur) in
+           let page = t.pages.(p) in
+           if Bytes.length page = 0 then ok := c = '\000'
+           else
+             for j = off to off + n - 1 do
+               if Bytes.unsafe_get page j <> c then ok := false
+             done;
+           cur := !cur + n
+         done;
+         !ok
+       end
 end
 
 type t = {
@@ -101,30 +139,28 @@ let largest_free_order t =
   let rec scan o = if o < 0 then None else if Int_set.is_empty t.free_sets.(o) then scan (o - 1) else Some o in
   scan max_order
 
+(* Loops, not local recursive functions, so that a call builds no
+   closure: a boot population calls this once per 2 MiB block, which at
+   coarse page scales is every few frames. *)
 let alloc t ~order =
   if order < 0 || order > max_order then invalid_arg "Buddy.alloc: bad order";
-  let rec find o =
-    if o > max_order then None
-    else if Int_set.is_empty t.free_sets.(o) then find (o + 1)
-    else Some o
-  in
-  match find order with
-  | None -> None
-  | Some found ->
-      let block = Int_set.min_elt t.free_sets.(found) in
-      t.free_sets.(found) <- Int_set.remove block t.free_sets.(found);
-      (* Split down to the requested order, freeing the upper halves. *)
-      let rec split o =
-        if o > order then begin
-          let o' = o - 1 in
-          add_block t ~base:(block + block_frames o') ~order:o';
-          split o'
-        end
-      in
-      split found;
-      t.free <- t.free - block_frames order;
-      Paged.set t.allocated (block - t.base) (Char.chr (order + 1));
-      Some block
+  let found = ref order in
+  while !found <= max_order && Int_set.is_empty t.free_sets.(!found) do
+    incr found
+  done;
+  if !found > max_order then None
+  else begin
+    let found = !found in
+    let block = Int_set.min_elt t.free_sets.(found) in
+    t.free_sets.(found) <- Int_set.remove block t.free_sets.(found);
+    (* Split down to the requested order, freeing the upper halves. *)
+    for o = found - 1 downto order do
+      add_block t ~base:(block + block_frames o) ~order:o
+    done;
+    t.free <- t.free - block_frames order;
+    Paged.set t.allocated (block - t.base) (Char.chr (order + 1));
+    Some block
+  end
 
 let split_allocation t ~base ~order =
   if order < 0 || order > max_order then invalid_arg "Buddy.split_allocation: bad order";
@@ -132,9 +168,7 @@ let split_allocation t ~base ~order =
   | 0 -> invalid_arg "Buddy.split_allocation: block not allocated"
   | tag when tag - 1 <> order -> invalid_arg "Buddy.split_allocation: order mismatch"
   | _ -> ());
-  for f = base to base + block_frames order - 1 do
-    Paged.set t.allocated (f - t.base) '\001'
-  done
+  Paged.fill t.allocated (base - t.base) (block_frames order) '\001'
 
 let in_range t ~base ~order =
   base >= t.base && base + block_frames order <= t.base + t.total
@@ -196,26 +230,29 @@ let free t ~base ~order =
 (* Exact for the same reason deferred frees are: with eager coalescing
    the free sets are a function of the set of free frames alone, so
    inserting the run's maximal aligned blocks lands where the
-   per-frame frees would. *)
+   per-frame frees would.  The tags are checked by one scan of the
+   run; only a run that fails it is checked frame by frame, to raise
+   [free]'s message for the first offending frame. *)
 let free_run t ~base ~frames =
-  for f = base to base + frames - 1 do
-    check_allocated t ~base:f ~order:0
-  done;
-  if has_pending t ~base ~frames then
-    for f = base to base + frames - 1 do
-      free t ~base:f ~order:0
-    done
-  else begin
-    for f = base to base + frames - 1 do
-      Paged.set t.allocated (f - t.base) '\000'
-    done;
-    t.free <- t.free + frames;
-    let cur = ref base and stop = base + frames in
-    while !cur < stop do
-      let order = fit_order !cur stop in
-      coalesce t !cur order;
-      cur := !cur + block_frames order
-    done
+  if frames > 0 then begin
+    if not (base >= t.base && Paged.all_equal t.allocated (base - t.base) frames '\001') then
+      for f = base to base + frames - 1 do
+        check_allocated t ~base:f ~order:0
+      done;
+    if has_pending t ~base ~frames then
+      for f = base to base + frames - 1 do
+        free t ~base:f ~order:0
+      done
+    else begin
+      Paged.fill t.allocated (base - t.base) frames '\000';
+      t.free <- t.free + frames;
+      let cur = ref base and stop = base + frames in
+      while !cur < stop do
+        let order = fit_order !cur stop in
+        coalesce t !cur order;
+        cur := !cur + block_frames order
+      done
+    end
   end
 
 let check_consistent t =

@@ -35,9 +35,9 @@ val free_run : t -> base:int -> frames:int -> unit
     allocations [\[base, base + frames)]: the same end state as
     {!free} of each frame with [~order:0], but the run's frames enter
     the free sets as its maximal aligned blocks, each coalesced once.
-    Every frame's tag is checked before anything changes; a run that
-    holds an offline-pending frame is freed frame by frame.  A run of
-    [frames <= 0] frees nothing.
+    Every frame's tag is checked before anything changes, by one scan
+    of the run's tag pages; a run that holds an offline-pending frame
+    is freed frame by frame.  A run of [frames <= 0] frees nothing.
     @raise Invalid_argument with {!free}'s message (out of range,
     double free, order mismatch) for the first offending frame. *)
 

@@ -2,6 +2,8 @@ type t = {
   topo : Numa.Topology.t;
   page_scale : int;
   frames_per_node : int;
+  node_shift : int;  (* log2 frames_per_node when a power of two, else -1 *)
+  total : int;
   pools : Buddy.t array;
   mutable fallback_cursor : int;
   mutable alloc_veto : (node:int -> order:int -> bool) option;
@@ -24,18 +26,22 @@ let create ?(page_scale = 1) topo =
     Array.init (Numa.Topology.node_count topo) (fun n ->
         Buddy.create ~base:(n * frames_per_node) ~frames:frames_per_node)
   in
-  { topo; page_scale; frames_per_node; pools; fallback_cursor = 0; alloc_veto = None }
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+  let node_shift = if is_power_of_two frames_per_node then log2 frames_per_node else -1 in
+  { topo; page_scale; frames_per_node; node_shift;
+    total = frames_per_node * Numa.Topology.node_count topo; pools; fallback_cursor = 0;
+    alloc_veto = None }
 
 let set_alloc_veto t veto = t.alloc_veto <- veto
 
 let page_scale t = t.page_scale
 let frame_bytes t = Page.size_4k * t.page_scale
 let frames_per_node t = t.frames_per_node
-let total_frames t = t.frames_per_node * Numa.Topology.node_count t.topo
+let total_frames t = t.total
 
 let node_of_mfn t mfn =
-  if mfn < 0 || mfn >= total_frames t then invalid_arg "Machine.node_of_mfn: out of range";
-  mfn / t.frames_per_node
+  if mfn < 0 || mfn >= t.total then invalid_arg "Machine.node_of_mfn: out of range";
+  if t.node_shift >= 0 then mfn lsr t.node_shift else mfn / t.frames_per_node
 
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
@@ -95,6 +101,41 @@ let free_run t ~mfn ~frames =
     if node_of_mfn t (mfn + frames - 1) <> node then invalid_arg "Machine.free_run: run spans nodes";
     Buddy.free_run t.pools.(node) ~base:mfn ~frames
   end
+
+(* One open run per node: a frame that extends its node's run joins
+   it, any other closes that run (one [free_run]) and opens a new
+   one. *)
+type deferred = { machine : t; run_base : int array; run_len : int array }
+
+let defer_frees t =
+  let nodes = Array.length t.pools in
+  { machine = t; run_base = Array.make nodes 0; run_len = Array.make nodes 0 }
+
+let close d node =
+  free_run d.machine ~mfn:d.run_base.(node) ~frames:d.run_len.(node);
+  d.run_len.(node) <- 0
+
+let defer d mfns ~n =
+  if n < 0 || n > Array.length mfns then invalid_arg "Machine.defer: n out of range";
+  let m = d.machine and run_base = d.run_base and run_len = d.run_len in
+  for i = 0 to n - 1 do
+    let mfn = Array.unsafe_get mfns i in
+    (* [node_of_mfn], inline: this runs once per freed frame. *)
+    if mfn < 0 || mfn >= m.total then invalid_arg "Machine.node_of_mfn: out of range";
+    let node = if m.node_shift >= 0 then mfn lsr m.node_shift else mfn / m.frames_per_node in
+    let len = Array.unsafe_get run_len node in
+    if Array.unsafe_get run_base node + len <> mfn then begin
+      close d node;
+      Array.unsafe_set run_base node mfn;
+      Array.unsafe_set run_len node 1
+    end
+    else Array.unsafe_set run_len node (len + 1)
+  done
+
+let flush_deferred d =
+  for node = 0 to Array.length d.run_len - 1 do
+    close d node
+  done
 
 let free_frames_on t node =
   assert (node >= 0 && node < Array.length t.pools);

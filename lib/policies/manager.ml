@@ -147,19 +147,22 @@ let next_home_node t =
   (* Round-robin over the home nodes, skipping any that left the
      dynamic node mask.  The cursor advances exactly once per call when
      every home node is online, so healthy runs are bit-identical to
-     the pre-RAS placement. *)
-  let rec pick attempts =
+     the pre-RAS placement.  A loop, not a local recursive function,
+     so that a pick allocates nothing: the fault path and the boot's
+     single-frame steps pick once per frame. *)
+  let picked = ref (-1) and attempts = ref 0 in
+  while !picked < 0 do
     let node = home.(t.rr_cursor mod k) in
     t.rr_cursor <- t.rr_cursor + 1;
-    if Numa.Topology.node_online topo node then node
-    else if attempts + 1 < k then pick (attempts + 1)
-    else begin
-      match any_online_node topo with
-      | Some n -> n
-      | None -> node (* whole machine failing; allocation will fail anyway *)
-    end
-  in
-  pick 0
+    if Numa.Topology.node_online topo node then picked := node
+    else if !attempts + 1 < k then incr attempts
+    else
+      picked :=
+        match any_online_node topo with
+        | Some n -> n
+        | None -> node (* whole machine failing; allocation will fail anyway *)
+  done;
+  !picked
 
 let map_or_fail t pfn node =
   match Internal.map_page t.system t.domain ~pfn ~node with
@@ -189,36 +192,102 @@ let note_splinter t ~pfn =
    not be carved one by one: each node keeps a cache of frames peeled
    off a 2 MiB buddy block, refilled on demand, so the per-frame buddy
    walk (order-0 set lookup, removal, split chain) is paid once per
-   block instead of once per frame.  Same node per pfn as the naive
-   loop, ~2 MiB/4 KiB times fewer allocator operations.  When no block
-   is free on a node the per-frame fallback path takes over for that
-   frame, preserving the old exhaustion behaviour. *)
+   block instead of once per frame.  When no block is free on a node
+   the per-frame fallback path takes over for that frame, preserving
+   the old exhaustion behaviour.
+
+   Nor are the P2M entries written one by one.  While the k home nodes
+   are distinct and online, the next frames pick home.((rr_cursor + j)
+   mod k) in turn, so as long as every one of those nodes has frames
+   cached the next rows of k frames are one interleaved run
+   ([P2m.set_run], one lane per node).  A frame that needs a refill or
+   the fallback, and every frame when some home node is offline, takes
+   the single-frame step; a run window makes no allocator call, so the
+   allocator (and its fault-injection veto) sees the calls of the
+   frame-by-frame loop, in the same order. *)
 let populate_round_4k t =
   let machine = t.system.Xen.System.machine in
+  let topo = t.system.Xen.System.topo in
   let p2m = t.domain.Xen.Domain.p2m in
   let frames = t.domain.Xen.Domain.mem_frames in
-  let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
+  let nodes = Numa.Topology.node_count topo in
   let order = Memory.Machine.order_2m machine in
   let block = 1 lsl order in
   let cache_mfn = Array.make nodes 0 in
   let cache_left = Array.make nodes 0 in
-  for pfn = 0 to frames - 1 do
-    let node = next_home_node t in
-    (if cache_left.(node) > 0 then begin
-       let mfn = cache_mfn.(node) in
-       cache_mfn.(node) <- mfn + 1;
-       cache_left.(node) <- cache_left.(node) - 1;
-       Xen.P2m.set p2m pfn ~mfn ~writable:true
-     end
-     else
-       match Memory.Machine.alloc_on machine ~node ~order with
-       | Some base ->
-           Memory.Machine.split_block machine ~mfn:base ~order;
-           cache_mfn.(node) <- base + 1;
-           cache_left.(node) <- block - 1;
-           Xen.P2m.set p2m pfn ~mfn:base ~writable:true
-       | None -> map_or_fail t pfn node);
-    t.stats.populated_4k <- t.stats.populated_4k + 1
+  let home = t.domain.Xen.Domain.home_nodes in
+  let k = Array.length home in
+  let rotating =
+    Array.for_all (Numa.Topology.node_online topo) home
+    && List.length (List.sort_uniq Int.compare (Array.to_list home)) = k
+  in
+  (* While rotating, a pick is [next_home_node] without its checks: it
+     reads home.(lane), where lane = rr_cursor mod k, and advances the
+     cursor by one. *)
+  let lane = ref (t.rr_cursor mod k) in
+  let pick () =
+    if rotating then begin
+      let node = home.(!lane) in
+      t.rr_cursor <- t.rr_cursor + 1;
+      lane := if !lane + 1 = k then 0 else !lane + 1;
+      node
+    end
+    else next_home_node t
+  in
+  let lane_node = Array.make k 0 and bases = Array.make k 0 in
+  (* Rows of k frames every lane can serve from its cache; 0 when the
+     next frame needs the single-frame step, found at the first empty
+     lane. *)
+  let window_rows pfn =
+    if not rotating then 0
+    else begin
+      let rows = ref ((frames - pfn) / k) and j = ref 0 in
+      while !rows > 0 && !j < k do
+        let l = !lane + !j in
+        let node = home.(if l < k then l else l - k) in
+        lane_node.(!j) <- node;
+        rows := Int.min !rows cache_left.(node);
+        incr j
+      done;
+      !rows
+    end
+  in
+  let pfn = ref 0 in
+  while !pfn < frames do
+    let rows = window_rows !pfn in
+    if rows > 0 then begin
+      for j = 0 to k - 1 do
+        bases.(j) <- cache_mfn.(lane_node.(j))
+      done;
+      Xen.P2m.set_run p2m ~pfn:!pfn ~rows ~bases ~writable:true;
+      for j = 0 to k - 1 do
+        let node = lane_node.(j) in
+        cache_mfn.(node) <- cache_mfn.(node) + rows;
+        cache_left.(node) <- cache_left.(node) - rows
+      done;
+      t.rr_cursor <- t.rr_cursor + (rows * k);
+      t.stats.populated_4k <- t.stats.populated_4k + (rows * k);
+      pfn := !pfn + (rows * k)
+    end
+    else begin
+      let node = pick () in
+      (if cache_left.(node) > 0 then begin
+         let mfn = cache_mfn.(node) in
+         cache_mfn.(node) <- mfn + 1;
+         cache_left.(node) <- cache_left.(node) - 1;
+         Xen.P2m.set p2m !pfn ~mfn ~writable:true
+       end
+       else
+         match Memory.Machine.alloc_on machine ~node ~order with
+         | Some base ->
+             Memory.Machine.split_block machine ~mfn:base ~order;
+             cache_mfn.(node) <- base + 1;
+             cache_left.(node) <- block - 1;
+             Xen.P2m.set p2m !pfn ~mfn:base ~writable:true
+         | None -> map_or_fail t !pfn node);
+      t.stats.populated_4k <- t.stats.populated_4k + 1;
+      incr pfn
+    end
   done;
   (* Return unused cached frames; they were split to order 0 already. *)
   for node = 0 to nodes - 1 do
@@ -247,19 +316,15 @@ let populate_round_1g t =
   let p2m = t.domain.Xen.Domain.p2m in
   let sp = Xen.P2m.sp_frames p2m in
   let map_block pfn0 mfn0 count =
-    if t.superpages && sp > 1 && pfn0 mod sp = 0 && mfn0 mod sp = 0 then begin
-      let chunks = count / sp in
-      for c = 0 to chunks - 1 do
-        Xen.P2m.map_superpage p2m ~pfn:(pfn0 + (c * sp)) ~mfn:(mfn0 + (c * sp)) ~writable:true
-      done;
-      for i = chunks * sp to count - 1 do
-        Xen.P2m.set p2m (pfn0 + i) ~mfn:(mfn0 + i) ~writable:true
-      done
-    end
-    else
-      for i = 0 to count - 1 do
-        Xen.P2m.set p2m (pfn0 + i) ~mfn:(mfn0 + i) ~writable:true
-      done
+    let chunks =
+      if t.superpages && sp > 1 && pfn0 mod sp = 0 && mfn0 mod sp = 0 then count / sp else 0
+    in
+    for c = 0 to chunks - 1 do
+      Xen.P2m.map_superpage p2m ~pfn:(pfn0 + (c * sp)) ~mfn:(mfn0 + (c * sp)) ~writable:true
+    done;
+    let mapped = chunks * sp in
+    Xen.P2m.set_run p2m ~pfn:(pfn0 + mapped) ~rows:(count - mapped) ~bases:[| mfn0 + mapped |]
+      ~writable:true
   in
   let populate_4k pfn0 count =
     for i = 0 to count - 1 do
@@ -457,20 +522,27 @@ let charge_hypercall t id time =
   account.Xen.Domain.hypercall_time <- account.Xen.Domain.hypercall_time +. time;
   Xen.Hypercall.record ?obs:t.system.Xen.System.obs ~domain:t.domain.Xen.Domain.id id ~time
 
-let set_policy t new_spec =
+(* The policy-selection hypercall in two halves: [select_policy]
+   charges it and installs the spec, [start_policy] starts or stops
+   Carrefour to match and names the policy. *)
+let select_policy t new_spec =
   if not (Spec.runtime_selectable new_spec) then
     Error "round-1g is boot-only; the hypercall cannot select it"
   else begin
     charge_hypercall t Xen.Hypercall.Set_numa_policy
       t.system.Xen.System.costs.Xen.Costs.hypercall_entry;
     t.spec <- new_spec;
-    (match (new_spec.Spec.carrefour, t.carrefour) with
-    | true, None -> t.carrefour <- Some (make_carrefour t)
-    | false, Some _ -> t.carrefour <- None
-    | true, Some _ | false, None -> ());
-    t.domain.Xen.Domain.policy_name <- Spec.name new_spec;
     Ok ()
   end
+
+let start_policy t =
+  (match (t.spec.Spec.carrefour, t.carrefour) with
+  | true, None -> t.carrefour <- Some (make_carrefour t)
+  | false, Some _ -> t.carrefour <- None
+  | true, Some _ | false, None -> ());
+  t.domain.Xen.Domain.policy_name <- Spec.name t.spec
+
+let set_policy t new_spec = Result.map (fun () -> start_policy t) (select_policy t new_spec)
 
 let ensure_inv_buf t n =
   if Array.length t.inv_buf < n then begin
@@ -559,34 +631,23 @@ let release_batch = 128
 
 (* Range release (the policy-switch free-list report): queue-sized
    Release chunks, each one Page_ops hypercall ([page_ops_batch], as
-   for [page_ops_hypercall]).  The pfns are
-   consecutive and distinct by construction, so no op values and no
-   dedup pass are materialised — each chunk goes straight into a range
-   invalidate.
+   for [page_ops_hypercall]).  The pfns are consecutive and distinct by
+   construction, so no op values and no dedup pass are materialised —
+   each chunk goes straight into a range invalidate, which hands back
+   the freed machine frames in one buffer rather than through a
+   per-frame callback.
 
-   Freed machine frames gather into one open run per node, handed to
-   [Memory.Machine.free_run] when the next frame does not extend it
-   and at the end.  Deferring the frees is exact: nothing allocates
-   during the release, and with eager coalescing the buddy's free sets
-   are a function of the set of free frames alone
+   Freed machine frames gather into one open run per node
+   ([Memory.Machine.defer]), each freed as one run when the next frame
+   does not extend it and at the end.  Deferring the frees is exact:
+   nothing allocates during the release, and with eager coalescing the
+   buddy's free sets are a function of the set of free frames alone
    ([Memory.Buddy.check_consistent]). *)
 let release_free_range t ~first ~count =
   Obs.Profile.span Obs.Profile.Manager_release @@ fun () ->
-  let machine = t.system.Xen.System.machine in
-  let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
-  let run_base = Array.make nodes 0 and run_len = Array.make nodes 0 in
-  let flush node =
-    Memory.Machine.free_run machine ~mfn:run_base.(node) ~frames:run_len.(node);
-    run_len.(node) <- 0
-  in
-  let push mfn =
-    let node = Memory.Machine.node_of_mfn machine mfn in
-    if run_base.(node) + run_len.(node) <> mfn then begin
-      flush node;
-      run_base.(node) <- mfn
-    end;
-    run_len.(node) <- run_len.(node) + 1
-  in
+  let p2m = t.domain.Xen.Domain.p2m in
+  let frees = Memory.Machine.defer_frees t.system.Xen.System.machine in
+  let freed = Array.make release_batch 0 in
   let total = ref 0.0 in
   let off = ref 0 in
   while !off < count do
@@ -595,29 +656,34 @@ let release_free_range t ~first ~count =
       page_ops_batch t ~n (fun () ->
           if Spec.invalidates_free_pages t.spec then
             invalidate_with t (fun ~on_splinter ->
-                Xen.P2m.invalidate_range ~on_splinter
-                  ~on_free:(fun _pfn mfn -> push mfn)
-                  t.domain.Xen.Domain.p2m ~first:(first + !off) ~n)
+                let bstats =
+                  Xen.P2m.invalidate_range ~on_splinter p2m ~first:(first + !off) ~n ~freed
+                in
+                Memory.Machine.defer frees freed ~n:bstats.Xen.P2m.applied;
+                bstats)
           else 0.0)
     in
     total := !total +. chunk_time;
     off := !off + n
   done;
-  for node = 0 to nodes - 1 do
-    flush node
-  done;
+  Memory.Machine.flush_deferred frees;
   !total
 
 (* The switch as the guest performs it.  At boot every guest frame is
-   free, so the whole free-list report is the range of all of them. *)
+   free, so the whole free-list report is the range of all of them.
+   Carrefour starts after that release: its heat table would be empty
+   during it, so the release's updates would change nothing in it, and
+   without Carrefour (and without page-table mirrors) the P2M has no
+   observer, so the release's chunks are sweeps. *)
 let switch t spec =
   if Spec.equal spec t.spec then Ok ()
   else
-    match set_policy t spec with
+    match select_policy t spec with
     | Error _ as e -> e
     | Ok () ->
         if Spec.invalidates_free_pages spec then
           ignore (release_free_range t ~first:0 ~count:t.domain.Xen.Domain.mem_frames);
+        start_policy t;
         Ok ()
 
 let carrefour t = t.carrefour
@@ -1188,6 +1254,7 @@ let quiescent t =
   && t.breaker_attempts < breaker_min_attempts
 let superpages_enabled t = t.superpages
 let promote_cursor t = t.promote_cursor
+let rr_cursor t = t.rr_cursor
 let pt t = t.pt
 
 let node_of_pfn t pfn = Internal.node_of_pfn t.system t.domain pfn

@@ -106,7 +106,9 @@ val switch : t -> Spec.t -> (unit, string) result
     {!set_policy} hypercall, then — when the new policy invalidates
     free pages ({!Spec.invalidates_free_pages}) — the guest's whole
     free list, which at boot is every guest frame, reported through
-    {!release_free_range}.  A no-op when [spec] is already in force. *)
+    {!release_free_range}.  Carrefour, when [spec] asks for it, starts
+    after that release; its heat table is empty until then either way.
+    A no-op when [spec] is already in force. *)
 
 val page_ops_hypercall : t -> Guest.Pv_queue.op array -> float
 (** The batched page-ops hypercall.  Input contract: at most one op
@@ -194,6 +196,10 @@ val promote_scan : t -> int
 
 val promote_cursor : t -> int
 (** The extent index the next {!promote_scan} starts at. *)
+
+val rr_cursor : t -> int
+(** The round-robin cursor over the home nodes: the next pick reads
+    home node [rr_cursor mod k], skipping nodes that are offline. *)
 
 val superpages_enabled : t -> bool
 

@@ -25,6 +25,7 @@ type t = {
   writable : Bytes.t;
   mutable mapped : int;
   sp_frames : int;
+  sp_shift : int;  (* log2 sp_frames: pfn lsr sp_shift is the extent *)
   sp : Bytes.t;  (* one byte per extent; '\001' = superpage *)
   mutable superpages : int;
   mutable splinters : int;  (* cumulative demotions *)
@@ -44,11 +45,13 @@ let create ?(sp_frames = Memory.Page.frames_per_2m) ~frames () =
   if sp_frames land (sp_frames - 1) <> 0 then
     invalid_arg "P2m.create: sp_frames must be a power of two";
   let extents = (frames + sp_frames - 1) / sp_frames in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   {
     mfns = Array.make frames (-1);
     writable = Bytes.make frames '\000';
     mapped = 0;
     sp_frames;
+    sp_shift = log2 sp_frames;
     sp = Bytes.make extents '\000';
     superpages = 0;
     splinters = 0;
@@ -61,18 +64,29 @@ let frames t = Array.length t.mfns
 let sp_frames t = t.sp_frames
 let set_on_update t f = t.on_update <- f
 (* Every mutation path — per-frame ops, superpage map/splinter/promote
-   and each applied batch element — funnels through [notify], so the
-   version bump here covers them all.  The counter only ever grows;
-   equality of two reads proves the table saw no mutation in between
-   (the fast-forward quiescence check in the engine relies on this). *)
+   and each applied batch element — funnels through [notify] or one of
+   its per-frame forms, so the version bump here covers them all.  The
+   counter only ever grows; equality of two reads proves the table saw
+   no mutation in between (the fast-forward quiescence check in the
+   engine relies on this).  The per-frame forms build their update
+   record only when an observer is installed: a run without one
+   allocates nothing per mutation. *)
 let notify t u =
   t.version <- t.version + 1;
   match t.on_update with Some f -> f u | None -> ()
 
+let notify_set t pfn mfn writable =
+  t.version <- t.version + 1;
+  match t.on_update with Some f -> f (Set { pfn; mfn; writable }) | None -> ()
+
+let notify_cleared t pfn =
+  t.version <- t.version + 1;
+  match t.on_update with Some f -> f (Cleared { pfn }) | None -> ()
+
 let check t pfn =
   if pfn < 0 || pfn >= Array.length t.mfns then invalid_arg "P2m: pfn out of range"
 
-let extent_of t pfn = pfn / t.sp_frames
+let extent_of t pfn = pfn lsr t.sp_shift
 
 let is_superpage t pfn =
   check t pfn;
@@ -124,7 +138,54 @@ let set t pfn ~mfn ~writable =
   if t.mfns.(pfn) < 0 then t.mapped <- t.mapped + 1;
   t.mfns.(pfn) <- mfn;
   Bytes.set t.writable pfn (if writable then '\001' else '\000');
-  notify t (Set { pfn; mfn; writable })
+  notify_set t pfn mfn writable
+
+(* [true] iff some extent overlapping [\[first, first + n)] is a
+   superpage; [n > 0]. *)
+let any_superpage t ~first ~n =
+  t.superpages > 0
+  &&
+  let found = ref false in
+  for ext = extent_of t first to extent_of t (first + n - 1) do
+    if Bytes.get t.sp ext <> '\000' then found := true
+  done;
+  !found
+
+let set_run t ~pfn ~rows ~bases ~writable =
+  let lanes = Array.length bases in
+  if rows < 0 then invalid_arg "P2m.set_run: negative rows";
+  Array.iter (fun b -> if b < 0 then invalid_arg "P2m.set_run: negative mfn") bases;
+  let n = rows * lanes in
+  if n > 0 then begin
+    check t pfn;
+    check t (pfn + n - 1);
+    if t.on_update <> None || any_superpage t ~first:pfn ~n then
+      (* A splinter or an observer: the per-frame path, which emits
+         each frame's splinter and [Set] in pfn order. *)
+      for r = 0 to rows - 1 do
+        for j = 0 to lanes - 1 do
+          set t (pfn + (r * lanes) + j) ~mfn:(bases.(j) + r) ~writable
+        done
+      done
+    else begin
+      (* Nothing to splinter and nobody to tell: a fill.  Both ends
+         and every base were checked above. *)
+      let mfns = t.mfns and wbytes = t.writable in
+      let w = if writable then '\001' else '\000' in
+      let fresh = ref 0 in
+      for j = 0 to lanes - 1 do
+        let base = Array.unsafe_get bases j and p = ref (pfn + j) in
+        for r = 0 to rows - 1 do
+          if Array.unsafe_get mfns !p < 0 then incr fresh;
+          Array.unsafe_set mfns !p (base + r);
+          Bytes.unsafe_set wbytes !p w;
+          p := !p + lanes
+        done
+      done;
+      t.mapped <- t.mapped + !fresh;
+      t.version <- t.version + n
+    end
+  end
 
 let invalidate t pfn =
   check t pfn;
@@ -135,7 +196,7 @@ let invalidate t pfn =
     t.mfns.(pfn) <- -1;
     Bytes.set t.writable pfn '\000';
     t.mapped <- t.mapped - 1;
-    notify t (Cleared { pfn });
+    notify_cleared t pfn;
     Some mfn
   end
 
@@ -144,7 +205,7 @@ let write_protect t pfn =
   if t.mfns.(pfn) >= 0 then begin
     splinter_if_superpage t pfn;
     Bytes.set t.writable pfn '\000';
-    notify t (Set { pfn; mfn = t.mfns.(pfn); writable = false })
+    notify_set t pfn t.mfns.(pfn) false
   end
 
 let map_superpage t ~pfn ~mfn ~writable =
@@ -278,7 +339,7 @@ let invalidate_one t ?on_splinter ?on_free ~applied ~splintered pfn =
     t.mfns.(pfn) <- -1;
     Bytes.set t.writable pfn '\000';
     t.mapped <- t.mapped - 1;
-    notify t (Cleared { pfn });
+    notify_cleared t pfn;
     incr applied;
     match on_free with Some f -> f pfn mfn | None -> ()
   end
@@ -294,14 +355,41 @@ let invalidate_batch t ?on_splinter ?on_free pfns ~n =
   { applied = !applied; splintered = !splintered }
 
 (* The pfns are consecutive, hence already sorted and distinct: the
-   batch path minus the sort and the pfn buffer. *)
-let invalidate_range ?on_splinter ?on_free t ~first ~n =
+   batch path minus the sort and the pfn buffer.  The freed frames go
+   to [freed] instead of a per-frame callback, and an out-of-range end
+   raises after the in-range prefix, where the batch path would. *)
+let invalidate_range ?on_splinter t ~first ~n ~freed =
   if n < 0 then invalid_arg "P2m.invalidate_range: n out of range";
+  if Array.length freed < n then invalid_arg "P2m.invalidate_range: freed shorter than n";
   Obs.Profile.span Obs.Profile.P2m_batch @@ fun () ->
+  if n > 0 then check t first;
+  let mfns = t.mfns and wbytes = t.writable in
+  let stop = Int.min (first + n) (Array.length mfns) in
   let applied = ref 0 and splintered = ref 0 in
-  for pfn = first to first + n - 1 do
-    invalidate_one t ?on_splinter ?on_free ~applied ~splintered pfn
-  done;
+  if stop > first && t.on_update = None && not (any_superpage t ~first ~n:(stop - first)) then begin
+    (* Nothing to splinter and nobody to tell: a sweep. *)
+    let k = ref 0 in
+    for pfn = first to stop - 1 do
+      let mfn = Array.unsafe_get mfns pfn in
+      if mfn >= 0 then begin
+        Array.unsafe_set mfns pfn (-1);
+        Bytes.unsafe_set wbytes pfn '\000';
+        Array.unsafe_set freed !k mfn;
+        incr k
+      end
+    done;
+    applied := !k;
+    t.mapped <- t.mapped - !k;
+    t.version <- t.version + !k
+  end
+  else begin
+    (* [invalidate_one] counts the frame before it calls [on_free]. *)
+    let on_free _pfn mfn = freed.(!applied - 1) <- mfn in
+    for pfn = first to stop - 1 do
+      invalidate_one t ?on_splinter ~on_free ~applied ~splintered pfn
+    done
+  end;
+  if stop < first + n then check t stop;
   { applied = !applied; splintered = !splintered }
 
 let migrate_batch t ?on_splinter pfns mfns ~n ~f =
@@ -325,8 +413,7 @@ let migrate_batch t ?on_splinter pfns mfns ~n ~f =
       (* Remap in place: the write-protect window and per-frame costs
          are the caller's accounting, exactly as for [set]. *)
       t.mfns.(pfn) <- new_mfn;
-      notify t
-        (Set { pfn; mfn = new_mfn; writable = Bytes.get t.writable pfn <> '\000' });
+      notify_set t pfn new_mfn (Bytes.get t.writable pfn <> '\000');
       incr applied;
       f pfn ~old_mfn
     end

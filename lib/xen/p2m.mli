@@ -83,6 +83,20 @@ val set : t -> Memory.Page.pfn -> mfn:Memory.Page.mfn -> writable:bool -> unit
 (** Install a per-frame entry; splinters the surrounding superpage
     first if there is one. *)
 
+val set_run :
+  t -> pfn:Memory.Page.pfn -> rows:int -> bases:Memory.Page.mfn array -> writable:bool -> unit
+(** Map the [rows * lanes] consecutive pfns from [pfn], where [lanes =
+    Array.length bases], as [rows] rows of [lanes] frames: pfn [pfn +
+    (r * lanes) + j] maps to machine frame [bases.(j) + r].  One lane
+    maps a pfn run onto an mfn run; [k] lanes lay out a round-robin
+    interleave over [k] per-node runs.  The end state, {!version},
+    {!mapped_count}, superpage bits and update stream are those of
+    {!set} over the same frames in pfn order; with no observer
+    installed and no superpage in the range it is a fill that builds
+    no update.
+    @raise Invalid_argument, before any change, on a negative [rows],
+    a negative base or a pfn out of range. *)
+
 val invalidate : t -> Memory.Page.pfn -> Memory.Page.mfn option
 (** Clear the entry, returning the machine frame it held (if any).
     Splinters the surrounding superpage first if there is one. *)
@@ -149,17 +163,20 @@ val invalidate_batch :
 
 val invalidate_range :
   ?on_splinter:(Memory.Page.pfn -> unit) ->
-  ?on_free:(Memory.Page.pfn -> Memory.Page.mfn -> unit) ->
   t ->
   first:Memory.Page.pfn ->
   n:int ->
+  freed:int array ->
   batch_stats
 (** {!invalidate_batch} over the consecutive pfns [\[first, first +
     n)], without the sort or a pfn buffer: the same per-frame state,
-    callbacks, update stream, version bumps and stats, in the same
-    order.
-    @raise Invalid_argument on an out-of-range pfn or a negative
-    [n]. *)
+    splinter callbacks, update stream, version bumps and stats, in the
+    same order.  The machine frames the cleared entries held go to
+    [freed.(0 .. applied - 1)], in pfn order, instead of a per-frame
+    callback.  A range that runs off the table is applied up to the
+    end of the table, then raises, as the batch path does.
+    @raise Invalid_argument on an out-of-range pfn, a negative [n], or
+    a [freed] shorter than [n]. *)
 
 val migrate_batch :
   t ->

@@ -638,10 +638,9 @@ let prop_free_pfns_is_free_set =
               let pfn = List.nth !live (op mod List.length !live) in
               Guest.Pfn_pool.release pool pfn;
               live := List.filter (( <> ) pfn) !live
-          | _ -> (
-              match Guest.Pfn_pool.alloc pool with
-              | Some pfn -> live := pfn :: !live
-              | None -> ()));
+          | _ ->
+              let pfn = Guest.Pfn_pool.alloc pool in
+              if pfn >= 0 then live := pfn :: !live);
           check ())
         ops;
       true)
@@ -768,20 +767,20 @@ let run_chaos_schedule master_seed =
     Faults.Injector.set_epoch inj epoch;
     for _ = 0 to 15 do
       match Sim.Rng.int rng 4 with
-      | 0 | 1 -> (
+      | 0 | 1 ->
           (* Guest page churn: allocate, touch (hypervisor fault on an
              invalid entry), queue the alloc op. *)
-          match Guest.Pfn_pool.alloc pool with
-          | Some pfn ->
-              Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn);
-              (match Xen.P2m.get d.Xen.Domain.p2m pfn with
-              | Xen.P2m.Invalid ->
-                  ignore
-                    (Xen.Domain.handle_fault d ~costs:s.Xen.System.costs ~pfn
-                       ~cpu:(Sim.Rng.int rng 48))
-              | Xen.P2m.Mapped _ -> ());
-              live := pfn :: !live
-          | None -> ())
+          let pfn = Guest.Pfn_pool.alloc pool in
+          if pfn >= 0 then begin
+            Guest.Pv_queue.record queue (Guest.Pv_queue.Alloc pfn);
+            (match Xen.P2m.get d.Xen.Domain.p2m pfn with
+            | Xen.P2m.Invalid ->
+                ignore
+                  (Xen.Domain.handle_fault d ~costs:s.Xen.System.costs ~pfn
+                     ~cpu:(Sim.Rng.int rng 48))
+            | Xen.P2m.Mapped _ -> ());
+            live := pfn :: !live
+          end
       | 2 -> (
           match !live with
           | pfn :: rest ->

@@ -6,15 +6,15 @@
 let test_gpt_lazy () =
   let g = Guest.Gpt.create ~frames:8 in
   let faults = ref 0 in
-  let alloc () = incr faults; Some (100 + !faults) in
-  Alcotest.(check (option int)) "first touch allocates" (Some 101) (Guest.Gpt.touch g 3 ~alloc);
+  let alloc () = incr faults; 100 + !faults in
+  Alcotest.(check int) "first touch allocates" 101 (Guest.Gpt.touch g 3 ~alloc);
   Alcotest.(check int) "one fault" 1 !faults;
-  Alcotest.(check (option int)) "second touch reuses" (Some 101) (Guest.Gpt.touch g 3 ~alloc);
+  Alcotest.(check int) "second touch reuses" 101 (Guest.Gpt.touch g 3 ~alloc);
   Alcotest.(check int) "still one fault" 1 !faults
 
 let test_gpt_alloc_failure () =
   let g = Guest.Gpt.create ~frames:2 in
-  Alcotest.(check (option int)) "oom" None (Guest.Gpt.touch g 0 ~alloc:(fun () -> None))
+  Alcotest.(check int) "oom" (-1) (Guest.Gpt.touch g 0 ~alloc:(fun () -> -1))
 
 let test_process_reuse_after_free () =
   (* The Figure-4 pattern: a page moves from one virtual address to
@@ -22,36 +22,35 @@ let test_process_reuse_after_free () =
   let pool = Guest.Pfn_pool.create ~frames:4 () in
   let g = Guest.Gpt.create ~frames:8 in
   let alloc () = Guest.Pfn_pool.alloc pool in
-  let pfn0 = match Guest.Gpt.touch g 0 ~alloc with Some x -> x | None -> -1 in
+  let pfn0 = Guest.Gpt.touch g 0 ~alloc in
   Guest.Pfn_pool.release pool pfn0;
-  let pfn1 = match Guest.Gpt.touch g 5 ~alloc with Some x -> x | None -> -1 in
+  let pfn1 = Guest.Gpt.touch g 5 ~alloc in
   Alcotest.(check int) "same physical frame recycled" pfn0 pfn1
 
 (* ------------------------------ pfn_pool --------------------------- *)
 
 let test_pool_lifo_recycling () =
   let pool = Guest.Pfn_pool.create ~frames:8 () in
-  let a = match Guest.Pfn_pool.alloc pool with Some p -> p | None -> -1 in
-  let b = match Guest.Pfn_pool.alloc pool with Some p -> p | None -> -1 in
+  let a = Guest.Pfn_pool.alloc pool in
+  let b = Guest.Pfn_pool.alloc pool in
   Alcotest.(check int) "fresh 0" 0 a;
   Alcotest.(check int) "fresh 1" 1 b;
   Guest.Pfn_pool.release pool a;
-  Alcotest.(check (option int)) "recycles most recent" (Some a) (Guest.Pfn_pool.alloc pool)
+  Alcotest.(check int) "recycles most recent" a (Guest.Pfn_pool.alloc pool)
 
 let test_pool_exhaustion () =
   let pool = Guest.Pfn_pool.create ~frames:2 () in
   ignore (Guest.Pfn_pool.alloc pool);
   ignore (Guest.Pfn_pool.alloc pool);
-  Alcotest.(check (option int)) "exhausted" None (Guest.Pfn_pool.alloc pool)
+  Alcotest.(check int) "exhausted" (-1) (Guest.Pfn_pool.alloc pool)
 
 let test_pool_double_release () =
   let pool = Guest.Pfn_pool.create ~frames:4 () in
-  (match Guest.Pfn_pool.alloc pool with
-  | Some p ->
-      Guest.Pfn_pool.release pool p;
-      Alcotest.check_raises "double release" (Invalid_argument "Pfn_pool.release: double release")
-        (fun () -> Guest.Pfn_pool.release pool p)
-  | None -> Alcotest.fail "alloc failed")
+  let p = Guest.Pfn_pool.alloc pool in
+  if p < 0 then Alcotest.fail "alloc failed";
+  Guest.Pfn_pool.release pool p;
+  Alcotest.check_raises "double release" (Invalid_argument "Pfn_pool.release: double release")
+    (fun () -> Guest.Pfn_pool.release pool p)
 
 let test_pool_release_fresh_rejected () =
   let pool = Guest.Pfn_pool.create ~frames:4 () in
@@ -61,8 +60,26 @@ let test_pool_release_fresh_rejected () =
 
 let test_pool_first_fresh () =
   let pool = Guest.Pfn_pool.create ~frames:16 ~first_fresh:8 () in
-  Alcotest.(check (option int)) "starts above the kernel zone" (Some 8)
-    (Guest.Pfn_pool.alloc pool)
+  Alcotest.(check int) "starts above the kernel zone" 8 (Guest.Pfn_pool.alloc pool)
+
+(* The pool's state covers the frames it has handed out, not the
+   frames it spans: a bodytrack-sized padded guest (525,568 frames)
+   with 1,024 allocations stays under a bound that does not grow with
+   [frames]. *)
+let test_pool_size_independent_of_frames () =
+  let words frames =
+    let pool = Guest.Pfn_pool.create ~frames ~first_fresh:(frames / 4) () in
+    for _ = 1 to 1024 do
+      ignore (Guest.Pfn_pool.alloc pool)
+    done;
+    Guest.Pfn_pool.release pool (frames / 4);
+    Obj.reachable_words (Obj.repr pool)
+  in
+  List.iter
+    (fun frames ->
+      let w = words frames in
+      if w >= 512 then Alcotest.failf "a pool over %d frames reaches %d words" frames w)
+    [ 4096; 525_568 ]
 
 (* ------------------------------ pv_queue --------------------------- *)
 
@@ -339,6 +356,8 @@ let suite =
         Alcotest.test_case "double release" `Quick test_pool_double_release;
         Alcotest.test_case "release fresh rejected" `Quick test_pool_release_fresh_rejected;
         Alcotest.test_case "first_fresh offset" `Quick test_pool_first_fresh;
+        Alcotest.test_case "size independent of the guest" `Quick
+          test_pool_size_independent_of_frames;
       ] );
     ( "guest.pv_queue",
       [

@@ -387,6 +387,52 @@ let prop_buddy_offline_partition =
       drain ();
       true)
 
+(* [split_allocation] tags the block page-wise; the frame-by-frame tag
+   loop it replaced made every frame an order-0 allocation.  So after
+   the split the arena stays consistent, every frame frees on its own
+   exactly once, in any order, and once all are free the arena is the
+   one that freed the block whole.  The arena base is not a multiple of
+   the tag pages, so an order-16 block straddles two of them. *)
+let prop_buddy_split_allocation_per_frame =
+  QCheck.Test.make ~name:"split_allocation = per-frame tags" ~count:60 QCheck.int (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let base = 64 * (1 + Sim.Rng.int rng 1023) and frames = (1 lsl 17) + Sim.Rng.int rng 4096 in
+      let a = Memory.Buddy.create ~base ~frames and b = Memory.Buddy.create ~base ~frames in
+      for _ = 1 to Sim.Rng.int rng 8 do
+        let order = Sim.Rng.int rng 7 in
+        if Memory.Buddy.alloc a ~order <> Memory.Buddy.alloc b ~order then
+          QCheck.Test.fail_report "twins diverged while allocating"
+      done;
+      let order = if Sim.Rng.int rng 4 = 0 then 16 else Sim.Rng.int rng 10 in
+      match (Memory.Buddy.alloc a ~order, Memory.Buddy.alloc b ~order) with
+      | None, None -> true
+      | Some f, Some f' when f = f' ->
+          Memory.Buddy.split_allocation a ~base:f ~order;
+          if not (Memory.Buddy.check_consistent a) then QCheck.Test.fail_report "inconsistent";
+          let n = 1 lsl order in
+          let perm = Array.init n (fun i -> f + i) in
+          for i = n - 1 downto 1 do
+            let j = Sim.Rng.int rng (i + 1) in
+            let t = perm.(i) in
+            perm.(i) <- perm.(j);
+            perm.(j) <- t
+          done;
+          Array.iter (fun frame -> Memory.Buddy.free a ~base:frame ~order:0) perm;
+          (match Memory.Buddy.free a ~base:perm.(0) ~order:0 with
+          | () -> QCheck.Test.fail_report "a frame freed twice"
+          | exception Invalid_argument m ->
+              if m <> "Buddy.free: double free" then QCheck.Test.fail_reportf "raised %S" m);
+          Memory.Buddy.free b ~base:f ~order;
+          if Memory.Buddy.free_frames a <> Memory.Buddy.free_frames b then
+            QCheck.Test.fail_report "free frames diverged";
+          for _ = 1 to 64 do
+            let order = Sim.Rng.int rng 8 in
+            if Memory.Buddy.alloc a ~order <> Memory.Buddy.alloc b ~order then
+              QCheck.Test.fail_reportf "next order-%d allocation diverged" order
+          done;
+          Memory.Buddy.check_consistent a
+      | _ -> QCheck.Test.fail_report "twins diverged")
+
 (* Differential property: [free_run] over a run of frames ends in the
    per-frame [free] loop's state, or raises its first exception.  Twin
    arenas go through the same random history: split and unsplit
@@ -616,6 +662,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_buddy_partition;
         QCheck_alcotest.to_alcotest prop_buddy_full_free_coalesces;
         QCheck_alcotest.to_alcotest prop_buddy_free_run_equals_per_frame;
+        QCheck_alcotest.to_alcotest prop_buddy_split_allocation_per_frame;
       ] );
     ( "memory.buddy.offline",
       [

@@ -1467,7 +1467,7 @@ let prop_carrefour_node_column_tracks_p2m =
         | 6 ->
             let first = pfn () in
             let n = Random.State.int st (frames - first + 1) in
-            ignore (Xen.P2m.invalidate_range p2m ~first ~n)
+            ignore (Xen.P2m.invalidate_range p2m ~first ~n ~freed:(Array.make n 0))
         | 7 ->
             let n = 1 + Random.State.int st 8 in
             ignore
@@ -1476,7 +1476,7 @@ let prop_carrefour_node_column_tracks_p2m =
         | 8 ->
             (* Clear the extent first, so the superpage always maps over
                rows that were just unmapped. *)
-            ignore (Xen.P2m.invalidate_range p2m ~first:base ~n:sp);
+            ignore (Xen.P2m.invalidate_range p2m ~first:base ~n:sp ~freed:(Array.make sp 0));
             Xen.P2m.map_superpage p2m ~pfn:base
               ~mfn:(sp * Random.State.int st (machine_frames / sp))
               ~writable:(Random.State.bool st)
@@ -1781,6 +1781,116 @@ let prop_release_range_matches_list_path =
       && Obs.Stream.events stream = Obs.Stream.events stream'
       && (lossy || (Policies.Manager.stats m).Policies.Manager.splinters > 0))
 
+(* [Manager.populate_round_4k] (run by [attach]) against a copy of
+   the frame-by-frame loop it replaced: one [next_home_node] and one
+   [P2m.set] per frame, from per-node caches of 2 MiB blocks, the
+   per-frame fallback when a node has no free block.  Twin 4-node
+   machines of 32 MiB nodes get the same random home nodes (duplicates
+   allowed), an optional offline home node, an optional node with no
+   free 2 MiB block (every other frame allocated) and a few stray
+   allocations; both must end with the same P2M, the same buddy free
+   sets (order-0 allocations drained node by node in the same order),
+   the same cursor and the same frame count. *)
+let reference_populate_round_4k (s : Xen.System.t) (d : Xen.Domain.t) =
+  let machine = s.Xen.System.machine and topo = s.Xen.System.topo in
+  let p2m = d.Xen.Domain.p2m and home = d.Xen.Domain.home_nodes in
+  let nodes = Numa.Topology.node_count topo and k = Array.length home in
+  let cursor = ref 0 in
+  let next_home_node () =
+    let rec pick attempts =
+      let node = home.(!cursor mod k) in
+      incr cursor;
+      if Numa.Topology.node_online topo node then node
+      else if attempts + 1 < k then pick (attempts + 1)
+      else
+        match List.find_opt (Numa.Topology.node_online topo) (List.init nodes Fun.id) with
+        | Some n -> n
+        | None -> node
+    in
+    pick 0
+  in
+  let order = Memory.Machine.order_2m machine in
+  let cache_mfn = Array.make nodes 0 and cache_left = Array.make nodes 0 in
+  for pfn = 0 to d.Xen.Domain.mem_frames - 1 do
+    let node = next_home_node () in
+    if cache_left.(node) > 0 then begin
+      let mfn = cache_mfn.(node) in
+      cache_mfn.(node) <- mfn + 1;
+      cache_left.(node) <- cache_left.(node) - 1;
+      Xen.P2m.set p2m pfn ~mfn ~writable:true
+    end
+    else
+      match Memory.Machine.alloc_on machine ~node ~order with
+      | Some base ->
+          Memory.Machine.split_block machine ~mfn:base ~order;
+          cache_mfn.(node) <- base + 1;
+          cache_left.(node) <- (1 lsl order) - 1;
+          Xen.P2m.set p2m pfn ~mfn:base ~writable:true
+      | None -> (
+          match Policies.Internal.map_page s d ~pfn ~node with
+          | Ok _ -> ()
+          | Error `Enomem -> invalid_arg "reference: out of memory")
+  done;
+  for node = 0 to nodes - 1 do
+    Memory.Machine.free_run machine ~mfn:cache_mfn.(node) ~frames:cache_left.(node)
+  done;
+  !cursor
+
+let prop_populate_round_4k_matches_per_frame =
+  QCheck.Test.make ~name:"populate_round_4k = per-frame loop" ~count:60
+    QCheck.(quad (int_range 1 4) (int_range 1 40) (int_bound 1_000_000) (pair bool bool))
+    (fun (k, mib, seed, (fragment, offline)) ->
+      let rng = Random.State.make [| seed |] in
+      let home = Array.init k (fun _ -> Random.State.int rng 4) in
+      let fragmented = Random.State.int rng 4 and down = home.(Random.State.int rng k) in
+      let strays = List.init (Random.State.int rng 4) (fun _ -> Random.State.int rng 4) in
+      let world () =
+        let topo =
+          Numa.Topology.create ~nodes:4 ~cpus_per_node:2 ~mem_per_node:(32 * 1024 * 1024)
+            ~controller_gib_per_s:10.0
+            ~links:[ (0, 1, 4.0); (1, 2, 4.0); (2, 3, 4.0) ]
+        in
+        let s = Xen.System.create ~page_scale:1 topo in
+        let machine = s.Xen.System.machine in
+        let d =
+          Xen.System.create_domain s ~name:"r4k" ~kind:Xen.Domain.DomU ~vcpus:2
+            ~mem_bytes:(mib * 1024 * 1024) ~home_nodes:home ()
+        in
+        List.iter (fun node -> ignore (Memory.Machine.alloc_on machine ~node ~order:3)) strays;
+        if fragment then begin
+          (* Allocate the node, then free every other frame: half of it
+             is free, none of it as a 2 MiB block. *)
+          let rec drain acc =
+            match Memory.Machine.alloc_frame machine ~node:fragmented with
+            | Some mfn -> drain (mfn :: acc)
+            | None -> acc
+          in
+          List.iter
+            (fun mfn -> if mfn land 1 = 0 then Memory.Machine.free machine ~mfn ~order:0)
+            (drain [])
+        end;
+        if offline then Numa.Topology.set_node_online topo down false;
+        (s, d)
+      in
+      let s, d = world () and s', d' = world () in
+      let m = Policies.Manager.attach s d ~boot:Policies.Spec.round_4k ~rng:(Sim.Rng.create ~seed) in
+      let cursor = reference_populate_round_4k s' d' in
+      let drain (s : Xen.System.t) =
+        Numa.Topology.set_node_online s.Xen.System.topo down true;
+        List.init 4 (fun node ->
+            let rec go acc =
+              match Memory.Machine.alloc_frame s.Xen.System.machine ~node with
+              | Some mfn -> go (mfn :: acc)
+              | None -> acc
+            in
+            go [])
+      in
+      same_p2m d.Xen.Domain.p2m d'.Xen.Domain.p2m
+      && Policies.Manager.rr_cursor m = cursor
+      && (Policies.Manager.stats m).Policies.Manager.populated_4k = d.Xen.Domain.mem_frames
+      && Xen.P2m.mapped_count d.Xen.Domain.p2m = d.Xen.Domain.mem_frames
+      && drain s = drain s')
+
 (* ------------------------- failure injection ------------------------ *)
 
 (* Exhaust one node's 16 one-GiB frames. *)
@@ -2029,6 +2139,7 @@ let suite =
           test_manager_page_ops_inert_without_first_touch;
         Alcotest.test_case "release free pages" `Quick test_manager_release_free_range_batches;
         QCheck_alcotest.to_alcotest prop_release_range_matches_list_path;
+        QCheck_alcotest.to_alcotest prop_populate_round_4k_matches_per_frame;
         Alcotest.test_case "boundary work due" `Quick test_manager_boundary_due;
       ] );
     ( "policies.carrefour",

@@ -362,9 +362,11 @@ let prop_p2m_invalidate_batch_equals_per_page =
 
 (* Differential property: [invalidate_range] over consecutive pfns is
    [invalidate_batch] over the same pfns — table, version, update
-   stream, callback order and stats — with and without superpages and
-   an update hook, including ranges that run off the table (both raise
-   at the same pfn, having applied the same prefix). *)
+   stream, splinter callbacks and stats, and the freed buffer holds the
+   frames the batch's [on_free] saw, in its order — with and without
+   superpages and an update hook, including ranges that run off the
+   table (both raise at the same pfn, having applied the same
+   prefix). *)
 let prop_p2m_invalidate_range_equals_batch =
   let frames = 64 in
   QCheck.Test.make ~name:"p2m invalidate_range = invalidate_batch" ~count:300
@@ -376,28 +378,116 @@ let prop_p2m_invalidate_range_equals_batch =
         let events = ref [] in
         if hook then Xen.P2m.set_on_update p (Some (fun u -> events := `Update u :: !events));
         let on_splinter pfn = events := `Splinter_cb pfn :: !events in
-        let on_free pfn mfn = events := `Free_cb (pfn, mfn) :: !events in
-        (events, on_splinter, on_free)
+        (events, on_splinter)
       in
-      let ev_a, on_splinter_a, on_free_a = log a and ev_b, on_splinter_b, on_free_b = log b in
+      let ev_a, on_splinter_a = log a and ev_b, on_splinter_b = log b in
       let outcome f = match f () with s -> Ok s | exception Invalid_argument m -> Error m in
+      let freed = Array.make n (-1) in
       let ra =
-        outcome (fun () ->
-            Xen.P2m.invalidate_range ~on_splinter:on_splinter_a ~on_free:on_free_a a ~first ~n)
+        outcome (fun () -> Xen.P2m.invalidate_range ~on_splinter:on_splinter_a a ~first ~n ~freed)
       in
+      let freed_b = ref [] in
       let rb =
         outcome (fun () ->
-            Xen.P2m.invalidate_batch b ~on_splinter:on_splinter_b ~on_free:on_free_b
+            Xen.P2m.invalidate_batch b ~on_splinter:on_splinter_b
+              ~on_free:(fun _ mfn -> freed_b := mfn :: !freed_b)
               (Array.init n (fun i -> first + i))
               ~n)
       in
       if ra <> rb then QCheck.Test.fail_report "results or exceptions differ";
       if !ev_a <> !ev_b then QCheck.Test.fail_report "update or callback streams differ";
+      (* On a raise the buffer still holds the applied prefix. *)
+      let applied = List.length !freed_b in
+      if Array.to_list (Array.sub freed 0 applied) <> List.rev !freed_b then
+        QCheck.Test.fail_report "freed frames differ";
       p2m_dump a = p2m_dump b
       && Xen.P2m.version a = Xen.P2m.version b
       && Xen.P2m.mapped_count a = Xen.P2m.mapped_count b
       && Xen.P2m.splinter_count a = Xen.P2m.splinter_count b
       && Xen.P2m.check_consistent a)
+
+(* Differential property: the run mutator is a loop of [set] over the
+   same frames in pfn order — entries, writable bits, mapped count,
+   version, superpage bits and splinter count, and with an observer the
+   same update stream, which replays onto a fresh table to the
+   primary.  Runs of 1–4 lanes land on tables that already hold
+   per-frame entries and superpages (a run over a superpage splinters
+   it), with and without an observer. *)
+let prop_p2m_set_run_equals_per_frame =
+  let frames = 64 in
+  QCheck.Test.make ~name:"p2m set_run = per-frame set" ~count:400
+    QCheck.(quad int bool bool (triple (int_range 0 63) (int_range 1 4) (int_range 0 64)))
+    (fun (seed, superpages, hook, (pfn, lanes, rows)) ->
+      let sp = if superpages then 8 else 1 in
+      let rows = min rows ((frames - pfn) / lanes) in
+      let a = Xen.P2m.create ~sp_frames:sp ~frames () in
+      let b = Xen.P2m.create ~sp_frames:sp ~frames () in
+      let r = Xen.P2m.create ~sp_frames:sp ~frames () in
+      let stream p =
+        let events = ref [] in
+        if hook then Xen.P2m.set_on_update p (Some (fun u -> events := u :: !events));
+        events
+      in
+      let ev_a = stream a and ev_b = stream b in
+      if hook then
+        Xen.P2m.set_on_update a
+          (Some
+             (fun u ->
+               ev_a := u :: !ev_a;
+               replay_update r u));
+      (* The same random prelude on both tables. *)
+      List.iter
+        (fun p ->
+          let rng = Sim.Rng.create ~seed in
+          for e = 0 to (frames / sp) - 1 do
+            let base = e * sp in
+            match Sim.Rng.int rng 3 with
+            | 0 when sp > 1 ->
+                Xen.P2m.map_superpage p ~pfn:base ~mfn:(sp * Sim.Rng.int rng 512)
+                  ~writable:(Sim.Rng.int rng 2 = 1)
+            | 1 ->
+                for i = 0 to sp - 1 do
+                  if Sim.Rng.int rng 2 = 1 then
+                    Xen.P2m.set p (base + i) ~mfn:(Sim.Rng.int rng 4096)
+                      ~writable:(Sim.Rng.int rng 2 = 1)
+                done
+            | _ -> ()
+          done)
+        [ a; b ];
+      let rng = Sim.Rng.create ~seed:(seed + 1) in
+      let bases = Array.init lanes (fun _ -> Sim.Rng.int rng 4096) in
+      let writable = Sim.Rng.int rng 2 = 1 in
+      Xen.P2m.set_run a ~pfn ~rows ~bases ~writable;
+      for r = 0 to rows - 1 do
+        for j = 0 to lanes - 1 do
+          Xen.P2m.set b (pfn + (r * lanes) + j) ~mfn:(bases.(j) + r) ~writable
+        done
+      done;
+      if !ev_a <> !ev_b then QCheck.Test.fail_report "update streams differ";
+      if hook && p2m_dump r <> p2m_dump a then QCheck.Test.fail_report "replay diverged";
+      p2m_dump a = p2m_dump b
+      && List.for_all
+           (fun pfn -> Xen.P2m.is_writable a pfn = Xen.P2m.is_writable b pfn)
+           (List.init frames Fun.id)
+      && Xen.P2m.version a = Xen.P2m.version b
+      && Xen.P2m.mapped_count a = Xen.P2m.mapped_count b
+      && Xen.P2m.superpage_count a = Xen.P2m.superpage_count b
+      && Xen.P2m.splinter_count a = Xen.P2m.splinter_count b
+      && Xen.P2m.check_consistent a)
+
+let test_p2m_set_run_errors () =
+  let p = Xen.P2m.create ~sp_frames:1 ~frames:16 () in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s did not raise" name
+    | exception Invalid_argument _ ->
+        Alcotest.(check int) (name ^ " left the table alone") 0 (Xen.P2m.version p)
+  in
+  raises "past the end" (fun () -> Xen.P2m.set_run p ~pfn:10 ~rows:4 ~bases:[| 0; 8 |] ~writable:true);
+  raises "negative base" (fun () -> Xen.P2m.set_run p ~pfn:0 ~rows:1 ~bases:[| 0; -1 |] ~writable:true);
+  raises "negative rows" (fun () -> Xen.P2m.set_run p ~pfn:0 ~rows:(-1) ~bases:[| 0 |] ~writable:true);
+  Xen.P2m.set_run p ~pfn:16 ~rows:0 ~bases:[| 0 |] ~writable:true;
+  Alcotest.(check int) "an empty run maps nothing" 0 (Xen.P2m.mapped_count p)
 
 let prop_p2m_migrate_batch_equals_per_page =
   let frames = 64 and sp = 8 in
@@ -873,6 +963,8 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_batch_equals_per_page;
         QCheck_alcotest.to_alcotest prop_p2m_invalidate_range_equals_batch;
+        QCheck_alcotest.to_alcotest prop_p2m_set_run_equals_per_frame;
+        Alcotest.test_case "set_run errors" `Quick test_p2m_set_run_errors;
         QCheck_alcotest.to_alcotest prop_p2m_migrate_batch_equals_per_page;
         QCheck_alcotest.to_alcotest prop_p2m_batched_replay_equals_per_page;
         QCheck_alcotest.to_alcotest prop_batch_costs_bounded;
