@@ -102,41 +102,6 @@ let free_run t ~mfn ~frames =
     Buddy.free_run t.pools.(node) ~base:mfn ~frames
   end
 
-(* One open run per node: a frame that extends its node's run joins
-   it, any other closes that run (one [free_run]) and opens a new
-   one. *)
-type deferred = { machine : t; run_base : int array; run_len : int array }
-
-let defer_frees t =
-  let nodes = Array.length t.pools in
-  { machine = t; run_base = Array.make nodes 0; run_len = Array.make nodes 0 }
-
-let close d node =
-  free_run d.machine ~mfn:d.run_base.(node) ~frames:d.run_len.(node);
-  d.run_len.(node) <- 0
-
-let defer d mfns ~n =
-  if n < 0 || n > Array.length mfns then invalid_arg "Machine.defer: n out of range";
-  let m = d.machine and run_base = d.run_base and run_len = d.run_len in
-  for i = 0 to n - 1 do
-    let mfn = Array.unsafe_get mfns i in
-    (* [node_of_mfn], inline: this runs once per freed frame. *)
-    if mfn < 0 || mfn >= m.total then invalid_arg "Machine.node_of_mfn: out of range";
-    let node = if m.node_shift >= 0 then mfn lsr m.node_shift else mfn / m.frames_per_node in
-    let len = Array.unsafe_get run_len node in
-    if Array.unsafe_get run_base node + len <> mfn then begin
-      close d node;
-      Array.unsafe_set run_base node mfn;
-      Array.unsafe_set run_len node 1
-    end
-    else Array.unsafe_set run_len node (len + 1)
-  done
-
-let flush_deferred d =
-  for node = 0 to Array.length d.run_len - 1 do
-    close d node
-  done
-
 let free_frames_on t node =
   assert (node >= 0 && node < Array.length t.pools);
   Buddy.free_frames t.pools.(node)

@@ -68,30 +68,6 @@ val free_run : t -> mfn:Page.mfn -> frames:int -> unit
     @raise Invalid_argument if the run spans two nodes or any frame is
     not an order-0 allocation. *)
 
-(** {2 Deferred frees}
-
-    Many order-0 frees gathered into runs: each node keeps one open
-    run, a frame that extends it joins it, and any other frame closes
-    it (one {!free_run}) and opens a new one.  After
-    {!flush_deferred} the allocator is in the state per-frame {!free}
-    would leave, as long as nothing allocated from the machine in
-    between: with eager coalescing the free sets are a function of
-    the set of free frames alone ({!Buddy.check_consistent}). *)
-
-type deferred
-
-val defer_frees : t -> deferred
-(** An empty gather, with no open run. *)
-
-val defer : deferred -> Page.mfn array -> n:int -> unit
-(** Gather the order-0 allocations [mfns.(0 .. n - 1)], in order.
-    @raise Invalid_argument as {!free_run} does, when a closed run
-    holds a frame that is not an order-0 allocation, or on a bad
-    [n]. *)
-
-val flush_deferred : deferred -> unit
-(** Free every open run; the gather is empty afterwards. *)
-
 val free_frames_on : t -> Numa.Topology.node -> int
 val free_frames : t -> int
 

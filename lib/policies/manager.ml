@@ -221,19 +221,6 @@ let populate_round_4k t =
     Array.for_all (Numa.Topology.node_online topo) home
     && List.length (List.sort_uniq Int.compare (Array.to_list home)) = k
   in
-  (* While rotating, a pick is [next_home_node] without its checks: it
-     reads home.(lane), where lane = rr_cursor mod k, and advances the
-     cursor by one. *)
-  let lane = ref (t.rr_cursor mod k) in
-  let pick () =
-    if rotating then begin
-      let node = home.(!lane) in
-      t.rr_cursor <- t.rr_cursor + 1;
-      lane := if !lane + 1 = k then 0 else !lane + 1;
-      node
-    end
-    else next_home_node t
-  in
   let lane_node = Array.make k 0 and bases = Array.make k 0 in
   (* Rows of k frames every lane can serve from its cache; 0 when the
      next frame needs the single-frame step, found at the first empty
@@ -241,10 +228,10 @@ let populate_round_4k t =
   let window_rows pfn =
     if not rotating then 0
     else begin
+      let first = t.rr_cursor mod k in
       let rows = ref ((frames - pfn) / k) and j = ref 0 in
       while !rows > 0 && !j < k do
-        let l = !lane + !j in
-        let node = home.(if l < k then l else l - k) in
+        let node = home.((first + !j) mod k) in
         lane_node.(!j) <- node;
         rows := Int.min !rows cache_left.(node);
         incr j
@@ -270,7 +257,7 @@ let populate_round_4k t =
       pfn := !pfn + (rows * k)
     end
     else begin
-      let node = pick () in
+      let node = next_home_node t in
       (if cache_left.(node) > 0 then begin
          let mfn = cache_mfn.(node) in
          cache_mfn.(node) <- mfn + 1;
@@ -637,16 +624,22 @@ let release_batch = 128
    the freed machine frames in one buffer rather than through a
    per-frame callback.
 
-   Freed machine frames gather into one open run per node
-   ([Memory.Machine.defer]), each freed as one run when the next frame
-   does not extend it and at the end.  Deferring the frees is exact:
-   nothing allocates during the release, and with eager coalescing the
-   buddy's free sets are a function of the set of free frames alone
+   Freed machine frames gather into one open run per node, handed to
+   [Memory.Machine.free_run] when the next frame does not extend it
+   and at the end.  Deferring the frees is exact: nothing allocates
+   during the release, and with eager coalescing the buddy's free sets
+   are a function of the set of free frames alone
    ([Memory.Buddy.check_consistent]). *)
 let release_free_range t ~first ~count =
   Obs.Profile.span Obs.Profile.Manager_release @@ fun () ->
+  let machine = t.system.Xen.System.machine in
   let p2m = t.domain.Xen.Domain.p2m in
-  let frees = Memory.Machine.defer_frees t.system.Xen.System.machine in
+  let nodes = Numa.Topology.node_count t.system.Xen.System.topo in
+  let run_base = Array.make nodes 0 and run_len = Array.make nodes 0 in
+  let flush node =
+    Memory.Machine.free_run machine ~mfn:run_base.(node) ~frames:run_len.(node);
+    run_len.(node) <- 0
+  in
   let freed = Array.make release_batch 0 in
   let total = ref 0.0 in
   let off = ref 0 in
@@ -659,14 +652,29 @@ let release_free_range t ~first ~count =
                 let bstats =
                   Xen.P2m.invalidate_range ~on_splinter p2m ~first:(first + !off) ~n ~freed
                 in
-                Memory.Machine.defer frees freed ~n:bstats.Xen.P2m.applied;
+                (* Unchecked: applied <= n <= release_batch, and
+                   [node_of_mfn] is below the machine's node count. *)
+                for i = 0 to bstats.Xen.P2m.applied - 1 do
+                  let mfn = Array.unsafe_get freed i in
+                  let node = Memory.Machine.node_of_mfn machine mfn in
+                  let len = Array.unsafe_get run_len node in
+                  if Array.unsafe_get run_base node + len = mfn then
+                    Array.unsafe_set run_len node (len + 1)
+                  else begin
+                    flush node;
+                    Array.unsafe_set run_base node mfn;
+                    Array.unsafe_set run_len node 1
+                  end
+                done;
                 bstats)
           else 0.0)
     in
     total := !total +. chunk_time;
     off := !off + n
   done;
-  Memory.Machine.flush_deferred frees;
+  for node = 0 to nodes - 1 do
+    flush node
+  done;
   !total
 
 (* The switch as the guest performs it.  At boot every guest frame is
