@@ -105,6 +105,56 @@ let make ?(seed = 42) ?(max_epochs = 40_000) ?carrefour_config
 
 let mode_name = function Linux -> "linux" | Xen -> "xen" | Xen_plus -> "xen+"
 
+(* The run's one identity: the trace stream label and the epoch-cap
+   error both name a run by it.  Both records are destructured with
+   every field named, so a new field does not compile until the label
+   handles it.  An application is named by its catalogue name and a
+   machine by its name; floats are rendered exactly.  Left out, because
+   they change no event: [fast_forward] (replayed epochs are
+   bit-identical to run ones, and tier1's fast-forward on/off trace
+   [cmp] relies on the label not changing), [slo] (purely
+   observational) and [observer] (a callback that only reads). *)
+let vm_label
+    { app; threads; policy; home_nodes; use_mcs; huge_pages; superpages; pt_walk; replicate_pt;
+      pinned } =
+  let flag on name = if on then "/" ^ name else "" in
+  let homes =
+    match home_nodes with
+    | None -> ""
+    | Some nodes ->
+        "/homes=" ^ String.concat "." (Array.to_list (Array.map string_of_int nodes))
+  in
+  Printf.sprintf "%s/%s/t%d%s%s%s%s%s%s%s" app.Workloads.App.name (Policies.Spec.name policy)
+    threads homes (flag (not pinned) "unpinned") (flag use_mcs "mcs") (flag huge_pages "hp")
+    (flag superpages "sp") (flag pt_walk "ptw") (flag replicate_pt "rep")
+
+let carrefour_label = function
+  | None -> "default"
+  | Some
+      {
+        Policies.Carrefour.User_component.mc_threshold;
+        ic_threshold;
+        dominant_fraction;
+        min_accesses;
+        migration_budget;
+        max_hot_pages;
+        enable_replication;
+        replication_read_threshold;
+        min_reader_nodes;
+      } ->
+      let f = Sim.Units.exact_float in
+      Printf.sprintf "mc=%s,ic=%s,dominant=%s,min=%s,budget=%d,hot=%d,replicate=%b,read=%s,readers=%d"
+        (f mc_threshold) (f ic_threshold) (f dominant_fraction) (f min_accesses) migration_budget
+        max_hot_pages enable_replication (f replication_read_threshold) min_reader_nodes
+
+let label
+    { mode; vms; seed; max_epochs; carrefour_config; machine; faults; observer = _; slo = _;
+      fast_forward = _ } =
+  Printf.sprintf "%s|%s|seed=%d|max_epochs=%d|faults=%s|carrefour=%s|%s" (mode_name mode)
+    machine.Numa.Machine_desc.name seed max_epochs (Faults.Plan.to_string faults)
+    (carrefour_label carrefour_config)
+    (String.concat "," (List.map vm_label vms))
+
 (* Pick a page granularity keeping the largest app around <= 48k pages:
    small apps keep real 4 KiB pages, dc.B's 39 GB uses 1 MiB units. *)
 let page_scale t =

@@ -142,6 +142,18 @@ val parse_slo : string -> ((string * float) list, string) result
 
 val mode_name : mode -> string
 
+val label : t -> string
+(** The run's canonical identity, e.g.
+    ["xen+|amd48|seed=42|max_epochs=40000|faults=none|carrefour=default|cg.C/first-touch/t48/unpinned,ep.D/round-4k/t24"]:
+    mode, machine, seed, epoch cap, fault plan, Carrefour tuning
+    ([default], or every field with exact float text), then per VM
+    the application, policy, thread count and the home nodes and
+    flags that are set ([unpinned], [mcs], [hp], [sp], [ptw],
+    [rep]).  Two configurations that can emit different events get
+    different labels; [fast_forward], [slo] and [observer] change no
+    event and are left out.  It names the run's trace stream
+    ({!Obs.Trace.stream}) and its epoch-cap failure. *)
+
 val page_scale : t -> int
 (** Frames-per-simulated-page factor: picked from the largest footprint
     so regions stay in the tens of thousands of pages. *)

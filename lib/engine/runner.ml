@@ -1197,27 +1197,14 @@ let boot (cfg : Config.t) =
   let topo = machine_desc.Numa.Machine_desc.topology () in
   let costs = costs_of_mode cfg.Config.mode in
   let system = Xen.System.create ~page_scale:scale ~costs topo in
-  (* One trace stream per simulated run, labelled by a pure function of
-     the run configuration: labels (not OS worker identities) are the
-     merge keys, so the merged trace is byte-identical at any --jobs. *)
+  (* One trace stream per simulated run, labelled by the run's
+     identity: labels (not OS worker identities) are the merge keys, so
+     the merged trace is byte-identical at any --jobs.  Untraced runs
+     never build the label. *)
   let obs_stream =
-    match Obs.Trace.current () with
-    | None -> None
-    | Some session ->
-        let vm_desc (vm : Config.vm_spec) =
-          Printf.sprintf "%s/%s%s%s%s%s" vm.Config.app.Workloads.App.name
-            (Policies.Spec.name vm.Config.policy)
-            (if vm.Config.use_mcs then "/mcs" else "")
-            (if vm.Config.superpages then "/sp" else "")
-            (if vm.Config.pt_walk then "/ptw" else "")
-            (if vm.Config.replicate_pt then "/rep" else "")
-        in
-        let label =
-          Printf.sprintf "%s|%s|seed=%d" (Config.mode_name cfg.Config.mode)
-            (String.concat "," (List.map vm_desc cfg.Config.vms))
-            cfg.Config.seed
-        in
-        Some (Obs.Trace.stream session ~label)
+    Option.map
+      (fun session -> Obs.Trace.stream session ~label:(Config.label cfg))
+      (Obs.Trace.current ())
   in
   Xen.System.set_obs system obs_stream;
   let counters = Numa.Counters.create topo in

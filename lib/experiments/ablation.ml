@@ -11,14 +11,14 @@ let carrefour_variant ?(replication = false) ~interleave ~locality () =
     replication_read_threshold = 0.85;
   }
 
-let run_variant ?(seed = 42) ~app_name ~policy ~interleave ~locality label =
+let run_variant ?(seed = 42) ~app_name ~policy ~interleave ~locality () =
   let vm = Engine.Config.vm ~policy (Workloads.Catalogue.get app_name) in
   let cfg =
     Engine.Config.make ~seed ~mode:Engine.Config.Linux
       ~carrefour_config:(carrefour_variant ~interleave ~locality ())
       [ vm ]
   in
-  let vm_result = Engine.Result.single (Runs.run_cell (app_name ^ "/" ^ label) cfg) in
+  let vm_result = Engine.Result.single (Runs.run_cell cfg) in
   (vm_result.Engine.Result.completion, vm_result.Engine.Result.migrations)
 
 let print_carrefour_heuristics ?seed () =
@@ -45,7 +45,7 @@ let print_carrefour_heuristics ?seed () =
     Engine.Pool.map_list
       (fun ((app_name, policy, _), (name, interleave, locality)) ->
         let completion, migrations =
-          run_variant ?seed ~app_name ~policy ~interleave ~locality name
+          run_variant ?seed ~app_name ~policy ~interleave ~locality ()
         in
         [ name; Report.Table.fmt_secs completion; string_of_int migrations ])
       cells
@@ -140,12 +140,8 @@ let print_replication ?(seed = 42) () =
     let vm =
       Engine.Config.vm ~policy:Policies.Spec.round_4k_carrefour (Workloads.Catalogue.get app_name)
     in
-    let label =
-      app_name ^ "/replication " ^ Option.fold ~none:"off" ~some:string_of_float threshold
-    in
     let result =
-      Runs.run_cell label
-        (Engine.Config.make ~seed ~mode:Engine.Config.Linux ~carrefour_config:cfg [ vm ])
+      Runs.run_cell (Engine.Config.make ~seed ~mode:Engine.Config.Linux ~carrefour_config:cfg [ vm ])
     in
     (Engine.Result.single result).Engine.Result.completion
   in
@@ -186,8 +182,7 @@ let print_huge_pages ?(seed = 42) () =
            (fun (label, mode) ->
              let run huge_pages =
                let vm = Engine.Config.vm ~huge_pages ~policy app in
-               let cell = Printf.sprintf "%s/%s/huge %b" app_name label huge_pages in
-               (Engine.Result.single (Runs.run_cell cell (Engine.Config.make ~seed ~mode [ vm ])))
+               (Engine.Result.single (Runs.run_cell (Engine.Config.make ~seed ~mode [ vm ])))
                  .Engine.Result.completion
              in
              let small = run false and huge = run true in

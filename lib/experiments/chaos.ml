@@ -44,7 +44,7 @@ let run_one ~seed plan =
     Engine.Config.make ~seed:(Runs.cell_seed ~base:seed plan) ~max_epochs ~faults
       ~carrefour_config:eager_carrefour ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  Runs.run_cell plan cfg
+  Runs.run_cell cfg
 
 let run ?(seed = 42) () =
   Array.to_list

@@ -26,12 +26,7 @@ let run ?(seed = 42) () =
             if Policies.Spec.runtime_selectable policy then begin
               let vm = Engine.Config.vm ~threads ~policy app in
               let cfg = Engine.Config.make ~seed ~machine ~mode:Engine.Config.Xen_plus [ vm ] in
-              let result =
-                Runs.run_cell
-                  (Printf.sprintf "%s/%s/%s" machine.Numa.Machine_desc.name name
-                     (Policies.Spec.name policy))
-                  cfg
-              in
+              let result = Runs.run_cell cfg in
               Some (policy, (Engine.Result.single result).Engine.Result.completion)
             end
             else None)

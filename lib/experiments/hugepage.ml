@@ -25,16 +25,16 @@ let cells = List.concat_map (fun app -> List.map (fun p -> (app, p)) policies) a
 let run_one ~seed ~app ~policy ~superpages =
   let vm = Engine.Config.vm ~superpages ~policy (Workloads.Catalogue.get app) in
   (* The cell's stream is a pure function of (app, policy, base seed).
-     The superpage toggle deliberately does NOT enter the label — the
-     on/off pair of a cell replays the same workload stream, so the
-     completion delta is the superpage effect and nothing else.  (The
-     runner keeps their trace streams distinct by suffixing "/sp" to
-     the on-cell's label, as the cell label here does.) *)
+     The superpage toggle deliberately does NOT enter the seed label —
+     the on/off pair of a cell replays the same workload stream, so the
+     completion delta is the superpage effect and nothing else.  Their
+     trace streams stay distinct: the run's label
+     (Engine.Config.label) carries the toggle as "/sp". *)
   let key = app ^ "/" ^ Policies.Spec.name policy in
   let cfg =
     Engine.Config.make ~seed:(Runs.cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  Runs.run_cell (if superpages then key ^ "/sp" else key) cfg
+  Runs.run_cell cfg
 
 (* (off, on) result pairs in [cells] order. *)
 let run ?(seed = 42) () =

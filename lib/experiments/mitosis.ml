@@ -32,15 +32,14 @@ let run_one ~seed ~app ~policy ~pt_walk ~replicate_pt =
   (* As in the hugepage grid, the pt-walk/replicate-pt toggles do NOT
      enter the seed label: all four variants of a cell replay the same
      workload stream, so the deltas are the walk pricing and the
-     replication cost and nothing else.  (The runner keeps their trace
-     streams distinct via the "/ptw" and "/rep" label suffixes, as the
-     cell label here does.) *)
+     replication cost and nothing else.  Their trace streams stay
+     distinct: the run's label (Engine.Config.label) carries the
+     toggles as "/ptw" and "/rep". *)
   let key = app ^ "/" ^ Policies.Spec.name policy in
   let cfg =
     Engine.Config.make ~seed:(Runs.cell_seed ~base:seed key) ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  let suffix flag s = if flag then s else "" in
-  Runs.run_cell (key ^ suffix pt_walk "/ptw" ^ suffix replicate_pt "/rep") cfg
+  Runs.run_cell cfg
 
 (* Results in [variants] order for each cell, in [cells] order. *)
 let run ?(seed = 42) () =

@@ -8,12 +8,22 @@ type row = {
 (* cg.C is the thread-local victim (first-touch is ideal for it while
    nothing moves); ep.D is the noisy neighbour whose heavily contended
    threads retire at different times, freeing pCPUs one by one. *)
-let run_config ?(seed = 42) ~pinned ~policy label =
+let configs ?(seed = 42) () =
   let app = Workloads.Catalogue.get in
-  let victim = Engine.Config.vm ~threads:48 ~pinned ~policy (app "cg.C") in
-  let neighbour = Engine.Config.vm ~threads:24 ~policy:Policies.Spec.round_4k (app "ep.D") in
-  let cfg = Engine.Config.make ~seed ~mode:Engine.Config.Xen_plus [ victim; neighbour ] in
-  let result = Runs.run_cell label cfg in
+  let config ~pinned ~policy label =
+    let victim = Engine.Config.vm ~threads:48 ~pinned ~policy (app "cg.C") in
+    let neighbour = Engine.Config.vm ~threads:24 ~policy:Policies.Spec.round_4k (app "ep.D") in
+    (label, Engine.Config.make ~seed ~mode:Engine.Config.Xen_plus [ victim; neighbour ])
+  in
+  [
+    config ~pinned:true ~policy:Policies.Spec.first_touch "first-touch, vCPUs pinned";
+    config ~pinned:false ~policy:Policies.Spec.first_touch "first-touch, vCPUs migrate";
+    config ~pinned:false ~policy:Policies.Spec.first_touch_carrefour
+      "ft/carrefour, vCPUs migrate";
+  ]
+
+let run_config (label, cfg) =
+  let result = Runs.run_cell cfg in
   let vm =
     match List.find_opt (fun vm -> vm.Engine.Result.app_name = "cg.C") result.Engine.Result.vms with
     | Some vm -> vm
@@ -26,20 +36,7 @@ let run_config ?(seed = 42) ~pinned ~policy label =
     page_migrations = vm.Engine.Result.migrations;
   }
 
-let run ?seed () =
-  Engine.Pool.run_all
-    [|
-      (fun () ->
-        run_config ?seed ~pinned:true ~policy:Policies.Spec.first_touch
-          "first-touch, vCPUs pinned");
-      (fun () ->
-        run_config ?seed ~pinned:false ~policy:Policies.Spec.first_touch
-          "first-touch, vCPUs migrate");
-      (fun () ->
-        run_config ?seed ~pinned:false ~policy:Policies.Spec.first_touch_carrefour
-          "ft/carrefour, vCPUs migrate");
-    |]
-  |> Array.to_list
+let run ?seed () = Engine.Pool.map_list run_config (configs ?seed ())
 
 let print ?seed () =
   print_endline

@@ -23,3 +23,6 @@ val print : ?seed:int -> unit -> unit
     baseline), first-touch under vCPU migration, and
     first-touch/Carrefour under vCPU migration; completion, local
     fraction and page migrations of each. *)
+
+val configs : ?seed:int -> unit -> (string * Engine.Config.t) list
+(** The three runs {!print} reports, each with its row label. *)

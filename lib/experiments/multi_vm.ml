@@ -31,11 +31,7 @@ let run_pair ?(seed = 42) ~threads ~homes (name_a, name_b) ~policies =
     | _ -> [ vm policy_a app_a; vm policy_b app_b ]
   in
   let cfg = Engine.Config.make ~seed ~mode:Engine.Config.Xen_plus vms in
-  let label =
-    Printf.sprintf "%s/%s + %s/%s, %d vCPUs" name_a (Policies.Spec.name policy_a) name_b
-      (Policies.Spec.name policy_b) threads
-  in
-  let result = Runs.run_cell label cfg in
+  let result = Runs.run_cell cfg in
   (Engine.Result.completion result name_a, Engine.Result.completion result name_b)
 
 let halves = (Some [| 0; 1; 2; 3 |], Some [| 4; 5; 6; 7 |])

@@ -34,7 +34,7 @@ let run_one ~seed ~app_name ~policy plan =
     Engine.Config.make ~seed:(Runs.cell_seed ~base:seed label) ~max_epochs ~faults
       ~carrefour_config:Chaos.eager_carrefour ~mode:Engine.Config.Xen_plus [ vm ]
   in
-  Runs.run_cell label cfg
+  Runs.run_cell cfg
 
 let grid = List.concat_map (fun cell -> List.map (fun sc -> (cell, sc)) scenarios) cells
 

@@ -29,10 +29,11 @@ let cap_message label max_epochs =
 (* The one place a grid cell is simulated: a run that stopped at the
    cap has no completion time, so it fails the grid instead of ranking
    as the fastest cell. *)
-let run_cell label cfg =
+let run_cell cfg =
   let result = Engine.Runner.run cfg in
   if hit_cap cfg result then
-    raise (Epoch_cap { label; max_epochs = cfg.Engine.Config.max_epochs });
+    raise
+      (Epoch_cap { label = Engine.Config.label cfg; max_epochs = cfg.Engine.Config.max_epochs });
   result
 
 let key_label key =
@@ -50,7 +51,7 @@ let run ?(seed = 42) key =
         Engine.Config.vm ~use_mcs:key.mcs ~policy:key.policy (Workloads.Catalogue.get key.app)
       in
       let cfg = Engine.Config.make ~seed:(task_seed ~base:seed key) ~mode:key.mode [ vm ] in
-      let result = run_cell (key_label key) cfg in
+      let result = run_cell cfg in
       (* Two workers may simulate the same cell concurrently; both
          produce identical results, so first-write-wins keeps the
          [==]-sharing property callers rely on. *)

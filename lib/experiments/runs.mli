@@ -13,8 +13,8 @@ type key = {
 }
 
 exception Epoch_cap of { label : string; max_epochs : int }
-(** The grid cell [label] stopped at its [max_epochs] cap without
-    completing. *)
+(** The run [label] ({!Engine.Config.label}) stopped at its
+    [max_epochs] cap without completing. *)
 
 val hit_cap : Engine.Config.t -> Engine.Result.t -> bool
 (** [epochs >= max_epochs]: the run stopped at the cap, so its result
@@ -24,11 +24,11 @@ val hit_cap : Engine.Config.t -> Engine.Result.t -> bool
 val cap_message : string -> int -> string
 (** ["LABEL hit the epoch cap (N epochs) without completing"]. *)
 
-val run_cell : string -> Engine.Config.t -> Engine.Result.t
+val run_cell : Engine.Config.t -> Engine.Result.t
 (** Simulate one grid cell: every experiment grid runs the engine
-    through here.  The label names the cell in the failure (grids pass
-    the label they seed the cell with).
-    @raise Epoch_cap when the run {!hit_cap}. *)
+    through here.
+    @raise Epoch_cap, named by {!Engine.Config.label}, when the run
+    {!hit_cap}. *)
 
 val run : ?seed:int -> key -> Engine.Result.t
 (** Simulate (memoized) through {!run_cell}.  The engine seed is

@@ -162,10 +162,8 @@ let of_string_exn s =
   | Ok t -> t
   | Error msg -> invalid_arg ("Faults.Plan.of_string: " ^ msg)
 
-let string_of_rate r =
-  (* Shortest representation that round-trips through float_of_string. *)
-  let s = Printf.sprintf "%.12g" r in
-  s
+(* Shortest representation that round-trips through float_of_string. *)
+let string_of_rate = Sim.Units.exact_float
 
 let spec_to_string s =
   let base =

@@ -145,22 +145,28 @@ let parse_jsonl_line ~line l =
    and only the header's promised counts expose the missing tail.
    Stream records must run 0, 1, 2, ... ahead of every event, as the
    writer emits them, so a consumer can index streams as they arrive
-   and a skipped id is caught at the record after the gap.  [count]
-   tallies the items of one pass; [check] compares them with the
-   header at end of input. *)
+   and a skipped id is caught at the record after the gap.  Their
+   labels must be strictly ascending, as the export sorts them, one
+   stream per run.  [count] tallies the items of one pass; [check]
+   compares them with the header at end of input. *)
 type tally = {
   mutable header : (int * int) option;
   mutable meta : int;
+  mutable last_label : string;  (* the previous stream record's *)
   mutable ev : int;
 }
 
-let tally () = { header = None; meta = 0; ev = 0 }
+let tally () = { header = None; meta = 0; last_label = ""; ev = 0 }
 
 let count t ~line = function
-  | Meta (id, _) ->
+  | Meta (id, info) ->
       if id <> t.meta then
         corrupt "line %d: stream %d has no metadata record (found stream %d's)" line t.meta id;
       if t.ev > 0 then corrupt "line %d: stream record after the first event" line;
+      if id > 0 && String.compare info.label t.last_label <= 0 then
+        corrupt "line %d: stream label %S does not sort after the previous stream's %S" line
+          info.label t.last_label;
+      t.last_label <- info.label;
       t.meta <- t.meta + 1
   | Ev _ -> t.ev <- t.ev + 1
 

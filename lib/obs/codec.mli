@@ -21,8 +21,8 @@ val write_jsonl : Buffer.t -> export -> unit
 (** Header line, one metadata line per stream, one line per event. *)
 
 (** One streamed record of a trace file, in file order: stream
-    metadata records first, by id from 0 with no gap, then events in
-    merged order.  The header line is the fold's own: it checks the
+    metadata records first, by id from 0 with no gap and by strictly
+    ascending label, then events in merged order.  The header line is the fold's own: it checks the
     record counts the header promises. *)
 type item =
   | Meta of int * stream_info  (** stream id, metadata *)
@@ -36,6 +36,7 @@ val fold_file : string -> init:'a -> f:('a -> item -> 'a) -> 'a
     an error, never a silently shorter trace: a line that is not JSON
     (a line cut in the middle), an unknown event class, a missing
     header or header counts that differ from the records read, a
-    stream id with no metadata record, and a stream record after an
-    event.
+    stream id with no metadata record, a stream label that does not
+    sort strictly after the previous one (two streams under one
+    label), and a stream record after an event.
     @raise Sys_error when the file cannot be opened. *)

@@ -1,40 +1,56 @@
 (* A trace session: the registry of per-run streams behind one
-   xentrace-style capture.  Streams register under a stable label (a
-   pure function of the run's configuration and seed); the merge sorts
-   streams by label and events by (time, stream, seq), so the exported
-   bytes do not depend on which pool worker simulated which run, nor
-   on how runs were interleaved.
+   xentrace-style capture.  Streams register under a stable label (the
+   run's identity, Engine.Config.label); the merge sorts streams by
+   label and events by (time, stream, seq), so the exported bytes do
+   not depend on which pool worker simulated which run, nor on how
+   runs were interleaved.
 
-   Duplicate labels can only come from two workers racing to simulate
-   the same memoised grid cell (Runs.run's first-write-wins cache);
-   both runs are bit-identical, so the second registrant gets a
-   detached stream whose events are simply not exported. *)
+   Every stream registers.  One label can be registered more than
+   once: two grid cells can be the same run (a grid's off column and
+   another grid's baseline), and two workers can race on one memoised
+   cell (Runs.run's first-write-wins cache).  A label names the whole
+   run, so such streams must be identical; the export keeps one and
+   fails on any difference rather than pick one. *)
 
 type t = {
   capacity : int;
   mutex : Mutex.t;
   mutable streams : Stream.t list;  (* registered, newest first *)
-  labels : (string, unit) Hashtbl.t;
 }
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { capacity; mutex = Mutex.create (); streams = []; labels = Hashtbl.create 64 }
+  { capacity; mutex = Mutex.create (); streams = [] }
 
 let stream t ~label =
-  Mutex.protect t.mutex (fun () ->
-      let s = Stream.create ~capacity:t.capacity ~label () in
-      if not (Hashtbl.mem t.labels label) then begin
-        Hashtbl.replace t.labels label ();
-        t.streams <- s :: t.streams
-      end;
-      s)
+  let s = Stream.create ~capacity:t.capacity ~label () in
+  Mutex.protect t.mutex (fun () -> t.streams <- s :: t.streams);
+  s
 
+let same_run a b =
+  Stream.emitted a = Stream.emitted b
+  && Stream.dropped a = Stream.dropped b
+  && Stream.emitted_by_class a = Stream.emitted_by_class b
+  && Stream.events a = Stream.events b
+
+(* The registered streams sorted by label, one per label. *)
 let streams t =
-  Mutex.protect t.mutex (fun () ->
-      List.sort (fun a b -> compare (Stream.label a) (Stream.label b)) t.streams)
+  let sorted =
+    Mutex.protect t.mutex (fun () ->
+        List.stable_sort (fun a b -> String.compare (Stream.label a) (Stream.label b)) t.streams)
+  in
+  let rec dedup = function
+    | a :: (b :: _ as rest) when Stream.label a = Stream.label b ->
+        if not (same_run a b) then
+          invalid_arg
+            (Printf.sprintf "Trace: two runs labelled %S emitted different events" (Stream.label a));
+        dedup rest
+    | a :: rest -> a :: dedup rest
+    | [] -> []
+  in
+  dedup sorted
 
-let stream_count t = Mutex.protect t.mutex (fun () -> List.length t.streams)
+let stream_count t = List.length (streams t)
 
 (* ------------------------------------------------------------------ *)
 (* Global session                                                      *)

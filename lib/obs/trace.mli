@@ -14,12 +14,14 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] is the per-stream ring capacity (default 4096). *)
 
 val stream : t -> label:string -> Stream.t
-(** Create and register a stream.  If [label] is already registered
-    (two workers racing on the same memoised cell, which produce
-    bit-identical event sequences), the returned stream is detached:
-    usable, but excluded from the export. *)
+(** Create and register a stream.  Every stream registers, also under
+    a label already registered: [label] names the whole run
+    ([Engine.Config.label]), so streams that share it must turn out
+    identical, which {!export} verifies. *)
 
 val stream_count : t -> int
+(** Streams the export holds: one per distinct label.
+    @raise Invalid_argument as {!export}. *)
 
 (** {1 Global session} — how the engine finds the capture without
     threading a handle through every layer. *)
@@ -32,11 +34,16 @@ val installed : unit -> bool
 (** {1 Merge and export} *)
 
 val export : t -> Codec.export
+(** Streams sorted by label, one per label, and their events merged.
+    Streams that share a label must be identical (emitted and dropped
+    counts, per-class counts and kept events); the export keeps one.
+    @raise Invalid_argument naming the label when two differ. *)
 
 val render_jsonl : t -> string
 
 val write_file : t -> string -> unit
-(** Write the merged trace to [file] as JSONL, whatever its suffix. *)
+(** Write the merged trace to [file] as JSONL, whatever its suffix.
+    @raise Invalid_argument as {!export}. *)
 
 val start : capacity:int -> string -> t
 (** [start ~capacity file] creates a session, empties [file] and

@@ -14,3 +14,10 @@ let pp_seconds fmt s =
   else if s < 1e-3 then Format.fprintf fmt "%.1f us" (s *. 1e6)
   else if s < 1.0 then Format.fprintf fmt "%.2f ms" (s *. 1e3)
   else Format.fprintf fmt "%.2f s" s
+
+let exact_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f

@@ -13,3 +13,8 @@ val pp_bytes : Format.formatter -> int -> unit
 
 val pp_seconds : Format.formatter -> float -> unit
 (** Human-readable duration ("307 us", "1.24 s"). *)
+
+val exact_float : float -> string
+(** The shortest of the [%.15g], [%.16g] and [%.17g] renderings that
+    reads back as [f] ("0.3", not "0.29999999999999999"): two floats
+    get the same text only when they are equal. *)

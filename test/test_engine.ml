@@ -24,6 +24,122 @@ let test_config_validation () =
   Alcotest.check_raises "bad threads" (Invalid_argument "Config.vm: threads must be positive")
     (fun () -> ignore (Engine.Config.vm ~threads:0 ~policy:Policies.Spec.first_touch (app "cg.C")))
 
+(* [Config.label] is the run's identity: changing any one field that
+   can change an event changes it; fast-forward, SLOs and an observer
+   change no event and leave it alone.  The base configuration is
+   drawn from a seed, the change from the list below. *)
+let label_apps = [| "cg.C"; "kmeans"; "swaptions" |]
+
+(* Adjacent plans differ in one rate's last bit. *)
+let label_plans = [| "none"; "stall=0.1"; "stall=0.10000000000000002"; "alloc=0.15@10-20" |]
+
+let label_base seed =
+  let rs = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let vm () =
+    Engine.Config.vm ~threads:(1 + Random.State.int rs 48)
+      ?home_nodes:(if Random.State.bool rs then None else Some [| Random.State.int rs 8 |])
+      ~use_mcs:(Random.State.bool rs) ~huge_pages:(Random.State.bool rs)
+      ~superpages:(Random.State.bool rs) ~pt_walk:(Random.State.bool rs)
+      ~replicate_pt:(Random.State.bool rs) ~pinned:(Random.State.bool rs)
+      ~policy:(pick (Array.of_list Policies.Spec.all))
+      (app (pick label_apps))
+  in
+  Engine.Config.make ~seed:(Random.State.int rs 1000)
+    ~max_epochs:(1 + Random.State.int rs 50_000)
+    ?carrefour_config:
+      (if Random.State.bool rs then None else Some Experiments.Chaos.eager_carrefour)
+    ~machine:(pick (Array.of_list Numa.Machine_desc.all))
+    ~faults:(Faults.Plan.of_string_exn (pick label_plans))
+    ~mode:(pick [| Engine.Config.Linux; Engine.Config.Xen; Engine.Config.Xen_plus |])
+    (List.init (1 + Random.State.int rs 2) (fun _ -> vm ()))
+
+let label_changes : (string * (Engine.Config.t -> Engine.Config.t)) list =
+  let open Engine.Config in
+  let next a x =
+    let i = ref 0 in
+    while a.(!i) <> x do incr i done;
+    a.((!i + 1) mod Array.length a)
+  in
+  (* The last VM's field changes. *)
+  let vm f cfg =
+    match List.rev cfg.vms with v :: r -> { cfg with vms = List.rev (f v :: r) } | [] -> cfg
+  in
+  let carrefour f cfg =
+    let c =
+      Option.value cfg.carrefour_config ~default:Policies.Carrefour.User_component.default_config
+    in
+    { cfg with carrefour_config = Some (f c) }
+  in
+  let open Policies.Carrefour.User_component in
+  [
+    ("mode", fun c -> { c with mode = next [| Linux; Xen; Xen_plus |] c.mode });
+    ( "machine",
+      fun c ->
+        let names = Array.of_list (List.map (fun m -> m.Numa.Machine_desc.name) Numa.Machine_desc.all) in
+        { c with machine = Option.get (Numa.Machine_desc.find (next names c.machine.Numa.Machine_desc.name)) } );
+    ("seed", fun c -> { c with seed = c.seed + 1 });
+    ("max_epochs", fun c -> { c with max_epochs = c.max_epochs + 1 });
+    ( "faults",
+      fun c ->
+        let plan = Faults.Plan.to_string c.faults in
+        { c with faults = Faults.Plan.of_string_exn (next label_plans plan) } );
+    ( "carrefour_config",
+      fun c ->
+        {
+          c with
+          carrefour_config =
+            (match c.carrefour_config with None -> Some default_config | Some _ -> None);
+        } );
+    ("mc_threshold", carrefour (fun k -> { k with mc_threshold = Float.succ k.mc_threshold }));
+    ("ic_threshold", carrefour (fun k -> { k with ic_threshold = Float.succ k.ic_threshold }));
+    ( "dominant_fraction",
+      carrefour (fun k -> { k with dominant_fraction = Float.succ k.dominant_fraction }) );
+    ("min_accesses", carrefour (fun k -> { k with min_accesses = Float.succ k.min_accesses }));
+    ( "migration_budget",
+      carrefour (fun k -> { k with migration_budget = k.migration_budget + 1 }) );
+    ("max_hot_pages", carrefour (fun k -> { k with max_hot_pages = k.max_hot_pages + 1 }));
+    ( "enable_replication",
+      carrefour (fun k -> { k with enable_replication = not k.enable_replication }) );
+    ( "replication_read_threshold",
+      carrefour (fun k ->
+          { k with replication_read_threshold = Float.succ k.replication_read_threshold }) );
+    ("min_reader_nodes", carrefour (fun k -> { k with min_reader_nodes = k.min_reader_nodes + 1 }));
+    ("another vm", fun c -> { c with vms = c.vms @ [ List.hd c.vms ] });
+    ("app", vm (fun v -> { v with app = app (next label_apps v.app.Workloads.App.name) }));
+    ( "policy",
+      vm (fun v -> { v with policy = next (Array.of_list Policies.Spec.all) v.policy }) );
+    ("threads", vm (fun v -> { v with threads = v.threads + 1 }));
+    ( "home_nodes",
+      vm (fun v ->
+          {
+            v with
+            home_nodes =
+              (match v.home_nodes with
+              | None -> Some [| 0 |]
+              | Some nodes -> Some (Array.append nodes [| 0 |]));
+          }) );
+    ("use_mcs", vm (fun v -> { v with use_mcs = not v.use_mcs }));
+    ("huge_pages", vm (fun v -> { v with huge_pages = not v.huge_pages }));
+    ("superpages", vm (fun v -> { v with superpages = not v.superpages }));
+    ("pt_walk", vm (fun v -> { v with pt_walk = not v.pt_walk }));
+    ("replicate_pt", vm (fun v -> { v with replicate_pt = not v.replicate_pt }));
+    ("pinned", vm (fun v -> { v with pinned = not v.pinned }));
+  ]
+
+let prop_config_label_is_identity =
+  QCheck.Test.make ~name:"config label names every event-changing field" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound (List.length label_changes - 1)))
+    (fun (seed, i) ->
+      let base = label_base seed in
+      let field, change = List.nth label_changes i in
+      let label = Engine.Config.label base in
+      let same cfg = Engine.Config.label cfg = label in
+      if same (change base) then QCheck.Test.fail_reportf "%s unchanged: %s" field label;
+      same { base with Engine.Config.fast_forward = not base.Engine.Config.fast_forward }
+      && same { base with Engine.Config.slo = [ ("p99", 300.0) ] }
+      && same { base with Engine.Config.observer = Some ignore })
+
 (* ---------------------------- determinism --------------------------- *)
 
 let test_runner_deterministic () =
@@ -473,6 +589,7 @@ let suite =
       [
         Alcotest.test_case "page scale heuristic" `Quick test_config_page_scale_heuristic;
         Alcotest.test_case "validation" `Quick test_config_validation;
+        QCheck_alcotest.to_alcotest prop_config_label_is_identity;
       ] );
     ( "engine.runner",
       [

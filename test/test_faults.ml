@@ -843,21 +843,19 @@ let test_engine_clean_run_reports_no_degradation () =
     ((Engine.Result.single r).Engine.Result.degradation = Engine.Result.no_degradation)
 
 (* Every experiment grid runs its cells through [Runs.run_cell]: a
-   cell that hits [max_epochs] fails the whole grid with the cell's
+   cell that hits [max_epochs] fails the whole grid with the run's
    label and the cap (bench prints them as one stderr line and exits
    1), while a grid whose cells complete gets their plain results. *)
 let test_capped_run_is_reported () =
-  let cell ?max_epochs label () =
-    Experiments.Runs.run_cell label (chaos_cfg ?max_epochs "none")
-  in
+  let cell ?max_epochs () () = Experiments.Runs.run_cell (chaos_cfg ?max_epochs "none") in
   Alcotest.check_raises "the capped cell fails its grid"
-    (Experiments.Runs.Epoch_cap { label = "capped"; max_epochs = 5 })
-    (fun () ->
-      ignore (Engine.Pool.run_all [| cell "completed"; cell ~max_epochs:5 "capped" |]));
+    (Experiments.Runs.Epoch_cap
+       { label = Engine.Config.label (chaos_cfg ~max_epochs:5 "none"); max_epochs = 5 })
+    (fun () -> ignore (Engine.Pool.run_all [| cell (); cell ~max_epochs:5 () |]));
   Alcotest.(check string) "the failure line"
     "capped hit the epoch cap (5 epochs) without completing"
     (Experiments.Runs.cap_message "capped" 5);
-  let completed = Engine.Pool.run_all [| cell "completed" |] in
+  let completed = Engine.Pool.run_all [| cell () |] in
   Alcotest.(check bool) "a completed cell passes" true
     (completed.(0).Engine.Result.epochs < 2_000
     && not (Experiments.Runs.hit_cap (chaos_cfg "none") completed.(0)));

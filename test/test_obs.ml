@@ -269,15 +269,39 @@ let test_trace_merge () =
   Alcotest.(check bool) "merged by (time, stream, seq)" true
     (order = [ (0.0, 0); (0.0, 1); (1.0, 0); (1.0, 1) ])
 
-let test_trace_duplicate_label_detached () =
+(* One label is one run: streams registered under it more than once
+   (two grid cells that are the same run) export as one stream. *)
+let test_trace_duplicate_identical_exported_once () =
   let session = Obs.Trace.create () in
-  let s1 = Obs.Trace.stream session ~label:"same" in
-  let s2 = Obs.Trace.stream session ~label:"same" in
-  Obs.Stream.emit s1 Obs.Event.Page_fault;
-  Obs.Stream.emit s2 Obs.Event.Page_fault;
-  Alcotest.(check int) "one registered stream" 1 (Obs.Trace.stream_count session);
+  let emit s =
+    Obs.Stream.set_time s 0.5;
+    Obs.Stream.emit ~domain:1 ~pfn:7 s Obs.Event.Page_fault;
+    Obs.Stream.emit ~arg:3 s Obs.Event.Epoch_boundary
+  in
+  List.iter (fun label -> emit (Obs.Trace.stream session ~label)) [ "same"; "other"; "same" ];
+  Alcotest.(check int) "one stream per label" 2 (Obs.Trace.stream_count session);
   let e = Obs.Trace.export session in
-  Alcotest.(check int) "only the first is exported" 1 (List.length e.Obs.Codec.events)
+  Alcotest.(check (list string)) "labels" [ "other"; "same" ]
+    (Array.to_list (Array.map (fun (s : Obs.Codec.stream_info) -> s.Obs.Codec.label) e.Obs.Codec.streams));
+  Alcotest.(check int) "one copy of the duplicate's events" 4 (List.length e.Obs.Codec.events)
+
+(* Streams under one label that differ are no longer one run: the
+   export names the label instead of keeping either. *)
+let test_trace_duplicate_differing_raises () =
+  let differing name second =
+    let session = Obs.Trace.create ~capacity:2 () in
+    Obs.Stream.emit ~pfn:1 (Obs.Trace.stream session ~label:"dup|seed=1") Obs.Event.Page_fault;
+    ignore (Obs.Trace.stream session ~label:"other");
+    second (Obs.Trace.stream session ~label:"dup|seed=1");
+    Alcotest.check_raises name
+      (Invalid_argument "Trace: two runs labelled \"dup|seed=1\" emitted different events")
+      (fun () -> ignore (Obs.Trace.export session))
+  in
+  differing "another class" (fun s -> Obs.Stream.emit ~pfn:1 s Obs.Event.First_touch);
+  differing "same counts, another pfn" (fun s -> Obs.Stream.emit ~pfn:2 s Obs.Event.Page_fault);
+  differing "more emitted, one dropped" (fun s ->
+      List.iter (fun pfn -> Obs.Stream.emit ~pfn s Obs.Event.Page_fault) [ 0; 0; 1 ]);
+  differing "no events" ignore
 
 let test_codec_roundtrips () =
   let session = mk_session () in
@@ -357,6 +381,20 @@ let test_trace_jobs_byte_identical () =
       let t4 = grid 4 in
       Alcotest.(check bool) "traces non-trivial" true (String.length t1 > 1000);
       Alcotest.(check string) "jobs 1 = jobs 4, byte for byte" t1 t4)
+
+(* Every run of a grid exports its own stream: motivation's pinned and
+   migrating first-touch runs differ only in vCPU pinning, which the
+   run label carries. *)
+let test_motivation_exports_every_run () =
+  with_clean_obs (fun () ->
+      let session = Obs.Trace.create ~capacity:64 () in
+      Obs.Trace.install session;
+      let configs = Experiments.Motivation.configs () in
+      List.iter (fun (_, cfg) -> ignore (Engine.Runner.run cfg)) configs;
+      Obs.Trace.uninstall ();
+      Alcotest.(check int) "three runs" 3 (List.length configs);
+      Alcotest.(check int) "one stream per run" 3
+        (Array.length (Obs.Trace.export session).Obs.Codec.streams))
 
 let test_runner_untraced_emits_nothing () =
   with_clean_obs (fun () ->
@@ -684,6 +722,32 @@ let test_jsonl_stream_gap_rejected () =
   in
   Alcotest.(check bool) "stream record after an event" true (raises (String.concat "\n" late))
 
+(* The writer emits one stream per run, in ascending label order: a
+   file with two streams under one label, or with labels out of order,
+   is corrupt for every reader. *)
+let test_jsonl_duplicate_label_rejected () =
+  let file labels =
+    let e = Obs.Trace.export (mk_session ()) in
+    let streams =
+      Array.map2
+        (fun (s : Obs.Codec.stream_info) label -> { s with Obs.Codec.label })
+        e.Obs.Codec.streams labels
+    in
+    let buf = Buffer.create 1024 in
+    Obs.Codec.write_jsonl buf { e with Obs.Codec.streams };
+    Buffer.contents buf
+  in
+  let rejected labels =
+    with_temp_file ".jsonl" (file labels) (fun path ->
+        let corrupt f = match f path with exception Obs.Codec.Corrupt _ -> true | _ -> false in
+        corrupt (Obs.Query.run (Obs.Query.filter ()))
+        && corrupt Obs.Summary.of_file
+        && corrupt (fun path -> Obs.Codec.fold_file path ~init:() ~f:(fun () _ -> ())))
+  in
+  Alcotest.(check bool) "ascending labels read" false (rejected [| "a-first"; "b-second" |]);
+  Alcotest.(check bool) "two streams under one label" true (rejected [| "a-first"; "a-first" |]);
+  Alcotest.(check bool) "labels out of order" true (rejected [| "b-second"; "a-first" |])
+
 (* The file fold and the in-memory export fold are one summary: a
    multi-stream engine trace renders identically through both. *)
 let test_summary_file_equals_export () =
@@ -862,7 +926,10 @@ let suite =
     ( "obs.trace",
       [
         Alcotest.test_case "deterministic merge" `Quick test_trace_merge;
-        Alcotest.test_case "duplicate label detached" `Quick test_trace_duplicate_label_detached;
+        Alcotest.test_case "duplicate label exported once" `Quick
+          test_trace_duplicate_identical_exported_once;
+        Alcotest.test_case "differing duplicate raises" `Quick
+          test_trace_duplicate_differing_raises;
         Alcotest.test_case "codec roundtrips" `Quick test_codec_roundtrips;
         Alcotest.test_case "rejects corrupt input" `Quick test_codec_rejects_corrupt;
         Alcotest.test_case "write_file ignores the suffix" `Quick test_write_file_ignores_suffix;
@@ -872,6 +939,7 @@ let suite =
       [
         Alcotest.test_case "jobs 1 = jobs 4 trace bytes" `Slow test_trace_jobs_byte_identical;
         Alcotest.test_case "untraced run emits nothing" `Quick test_runner_untraced_emits_nothing;
+        Alcotest.test_case "motivation exports every run" `Slow test_motivation_exports_every_run;
         Alcotest.test_case "summary matches registry" `Slow test_summary_matches_registry;
         Alcotest.test_case "summary timeline" `Slow test_summary_timeline;
       ] );
@@ -896,6 +964,8 @@ let suite =
           test_query_streaming_rejects_corrupt;
         Alcotest.test_case "jsonl cut at a line rejected" `Quick test_jsonl_cut_at_line_boundary;
         Alcotest.test_case "jsonl stream-id gap rejected" `Quick test_jsonl_stream_gap_rejected;
+        Alcotest.test_case "jsonl duplicate label rejected" `Quick
+          test_jsonl_duplicate_label_rejected;
         Alcotest.test_case "summary of file = of export" `Slow test_summary_file_equals_export;
         Alcotest.test_case "summary warns on drops" `Quick test_summary_drop_warning;
       ] );

@@ -165,8 +165,12 @@ done
 #   byte, and the replica update stream (hence the walk/replica
 #   summary events) must be a function of the cell seed alone;
 # - ras: node-failure targets, ECC draws, evacuation batches and the
-#   degraded traffic model must all be functions of the cell seed.
-for grid in tab1:j hugepage:hp mitosis:mt ras:ras; do
+#   degraded traffic model must all be functions of the cell seed;
+# - motivation, generality and ablation: runs that differ only in vCPU
+#   pinning, the machine or the Carrefour tuning must each export their
+#   own stream (streams are keyed by Engine.Config.label, the whole
+#   run), and every run must be exported whichever worker ran it.
+for grid in tab1:j hugepage:hp mitosis:mt ras:ras motivation:mo generality:gen ablation:abl; do
   section=${grid%%:*}
   tag=${grid#*:}
   for jobs in 1 4; do
