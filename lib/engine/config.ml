@@ -143,7 +143,8 @@ let carrefour_label = function
         min_reader_nodes;
       } ->
       let f = Sim.Units.exact_float in
-      Printf.sprintf "mc=%s,ic=%s,dominant=%s,min=%s,budget=%d,hot=%d,replicate=%b,read=%s,readers=%d"
+      Printf.sprintf
+        "mc=%s,ic=%s,dominant=%s,min=%s,budget=%d,hot=%d,replicate=%b,read=%s,readers=%d"
         (f mc_threshold) (f ic_threshold) (f dominant_fraction) (f min_accesses) migration_budget
         max_hot_pages enable_replication (f replication_read_threshold) min_reader_nodes
 

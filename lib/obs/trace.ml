@@ -37,13 +37,13 @@ let same_run a b =
 let streams t =
   let sorted =
     Mutex.protect t.mutex (fun () ->
-        List.stable_sort (fun a b -> String.compare (Stream.label a) (Stream.label b)) t.streams)
+        List.sort (fun a b -> String.compare (Stream.label a) (Stream.label b)) t.streams)
   in
   let rec dedup = function
     | a :: (b :: _ as rest) when Stream.label a = Stream.label b ->
         if not (same_run a b) then
-          invalid_arg
-            (Printf.sprintf "Trace: two runs labelled %S emitted different events" (Stream.label a));
+          Printf.ksprintf invalid_arg "Trace: two runs labelled %S emitted different events"
+            (Stream.label a);
         dedup rest
     | a :: rest -> a :: dedup rest
     | [] -> []

@@ -76,8 +76,9 @@ let label_changes : (string * (Engine.Config.t -> Engine.Config.t)) list =
     ("mode", fun c -> { c with mode = next [| Linux; Xen; Xen_plus |] c.mode });
     ( "machine",
       fun c ->
-        let names = Array.of_list (List.map (fun m -> m.Numa.Machine_desc.name) Numa.Machine_desc.all) in
-        { c with machine = Option.get (Numa.Machine_desc.find (next names c.machine.Numa.Machine_desc.name)) } );
+        let name m = m.Numa.Machine_desc.name in
+        let names = Array.of_list (List.map name Numa.Machine_desc.all) in
+        { c with machine = Option.get (Numa.Machine_desc.find (next names (name c.machine))) } );
     ("seed", fun c -> { c with seed = c.seed + 1 });
     ("max_epochs", fun c -> { c with max_epochs = c.max_epochs + 1 });
     ( "faults",

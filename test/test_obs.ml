@@ -281,8 +281,9 @@ let test_trace_duplicate_identical_exported_once () =
   List.iter (fun label -> emit (Obs.Trace.stream session ~label)) [ "same"; "other"; "same" ];
   Alcotest.(check int) "one stream per label" 2 (Obs.Trace.stream_count session);
   let e = Obs.Trace.export session in
+  let label (s : Obs.Codec.stream_info) = s.Obs.Codec.label in
   Alcotest.(check (list string)) "labels" [ "other"; "same" ]
-    (Array.to_list (Array.map (fun (s : Obs.Codec.stream_info) -> s.Obs.Codec.label) e.Obs.Codec.streams));
+    (Array.to_list (Array.map label e.Obs.Codec.streams));
   Alcotest.(check int) "one copy of the duplicate's events" 4 (List.length e.Obs.Codec.events)
 
 (* Streams under one label that differ are no longer one run: the
