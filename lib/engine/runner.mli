@@ -1,4 +1,4 @@
-(** The epoch simulator.
+(** The epoch simulator: boot, then the epoch pipeline.
 
     Advances simulated time in fixed epochs.  Per epoch, each running
     thread executes as many instructions as its CPU share and current
@@ -11,7 +11,28 @@
     active, receives per-epoch hot-page samples and migrates pages
     through the internal interface.  Completion time folds in the
     virtualization costs (hypercalls, faults, migrations), the I/O
-    path overhead and the page-release churn. *)
+    path overhead and the page-release churn.
+
+    This module holds the pipeline (boot, the epoch inputs, the
+    kernels and reductions, the fast-forward's replay decision, replay
+    and arming, the observer) and each VM's per-vCPU work, placement,
+    slots and traffic.  Every other job owns its state in its own
+    module, which the pipeline calls once per VM and epoch, never
+    inside a per-vCPU loop:
+    - {!Guest_model}: the regions, their placement cache and rotation,
+      and the Carrefour sample feed; reads the P2M, fills the heat
+      table;
+    - {!Churn}: page-release churn and the engine's one fault-plan
+      fork (the concrete pv queue, the guest's free-list report);
+      allocates through the guest's pfn pool, faults pages in;
+    - {!Outcome}: the latency ledger each epoch's slots feed, and the
+      per-VM results and metrics of a finished run;
+    - {!Ras}: node failures and bandwidth loss; writes the topology
+      mask, the machine's node pools and the managers' evacuations;
+    - {!Slots}: the per-vCPU slots the kernels write and the
+      fast-forward captures;
+    - {!Cost_model}: the pure cost formulas (sync overhead, page
+      walks, I/O path). *)
 
 val run : Config.t -> Result.t
 (** Simulate the configuration to completion (or [max_epochs]).

@@ -24,12 +24,15 @@ type t = {
   capacity : int;
   flush : op array -> float;
   stats : stats;
+  frames : int;
   (* Most-recent-op-wins dedup state: a flat generation-stamp array
      keyed by pfn.  Each flush bumps [gen]; the first (newest) op seen
      for a pfn stamps it, later (older) ops find the stamp current and
      are superseded.  O(1) per entry, no clearing between flushes, no
-     allocation. *)
-  stamp : int array;
+     allocation.  [record] grows it (doubling, capped at [frames]) to
+     cover every pfn queued so far, so it is sized by the pfns the
+     guest churns, not by its memory. *)
+  mutable stamp : int array;
   mutable gen : int;
   scratch : op array;  (* survivor collection, reused across flushes *)
   mutable drop_op : op -> bool;
@@ -58,7 +61,8 @@ let create ?(partitions = 4) ?(capacity = 128) ~frames ~flush () =
         dropped = 0;
         dedup_hits = 0;
       };
-    stamp = Array.make frames 0;
+    frames;
+    stamp = [||];
     gen = 0;
     scratch = Array.make capacity (Alloc 0);
     drop_op = (fun _ -> false);
@@ -151,9 +155,13 @@ let flush_partition t part =
 
 let record t op =
   let pfn = op_pfn op in
-  if pfn < 0 || pfn >= Array.length t.stamp then
-    invalid_arg
-      (Printf.sprintf "Pv_queue.record: pfn %d outside [0, %d)" pfn (Array.length t.stamp));
+  if pfn < 0 || pfn >= t.frames then
+    invalid_arg (Printf.sprintf "Pv_queue.record: pfn %d outside [0, %d)" pfn t.frames);
+  if pfn >= Array.length t.stamp then begin
+    let stamp = Array.make (Int.min t.frames (Int.max 64 (2 * pfn))) 0 in
+    Array.blit t.stamp 0 stamp 0 (Array.length t.stamp);
+    t.stamp <- stamp
+  end;
   let part = t.parts.(partition_of t pfn) in
   part.entries.(part.len) <- op;
   part.len <- part.len + 1;

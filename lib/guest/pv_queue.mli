@@ -58,10 +58,12 @@ val create :
     defaults to 4 (two PFN bits) and must be a power of two;
     [capacity] (default 128) is the per-partition entry count that
     triggers a flush; the queue accepts pfns in [\[0, frames)].  Each
-    flush dedups the partition through a generation-stamp array sized
-    [frames] before invoking the handler (most recent op per page wins;
-    partitions hold disjoint pfn sets so one stamp array serves all of
-    them), delivering the survivors oldest-first.  [flush ops] is the
+    flush dedups the partition through a generation-stamp array before
+    invoking the handler (most recent op per page wins; partitions hold
+    disjoint pfn sets so one stamp array serves all of them),
+    delivering the survivors oldest-first.  The array grows on demand
+    to cover the highest pfn recorded, so the queue's memory follows
+    the pfns it carries, not [frames].  [flush ops] is the
     hypervisor's handler; it returns the time the hypercall took, which
     is charged to [stats.guest_time].
     @raise Invalid_argument when [partitions] is not a power of two or

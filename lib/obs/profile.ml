@@ -24,6 +24,9 @@ type phase =
   | Manager_reconcile
   | Manager_release
   | Ff_replay
+  | Churn
+  | Guest_refresh
+  | Outcome
 
 let phases =
   [
@@ -41,6 +44,9 @@ let phases =
     Manager_reconcile;
     Manager_release;
     Ff_replay;
+    Churn;
+    Guest_refresh;
+    Outcome;
   ]
 
 let phase_index = function
@@ -58,6 +64,9 @@ let phase_index = function
   | Manager_reconcile -> 11
   | Manager_release -> 12
   | Ff_replay -> 13
+  | Churn -> 14
+  | Guest_refresh -> 15
+  | Outcome -> 16
 
 let phase_name = function
   | Kernel_compute -> "kernel.compute"
@@ -74,6 +83,9 @@ let phase_name = function
   | Manager_reconcile -> "manager.reconcile"
   | Manager_release -> "manager.release"
   | Ff_replay -> "ff.replay"
+  | Churn -> "churn"
+  | Guest_refresh -> "guest.refresh"
+  | Outcome -> "outcome"
 
 let nphases = List.length phases
 

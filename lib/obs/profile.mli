@@ -23,6 +23,11 @@ type phase =
       (** first-touch switch's whole free-list release at boot; [P2m_batch]
           nests in it *)
   | Ff_replay  (** fast-forward delta replay of a quiescent epoch *)
+  | Churn  (** a full epoch's concrete page churn; [Pv_flush] nests in it *)
+  | Guest_refresh
+      (** the guest model's placement refresh after a Carrefour period or
+          during an evacuation drain *)
+  | Outcome  (** a finished run's per-VM results and metrics commit *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

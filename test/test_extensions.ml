@@ -71,7 +71,22 @@ let test_walk_radix_uniform_equals_flat () =
     (Guest.Tlb.cycles_per_access tlb Guest.Tlb.Small_4k ~virtualized:true ~footprint_bytes
        ~hot_access_share)
     (Guest.Tlb.cycles_per_access_mixed_radix tlb ~huge_fraction:0.0 ~virtualized:true
-       ~footprint_bytes ~hot_access_share ~ratio:1.0)
+       ~footprint_bytes ~hot_access_share ~ratio:1.0);
+  (* The engine prices every flat walk through the blend: at f = 0 and
+     f = 1 it is the flat 4 KiB and 2 MiB cost bit for bit. *)
+  List.iter
+    (fun virtualized ->
+      List.iter
+        (fun (huge_fraction, page_size) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "flat mixed with f=%g = flat (virtualized %b)" huge_fraction
+               virtualized)
+            (Guest.Tlb.cycles_per_access tlb page_size ~virtualized ~footprint_bytes
+               ~hot_access_share)
+            (Guest.Tlb.cycles_per_access_mixed tlb ~huge_fraction ~virtualized ~footprint_bytes
+               ~hot_access_share))
+        [ (0.0, Guest.Tlb.Small_4k); (1.0, Guest.Tlb.Huge_2m) ])
+    [ false; true ]
 
 let ratio_of percent = float_of_int percent /. 100.0
 

@@ -898,7 +898,9 @@ let test_engine_ras_evacuates () =
     (d.Engine.Result.evacuated > 0)
 
 (* The sweep and the promotion scan each have their own profiler
-   phase, nested in the manager tick's: one reconcile span per sweep. *)
+   phase, nested in the manager tick's: one reconcile span per sweep.
+   So do the runner's churn (holding the queue's flushes), guest-model
+   refresh and outcome stages: one outcome span per run. *)
 let test_tick_phases_profiled () =
   let finish () =
     Obs.Profile.set_enabled false;
@@ -932,7 +934,13 @@ let test_tick_phases_profiled () =
         (Obs.Metrics.counter_value "policies.reconcile.sweeps");
       Alcotest.(check bool) "scans ran" true (scans > 0);
       Alcotest.(check bool) "sweep time inside the tick's" true (sweep_ns <= tick_ns);
-      Alcotest.(check bool) "scan time inside the tick's" true (scan_ns <= tick_ns))
+      Alcotest.(check bool) "scan time inside the tick's" true (scan_ns <= tick_ns);
+      let churns, churn_ns = phase "churn" in
+      let _, flush_ns = phase "pv.flush" in
+      Alcotest.(check bool) "churn ran" true (churns > 0);
+      Alcotest.(check bool) "flush time inside the churn's" true (flush_ns <= churn_ns);
+      Alcotest.(check bool) "placement refreshed" true (fst (phase "guest.refresh") > 0);
+      Alcotest.(check int) "one outcome span" 1 (fst (phase "outcome")))
 
 (* ------------------------------- suite ----------------------------- *)
 

@@ -222,6 +222,27 @@ let test_queue_rejects_out_of_range () =
     [ 16; 17; -1 ];
   Alcotest.(check int) "nothing recorded" 0 (Guest.Pv_queue.stats q).Guest.Pv_queue.enqueued
 
+(* The dedup stamps cover the pfns the queue has carried, not the
+   frames it accepts: on a bodytrack-sized padded guest (525,568
+   frames) a queue that churns a few low pfns stays small, and a pfn
+   that grows the stamps still dedups against its partition's older
+   entries. *)
+let test_queue_size_independent_of_frames () =
+  let frames = 525_568 in
+  let flushed = ref [] in
+  let q =
+    Guest.Pv_queue.create ~partitions:1 ~frames
+      ~flush:(fun ops -> flushed := Array.to_list ops :: !flushed; 0.0)
+      ()
+  in
+  List.iter (Guest.Pv_queue.record q)
+    Guest.Pv_queue.[ Alloc 3; Alloc 9; Release 3; Alloc 300; Release 9; Release 300 ];
+  Guest.Pv_queue.flush_all q;
+  Alcotest.(check bool) "winners only, oldest first" true
+    (!flushed = [ Guest.Pv_queue.[ Release 3; Release 9; Release 300 ] ]);
+  let words = Obj.reachable_words (Obj.repr q) in
+  if words >= 4096 then Alcotest.failf "a queue over %d frames reaches %d words" frames words
+
 (* Differential for the one most-recent-op-wins pass: a queue feeding
    [Manager.page_ops_hypercall] against a test-local reference that
    buffers the same partitions, dedups each flush newest-first through
@@ -370,6 +391,8 @@ let suite =
         qcheck prop_queue_replay_visits_each_page_once;
         qcheck prop_queue_replay_matches_final_state;
         Alcotest.test_case "rejects out-of-range pfn" `Quick test_queue_rejects_out_of_range;
+        Alcotest.test_case "size independent of the guest" `Quick
+          test_queue_size_independent_of_frames;
         qcheck prop_queue_page_ops_equals_reference;
       ] );
   ]

@@ -16,6 +16,13 @@ if grep -rn --include='*.ml' --exclude-dir=_build \
   exit 1
 fi
 
+# A fault plan forks the engine in one place: under lib/engine only the
+# churn module (Engine.Churn) may ask whether a plan is enabled.
+if grep -rn 'Faults\.Injector\.enabled' lib/engine | grep -v '^lib/engine/churn\.mli\{0,1\}:'; then
+  echo "tier1: FAIL - Faults.Injector.enabled outside lib/engine/churn.ml (lines above)" >&2
+  exit 1
+fi
+
 # Every command's help must render cleanly: a bad escape in a doc
 # string makes cmdliner print "cmdliner error" lines into the help text.
 for cmd in "xen_numa_sim run" "xen_numa_sim list" "xen_numa_sim topology" \
