@@ -34,10 +34,11 @@ let () =
       | Ok _ -> ()
       | Error _ -> failwith "setup migration failed")
     hot_pages;
-  Xen.Domain.reset_account domain;
+  Xen.Domain.reset_ledger domain;
   Format.printf "32 hot pages concentrated on node 0; Carrefour engaged@.@.";
   Format.printf "%-6s %-12s %-12s %-14s %s@." "round" "node0 util" "imbalance" "migrations"
     "hot pages on node 0";
+  let migrated = ref 0 in
   for round = 1 to 6 do
     (* One measurement epoch: every node hammers the hot pages.  Node
        0's controller saturates while the others idle. *)
@@ -72,14 +73,16 @@ let () =
       | None -> failwith "carrefour is not active"
     in
     let util = (Numa.Counters.last_controller_utilisation counters).(0) in
+    let moved =
+      report.Policies.Carrefour.interleave_migrations
+      + report.Policies.Carrefour.locality_migrations
+    in
+    migrated := !migrated + moved;
     Format.printf "%-6d %-12s %-12s %-14d %d@." round
       (Printf.sprintf "%.0f%%" (100.0 *. util))
       (Printf.sprintf "%.0f%%" (100.0 *. Numa.Counters.imbalance counters))
-      (report.Policies.Carrefour.interleave_migrations
-      + report.Policies.Carrefour.locality_migrations)
-      (List.length on_node0)
+      moved (List.length on_node0)
   done;
-  let account = domain.Xen.Domain.account in
   Format.printf "@.total pages migrated: %d (%.1f ms of copy time charged to the domain)@."
-    account.Xen.Domain.migrated_pages
-    (1000.0 *. account.Xen.Domain.migrate_time)
+    !migrated
+    (1000.0 *. Xen.Domain.spent domain Xen.Domain.Migrate)

@@ -64,7 +64,7 @@ let overhead t ~active_seconds =
   match t.period with
   | None -> 0.0
   | Some period ->
-      let costs = Xen.Costs.default in
+      let costs = t.costs in
       let per_release =
         (costs.Xen.Costs.hypercall_entry /. 128.0)
         +. costs.Xen.Costs.page_op_send +. costs.Xen.Costs.page_invalidate

@@ -18,7 +18,7 @@
 
     {b Run state read and written:} the guest's {!Guest.Pfn_pool}
     (allocated and released by {!epoch}) and the domain (P2M faults
-    charged to its account); the queue's flushes call
+    charged to its ledger); the queue's flushes call
     {!Policies.Manager.page_ops_hypercall}. *)
 
 type t

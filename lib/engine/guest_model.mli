@@ -16,7 +16,7 @@
     {b Run state read:} the domain's P2M and the machine (to resolve a
     page's node), and, per call, what {!feed_samples} lists.
 
-    {b Run state written:} at {!create}, the domain's P2M and account
+    {b Run state written:} at {!create}, the domain's P2M and ledger
     (the faults that touch the regions in); each Carrefour period, the
     heat table {!feed_samples} fills. *)
 

@@ -120,29 +120,17 @@ let vm_degradation manager =
 let vm_result t (cfg : Config.t) system churn ~finish ~sync_overhead ~migrations ~walk_cpi =
   let spec = t.spec in
   let app = spec.Config.app in
-  let threads = float_of_int spec.Config.threads in
-  let scale = float_of_int (Memory.Machine.page_scale system.Xen.System.machine) in
+  let domain = t.domain in
+  let threads = spec.Config.threads in
+  let page_scale = Memory.Machine.page_scale system.Xen.System.machine in
   let compute_time = Array.fold_left Float.max 0.0 finish in
-  let account = t.domain.Xen.Domain.account in
-  let virt_overhead =
-    ((account.Xen.Domain.fault_time *. scale)
-    +. account.Xen.Domain.hypercall_time +. account.Xen.Domain.migrate_time
-    +. account.Xen.Domain.pt_replica_time)
-    /. threads
-  in
-  let io_overhead =
-    if Workloads.App.uses_disk app then begin
-      let costs = Cost_model.costs_of_mode cfg.Config.mode in
-      let requests =
-        Workloads.App.disk_bytes_total app /. float_of_int app.Workloads.App.io_block_bytes
-      in
-      requests
-      *. Xen.Costs.disk_request_overhead costs (Cost_model.io_path cfg.Config.mode spec.Config.policy)
-    end
-    else 0.0
-  in
-  let release_overhead = Churn.overhead churn ~active_seconds:compute_time in
-  let p2m = t.domain.Xen.Domain.p2m in
+  if Workloads.App.uses_disk app then
+    Xen.Domain.charge domain Xen.Domain.Io
+      (Workloads.App.disk_bytes_total app /. float_of_int app.Workloads.App.io_block_bytes
+      *. Xen.Costs.disk_request_overhead system.Xen.System.costs
+           (Cost_model.io_path cfg.Config.mode spec.Config.policy));
+  Xen.Domain.charge domain Xen.Domain.Release (Churn.overhead churn ~active_seconds:compute_time);
+  let p2m = domain.Xen.Domain.p2m in
   let pt_count f = match Policies.Manager.pt t.manager with Some pt -> f pt | None -> 0 in
   let avg_latency_cycles =
     if t.sums.total_accesses > 0.0 then t.sums.weighted_lat /. t.sums.total_accesses else 0.0
@@ -184,13 +172,13 @@ let vm_result t (cfg : Config.t) system churn ~finish ~sync_overhead ~migrations
   {
     Result.app_name = app.Workloads.App.name;
     policy = Policies.Spec.name spec.Config.policy;
-    completion = compute_time +. io_overhead +. virt_overhead +. release_overhead;
+    completion = Xen.Domain.completion domain ~compute_time ~page_scale ~threads;
     compute_time;
-    io_overhead;
+    io_overhead = Xen.Domain.spent domain Xen.Domain.Io;
     sync_overhead;
-    virt_overhead;
-    release_overhead;
-    faults = account.Xen.Domain.fault_count;
+    virt_overhead = Xen.Domain.virt_overhead domain ~page_scale ~threads;
+    release_overhead = Xen.Domain.spent domain Xen.Domain.Release;
+    faults = Xen.Domain.faults domain;
     migrations;
     avg_latency_cycles;
     local_fraction = local_fraction t;
@@ -202,7 +190,7 @@ let vm_result t (cfg : Config.t) system churn ~finish ~sync_overhead ~migrations
     walk_cycles_per_instr = walk_cpi;
     pt_replica_updates = pt_count Xen.Pt.replica_updates;
     pt_replica_invalidations = pt_count Xen.Pt.replica_invalidations;
-    pt_replica_time = account.Xen.Domain.pt_replica_time;
+    pt_replica_time = Xen.Domain.spent domain Xen.Domain.Pt_replica;
     latency;
     slo;
     degradation = vm_degradation t.manager;

@@ -5,7 +5,7 @@
     local accesses), the latency histogram, the SLO violation counts
     and the count of epochs in which any vCPU ran.
 
-    {b Run state read:} the VM's spec, its domain's account and P2M
+    {b Run state read:} the VM's spec, its domain's ledger and P2M
     counters and its manager (degradation, page tables), captured at
     {!create}; and, per call, what {!reduce_latency} and {!vm_result}
     list. *)
@@ -30,11 +30,11 @@ val local_fraction : t -> float
 val vm_result :
   t -> Config.t -> Xen.System.t -> Churn.t -> finish:float array -> sync_overhead:float ->
   migrations:int -> walk_cpi:float -> Result.vm_result
-(** The VM's result.  [completion] is [compute_time] (the last vCPU's
-    [finish]) plus the I/O path's per-request overhead, the domain's
-    virtualization time per vCPU (faults scaled by the page grain,
-    hypercalls, migrations, page-table replica updates) and the
-    analytic release churn ({!Churn.overhead}). *)
+(** The VM's result.  Charges the I/O path's per-request overhead and
+    the analytic release churn ({!Churn.overhead}) to the domain's
+    ledger, so call it once per run; then reads [completion] and each
+    of its terms from the ledger ({!Xen.Domain.completion}), with
+    [compute_time] the last vCPU's [finish]. *)
 
 val commit_metrics : Result.t -> t list -> unit
 (** Mirror a finished run into the metrics registry ([engine.*]); [t]s

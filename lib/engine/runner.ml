@@ -140,7 +140,7 @@ let setup_vm (cfg : Config.t) system injector obs root_rng (spec : Config.vm_spe
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runner: " ^ msg));
   (* Policy installation and boot population are not application time. *)
-  Xen.Domain.reset_account domain;
+  Xen.Domain.reset_ledger domain;
   let threads = spec.Config.threads in
   let gm = Guest_model.create system domain app ~threads in
   let churn =

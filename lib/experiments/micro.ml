@@ -164,7 +164,7 @@ let batching ?(ops = 100_000) () =
   (match Policies.Manager.switch manager Policies.Spec.first_touch with
   | Ok () -> ()
   | Error msg -> failwith msg);
-  Xen.Domain.reset_account domain;
+  Xen.Domain.reset_ledger domain;
   let base_stats = Policies.Manager.stats manager in
   let base_invalidated = base_stats.Policies.Manager.invalidated in
   let base_left = base_stats.Policies.Manager.left_in_place in
@@ -216,7 +216,7 @@ let batching ?(ops = 100_000) () =
   let mstats = Policies.Manager.stats manager in
   let invalidated = mstats.Policies.Manager.invalidated - base_invalidated in
   let reallocated = mstats.Policies.Manager.left_in_place - base_left in
-  let refault_time = domain.Xen.Domain.account.Xen.Domain.fault_time in
+  let refault_time = Xen.Domain.spent domain Xen.Domain.Fault in
   let releases = float_of_int !releases in
   let per_release_batched =
     (qstats.Guest.Pv_queue.guest_time +. refault_time) /. releases

@@ -542,10 +542,8 @@ module System_component = struct
             let costs = t.system.Xen.System.costs in
             let bytes = float_of_int (Memory.Machine.frame_bytes machine) in
             let copies = float_of_int (List.length !frames) in
-            let account = t.domain.Xen.Domain.account in
-            account.Xen.Domain.migrate_time <-
-              account.Xen.Domain.migrate_time
-              +. (copies *. (costs.Xen.Costs.page_migrate_fixed +. (bytes *. costs.Xen.Costs.copy_byte)));
+            Xen.Domain.charge t.domain Xen.Domain.Migrate
+              (copies *. (costs.Xen.Costs.page_migrate_fixed +. (bytes *. costs.Xen.Costs.copy_byte)));
             Hashtbl.replace t.replicas pfn !frames;
             true
           end

@@ -236,6 +236,6 @@ val run_epoch :
     [interleave_only] sheds the locality and replication actions — the
     circuit breaker's first degradation level.  [migrate] moves one
     page (the Manager's resilient path: retry/defer through the
-    internal interface, which charges the cost to the domain account)
+    internal interface, which charges the cost to the domain's ledger)
     and says whether it moved; a replicated page's replicas are
     collapsed first. *)

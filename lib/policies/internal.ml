@@ -56,19 +56,14 @@ let migrate_page system (domain : Xen.Domain.t) ~pfn ~node =
                and stall until the copy completes, then remap. *)
             Xen.P2m.write_protect p2m pfn;
             let bytes = Memory.Machine.frame_bytes (machine system) in
-            (* One scaled frame stands for [page_scale] real 4 KiB pages,
-               each paying the fixed write-protect/remap cost. *)
-            let scale = float_of_int scale_i in
-            let copy_time =
-              splinter_time
-              +. (scale *. costs.Xen.Costs.page_migrate_fixed)
-              +. (float_of_int bytes *. costs.Xen.Costs.copy_byte)
-            in
             Xen.P2m.set domain.Xen.Domain.p2m pfn ~mfn:new_mfn ~writable;
             free_mapped system ~pfn ~mfn:old_mfn;
-            let account = domain.Xen.Domain.account in
-            account.Xen.Domain.migrate_time <- account.Xen.Domain.migrate_time +. copy_time;
-            account.Xen.Domain.migrated_pages <- account.Xen.Domain.migrated_pages + 1;
+            (* One scaled frame stands for [page_scale] real 4 KiB pages,
+               each paying the fixed write-protect/remap cost. *)
+            Xen.Domain.charge domain Xen.Domain.Migrate
+              (splinter_time
+              +. (float_of_int scale_i *. costs.Xen.Costs.page_migrate_fixed)
+              +. (float_of_int bytes *. costs.Xen.Costs.copy_byte));
             Ok new_mfn
       end
 
@@ -114,14 +109,10 @@ let migrate_group system (domain : Xen.Domain.t) ~on_splinter ~pfns ~scratch_mfn
     (* Every page in the group was mapped when it was grouped and
        nothing invalidates between grouping and remap. *)
     assert (stats.Xen.P2m.applied = moved);
-    let time =
-      !splinter_time
+    Xen.Domain.charge domain Xen.Domain.Migrate
+      (!splinter_time
       +. Xen.Costs.migrate_batch_time costs ~pages:moved
-           ~page_bytes:(Memory.Machine.frame_bytes m) ~scale
-    in
-    let account = domain.Xen.Domain.account in
-    account.Xen.Domain.migrate_time <- account.Xen.Domain.migrate_time +. time;
-    account.Xen.Domain.migrated_pages <- account.Xen.Domain.migrated_pages + moved
+           ~page_bytes:(Memory.Machine.frame_bytes m) ~scale)
   end;
   if !stopped then `Enomem moved else `Done moved
 

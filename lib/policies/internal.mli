@@ -40,8 +40,8 @@ val migrate_page :
     of the new node, update the entry and free the old frame.  No-op
     success if the page already lives on [node].  Charges the fixed
     migration cost plus the per-byte copy cost to the domain's
-    account; if the page lay inside a 2 MiB superpage the extent is
-    splintered first and the per-frame demotion cost
+    [Migrate] ledger entry; if the page lay inside a 2 MiB superpage
+    the extent is splintered first and the per-frame demotion cost
     ({!Xen.Costs.splinter_time}) is charged on top. *)
 
 val migrate_group :

@@ -411,7 +411,6 @@ let observe t =
     | Some _ | None -> None
   in
   let costs = t.system.Xen.System.costs in
-  let account = t.domain.Xen.Domain.account in
   Xen.P2m.set_on_update t.domain.Xen.Domain.p2m
     (Some
        (fun u ->
@@ -419,14 +418,12 @@ let observe t =
          | None -> ()
          | Some (pt, replicas) ->
              Xen.Pt.apply pt u;
-             account.Xen.Domain.pt_replica_time <-
-               account.Xen.Domain.pt_replica_time
-               +.
-               match u with
+             Xen.Domain.charge t.domain Xen.Domain.Pt_replica
+               (match u with
                | Xen.P2m.Cleared _ | Xen.P2m.Splintered _ ->
                    Xen.Costs.pt_replica_invalidate_time costs ~replicas
                | Xen.P2m.Set _ | Xen.P2m.Superpage_mapped _ | Xen.P2m.Promoted _ ->
-                   Xen.Costs.pt_replica_update_time costs ~replicas);
+                   Xen.Costs.pt_replica_update_time costs ~replicas));
          match t.carrefour with
          | Some sys -> Carrefour.System_component.on_p2m_update sys u
          | None -> ()))
@@ -483,7 +480,7 @@ let attach ?(carrefour_config = Carrefour.User_component.default_config) ?(super
   (* Install the observer before the boot population so the mirrors are
      charged for the primary's whole update stream from its first
      entry.  The boot-time propagation cost is charged like any other
-     update; the engine wipes the account after setup, exactly as it
+     update; the engine wipes the ledger after setup, exactly as it
      does for the population itself. *)
   (match pt with Some pt when Xen.Pt.replicated pt -> observe t | Some _ | None -> ());
   (match boot.Spec.placement with
@@ -505,8 +502,7 @@ let charge_hypercall t id time =
       time +. t.system.Xen.System.costs.Xen.Costs.hypercall_entry
     else time
   in
-  let account = t.domain.Xen.Domain.account in
-  account.Xen.Domain.hypercall_time <- account.Xen.Domain.hypercall_time +. time;
+  Xen.Domain.charge t.domain Xen.Domain.Hypercall time;
   Xen.Hypercall.record ?obs:t.system.Xen.System.obs ~domain:t.domain.Xen.Domain.id id ~time
 
 (* The policy-selection hypercall in two halves: [select_policy]
@@ -700,8 +696,7 @@ let breaker_open t = t.breaker_open_until >= 0 && t.epoch < t.breaker_open_until
 
 let charge_backoff t attempt =
   let pause = backoff_base *. float_of_int (1 lsl attempt) in
-  let account = t.domain.Xen.Domain.account in
-  account.Xen.Domain.migrate_time <- account.Xen.Domain.migrate_time +. pause;
+  Xen.Domain.charge t.domain Xen.Domain.Migrate pause;
   t.degrade.backoff_time <- t.degrade.backoff_time +. pause
 
 (* [Internal.migrate_page] splinters (and charges for) a surrounding
@@ -881,10 +876,8 @@ let handle_ecc_ce t ~pfn =
   match Internal.node_of_pfn t.system t.domain pfn with
   | None -> ()
   | Some node ->
-      let costs = t.system.Xen.System.costs in
-      let account = t.domain.Xen.Domain.account in
-      account.Xen.Domain.migrate_time <-
-        account.Xen.Domain.migrate_time +. costs.Xen.Costs.page_migrate_fixed;
+      Xen.Domain.charge t.domain Xen.Domain.Migrate
+        t.system.Xen.System.costs.Xen.Costs.page_migrate_fixed;
       t.degrade.ecc_ce <- t.degrade.ecc_ce + 1;
       emit ~pfn ~node t Obs.Event.Ecc_ce;
       if Obs.Metrics.enabled () then Obs.Metrics.incr "policies.ras.ecc_ce"
@@ -918,20 +911,19 @@ let handle_ecc_ue t ~pfn =
           ()
       | Some new_mfn ->
           let costs = t.system.Xen.System.costs in
-          let account = t.domain.Xen.Domain.account in
           let was_sp = Xen.P2m.is_superpage p2m pfn in
           Xen.P2m.set p2m pfn ~mfn:new_mfn ~writable;
           if was_sp && not (Xen.P2m.is_superpage p2m pfn) then begin
             note_splinter t ~pfn;
-            account.Xen.Domain.migrate_time <-
-              account.Xen.Domain.migrate_time
-              +. Xen.Costs.splinter_time costs ~frames_4k:(sp_frames_4k t)
+            Xen.Domain.charge t.domain Xen.Domain.Migrate
+              (Xen.Costs.splinter_time costs ~frames_4k:(sp_frames_4k t))
           end;
           Internal.free_mapped t.system ~pfn ~mfn:old_mfn;
-          account.Xen.Domain.migrate_time <-
-            account.Xen.Domain.migrate_time
-            +. costs.Xen.Costs.page_migrate_fixed
-            +. (costs.Xen.Costs.copy_byte *. float_of_int (Memory.Machine.frame_bytes machine));
+          (* The remap and the copy are two charges: one charge of
+             their sum would round the ledger differently. *)
+          Xen.Domain.charge t.domain Xen.Domain.Migrate costs.Xen.Costs.page_migrate_fixed;
+          Xen.Domain.charge t.domain Xen.Domain.Migrate
+            (costs.Xen.Costs.copy_byte *. float_of_int (Memory.Machine.frame_bytes machine));
           let new_node = Memory.Machine.node_of_mfn machine new_mfn in
           emit ~pfn ~node:new_node ~arg:old_mfn t Obs.Event.Ecc_ue)
 
@@ -1037,7 +1029,6 @@ let promote_scan t =
   else begin
     let machine = t.system.Xen.System.machine in
     let costs = t.system.Xen.System.costs in
-    let account = t.domain.Xen.Domain.account in
     let extents = Xen.P2m.frames p2m / sp in
     if extents = 0 then 0
     else begin
@@ -1071,9 +1062,8 @@ let promote_scan t =
           done;
           if !i = sp then begin
             if Xen.P2m.promote p2m ~pfn:base then begin
-              account.Xen.Domain.migrate_time <-
-                account.Xen.Domain.migrate_time
-                +. Xen.Costs.promote_time costs ~frames_4k ~copy_bytes:0;
+              Xen.Domain.charge t.domain Xen.Domain.Migrate
+                (Xen.Costs.promote_time costs ~frames_4k ~copy_bytes:0);
               t.stats.promotes <- t.stats.promotes + 1;
               emit ~pfn:base ~node ~arg:sp t Obs.Event.Promote;
               if Obs.Metrics.enabled () then Obs.Metrics.incr "policies.superpage.promotes";
@@ -1096,10 +1086,9 @@ let promote_scan t =
                   done;
                   let ok = Xen.P2m.promote p2m ~pfn:base in
                   assert ok;
-                  account.Xen.Domain.migrate_time <-
-                    account.Xen.Domain.migrate_time
-                    +. Xen.Costs.promote_time costs ~frames_4k
-                         ~copy_bytes:(sp * Memory.Machine.frame_bytes machine);
+                  Xen.Domain.charge t.domain Xen.Domain.Migrate
+                    (Xen.Costs.promote_time costs ~frames_4k
+                       ~copy_bytes:(sp * Memory.Machine.frame_bytes machine));
                   t.stats.superpage_migrates <- t.stats.superpage_migrates + 1;
                   emit ~pfn:base ~node ~arg:sp t Obs.Event.Superpage_migrate;
                   if Obs.Metrics.enabled () then

@@ -83,7 +83,7 @@ val attach :
     [false]) the placement additionally counts one mirror per home
     node, and every P2M mutation charges
     {!Xen.Costs.pt_replica_update_time} (or the invalidate variant) to
-    the domain's [pt_replica_time] account.
+    the domain's [Pt_replica] ledger entry.
 
     The manager installs the domain's one P2M update observer when it
     first needs it: {e before} the boot population when there are
@@ -188,7 +188,7 @@ val promote_scan : t -> int
     are already contiguous and aligned, otherwise by migrating the
     extent onto a freshly allocated contiguous block
     (superpage-migrate).  Charges {!Xen.Costs.promote_time} to the
-    domain's migration account.  Returns the number of extents
+    domain's [Migrate] ledger entry.  Returns the number of extents
     promoted; 0 when superpages are disabled.  Deterministic: cursor
     order only, no randomness.  An extent's classification stops at its
     first disqualifying frame: a hole, a second node or a writable bit

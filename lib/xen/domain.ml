@@ -1,13 +1,10 @@
 type kind = Dom0 | DomU
 
-type account = {
-  mutable hypercall_time : float;
-  mutable fault_time : float;
-  mutable fault_count : int;
-  mutable migrate_time : float;
-  mutable migrated_pages : int;
-  mutable pt_replica_time : float;
-}
+type cost = Hypercall | Fault | Migrate | Pt_replica | Io | Release
+
+(* One slot per cost in a float array, which stores its elements
+   unboxed: a charge from inside this module allocates nothing. *)
+type ledger = { time : float array; mutable faults : int }
 
 type t = {
   id : int;
@@ -18,39 +15,52 @@ type t = {
   p2m : P2m.t;
   home_nodes : Numa.Topology.node array;
   vcpu_pin : int array;
-  account : account;
+  ledger : ledger;
   mutable fault_handler : (Memory.Page.pfn -> cpu:Numa.Topology.cpu -> unit) option;
   mutable policy_name : string;
 }
 
-let fresh_account () =
-  {
-    hypercall_time = 0.0;
-    fault_time = 0.0;
-    fault_count = 0;
-    migrate_time = 0.0;
-    migrated_pages = 0;
-    pt_replica_time = 0.0;
-  }
+let slot = function
+  | Hypercall -> 0
+  | Fault -> 1
+  | Migrate -> 2
+  | Pt_replica -> 3
+  | Io -> 4
+  | Release -> 5
 
+let fresh_ledger () = { time = Array.make 6 0.0; faults = 0 }
+
+let charge t cost x =
+  let time = t.ledger.time and i = slot cost in
+  time.(i) <- time.(i) +. x
+
+let spent t cost = t.ledger.time.(slot cost)
+let faults t = t.ledger.faults
+
+let reset_ledger t =
+  Array.fill t.ledger.time 0 6 0.0;
+  t.ledger.faults <- 0
+
+let virt_overhead t ~page_scale ~threads =
+  ((spent t Fault *. float_of_int page_scale)
+  +. spent t Hypercall +. spent t Migrate +. spent t Pt_replica)
+  /. float_of_int threads
+
+let completion t ~compute_time ~page_scale ~threads =
+  compute_time +. spent t Io +. virt_overhead t ~page_scale ~threads +. spent t Release
+
+(* The first-touch boot faults in every footprint page: update the slot
+   in place, since [charge]'s float argument is boxed unless inlined. *)
 let handle_fault t ~costs ~pfn ~cpu =
-  t.account.fault_count <- t.account.fault_count + 1;
-  t.account.fault_time <- t.account.fault_time +. costs.Costs.hypervisor_fault;
+  let time = t.ledger.time and fault = slot Fault in
+  t.ledger.faults <- t.ledger.faults + 1;
+  time.(fault) <- time.(fault) +. costs.Costs.hypervisor_fault;
   match t.fault_handler with
   | None -> false
   | Some handler ->
       handler pfn ~cpu;
       if P2m.mfn_of t.p2m pfn < 0 then false
       else begin
-        t.account.fault_time <- t.account.fault_time +. costs.Costs.page_map;
+        time.(fault) <- time.(fault) +. costs.Costs.page_map;
         true
       end
-
-let reset_account t =
-  let a = t.account in
-  a.hypercall_time <- 0.0;
-  a.fault_time <- 0.0;
-  a.fault_count <- 0;
-  a.migrate_time <- 0.0;
-  a.migrated_pages <- 0;
-  a.pt_replica_time <- 0.0

@@ -6,20 +6,23 @@
     it onto.  Policies install a [fault_handler] to be called on
     hypervisor page faults (first touch of an invalid P2M entry).
 
-    The [account] accumulates the virtualization time the domain spent
-    in each mechanism; the engine folds it into completion time. *)
+    The domain's {!ledger} holds the time charged to it per {!cost};
+    the engine reports a VM's completion time and each of its terms
+    from it. *)
 
 type kind = Dom0 | DomU
 
-type account = {
-  mutable hypercall_time : float;
-  mutable fault_time : float;
-  mutable fault_count : int;
-  mutable migrate_time : float;
-  mutable migrated_pages : int;
-  mutable pt_replica_time : float;
-      (** Write-propagation time into replicated page tables. *)
-}
+(** What a charge pays for: hypercalls and their retries, hypervisor
+    page faults and the mappings they install, page copies and remaps
+    (migrations, splinters, promotions, replication, ECC, backoff),
+    replicated page-table writes, disk I/O requests and the analytic
+    page-release churn.  [Io] and [Release] are the VM's wall-clock
+    time; the others are hypervisor time summed over its vCPUs. *)
+type cost = Hypercall | Fault | Migrate | Pt_replica | Io | Release
+
+type ledger
+(** The time charged per {!cost} and the page-fault count; only this
+    module writes it. *)
 
 type t = {
   id : int;
@@ -30,17 +33,38 @@ type t = {
   p2m : P2m.t;
   home_nodes : Numa.Topology.node array;
   vcpu_pin : int array;  (** [vcpu_pin.(v)] is the pCPU running vCPU [v]. *)
-  account : account;
+  ledger : ledger;
   mutable fault_handler : (Memory.Page.pfn -> cpu:Numa.Topology.cpu -> unit) option;
   mutable policy_name : string;  (** For reports; policies update it. *)
 }
 
-val fresh_account : unit -> account
+val fresh_ledger : unit -> ledger
+(** A ledger with nothing charged. *)
+
+val charge : t -> cost -> float -> unit
+(** [charge t cost time] adds [time] seconds to [t]'s [cost] entry. *)
+
+val spent : t -> cost -> float
+(** The time charged to [cost] since the last {!reset_ledger}. *)
+
+val faults : t -> int
+(** Hypervisor page faults delivered since the last {!reset_ledger}. *)
+
+val reset_ledger : t -> unit
+(** Zero every entry and the fault count. *)
+
+val virt_overhead : t -> page_scale:int -> threads:int -> float
+(** The hypervisor time per vCPU:
+    [(fault × page_scale + hypercall + migrate + pt_replica) / threads],
+    the faults scaled because one simulated page stands for
+    [page_scale] real 4 KiB pages. *)
+
+val completion : t -> compute_time:float -> page_scale:int -> threads:int -> float
+(** [compute_time + io + virt_overhead + release], summed in that
+    order. *)
 
 val handle_fault : t -> costs:Costs.t -> pfn:Memory.Page.pfn -> cpu:Numa.Topology.cpu -> bool
 (** Deliver a hypervisor page fault for [pfn]: charges the fault cost
     and runs the installed handler.  Returns [true] if a handler mapped
     the page (the P2M entry is valid afterwards), [false] if no handler
     is installed or the entry is still invalid. *)
-
-val reset_account : t -> unit

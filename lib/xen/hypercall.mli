@@ -14,7 +14,7 @@
     Each invocation is visible in the trace and the metrics registry —
     the visibility a hypervisor developer needs when the guest starts
     hammering the page-ops path; the time it costs is charged to the
-    domain's {!Domain.account} by the caller. *)
+    domain's {!Domain.ledger} by the caller. *)
 
 type id =
   | Set_numa_policy

@@ -115,7 +115,7 @@ let create_domain t ~name ~kind ~vcpus ~mem_bytes ?home_nodes () =
           ~frames:mem_frames ();
       home_nodes;
       vcpu_pin;
-      account = Domain.fresh_account ();
+      ledger = Domain.fresh_ledger ();
       fault_handler = None;
       policy_name = "none";
     }

@@ -299,7 +299,10 @@ let test_split_halves_are_disjoint () =
    time plus its I/O, virtualization and release terms, in that order,
    bit for bit, and no term is negative.  One cell of each kind the
    benchmark runs: static, Carrefour, two VMs, and faulted churn, where
-   the concrete queue runs beside the analytic release charge. *)
+   the concrete queue runs beside the analytic release charge; and one
+   cell per other charge: page-table replica propagation, the
+   uncorrectable-ECC handler's remaps and native costs under Linux,
+   with disk I/O. *)
 let test_outcome_terms_sum_to_completion () =
   let vm = Engine.Config.vm in
   let cells =
@@ -321,6 +324,17 @@ let test_outcome_terms_sum_to_completion () =
         Engine.Config.make ~faults:(Faults.Plan.of_string_exn "hypercall=0.0")
           ~mode:Engine.Config.Xen_plus
           [ vm ~policy:Policies.Spec.first_touch (app "wrmem") ] );
+      ( "replicated page tables",
+        Engine.Config.make ~mode:Engine.Config.Xen_plus
+          [ vm ~threads:16 ~replicate_pt:true ~policy:Policies.Spec.first_touch (app "swaptions") ]
+      );
+      ( "ecc-ue",
+        Engine.Config.make ~faults:(Faults.Plan.of_string_exn "ecc-ue=0.3")
+          ~mode:Engine.Config.Xen_plus
+          [ vm ~threads:16 ~superpages:true ~policy:Policies.Spec.round_1g (app "swaptions") ] );
+      ( "linux",
+        Engine.Config.make ~mode:Engine.Config.Linux
+          [ vm ~threads:16 ~policy:Policies.Spec.first_touch (app "cassandra") ] );
     ]
   in
   List.iter
@@ -342,8 +356,14 @@ let test_outcome_terms_sum_to_completion () =
             (Int64.bits_of_float
                (v.compute_time +. v.io_overhead +. v.virt_overhead +. v.release_overhead))
             (Int64.bits_of_float v.completion);
-          if cell = "faulted churn" && not (v.release_overhead > 0.0) then
-            Alcotest.failf "%s: no release churn charged" name)
+          let charged what x = if not (x > 0.0) then Alcotest.failf "%s: no %s charged" name what in
+          match cell with
+          | "faulted churn" -> charged "release churn" v.release_overhead
+          | "replicated page tables" -> charged "replica propagation" v.pt_replica_time
+          | "ecc-ue" ->
+              if v.degradation.ecc_ue = 0 then Alcotest.failf "%s: no uncorrectable error" name
+          | "linux" -> charged "disk I/O" v.io_overhead
+          | _ -> ())
         (Engine.Runner.run cfg).Engine.Result.vms)
     cells
 

@@ -94,9 +94,11 @@ let test_internal_migrate () =
   | Ok mfn -> Alcotest.(check int) "now on 7" 7 (Memory.Machine.node_of_mfn s.Xen.System.machine mfn)
   | Error _ -> Alcotest.fail "migrate failed");
   Alcotest.(check (option int)) "node_of_pfn agrees" (Some 7) (Policies.Internal.node_of_pfn s d 5);
-  Alcotest.(check int) "accounted" 1 d.Xen.Domain.account.Xen.Domain.migrated_pages;
-  Alcotest.(check bool) "copy time charged" true
-    (d.Xen.Domain.account.Xen.Domain.migrate_time > 0.0)
+  let c = s.Xen.System.costs and machine = s.Xen.System.machine in
+  Alcotest.(check (float 1e-15)) "one page's copy charged"
+    ((float_of_int (Memory.Machine.page_scale machine) *. c.Xen.Costs.page_migrate_fixed)
+    +. (float_of_int (Memory.Machine.frame_bytes machine) *. c.Xen.Costs.copy_byte))
+    (Xen.Domain.spent d Xen.Domain.Migrate)
 
 let test_internal_migrate_noop_same_node () =
   let s = small_system () in
@@ -105,7 +107,7 @@ let test_internal_migrate_noop_same_node () =
   (match Policies.Internal.migrate_page s d ~pfn:1 ~node:4 with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "noop migrate failed");
-  Alcotest.(check int) "no page copied" 0 d.Xen.Domain.account.Xen.Domain.migrated_pages
+  Alcotest.(check (float 0.0)) "no copy charged" 0.0 (Xen.Domain.spent d Xen.Domain.Migrate)
 
 let test_internal_migrate_unmapped () =
   let s = small_system () in
@@ -197,7 +199,7 @@ let test_manager_page_ops_invalidate () =
   let d, m = attach s in
   let stream = Obs.Stream.create ~capacity:4096 ~label:"page-ops" () in
   Xen.System.set_obs s (Some stream);
-  let hypercall_time0 = d.Xen.Domain.account.Xen.Domain.hypercall_time in
+  let hypercall_time0 = Xen.Domain.spent d Xen.Domain.Hypercall in
   (match Policies.Manager.set_policy m Policies.Spec.first_touch with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -214,7 +216,7 @@ let test_manager_page_ops_invalidate () =
   Alcotest.(check int) "hypercalls accounted" 2 (List.length entries);
   Alcotest.(check (float 1e-15)) "hypercall time charged once each"
     (s.Xen.System.costs.Xen.Costs.hypercall_entry +. time)
-    (d.Xen.Domain.account.Xen.Domain.hypercall_time -. hypercall_time0)
+    (Xen.Domain.spent d Xen.Domain.Hypercall -. hypercall_time0)
 
 let test_manager_page_ops_reallocated_left () =
   let s = small_system () in
@@ -509,7 +511,7 @@ let test_carrefour_end_to_end_migration () =
   Alcotest.(check bool) "page moved off the hot node" true
     (Policies.Manager.node_of_pfn m 0 <> Some victim_node);
   Alcotest.(check bool) "migration accounted" true
-    (d.Xen.Domain.account.Xen.Domain.migrated_pages > 0)
+    (Xen.Domain.spent d Xen.Domain.Migrate > 0.0)
 
 let test_carrefour_replication_mechanics () =
   let s = small_system () in
@@ -523,7 +525,7 @@ let test_carrefour_replication_mechanics () =
   Alcotest.(check bool) "double replicate refused" false
     (Policies.Carrefour.System_component.replicate sys ~pfn:0);
   Alcotest.(check bool) "copy cost charged" true
-    (d.Xen.Domain.account.Xen.Domain.migrate_time > 0.0);
+    (Xen.Domain.spent d Xen.Domain.Migrate > 0.0);
   Policies.Carrefour.System_component.collapse sys ~pfn:0;
   Alcotest.(check bool) "collapsed" false (Policies.Carrefour.System_component.is_replicated sys 0);
   Alcotest.(check int) "frames returned" free0 (Memory.Machine.free_frames s.Xen.System.machine)
@@ -1535,7 +1537,6 @@ let oracle_promote_scan s d ~cursor ~promotes ~migrates ~events =
   let sp = Xen.P2m.sp_frames p2m in
   let machine = s.Xen.System.machine in
   let costs = s.Xen.System.costs in
-  let account = d.Xen.Domain.account in
   let extents = Xen.P2m.frames p2m / sp in
   let frames_4k = sp * Memory.Machine.page_scale machine in
   let emit ~pfn ~node cls = events := (cls, pfn, node, sp) :: !events in
@@ -1567,9 +1568,8 @@ let oracle_promote_scan s d ~cursor ~promotes ~migrates ~events =
       done;
       if !all_mapped && !same_node && !uniform_w then begin
         if Xen.P2m.promote p2m ~pfn:base then begin
-          account.Xen.Domain.migrate_time <-
-            account.Xen.Domain.migrate_time
-            +. Xen.Costs.promote_time costs ~frames_4k ~copy_bytes:0;
+          Xen.Domain.charge d Xen.Domain.Migrate
+            (Xen.Costs.promote_time costs ~frames_4k ~copy_bytes:0);
           incr promotes;
           emit ~pfn:base ~node:!node Obs.Event.Promote;
           incr promoted
@@ -1591,10 +1591,9 @@ let oracle_promote_scan s d ~cursor ~promotes ~migrates ~events =
               done;
               let ok = Xen.P2m.promote p2m ~pfn:base in
               assert ok;
-              account.Xen.Domain.migrate_time <-
-                account.Xen.Domain.migrate_time
-                +. Xen.Costs.promote_time costs ~frames_4k
-                     ~copy_bytes:(sp * Memory.Machine.frame_bytes machine);
+              Xen.Domain.charge d Xen.Domain.Migrate
+                (Xen.Costs.promote_time costs ~frames_4k
+                   ~copy_bytes:(sp * Memory.Machine.frame_bytes machine));
               incr migrates;
               emit ~pfn:base ~node:!node Obs.Event.Superpage_migrate;
               incr promoted
@@ -1710,8 +1709,7 @@ let prop_promote_scan_matches_oracle =
           && Policies.Manager.promote_cursor m = !cursor
           && stats.Policies.Manager.promotes = !promotes
           && stats.Policies.Manager.superpage_migrates = !migrates
-          && d.Xen.Domain.account.Xen.Domain.migrate_time
-             = d'.Xen.Domain.account.Xen.Domain.migrate_time
+          && Xen.Domain.spent d Xen.Domain.Migrate = Xen.Domain.spent d' Xen.Domain.Migrate
           && Memory.Machine.free_frames s.Xen.System.machine
              = Memory.Machine.free_frames s'.Xen.System.machine
           && same_p2m d.Xen.Domain.p2m d'.Xen.Domain.p2m
@@ -1725,7 +1723,7 @@ let prop_promote_scan_matches_oracle =
    round-1G (so the release splinters), with or without a batch-loss
    plan, release the same random range after the switch to
    first-touch.  They must end with the same P2M, free frames per node,
-   stats, degradation counters, account, hypercall table, returned
+   stats, degradation counters, ledger, hypercall table, returned
    time and trace events. *)
 let release_oracle m ~first ~count =
   let total = ref 0.0 and off = ref 0 in
@@ -1777,7 +1775,7 @@ let prop_release_range_matches_list_path =
            (List.init 8 Fun.id)
       && Policies.Manager.stats m = Policies.Manager.stats m'
       && Policies.Manager.degrade m = Policies.Manager.degrade m'
-      && d.Xen.Domain.account = d'.Xen.Domain.account
+      && d.Xen.Domain.ledger = d'.Xen.Domain.ledger
       && Obs.Stream.events stream = Obs.Stream.events stream'
       && (lossy || (Policies.Manager.stats m).Policies.Manager.splinters > 0))
 
@@ -1913,7 +1911,7 @@ let test_failure_migrate_to_full_node () =
   | Error `Not_mapped -> Alcotest.fail "page is mapped");
   (* The page survives on its original node; nothing leaked. *)
   Alcotest.(check (option int)) "still on node 0" (Some 0) (Policies.Internal.node_of_pfn s d 0);
-  Alcotest.(check int) "no pages copied" 0 d.Xen.Domain.account.Xen.Domain.migrated_pages;
+  Alcotest.(check (float 0.0)) "no copy charged" 0.0 (Xen.Domain.spent d Xen.Domain.Migrate);
   List.iter (fun mfn -> Memory.Machine.free s.Xen.System.machine ~mfn ~order:0) held
 
 let test_failure_map_when_machine_full () =

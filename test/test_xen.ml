@@ -684,9 +684,53 @@ let test_domain_fault_dispatch () =
     Some (fun pfn ~cpu:_ -> Xen.P2m.set d.Xen.Domain.p2m pfn ~mfn:3 ~writable:true);
   Alcotest.(check bool) "handler maps" true
     (Xen.Domain.handle_fault d ~costs:s.Xen.System.costs ~pfn:0 ~cpu:0);
-  Alcotest.(check int) "2 faults accounted" 2 d.Xen.Domain.account.Xen.Domain.fault_count;
-  Alcotest.(check bool) "fault time accrued" true
-    (d.Xen.Domain.account.Xen.Domain.fault_time > 0.0)
+  Alcotest.(check int) "2 faults accounted" 2 (Xen.Domain.faults d);
+  Alcotest.(check bool) "fault time accrued" true (Xen.Domain.spent d Xen.Domain.Fault > 0.0)
+
+(* The ledger keeps one entry per cost: a charge adds to its own kind
+   only, completion sums the entries in its documented order, and the
+   reset the engine runs after boot zeroes every entry and the fault
+   count. *)
+let test_domain_ledger () =
+  let s = make_system ~page_scale:4 () in
+  let d =
+    Xen.System.create_domain s ~name:"l" ~kind:Xen.Domain.DomU ~vcpus:3 ~mem_bytes:(1 lsl 30) ()
+  in
+  let kinds = Xen.Domain.[ Hypercall; Fault; Migrate; Pt_replica; Io; Release ] in
+  List.iteri
+    (fun i k ->
+      Xen.Domain.charge d k (float_of_int (i + 1));
+      Xen.Domain.charge d k 0.1)
+    kinds;
+  d.Xen.Domain.fault_handler <-
+    Some (fun pfn ~cpu:_ -> Xen.P2m.set d.Xen.Domain.p2m pfn ~mfn:3 ~writable:true);
+  let costs = s.Xen.System.costs in
+  ignore (Xen.Domain.handle_fault d ~costs ~pfn:0 ~cpu:0);
+  let spent = List.map (Xen.Domain.spent d) kinds in
+  let bits = List.map Int64.bits_of_float in
+  Alcotest.(check (list int64)) "each kind holds its own charges"
+    (bits
+       (List.mapi
+          (fun i k ->
+            let x = float_of_int (i + 1) +. 0.1 in
+            if k = Xen.Domain.Fault then
+              x +. costs.Xen.Costs.hypervisor_fault +. costs.Xen.Costs.page_map
+            else x)
+          kinds))
+    (bits spent);
+  Alcotest.(check int) "one fault" 1 (Xen.Domain.faults d);
+  (match spent with
+  | [ hypercall; fault; migrate; pt_replica; io; release ] ->
+      let virt = ((fault *. 4.0) +. hypercall +. migrate +. pt_replica) /. 3.0 in
+      Alcotest.(check int64) "completion = compute + io + virt + release"
+        (Int64.bits_of_float (7.0 +. io +. virt +. release))
+        (Int64.bits_of_float (Xen.Domain.completion d ~compute_time:7.0 ~page_scale:4 ~threads:3))
+  | _ -> assert false);
+  Xen.Domain.reset_ledger d;
+  Alcotest.(check (list int64)) "reset zeroes every kind"
+    (bits (List.map (fun _ -> 0.0) kinds))
+    (bits (List.map (Xen.Domain.spent d) kinds));
+  Alcotest.(check int) "reset zeroes the fault count" 0 (Xen.Domain.faults d)
 
 (* --------------------------------- ipi ----------------------------- *)
 
@@ -765,7 +809,7 @@ let test_hypercall_charged_once_via_manager () =
   let m = Policies.Manager.attach s d ~boot:Policies.Spec.round_4k ~rng in
   let stream = Obs.Stream.create ~capacity:4096 ~label:"hc" () in
   Xen.System.set_obs s (Some stream);
-  let before = d.Xen.Domain.account.Xen.Domain.hypercall_time in
+  let before = Xen.Domain.spent d Xen.Domain.Hypercall in
   (match Policies.Manager.set_policy m Policies.Spec.first_touch with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -775,7 +819,7 @@ let test_hypercall_charged_once_via_manager () =
     (List.map snd entries);
   Alcotest.(check (float 1e-15)) "each call charged once"
     (s.Xen.System.costs.Xen.Costs.hypercall_entry +. page_ops)
-    (d.Xen.Domain.account.Xen.Domain.hypercall_time -. before)
+    (Xen.Domain.spent d Xen.Domain.Hypercall -. before)
 
 (* ------------------------------- balloon ---------------------------- *)
 
@@ -985,6 +1029,7 @@ let suite =
         Alcotest.test_case "consolidation shares" `Quick test_system_consolidation_shares;
         Alcotest.test_case "explicit homes + destroy" `Quick test_system_explicit_homes_and_destroy;
         Alcotest.test_case "fault dispatch" `Quick test_domain_fault_dispatch;
+        Alcotest.test_case "ledger" `Quick test_domain_ledger;
       ] );
     ( "xen.ipi",
       [

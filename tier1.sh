@@ -23,6 +23,14 @@ if grep -rn 'Faults\.Injector\.enabled' lib/engine | grep -v '^lib/engine/churn\
   exit 1
 fi
 
+# A run reads its costs from one place: under lib/engine only the cost
+# model (Engine.Cost_model) may name the hypervisor's default costs;
+# every other module reads the system's costs.
+if grep -rn 'Xen\.Costs\.default' lib/engine | grep -v '^lib/engine/cost_model\.mli\{0,1\}:'; then
+  echo "tier1: FAIL - Xen.Costs.default outside lib/engine/cost_model.ml (lines above)" >&2
+  exit 1
+fi
+
 # Every command's help must render cleanly: a bad escape in a doc
 # string makes cmdliner print "cmdliner error" lines into the help text.
 for cmd in "xen_numa_sim run" "xen_numa_sim list" "xen_numa_sim topology" \
